@@ -204,73 +204,57 @@ TelemetrySummary telemetrySummary() {
   return s;
 }
 
-std::vector<InjectionRecord> runTrialPool(int trials, std::uint64_t seed,
-                                          int threads, const TrialFn& fn,
-                                          CampaignTelemetry* telemetry) {
-  const int workers = resolveThreads(threads, trials);
-  std::vector<InjectionRecord> records(
-      static_cast<std::size_t>(trials < 0 ? 0 : trials));
+double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
+                    int threads, const TrialFn& fn,
+                    std::vector<InjectionRecord>& records) {
+  if (idx.empty()) return 0;
+  const int workers = resolveThreads(threads, static_cast<int>(idx.size()));
   trace::Span poolSpan("campaign.trials", "campaign");
   const Clock::time_point t0 = Clock::now();
-  double busySec = 0;
-
   if (workers <= 1) {
-    // Legacy serial path: same iteration order, no pool machinery.
-    for (int i = 0; i < trials; ++i) {
+    // Serial path: list order, no pool machinery.
+    for (int i : idx) {
       Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
       records[static_cast<std::size_t>(i)] = fn(i, trialRng);
     }
-    busySec = secondsSince(t0);
-  } else {
-    std::atomic<int> next{0};
-    std::atomic<bool> stop{false};
-    std::vector<double> busy(static_cast<std::size_t>(workers), 0.0);
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(workers));
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          for (;;) {
-            // A worker that threw raises `stop` so its peers abandon the
-            // remaining trials instead of draining the whole counter; the
-            // records array is discarded anyway once the error rethrows.
-            if (stop.load(std::memory_order_relaxed)) break;
-            const int i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= trials) break;
-            const Clock::time_point w0 = Clock::now();
-            Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
-            // Each slot is written by exactly one worker; the merge back
-            // into trial-index order is the indexed store itself.
-            records[static_cast<std::size_t>(i)] = fn(i, trialRng);
-            busy[static_cast<std::size_t>(w)] += secondsSince(w0);
-          }
-        } catch (...) {
-          errors[static_cast<std::size_t>(w)] = std::current_exception();
-          stop.store(true, std::memory_order_relaxed);
+    return secondsSince(t0);
+  }
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> stop{false};
+  std::vector<double> busy(static_cast<std::size_t>(workers), 0.0);
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    pool.emplace_back([&, w] {
+      try {
+        for (;;) {
+          // A worker that threw raises `stop` so its peers abandon the
+          // remaining trials instead of draining the whole list; the
+          // records array is discarded anyway once the error rethrows.
+          if (stop.load(std::memory_order_relaxed)) break;
+          const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+          if (k >= idx.size()) break;
+          const int i = idx[k];
+          const Clock::time_point w0 = Clock::now();
+          Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
+          // Each slot is written by exactly one worker; the merge back
+          // into trial-index order is the indexed store itself.
+          records[static_cast<std::size_t>(i)] = fn(i, trialRng);
+          busy[static_cast<std::size_t>(w)] += secondsSince(w0);
         }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
-    for (double b : busy) busySec += b;
+      } catch (...) {
+        errors[static_cast<std::size_t>(w)] = std::current_exception();
+        stop.store(true, std::memory_order_relaxed);
+      }
+    });
   }
-
-  if (telemetry) {
-    telemetry->trials = trials;
-    telemetry->threads = workers;
-    telemetry->fromCache = false;
-    telemetry->wallSec = secondsSince(t0);
-    telemetry->workerBusySec = busySec;
-    telemetry->utilization =
-        telemetry->wallSec > 0
-            ? busySec / (telemetry->wallSec * workers)
-            : 0;
-    aggregateRecordTelemetry(records, nullptr, *telemetry);
-  }
-  return records;
+  for (std::thread& t : pool) t.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  double busySec = 0;
+  for (double b : busy) busySec += b;
+  return busySec;
 }
 
 void aggregateRecordTelemetry(const std::vector<InjectionRecord>& records,

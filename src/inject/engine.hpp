@@ -171,12 +171,14 @@ TelemetrySummary telemetrySummary();
 /// distinct indices (each call builds its own Executor/Safeguard).
 using TrialFn = std::function<InjectionRecord(int trialIndex, Rng& trialRng)>;
 
-/// Run trials 0..trials-1 on a worker pool (threads <= 1 uses the legacy
-/// in-place serial loop) and return the records in trial-index order.
+/// The one in-process trial pool: run every trial index in `idx` on
+/// resolveThreads(threads, idx.size()) std::thread workers (one worker runs
+/// them in list order on the caller's thread), storing each record at
+/// records[i]. Returns the worker busy seconds, summed per worker.
 /// Exceptions thrown by a trial are rethrown on the caller's thread.
-std::vector<InjectionRecord> runTrialPool(int trials, std::uint64_t seed,
-                                          int threads, const TrialFn& fn,
-                                          CampaignTelemetry* telemetry);
+double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
+                    int threads, const TrialFn& fn,
+                    std::vector<InjectionRecord>& records);
 
 /// Fill `t`'s record-derived aggregates (simInstrs, replaySavedInstrs,
 /// detection, recovery/rollback counters, Fig. 9 phase sums, and the

@@ -22,116 +22,12 @@ constexpr std::uint32_t kCacheMagic = 0x45435243; // "CRCE"
 // campaign: register-fault bit positions are now sampled within the
 // destination's width instead of being folded by a modulo.
 constexpr std::uint32_t kCacheVersion = kExperimentCacheVersion;
-/// Folded into the cache key only when Sentinel detectors are armed, so
-/// detector-off campaigns keep their pre-Sentinel paths and bytes while
+/// Folded into the campaign key only when Sentinel detectors are armed, so
 /// armed campaigns can never collide with stale detector-free entries.
 constexpr std::uint64_t kSentinelCacheVersion = 1;
-/// Folded into both keys only when sampling (rate > 1) or pruning is in
-/// effect, so the overwhelmingly common unsampled/unpruned campaigns keep
-/// their pre-pareto paths and store keys byte-for-byte.
+/// Folded into the campaign key only when sampling (rate > 1) or pruning
+/// is in effect.
 constexpr std::uint64_t kParetoCacheVersion = 1;
-
-void hashParetoBlocks(Md5& h, const sentinel::DetectOptions& det,
-                      const pareto::SampleConfig& sample, bool pruneEnabled) {
-  // Sampling only changes the build when detectors are armed; epoch is
-  // canonicalized mod rate (16@1 and 16@17 arm the same sites).
-  if (det.any() && sample.rate > 1) {
-    const std::uint64_t sm[] = {kParetoCacheVersion, sample.rate,
-                                sample.epoch % sample.rate};
-    h.update("detect-sample");
-    h.update(sm, sizeof(sm));
-  }
-  if (pruneEnabled) {
-    const std::uint64_t pr[] = {kParetoCacheVersion};
-    h.update("prune");
-    h.update(pr, sizeof(pr));
-  }
-}
-
-std::string cachePath(const std::string& workload,
-                      const ExperimentConfig& cfg,
-                      std::uint64_t ckptInterval,
-                      core::RecoveryStrategy recover,
-                      std::uint64_t rollbackRingCap, FaultModel fault,
-                      vm::EccMode ecc, const pareto::SampleConfig& sample,
-                      bool pruneEnabled) {
-  // cfg.threads is deliberately absent: the engine guarantees identical
-  // records for every worker count, so serial- and parallel-written
-  // campaigns share one cache entry. The resolved replay-cache interval is
-  // included (see ExperimentConfig::ckptInterval), as are the resolved
-  // recovery strategy and ring capacity — those change trial semantics.
-  Md5 h;
-  h.update(workload);
-  h.update(cfg.level == opt::OptLevel::O0 ? "O0" : "O1");
-  const std::uint64_t nums[] = {cfg.bits, cfg.seed,
-                                static_cast<std::uint64_t>(cfg.injections),
-                                cfg.careOnSegv ? 1u : 0u,
-                                cfg.armor.requireNonLocalUse ? 1u : 0u,
-                                cfg.armor.maximalSlicing ? 1u : 0u,
-                                cfg.patchBaseFirst ? 1u : 0u,
-                                cfg.armor.inductionRecovery ? 1u : 0u,
-                                ckptInterval,
-                                static_cast<std::uint64_t>(recover),
-                                rollbackRingCap,
-                                static_cast<std::uint64_t>(fault),
-                                static_cast<std::uint64_t>(ecc),
-                                kCacheVersion};
-  h.update(nums, sizeof(nums));
-  if (const sentinel::DetectOptions det = cfg.armor.resolvedDetect();
-      det.any()) {
-    const std::uint64_t sent[] = {kSentinelCacheVersion, det.cfc ? 1u : 0u,
-                                  det.addr ? 1u : 0u};
-    h.update(sent, sizeof(sent));
-  }
-  hashParetoBlocks(h, cfg.armor.resolvedDetect(), sample, pruneEnabled);
-  return cfg.cacheDir + "/exp_" + workload + "_" +
-         (cfg.level == opt::OptLevel::O0 ? "O0" : "O1") + "_" +
-         h.finish().hex().substr(0, 12) + ".camp";
-}
-
-/// Semantic campaign key for the shard result store. Unlike cachePath it
-/// excludes the injection count — points are drawn sequentially from
-/// Rng(seed), so a longer campaign's leading shards are byte-identical to a
-/// shorter one's and overlapping campaigns share entries — and excludes the
-/// replay interval under non-rollback strategies, where it is a pure
-/// performance knob (under rollback strategies checkpoint placement changes
-/// trial semantics, so there it stays in). threads/processes never enter.
-std::string storeKeyBase(const std::string& workload,
-                         const ExperimentConfig& cfg,
-                         std::uint64_t ckptInterval,
-                         core::RecoveryStrategy recover,
-                         std::uint64_t rollbackRingCap, FaultModel fault,
-                         vm::EccMode ecc, const pareto::SampleConfig& sample,
-                         bool pruneEnabled) {
-  Md5 h;
-  h.update("care-experiment-shards");
-  h.update(workload);
-  h.update(cfg.level == opt::OptLevel::O0 ? "O0" : "O1");
-  const std::uint64_t nums[] = {cfg.bits, cfg.seed,
-                                cfg.careOnSegv ? 1u : 0u,
-                                cfg.armor.requireNonLocalUse ? 1u : 0u,
-                                cfg.armor.maximalSlicing ? 1u : 0u,
-                                cfg.patchBaseFirst ? 1u : 0u,
-                                cfg.armor.inductionRecovery ? 1u : 0u,
-                                static_cast<std::uint64_t>(recover),
-                                rollbackRingCap,
-                                static_cast<std::uint64_t>(fault),
-                                static_cast<std::uint64_t>(ecc),
-                                kCacheVersion};
-  h.update(nums, sizeof(nums));
-  if (core::strategyRollsBack(recover)) {
-    const std::uint64_t ck[] = {ckptInterval};
-    h.update(ck, sizeof(ck));
-  }
-  if (const sentinel::DetectOptions det = cfg.armor.resolvedDetect();
-      det.any()) {
-    const std::uint64_t sent[] = {kSentinelCacheVersion, det.cfc ? 1u : 0u,
-                                  det.addr ? 1u : 0u};
-    h.update(sent, sizeof(sent));
-  }
-  hashParetoBlocks(h, cfg.armor.resolvedDetect(), sample, pruneEnabled);
-  return h.finish().hex();
-}
 
 void putInjectionResult(const InjectionResult& ir, ByteWriter& w,
                         bool withTimings) {
@@ -247,6 +143,60 @@ std::optional<ExperimentResult> readResult(const std::string& path) {
 }
 
 } // namespace
+
+std::string campaignKey(const std::string& build, opt::OptLevel level,
+                        const core::ArmorOptions& armor,
+                        const CampaignConfig& cfg, bool careReruns) {
+  Md5 h;
+  h.update("care-campaign");
+  h.update(build);
+  const std::uint64_t nums[] = {
+      level == opt::OptLevel::O0 ? 0u : 1u,
+      armor.requireNonLocalUse ? 1u : 0u,
+      armor.maximalSlicing ? 1u : 0u,
+      armor.inductionRecovery ? 1u : 0u,
+      cfg.bitsToFlip,
+      cfg.seed,
+      cfg.hangFactor,
+      careReruns ? 1u : 0u,
+      static_cast<std::uint64_t>(cfg.patchTarget),
+      static_cast<std::uint64_t>(cfg.recover),
+      cfg.rollbackRingCap,
+      static_cast<std::uint64_t>(cfg.fault),
+      static_cast<std::uint64_t>(cfg.ecc),
+      kCacheVersion};
+  h.update(nums, sizeof(nums));
+  // Rollback trials space their ring by CARE_CKPT_INTERVAL, or golden/64
+  // when it is unset (Campaign::profile), so that setting is semantic
+  // there; the golden length itself follows from the build.
+  if (core::strategyRollsBack(cfg.recover)) {
+    const std::uint64_t ck[] = {
+        ckptIntervalFromEnv(CampaignConfig::kCkptAuto)};
+    h.update("rollback-interval");
+    h.update(ck, sizeof(ck));
+  }
+  const sentinel::DetectOptions det = armor.resolvedDetect();
+  if (det.any()) {
+    const std::uint64_t sent[] = {kSentinelCacheVersion, det.cfc ? 1u : 0u,
+                                  det.addr ? 1u : 0u};
+    h.update(sent, sizeof(sent));
+  }
+  // Sampling only changes the build when detectors are armed; epoch is
+  // canonicalized mod rate (16@1 and 16@17 arm the same sites).
+  if (const pareto::SampleConfig sample = armor.resolvedDetectSample();
+      det.any() && sample.rate > 1) {
+    const std::uint64_t sm[] = {kParetoCacheVersion, sample.rate,
+                                sample.epoch % sample.rate};
+    h.update("detect-sample");
+    h.update(sm, sizeof(sm));
+  }
+  if (cfg.prune.enabled) {
+    const std::uint64_t pr[] = {kParetoCacheVersion};
+    h.update("prune");
+    h.update(pr, sizeof(pr));
+  }
+  return h.finish().hex();
+}
 
 void writeRecordBytes(const InjectionRecord& rec, ByteWriter& w) {
   putRecord(rec, w, /*withTimings=*/true);
@@ -456,38 +406,30 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   tel.workload = w.name;
   tel.level = cfg.level == opt::OptLevel::O0 ? "O0" : "O1";
 
-  // Resolve the auto interval sentinel against the environment here so the
-  // CARE_CKPT_INTERVAL value in effect lands in the cache key; the
-  // golden-length-derived default stays a sentinel (it is not known until
-  // the campaign profiles).
-  const std::uint64_t ckptInterval =
-      cfg.ckptInterval == CampaignConfig::kCkptAuto
-          ? ckptIntervalFromEnv(CampaignConfig::kCkptAuto)
-          : cfg.ckptInterval;
-  // Likewise resolve the recovery strategy and ring capacity here — both
-  // change rollback-trial semantics, so the env values in effect must land
-  // in the cache key (DESIGN.md §4f).
-  const core::RecoveryStrategy recover = cfg.armor.resolvedRecover();
-  const std::size_t ringCap = vm::rollbackRingFromEnv(8);
-  // Fault model and ECC mode are semantic; resolve the env knobs here so
-  // the values in effect land in both cache keys (DESIGN.md §4i).
-  const FaultModel fault =
-      cfg.fault ? *cfg.fault : faultModelFromEnv(FaultModel::Reg);
-  const vm::EccMode ecc =
-      cfg.ecc ? *cfg.ecc : vm::eccModeFromEnv(vm::EccMode::Off);
-  // Pareto knobs (DESIGN.md §4j): both semantic, both resolved here so the
-  // env values in effect land in the keys.
-  const pareto::SampleConfig sample = cfg.armor.resolvedDetectSample();
-  const pareto::PruneOptions prune =
-      cfg.prune ? *cfg.prune : pareto::pruneOptionsFromEnv({});
+  // Resolve every semantic knob against the environment up front, so the
+  // values in effect land in the campaign key (DESIGN.md §4f, §4i, §4j).
+  CampaignConfig ccfg;
+  ccfg.seed = cfg.seed;
+  ccfg.bitsToFlip = cfg.bits;
+  ccfg.hangFactor = 4;
+  ccfg.checkpointEveryInstrs = cfg.ckptInterval;
+  ccfg.recover = cfg.armor.resolvedRecover();
+  ccfg.rollbackRingCap = vm::rollbackRingFromEnv(8);
+  ccfg.fault = cfg.fault ? *cfg.fault : faultModelFromEnv(FaultModel::Reg);
+  ccfg.ecc = cfg.ecc ? *cfg.ecc : vm::eccModeFromEnv(vm::EccMode::Off);
+  ccfg.prune = cfg.prune ? *cfg.prune : pareto::pruneOptionsFromEnv({});
+  if (cfg.patchBaseFirst)
+    ccfg.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
+  const std::string key =
+      campaignKey(w.name, cfg.level, cfg.armor, ccfg, cfg.careOnSegv);
 
   std::filesystem::create_directories(cfg.cacheDir);
-  const std::string path = cachePath(w.name, cfg, ckptInterval, recover,
-                                     ringCap, fault, ecc, sample,
-                                     prune.enabled);
-  tel.fault = faultModelName(fault);
-  tel.ecc = vm::eccModeName(ecc);
-  tel.detectSample = pareto::sampleName(sample);
+  const std::string path = cfg.cacheDir + "/exp_" + w.name + "_" + tel.level +
+                           "_" + key.substr(0, 12) + "_n" +
+                           std::to_string(cfg.injections) + ".camp";
+  tel.fault = faultModelName(ccfg.fault);
+  tel.ecc = vm::eccModeName(ccfg.ecc);
+  tel.detectSample = pareto::sampleName(cfg.armor.resolvedDetectSample());
   const auto t0 = std::chrono::steady_clock::now();
   if (auto cached = readResult(path)) {
     tel.fromCache = true;
@@ -502,18 +444,6 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   BuiltWorkload built = buildWorkload(w, cfg);
   tel.totalSites = static_cast<int>(built.cm.sentinelStats.totalSites());
   tel.sampledSites = static_cast<int>(built.cm.sentinelStats.armedSites());
-  CampaignConfig ccfg;
-  ccfg.seed = cfg.seed;
-  ccfg.bitsToFlip = cfg.bits;
-  ccfg.hangFactor = 4;
-  ccfg.checkpointEveryInstrs = ckptInterval;
-  ccfg.recover = recover;
-  ccfg.rollbackRingCap = ringCap;
-  ccfg.fault = fault;
-  ccfg.ecc = ecc;
-  ccfg.prune = prune;
-  if (cfg.patchBaseFirst)
-    ccfg.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
   Campaign campaign(built.image.get(), ccfg);
   if (!campaign.profile()) raise("workload failed to profile: " + w.name);
 
@@ -521,9 +451,7 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   svc.processes = resolveProcesses(cfg.processes);
   svc.threads = cfg.threads;
   svc.storeDir = cfg.resultStore ? *cfg.resultStore : resultStoreDirFromEnv();
-  if (!svc.storeDir.empty())
-    svc.storeKey = storeKeyBase(w.name, cfg, ckptInterval, recover, ringCap,
-                                fault, ecc, sample, prune.enabled);
+  if (!svc.storeDir.empty()) svc.storeKey = key;
 
   ExperimentResult out;
   out.workload = w.name;

@@ -21,9 +21,9 @@
 
 namespace care::inject {
 
-/// Version of the on-disk record wire format. Participates in the .camp
-/// cache key, the shard result-store key, and carecc's store key: bumping
-/// it invalidates every serialized record everywhere at once.
+/// Version of the on-disk record wire format. Participates in campaignKey
+/// (the .camp name and the shard result-store key): bumping it invalidates
+/// every serialized record everywhere at once.
 inline constexpr std::uint32_t kExperimentCacheVersion = 11;
 
 struct ExperimentConfig {
@@ -42,10 +42,10 @@ struct ExperimentConfig {
   /// versa).
   int threads = 0;
   /// Replay-cache segment length (DESIGN.md §4c): kCkptAuto resolves to
-  /// CARE_CKPT_INTERVAL, then to goldenInstrs/64; 0 disables. Records are
-  /// bit-identical for every value, but unlike `threads` the *resolved*
-  /// interval IS part of the disk-cache key, so equivalence suites can hold
-  /// checkpointed and from-scratch results side by side in one cache dir.
+  /// CARE_CKPT_INTERVAL, then to goldenInstrs/64; 0 disables. Like
+  /// `threads`, a pure performance knob — records are bit-identical for
+  /// every value, so it is NOT part of any cache key. (Rollback trials
+  /// space their ring by CARE_CKPT_INTERVAL alone; see campaignKey.)
   std::uint64_t ckptInterval = CampaignConfig::kCkptAuto;
   /// Forked worker processes (DESIGN.md §4g): kProcsAuto resolves
   /// CARE_PROCS, 0 = in-process engine. Like `threads`, a pure performance
@@ -54,21 +54,21 @@ struct ExperimentConfig {
   /// Shard result-store directory: nullopt resolves CARE_RESULT_STORE,
   /// empty string forces the store off. Serving a shard from the store is
   /// record-identical to recomputing it, so this too stays out of the
-  /// .camp cache key.
+  /// campaign key.
   std::optional<std::string> resultStore;
   /// Fault model (DESIGN.md §4i): nullopt resolves CARE_FAULT (reg when
   /// unset). Semantic — changes every sampled point — so the *resolved*
-  /// model participates in the .camp cache key and the store key.
+  /// model participates in the campaign key.
   std::optional<FaultModel> fault;
   /// ECC protection on trial executors: nullopt resolves CARE_ECC (off
-  /// when unset). Semantic (changes outcomes), part of both cache keys.
+  /// when unset). Semantic (changes outcomes), part of the campaign key.
   std::optional<vm::EccMode> ecc;
   /// Equivalence-class campaign pruning (DESIGN.md §4j): nullopt resolves
   /// CARE_PRUNE / CARE_PRUNE_AUDIT. The group-expanded records are
   /// deterministically byte-identical to the exhaustive campaign's, but the
   /// cached full-fidelity stream shares timings within a group, so the
-  /// *enabled* bit joins both cache keys (auditK, a pure verification knob,
-  /// does not).
+  /// *enabled* bit joins the campaign key (auditK, a pure verification
+  /// knob, does not).
   std::optional<pareto::PruneOptions> prune;
 };
 
@@ -132,6 +132,20 @@ struct ExperimentResult {
   };
   RecoveryPhases meanRecoveryPhases() const;
 };
+
+/// The one semantic campaign key (DESIGN.md §4g), a hex MD5. `build` names
+/// what was compiled — a workload name, or carecc's source text and entry —
+/// and the key adds the opt level, the Armor and detector words of `armor`,
+/// and every knob of `cfg` that changes records: seed, bits, hang factor,
+/// patch target, recovery strategy, ring capacity, fault model, ECC,
+/// pruning, and under rollback strategies the ring spacing those trials
+/// use. It excludes the trial count and every pure performance knob
+/// (threads, processes, backend, replay interval), so the shard result
+/// store uses it as is and overlapping campaigns share shards; `.camp`
+/// files add the trial count.
+std::string campaignKey(const std::string& build, opt::OptLevel level,
+                        const core::ArmorOptions& armor,
+                        const CampaignConfig& cfg, bool careReruns);
 
 /// Compile `w` with CARE per cfg, then run (or load from cache) the
 /// campaign on cfg.threads workers. Throws care::Error if the workload

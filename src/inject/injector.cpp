@@ -428,60 +428,22 @@ InjectionResult Campaign::runInjection(
       corruptDestination(e, pt.loc, pt.bits);
     });
 
-  vm::RunResult run;
-  if (memFault && !wantRollback) {
-    // Run exactly up to the fault time, strike the word, then let the run
-    // finish. A replay-cache restore above already advanced instrCount, so
-    // the bounded leg only covers the remaining segment.
-    ex.setBudget(budget);
-    run = ex.runBounded(pt.nth, cfg_.entry);
-    if (run.status == vm::RunStatus::BudgetExceeded &&
-        run.instrCount == pt.nth) {
-      fired = ex.memory().injectFault(pt.memAddr, pt.bits);
-      injAt = pt.nth;
-      run = vm::runToCompletion(ex, cfg_.entry);
-    }
-  } else if (memFault) {
-    // Rollback trial with a memory fault: drive the boundary grid by hand
-    // so the strike lands exactly at pt.nth without disturbing the
-    // absolute rollbackInterval_ spacing runCheckpointed() would produce.
-    // The fault is transient (injected once): a rollback to a checkpoint
-    // before pt.nth genuinely erases it.
-    ex.setBudget(budget);
-    bool injected = false;
-    run = ex.runBounded(ex.instrCount(), cfg_.entry); // entry boundary
-    if (run.status == vm::RunStatus::BudgetExceeded) {
-      ring.push(ex);
-      std::uint64_t next = ex.instrCount() + rollbackInterval_;
-      for (;;) {
-        const bool faultStop = !injected && pt.nth < next;
-        if (!faultStop && next >= budget) break;
-        const std::uint64_t stop = faultStop ? pt.nth : next;
-        run = ex.runBounded(stop, cfg_.entry);
-        if (run.status != vm::RunStatus::BudgetExceeded) break;
-        if (faultStop && run.instrCount >= pt.nth) {
-          fired = ex.memory().injectFault(pt.memAddr, pt.bits);
-          injAt = pt.nth;
-          injected = true;
-        } else {
-          ring.push(ex);
-          next += rollbackInterval_;
-        }
-      }
-      if (run.status == vm::RunStatus::BudgetExceeded)
-        run = vm::runToCompletion(ex, cfg_.entry);
-    }
-  } else if (wantRollback) {
-    // Boundary-driven run: pause every rollbackInterval_ instructions and
-    // feed the ring (entry state included). A mid-run rollback rewinds
-    // instrCount below the current boundary target; the driver's budget is
-    // absolute, so the re-execution simply runs back up to it.
-    run = vm::runCheckpointed(ex, cfg_.entry, rollbackInterval_, budget,
-                              [&](Executor& e) { ring.push(e); });
-  } else {
-    ex.setBudget(budget);
-    run = vm::runToCompletion(ex, cfg_.entry);
-  }
+  // One schedule drives every trial (vm/checkpoint_ring.hpp): rollback
+  // trials feed the ring at entry and every rollbackInterval_ (a mid-run
+  // rollback rewinds instrCount; the grid is absolute, so the re-execution
+  // runs back up to the next boundary), and memory models strike their
+  // word exactly at pt.nth, after any capture at that count. The strike is
+  // transient: a rollback to a checkpoint before pt.nth genuinely erases
+  // it. With neither, the trial is one run to completion.
+  std::vector<vm::ScheduledEvent> events;
+  if (memFault)
+    events.push_back({pt.nth, [&](Executor& e) {
+                        fired = e.memory().injectFault(pt.memAddr, pt.bits);
+                        injAt = pt.nth;
+                      }});
+  const vm::RunResult run = vm::runCheckpointed(
+      ex, cfg_.entry, wantRollback ? rollbackInterval_ : 0, budget,
+      [&](Executor& e) { ring.push(e); }, events);
   res.injected = fired;
   res.instrsExecuted = run.instrCount;
 

@@ -31,7 +31,7 @@ public:
   static constexpr std::uint32_t kVersion = 1;
 
   /// A store rooted at `dir` for the campaign identified by `key` (the
-  /// storeKeyBase hex digest). Empty dir or key disables the store; a
+  /// campaignKey hex digest). Empty dir or key disables the store; a
   /// usable store creates `dir` eagerly.
   ResultStore(std::string dir, std::string key);
 

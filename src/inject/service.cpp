@@ -14,8 +14,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <thread>
 
 #include "inject/experiment.hpp"
 #include "inject/result_store.hpp"
@@ -151,55 +149,6 @@ bool writeAll(int fd, const std::uint8_t* p, std::size_t len) {
     rc = 3; // coordinator requeues our claim; end-game rethrows if fatal
   }
   ::_exit(rc);
-}
-
-/// Run an arbitrary trial-index list on an in-process thread pool (the
-/// engine's merge-by-indexed-store scheme); returns summed worker busy
-/// seconds. Mirrors runTrialPool, which owns the contiguous-range case.
-double runIndexedPool(const std::vector<int>& idx, std::uint64_t seed,
-                      int threads, const TrialFn& fn,
-                      std::vector<InjectionRecord>& records) {
-  if (idx.empty()) return 0;
-  const int workers = resolveThreads(threads, static_cast<int>(idx.size()));
-  const Clock::time_point t0 = Clock::now();
-  if (workers <= 1) {
-    for (int i : idx) {
-      Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
-      records[static_cast<std::size_t>(i)] = fn(i, trialRng);
-    }
-    return secondsSince(t0);
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};
-  std::vector<double> busy(static_cast<std::size_t>(workers), 0.0);
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        for (;;) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= idx.size()) break;
-          const int i = idx[k];
-          const Clock::time_point w0 = Clock::now();
-          Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
-          records[static_cast<std::size_t>(i)] = fn(i, trialRng);
-          busy[static_cast<std::size_t>(w)] += secondsSince(w0);
-        }
-      } catch (...) {
-        errors[static_cast<std::size_t>(w)] = std::current_exception();
-        stop.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-  double busySec = 0;
-  for (double b : busy) busySec += b;
-  return busySec;
 }
 
 /// The fork/requeue/respawn coordinator. One instance per campaign.
@@ -563,14 +512,13 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
                                               CampaignTelemetry* telemetry) {
   const bool storeOn = !svc.storeDir.empty() && !svc.storeKey.empty();
   const int procs = svc.processes < 0 ? 0 : svc.processes;
-  if (!storeOn && procs <= 0)
-    return runTrialPool(trials, seed, svc.threads, fn, telemetry);
-
+  // Shards exist only for the store and the forked workers; the plain
+  // in-process engine hands every trial straight to the pool.
+  const bool sharded = storeOn || procs > 0;
   const int n = trials < 0 ? 0 : trials;
   const int shardSize = svc.shardSize < 1 ? 16 : svc.shardSize;
-  const int numShards = (n + shardSize - 1) / shardSize;
+  const int numShards = sharded ? (n + shardSize - 1) / shardSize : 0;
   const Clock::time_point t0 = Clock::now();
-  trace::Span span("campaign.shards", "campaign");
 
   std::vector<InjectionRecord> records(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> executed(static_cast<std::size_t>(n), 0);
@@ -599,33 +547,31 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
   double busySec = 0;
   int restarts = 0;
   int requeued = 0;
-  if (!missing.empty()) {
+  if (procs > 0 && !missing.empty()) {
+    trace::Span span("campaign.shards", "campaign");
     ServiceConfig runCfg = svc;
     runCfg.shardSize = shardSize;
-    if (procs > 0) {
-      Coordinator coord(n, seed, runCfg, fn, numShards, records, executed,
-                        shardDone, store, telemetry, storeHits, storeMisses,
-                        t0);
-      coord.run(missing);
-      busySec = coord.busySec();
-      restarts = coord.restarts();
-      requeued = coord.requeued();
-    } else {
-      std::vector<int> idx;
-      for (int s : missing)
-        for (int i = s * shardSize; i < std::min((s + 1) * shardSize, n); ++i)
-          idx.push_back(i);
-      busySec = runIndexedPool(idx, seed, svc.threads, fn, records);
-      for (int i : idx) executed[static_cast<std::size_t>(i)] = 1;
-      for (int s : missing) {
-        shardDone[static_cast<std::size_t>(s)] = 1;
-        const int start = s * shardSize;
-        const int count = std::min(shardSize, n - start);
-        if (store.enabled())
-          store.save(start, count,
-                     {records.begin() + start,
-                      records.begin() + start + count});
-      }
+    Coordinator coord(n, seed, runCfg, fn, numShards, records, executed,
+                      shardDone, store, telemetry, storeHits, storeMisses,
+                      t0);
+    coord.run(missing);
+    busySec = coord.busySec();
+    restarts = coord.restarts();
+    requeued = coord.requeued();
+  } else {
+    std::vector<int> idx;
+    for (int s : missing)
+      for (int i = s * shardSize; i < std::min((s + 1) * shardSize, n); ++i)
+        idx.push_back(i);
+    if (!sharded)
+      for (int i = 0; i < n; ++i) idx.push_back(i);
+    busySec = runTrialPool(idx, seed, svc.threads, fn, records);
+    for (int i : idx) executed[static_cast<std::size_t>(i)] = 1;
+    for (int s : missing) {
+      const int start = s * shardSize;
+      const int count = std::min(shardSize, n - start);
+      store.save(start, count,
+                 {records.begin() + start, records.begin() + start + count});
     }
   }
 
@@ -641,13 +587,15 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
     telemetry->shardsRequeued = requeued;
     telemetry->wallSec = secondsSince(t0);
     telemetry->workerBusySec = busySec;
+    telemetry->utilization =
+        telemetry->wallSec > 0
+            ? busySec / (telemetry->wallSec *
+                         (procs > 0 ? procs : telemetry->threads))
+            : 0;
     aggregateRecordTelemetry(records, &executed, *telemetry);
-    if (procs > 0)
-      telemetry->utilization =
-          telemetry->wallSec > 0 ? busySec / (telemetry->wallSec * procs) : 0;
     // Guaranteed closing progress event for the in-process sharded path
     // (the coordinator emits its own final event).
-    if (procs <= 0) {
+    if (sharded && procs <= 0) {
       CampaignTelemetry p = *telemetry;
       p.event = "campaign_progress";
       p.workersAlive = 0;

@@ -52,14 +52,14 @@ std::string resultStoreDirFromEnv();
 /// carecc from the knobs; tests construct it directly.
 struct ServiceConfig {
   /// Forked worker processes. 0 = in-process engine (runTrialPool), the
-  /// unchanged default.
+  /// default.
   int processes = 0;
   /// In-process worker threads (engine.hpp semantics; also reported in
   /// telemetry when processes > 0, where each worker runs trials serially).
   int threads = 0;
   /// Result-store directory; empty = store off.
   std::string storeDir;
-  /// Semantic campaign key (storeKeyBase digest); empty = store off. Must
+  /// Semantic campaign key (campaignKey); empty = store off. Must
   /// exclude the trial count and every pure performance knob, so
   /// overlapping campaigns share shards.
   std::string storeKey;
@@ -84,10 +84,11 @@ struct ServiceConfig {
 /// Run trials 0..trials-1 per `svc` and return records in trial-index
 /// order. Dispatch: result-store hits are served from disk; remaining
 /// shards run on forked workers (svc.processes > 0) or the in-process
-/// engine; with the store off and processes == 0 this is exactly
-/// runTrialPool. Exceptions from a trial are (eventually — after the
-/// restart budget, for a deterministically-throwing trial under workers)
-/// rethrown on the caller's thread.
+/// pool (runTrialPool); with the store off and processes == 0 there are
+/// no shards and every trial goes to the pool. Exceptions from a trial
+/// are (eventually — after the restart budget, for a
+/// deterministically-throwing trial under workers) rethrown on the
+/// caller's thread.
 std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
                                               const ServiceConfig& svc,
                                               const TrialFn& fn,

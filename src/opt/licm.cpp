@@ -134,7 +134,11 @@ bool hoistLoop(Function& f, Loop& loop) {
   bool progress = true;
   while (progress) {
     progress = false;
-    for (BasicBlock* bb : loop.blocks) {
+    // Function block order, not loop.blocks' pointer order: the hoisting
+    // order decides the preheader's instruction order, so it must not
+    // depend on where the allocator placed the blocks.
+    for (BasicBlock* bb : f) {
+      if (!loop.contains(bb)) continue;
       for (std::size_t i = 0; i < bb->size();) {
         Instruction* in = bb->inst(i);
         if ((isHoistable(in) || isInvariantGlobalLoad(in, mem)) &&
@@ -150,7 +154,6 @@ bool hoistLoop(Function& f, Loop& loop) {
       }
     }
   }
-  (void)f;
   return changed;
 }
 

@@ -49,23 +49,30 @@ std::size_t rollbackRingFromEnv(std::size_t fallback) {
 
 RunResult runCheckpointed(Executor& ex, const std::string& entry,
                           std::uint64_t interval, std::uint64_t finalBudget,
-                          const std::function<void(Executor&)>& onBoundary) {
+                          const std::function<void(Executor&)>& onBoundary,
+                          std::span<const ScheduledEvent> events) {
   ex.setBudget(finalBudget);
-  if (interval == 0) return runToCompletion(ex, entry);
-  // Entry boundary: with the stop bound already met, run() performs its
-  // entry setup (frame, halt sentinel) and returns BudgetExceeded before
-  // executing an instruction — the resulting position is started and
-  // restorable, unlike a never-run executor's. runBounded() is the shared
-  // exact-stop mechanism (the replay cache uses it too), so the segment
-  // boundaries land on the same instructions on every backend.
-  RunResult r = ex.runBounded(ex.instrCount(), entry);
-  if (r.status != RunStatus::BudgetExceeded) return r;
-  onBoundary(ex);
-  for (std::uint64_t next = ex.instrCount() + interval; next < finalBudget;
-       next += interval) {
-    r = ex.runBounded(next, entry);
+  // The first periodic boundary is the entry: with the stop bound already
+  // met, run() performs its entry setup (frame, halt sentinel) and returns
+  // BudgetExceeded before executing an instruction — the resulting
+  // position is started and restorable, unlike a never-run executor's.
+  // runBounded() is the shared exact-stop mechanism (the replay cache uses
+  // it too), so every stop lands on the same instruction on every backend.
+  constexpr std::uint64_t kNone = ~0ull;
+  std::uint64_t next = interval > 0 ? ex.instrCount() : kNone;
+  auto event = events.begin();
+  for (;;) {
+    const bool periodic =
+        next < finalBudget && (event == events.end() || next <= event->at);
+    if (!periodic && event == events.end()) break;
+    const RunResult r = ex.runBounded(periodic ? next : event->at, entry);
     if (r.status != RunStatus::BudgetExceeded) return r;
-    onBoundary(ex);
+    if (periodic) {
+      onBoundary(ex);
+      next += interval;
+    } else {
+      (event++)->fire(ex);
+    }
   }
   return runToCompletion(ex, entry);
 }

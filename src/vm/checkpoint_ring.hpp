@@ -6,7 +6,8 @@
 // zero changes to either interpreter loop. This file extracts that driver
 // out of Campaign::profile() so it also serves the rollback-domain
 // recovery strategy (DESIGN.md §4f): runCheckpointed() pauses a run every
-// `interval` instructions for the caller to capture state, and
+// `interval` instructions for the caller to capture state, plus at any
+// one-shot events it is given (the campaign's memory strike), and
 // CheckpointRing holds the captures in bounded memory — the entry
 // checkpoint is pinned (a fault before the first periodic boundary falls
 // back to a from-entry re-execution) while periodic slots evict oldest
@@ -17,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 
 #include "vm/executor.hpp"
 
@@ -73,18 +75,31 @@ private:
 /// variable is unset or empty.
 std::size_t rollbackRingFromEnv(std::size_t fallback);
 
-/// Drive `ex` from `entry` to completion (or trap / finalBudget), pausing
-/// every `interval` dynamic instructions to invoke `onBoundary(ex)` — the
-/// caller captures whatever it needs (a TrialCheckpoint, a ring push).
-/// The first boundary is the *entry* position: run() performs its entry
-/// setup under an already-met budget and stops before instruction 0, so
-/// the capture is a started, restorable ResumePoint. Boundaries stay on
-/// the absolute instrCount grid even if a trap hook rewinds the executor
-/// mid-segment (rollback): the segment still runs to its original
-/// boundary. With interval == 0 the run is driven in one piece and
-/// onBoundary is never called.
+/// A one-shot stop in a runCheckpointed() schedule: when the run reaches
+/// absolute instruction count `at`, call `fire(ex)` (a memory strike).
+struct ScheduledEvent {
+  std::uint64_t at = 0;
+  std::function<void(Executor&)> fire;
+};
+
+/// Drive `ex` from `entry` to completion (or trap / finalBudget) by walking
+/// one sorted schedule of exact runBounded() stops, then run the rest in
+/// one piece:
+///  * periodic boundaries every `interval` dynamic instructions, each
+///    invoking `onBoundary(ex)` — the caller captures whatever it needs (a
+///    TrialCheckpoint, a ring push). The first boundary is the *entry*
+///    position: run() performs its entry setup under an already-met budget
+///    and stops before instruction 0, so the capture is a started,
+///    restorable ResumePoint. Boundaries stay on the absolute instrCount
+///    grid even if a trap hook rewinds the executor mid-segment
+///    (rollback): the segment still runs to its original boundary.
+///    interval == 0 schedules none;
+///  * the one-shot `events`, ascending by `at`. At an equal count the
+///    periodic boundary comes first.
+/// With no boundaries and no events this is a single runToCompletion().
 RunResult runCheckpointed(Executor& ex, const std::string& entry,
                           std::uint64_t interval, std::uint64_t finalBudget,
-                          const std::function<void(Executor&)>& onBoundary);
+                          const std::function<void(Executor&)>& onBoundary,
+                          std::span<const ScheduledEvent> events = {});
 
 } // namespace care::vm

@@ -1,6 +1,7 @@
 // Experiment-runner tests: determinism, on-disk caching, aggregation.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 
 #include "inject/experiment.hpp"
@@ -64,6 +65,54 @@ TEST(Experiment, DistinctConfigsGetDistinctCaches) {
   for (const auto& e : std::filesystem::directory_iterator(dir))
     if (e.path().extension() == ".camp") ++files;
   EXPECT_EQ(files, 2);
+}
+
+TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
+  // Rollback trials space their ring by CARE_CKPT_INTERVAL (golden/64 when
+  // unset), independently of the replay interval: two campaigns that
+  // differ only in it run different trials and must share neither a .camp
+  // file nor store shards.
+  const std::string dir = "care_test_artifacts/exp_rb_keys";
+  std::filesystem::remove_all(dir);
+  auto cfg = smallConfig(dir + "/cache");
+  cfg.ckptInterval = 0;
+  cfg.armor.recover = core::RecoveryStrategy::RepairThenRollback;
+  cfg.armor.recoverAuto = false;
+  cfg.armor.detectAuto = false;
+  cfg.armor.detectSampleAuto = false;
+  cfg.fault = inject::FaultModel::Reg;
+  cfg.ecc = vm::EccMode::Off;
+  cfg.prune = pareto::PruneOptions{};
+  cfg.processes = 0;
+  cfg.resultStore = "";
+  const char* saved = std::getenv("CARE_CKPT_INTERVAL");
+  const std::string savedValue = saved ? saved : "";
+  auto runAt = [&](const char* interval) {
+    setenv("CARE_CKPT_INTERVAL", interval, 1);
+    inject::CampaignTelemetry tel;
+    runExperiment(workloads::hpccg(), cfg, &tel);
+    return tel;
+  };
+  // The .camp file, store off.
+  runAt("2000");
+  EXPECT_FALSE(runAt("50").fromCache);
+  // The store, with the .camp file removed before every run.
+  cfg.resultStore = dir + "/store";
+  std::filesystem::remove_all(cfg.cacheDir);
+  runAt("2000");
+  std::filesystem::remove_all(cfg.cacheDir);
+  const inject::CampaignTelemetry at50 = runAt("50");
+  std::filesystem::remove_all(cfg.cacheDir);
+  const inject::CampaignTelemetry again = runAt("2000");
+  if (saved)
+    setenv("CARE_CKPT_INTERVAL", savedValue.c_str(), 1);
+  else
+    unsetenv("CARE_CKPT_INTERVAL");
+  EXPECT_EQ(at50.storeHits, 0);
+  EXPECT_EQ(at50.storeMisses, at50.shards);
+  // The store was live: the matching interval is served from it.
+  EXPECT_GT(again.storeHits, 0);
+  EXPECT_EQ(again.storeHits, again.shards);
 }
 
 // --- parallel campaign engine -----------------------------------------------

@@ -215,6 +215,30 @@ TEST(Dce, RemovesUnusedComputation) {
   EXPECT_EQ(countOpcode(*f, Opcode::Add), 0);
 }
 
+TEST(Licm, OutputIndependentOfHeapLayout) {
+  // LICM once hoisted in the pointer order of the loop's block set, so the
+  // same source compiled to different -O1 code depending on where earlier
+  // allocations had left the allocator. Compile every workload twice with
+  // heap churn in between; the optimized IR must match.
+  for (const workloads::Workload* w : workloads::allWorkloads()) {
+    std::string first;
+    std::vector<std::unique_ptr<char[]>> churn;
+    for (int round = 0; round < 2; ++round) {
+      for (int j = 0; j < 500; ++j)
+        churn.emplace_back(new char[16 + (j * 7919) % 300]);
+      Module m(w->name);
+      for (const core::SourceFile& src : w->sources)
+        lang::compileIntoModule(src.content, src.name, m);
+      opt::optimize(m, OptLevel::O1);
+      const std::string text = toString(&m);
+      if (round == 0)
+        first = text;
+      else
+        EXPECT_EQ(text, first) << w->name;
+    }
+  }
+}
+
 TEST(SimplifyCfg, FoldsConstantBranchesAndDeadBlocks) {
   auto mp = compile(R"(
     int main() {

@@ -178,6 +178,48 @@ TEST(CheckpointRing, RunCheckpointedPausesOnGridAndMatchesPlainRun) {
   EXPECT_EQ(resumed.output(), plain.output());
 }
 
+TEST(CheckpointRing, RunCheckpointedWalksEventsInScheduleOrder) {
+  const Program p = buildProgram(R"(
+      int main() {
+        int s = 0;
+        for (int i = 0; i < 300; i = i + 1) { s = s + i; }
+        emit(s);
+        return 0;
+      })", opt::OptLevel::O0);
+  // Stops as (instrCount, 'b'oundary | 'e'vent), in the order they fire.
+  std::vector<std::pair<std::uint64_t, char>> stops;
+  auto event = [&](std::uint64_t at) {
+    return vm::ScheduledEvent{
+        at, [&](vm::Executor& e) { stops.emplace_back(e.instrCount(), 'e'); }};
+  };
+  const std::vector<vm::ScheduledEvent> events = {event(0), event(250),
+                                                  event(300), event(301)};
+  vm::Executor ex(p.image.get());
+  const vm::RunResult r = vm::runCheckpointed(
+      ex, "main", 100, 2'000'000'000ull,
+      [&](vm::Executor& e) { stops.emplace_back(e.instrCount(), 'b'); },
+      events);
+  EXPECT_EQ(r.status, vm::RunStatus::Done);
+  // At an equal count the periodic boundary comes first.
+  const std::vector<std::pair<std::uint64_t, char>> want = {
+      {0, 'b'},   {0, 'e'},   {100, 'b'}, {200, 'b'}, {250, 'e'},
+      {300, 'b'}, {300, 'e'}, {301, 'e'}, {400, 'b'}};
+  ASSERT_GE(stops.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(stops[i], want[i]) << "stop " << i;
+
+  // Events alone (interval 0) stop only at the events.
+  stops.clear();
+  vm::Executor solo(p.image.get());
+  vm::runCheckpointed(
+      solo, "main", 0, 2'000'000'000ull,
+      [&](vm::Executor& e) { stops.emplace_back(e.instrCount(), 'b'); },
+      events);
+  const std::vector<std::pair<std::uint64_t, char>> eventsOnly = {
+      {0, 'e'}, {250, 'e'}, {300, 'e'}, {301, 'e'}};
+  EXPECT_EQ(stops, eventsOnly);
+}
+
 // --- strategy differentials ----------------------------------------------
 
 /// CARE-compiled module + image + artifacts for direct campaign use.

@@ -24,8 +24,6 @@
 #include "pareto/prune.hpp"
 #include "pareto/sample.hpp"
 #include "sentinel/sentinel.hpp"
-#include "support/md5.hpp"
-#include "support/rng.hpp"
 #include "support/trace.hpp"
 #include "vm/checkpoint_ring.hpp"
 
@@ -134,19 +132,25 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+core::ArmorOptions armorOptions(const Args& a) {
+  core::ArmorOptions armor;
+  armor.inductionRecovery = a.inductionRecovery;
+  if (a.detectGiven) {
+    armor.detect = a.detect;
+    armor.detectAuto = false;
+  }
+  if (a.sampleGiven) {
+    armor.detectSample = a.sample;
+    armor.detectSampleAuto = false;
+  }
+  return armor;
+}
+
 core::CompiledModule compileFile(const Args& a) {
   core::CompileOptions opts;
   opts.optLevel = a.level;
   opts.artifactDir = a.artifactDir;
-  opts.armor.inductionRecovery = a.inductionRecovery;
-  if (a.detectGiven) {
-    opts.armor.detect = a.detect;
-    opts.armor.detectAuto = false;
-  }
-  if (a.sampleGiven) {
-    opts.armor.detectSample = a.sample;
-    opts.armor.detectSampleAuto = false;
-  }
+  opts.armor = armorOptions(a);
   return core::careCompile({{a.file, slurp(a.file)}}, "app", opts);
 }
 
@@ -294,130 +298,57 @@ int cmdInject(const Args& a) {
                 campaign.checkpoints().size(),
                 static_cast<unsigned long long>(campaign.checkpointInterval()));
 
-  // Pre-derive the points in serial order, then shard the trials over the
-  // worker pool; counts are identical for every -j / --procs value.
-  Rng rng(a.seed);
-  std::vector<inject::InjectionPoint> points;
-  points.reserve(static_cast<std::size_t>(a.injections));
-  for (int i = 0; i < a.injections; ++i) points.push_back(campaign.sample(rng));
-
+  // runCampaign's trial: a plain run, then a CARE re-run of every SIGSEGV
+  // or ECC-detected trial; counts are identical for every -j / --procs.
   inject::ServiceConfig svc;
   svc.processes = inject::resolveProcesses(a.procs);
   svc.threads = a.threads;
   svc.storeDir =
       a.resultStoreGiven ? a.resultStore : inject::resultStoreDirFromEnv();
-  if (!svc.storeDir.empty()) {
-    // Semantic store key for an ad-hoc program: the source text plus every
-    // knob that changes trial records — but not the trial count or any
-    // performance knob, so longer reruns resume from shorter ones.
-    core::ArmorOptions armor;
-    armor.inductionRecovery = a.inductionRecovery;
-    if (a.detectGiven) {
-      armor.detect = a.detect;
-      armor.detectAuto = false;
-    }
-    if (a.sampleGiven) {
-      armor.detectSample = a.sample;
-      armor.detectSampleAuto = false;
-    }
-    const sentinel::DetectOptions det = armor.resolvedDetect();
-    const pareto::SampleConfig sample = armor.resolvedDetectSample();
-    Md5 h;
-    h.update("carecc-inject");
-    h.update(slurp(a.file));
-    h.update(a.entry);
-    const std::uint64_t nums[] = {
-        static_cast<std::uint64_t>(inject::kExperimentCacheVersion),
-        a.level == opt::OptLevel::O0 ? 0u : 1u,
-        a.seed,
-        a.withCare ? 1u : 0u,
-        a.inductionRecovery ? 1u : 0u,
-        det.cfc ? 1u : 0u,
-        det.addr ? 1u : 0u,
-        static_cast<std::uint64_t>(ccfg.recover),
-        ccfg.rollbackRingCap,
-        static_cast<std::uint64_t>(ccfg.fault),
-        static_cast<std::uint64_t>(ccfg.ecc)};
-    h.update(nums, sizeof(nums));
-    if (core::strategyRollsBack(ccfg.recover)) {
-      const std::uint64_t ck[] = {campaign.checkpointInterval()};
-      h.update(ck, sizeof(ck));
-    }
-    // Sampled builds run different detector subsets (when armed), and
-    // pruned shards carry representative trials; both must not collide
-    // with unsampled/unpruned entries. Rate-1 / prune-off keys stay
-    // byte-identical to their pre-pareto values.
-    if (det.any() && sample.rate > 1) {
-      const std::uint64_t sm[] = {sample.rate, sample.epoch % sample.rate};
-      h.update("detect-sample");
-      h.update(sm, sizeof(sm));
-    }
-    if (campaign.pruneOptions().enabled) h.update("prune");
-    svc.storeKey = h.finish().hex();
-  }
-
+  if (!svc.storeDir.empty())
+    svc.storeKey = inject::campaignKey(
+        "carecc:" + a.entry + ":" + slurp(a.file), a.level, armorOptions(a),
+        ccfg, a.withCare);
   inject::CampaignTelemetry tel;
   tel.workload = a.file;
-  tel.fault = inject::faultModelName(campaign.faultModel());
-  tel.ecc = vm::eccModeName(campaign.eccMode());
-  const auto records = inject::runCampaignTrials(
-      campaign, points, a.seed, svc,
-      [&](int i, Rng&) {
-        inject::InjectionRecord rec;
-        rec.point = points[static_cast<std::size_t>(i)];
-        rec.plain =
-            campaign.runInjection(rec.point, a.withCare ? &arts : nullptr);
-        return rec;
-      },
-      &tel);
-  tel.ckptCount = campaign.checkpoints().size();
+  inject::ExperimentResult r;
+  r.level = a.level;
+  r.records = inject::runCampaign(campaign, a.injections, a.seed, a.threads,
+                                  a.withCare ? &arts : nullptr, &tel, &svc);
   inject::publishTelemetry(tel);
 
-  int benign = 0, sdc = 0, hang = 0, segv = 0, otherSig = 0, detected = 0,
-      recovered = 0, rolledBack = 0, corrected = 0;
-  double recoveryUs = 0;
-  for (const inject::InjectionRecord& rec : records) {
-    const inject::InjectionResult& r = rec.plain;
-    switch (r.outcome) {
-    case inject::Outcome::Benign: ++benign; break;
-    case inject::Outcome::SDC: ++sdc; break;
-    case inject::Outcome::Hang: ++hang; break;
-    case inject::Outcome::Detected: ++detected; break;
-    case inject::Outcome::RolledBack: ++rolledBack; break;
-    case inject::Outcome::Corrected: ++corrected; break;
-    case inject::Outcome::SoftFailure:
-      if (r.signal == vm::TrapKind::SegFault) ++segv;
-      else ++otherSig;
-      break;
-    }
-    if (r.careRecovered) {
-      ++recovered;
-      recoveryUs += r.recoveryUsTotal;
-    }
-  }
+  // Table 2 layout: plain outcomes, then the CARE re-runs.
+  using inject::Outcome;
+  const int segv = r.segvCount();
   std::printf("injections : %d (seed %llu)\n", a.injections,
               static_cast<unsigned long long>(a.seed));
-  std::printf("benign     : %d\n", benign);
-  std::printf("SDC        : %d\n", sdc);
-  std::printf("hang       : %d\n", hang);
-  std::printf("SIGSEGV    : %d%s\n", segv,
-              a.withCare ? " (surviving faults counted as benign/SDC)" : "");
-  std::printf("other sig  : %d\n", otherSig);
-  if (detected || tel.detected)
+  std::printf("benign     : %d\n", r.count(Outcome::Benign));
+  std::printf("SDC        : %d\n", r.count(Outcome::SDC));
+  std::printf("hang       : %d\n", r.count(Outcome::Hang));
+  std::printf("SIGSEGV    : %d\n", segv);
+  std::printf("other sig  : %d\n", r.count(Outcome::SoftFailure) - segv);
+  if (r.detectedCount())
     std::printf("detected   : %d (sentinel/ECC, avg latency %.1f instrs)\n",
-                detected, tel.detectLatencyInstrs);
-  if (corrected || tel.eccCorrected || tel.eccUncorrectable)
+                r.detectedCount(), tel.detectLatencyInstrs);
+  if (r.count(Outcome::Corrected) || tel.eccCorrected || tel.eccUncorrectable)
     std::printf("corrected  : %d trials (ECC: %llu words corrected, %llu "
                 "uncorrectable)\n",
-                corrected,
+                r.count(Outcome::Corrected),
                 static_cast<unsigned long long>(tel.eccCorrected),
                 static_cast<unsigned long long>(tel.eccUncorrectable));
   if (a.withCare) {
-    std::printf("recovered  : %d (avg %.1f us per recovery)\n", recovered,
-                recovered ? recoveryUs / recovered : 0.0);
-    if (rolledBack)
-      std::printf("rolled back: %d (strategy %s)\n", rolledBack,
-                  core::recoveryStrategyName(ccfg.recover));
+    std::printf("CARE re-runs of SIGSEGV / ECC-detected trials (strategy "
+                "%s):\n",
+                core::recoveryStrategyName(ccfg.recover));
+    std::printf("  re-runs    : %d\n", tel.careReruns);
+    std::printf("  recovered  : %d (avg %.1f us per recovery)\n",
+                r.recoveredCount(), r.meanRecoveryUs());
+    if (tel.rollbacks > 0)
+      std::printf("  rolled back: %d (%llu rollbacks, %llu instrs "
+                  "re-executed)\n",
+                  r.rolledBackCount(),
+                  static_cast<unsigned long long>(tel.rollbacks),
+                  static_cast<unsigned long long>(tel.rollbackReexecInstrs));
   }
   std::printf("campaign   : %.2fs wall, %.1f trials/s, %.1f MIPS, "
               "threads=%d, utilization %.0f%%\n",
