@@ -17,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "inject/service.hpp"
-#include "support/md5.hpp"
 
 namespace {
 
@@ -101,10 +100,8 @@ int main() {
     store.processes = 2;
     store.threads = 1;
     store.storeDir = storeDir;
-    store.storeKey =
-        Md5::hash("bench-campaign-scale:" + w->name + ":" +
-                  std::to_string(trials) + ":" + std::to_string(seed))
-            .hex();
+    store.storeKey = inject::campaignKey(built.cm.imageDigest, ccfg,
+                                         campaign.rollbackInterval(), true);
     inject::CampaignTelemetry coldTel, warmTel;
     std::vector<inject::InjectionRecord> warm;
     const double coldSec = runOnce(campaign, trials, seed, &built.artifacts,

@@ -46,11 +46,11 @@ inline void header(const std::string& title, const std::string& paperRef) {
 /// when every campaign was a cache hit and nothing executed.
 inline void footer() {
   const inject::TelemetrySummary s = inject::telemetrySummary();
-  if (s.campaigns == 0 && s.cacheHits == 0) return;
+  if (s.executed == 0 && s.cacheHits == 0) return;
   std::printf("\n[campaign engine] %d campaign(s) executed, %d cache "
               "hit(s)",
-              s.campaigns, s.cacheHits);
-  if (s.campaigns > 0)
+              s.executed, s.cacheHits);
+  if (s.executed > 0)
     std::printf("; %d trials in %.2fs wall (%.1f trials/s, %.1f MIPS, "
                 "interp=%s, threads=%d, utilization %.0f%%)",
                 s.trials, s.wallSec, s.trialsPerSec(), s.mips(),

@@ -13,6 +13,7 @@
 #include "care/armor.hpp"
 #include "care/safeguard.hpp"
 #include "opt/passes.hpp"
+#include "support/md5.hpp"
 
 namespace care::core {
 
@@ -34,13 +35,19 @@ struct CompiledModule {
   ArmorStats armorStats;
   sentinel::SentinelStats sentinelStats;    // empty unless detectors armed
   CompileTimings timings;
+  /// MD5 over what a campaign runs: every MIR field of `mmod` plus the
+  /// recovery table and kernel library in `artifacts`. Equal digests mean
+  /// identical trials, so it keys the campaign result store
+  /// (inject::campaignKey) in place of build names and compile knobs.
+  Md5Digest imageDigest;
 };
 
 struct CompileOptions {
   opt::OptLevel optLevel = opt::OptLevel::O0;
   bool enableCare = true;      // run Armor and emit artifacts
   ArmorOptions armor;
-  /// Directory for the recovery table / library files (created if needed).
+  /// Directory for the recovery table / library files (created if needed),
+  /// named `<module>_<content hash>.rtable` / `.rlib`.
   std::string artifactDir = "care_artifacts";
 };
 

@@ -188,7 +188,7 @@ TelemetrySummary telemetrySummary() {
       ++s.cacheHits;
       continue;
     }
-    ++s.campaigns;
+    ++s.executed;
     s.trials += t.trials;
     s.wallSec += t.wallSec;
     s.workerBusySec += t.workerBusySec;

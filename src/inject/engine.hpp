@@ -63,7 +63,7 @@ struct CampaignTelemetry {
   int trialsDone = 0;          // committed trials (progress events)
   double etaSec = 0;           // remaining-work estimate (progress events)
   int careReruns = 0;          // SIGSEGV trials re-run with CARE attached
-  bool fromCache = false;
+  bool fromCache = false;      // every shard was served from the store
   double wallSec = 0;
   double trialsPerSec = 0;
   double workerBusySec = 0;    // sum of per-worker time inside trials
@@ -138,8 +138,8 @@ const std::vector<CampaignTelemetry>& campaignLog();
 
 /// Aggregate of campaignLog() for one-line summaries.
 struct TelemetrySummary {
-  int campaigns = 0;        // executed (non-cache-hit) campaigns
-  int cacheHits = 0;
+  int executed = 0;         // campaigns not served whole from the store
+  int cacheHits = 0;        // campaigns served whole (fromCache)
   int trials = 0;
   int threads = 0;          // max worker count used
   int processes = 0;        // max forked-worker count used

@@ -1,8 +1,6 @@
 #include "inject/experiment.hpp"
 
 #include <array>
-#include <chrono>
-#include <filesystem>
 
 #include "support/bytestream.hpp"
 #include "support/error.hpp"
@@ -13,21 +11,16 @@ namespace care::inject {
 namespace {
 
 constexpr std::uint32_t kCacheMagic = 0x45435243; // "CRCE"
+
+// kExperimentCacheVersion history.
 // v10: replaySavedInstrs joins the full-fidelity format (the multi-process
 // service ships records over pipes / the result store, and campaign
 // telemetry needs the replay savings to survive that trip).
 // v11: memory-resident fault models + ECC (DESIGN.md §4i) — records carry
 // the point's model/memAddr and per-trial ECC counters, and the resolved
-// fault model / ECC mode join both cache keys. Also re-records every
+// fault model / ECC mode join the campaign key. Also re-records every
 // campaign: register-fault bit positions are now sampled within the
 // destination's width instead of being folded by a modulo.
-constexpr std::uint32_t kCacheVersion = kExperimentCacheVersion;
-/// Folded into the campaign key only when Sentinel detectors are armed, so
-/// armed campaigns can never collide with stale detector-free entries.
-constexpr std::uint64_t kSentinelCacheVersion = 1;
-/// Folded into the campaign key only when sampling (rate > 1) or pruning
-/// is in effect.
-constexpr std::uint64_t kParetoCacheVersion = 1;
 
 void putInjectionResult(const InjectionResult& ir, ByteWriter& w,
                         bool withTimings) {
@@ -76,27 +69,6 @@ void putRecord(const InjectionRecord& rec, ByteWriter& w, bool withTimings) {
   if (rec.haveCare) putInjectionResult(rec.withCare, w, withTimings);
 }
 
-/// Serialize `r` into `w`. `withTimings` selects the on-disk cache format
-/// (wall-clock fields included) vs. the deterministic projection that the
-/// parallel ≡ serial guarantee is stated over.
-void serializeResult(const ExperimentResult& r, ByteWriter& w,
-                     bool withTimings) {
-  w.u32(kCacheMagic);
-  w.u32(kCacheVersion);
-  w.str(r.workload);
-  w.u8(r.level == opt::OptLevel::O0 ? 0 : 1);
-  w.u64(r.goldenInstrs);
-  w.u32(static_cast<std::uint32_t>(r.records.size()));
-  for (const InjectionRecord& rec : r.records)
-    putRecord(rec, w, withTimings);
-}
-
-void writeResult(const ExperimentResult& r, const std::string& path) {
-  ByteWriter w;
-  serializeResult(r, w, /*withTimings=*/true);
-  w.writeFile(path);
-}
-
 void getInjectionResult(ByteReader& r, InjectionResult& ir) {
   ir.outcome = static_cast<Outcome>(r.u8());
   ir.signal = static_cast<vm::TrapKind>(r.u8());
@@ -123,38 +95,17 @@ void getInjectionResult(ByteReader& r, InjectionResult& ir) {
   ir.careFailReason = r.str();
 }
 
-std::optional<ExperimentResult> readResult(const std::string& path) {
-  if (!std::filesystem::exists(path)) return std::nullopt;
-  try {
-    ByteReader r = ByteReader::fromFile(path);
-    if (r.u32() != kCacheMagic || r.u32() != kCacheVersion)
-      return std::nullopt;
-    ExperimentResult out;
-    out.workload = r.str();
-    out.level = r.u8() == 0 ? opt::OptLevel::O0 : opt::OptLevel::O1;
-    out.goldenInstrs = r.u64();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i)
-      out.records.push_back(readRecordBytes(r));
-    return out;
-  } catch (const Error&) {
-    return std::nullopt; // stale/corrupt cache: regenerate
-  }
-}
-
 } // namespace
 
-std::string campaignKey(const std::string& build, opt::OptLevel level,
-                        const core::ArmorOptions& armor,
-                        const CampaignConfig& cfg, bool careReruns) {
+std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
+                        std::uint64_t rollbackInterval, bool careReruns) {
   Md5 h;
   h.update("care-campaign");
-  h.update(build);
+  h.update(image.bytes.data(), image.bytes.size());
+  h.update(cfg.entry);
+  // Rollback trials space their ring by the resolved interval; every other
+  // strategy never reads it.
   const std::uint64_t nums[] = {
-      level == opt::OptLevel::O0 ? 0u : 1u,
-      armor.requireNonLocalUse ? 1u : 0u,
-      armor.maximalSlicing ? 1u : 0u,
-      armor.inductionRecovery ? 1u : 0u,
       cfg.bitsToFlip,
       cfg.seed,
       cfg.hangFactor,
@@ -162,39 +113,12 @@ std::string campaignKey(const std::string& build, opt::OptLevel level,
       static_cast<std::uint64_t>(cfg.patchTarget),
       static_cast<std::uint64_t>(cfg.recover),
       cfg.rollbackRingCap,
+      core::strategyRollsBack(cfg.recover) ? rollbackInterval : 0,
       static_cast<std::uint64_t>(cfg.fault),
       static_cast<std::uint64_t>(cfg.ecc),
-      kCacheVersion};
+      cfg.prune.enabled ? 1u : 0u,
+      kExperimentCacheVersion};
   h.update(nums, sizeof(nums));
-  // Rollback trials space their ring by CARE_CKPT_INTERVAL, or golden/64
-  // when it is unset (Campaign::profile), so that setting is semantic
-  // there; the golden length itself follows from the build.
-  if (core::strategyRollsBack(cfg.recover)) {
-    const std::uint64_t ck[] = {
-        ckptIntervalFromEnv(CampaignConfig::kCkptAuto)};
-    h.update("rollback-interval");
-    h.update(ck, sizeof(ck));
-  }
-  const sentinel::DetectOptions det = armor.resolvedDetect();
-  if (det.any()) {
-    const std::uint64_t sent[] = {kSentinelCacheVersion, det.cfc ? 1u : 0u,
-                                  det.addr ? 1u : 0u};
-    h.update(sent, sizeof(sent));
-  }
-  // Sampling only changes the build when detectors are armed; epoch is
-  // canonicalized mod rate (16@1 and 16@17 arm the same sites).
-  if (const pareto::SampleConfig sample = armor.resolvedDetectSample();
-      det.any() && sample.rate > 1) {
-    const std::uint64_t sm[] = {kParetoCacheVersion, sample.rate,
-                                sample.epoch % sample.rate};
-    h.update("detect-sample");
-    h.update(sm, sizeof(sm));
-  }
-  if (cfg.prune.enabled) {
-    const std::uint64_t pr[] = {kParetoCacheVersion};
-    h.update("prune");
-    h.update(pr, sizeof(pr));
-  }
   return h.finish().hex();
 }
 
@@ -363,20 +287,9 @@ BuiltWorkload buildWorkload(const workloads::Workload& w,
   copts.armor = cfg.armor;
   copts.artifactDir = cfg.cacheDir;
   BuiltWorkload b;
-  const sentinel::DetectOptions det = cfg.armor.resolvedDetect();
-  const std::string tag =
-      w.name + (cfg.level == opt::OptLevel::O0 ? "_O0" : "_O1") +
-      (cfg.armor.maximalSlicing ? "_max" : "") +
-      (cfg.armor.requireNonLocalUse ? "" : "_nlu0") +
-      (det.cfc ? "_dc" : "") + (det.addr ? "_da" : "");
-  std::string sampleTag;
-  if (const pareto::SampleConfig sample = cfg.armor.resolvedDetectSample();
-      det.any() && sample.rate > 1) {
-    sampleTag = "_s" + std::to_string(sample.rate);
-    if (sample.epoch % sample.rate)
-      sampleTag += "e" + std::to_string(sample.epoch % sample.rate);
-  }
-  b.cm = core::careCompile(w.sources, tag + sampleTag, copts);
+  b.cm = core::careCompile(
+      w.sources, w.name + (cfg.level == opt::OptLevel::O0 ? "_O0" : "_O1"),
+      copts);
   b.image = std::make_unique<vm::Image>();
   b.image->load(b.cm.mmod.get());
   b.image->link();
@@ -386,7 +299,14 @@ BuiltWorkload buildWorkload(const workloads::Workload& w,
 
 std::vector<std::uint8_t> serializeDeterministic(const ExperimentResult& r) {
   ByteWriter w;
-  serializeResult(r, w, /*withTimings=*/false);
+  w.u32(kCacheMagic);
+  w.u32(kExperimentCacheVersion);
+  w.str(r.workload);
+  w.u8(r.level == opt::OptLevel::O0 ? 0 : 1);
+  w.u64(r.goldenInstrs);
+  w.u32(static_cast<std::uint32_t>(r.records.size()));
+  for (const InjectionRecord& rec : r.records)
+    putRecord(rec, w, /*withTimings=*/false);
   return w.data();
 }
 
@@ -420,26 +340,9 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   ccfg.prune = cfg.prune ? *cfg.prune : pareto::pruneOptionsFromEnv({});
   if (cfg.patchBaseFirst)
     ccfg.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
-  const std::string key =
-      campaignKey(w.name, cfg.level, cfg.armor, ccfg, cfg.careOnSegv);
-
-  std::filesystem::create_directories(cfg.cacheDir);
-  const std::string path = cfg.cacheDir + "/exp_" + w.name + "_" + tel.level +
-                           "_" + key.substr(0, 12) + "_n" +
-                           std::to_string(cfg.injections) + ".camp";
   tel.fault = faultModelName(ccfg.fault);
   tel.ecc = vm::eccModeName(ccfg.ecc);
   tel.detectSample = pareto::sampleName(cfg.armor.resolvedDetectSample());
-  const auto t0 = std::chrono::steady_clock::now();
-  if (auto cached = readResult(path)) {
-    tel.fromCache = true;
-    tel.trials = static_cast<int>(cached->records.size());
-    tel.wallSec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    publishTelemetry(tel);
-    return std::move(*cached);
-  }
 
   BuiltWorkload built = buildWorkload(w, cfg);
   tel.totalSites = static_cast<int>(built.cm.sentinelStats.totalSites());
@@ -450,8 +353,11 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   ServiceConfig svc;
   svc.processes = resolveProcesses(cfg.processes);
   svc.threads = cfg.threads;
-  svc.storeDir = cfg.resultStore ? *cfg.resultStore : resultStoreDirFromEnv();
-  if (!svc.storeDir.empty()) svc.storeKey = key;
+  svc.storeDir = cfg.resultStore
+                     ? *cfg.resultStore
+                     : resultStoreDirFromEnv(cfg.cacheDir + "/store");
+  svc.storeKey = campaignKey(built.cm.imageDigest, ccfg,
+                             campaign.rollbackInterval(), cfg.careOnSegv);
 
   ExperimentResult out;
   out.workload = w.name;
@@ -461,7 +367,6 @@ ExperimentResult runExperiment(const workloads::Workload& w,
       runCampaign(campaign, cfg.injections, cfg.seed, cfg.threads,
                   cfg.careOnSegv ? &built.artifacts : nullptr, &tel, &svc);
   publishTelemetry(tel);
-  writeResult(out, path);
   return out;
 }
 

@@ -1,11 +1,14 @@
-// Campaign orchestration + result caching for the evaluation harness.
+// Campaign orchestration for the evaluation harness.
 //
 // Every table/figure bench needs the same expensive artifact: a seeded
 // injection campaign over a workload at a given opt level and bit-flip
 // count, optionally re-running each SIGSEGV injection with CARE attached.
-// runExperiment() produces that deterministically and caches the records on
-// disk (keyed by workload/level/bits/seed/count), so regenerating one table
-// doesn't re-pay for campaigns another table already ran.
+// runExperiment() compiles and profiles the workload, then produces the
+// records deterministically through the shard result store
+// (result_store.hpp), keyed by the compiled image's digest and the
+// campaign knobs that change records (campaignKey). Regenerating one table
+// therefore re-pays only compile + golden profile for campaigns another
+// table already ran, and never reuses records of a different binary.
 #pragma once
 
 #include <array>
@@ -17,13 +20,14 @@
 #include "inject/injector.hpp"
 #include "inject/service.hpp"
 #include "support/bytestream.hpp"
+#include "support/md5.hpp"
 #include "workloads/workloads.hpp"
 
 namespace care::inject {
 
-/// Version of the on-disk record wire format. Participates in campaignKey
-/// (the .camp name and the shard result-store key): bumping it invalidates
-/// every serialized record everywhere at once.
+/// Version of the record wire format. Participates in campaignKey (the
+/// shard result-store key): bumping it invalidates every stored record at
+/// once.
 inline constexpr std::uint32_t kExperimentCacheVersion = 11;
 
 struct ExperimentConfig {
@@ -32,13 +36,15 @@ struct ExperimentConfig {
   std::uint64_t seed = 2026;
   int injections = 400;       // paper: 10000 (Tables 2-4) / 1000-2000 (Fig 7)
   bool careOnSegv = true;     // re-run SIGSEGV injections with CARE attached
+  /// Recovery artifacts, and the result store's default home
+  /// (`<cacheDir>/store`).
   std::string cacheDir = "care_artifacts";
-  core::ArmorOptions armor;   // ablation knobs participate in the cache key
+  core::ArmorOptions armor;   // compile knobs reach the key via the digest
   bool patchBaseFirst = false; // Safeguard patch-heuristic ablation
   /// Campaign worker threads: 0 = hardware_concurrency, 1 = legacy serial
   /// loop. A pure performance knob — the engine guarantees the records are
   /// identical for every value, so it is deliberately NOT part of the
-  /// disk-cache key (a serial-written cache serves parallel runs and vice
+  /// campaign key (serial-written shards serve parallel runs and vice
   /// versa).
   int threads = 0;
   /// Replay-cache segment length (DESIGN.md §4c): kCkptAuto resolves to
@@ -51,10 +57,10 @@ struct ExperimentConfig {
   /// CARE_PROCS, 0 = in-process engine. Like `threads`, a pure performance
   /// knob — identical records for every value, NOT part of any cache key.
   int processes = kProcsAuto;
-  /// Shard result-store directory: nullopt resolves CARE_RESULT_STORE,
-  /// empty string forces the store off. Serving a shard from the store is
-  /// record-identical to recomputing it, so this too stays out of the
-  /// campaign key.
+  /// Shard result-store directory: nullopt resolves CARE_RESULT_STORE, and
+  /// `<cacheDir>/store` when that is unset; empty string forces the store
+  /// off. Serving a shard from the store is record-identical to recomputing
+  /// it, so this too stays out of the campaign key.
   std::optional<std::string> resultStore;
   /// Fault model (DESIGN.md §4i): nullopt resolves CARE_FAULT (reg when
   /// unset). Semantic — changes every sampled point — so the *resolved*
@@ -133,25 +139,26 @@ struct ExperimentResult {
   RecoveryPhases meanRecoveryPhases() const;
 };
 
-/// The one semantic campaign key (DESIGN.md §4g), a hex MD5. `build` names
-/// what was compiled — a workload name, or carecc's source text and entry —
-/// and the key adds the opt level, the Armor and detector words of `armor`,
-/// and every knob of `cfg` that changes records: seed, bits, hang factor,
-/// patch target, recovery strategy, ring capacity, fault model, ECC,
-/// pruning, and under rollback strategies the ring spacing those trials
-/// use. It excludes the trial count and every pure performance knob
-/// (threads, processes, backend, replay interval), so the shard result
-/// store uses it as is and overlapping campaigns share shards; `.camp`
-/// files add the trial count.
-std::string campaignKey(const std::string& build, opt::OptLevel level,
-                        const core::ArmorOptions& armor,
-                        const CampaignConfig& cfg, bool careReruns);
+/// The one semantic campaign key (DESIGN.md §4g), a hex MD5 and the shard
+/// result store's key. `image` is the compiled binary
+/// (CompiledModule::imageDigest), which already covers the opt level and
+/// every Armor, Sentinel and sampling knob. The key adds the knobs of `cfg`
+/// that change records — entry, seed, bits, hang factor, patch target,
+/// recovery strategy, ring capacity, fault model, ECC, pruning — and, under
+/// rollback strategies, `rollbackInterval`, the ring spacing the profiled
+/// Campaign resolved (Campaign::rollbackInterval). It reads no environment
+/// and excludes the trial count and every pure performance knob (threads,
+/// processes, backend, replay interval), so overlapping campaigns share
+/// shards.
+std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
+                        std::uint64_t rollbackInterval, bool careReruns);
 
-/// Compile `w` with CARE per cfg, then run (or load from cache) the
-/// campaign on cfg.threads workers. Throws care::Error if the workload
-/// cannot be profiled. When `telemetry` is non-null it receives the
-/// campaign's execution telemetry (also published to the process-wide log
-/// and the CARE_TELEMETRY sink, cache hits included).
+/// Compile `w` with CARE per cfg, profile it, then run the campaign on
+/// cfg.threads workers, serving shards from the result store where it holds
+/// them. Throws care::Error if the workload cannot be profiled. When
+/// `telemetry` is non-null it receives the campaign's execution telemetry
+/// (also published to the process-wide log and the CARE_TELEMETRY sink;
+/// `fromCache` when every shard came from the store).
 ExperimentResult runExperiment(const workloads::Workload& w,
                                const ExperimentConfig& cfg,
                                CampaignTelemetry* telemetry = nullptr);
@@ -172,8 +179,8 @@ std::vector<std::uint8_t> serializeDeterministicRecord(
     const InjectionRecord& rec);
 
 /// Full-fidelity (timings included) record wire format, version
-/// kExperimentCacheVersion — the unit the .camp cache, the shard result
-/// store, and the multi-process service's pipe frames all carry.
+/// kExperimentCacheVersion — the unit the shard result store and the
+/// multi-process service's pipe frames carry.
 /// readRecordBytes throws care::Error on truncation.
 void writeRecordBytes(const InjectionRecord& rec, ByteWriter& w);
 InjectionRecord readRecordBytes(ByteReader& r);

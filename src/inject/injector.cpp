@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "support/bitutil.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/trace.hpp"
 
@@ -93,9 +94,7 @@ constexpr std::uint64_t kMaxCheckpoints = 4096;
 } // namespace
 
 std::uint64_t ckptIntervalFromEnv(std::uint64_t fallback) {
-  const char* s = std::getenv("CARE_CKPT_INTERVAL");
-  if (!s || !*s) return fallback;
-  return std::strtoull(s, nullptr, 10);
+  return envCount("CARE_CKPT_INTERVAL", fallback);
 }
 
 bool Campaign::injectable(const MInst& in) { return destOf(in).has; }

@@ -206,6 +206,9 @@ public:
   const std::vector<TrialCheckpoint>& checkpoints() const {
     return checkpoints_;
   }
+  /// Resolved rollback-ring spacing of rollback-strategy trials, valid
+  /// after profile(); semantic under those strategies (campaignKey).
+  std::uint64_t rollbackInterval() const { return rollbackInterval_; }
   /// Index of `loc` in the sampling table, or -1 when it is not an
   /// injectable site with a nonzero profile count.
   std::ptrdiff_t siteIndexOf(const vm::CodeLoc& loc) const;

@@ -1,14 +1,16 @@
 // Content-addressed on-disk result store for campaign shards (DESIGN.md §4g).
 //
-// The experiment harness already caches *whole* campaigns (.camp files keyed
-// by their full configuration). The result store works below that, at shard
-// granularity: every committed shard of trials [start, start+count) is
-// written under a *semantic* campaign key that deliberately excludes the
-// injection count — trials are drawn sequentially from Rng(seed), so a
-// 2000-trial campaign shares its first shards with a 400-trial one — and
-// excludes every pure performance knob (threads, processes, and the replay
-// interval under non-rollback strategies). Repeated or overlapping campaigns
-// across runs therefore *resume* instead of recompute.
+// The one result cache: runExperiment and carecc keep it on by default
+// under `<artifact dir>/store`. Every committed shard of trials
+// [start, start+count) is written under the semantic campaign key
+// (campaignKey): the compiled image's digest plus the campaign knobs that
+// change records. The key deliberately excludes the injection count —
+// trials are drawn sequentially from Rng(seed), so a 2000-trial campaign
+// shares its first shards with a 400-trial one — and every pure
+// performance knob (threads, processes, backend, replay interval).
+// Repeated or overlapping campaigns across runs therefore *resume* instead
+// of recompute, and a compiler change can never be served records of the
+// binary it replaced.
 //
 // Robustness contract: a truncated, corrupted, version-mismatched or
 // wrong-key entry is a miss, never an error — load() returns nullopt and the
@@ -36,7 +38,6 @@ public:
   ResultStore(std::string dir, std::string key);
 
   bool enabled() const { return enabled_; }
-  const std::string& key() const { return key_; }
 
   /// Entry file for trials [start, start+count).
   std::string entryPath(int start, int count) const;

@@ -14,10 +14,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "inject/experiment.hpp"
 #include "inject/result_store.hpp"
 #include "support/bytestream.hpp"
+#include "support/env.hpp"
 #include "support/md5.hpp"
 #include "support/shm.hpp"
 #include "support/trace.hpp"
@@ -492,39 +494,34 @@ private:
 } // namespace
 
 int resolveProcesses(int requested) {
-  int n = requested;
-  if (n == kProcsAuto) {
-    n = 0;
-    if (const char* e = std::getenv("CARE_PROCS"); e && *e)
-      n = std::atoi(e);
-  }
-  return n < 0 ? 0 : n;
+  if (requested == kProcsAuto)
+    return static_cast<int>(std::min<std::uint64_t>(
+        envCount("CARE_PROCS", 0), std::numeric_limits<int>::max()));
+  return requested < 0 ? 0 : requested;
 }
 
-std::string resultStoreDirFromEnv() {
+std::string resultStoreDirFromEnv(const std::string& fallback) {
   const char* e = std::getenv("CARE_RESULT_STORE");
-  return e ? std::string(e) : std::string();
+  return e ? std::string(e) : fallback;
 }
 
 std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
                                               const ServiceConfig& svc,
                                               const TrialFn& fn,
                                               CampaignTelemetry* telemetry) {
-  const bool storeOn = !svc.storeDir.empty() && !svc.storeKey.empty();
+  const Clock::time_point t0 = Clock::now();
+  const ResultStore store(svc.storeDir, svc.storeKey);
   const int procs = svc.processes < 0 ? 0 : svc.processes;
   // Shards exist only for the store and the forked workers; the plain
   // in-process engine hands every trial straight to the pool.
-  const bool sharded = storeOn || procs > 0;
+  const bool sharded = store.enabled() || procs > 0;
   const int n = trials < 0 ? 0 : trials;
   const int shardSize = svc.shardSize < 1 ? 16 : svc.shardSize;
   const int numShards = sharded ? (n + shardSize - 1) / shardSize : 0;
-  const Clock::time_point t0 = Clock::now();
 
   std::vector<InjectionRecord> records(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> executed(static_cast<std::size_t>(n), 0);
   std::vector<std::uint8_t> shardDone(static_cast<std::size_t>(numShards), 0);
-  const ResultStore store(storeOn ? svc.storeDir : std::string(),
-                          storeOn ? svc.storeKey : std::string());
   int storeHits = 0;
   int storeMisses = 0;
   std::vector<int> missing;
@@ -579,7 +576,7 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
     telemetry->trials = n;
     telemetry->threads = resolveThreads(svc.threads, n);
     telemetry->processes = procs;
-    telemetry->fromCache = false;
+    telemetry->fromCache = numShards > 0 && storeHits == numShards;
     telemetry->shards = numShards;
     telemetry->storeHits = storeHits;
     telemetry->storeMisses = storeMisses;

@@ -41,12 +41,14 @@ namespace care::inject {
 inline constexpr int kProcsAuto = -1;
 
 /// Resolve a processes knob: kProcsAuto consults CARE_PROCS (unset/empty =
-/// 0); negative values clamp to 0. Like `threads`, a pure performance knob —
-/// records are identical for every value.
+/// 0; anything but a decimal count throws care::Error); negative values
+/// clamp to 0. Like `threads`, a pure performance knob — records are
+/// identical for every value.
 int resolveProcesses(int requested);
 
-/// CARE_RESULT_STORE, or "" when unset (store off).
-std::string resultStoreDirFromEnv();
+/// CARE_RESULT_STORE, or `fallback` when unset. Set but empty turns the
+/// store off.
+std::string resultStoreDirFromEnv(const std::string& fallback);
 
 /// How runShardedTrials executes a campaign. Built by runExperiment /
 /// carecc from the knobs; tests construct it directly.

@@ -1,7 +1,9 @@
 #include "pareto/prune.hpp"
 
 #include <cstdlib>
+#include <limits>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace care::pareto {
@@ -13,15 +15,9 @@ bool parsePruneFlag(const std::string& s) {
 }
 
 int parsePruneAudit(const std::string& s) {
-  if (!s.empty() && s.size() <= 9) {
-    int v = 0;
-    bool ok = true;
-    for (char c : s) {
-      if (c < '0' || c > '9') { ok = false; break; }
-      v = v * 10 + (c - '0');
-    }
-    if (ok) return v;
-  }
+  constexpr std::uint64_t kMax = std::numeric_limits<int>::max();
+  if (const auto k = parseCount(s); k && *k <= kMax)
+    return static_cast<int>(*k);
   raise("unknown prune-audit count '" + s +
         "' (expected a non-negative integer, e.g. 0 or 8)");
 }

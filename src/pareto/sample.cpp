@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace care::pareto {
@@ -12,18 +13,6 @@ namespace {
   raise("unknown detect-sample '" + s +
         "' (expected a rate N >= 1, optionally with a rotation epoch as "
         "N@E, e.g. 1, 16 or 16@3)");
-}
-
-/// Strict non-negative integer parse; returns false on any non-digit.
-bool parseU64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 19) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = v;
-  return true;
 }
 
 /// splitmix64 finalizer: spreads the structured site hash uniformly so
@@ -38,14 +27,13 @@ std::uint64_t mix(std::uint64_t x) {
 } // namespace
 
 SampleConfig parseDetectSample(const std::string& s) {
-  SampleConfig cfg;
   const std::size_t at = s.find('@');
-  const std::string rateStr = at == std::string::npos ? s : s.substr(0, at);
-  if (!parseU64(rateStr, cfg.rate) || cfg.rate == 0) badSample(s);
-  if (at != std::string::npos) {
-    if (!parseU64(s.substr(at + 1), cfg.epoch)) badSample(s);
-  }
-  return cfg;
+  const auto rate = parseCount(std::string_view(s).substr(0, at));
+  const auto epoch = at == std::string::npos
+                         ? std::optional<std::uint64_t>(0)
+                         : parseCount(std::string_view(s).substr(at + 1));
+  if (!rate || *rate == 0 || !epoch) badSample(s);
+  return SampleConfig{*rate, *epoch};
 }
 
 SampleConfig detectSampleFromEnv(const SampleConfig& fallback) {

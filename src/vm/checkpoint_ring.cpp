@@ -1,6 +1,6 @@
 #include "vm/checkpoint_ring.hpp"
 
-#include <cstdlib>
+#include "support/env.hpp"
 
 namespace care::vm {
 
@@ -42,9 +42,7 @@ void CheckpointRing::dropAfter(std::uint64_t instrCount) {
 }
 
 std::size_t rollbackRingFromEnv(std::size_t fallback) {
-  const char* s = std::getenv("CARE_ROLLBACK_RING");
-  if (!s || !*s) return fallback;
-  return static_cast<std::size_t>(std::strtoull(s, nullptr, 10));
+  return static_cast<std::size_t>(envCount("CARE_ROLLBACK_RING", fallback));
 }
 
 RunResult runCheckpointed(Executor& ex, const std::string& entry,

@@ -18,6 +18,7 @@
 #include <functional>
 #include <type_traits>
 
+#include "support/env.hpp"
 #include "vm/exec_common.hpp"
 #include "vm/executor.hpp"
 #include "vm/loader.hpp"
@@ -46,9 +47,7 @@ bool jitAvailable() {
 }
 
 std::uint64_t jitThresholdFromEnv(std::uint64_t fallback) {
-  const char* s = std::getenv("CARE_JIT_THRESHOLD");
-  if (!s || !*s) return fallback;
-  const std::uint64_t v = std::strtoull(s, nullptr, 10);
+  const std::uint64_t v = envCount("CARE_JIT_THRESHOLD", fallback);
   return v == 0 ? 1 : v;
 }
 

@@ -1,8 +1,11 @@
-// Experiment-runner tests: determinism, on-disk caching, aggregation.
+// Experiment-runner tests: determinism, the result store as the campaign
+// cache, aggregation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <memory>
 
 #include "inject/experiment.hpp"
 
@@ -22,12 +25,37 @@ ExperimentConfig smallConfig(const std::string& dir) {
   return cfg;
 }
 
+/// smallConfig with the store pinned under `dir`, so a CARE_RESULT_STORE
+/// shared across test runs cannot turn an expected miss into a hit.
+ExperimentConfig ownStoreConfig(const std::string& dir) {
+  ExperimentConfig cfg = smallConfig(dir);
+  cfg.resultStore = dir + "/store";
+  return cfg;
+}
+
+/// Every shard of the campaign was computed, none served.
+void expectCold(const inject::CampaignTelemetry& t) {
+  EXPECT_FALSE(t.fromCache);
+  EXPECT_GT(t.shards, 0);
+  EXPECT_EQ(t.storeHits, 0);
+  EXPECT_EQ(t.storeMisses, t.shards);
+}
+
+/// Every shard of the campaign was served from the store.
+void expectWarm(const inject::CampaignTelemetry& t) {
+  EXPECT_TRUE(t.fromCache);
+  EXPECT_GT(t.shards, 0);
+  EXPECT_EQ(t.storeHits, t.shards);
+  EXPECT_EQ(t.storeMisses, 0);
+}
+
 TEST(Experiment, DeterministicForFixedSeed) {
   const std::string dir = "care_test_artifacts/exp_det";
   std::filesystem::remove_all(dir);
-  const auto r1 = runExperiment(workloads::gtcp(), smallConfig(dir));
-  std::filesystem::remove_all(dir); // force a fresh (non-cached) rerun
-  const auto r2 = runExperiment(workloads::gtcp(), smallConfig(dir));
+  auto cfg = smallConfig(dir);
+  cfg.resultStore = ""; // both runs execute
+  const auto r1 = runExperiment(workloads::gtcp(), cfg);
+  const auto r2 = runExperiment(workloads::gtcp(), cfg);
   ASSERT_EQ(r1.records.size(), r2.records.size());
   for (std::size_t i = 0; i < r1.records.size(); ++i) {
     EXPECT_EQ(r1.records[i].plain.outcome, r2.records[i].plain.outcome);
@@ -54,27 +82,141 @@ TEST(Experiment, CacheRoundTripsAggregates) {
 }
 
 TEST(Experiment, DistinctConfigsGetDistinctCaches) {
+  // A config that changes records misses every shard of the other, and
+  // both campaigns then live side by side in one store.
   const std::string dir = "care_test_artifacts/exp_keys";
   std::filesystem::remove_all(dir);
-  auto c1 = smallConfig(dir);
-  auto c2 = smallConfig(dir);
+  auto c1 = ownStoreConfig(dir);
+  auto c2 = ownStoreConfig(dir);
   c2.bits = 2;
-  runExperiment(workloads::minife(), c1);
-  runExperiment(workloads::minife(), c2);
-  int files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().extension() == ".camp") ++files;
-  EXPECT_EQ(files, 2);
+  inject::CampaignTelemetry t1, t2, again1, again2;
+  runExperiment(workloads::minife(), c1, &t1);
+  runExperiment(workloads::minife(), c2, &t2);
+  expectCold(t1);
+  expectCold(t2);
+  runExperiment(workloads::minife(), c1, &again1);
+  runExperiment(workloads::minife(), c2, &again2);
+  expectWarm(again1);
+  expectWarm(again2);
+}
+
+TEST(Experiment, SameNameDifferentSourcesGetDistinctRecords) {
+  // The key is the compiled binary, not the workload's name: a workload
+  // that shares a name (and a cache directory) with another must get its
+  // own records, exactly those of a run with no store at all.
+  const std::string dir = "care_test_artifacts/exp_same_name";
+  std::filesystem::remove_all(dir);
+  workloads::Workload a = workloads::hpccg();
+  workloads::Workload b = workloads::gtcp();
+  a.name = b.name = "twin";
+  const ExperimentResult ra = runExperiment(a, smallConfig(dir));
+  const ExperimentResult rb = runExperiment(b, smallConfig(dir));
+  auto alone = smallConfig(dir + "_alone");
+  alone.resultStore = "";
+  const ExperimentResult rbAlone = runExperiment(b, alone);
+  EXPECT_NE(ra.goldenInstrs, rb.goldenInstrs);
+  EXPECT_NE(inject::serializeDeterministic(ra),
+            inject::serializeDeterministic(rb));
+  EXPECT_EQ(inject::serializeDeterministic(rb),
+            inject::serializeDeterministic(rbAlone));
+}
+
+TEST(Experiment, ImageDigestIsStableAndCoversCompileKnobs) {
+  // The campaign key stands on the image digest, so the digest must follow
+  // from the source and the compile knobs alone, never from heap layout,
+  // and it must move with every knob that changes the binary.
+  const std::string dir = "care_test_artifacts/exp_digest";
+  std::filesystem::remove_all(dir);
+  auto digestOf = [&](const workloads::Workload& w, ExperimentConfig cfg) {
+    cfg.armor.detectAuto = false;       // pin: CARE_DETECT must not leak in
+    cfg.armor.detectSampleAuto = false; // pin: CARE_DETECT_SAMPLE likewise
+    return inject::buildWorkload(w, cfg).cm.imageDigest;
+  };
+  const ExperimentConfig base = smallConfig(dir);
+  std::vector<std::unique_ptr<char[]>> churn;
+  for (const workloads::Workload* w : workloads::allWorkloads()) {
+    for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
+      for (const bool armed : {false, true}) {
+        ExperimentConfig cfg = base;
+        cfg.level = level;
+        cfg.armor.detect.cfc = cfg.armor.detect.addr = armed;
+        const Md5Digest first = digestOf(*w, cfg);
+        for (int j = 0; j < 500; ++j)
+          churn.emplace_back(new char[16 + (j * 7919) % 300]);
+        EXPECT_EQ(digestOf(*w, cfg), first)
+            << w->name << (level == opt::OptLevel::O0 ? " O0" : " O1")
+            << (armed ? " detectors armed" : "");
+      }
+    }
+  }
+
+  // The compile knobs the key no longer lists one by one, at -O1. The
+  // workloads compile to the same binary under both slicing ablations, so
+  // the Armor knobs are checked on a program where each one matters: a
+  // non-inlined call result with only local uses (requireNonLocalUse), a
+  // slice maximal slicing grows, and a lock-step induction variable pair
+  // (inductionRecovery, Fig. 11).
+  using Edit = std::function<void(core::ArmorOptions&)>;
+  auto with = [&](const workloads::Workload& w, const Edit& edit) {
+    ExperimentConfig cfg = base;
+    cfg.level = opt::OptLevel::O1;
+    edit(cfg.armor);
+    return digestOf(w, cfg);
+  };
+  const Edit none = [](core::ArmorOptions&) {};
+  const workloads::Workload knobs{"knobs", {{"knobs.c", R"(
+double a[4096];
+int g(int x) {
+  if (x > 1000) { return g(x - 1); }
+  a[x] = 0.0;
+  return x + 1;
+}
+int main() {
+  double s = 0.0;
+  int idx = 0;
+  for (int i = 0; i < 100; i = i + 1) {
+    int j = g(i);
+    a[j * 2] = 1.0;
+    a[j * 3] = 2.0;
+    s = s + a[idx + 3];
+    idx = idx + 7;
+  }
+  emit(s);
+  return 0;
+}
+)"}}};
+  const Md5Digest armorPlain = with(knobs, none);
+  EXPECT_NE(with(knobs, [](auto& a) { a.maximalSlicing = true; }),
+            armorPlain);
+  EXPECT_NE(with(knobs, [](auto& a) { a.requireNonLocalUse = false; }),
+            armorPlain);
+  EXPECT_NE(with(knobs, [](auto& a) { a.inductionRecovery = true; }),
+            armorPlain);
+  const workloads::Workload& hpccg = workloads::hpccg();
+  const Md5Digest plain = with(hpccg, none);
+  const Md5Digest cfc = with(hpccg, [](auto& a) { a.detect.cfc = true; });
+  const Md5Digest addr = with(hpccg, [](auto& a) { a.detect.addr = true; });
+  EXPECT_NE(cfc, plain);
+  EXPECT_NE(addr, plain);
+  EXPECT_NE(cfc, addr);
+  // Sampling epochs 1 and 17 of a 1/16 rotation arm the same sites.
+  auto sampled = [&](std::uint64_t epoch) {
+    return with(hpccg, [&](core::ArmorOptions& a) {
+      a.detect.cfc = a.detect.addr = true;
+      a.detectSample = pareto::SampleConfig{16, epoch};
+    });
+  };
+  EXPECT_EQ(sampled(1), sampled(17));
+  EXPECT_NE(sampled(1), sampled(0));
 }
 
 TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
   // Rollback trials space their ring by CARE_CKPT_INTERVAL (golden/64 when
   // unset), independently of the replay interval: two campaigns that
-  // differ only in it run different trials and must share neither a .camp
-  // file nor store shards.
+  // differ only in it run different trials and must share no store shards.
   const std::string dir = "care_test_artifacts/exp_rb_keys";
   std::filesystem::remove_all(dir);
-  auto cfg = smallConfig(dir + "/cache");
+  auto cfg = ownStoreConfig(dir);
   cfg.ckptInterval = 0;
   cfg.armor.recover = core::RecoveryStrategy::RepairThenRollback;
   cfg.armor.recoverAuto = false;
@@ -84,7 +226,6 @@ TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
   cfg.ecc = vm::EccMode::Off;
   cfg.prune = pareto::PruneOptions{};
   cfg.processes = 0;
-  cfg.resultStore = "";
   const char* saved = std::getenv("CARE_CKPT_INTERVAL");
   const std::string savedValue = saved ? saved : "";
   auto runAt = [&](const char* interval) {
@@ -93,26 +234,17 @@ TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
     runExperiment(workloads::hpccg(), cfg, &tel);
     return tel;
   };
-  // The .camp file, store off.
-  runAt("2000");
-  EXPECT_FALSE(runAt("50").fromCache);
-  // The store, with the .camp file removed before every run.
-  cfg.resultStore = dir + "/store";
-  std::filesystem::remove_all(cfg.cacheDir);
-  runAt("2000");
-  std::filesystem::remove_all(cfg.cacheDir);
+  const inject::CampaignTelemetry at2000 = runAt("2000");
   const inject::CampaignTelemetry at50 = runAt("50");
-  std::filesystem::remove_all(cfg.cacheDir);
   const inject::CampaignTelemetry again = runAt("2000");
   if (saved)
     setenv("CARE_CKPT_INTERVAL", savedValue.c_str(), 1);
   else
     unsetenv("CARE_CKPT_INTERVAL");
-  EXPECT_EQ(at50.storeHits, 0);
-  EXPECT_EQ(at50.storeMisses, at50.shards);
+  expectCold(at2000);
+  expectCold(at50);
   // The store was live: the matching interval is served from it.
-  EXPECT_GT(again.storeHits, 0);
-  EXPECT_EQ(again.storeHits, again.shards);
+  expectWarm(again);
 }
 
 // --- parallel campaign engine -----------------------------------------------
@@ -120,15 +252,15 @@ TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
 TEST(Experiment, ParallelCampaignMatchesSerialByteForByte) {
   // The engine's contract: for any `threads`, the deterministic portion of
   // the records (points, outcomes, signals, latencies, CARE results) is
-  // bit-identical to the legacy serial loop. Both runs are cold (the cache
-  // is wiped in between) so this exercises real execution, not cache reuse.
+  // bit-identical to the legacy serial loop. Both runs are cold (the store
+  // is off) so this exercises real execution, not cache reuse.
   const std::string dir = "care_test_artifacts/exp_par_eq";
   std::filesystem::remove_all(dir);
   auto serialCfg = smallConfig(dir);
   serialCfg.threads = 1;
+  serialCfg.resultStore = "";
   const ExperimentResult serial = runExperiment(workloads::gtcp(), serialCfg);
-  std::filesystem::remove_all(dir);
-  auto parCfg = smallConfig(dir);
+  auto parCfg = serialCfg;
   parCfg.threads = 4;
   inject::CampaignTelemetry tel;
   const ExperimentResult parallel =
@@ -144,25 +276,23 @@ TEST(Experiment, ParallelCampaignMatchesSerialByteForByte) {
 }
 
 TEST(Experiment, ThreadsStayOutOfTheCacheKey) {
-  // A serial-written cache must be reused verbatim by a parallel run: one
-  // .camp file, fromCache=true, and identical records including the
-  // wall-clock timing fields (which only a cache hit could reproduce).
+  // Serial-written shards must be reused verbatim by a parallel run: every
+  // shard a hit, and identical records including the wall-clock timing
+  // fields (which only a cache hit could reproduce).
   const std::string dir = "care_test_artifacts/exp_par_key";
   std::filesystem::remove_all(dir);
-  auto serialCfg = smallConfig(dir);
+  auto serialCfg = ownStoreConfig(dir);
   serialCfg.threads = 1;
+  inject::CampaignTelemetry serialTel;
   const ExperimentResult serial =
-      runExperiment(workloads::minife(), serialCfg);
-  auto parCfg = smallConfig(dir);
+      runExperiment(workloads::minife(), serialCfg, &serialTel);
+  expectCold(serialTel);
+  auto parCfg = ownStoreConfig(dir);
   parCfg.threads = 4;
   inject::CampaignTelemetry tel;
   const ExperimentResult parallel =
       runExperiment(workloads::minife(), parCfg, &tel);
-  EXPECT_TRUE(tel.fromCache);
-  int files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().extension() == ".camp") ++files;
-  EXPECT_EQ(files, 1);
+  expectWarm(tel);
   ASSERT_EQ(serial.records.size(), parallel.records.size());
   EXPECT_EQ(inject::serializeDeterministic(serial),
             inject::serializeDeterministic(parallel));
@@ -176,10 +306,10 @@ TEST(Experiment, ThreadsStayOutOfTheCacheKey) {
 
 TEST(Experiment, InterpBackendStaysOutOfTheCacheKey) {
   // The interpreter backend is a performance knob with a bit-identical
-  // contract (vm_diff_test), so a campaign cached under one backend must be
-  // served verbatim to a campaign running under another: one .camp file,
-  // fromCache=true, identical deterministic bytes. Only the telemetry
-  // records which backend each run resolved.
+  // contract (vm_diff_test), so a campaign stored under one backend must be
+  // served verbatim to a campaign running under another: every shard a
+  // hit, identical deterministic bytes. Only the telemetry records which
+  // backend each run resolved.
   struct InterpGuard {
     vm::InterpKind saved = vm::defaultInterp();
     ~InterpGuard() { vm::setDefaultInterp(saved); }
@@ -189,35 +319,31 @@ TEST(Experiment, InterpBackendStaysOutOfTheCacheKey) {
   vm::setDefaultInterp(vm::InterpKind::Fast);
   inject::CampaignTelemetry fastTel;
   const ExperimentResult fast =
-      runExperiment(workloads::hpccg(), smallConfig(dir), &fastTel);
-  EXPECT_FALSE(fastTel.fromCache);
+      runExperiment(workloads::hpccg(), ownStoreConfig(dir), &fastTel);
+  expectCold(fastTel);
   EXPECT_EQ(fastTel.interp, "fast");
   vm::setDefaultInterp(vm::InterpKind::Jit);
   inject::CampaignTelemetry jitTel;
   const ExperimentResult jit =
-      runExperiment(workloads::hpccg(), smallConfig(dir), &jitTel);
-  EXPECT_TRUE(jitTel.fromCache);
+      runExperiment(workloads::hpccg(), ownStoreConfig(dir), &jitTel);
+  expectWarm(jitTel);
   EXPECT_EQ(jitTel.interp, "jit");
-  int files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().extension() == ".camp") ++files;
-  EXPECT_EQ(files, 1);
   EXPECT_EQ(inject::serializeDeterministic(fast),
             inject::serializeDeterministic(jit));
 }
 
 TEST(Experiment, ParallelWrittenCacheRoundTrips) {
   // The inverse direction: a campaign executed by the parallel engine is
-  // written to disk and loaded back with an identical ExperimentResult.
+  // written to the store and loaded back with an identical ExperimentResult.
   const std::string dir = "care_test_artifacts/exp_par_rt";
   std::filesystem::remove_all(dir);
-  auto cfg = smallConfig(dir);
+  auto cfg = ownStoreConfig(dir);
   cfg.threads = 4;
   inject::CampaignTelemetry cold, warm;
   const ExperimentResult fresh = runExperiment(workloads::gtcp(), cfg, &cold);
   const ExperimentResult cached = runExperiment(workloads::gtcp(), cfg, &warm);
-  EXPECT_FALSE(cold.fromCache);
-  EXPECT_TRUE(warm.fromCache);
+  expectCold(cold);
+  expectWarm(warm);
   ASSERT_EQ(fresh.records.size(), cached.records.size());
   EXPECT_EQ(fresh.goldenInstrs, cached.goldenInstrs);
   EXPECT_EQ(inject::serializeDeterministic(fresh),

@@ -195,8 +195,8 @@ TEST(Jit, FastCapturedResumePointRestoresIntoJit) {
 
 // Acceptance gate: a cold five-workload campaign executed entirely under
 // CARE_INTERP=jit serializes byte-identical to the same campaign under the
-// fast interpreter. Separate cache dirs force both sides to really execute
-// (the backend is deliberately not part of the cache key).
+// fast interpreter. The result store is off so both sides really execute
+// (the backend is deliberately not part of the campaign key).
 TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
   InterpGuard guard;
@@ -205,6 +205,7 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
     cfg.level = opt::OptLevel::O0;
     cfg.injections = 25;
     cfg.seed = 77;
+    cfg.resultStore = "";
 
     cfg.cacheDir = "care_test_artifacts/jit_camp_fast";
     std::filesystem::remove_all(cfg.cacheDir);
@@ -247,6 +248,7 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
     cfg.seed = 99;
     cfg.fault = leg.fault;
     cfg.ecc = leg.ecc;
+    cfg.resultStore = "";
     const std::string tag = std::string(inject::faultModelName(leg.fault)) +
                             "/" + vm::eccModeName(leg.ecc);
 

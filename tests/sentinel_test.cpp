@@ -192,23 +192,33 @@ TEST(Sentinel, DetectorCampaignCacheRoundTrips) {
   inject::CampaignTelemetry tel;
   const auto cached = runExperiment(workloads::gtcp(), cfg, &tel);
   EXPECT_TRUE(tel.fromCache);
+  EXPECT_EQ(tel.storeHits, tel.shards);
   EXPECT_EQ(inject::serializeDeterministic(fresh),
             inject::serializeDeterministic(cached));
   EXPECT_GT(fresh.detectedCount(), 0);
 }
 
 TEST(Sentinel, ArmedAndDisarmedCampaignsGetDistinctCaches) {
+  // Arming the detectors changes the binary, so the armed campaign misses
+  // every shard of the disarmed one; both then live in one store.
   const std::string dir = "care_test_artifacts/sentinel_keys";
   std::filesystem::remove_all(dir);
   auto off = campaignConfig(dir, opt::OptLevel::O0);
+  off.resultStore = dir + "/store"; // pin: a shared CARE_RESULT_STORE
   auto on = off;
   on.armor.detect = bothDetectors();
-  runExperiment(workloads::minimd(), off);
-  runExperiment(workloads::minimd(), on);
-  int files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().extension() == ".camp") ++files;
-  EXPECT_EQ(files, 2);
+  inject::CampaignTelemetry offTel, onTel, offAgain, onAgain;
+  runExperiment(workloads::minimd(), off, &offTel);
+  runExperiment(workloads::minimd(), on, &onTel);
+  runExperiment(workloads::minimd(), off, &offAgain);
+  runExperiment(workloads::minimd(), on, &onAgain);
+  for (const inject::CampaignTelemetry* t : {&offTel, &onTel}) {
+    EXPECT_GT(t->shards, 0);
+    EXPECT_EQ(t->storeHits, 0);
+    EXPECT_EQ(t->storeMisses, t->shards);
+  }
+  EXPECT_TRUE(offAgain.fromCache);
+  EXPECT_TRUE(onAgain.fromCache);
 }
 
 // With detectors off, every campaign's deterministic byte stream must be

@@ -1,17 +1,24 @@
-// Unit tests for src/support: MD5, byte streams, RNG, bit utilities, and
-// the shared-memory MPMC queue behind the multi-process campaign service.
+// Unit tests for src/support: MD5, byte streams, RNG, bit utilities, the
+// shared-memory MPMC queue behind the multi-process campaign service, and
+// the strict parser behind the numeric CARE_* knobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "inject/injector.hpp"
+#include "inject/service.hpp"
 #include "support/bitutil.hpp"
 #include "support/bytestream.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
 #include "support/shm.hpp"
+#include "vm/checkpoint_ring.hpp"
+#include "vm/jit.hpp"
 
 namespace care::test {
 namespace {
@@ -294,6 +301,57 @@ TEST(ShmQueue, ConcurrentProducersConsumersLoseNothing) {
   for (const auto& g : got) seen.insert(g.begin(), g.end());
   EXPECT_EQ(seen.size(), kProducers * kPerProducer); // nothing lost or duped
 }
+
+// --- strict numeric environment knobs ----------------------------------------
+
+struct NumericKnob {
+  const char* var;
+  std::uint64_t unset; // the reader's value with the variable unset
+  std::function<std::uint64_t()> read;
+};
+
+class StrictNumericKnob : public ::testing::TestWithParam<NumericKnob> {};
+
+TEST_P(StrictNumericKnob, ReadsCountsAndRejectsEverythingElse) {
+  // A lenient parse turned "eight" into 0 and "5k" into 5, silently
+  // changing records; every numeric knob must refuse such values.
+  const NumericKnob& k = GetParam();
+  const char* saved = std::getenv(k.var);
+  const std::string savedValue = saved ? saved : "";
+  unsetenv(k.var);
+  EXPECT_EQ(k.read(), k.unset);
+  setenv(k.var, "", 1);
+  EXPECT_EQ(k.read(), k.unset);
+  setenv(k.var, "12", 1);
+  EXPECT_EQ(k.read(), 12u);
+  for (const char* bad : {"eight", "5k", "-3", "+4", " 7", "7 ", "0x10",
+                          "1e3", "99999999999999999999"}) {
+    setenv(k.var, bad, 1);
+    EXPECT_THROW(k.read(), Error) << k.var << "=" << bad;
+  }
+  if (saved)
+    setenv(k.var, savedValue.c_str(), 1);
+  else
+    unsetenv(k.var);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Env, StrictNumericKnob,
+    ::testing::Values(
+        NumericKnob{"CARE_CKPT_INTERVAL", 77,
+                    [] { return inject::ckptIntervalFromEnv(77); }},
+        NumericKnob{"CARE_ROLLBACK_RING", 8,
+                    [] { return std::uint64_t{vm::rollbackRingFromEnv(8)}; }},
+        NumericKnob{"CARE_PROCS", 0,
+                    [] {
+                      return static_cast<std::uint64_t>(
+                          inject::resolveProcesses(inject::kProcsAuto));
+                    }},
+        NumericKnob{"CARE_JIT_THRESHOLD", 1,
+                    [] { return vm::jitThresholdFromEnv(1); }}),
+    [](const ::testing::TestParamInfo<NumericKnob>& info) {
+      return std::string(info.param.var);
+    });
 
 } // namespace
 } // namespace care::test

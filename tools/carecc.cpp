@@ -80,7 +80,8 @@ void usage() {
                "  --result-store=<d> shard result-store directory: repeated\n"
                "                     or overlapping campaigns resume from\n"
                "                     previously computed shards (default\n"
-               "                     CARE_RESULT_STORE; empty = off)\n"
+               "                     CARE_RESULT_STORE, else <-d dir>/store;\n"
+               "                     empty = off)\n"
                "  --ckpt-interval <n> replay-cache segment length in instrs\n"
                "                     (0 = off; default CARE_CKPT_INTERVAL or\n"
                "                     golden/64; any value yields identical\n"
@@ -132,25 +133,15 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-core::ArmorOptions armorOptions(const Args& a) {
-  core::ArmorOptions armor;
-  armor.inductionRecovery = a.inductionRecovery;
-  if (a.detectGiven) {
-    armor.detect = a.detect;
-    armor.detectAuto = false;
-  }
-  if (a.sampleGiven) {
-    armor.detectSample = a.sample;
-    armor.detectSampleAuto = false;
-  }
-  return armor;
-}
-
 core::CompiledModule compileFile(const Args& a) {
   core::CompileOptions opts;
   opts.optLevel = a.level;
   opts.artifactDir = a.artifactDir;
-  opts.armor = armorOptions(a);
+  opts.armor.inductionRecovery = a.inductionRecovery;
+  opts.armor.detect = a.detect;
+  opts.armor.detectAuto = !a.detectGiven;
+  opts.armor.detectSample = a.sample;
+  opts.armor.detectSampleAuto = !a.sampleGiven;
   return core::careCompile({{a.file, slurp(a.file)}}, "app", opts);
 }
 
@@ -303,12 +294,11 @@ int cmdInject(const Args& a) {
   inject::ServiceConfig svc;
   svc.processes = inject::resolveProcesses(a.procs);
   svc.threads = a.threads;
-  svc.storeDir =
-      a.resultStoreGiven ? a.resultStore : inject::resultStoreDirFromEnv();
-  if (!svc.storeDir.empty())
-    svc.storeKey = inject::campaignKey(
-        "carecc:" + a.entry + ":" + slurp(a.file), a.level, armorOptions(a),
-        ccfg, a.withCare);
+  svc.storeDir = a.resultStoreGiven
+                     ? a.resultStore
+                     : inject::resultStoreDirFromEnv(a.artifactDir + "/store");
+  svc.storeKey = inject::campaignKey(cm.imageDigest, ccfg,
+                                     campaign.rollbackInterval(), a.withCare);
   inject::CampaignTelemetry tel;
   tel.workload = a.file;
   inject::ExperimentResult r;
@@ -374,115 +364,78 @@ int cmdInject(const Args& a) {
 int main(int argc, char** argv) {
   Args a;
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string s = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          usage();
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (s == "-O0") a.level = opt::OptLevel::O0;
+      else if (s == "-O1") a.level = opt::OptLevel::O1;
+      else if (s == "-d") a.artifactDir = next();
+      else if (s == "-e") a.entry = next();
+      else if (s == "-n") a.injections = std::atoi(next().c_str());
+      else if (s == "-s") a.seed = std::strtoull(next().c_str(), nullptr, 10);
+      else if (s == "-j") a.threads = std::atoi(next().c_str());
+      else if (s.rfind("--procs=", 0) == 0)
+        a.procs = std::atoi(s.c_str() + std::strlen("--procs="));
+      else if (s.rfind("--result-store=", 0) == 0) {
+        a.resultStoreGiven = true;
+        a.resultStore = s.substr(std::strlen("--result-store="));
       }
-      return argv[++i];
-    };
-    if (s == "-O0") a.level = opt::OptLevel::O0;
-    else if (s == "-O1") a.level = opt::OptLevel::O1;
-    else if (s == "-d") a.artifactDir = next();
-    else if (s == "-e") a.entry = next();
-    else if (s == "-n") a.injections = std::atoi(next().c_str());
-    else if (s == "-s") a.seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (s == "-j") a.threads = std::atoi(next().c_str());
-    else if (s.rfind("--procs=", 0) == 0)
-      a.procs = std::atoi(s.c_str() + std::strlen("--procs="));
-    else if (s.rfind("--result-store=", 0) == 0) {
-      a.resultStoreGiven = true;
-      a.resultStore = s.substr(std::strlen("--result-store="));
-    }
-    else if (s == "--ckpt-interval")
-      a.ckptInterval = std::strtoull(next().c_str(), nullptr, 10);
-    else if (s.rfind("--interp=", 0) == 0) {
-      try {
+      else if (s == "--ckpt-interval")
+        a.ckptInterval = std::strtoull(next().c_str(), nullptr, 10);
+      else if (s.rfind("--interp=", 0) == 0)
         vm::setDefaultInterp(
             vm::parseInterp(s.substr(std::strlen("--interp="))));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
-      }
-    }
-    else if (s.rfind("--detect-sample=", 0) == 0) {
-      a.sampleGiven = true;
-      try {
+      else if (s.rfind("--detect-sample=", 0) == 0) {
+        a.sampleGiven = true;
         a.sample = pareto::parseDetectSample(
             s.substr(std::strlen("--detect-sample=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
       }
-    }
-    else if (s.rfind("--prune=", 0) == 0) {
-      a.pruneGiven = true;
-      try {
+      else if (s.rfind("--prune=", 0) == 0) {
+        a.pruneGiven = true;
         a.prune = pareto::parsePruneFlag(s.substr(std::strlen("--prune=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
       }
-    }
-    else if (s.rfind("--prune-audit=", 0) == 0) {
-      a.pruneAuditGiven = true;
-      try {
+      else if (s.rfind("--prune-audit=", 0) == 0) {
+        a.pruneAuditGiven = true;
         a.pruneAudit =
             pareto::parsePruneAudit(s.substr(std::strlen("--prune-audit=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
       }
-    }
-    else if (s.rfind("--detect=", 0) == 0) {
-      a.detectGiven = true;
-      try {
+      else if (s.rfind("--detect=", 0) == 0) {
+        a.detectGiven = true;
         a.detect = sentinel::parseDetect(s.substr(std::strlen("--detect=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
       }
-    }
-    else if (s.rfind("--recover=", 0) == 0) {
-      a.recoverGiven = true;
-      try {
+      else if (s.rfind("--recover=", 0) == 0) {
+        a.recoverGiven = true;
         a.recover = core::parseRecoveryStrategy(
             s.substr(std::strlen("--recover=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
       }
-    }
-    else if (s == "--rollback-ring")
-      a.rollbackRing = std::strtoull(next().c_str(), nullptr, 10);
-    else if (s.rfind("--fault=", 0) == 0) {
-      a.faultGiven = true;
-      try {
-        a.fault =
-            inject::parseFaultModel(s.substr(std::strlen("--fault=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
+      else if (s == "--rollback-ring")
+        a.rollbackRing = std::strtoull(next().c_str(), nullptr, 10);
+      else if (s.rfind("--fault=", 0) == 0) {
+        a.faultGiven = true;
+        a.fault = inject::parseFaultModel(s.substr(std::strlen("--fault=")));
       }
-    }
-    else if (s.rfind("--ecc=", 0) == 0) {
-      a.eccGiven = true;
-      try {
+      else if (s.rfind("--ecc=", 0) == 0) {
+        a.eccGiven = true;
         a.ecc = vm::parseEccMode(s.substr(std::strlen("--ecc=")));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "carecc: %s\n", e.what());
-        return 2;
       }
+      else if (s.rfind("--trace=", 0) == 0)
+        trace::enable(s.substr(std::strlen("--trace=")));
+      else if (s == "--trace") trace::enable(next());
+      else if (s == "--no-care") a.withCare = false;
+      else if (s == "--iv-recovery") a.inductionRecovery = true;
+      else if (s == "-h" || s == "--help") { usage(); return 0; }
+      else positional.push_back(s);
     }
-    else if (s.rfind("--trace=", 0) == 0)
-      trace::enable(s.substr(std::strlen("--trace=")));
-    else if (s == "--trace") trace::enable(next());
-    else if (s == "--no-care") a.withCare = false;
-    else if (s == "--iv-recovery") a.inductionRecovery = true;
-    else if (s == "-h" || s == "--help") { usage(); return 0; }
-    else positional.push_back(s);
+  } catch (const Error& e) { // a flag's value failed to parse
+    std::fprintf(stderr, "carecc: %s\n", e.what());
+    return 2;
   }
   if (positional.size() != 2) {
     usage();
