@@ -64,7 +64,7 @@ int main() {
   for (const auto* w : workloads::allWorkloads()) {
     auto cfg = bench::baseConfig(opt::OptLevel::O0);
     inject::BuiltWorkload built = inject::buildWorkload(*w, cfg);
-    inject::CampaignConfig ccfg;
+    inject::CampaignConfig ccfg = bench::campaignConfig();
     ccfg.seed = cfg.seed;
     ccfg.hangFactor = 4;
     inject::Campaign campaign(built.image.get(), ccfg);
@@ -134,8 +134,8 @@ int main() {
 
   std::printf("\nminimum warm-store speedup: %.1fx (target: >=10x) %s\n",
               minWarmSpeedup, minWarmSpeedup >= 10 ? "OK" : "BELOW TARGET");
-  const char* out = std::getenv("CARE_BENCH_SCALE_JSON");
-  const std::string path = out && *out ? out : "BENCH_campaign_scale.json";
+  const std::string path = bench::envStr("CARE_BENCH_SCALE_JSON")
+                               .value_or("BENCH_campaign_scale.json");
   std::ofstream f(path);
   f << "{\n  \"bench\": \"campaign_scale\",\n  \"rows\": [\n" << rows
     << "\n  ]\n}\n";

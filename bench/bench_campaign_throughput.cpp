@@ -30,11 +30,14 @@ Cell runCell(const inject::Campaign& campaign, int trials,
              const std::map<std::int32_t, core::ModuleArtifacts>* arts,
              int reps) {
   Cell cell;
+  inject::ServiceConfig svc;
+  svc.processes = bench::env().processes.value_or(0);
+  svc.threads = threads;
   for (int r = 0; r < reps; ++r) {
     inject::CampaignTelemetry tel;
     const Clock::time_point t0 = Clock::now();
     auto records = inject::runCampaign(campaign, trials, seed, threads,
-                                       arts, &tel);
+                                       arts, &tel, &svc);
     const double sec =
         std::chrono::duration<double>(Clock::now() - t0).count();
     if (r == 0 || sec < cell.sec) {
@@ -53,7 +56,7 @@ int main() {
   const int trials = bench::envInt("CARE_INJECTIONS", 400);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(bench::envInt("CARE_SEED", 2026));
-  const int threads = bench::envInt("CARE_THREADS", 0);
+  const int threads = bench::env().threads.value_or(0);
   bench::header("Campaign throughput: replay cache on vs. off",
                 "the §5.1 campaign engine; not a paper table");
   std::printf("%-10s %7s %8s %10s %10s %9s %12s  (best of %d)\n",
@@ -65,12 +68,11 @@ int main() {
     auto cfg = bench::baseConfig(opt::OptLevel::O0);
     inject::BuiltWorkload built = inject::buildWorkload(*w, cfg);
 
-    inject::CampaignConfig offCfg;
-    offCfg.seed = cfg.seed;
-    offCfg.hangFactor = 4;
+    inject::CampaignConfig onCfg = bench::campaignConfig();
+    onCfg.seed = cfg.seed;
+    onCfg.hangFactor = 4;
+    inject::CampaignConfig offCfg = onCfg;
     offCfg.checkpointEveryInstrs = 0;
-    inject::CampaignConfig onCfg = offCfg;
-    onCfg.checkpointEveryInstrs = inject::CampaignConfig::kCkptAuto;
     inject::Campaign off(built.image.get(), offCfg);
     inject::Campaign on(built.image.get(), onCfg);
     if (!off.profile() || !on.profile())
@@ -123,8 +125,8 @@ int main() {
     rows += row;
   }
 
-  const char* out = std::getenv("CARE_BENCH_CAMPAIGN_JSON");
-  const std::string path = out && *out ? out : "BENCH_campaign.json";
+  const std::string path =
+      bench::envStr("CARE_BENCH_CAMPAIGN_JSON").value_or("BENCH_campaign.json");
   std::ofstream f(path);
   f << "{\n  \"bench\": \"campaign_throughput\",\n  \"reps\": " << reps
     << ",\n  \"rows\": [\n" << rows << "\n  ]\n}\n";

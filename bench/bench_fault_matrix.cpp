@@ -45,8 +45,7 @@ inject::ExperimentConfig defenseConfig(inject::FaultModel model,
   cfg.fault = model;
   cfg.ecc = d.ecc ? eccMode : vm::EccMode::Off;
   cfg.careOnSegv = d.care;
-  cfg.armor.detectAuto = false; // pin: CARE_DETECT must not skew the grid
-  cfg.armor.recoverAuto = false;
+  cfg.armor.recover = core::RecoveryStrategy::Repair;
   cfg.armor.detect.cfc = d.sentinel;
   cfg.armor.detect.addr = d.sentinel;
   return cfg;
@@ -254,8 +253,8 @@ int main() {
               "per fault model: %s\n",
               enginesIdentical ? "PASS" : "FAIL");
 
-  const char* out = std::getenv("CARE_BENCH_FAULT_MATRIX_JSON");
-  const std::string path = out && *out ? out : "BENCH_fault_matrix.json";
+  const std::string path = bench::envStr("CARE_BENCH_FAULT_MATRIX_JSON")
+                               .value_or("BENCH_fault_matrix.json");
   std::ofstream f(path);
   f << "{\n  \"bench\": \"fault_matrix\",\n  \"rows\": [\n"
     << rows << "\n  ],\n  \"gates\": {\"mem1_corrected_pct\": " << gate1Pct

@@ -20,7 +20,7 @@ int main() {
 
   // Find CARE-recoverable injection points (the paper injects recoverable
   // faults into rank 0).
-  inject::CampaignConfig ccfg;
+  inject::CampaignConfig ccfg = bench::campaignConfig();
   ccfg.seed = cfg.seed;
   inject::Campaign campaign(built.image.get(), ccfg);
   if (!campaign.profile()) return 1;

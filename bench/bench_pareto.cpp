@@ -63,10 +63,10 @@ int main() {
     auto base = bench::baseConfig(opt::OptLevel::O0);
     base.injections = trials;
     base.careOnSegv = false;
-    base.armor.detectAuto = false;       // pin detectors off
-    base.armor.detectSampleAuto = false; // pin rotation epoch
+    base.armor.detect = {};
+    base.armor.detectSample = {};
     const inject::BuiltWorkload baseBuild = inject::buildWorkload(*w, base);
-    inject::CampaignConfig baseCcfg;
+    inject::CampaignConfig baseCcfg = bench::campaignConfig();
     baseCcfg.seed = base.seed;
     inject::Campaign baseCampaign(baseBuild.image.get(), baseCcfg);
     if (!baseCampaign.profile())
@@ -134,8 +134,8 @@ int main() {
     // Pruning identity: exhaustive vs pruned+audited mem1 campaign.
     inject::ServiceConfig svc;
     svc.processes = 0;
-    svc.threads = bench::envInt("CARE_THREADS", 0);
-    inject::CampaignConfig ccfg;
+    svc.threads = bench::env().threads.value_or(0);
+    inject::CampaignConfig ccfg = bench::campaignConfig();
     ccfg.seed = base.seed;
     ccfg.fault = inject::FaultModel::Mem1;
     ccfg.prune.enabled = false;
@@ -190,8 +190,8 @@ int main() {
               "monotone front %s | prune identity %s\n",
               gParetoAll ? "OK" : "FAIL", gMonotoneAll ? "OK" : "FAIL",
               gPruneAll ? "OK" : "FAIL");
-  const char* out = std::getenv("CARE_BENCH_PARETO_JSON");
-  const std::string path = out && *out ? out : "BENCH_pareto.json";
+  const std::string path =
+      bench::envStr("CARE_BENCH_PARETO_JSON").value_or("BENCH_pareto.json");
   std::ofstream f(path);
   f << "{\n  \"bench\": \"pareto\",\n  \"gate_pareto\": "
     << (gParetoAll ? "true" : "false") << ",\n  \"gate_monotone\": "

@@ -27,7 +27,6 @@ const char* strategyLabel(core::RecoveryStrategy s) {
 
 inject::ExperimentConfig strategyConfig(core::RecoveryStrategy s) {
   auto cfg = bench::baseConfig(opt::OptLevel::O0);
-  cfg.armor.recoverAuto = false; // pin: CARE_RECOVER must not skew the grid
   cfg.armor.recover = s;
   return cfg;
 }

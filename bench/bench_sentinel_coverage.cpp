@@ -30,7 +30,7 @@ int main() {
     for (opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
       auto base = bench::baseConfig(level);
       base.careOnSegv = false;
-      base.armor.detectAuto = false; // pin detectors off
+      base.armor.detect = {};
       auto det = base;
       det.armor.detect.cfc = true;
       det.armor.detect.addr = true;

@@ -10,6 +10,7 @@ int main() {
                 "paper Table 9 (83.49% coverage, 5.7ms recovery)");
 
   core::CompileOptions copts;
+  bench::env().apply(copts.armor);
   copts.optLevel = opt::OptLevel::O0;
   copts.artifactDir = "care_artifacts";
   auto lib = core::careCompile(workloads::blasLibrary().sources, "BLAS",
@@ -33,7 +34,7 @@ int main() {
   std::map<std::int32_t, core::ModuleArtifacts> artifacts{
       {0, drv.artifacts}, {1, lib.artifacts}};
 
-  inject::CampaignConfig ccfg;
+  inject::CampaignConfig ccfg = bench::campaignConfig();
   ccfg.seed = static_cast<std::uint64_t>(bench::envInt("CARE_SEED", 2026));
   ccfg.targetModules = {0, 1}; // §5.5: inject into either sblat1 or BLAS
   inject::Campaign campaign(&image, ccfg);

@@ -3,36 +3,86 @@
 // Campaign sizes follow the paper's scaled-down defaults (DESIGN.md §2):
 // CARE_INJECTIONS overrides the per-workload injection count (paper used
 // 10000 for Tables 2-4 and 1000-2000 SIGSEGV points for Fig 7), CARE_SEED
-// the campaign seed, CARE_THREADS the campaign worker count (0/unset =
-// hardware concurrency, 1 = serial; any value yields identical records).
-// Results are cached under care_artifacts/, so re-running a bench — or
-// another bench sharing the same campaign — is instant. Set CARE_TELEMETRY
-// to a path (or "-") to collect one JSON line per campaign.
+// the campaign seed. The campaign knobs every CARE program shares
+// (CARE_THREADS, CARE_PROCS, CARE_FAULT, ...; README.md) come from the one
+// reader, inject/run_env.hpp, through env(). Campaign results land in the
+// shard result store under care_artifacts/store, so re-running a bench — or
+// another bench sharing the same campaign — skips the trials. Set
+// CARE_TELEMETRY to a path (or "-") to collect one JSON line per campaign.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "inject/experiment.hpp"
+#include "inject/run_env.hpp"
+#include "support/env.hpp"
 #include "workloads/workloads.hpp"
 
 namespace care::bench {
 
-inline int envInt(const char* name, int fallback) {
+/// The benches' one environment accessor: `name`'s value, or nullopt when
+/// it is unset or empty.
+inline std::optional<std::string> envStr(const char* name) {
   const char* v = std::getenv(name);
-  return v ? std::atoi(v) : fallback;
+  if (!v || !*v) return std::nullopt;
+  return std::string(v);
+}
+
+[[noreturn]] inline void badEnv(const std::string& what) {
+  std::fprintf(stderr, "bench: %s\n", what.c_str());
+  std::exit(2);
+}
+
+/// A bench-only count (CARE_INJECTIONS, CARE_SEED, repetition counts)
+/// through parseCount, or `fallback` when unset; anything else exits 2
+/// naming the variable.
+inline int envInt(const char* name, int fallback) {
+  const std::optional<std::string> v = envStr(name);
+  if (!v) return fallback;
+  const std::optional<std::uint64_t> n = parseCount(*v);
+  if (!n || *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    badEnv("bad " + std::string(name) + " '" + *v +
+           "' (expected a non-negative decimal integer)");
+  return static_cast<int>(*n);
+}
+
+/// The shared CARE_* knobs, read once; the first call also installs their
+/// process-wide settings (backend, trace, telemetry sink). A malformed
+/// variable exits 2.
+inline const inject::RunEnv& env() {
+  static const inject::RunEnv e = [] {
+    try {
+      inject::RunEnv r = inject::readRunEnv();
+      r.install();
+      return r;
+    } catch (const Error& err) {
+      badEnv(err.what());
+    }
+  }();
+  return e;
 }
 
 inline inject::ExperimentConfig baseConfig(opt::OptLevel level,
                                            unsigned bits = 1) {
   inject::ExperimentConfig cfg;
+  env().apply(cfg);
   cfg.level = level;
   cfg.bits = bits;
   cfg.seed = static_cast<std::uint64_t>(envInt("CARE_SEED", 2026));
   cfg.injections = envInt("CARE_INJECTIONS", 400);
-  cfg.threads = envInt("CARE_THREADS", 0);
   return cfg;
+}
+
+/// A CampaignConfig with the shared knobs applied, for benches that drive
+/// a Campaign directly.
+inline inject::CampaignConfig campaignConfig() {
+  inject::CampaignConfig c;
+  env().apply(c);
+  return c;
 }
 
 inline void header(const std::string& title, const std::string& paperRef) {

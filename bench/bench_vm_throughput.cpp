@@ -94,8 +94,8 @@ int main() {
     rows += row;
   }
 
-  const char* out = std::getenv("CARE_BENCH_VM_JSON");
-  const std::string path = out && *out ? out : "BENCH_vm.json";
+  const std::string path =
+      bench::envStr("CARE_BENCH_VM_JSON").value_or("BENCH_vm.json");
   std::ofstream f(path);
   f << "{\n  \"bench\": \"vm_throughput\",\n  \"reps\": " << reps
     << ",\n  \"rows\": [\n" << rows << "\n  ]\n}\n";

@@ -34,36 +34,19 @@ struct ArmorOptions {
   /// Sentinel detectors (DESIGN.md §4e) to arm between Armor and lowering.
   /// Off by default; golden outputs are unchanged unless armed.
   sentinel::DetectOptions detect;
-  /// When true (the default) the CARE_DETECT environment variable, if set,
-  /// overrides `detect`. Tests and benches pin this to false so the
-  /// environment cannot perturb their expectations.
-  bool detectAuto = true;
-  sentinel::DetectOptions resolvedDetect() const {
-    return detectAuto ? sentinel::detectFromEnv(detect) : detect;
-  }
   /// Sentinel site-sampling layer (DESIGN.md §4j): arm ~1/rate of the
   /// detector sites for the given rotation epoch. Rate 1 (the default) is
   /// byte-identical to unsampled instrumentation. Semantic whenever the
-  /// detectors are armed and rate > 1 (cache key, store key, telemetry).
+  /// detectors are armed and rate > 1 (image digest, telemetry).
   pareto::SampleConfig detectSample;
-  /// When true (the default) CARE_DETECT_SAMPLE, if set, overrides
-  /// `detectSample`; tests and benches pin this to false.
-  bool detectSampleAuto = true;
-  pareto::SampleConfig resolvedDetectSample() const {
-    return detectSampleAuto ? pareto::detectSampleFromEnv(detectSample)
-                            : detectSample;
-  }
   /// Safeguard recovery policy (DESIGN.md §4f). A runtime knob rather than
   /// a compile-time one, but it rides in ArmorOptions so every consumer of
-  /// the armor ablation plumbing (experiment cache key, carecc, benches)
-  /// picks it up the same way `detect` is picked up.
+  /// the armor ablation plumbing (runExperiment, carecc, benches) picks it
+  /// up the same way `detect` is picked up.
   RecoveryStrategy recover = RecoveryStrategy::Repair;
-  /// When true (the default) CARE_RECOVER, if set, overrides `recover`.
-  /// Tests and benches pin this to false to shield their expectations.
-  bool recoverAuto = true;
-  RecoveryStrategy resolvedRecover() const {
-    return recoverAuto ? recoverFromEnv(recover) : recover;
-  }
+  bool detectAuto = false;       // unread; perfbench/ still assigns it
+  bool detectSampleAuto = false; // unread; perfbench/ still assigns it
+  bool recoverAuto = false;      // unread; perfbench/ still assigns it
 };
 
 struct ArmorStats {

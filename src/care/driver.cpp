@@ -124,11 +124,10 @@ CompiledModule careCompile(const std::vector<SourceFile>& sources,
 
   // --- Sentinel detectors (after Armor so instrumentation can't perturb
   // --- the recovery slices; independent of enableCare) ---------------------
-  if (const sentinel::DetectOptions det = opts.armor.resolvedDetect();
-      det.any()) {
+  if (opts.armor.detect.any()) {
     const auto tSent0 = Clock::now();
-    out.sentinelStats = sentinel::runSentinel(*out.irMod, det,
-                                              opts.armor.resolvedDetectSample());
+    out.sentinelStats = sentinel::runSentinel(*out.irMod, opts.armor.detect,
+                                              opts.armor.detectSample);
     ir::verifyOrDie(*out.irMod);
     out.timings.sentinelSec = secSince(tSent0);
   }

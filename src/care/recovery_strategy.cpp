@@ -1,7 +1,5 @@
 #include "care/recovery_strategy.hpp"
 
-#include <cstdlib>
-
 #include "support/error.hpp"
 
 namespace care::core {
@@ -23,12 +21,6 @@ RecoveryStrategy parseRecoveryStrategy(const std::string& s) {
   if (s == "none") return RecoveryStrategy::None;
   raise("unknown recovery strategy '" + s +
         "' (expected repair, rollback, repair_then_rollback or none)");
-}
-
-RecoveryStrategy recoverFromEnv(RecoveryStrategy fallback) {
-  const char* s = std::getenv("CARE_RECOVER");
-  if (!s || !*s) return fallback;
-  return parseRecoveryStrategy(s);
 }
 
 } // namespace care::core

@@ -5,8 +5,8 @@
 // (Unlimited Lives; Secure Rewind and Discard) motivates a second one:
 // discard the damaged state and rewind to a known-good checkpoint. The
 // knob below selects the policy; it is threaded from `carecc --recover=` /
-// `CARE_RECOVER` through ArmorOptions and CampaignConfig into
-// Safeguard::onTrap (DESIGN.md §4f).
+// `CARE_RECOVER` (read at the edge, inject/run_env.hpp) through
+// ArmorOptions and CampaignConfig into Safeguard::onTrap (DESIGN.md §4f).
 #pragma once
 
 #include <cstdint>
@@ -35,10 +35,6 @@ const char* recoveryStrategyName(RecoveryStrategy s);
 /// Parse a recoveryStrategyName() string. Throws care::Error on anything
 /// else.
 RecoveryStrategy parseRecoveryStrategy(const std::string& s);
-
-/// CARE_RECOVER parsed as a strategy name, or `fallback` when the
-/// variable is unset or empty. Throws care::Error on a malformed value.
-RecoveryStrategy recoverFromEnv(RecoveryStrategy fallback);
 
 /// Does `s` ever attempt a checkpoint rollback?
 inline bool strategyRollsBack(RecoveryStrategy s) {

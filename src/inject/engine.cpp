@@ -63,6 +63,7 @@ void jsonField(std::string& out, const char* key, const char* fmt,
 }
 
 std::mutex gTelemetryMutex;
+std::string gTelemetrySink; // guarded by gTelemetryMutex
 std::vector<CampaignTelemetry>& telemetryLog() {
   static std::vector<CampaignTelemetry> log;
   return log;
@@ -157,17 +158,21 @@ void publishTelemetry(const CampaignTelemetry& t) {
   // Streaming progress snapshots go to the sink only: the log (and thus
   // telemetrySummary / bench footers) counts each campaign exactly once.
   if (t.event == "campaign") telemetryLog().push_back(t);
-  const char* sink = std::getenv("CARE_TELEMETRY");
-  if (!sink || !*sink) return;
+  if (gTelemetrySink.empty()) return;
   const std::string line = t.json();
-  if (std::string(sink) == "-" || std::string(sink) == "stderr") {
+  if (gTelemetrySink == "-" || gTelemetrySink == "stderr") {
     std::fprintf(stderr, "%s\n", line.c_str());
     return;
   }
-  if (std::FILE* f = std::fopen(sink, "a")) {
+  if (std::FILE* f = std::fopen(gTelemetrySink.c_str(), "a")) {
     std::fprintf(f, "%s\n", line.c_str());
     std::fclose(f);
   }
+}
+
+void setTelemetrySink(const std::string& path) {
+  std::lock_guard<std::mutex> lock(gTelemetryMutex);
+  gTelemetrySink = path;
 }
 
 const std::vector<CampaignTelemetry>& campaignLog() {
@@ -358,12 +363,9 @@ std::vector<InjectionRecord> runCampaign(
     }
     return rec;
   };
-  // Direct callers (tests, benches) get the historical engine unless
-  // CARE_PROCS asks for forked workers; the result store stays off without
-  // an explicit key, which only runExperiment / carecc can supply.
+  // Without a service: the in-process engine, store off.
   ServiceConfig local;
   if (!service) {
-    local.processes = resolveProcesses(kProcsAuto);
     local.threads = threads;
     service = &local;
   }

@@ -41,7 +41,7 @@ struct CampaignTelemetry {
   /// "campaign" for the one-per-campaign summary record, or
   /// "campaign_progress" for the streaming snapshots the multi-process
   /// service emits while running. Only "campaign" records enter
-  /// campaignLog(); every record goes to the CARE_TELEMETRY sink.
+  /// campaignLog(); every record goes to the telemetry sink.
   std::string event = "campaign";
   std::string workload;        // empty for anonymous (carecc) campaigns
   std::string level;           // "O0" / "O1" / ""
@@ -91,7 +91,7 @@ struct CampaignTelemetry {
   // always emitted (detect_sample "1", sites 0 when no Sentinel build is
   // associated, prune_* 0 when pruning is off) so consumers can validate
   // their presence unconditionally.
-  std::string detectSample = "1"; // resolved --detect-sample, e.g. "16@3"
+  std::string detectSample = "1"; // --detect-sample, e.g. "16@3"
   int sampledSites = 0;           // detector sites armed in this build
   int totalSites = 0;             // detector sites the sampler chose from
   int pruneGroups = 0;            // representative trials actually run
@@ -128,10 +128,14 @@ struct CampaignTelemetry {
 /// [1, trials].
 int resolveThreads(int requested, int trials);
 
-/// Record the campaign in the process-wide telemetry log and, when the
-/// CARE_TELEMETRY environment variable is set, append `t.json()` to that
-/// file ("-" or "stderr" write to stderr instead).
+/// Record the campaign in the process-wide telemetry log and, when a sink
+/// is set, append `t.json()` to that file ("-" or "stderr" write to stderr
+/// instead).
 void publishTelemetry(const CampaignTelemetry& t);
+
+/// The process-wide telemetry sink publishTelemetry appends to; "" (the
+/// default) writes none. Set by the edge (CARE_TELEMETRY, inject/run_env).
+void setTelemetrySink(const std::string& path);
 
 /// All campaigns published so far (bench mains print a footer from this).
 const std::vector<CampaignTelemetry>& campaignLog();
@@ -196,9 +200,9 @@ void aggregateRecordTelemetry(const std::vector<InjectionRecord>& records,
 /// The experiment-harness campaign: pre-derive `injections` points from
 /// Rng(seed) in serial order, run each plain, and — when `careArtifacts`
 /// is non-null — re-run SIGSEGV soft failures with CARE attached.
-/// `service` selects the execution engine: nullptr resolves CARE_PROCS from
-/// the environment (store off) and otherwise behaves exactly like the
-/// historical in-process engine; see service.hpp for the full dispatch.
+/// `service` selects the execution engine: nullptr is the in-process engine
+/// on `threads` workers with the store off; see service.hpp for the full
+/// dispatch.
 std::vector<InjectionRecord> runCampaign(
     const Campaign& campaign, int injections, std::uint64_t seed,
     int threads,

@@ -326,23 +326,22 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   tel.workload = w.name;
   tel.level = cfg.level == opt::OptLevel::O0 ? "O0" : "O1";
 
-  // Resolve every semantic knob against the environment up front, so the
-  // values in effect land in the campaign key (DESIGN.md §4f, §4i, §4j).
   CampaignConfig ccfg;
   ccfg.seed = cfg.seed;
   ccfg.bitsToFlip = cfg.bits;
   ccfg.hangFactor = 4;
   ccfg.checkpointEveryInstrs = cfg.ckptInterval;
-  ccfg.recover = cfg.armor.resolvedRecover();
-  ccfg.rollbackRingCap = vm::rollbackRingFromEnv(8);
-  ccfg.fault = cfg.fault ? *cfg.fault : faultModelFromEnv(FaultModel::Reg);
-  ccfg.ecc = cfg.ecc ? *cfg.ecc : vm::eccModeFromEnv(vm::EccMode::Off);
-  ccfg.prune = cfg.prune ? *cfg.prune : pareto::pruneOptionsFromEnv({});
+  ccfg.rollbackEveryInstrs = cfg.rollbackInterval;
+  ccfg.recover = cfg.armor.recover;
+  ccfg.rollbackRingCap = cfg.rollbackRing;
+  ccfg.fault = cfg.fault;
+  ccfg.ecc = cfg.ecc;
+  ccfg.prune = cfg.prune;
   if (cfg.patchBaseFirst)
     ccfg.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
   tel.fault = faultModelName(ccfg.fault);
   tel.ecc = vm::eccModeName(ccfg.ecc);
-  tel.detectSample = pareto::sampleName(cfg.armor.resolvedDetectSample());
+  tel.detectSample = pareto::sampleName(cfg.armor.detectSample);
 
   BuiltWorkload built = buildWorkload(w, cfg);
   tel.totalSites = static_cast<int>(built.cm.sentinelStats.totalSites());
@@ -351,11 +350,9 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   if (!campaign.profile()) raise("workload failed to profile: " + w.name);
 
   ServiceConfig svc;
-  svc.processes = resolveProcesses(cfg.processes);
+  svc.processes = cfg.processes;
   svc.threads = cfg.threads;
-  svc.storeDir = cfg.resultStore
-                     ? *cfg.resultStore
-                     : resultStoreDirFromEnv(cfg.cacheDir + "/store");
+  svc.storeDir = cfg.resultStore.value_or(cfg.cacheDir + "/store");
   svc.storeKey = campaignKey(built.cm.imageDigest, ccfg,
                              campaign.rollbackInterval(), cfg.careOnSegv);
 

@@ -47,35 +47,37 @@ struct ExperimentConfig {
   /// campaign key (serial-written shards serve parallel runs and vice
   /// versa).
   int threads = 0;
-  /// Replay-cache segment length (DESIGN.md §4c): kCkptAuto resolves to
-  /// CARE_CKPT_INTERVAL, then to goldenInstrs/64; 0 disables. Like
-  /// `threads`, a pure performance knob — records are bit-identical for
-  /// every value, so it is NOT part of any cache key. (Rollback trials
-  /// space their ring by CARE_CKPT_INTERVAL alone; see campaignKey.)
+  /// Replay-cache segment length (CampaignConfig::checkpointEveryInstrs;
+  /// kCkptAuto = goldenInstrs/64, 0 disables). Like `threads`, a pure
+  /// performance knob — records are bit-identical for every value, so it
+  /// is NOT part of any cache key.
   std::uint64_t ckptInterval = CampaignConfig::kCkptAuto;
-  /// Forked worker processes (DESIGN.md §4g): kProcsAuto resolves
-  /// CARE_PROCS, 0 = in-process engine. Like `threads`, a pure performance
-  /// knob — identical records for every value, NOT part of any cache key.
-  int processes = kProcsAuto;
-  /// Shard result-store directory: nullopt resolves CARE_RESULT_STORE, and
-  /// `<cacheDir>/store` when that is unset; empty string forces the store
-  /// off. Serving a shard from the store is record-identical to recomputing
-  /// it, so this too stays out of the campaign key.
+  /// Rollback-ring spacing (CampaignConfig::rollbackEveryInstrs) and
+  /// capacity (CampaignConfig::rollbackRingCap); semantic under rollback
+  /// strategies, see campaignKey.
+  std::uint64_t rollbackInterval = CampaignConfig::kCkptAuto;
+  std::size_t rollbackRing = 8;
+  /// Forked worker processes (DESIGN.md §4g), 0 = in-process engine. Like
+  /// `threads`, a pure performance knob — identical records for every
+  /// value, NOT part of any cache key.
+  int processes = 0;
+  /// Shard result-store directory: nullopt means `<cacheDir>/store`; an
+  /// empty string turns the store off. Serving a shard from the store is
+  /// record-identical to recomputing it, so this too stays out of the
+  /// campaign key.
   std::optional<std::string> resultStore;
-  /// Fault model (DESIGN.md §4i): nullopt resolves CARE_FAULT (reg when
-  /// unset). Semantic — changes every sampled point — so the *resolved*
-  /// model participates in the campaign key.
-  std::optional<FaultModel> fault;
-  /// ECC protection on trial executors: nullopt resolves CARE_ECC (off
-  /// when unset). Semantic (changes outcomes), part of the campaign key.
-  std::optional<vm::EccMode> ecc;
-  /// Equivalence-class campaign pruning (DESIGN.md §4j): nullopt resolves
-  /// CARE_PRUNE / CARE_PRUNE_AUDIT. The group-expanded records are
-  /// deterministically byte-identical to the exhaustive campaign's, but the
-  /// cached full-fidelity stream shares timings within a group, so the
-  /// *enabled* bit joins the campaign key (auditK, a pure verification
-  /// knob, does not).
-  std::optional<pareto::PruneOptions> prune;
+  /// Fault model (DESIGN.md §4i). Semantic — changes every sampled point —
+  /// so it participates in the campaign key.
+  FaultModel fault = FaultModel::Reg;
+  /// ECC protection on trial executors. Semantic (changes outcomes), part
+  /// of the campaign key.
+  vm::EccMode ecc = vm::EccMode::Off;
+  /// Equivalence-class campaign pruning (DESIGN.md §4j). The
+  /// group-expanded records are deterministically byte-identical to the
+  /// exhaustive campaign's, but the cached full-fidelity stream shares
+  /// timings within a group, so the *enabled* bit joins the campaign key
+  /// (auditK, a pure verification knob, does not).
+  pareto::PruneOptions prune;
 };
 
 /// One injection's record: the plain outcome plus (for SIGSEGV injections
@@ -157,7 +159,7 @@ std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
 /// cfg.threads workers, serving shards from the result store where it holds
 /// them. Throws care::Error if the workload cannot be profiled. When
 /// `telemetry` is non-null it receives the campaign's execution telemetry
-/// (also published to the process-wide log and the CARE_TELEMETRY sink;
+/// (also published to the process-wide log and the telemetry sink;
 /// `fromCache` when every shard came from the store).
 ExperimentResult runExperiment(const workloads::Workload& w,
                                const ExperimentConfig& cfg,

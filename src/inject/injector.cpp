@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "support/bitutil.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/trace.hpp"
 
@@ -49,12 +48,6 @@ FaultModel parseFaultModel(const std::string& s) {
         "' (expected reg, mem1, mem2adj or burst)");
 }
 
-FaultModel faultModelFromEnv(FaultModel fallback) {
-  const char* s = std::getenv("CARE_FAULT");
-  if (!s || !*s) return fallback;
-  return parseFaultModel(s);
-}
-
 namespace {
 
 /// Destination operand classification: (hasDest, isFPReg, isMemory).
@@ -86,16 +79,22 @@ DestInfo destOf(const MInst& in) {
   }
 }
 
-/// Upper bound on replay-cache segments: a tiny CARE_CKPT_INTERVAL on a
+/// Upper bound on replay-cache segments: a tiny interval on a
 /// multi-million-instruction run must not balloon into thousands of page-map
 /// copies. The interval is widened until the segment count fits.
 constexpr std::uint64_t kMaxCheckpoints = 4096;
 
-} // namespace
-
-std::uint64_t ckptIntervalFromEnv(std::uint64_t fallback) {
-  return envCount("CARE_CKPT_INTERVAL", fallback);
+/// A checkpoint spacing knob resolved against the golden run: kCkptAuto is
+/// golden/64, and a nonzero spacing is widened to at most kMaxCheckpoints
+/// segments. 0 stays 0.
+std::uint64_t resolveSpacing(std::uint64_t knob, std::uint64_t golden) {
+  std::uint64_t v = knob == CampaignConfig::kCkptAuto ? golden / 64 : knob;
+  if (v > 0 && v < golden / kMaxCheckpoints + 1)
+    v = golden / kMaxCheckpoints + 1;
+  return v;
 }
+
+} // namespace
 
 bool Campaign::injectable(const MInst& in) { return destOf(in).has; }
 
@@ -182,22 +181,15 @@ bool Campaign::profile() {
   // the golden run's boundary states in a second pass (the auto interval
   // and the site table both depend on this first pass).
   checkpoints_.clear();
-  std::uint64_t interval = cfg_.checkpointEveryInstrs;
-  if (interval == CampaignConfig::kCkptAuto)
-    interval = ckptIntervalFromEnv(goldenInstrs_ / 64);
-  if (interval > 0 && interval < goldenInstrs_ / kMaxCheckpoints + 1)
-    interval = goldenInstrs_ / kMaxCheckpoints + 1;
-  ckptInterval_ = interval;
+  ckptInterval_ = resolveSpacing(cfg_.checkpointEveryInstrs, goldenInstrs_);
   if (ckptInterval_ > 0) buildCheckpoints();
 
-  // Rollback-ring spacing (DESIGN.md §4f): same env knob and auto rule,
-  // deliberately *not* cfg_.checkpointEveryInstrs — rollback trials must
-  // behave identically whether or not the replay cache is enabled.
-  std::uint64_t rb = ckptIntervalFromEnv(goldenInstrs_ / 64);
-  if (rb > 0 && rb < goldenInstrs_ / kMaxCheckpoints + 1)
-    rb = goldenInstrs_ / kMaxCheckpoints + 1;
-  if (rb == 0) rb = goldenInstrs_ + 1; // entry checkpoint only
-  rollbackInterval_ = rb;
+  // Rollback-ring spacing (DESIGN.md §4f): same auto rule, deliberately
+  // its own knob — rollback trials must behave identically whether or not
+  // the replay cache is enabled.
+  rollbackInterval_ = resolveSpacing(cfg_.rollbackEveryInstrs, goldenInstrs_);
+  if (rollbackInterval_ == 0)
+    rollbackInterval_ = goldenInstrs_ + 1; // entry checkpoint only
 
   // Pruning support (DESIGN.md §4j): the deadmem class needs a per-word
   // last-access bound, built from one traced golden run. Register-model

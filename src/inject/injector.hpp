@@ -59,8 +59,6 @@ const char* faultModelName(FaultModel m);
 /// Parse "reg" | "mem1" | "mem2adj" | "burst"; throws care::Error naming
 /// the accepted values on anything else.
 FaultModel parseFaultModel(const std::string& s);
-/// CARE_FAULT env knob; returns `fallback` when unset/empty.
-FaultModel faultModelFromEnv(FaultModel fallback);
 
 /// Where and when to inject. Reg model: after the `nth` execution of the
 /// static instruction at `loc`, flip `bits` (distinct positions within the
@@ -128,41 +126,39 @@ struct CampaignConfig {
   core::Safeguard::PatchTarget patchTarget =
       core::Safeguard::PatchTarget::IndexFirst;
   /// Replay-cache segment length in dynamic instructions (DESIGN.md §4c).
-  /// kCkptAuto resolves to CARE_CKPT_INTERVAL when that is set, otherwise
-  /// to goldenInstrs/64; 0 disables the cache (every trial re-executes its
-  /// golden prefix from instruction 0). Any value yields bit-identical
-  /// campaign records — this is a performance knob.
+  /// kCkptAuto means goldenInstrs/64; 0 disables the cache (every trial
+  /// re-executes its golden prefix from instruction 0). Any value yields
+  /// bit-identical campaign records — this is a performance knob.
   static constexpr std::uint64_t kCkptAuto = ~0ull;
   std::uint64_t checkpointEveryInstrs = kCkptAuto;
+  /// Rollback-ring spacing of rollback-strategy trials (DESIGN.md §4f):
+  /// kCkptAuto means goldenInstrs/64, 0 keeps the entry checkpoint only.
+  /// Semantic under rollback strategies (campaignKey), so it is its own
+  /// knob: the replay cache stays a pure performance knob.
+  std::uint64_t rollbackEveryInstrs = kCkptAuto;
   /// Safeguard recovery policy for CARE-attached trials (DESIGN.md §4f).
   /// Unlike the replay knob above this *does* change trial semantics for
-  /// rollback strategies, so it participates in the experiment cache key.
-  /// Default resolves CARE_RECOVER at construction (paper: repair only).
-  core::RecoveryStrategy recover =
-      core::recoverFromEnv(core::RecoveryStrategy::Repair);
+  /// rollback strategies, so it participates in the campaign key (paper:
+  /// repair only).
+  core::RecoveryStrategy recover = core::RecoveryStrategy::Repair;
   /// Capacity of the per-trial rollback checkpoint ring (incl. the pinned
-  /// entry checkpoint); default resolves CARE_ROLLBACK_RING.
-  std::size_t rollbackRingCap = vm::rollbackRingFromEnv(8);
-  /// What gets corrupted (DESIGN.md §4i); default resolves CARE_FAULT.
-  /// Semantic: participates in the experiment cache key.
-  FaultModel fault = faultModelFromEnv(FaultModel::Reg);
+  /// entry checkpoint).
+  std::size_t rollbackRingCap = 8;
+  /// What gets corrupted (DESIGN.md §4i). Semantic: participates in the
+  /// campaign key.
+  FaultModel fault = FaultModel::Reg;
   /// ECC protection armed on every trial executor (never on the golden
-  /// run, which is fault-free either way); default resolves CARE_ECC.
-  /// Semantic: participates in the experiment cache key.
-  vm::EccMode ecc = vm::eccModeFromEnv(vm::EccMode::Off);
+  /// run, which is fault-free either way). Semantic: participates in the
+  /// campaign key.
+  vm::EccMode ecc = vm::EccMode::Off;
   /// Equivalence-class campaign pruning (DESIGN.md §4j): group provably
   /// identical trials and run one representative per group, expanding its
   /// result to every member. The group-expanded deterministic records are
   /// byte-identical to the exhaustive campaign; `enabled` still joins the
-  /// cache/store keys (a pruned store shard holds representative trials,
-  /// and full-fidelity timings differ). Default resolves CARE_PRUNE /
-  /// CARE_PRUNE_AUDIT.
-  pareto::PruneOptions prune = pareto::pruneOptionsFromEnv({});
+  /// campaign key (a pruned store shard holds representative trials, and
+  /// full-fidelity timings differ). Off by default.
+  pareto::PruneOptions prune;
 };
-
-/// CARE_CKPT_INTERVAL parsed as a decimal instruction count, or `fallback`
-/// when the variable is unset or empty.
-std::uint64_t ckptIntervalFromEnv(std::uint64_t fallback);
 
 /// Drives golden profiling, injection sampling, and injected runs over one
 /// loaded Image.
@@ -267,7 +263,7 @@ private:
   // profile() only when pruning is on and the model is memory-resident.
   std::unique_ptr<pareto::MemoryLife> memLife_;
   // Rollback-ring boundary spacing for rollback-strategy trials (DESIGN.md
-  // §4f). Derived from env/goldenInstrs only — *not* from
+  // §4f), resolved from rollbackEveryInstrs — *not* from
   // checkpointEveryInstrs — so the replay cache stays a pure performance
   // knob (bit-identical records at any setting) under every strategy.
   std::uint64_t rollbackInterval_ = 0;

@@ -14,12 +14,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "inject/experiment.hpp"
 #include "inject/result_store.hpp"
 #include "support/bytestream.hpp"
-#include "support/env.hpp"
 #include "support/md5.hpp"
 #include "support/shm.hpp"
 #include "support/trace.hpp"
@@ -492,18 +490,6 @@ private:
 };
 
 } // namespace
-
-int resolveProcesses(int requested) {
-  if (requested == kProcsAuto)
-    return static_cast<int>(std::min<std::uint64_t>(
-        envCount("CARE_PROCS", 0), std::numeric_limits<int>::max()));
-  return requested < 0 ? 0 : requested;
-}
-
-std::string resultStoreDirFromEnv(const std::string& fallback) {
-  const char* e = std::getenv("CARE_RESULT_STORE");
-  return e ? std::string(e) : fallback;
-}
 
 std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
                                               const ServiceConfig& svc,

@@ -36,20 +36,6 @@
 
 namespace care::inject {
 
-/// ExperimentConfig::processes sentinel: resolve CARE_PROCS, default 0
-/// (in-process engine).
-inline constexpr int kProcsAuto = -1;
-
-/// Resolve a processes knob: kProcsAuto consults CARE_PROCS (unset/empty =
-/// 0; anything but a decimal count throws care::Error); negative values
-/// clamp to 0. Like `threads`, a pure performance knob — records are
-/// identical for every value.
-int resolveProcesses(int requested);
-
-/// CARE_RESULT_STORE, or `fallback` when unset. Set but empty turns the
-/// store off.
-std::string resultStoreDirFromEnv(const std::string& fallback);
-
 /// How runShardedTrials executes a campaign. Built by runExperiment /
 /// carecc from the knobs; tests construct it directly.
 struct ServiceConfig {

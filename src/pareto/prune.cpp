@@ -1,6 +1,5 @@
 #include "pareto/prune.hpp"
 
-#include <cstdlib>
 #include <limits>
 
 #include "support/env.hpp"
@@ -20,15 +19,6 @@ int parsePruneAudit(const std::string& s) {
     return static_cast<int>(*k);
   raise("unknown prune-audit count '" + s +
         "' (expected a non-negative integer, e.g. 0 or 8)");
-}
-
-PruneOptions pruneOptionsFromEnv(const PruneOptions& fallback) {
-  PruneOptions o = fallback;
-  if (const char* s = std::getenv("CARE_PRUNE"); s && *s)
-    o.enabled = parsePruneFlag(s);
-  if (const char* s = std::getenv("CARE_PRUNE_AUDIT"); s && *s)
-    o.auditK = parsePruneAudit(s);
-  return o;
 }
 
 void MemoryLife::build(const vm::Image* image,

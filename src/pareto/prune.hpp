@@ -61,9 +61,6 @@ bool parsePruneFlag(const std::string& s);
 /// Parse a --prune-audit / CARE_PRUNE_AUDIT value: a non-negative integer.
 int parsePruneAudit(const std::string& s);
 
-/// CARE_PRUNE / CARE_PRUNE_AUDIT, with `fallback` for unset fields.
-PruneOptions pruneOptionsFromEnv(const PruneOptions& fallback = {});
-
 /// Conservative per-word "no access at or after" table for one program,
 /// built from a traced golden run (segment-granular: a word touched inside
 /// segment [b, e) is recorded as possibly-accessed until e).

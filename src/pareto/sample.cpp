@@ -1,7 +1,5 @@
 #include "pareto/sample.hpp"
 
-#include <cstdlib>
-
 #include "support/env.hpp"
 #include "support/error.hpp"
 
@@ -34,12 +32,6 @@ SampleConfig parseDetectSample(const std::string& s) {
                          : parseCount(std::string_view(s).substr(at + 1));
   if (!rate || *rate == 0 || !epoch) badSample(s);
   return SampleConfig{*rate, *epoch};
-}
-
-SampleConfig detectSampleFromEnv(const SampleConfig& fallback) {
-  const char* s = std::getenv("CARE_DETECT_SAMPLE");
-  if (!s || !*s) return fallback;
-  return parseDetectSample(s);
 }
 
 std::string sampleName(const SampleConfig& cfg) {

@@ -16,10 +16,10 @@
 //
 // so the armed sets of the `rate` consecutive epochs partition the full
 // site population — every site is armed in exactly one epoch per rotation.
-// Two builds with the same module and the same resolved SampleConfig arm
-// the same sites, which is what keeps sampled campaigns cacheable: the
-// resolved (rate, epoch) pair is a semantic experiment parameter and joins
-// the cache key, the shard-store key and telemetry (experiment.cpp).
+// Two builds with the same module and the same SampleConfig arm the same
+// sites, which is what keeps sampled campaigns cacheable: the (rate, epoch)
+// pair is a semantic experiment parameter and reaches the shard-store key
+// through the image digest, and telemetry (experiment.cpp).
 //
 // Site granularity (sentinel.cpp): CFC arms whole functions (a signature
 // scheme is only sound if every block of the function participates), ADDR
@@ -31,7 +31,7 @@
 
 namespace care::pareto {
 
-/// Resolved site-sampling configuration. rate == 1 (the default) arms
+/// Site-sampling configuration. rate == 1 (the default) arms
 /// every site and is byte-identical to unsampled instrumentation.
 struct SampleConfig {
   /// Arm ~1/rate of the check sites. Must be >= 1.
@@ -51,9 +51,6 @@ struct SampleConfig {
 /// N >= 1. Unknown forms are hard errors (care::Error) listing the valid
 /// forms, matching the --fault/--interp convention.
 SampleConfig parseDetectSample(const std::string& s);
-
-/// CARE_DETECT_SAMPLE, or `fallback` when unset/empty.
-SampleConfig detectSampleFromEnv(const SampleConfig& fallback = {});
 
 /// Canonical display/key name: "1", "16", "16@3".
 std::string sampleName(const SampleConfig& cfg);

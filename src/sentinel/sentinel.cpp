@@ -1,6 +1,5 @@
 #include "sentinel/sentinel.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -40,12 +39,6 @@ DetectOptions parseDetect(const std::string& spec) {
     else raise("unknown detector '" + tok + "' (want cfc, addr, all, none)");
   }
   return o;
-}
-
-DetectOptions detectFromEnv(const DetectOptions& fallback) {
-  const char* v = std::getenv("CARE_DETECT");
-  if (!v) return fallback;
-  return parseDetect(v);
 }
 
 namespace {

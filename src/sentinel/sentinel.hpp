@@ -49,10 +49,6 @@ struct DetectOptions {
 /// detectors. Raises on unknown tokens.
 DetectOptions parseDetect(const std::string& spec);
 
-/// Resolve the detector configuration from the CARE_DETECT environment
-/// variable; returns `fallback` when the variable is unset.
-DetectOptions detectFromEnv(const DetectOptions& fallback);
-
 /// Name of the runtime trap service the instrumentation calls on a detected
 /// mismatch (lowered to MOp::SentinelTrap → vm::TrapKind::Sentinel).
 inline constexpr const char* kTrapFnName = "__sentinel_trap";

@@ -1,10 +1,6 @@
 #include "support/env.hpp"
 
-#include <cstdlib>
 #include <limits>
-#include <string>
-
-#include "support/error.hpp"
 
 namespace care {
 
@@ -18,16 +14,6 @@ std::optional<std::uint64_t> parseCount(std::string_view text) {
     v = v * 10 + d;
   }
   return v;
-}
-
-std::uint64_t envCount(const char* name, std::uint64_t fallback) {
-  const char* s = std::getenv(name);
-  if (!s || !*s) return fallback;
-  const std::optional<std::uint64_t> v = parseCount(s);
-  if (!v)
-    raise(std::string("bad ") + name + " '" + s +
-          "' (expected a non-negative decimal integer)");
-  return *v;
 }
 
 } // namespace care

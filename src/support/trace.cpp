@@ -144,16 +144,6 @@ std::vector<std::shared_ptr<ThreadBuf>> snapshotBufs() {
   return r.bufs;
 }
 
-/// Reads CARE_TRACE at static-init time so any binary that links this TU
-/// (benches, tests, carecc — everything with an instrumented path) honors
-/// the knob without per-main plumbing.
-struct EnvInit {
-  EnvInit() {
-    const char* p = std::getenv("CARE_TRACE");
-    if (p && *p) enable(p);
-  }
-} gEnvInit;
-
 } // namespace
 
 namespace detail {

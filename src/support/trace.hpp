@@ -7,11 +7,11 @@
 // read, lock or allocation when tracing is off, so instrumented hot paths
 // cost one predictable branch.
 //
-// Enable programmatically (trace::enable), via `carecc --trace=<file>`, or
-// by setting CARE_TRACE to an output path before process start; an atexit
-// hook writes the file. A literal `%p` in the path expands to the PID so
-// concurrent processes (e.g. a parallel ctest run) don't clobber each
-// other's traces.
+// Enable programmatically (trace::enable): `carecc --trace=<file>`, or
+// CARE_TRACE=<file> for the programs that read the environment (carecc,
+// the benches, the tests); an atexit hook writes the file. A literal `%p`
+// in the path expands to the PID so concurrent processes (e.g. a parallel
+// ctest run) don't clobber each other's traces.
 //
 // Event names and categories are NOT copied: pass string literals (or
 // strings that outlive the trace).

@@ -1,7 +1,5 @@
 #include "vm/checkpoint_ring.hpp"
 
-#include "support/env.hpp"
-
 namespace care::vm {
 
 void CheckpointRing::clear() {
@@ -39,10 +37,6 @@ void CheckpointRing::dropAfter(std::uint64_t instrCount) {
   while (!ring_.empty() && ring_.back().instrCount > instrCount)
     ring_.pop_back();
   if (entry_ && entry_->instrCount > instrCount) entry_.reset();
-}
-
-std::size_t rollbackRingFromEnv(std::size_t fallback) {
-  return static_cast<std::size_t>(envCount("CARE_ROLLBACK_RING", fallback));
 }
 
 RunResult runCheckpointed(Executor& ex, const std::string& entry,

@@ -71,10 +71,6 @@ private:
   std::uint64_t evicted_ = 0;
 };
 
-/// CARE_ROLLBACK_RING parsed as a decimal capacity, or `fallback` when the
-/// variable is unset or empty.
-std::size_t rollbackRingFromEnv(std::size_t fallback);
-
 /// A one-shot stop in a runCheckpointed() schedule: when the run reaches
 /// absolute instruction count `at`, call `fire(ex)` (a memory strike).
 struct ScheduledEvent {

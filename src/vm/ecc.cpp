@@ -1,7 +1,6 @@
 #include "vm/ecc.hpp"
 
 #include <array>
-#include <cstdlib>
 
 #include "support/error.hpp"
 
@@ -21,12 +20,6 @@ EccMode parseEccMode(const std::string& s) {
   if (s == "secded") return EccMode::Secded;
   if (s == "secded,crc") return EccMode::SecdedCrc;
   raise("unknown ECC mode '" + s + "' (expected off, secded or secded,crc)");
-}
-
-EccMode eccModeFromEnv(EccMode fallback) {
-  const char* s = std::getenv("CARE_ECC");
-  if (!s || !*s) return fallback;
-  return parseEccMode(s);
 }
 
 namespace ecc {

@@ -19,16 +19,14 @@
 
 namespace care::vm {
 
-/// ECC protection level for VM memory, resolved from `CARE_ECC` /
-/// `--ecc=`: off | secded | secded,crc.
+/// ECC protection level for VM memory (`--ecc=` / `CARE_ECC`): off |
+/// secded | secded,crc.
 enum class EccMode : std::uint8_t { Off = 0, Secded = 1, SecdedCrc = 2 };
 
 const char* eccModeName(EccMode m);
 /// Parse "off"/"none", "secded", "secded,crc". Throws care::Error on
 /// anything else.
 EccMode parseEccMode(const std::string& s);
-/// CARE_ECC env knob; returns `fallback` when unset/empty.
-EccMode eccModeFromEnv(EccMode fallback);
 
 namespace ecc {
 

@@ -1,7 +1,6 @@
 #include "vm/executor.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <string_view>
 
@@ -32,8 +31,7 @@ const char* trapKindName(TrapKind k) {
 
 namespace {
 
-// -1 = no override: fall back to the CARE_INTERP environment variable.
-std::atomic<int> gInterpOverride{-1};
+std::atomic<InterpKind> gDefaultInterp{InterpKind::Fast};
 
 } // namespace
 
@@ -55,18 +53,11 @@ const char* interpName(InterpKind k) {
 }
 
 InterpKind defaultInterp() {
-  const int o = gInterpOverride.load(std::memory_order_relaxed);
-  if (o >= 0) return static_cast<InterpKind>(o);
-  // Re-read the environment every time (no static cache): tests and the
-  // campaign service flip CARE_INTERP between runs, and an unknown value
-  // must fail loudly whenever an Executor is actually constructed.
-  const char* e = std::getenv("CARE_INTERP");
-  if (e && *e) return parseInterp(e);
-  return InterpKind::Fast;
+  return gDefaultInterp.load(std::memory_order_relaxed);
 }
 
 void setDefaultInterp(InterpKind k) {
-  gInterpOverride.store(static_cast<int>(k), std::memory_order_relaxed);
+  gDefaultInterp.store(k, std::memory_order_relaxed);
 }
 
 Executor::Executor(const Image* image)

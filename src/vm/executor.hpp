@@ -83,8 +83,8 @@ InterpKind parseInterp(std::string_view name);
 /// The canonical name parseInterp accepts for `k`.
 const char* interpName(InterpKind k);
 
-/// Process-wide default for new Executors: CARE_INTERP=ref|fast|jit,
-/// overridden by setDefaultInterp() (carecc --interp=...).
+/// Process-wide default for new Executors: Fast unless setDefaultInterp()
+/// chose another (carecc --interp=..., or CARE_INTERP at the edge).
 InterpKind defaultInterp();
 void setDefaultInterp(InterpKind k);
 

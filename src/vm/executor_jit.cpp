@@ -18,10 +18,6 @@
 // block runs at least one instruction, and whenever it declines, the
 // interpreter burst executes at least one.
 #include "vm/executor.hpp"
-
-#include <cstdio>
-#include <cstdlib>
-
 #include "vm/jit.hpp"
 
 namespace care::vm {
@@ -93,16 +89,7 @@ RunResult Executor::runJit() {
 
     ctx.ic = instrCount_;
     ctx.budget = stop;
-    static const bool trace = std::getenv("CARE_JIT_TRACE") != nullptr;
-    if (trace)
-      std::fprintf(stderr, "[jit] enter m=%d f=%d j=%d ic=%llu\n", curModule_,
-                   curFunc_, curInstr_,
-                   static_cast<unsigned long long>(instrCount_));
     jimg.enter(ctx, entry);
-    if (trace)
-      std::fprintf(stderr, "[jit] exit kind=%d m=%d f=%d j=%d ic=%llu\n",
-                   ctx.exitKind, ctx.module, ctx.func, ctx.instr,
-                   static_cast<unsigned long long>(ctx.ic));
 
     // Publish the exit state the way the interpreter's SYNC() does.
     instrCount_ = ctx.ic;

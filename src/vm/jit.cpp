@@ -18,7 +18,6 @@
 #include <functional>
 #include <type_traits>
 
-#include "support/env.hpp"
 #include "vm/exec_common.hpp"
 #include "vm/executor.hpp"
 #include "vm/loader.hpp"
@@ -44,11 +43,6 @@ bool probeExecMmap() {
 bool jitAvailable() {
   static const bool ok = probeExecMmap();
   return ok;
-}
-
-std::uint64_t jitThresholdFromEnv(std::uint64_t fallback) {
-  const std::uint64_t v = envCount("CARE_JIT_THRESHOLD", fallback);
-  return v == 0 ? 1 : v;
 }
 
 namespace {
@@ -429,12 +423,7 @@ public:
         emitBlockCheck(static_cast<std::int32_t>(j));
       }
       art.instrOff[j] = static_cast<std::uint32_t>(a_.off());
-      if (!emitInstr(static_cast<std::int32_t>(j))) {
-        if (std::getenv("CARE_JIT_TRACE"))
-          std::fprintf(stderr, "[jit] compile bail m=%d f=%d j=%zu kind=%d\n",
-                       m_, f_, j, static_cast<int>(code_[j].kind));
-        return art;
-      }
+      if (!emitInstr(static_cast<std::int32_t>(j))) return art;
     }
     // Fell off the end: the reference loop reports BadPC at the last
     // executed instruction, hook-invisible.
@@ -447,11 +436,7 @@ public:
       emitCold();
     }
     emitExitTails();
-    if (!a_.resolve()) {
-      if (std::getenv("CARE_JIT_TRACE"))
-        std::fprintf(stderr, "[jit] resolve bail m=%d f=%d\n", m_, f_);
-      return art;
-    }
+    if (!a_.resolve()) return art;
     art.code = std::move(a_.b);
     art.suffixLen = std::move(suffix_);
     art.ok = true;
@@ -1189,7 +1174,7 @@ const std::uint8_t* sealIntoChunk(std::vector<std::unique_ptr<ChunkT>>& chunks,
 } // namespace
 
 JitImage::JitImage(const Image& image)
-    : image_(image), threshold_(jitThresholdFromEnv(1)) {
+    : image_(image) {
   if (!jitAvailable()) {
     broken_ = true;
     return;
@@ -1198,12 +1183,10 @@ JitImage::JitImage(const Image& image)
   const std::size_t nm = dimg.funcs.size();
   slots_.reserve(nm);
   fns_.reserve(nm);
-  touches_.reserve(nm);
   for (std::size_t m = 0; m < nm; ++m) {
     const std::size_t nf = dimg.funcs[m].size();
     slots_.emplace_back(nf);  // inner vectors are never resized again:
     fns_.emplace_back(nf);    // emitted code embeds their element addresses
-    touches_.emplace_back(nf);
   }
 
   // The stub chunk: entry thunk, common exit, one CrossEnter stub per
@@ -1310,13 +1293,6 @@ const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
     return nullptr;
   FnJit* fj = compiled(m, f);
   if (!fj) {
-    if (threshold_ > 1) {
-      const std::uint64_t t =
-          touches_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)]
-              .fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (t < threshold_) return nullptr;
-    }
     std::lock_guard<std::mutex> lk(compileMutex_);
     fj = compileLocked(m, f);
     if (!fj) return nullptr;

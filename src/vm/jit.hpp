@@ -27,10 +27,9 @@
 //    through a ColdOp stub and are single-stepped by the interpreter, then
 //    native execution resumes at the next instruction.
 //
-// Compilation is per-function, on the Nth driver touch
-// (CARE_JIT_THRESHOLD, default 1 = first touch), into chunks that are
-// sealed PROT_READ|PROT_EXEC before their entry is published — no page is
-// ever writable and executable at once, and no sealed page is rewritten
+// Compilation is per-function, on the first driver touch, into chunks that
+// are sealed PROT_READ|PROT_EXEC before their entry is published — no page
+// is ever writable and executable at once, and no sealed page is rewritten
 // (cross-function calls go through patchable data slots, never through
 // code). If the host forbids executable mappings entirely, jitAvailable()
 // turns false and the executor falls back to the fast interpreter with a
@@ -55,12 +54,6 @@ class Memory;
 /// false, InterpKind::Jit silently degrades to the fast interpreter after
 /// a single stderr warning.
 bool jitAvailable();
-
-/// CARE_JIT_THRESHOLD parsed as a decimal touch count (a function is
-/// compiled on its Nth driver touch), or `fallback` when unset/empty.
-/// 0 is clamped to 1; a huge value effectively pins the mixed-mode driver
-/// to the interpreter.
-std::uint64_t jitThresholdFromEnv(std::uint64_t fallback = 1);
 
 /// Emit the "executable mappings unavailable, falling back" warning —
 /// exactly once per process, no matter how many Images or Executors hit
@@ -117,9 +110,9 @@ public:
 
   /// Native address to enter for position (m, f, j) under the given
   /// counter/limit, or nullptr when the driver should interpret instead:
-  /// the function is below its compile threshold (touches are counted
-  /// here), compilation failed, or the remainder of j's basic block no
-  /// longer fits `limit` (the budget-exactness deopt).
+  /// compilation failed, or the remainder of j's basic block no longer
+  /// fits `limit` (the budget-exactness deopt). Compiles the function on
+  /// its first touch.
   const void* entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
                        std::uint64_t ic, std::uint64_t limit);
 
@@ -149,13 +142,11 @@ private:
   FnJit* compileLocked(std::int32_t m, std::int32_t f);
 
   const Image& image_;
-  std::uint64_t threshold_;
   // One slot per function: the address cross-function call templates jump
   // through. Initially the function's CrossEnter stub; atomically repointed
   // at the real entry once compiled. Lives in plain data, never in code.
   std::vector<std::vector<std::atomic<const void*>>> slots_;
   std::vector<std::vector<std::atomic<FnJit*>>> fns_;
-  std::vector<std::vector<std::atomic<std::uint64_t>>> touches_;
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::unique_ptr<FnJit>> fnStore_;
   // Emitted once into the first chunk.

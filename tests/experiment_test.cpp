@@ -2,12 +2,12 @@
 // cache, aggregation.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
 
 #include "inject/experiment.hpp"
+#include "testutil.hpp"
 
 namespace care::test {
 namespace {
@@ -16,8 +16,10 @@ using inject::ExperimentConfig;
 using inject::ExperimentResult;
 using inject::Outcome;
 
+/// A small campaign that follows the CI env legs.
 ExperimentConfig smallConfig(const std::string& dir) {
   ExperimentConfig cfg;
+  runEnv().apply(cfg);
   cfg.level = opt::OptLevel::O0;
   cfg.injections = 40;
   cfg.seed = 123;
@@ -127,12 +129,12 @@ TEST(Experiment, ImageDigestIsStableAndCoversCompileKnobs) {
   // and it must move with every knob that changes the binary.
   const std::string dir = "care_test_artifacts/exp_digest";
   std::filesystem::remove_all(dir);
-  auto digestOf = [&](const workloads::Workload& w, ExperimentConfig cfg) {
-    cfg.armor.detectAuto = false;       // pin: CARE_DETECT must not leak in
-    cfg.armor.detectSampleAuto = false; // pin: CARE_DETECT_SAMPLE likewise
+  auto digestOf = [&](const workloads::Workload& w,
+                      const ExperimentConfig& cfg) {
     return inject::buildWorkload(w, cfg).cm.imageDigest;
   };
-  const ExperimentConfig base = smallConfig(dir);
+  ExperimentConfig base;
+  base.cacheDir = dir;
   std::vector<std::unique_ptr<char[]>> churn;
   for (const workloads::Workload* w : workloads::allWorkloads()) {
     for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
@@ -211,36 +213,26 @@ int main() {
 }
 
 TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
-  // Rollback trials space their ring by CARE_CKPT_INTERVAL (golden/64 when
-  // unset), independently of the replay interval: two campaigns that
-  // differ only in it run different trials and must share no store shards.
+  // Rollback trials space their ring by `rollbackInterval`, independently
+  // of the replay interval: two campaigns that differ only in it run
+  // different trials and must share no store shards.
   const std::string dir = "care_test_artifacts/exp_rb_keys";
   std::filesystem::remove_all(dir);
-  auto cfg = ownStoreConfig(dir);
+  ExperimentConfig cfg;
+  cfg.injections = 40;
+  cfg.seed = 123;
+  cfg.cacheDir = dir;
   cfg.ckptInterval = 0;
   cfg.armor.recover = core::RecoveryStrategy::RepairThenRollback;
-  cfg.armor.recoverAuto = false;
-  cfg.armor.detectAuto = false;
-  cfg.armor.detectSampleAuto = false;
-  cfg.fault = inject::FaultModel::Reg;
-  cfg.ecc = vm::EccMode::Off;
-  cfg.prune = pareto::PruneOptions{};
-  cfg.processes = 0;
-  const char* saved = std::getenv("CARE_CKPT_INTERVAL");
-  const std::string savedValue = saved ? saved : "";
-  auto runAt = [&](const char* interval) {
-    setenv("CARE_CKPT_INTERVAL", interval, 1);
+  auto runAt = [&](std::uint64_t interval) {
+    cfg.rollbackInterval = interval;
     inject::CampaignTelemetry tel;
     runExperiment(workloads::hpccg(), cfg, &tel);
     return tel;
   };
-  const inject::CampaignTelemetry at2000 = runAt("2000");
-  const inject::CampaignTelemetry at50 = runAt("50");
-  const inject::CampaignTelemetry again = runAt("2000");
-  if (saved)
-    setenv("CARE_CKPT_INTERVAL", savedValue.c_str(), 1);
-  else
-    unsetenv("CARE_CKPT_INTERVAL");
+  const inject::CampaignTelemetry at2000 = runAt(2000);
+  const inject::CampaignTelemetry at50 = runAt(50);
+  const inject::CampaignTelemetry again = runAt(2000);
   expectCold(at2000);
   expectCold(at50);
   // The store was live: the matching interval is served from it.

@@ -19,12 +19,12 @@ using inject::Campaign;
 using inject::CampaignConfig;
 using inject::FaultModel;
 
-/// Register-model config pinned against the environment: the CI matrix
-/// runs this suite under CARE_FAULT / CARE_ECC, and the reg-model
+/// Register-model config on top of the CI env legs: the reg-model
 /// assertions below (valid pt.loc, profiled nth, operand bit widths) must
-/// not be reshaped by it.
+/// not be reshaped by a leg's CARE_FAULT / CARE_ECC.
 CampaignConfig regConfig() {
   CampaignConfig cfg;
+  runEnv().apply(cfg);
   cfg.fault = FaultModel::Reg;
   cfg.ecc = vm::EccMode::Off;
   return cfg;

@@ -49,14 +49,6 @@ TEST(InterpSelect, UnknownBackendIsAHardErrorListingTheChoices) {
   }
 }
 
-TEST(InterpSelect, BogusCareInterpEnvIsAHardError) {
-  ::setenv("CARE_INTERP", "bogus", 1);
-  EXPECT_THROW((void)vm::defaultInterp(), Error);
-  ::setenv("CARE_INTERP", "jit", 1);
-  EXPECT_EQ(vm::defaultInterp(), vm::InterpKind::Jit);
-  ::unsetenv("CARE_INTERP");
-}
-
 // --- compilation & golden equivalence ---------------------------------------
 
 constexpr const char* kLoopProgram = R"(
@@ -92,8 +84,8 @@ TEST(Jit, CompilesHotFunctionsAndMatchesFast) {
   EXPECT_EQ(jit.output(), fast.output());
   EXPECT_EQ(std::memcmp(jit.state().g, fast.state().g, sizeof jit.state().g),
             0);
-  // The default threshold (CARE_JIT_THRESHOLD=1) compiles on first touch,
-  // so the golden run above must have gone native, not interpret-only.
+  // The JIT compiles a function on its first touch, so the golden run
+  // above must have gone native, not interpret-only.
   EXPECT_GT(p.image->jit().compiledFunctions(), 0u);
 }
 
@@ -202,6 +194,7 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
   InterpGuard guard;
   for (const workloads::Workload* w : workloads::allWorkloads()) {
     inject::ExperimentConfig cfg;
+    runEnv().apply(cfg);
     cfg.level = opt::OptLevel::O0;
     cfg.injections = 25;
     cfg.seed = 77;
@@ -243,6 +236,7 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
   for (const Leg leg : {Leg{inject::FaultModel::Mem1, vm::EccMode::Secded},
                         Leg{inject::FaultModel::Burst, vm::EccMode::Off}}) {
     inject::ExperimentConfig cfg;
+    runEnv().apply(cfg);
     cfg.level = opt::OptLevel::O0;
     cfg.injections = 20;
     cfg.seed = 99;

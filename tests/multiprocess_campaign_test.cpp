@@ -12,6 +12,7 @@
 #include "inject/experiment.hpp"
 #include "inject/service.hpp"
 #include "support/rng.hpp"
+#include "testutil.hpp"
 #include "workloads/workloads.hpp"
 
 namespace care::test {
@@ -20,17 +21,20 @@ namespace {
 using inject::ExperimentConfig;
 using inject::runExperiment;
 
+/// A serial, in-process, store-off campaign with detectors off and repair
+/// only, on top of the CI env legs; each test sets the engine it compares.
 ExperimentConfig baseConfig(const std::string& dir) {
   ExperimentConfig cfg;
+  runEnv().apply(cfg);
   cfg.level = opt::OptLevel::O0;
   cfg.injections = 48;
   cfg.seed = 321;
   cfg.cacheDir = dir;
   cfg.threads = 1;
-  cfg.armor.detectAuto = false;  // pin: CARE_DETECT must not leak in
-  cfg.armor.recoverAuto = false; // pin: CARE_RECOVER must not leak in
-  cfg.processes = 0;             // pin: CARE_PROCS resolved per test
-  cfg.resultStore = "";          // pin: store off unless a test sets one
+  cfg.armor.detect = {};
+  cfg.armor.recover = core::RecoveryStrategy::Repair;
+  cfg.processes = 0;
+  cfg.resultStore = "";
   return cfg;
 }
 
@@ -104,6 +108,7 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
   inject::BuiltWorkload built =
       inject::buildWorkload(workloads::gtcp(), cfg);
   inject::CampaignConfig ccfg;
+  runEnv().apply(ccfg);
   ccfg.seed = cfg.seed;
   ccfg.bitsToFlip = cfg.bits;
   ccfg.hangFactor = 4;
@@ -147,6 +152,7 @@ TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
   inject::BuiltWorkload built =
       inject::buildWorkload(workloads::gtcp(), cfg);
   inject::CampaignConfig ccfg;
+  runEnv().apply(ccfg);
   ccfg.seed = cfg.seed;
   ccfg.bitsToFlip = cfg.bits;
   ccfg.hangFactor = 4;

@@ -126,9 +126,7 @@ core::CompiledModule compileSampled(const SampleConfig& sample) {
   core::CompileOptions opts;
   opts.artifactDir = "care_test_artifacts/pareto";
   opts.armor.detect = sentinel::parseDetect("all");
-  opts.armor.detectAuto = false;       // pin against CARE_DETECT
   opts.armor.detectSample = sample;
-  opts.armor.detectSampleAuto = false; // pin against CARE_DETECT_SAMPLE
   return core::careCompile({{"pareto.c", kMultiFnProg}}, "pareto_smp", opts);
 }
 
@@ -183,8 +181,6 @@ struct CareEnv {
 CareEnv buildCare(const char* src, const std::string& tag) {
   core::CompileOptions opts;
   opts.artifactDir = "care_test_artifacts/pareto";
-  opts.armor.detectAuto = false;
-  opts.armor.detectSampleAuto = false;
   CareEnv e;
   e.cm = core::careCompile({{tag + ".c", src}}, "pareto_" + tag, opts);
   e.image = std::make_unique<vm::Image>();
@@ -194,15 +190,11 @@ CareEnv buildCare(const char* src, const std::string& tag) {
   return e;
 }
 
-/// Campaign config pinned against the environment.
 CampaignConfig pinnedConfig(inject::FaultModel fault, vm::EccMode ecc) {
   CampaignConfig cfg;
   cfg.hangFactor = 4;
-  cfg.recover = core::RecoveryStrategy::Repair;
-  cfg.rollbackRingCap = 8;
   cfg.fault = fault;
   cfg.ecc = ecc;
-  cfg.prune = {};
   return cfg;
 }
 

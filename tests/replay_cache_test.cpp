@@ -25,11 +25,12 @@ using inject::CampaignConfig;
 using inject::InjectionPoint;
 using inject::InjectionResult;
 
-/// Register-model config pinned against the environment: the CI matrix
-/// runs this suite under CARE_FAULT / CARE_ECC, and the site-table edge
-/// geometry below is a register-model notion.
+/// Register-model config on top of the CI env legs: the site-table edge
+/// geometry below is a register-model notion, whatever a leg's CARE_FAULT
+/// / CARE_ECC.
 CampaignConfig pinnedConfig() {
   CampaignConfig cfg;
+  runEnv().apply(cfg);
   cfg.fault = inject::FaultModel::Reg;
   cfg.ecc = vm::EccMode::Off;
   return cfg;
@@ -163,15 +164,15 @@ TEST(ReplayCache, CareRerunFromCheckpointMatchesFromScratch) {
   // recovery behaviour. GTC-P at this seed produces SIGSEGVs within a
   // small campaign.
   inject::ExperimentConfig bcfg;
+  runEnv().apply(bcfg);
   bcfg.cacheDir = "care_test_artifacts/replay_care";
   std::filesystem::remove_all(bcfg.cacheDir);
   inject::BuiltWorkload built = inject::buildWorkload(workloads::gtcp(), bcfg);
 
-  CampaignConfig offCfg = pinnedConfig();
-  offCfg.hangFactor = 4;
+  CampaignConfig onCfg = pinnedConfig();
+  onCfg.hangFactor = 4;
+  CampaignConfig offCfg = onCfg;
   offCfg.checkpointEveryInstrs = 0;
-  CampaignConfig onCfg = offCfg;
-  onCfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
   Campaign off(built.image.get(), offCfg);
   Campaign on(built.image.get(), onCfg);
   ASSERT_TRUE(off.profile());
@@ -179,13 +180,14 @@ TEST(ReplayCache, CareRerunFromCheckpointMatchesFromScratch) {
   ASSERT_GT(on.checkpoints().size(), 0u);
 
   const int kTrials = 25;
+  const inject::ServiceConfig svc = envService(4);
   inject::CampaignTelemetry telOff, telOn;
   const auto recOff = inject::runCampaign(off, kTrials, /*seed=*/123,
                                           /*threads=*/4, &built.artifacts,
-                                          &telOff);
+                                          &telOff, &svc);
   const auto recOn = inject::runCampaign(on, kTrials, /*seed=*/123,
                                          /*threads=*/4, &built.artifacts,
-                                         &telOn);
+                                         &telOn, &svc);
   ASSERT_EQ(recOff.size(), recOn.size());
   int careReruns = 0;
   for (std::size_t i = 0; i < recOff.size(); ++i) {
@@ -208,6 +210,7 @@ TEST(ReplayCache, FiveWorkloadsSerializeBitIdentical) {
   // five workloads — single- and double-bit, with and without CARE
   // artifacts (two combos covering both axes, to bound runtime).
   inject::ExperimentConfig bcfg;
+  runEnv().apply(bcfg);
   bcfg.cacheDir = "care_test_artifacts/replay_five";
   std::filesystem::remove_all(bcfg.cacheDir);
   struct Combo {
@@ -219,12 +222,11 @@ TEST(ReplayCache, FiveWorkloadsSerializeBitIdentical) {
   for (const workloads::Workload* w : workloads::allWorkloads()) {
     inject::BuiltWorkload built = inject::buildWorkload(*w, bcfg);
     for (const Combo& combo : combos) {
-      CampaignConfig offCfg = pinnedConfig();
-      offCfg.bitsToFlip = combo.bits;
-      offCfg.hangFactor = 4;
+      CampaignConfig onCfg = pinnedConfig();
+      onCfg.bitsToFlip = combo.bits;
+      onCfg.hangFactor = 4;
+      CampaignConfig offCfg = onCfg;
       offCfg.checkpointEveryInstrs = 0;
-      CampaignConfig onCfg = offCfg;
-      onCfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
       Campaign off(built.image.get(), offCfg);
       Campaign on(built.image.get(), onCfg);
       ASSERT_TRUE(off.profile()) << w->name;
@@ -240,12 +242,14 @@ TEST(ReplayCache, FiveWorkloadsSerializeBitIdentical) {
       a.level = b.level = opt::OptLevel::O0;
       a.goldenInstrs = off.goldenInstrs();
       b.goldenInstrs = on.goldenInstrs();
+      const inject::ServiceConfig serial = envService(1);
+      const inject::ServiceConfig parallel = envService(4);
       a.records = inject::runCampaign(
           off, kTrials, /*seed=*/77, /*threads=*/1,
-          combo.care ? &built.artifacts : nullptr, nullptr);
+          combo.care ? &built.artifacts : nullptr, nullptr, &serial);
       b.records = inject::runCampaign(
           on, kTrials, /*seed=*/77, /*threads=*/4,
-          combo.care ? &built.artifacts : nullptr, &tel);
+          combo.care ? &built.artifacts : nullptr, &tel, &parallel);
       EXPECT_EQ(inject::serializeDeterministic(a),
                 inject::serializeDeterministic(b))
           << w->name << " bits=" << combo.bits << " care=" << combo.care;

@@ -234,7 +234,6 @@ CareEnv buildCare(const char* src, const std::string& tag,
   core::CompileOptions opts;
   opts.optLevel = level;
   opts.artifactDir = "care_test_artifacts";
-  opts.armor.detectAuto = false; // pin: CARE_DETECT must not reshape traps
   CareEnv e;
   e.cm = core::careCompile({{tag + ".c", src}}, "rb_" + tag, opts);
   e.image = std::make_unique<vm::Image>();
@@ -244,11 +243,12 @@ CareEnv buildCare(const char* src, const std::string& tag,
   return e;
 }
 
-/// Campaign config pinned against the environment (CARE_RECOVER /
-/// CARE_ROLLBACK_RING / CARE_FAULT / CARE_ECC must not perturb these
-/// differentials — findSegv() below hunts register-model SIGSEGVs).
+/// Campaign config on top of the CI env legs, with the strategy, ring,
+/// fault model and ECC these differentials need (findSegv() below hunts
+/// register-model SIGSEGVs).
 CampaignConfig pinnedConfig(RecoveryStrategy s) {
   CampaignConfig cfg;
+  runEnv().apply(cfg);
   cfg.hangFactor = 4;
   cfg.recover = s;
   cfg.rollbackRingCap = 8;
@@ -371,7 +371,6 @@ TEST(RollbackRecovery, RepairSuccessRecordsBitIdenticalOnBothInterps) {
   // repair_then_rollback record must be byte-identical to the repair one.
   inject::ExperimentConfig bcfg;
   bcfg.cacheDir = "care_test_artifacts/rollback_diff";
-  bcfg.armor.detectAuto = false; // pin: CARE_DETECT must not reshape traps
   std::filesystem::remove_all(bcfg.cacheDir);
   inject::BuiltWorkload built =
       inject::buildWorkload(workloads::gtcp(), bcfg);

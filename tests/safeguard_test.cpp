@@ -374,7 +374,6 @@ TEST(Safeguard, StatsCommitOnlyBehindOutcomeDecision) {
   // accounting from attempts a later decision point abandons.
   Env e = build(opt::OptLevel::O0, "strategy");
   inject::CampaignConfig ccfg;
-  ccfg.recover = core::RecoveryStrategy::Repair; // pin: no CARE_RECOVER leak
   inject::Campaign campaign(e.image.get(), ccfg);
   ASSERT_TRUE(campaign.profile());
 

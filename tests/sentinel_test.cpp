@@ -136,7 +136,6 @@ TEST(Sentinel, CompileDriverReportsStats) {
   core::CompileOptions opts;
   opts.optLevel = opt::OptLevel::O0;
   opts.artifactDir = "care_test_artifacts/sentinel_stats";
-  opts.armor.detectAuto = false;
   core::CompiledModule off = core::careCompile(
       {{w.sources[0].name, w.sources[0].content}}, "sent_off", opts);
   EXPECT_TRUE(off.sentinelStats.functions.empty());
@@ -151,17 +150,21 @@ TEST(Sentinel, CompileDriverReportsStats) {
 
 // --- campaigns --------------------------------------------------------------
 
+/// The golden campaign on top of the CI env legs: detectors off, repair
+/// only, register faults, ECC off; the legs' other knobs (threads,
+/// processes, store, replay, pruning) leave the records unchanged.
 inject::ExperimentConfig campaignConfig(const std::string& dir,
                                         opt::OptLevel level) {
   inject::ExperimentConfig cfg;
+  runEnv().apply(cfg);
   cfg.level = level;
   cfg.seed = 7777;
   cfg.injections = 60;
   cfg.cacheDir = dir;
-  cfg.armor.detectAuto = false;  // pin: CARE_DETECT must not leak in
-  cfg.armor.recoverAuto = false; // pin: CARE_RECOVER must not leak in
-  cfg.fault = inject::FaultModel::Reg; // pin: CARE_FAULT must not leak in
-  cfg.ecc = vm::EccMode::Off;          // pin: CARE_ECC must not leak in
+  cfg.armor.detect = {};
+  cfg.armor.recover = core::RecoveryStrategy::Repair;
+  cfg.fault = inject::FaultModel::Reg;
+  cfg.ecc = vm::EccMode::Off;
   return cfg;
 }
 
@@ -204,7 +207,7 @@ TEST(Sentinel, ArmedAndDisarmedCampaignsGetDistinctCaches) {
   const std::string dir = "care_test_artifacts/sentinel_keys";
   std::filesystem::remove_all(dir);
   auto off = campaignConfig(dir, opt::OptLevel::O0);
-  off.resultStore = dir + "/store"; // pin: a shared CARE_RESULT_STORE
+  off.resultStore = dir + "/store"; // not a leg's shared store
   auto on = off;
   on.armor.detect = bothDetectors();
   inject::CampaignTelemetry offTel, onTel, offAgain, onAgain;

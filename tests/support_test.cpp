@@ -1,24 +1,22 @@
 // Unit tests for src/support: MD5, byte streams, RNG, bit utilities, the
 // shared-memory MPMC queue behind the multi-process campaign service, and
-// the strict parser behind the numeric CARE_* knobs.
+// the one reader of the CARE_* environment (over a fake environment).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "inject/injector.hpp"
-#include "inject/service.hpp"
+#include "inject/run_env.hpp"
 #include "support/bitutil.hpp"
 #include "support/bytestream.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
 #include "support/shm.hpp"
-#include "vm/checkpoint_ring.hpp"
-#include "vm/jit.hpp"
 
 namespace care::test {
 namespace {
@@ -302,56 +300,176 @@ TEST(ShmQueue, ConcurrentProducersConsumersLoseNothing) {
   EXPECT_EQ(seen.size(), kProducers * kPerProducer); // nothing lost or duped
 }
 
-// --- strict numeric environment knobs ----------------------------------------
+// --- the one environment reader (inject/run_env.hpp) ------------------------
 
-struct NumericKnob {
-  const char* var;
-  std::uint64_t unset; // the reader's value with the variable unset
-  std::function<std::uint64_t()> read;
+using FakeEnv = std::map<std::string, std::string>;
+
+inject::RunEnv readFake(const FakeEnv& vars) {
+  return inject::readRunEnv([&](const char* name) -> const char* {
+    const auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second.c_str();
+  });
+}
+
+/// One variable: what a config built from the environment shows for it
+/// when the variable is unset, empty and set to `good`, and values it must
+/// reject.
+struct EnvVar {
+  const char* name;
+  /// The setting after applying the environment to default configs.
+  std::function<std::string(const inject::RunEnv&,
+                            const inject::ExperimentConfig&,
+                            const inject::CampaignConfig&)>
+      seen;
+  std::string unset; // the library default
+  std::string empty; // the documented meaning of an empty value
+  const char* good;
+  std::string set; // what `good` sets
+  std::vector<const char*> bad;
 };
 
-class StrictNumericKnob : public ::testing::TestWithParam<NumericKnob> {};
+const std::vector<const char*> kBadCounts = {
+    "eight", "5k", "-3", "+4", " 7", "7 ", "0x10", "1e3",
+    "99999999999999999999"};
 
-TEST_P(StrictNumericKnob, ReadsCountsAndRejectsEverythingElse) {
-  // A lenient parse turned "eight" into 0 and "5k" into 5, silently
-  // changing records; every numeric knob must refuse such values.
-  const NumericKnob& k = GetParam();
-  const char* saved = std::getenv(k.var);
-  const std::string savedValue = saved ? saved : "";
-  unsetenv(k.var);
-  EXPECT_EQ(k.read(), k.unset);
-  setenv(k.var, "", 1);
-  EXPECT_EQ(k.read(), k.unset);
-  setenv(k.var, "12", 1);
-  EXPECT_EQ(k.read(), 12u);
-  for (const char* bad : {"eight", "5k", "-3", "+4", " 7", "7 ", "0x10",
-                          "1e3", "99999999999999999999"}) {
-    setenv(k.var, bad, 1);
-    EXPECT_THROW(k.read(), Error) << k.var << "=" << bad;
+std::string spacing(std::uint64_t v) {
+  return v == inject::CampaignConfig::kCkptAuto ? "auto" : std::to_string(v);
+}
+
+std::string detectName(const sentinel::DetectOptions& d) {
+  return std::string(d.cfc ? "cfc" : "") + (d.addr ? "+addr" : "");
+}
+
+class RunEnvReader : public ::testing::TestWithParam<EnvVar> {};
+
+TEST_P(RunEnvReader, UnsetEmptyGoodAndBadValues) {
+  const EnvVar& v = GetParam();
+  auto seen = [&](const FakeEnv& vars) {
+    const inject::RunEnv env = readFake(vars);
+    inject::ExperimentConfig ec;
+    inject::CampaignConfig cc;
+    env.apply(ec);
+    env.apply(cc);
+    return v.seen(env, ec, cc);
+  };
+  EXPECT_EQ(seen({}), v.unset);
+  EXPECT_EQ(seen({{v.name, ""}}), v.empty);
+  EXPECT_EQ(seen({{v.name, v.good}}), v.set);
+  for (const char* bad : v.bad) {
+    try {
+      (void)readFake({{v.name, bad}});
+      ADD_FAILURE() << v.name << "=" << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(v.name), std::string::npos)
+          << e.what();
+    }
   }
-  if (saved)
-    setenv(k.var, savedValue.c_str(), 1);
-  else
-    unsetenv(k.var);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Env, StrictNumericKnob,
+    Env, RunEnvReader,
     ::testing::Values(
-        NumericKnob{"CARE_CKPT_INTERVAL", 77,
-                    [] { return inject::ckptIntervalFromEnv(77); }},
-        NumericKnob{"CARE_ROLLBACK_RING", 8,
-                    [] { return std::uint64_t{vm::rollbackRingFromEnv(8)}; }},
-        NumericKnob{"CARE_PROCS", 0,
-                    [] {
-                      return static_cast<std::uint64_t>(
-                          inject::resolveProcesses(inject::kProcsAuto));
-                    }},
-        NumericKnob{"CARE_JIT_THRESHOLD", 1,
-                    [] { return vm::jitThresholdFromEnv(1); }}),
-    [](const ::testing::TestParamInfo<NumericKnob>& info) {
-      return std::string(info.param.var);
+        EnvVar{"CARE_DETECT",
+               [](auto&, auto& ec, auto&) {
+                 return detectName(ec.armor.detect);
+               },
+               "", "", "addr,cfc", "cfc+addr", {"bogus", "cfc,x"}},
+        EnvVar{"CARE_DETECT_SAMPLE",
+               [](auto&, auto& ec, auto&) {
+                 return pareto::sampleName(ec.armor.detectSample);
+               },
+               "1", "1", "16@3", "16@3", {"0", "x", "16@", "@3"}},
+        EnvVar{"CARE_RECOVER",
+               [](auto&, auto& ec, auto& cc) {
+                 return std::string(
+                            core::recoveryStrategyName(ec.armor.recover)) +
+                        "/" + core::recoveryStrategyName(cc.recover);
+               },
+               "repair/repair", "repair/repair", "rollback",
+               "rollback/rollback", {"bogus", "Repair"}},
+        EnvVar{"CARE_ROLLBACK_RING",
+               [](auto&, auto& ec, auto& cc) {
+                 return std::to_string(ec.rollbackRing) + "/" +
+                        std::to_string(cc.rollbackRingCap);
+               },
+               "8/8", "8/8", "12", "12/12", kBadCounts},
+        EnvVar{"CARE_FAULT",
+               [](auto&, auto& ec, auto& cc) {
+                 return std::string(inject::faultModelName(ec.fault)) + "/" +
+                        inject::faultModelName(cc.fault);
+               },
+               "reg/reg", "reg/reg", "mem1", "mem1/mem1", {"mem3", "REG"}},
+        EnvVar{"CARE_ECC",
+               [](auto&, auto& ec, auto& cc) {
+                 return std::string(vm::eccModeName(ec.ecc)) + "/" +
+                        vm::eccModeName(cc.ecc);
+               },
+               "off/off", "off/off", "secded", "secded/secded",
+               {"parity", "secded,"}},
+        EnvVar{"CARE_PRUNE",
+               [](auto&, auto& ec, auto& cc) {
+                 return std::to_string(ec.prune.enabled) + "/" +
+                        std::to_string(cc.prune.enabled);
+               },
+               "0/0", "0/0", "on", "1/1", {"maybe", "2"}},
+        EnvVar{"CARE_PRUNE_AUDIT",
+               [](auto&, auto& ec, auto& cc) {
+                 return std::to_string(ec.prune.auditK) + "/" +
+                        std::to_string(cc.prune.auditK);
+               },
+               "0/0", "0/0", "12", "12/12", kBadCounts},
+        EnvVar{"CARE_CKPT_INTERVAL",
+               [](auto&, auto& ec, auto& cc) {
+                 return spacing(ec.ckptInterval) + "/" +
+                        spacing(ec.rollbackInterval) + "/" +
+                        spacing(cc.checkpointEveryInstrs) + "/" +
+                        spacing(cc.rollbackEveryInstrs);
+               },
+               "auto/auto/auto/auto", "auto/auto/auto/auto", "12",
+               "12/12/12/12", kBadCounts},
+        EnvVar{"CARE_PROCS",
+               [](auto&, auto& ec, auto&) {
+                 return std::to_string(ec.processes);
+               },
+               "0", "0", "12", "12", kBadCounts},
+        EnvVar{"CARE_THREADS",
+               [](auto&, auto& ec, auto&) {
+                 return std::to_string(ec.threads);
+               },
+               "0", "0", "12", "12", kBadCounts},
+        EnvVar{"CARE_RESULT_STORE",
+               [](auto&, auto& ec, auto&) {
+                 return ec.resultStore.value_or(ec.cacheDir + "/store");
+               },
+               "care_artifacts/store", "", "s", "s", {}},
+        EnvVar{"CARE_INTERP",
+               [](auto& env, auto&, auto&) {
+                 return std::string(vm::interpName(
+                     env.interp.value_or(vm::InterpKind::Fast)));
+               },
+               "fast", "fast", "jit", "jit", {"bogus", "JIT"}},
+        EnvVar{"CARE_TELEMETRY",
+               [](auto& env, auto&, auto&) {
+                 return env.telemetry.value_or("");
+               },
+               "", "", "t.jsonl", "t.jsonl", {}},
+        EnvVar{"CARE_TRACE",
+               [](auto& env, auto&, auto&) { return env.trace.value_or(""); },
+               "", "", "t.json", "t.json", {}}),
+    [](const ::testing::TestParamInfo<EnvVar>& info) {
+      return std::string(info.param.name);
     });
+
+TEST(RunEnv, EmptyDetectDisarmsAndFlagsApplyOnTop) {
+  // An empty CARE_DETECT disarms detectors a config armed itself; every
+  // other variable leaves such a config alone when empty.
+  inject::ExperimentConfig cfg;
+  cfg.armor.detect = {true, true};
+  cfg.fault = inject::FaultModel::Burst;
+  readFake({{"CARE_DETECT", ""}, {"CARE_FAULT", ""}}).apply(cfg);
+  EXPECT_FALSE(cfg.armor.detect.any());
+  EXPECT_EQ(cfg.fault, inject::FaultModel::Burst);
+}
 
 } // namespace
 } // namespace care::test

@@ -7,12 +7,27 @@
 #include <vector>
 
 #include "backend/regalloc.hpp"
+#include "inject/run_env.hpp"
 #include "ir/verifier.hpp"
 #include "lang/compile.hpp"
 #include "opt/passes.hpp"
 #include "vm/executor.hpp"
 
 namespace care::test {
+
+/// The CARE_* environment, read once by the harness (test_main.cpp).
+/// Tests that follow the CI env legs apply it to their configs first and
+/// set what they pin afterwards.
+const inject::RunEnv& runEnv();
+
+/// The engine of a direct runCampaign call that follows the CI env legs:
+/// `threads` in-process workers, or CARE_PROCS forked ones; store off.
+inline inject::ServiceConfig envService(int threads) {
+  inject::ServiceConfig s;
+  s.processes = runEnv().processes.value_or(0);
+  s.threads = threads;
+  return s;
+}
 
 struct Program {
   std::unique_ptr<ir::Module> irMod;

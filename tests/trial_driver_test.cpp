@@ -12,11 +12,10 @@
 //  * boundary geometry on small programs: a strike exactly on a ring
 //    boundary, a strike before the first boundary, and a register fault
 //    whose rollback cascade rewinds below earlier boundaries.
-// The knobs that would reshape these campaigns are unset for the test's
-// lifetime, so every CI env leg runs the same grid.
+// The configs take none of the harness's CARE_* values, so every CI env leg
+// runs the same grid.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -38,27 +37,6 @@ using inject::FaultModel;
 using inject::InjectionRecord;
 using inject::Outcome;
 
-/// Unsets the environment knobs that change campaign records and restores
-/// them on scope exit.
-class EnvPin {
-public:
-  EnvPin() {
-    for (const char* k :
-         {"CARE_CKPT_INTERVAL", "CARE_RECOVER", "CARE_FAULT", "CARE_ECC",
-          "CARE_PRUNE", "CARE_PRUNE_AUDIT", "CARE_ROLLBACK_RING",
-          "CARE_DETECT", "CARE_DETECT_SAMPLE"}) {
-      if (const char* v = std::getenv(k)) saved_.emplace_back(k, v);
-      unsetenv(k);
-    }
-  }
-  ~EnvPin() {
-    for (const auto& [k, v] : saved_) setenv(k.c_str(), v.c_str(), 1);
-  }
-
-private:
-  std::vector<std::pair<std::string, std::string>> saved_;
-};
-
 std::string md5Hex(const std::vector<std::uint8_t>& bytes) {
   Md5 h;
   h.update(bytes.data(), bytes.size());
@@ -70,11 +48,9 @@ CampaignConfig pinnedConfig(FaultModel fault, RecoveryStrategy recover) {
   cfg.seed = 2026;
   cfg.hangFactor = 4;
   cfg.recover = recover;
-  cfg.rollbackRingCap = 8;
   cfg.fault = fault;
   cfg.ecc = fault == FaultModel::Mem2Adj ? vm::EccMode::Secded
                                          : vm::EccMode::Off;
-  cfg.prune = {};
   return cfg;
 }
 
@@ -116,12 +92,8 @@ const std::map<std::string, std::string> kGridDigests = {
 };
 
 TEST(TrialDriver, CampaignGridMatchesPinnedDigests) {
-  const EnvPin pin;
   inject::ExperimentConfig bcfg;
   bcfg.cacheDir = "care_test_artifacts/trial_driver";
-  bcfg.armor.detectAuto = false;
-  bcfg.armor.detectSampleAuto = false;
-  bcfg.armor.recoverAuto = false;
   std::filesystem::remove_all(bcfg.cacheDir);
   inject::ServiceConfig svc; // in-process, store off
   svc.processes = 0;
@@ -159,7 +131,7 @@ TEST(TrialDriver, CampaignGridMatchesPinnedDigests) {
 
 // --- boundary geometry -------------------------------------------------------
 
-/// CARE-compiled MiniC program, pinned against the environment.
+/// CARE-compiled MiniC program.
 struct CareEnv {
   core::CompiledModule cm;
   std::unique_ptr<vm::Image> image;
@@ -170,8 +142,6 @@ CareEnv buildCare(const char* src, const std::string& tag) {
   core::CompileOptions opts;
   opts.optLevel = opt::OptLevel::O0;
   opts.artifactDir = "care_test_artifacts";
-  opts.armor.detectAuto = false;
-  opts.armor.detectSampleAuto = false;
   CareEnv e;
   e.cm = core::careCompile({{tag + ".c", src}}, "td_" + tag, opts);
   e.image = std::make_unique<vm::Image>();
@@ -193,7 +163,7 @@ std::pair<vm::CodeLoc, std::uint64_t> firstGlobalStore(const vm::Image& im) {
   return {};
 }
 
-/// The rollback ring spacing a campaign uses with CARE_CKPT_INTERVAL unset.
+/// The rollback ring spacing of a campaign with the default (auto) spacing.
 std::uint64_t ringInterval(const Campaign& c) { return c.goldenInstrs() / 64; }
 
 /// grid[0] is re-read in every step, so a strike on it traps soon after.
@@ -235,7 +205,6 @@ void expectRolledBackDue(const InjectionRecord& rec) {
 }
 
 TEST(TrialDriver, StrikeOnRingBoundaryLandsAfterTheCapture) {
-  const EnvPin pin;
   const CareEnv e = buildCare(kHotWordProg, "boundary");
   Campaign c(e.image.get(),
              pinnedConfig(FaultModel::Mem2Adj, RecoveryStrategy::Rollback));
@@ -249,7 +218,6 @@ TEST(TrialDriver, StrikeOnRingBoundaryLandsAfterTheCapture) {
 }
 
 TEST(TrialDriver, StrikeBeforeFirstBoundaryRollsBackToEntry) {
-  const EnvPin pin;
   const CareEnv e = buildCare(kHotWordProg, "early");
   Campaign c(e.image.get(),
              pinnedConfig(FaultModel::Mem2Adj, RecoveryStrategy::Rollback));
@@ -267,7 +235,6 @@ TEST(TrialDriver, RegRollbackRewindsBelowEarlierBoundaries) {
   // high bit in one entry traps long after the fault, and every capture in
   // between holds the corrupt entry, so the rollback cascade rewinds below
   // boundaries the run already passed.
-  const EnvPin pin;
   const CareEnv e = buildCare(R"(
       int idx[256];
       double data[1024];

@@ -8,10 +8,16 @@
 //   carecc inspect app.c [-O1]               dump optimized IR + kernels
 //   carecc inject app.c -n 200 [--no-care]   seeded injection campaign
 //
-// Exit code: the program's exit code for `run`, 0/1 for the other modes.
+// Exit code: the program's exit code for `run`, 0/1 for the other modes,
+// 2 for a bad flag or CARE_* variable.
+//
+// Settings come from the CARE_* environment (inject/run_env.hpp) first and
+// from the flags second, so a flag beats its variable.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,11 +25,13 @@
 #include "care/driver.hpp"
 #include "inject/engine.hpp"
 #include "inject/experiment.hpp"
+#include "inject/run_env.hpp"
 #include "ir/printer.hpp"
 #include "ir/serialize.hpp"
 #include "pareto/prune.hpp"
 #include "pareto/sample.hpp"
 #include "sentinel/sentinel.hpp"
+#include "support/env.hpp"
 #include "support/trace.hpp"
 #include "vm/checkpoint_ring.hpp"
 
@@ -40,27 +48,16 @@ struct Args {
   int injections = 200;
   std::uint64_t seed = 2026;
   int threads = 0; // 0 = hardware concurrency
-  int procs = inject::kProcsAuto; // --procs pins it (CARE_PROCS ignored)
-  bool resultStoreGiven = false;  // --result-store pins it likewise
-  std::string resultStore;
-  std::uint64_t ckptInterval = inject::CampaignConfig::kCkptAuto;
+  int procs = 0;   // 0 = in-process engine
+  /// nullopt = <artifactDir>/store; empty = store off.
+  std::optional<std::string> resultStore;
   bool withCare = true;
-  bool inductionRecovery = false;
-  bool detectGiven = false; // --detect pins the config (CARE_DETECT ignored)
-  sentinel::DetectOptions detect;
-  bool recoverGiven = false; // --recover pins it (CARE_RECOVER ignored)
-  core::RecoveryStrategy recover = core::RecoveryStrategy::Repair;
-  std::size_t rollbackRing = 0; // 0 = CARE_ROLLBACK_RING or default
-  bool faultGiven = false; // --fault pins it (CARE_FAULT ignored)
-  inject::FaultModel fault = inject::FaultModel::Reg;
-  bool eccGiven = false; // --ecc pins it (CARE_ECC ignored)
-  vm::EccMode ecc = vm::EccMode::Off;
-  bool sampleGiven = false; // --detect-sample pins it
-  pareto::SampleConfig sample;
-  bool pruneGiven = false; // --prune pins it (CARE_PRUNE ignored)
-  bool prune = false;
-  bool pruneAuditGiven = false; // --prune-audit pins it
-  int pruneAudit = 0;
+  /// Compile knobs: --detect, --detect-sample, --iv-recovery.
+  core::ArmorOptions armor;
+  /// Campaign knobs: --recover, --rollback-ring, --ckpt-interval, --fault,
+  /// --ecc, --prune, --prune-audit. `run` uses recover, the ring and the
+  /// interval too.
+  inject::CampaignConfig campaign;
 };
 
 void usage() {
@@ -84,8 +81,11 @@ void usage() {
                "                     empty = off)\n"
                "  --ckpt-interval <n> replay-cache segment length in instrs\n"
                "                     (0 = off; default CARE_CKPT_INTERVAL or\n"
-               "                     golden/64; any value yields identical\n"
-               "                     results)\n"
+               "                     golden/64); also the rollback-ring\n"
+               "                     spacing, so under --recover=rollback or\n"
+               "                     repair_then_rollback it changes the\n"
+               "                     records (otherwise they are identical\n"
+               "                     for any value)\n"
                "  --interp=<b>       interpreter backend: fast (default),\n"
                "                     ref (big-switch reference), or jit\n"
                "                     (template JIT); all bit-identical\n"
@@ -121,8 +121,25 @@ void usage() {
                "                     check); overrides CARE_ECC\n"
                "  --trace=<file>     write a Chrome trace-event JSON of the\n"
                "                     recovery/campaign phases (%%p expands to\n"
-               "                     the PID; CARE_TRACE=<file> does the same\n"
-               "                     for any CARE binary)\n");
+               "                     the PID; default CARE_TRACE)\n"
+               "Every flag beats its CARE_* variable; see README.md.\n");
+}
+
+/// A numeric flag's value through parseCount, at most `max`; raises naming
+/// the flag otherwise ("5k", "1e2", "-3" and "four" are all errors).
+std::uint64_t countFlag(const std::string& flag, const std::string& text,
+                        std::uint64_t max =
+                            std::numeric_limits<std::uint64_t>::max()) {
+  const std::optional<std::uint64_t> v = parseCount(text);
+  if (!v || *v > max)
+    raise("bad " + flag + " '" + text +
+          "' (expected a non-negative decimal integer)");
+  return *v;
+}
+
+int intFlag(const std::string& flag, const std::string& text) {
+  return static_cast<int>(
+      countFlag(flag, text, std::numeric_limits<int>::max()));
 }
 
 std::string slurp(const std::string& path) {
@@ -137,11 +154,7 @@ core::CompiledModule compileFile(const Args& a) {
   core::CompileOptions opts;
   opts.optLevel = a.level;
   opts.artifactDir = a.artifactDir;
-  opts.armor.inductionRecovery = a.inductionRecovery;
-  opts.armor.detect = a.detect;
-  opts.armor.detectAuto = !a.detectGiven;
-  opts.armor.detectSample = a.sample;
-  opts.armor.detectSampleAuto = !a.sampleGiven;
+  opts.armor = a.armor;
   return core::careCompile({{a.file, slurp(a.file)}}, "app", opts);
 }
 
@@ -178,23 +191,19 @@ int cmdRun(const Args& a) {
   core::Safeguard safeguard;
   safeguard.addModule(0, cm.artifacts);
   safeguard.attach(ex);
-  const core::RecoveryStrategy recover =
-      a.recoverGiven ? a.recover
-                     : core::recoverFromEnv(core::RecoveryStrategy::Repair);
+  const core::RecoveryStrategy recover = a.campaign.recover;
   safeguard.setStrategy(recover);
   constexpr std::uint64_t kRunBudget = 5'000'000'000ull;
   vm::RunResult r;
-  vm::CheckpointRing ring(
-      a.rollbackRing ? a.rollbackRing : vm::rollbackRingFromEnv(8));
+  vm::CheckpointRing ring(a.campaign.rollbackRingCap);
   if (core::strategyRollsBack(recover)) {
     // Rollback needs live checkpoints: drive the run through boundary
     // pauses, feeding the ring. Outside a campaign there is no golden
     // instruction count to derive an interval from, so --ckpt-interval /
     // CARE_CKPT_INTERVAL apply directly (default 100k instructions).
     safeguard.setRollbackSource(&ring);
-    std::uint64_t interval = a.ckptInterval;
-    if (interval == inject::CampaignConfig::kCkptAuto)
-      interval = inject::ckptIntervalFromEnv(100'000);
+    std::uint64_t interval = a.campaign.rollbackEveryInstrs;
+    if (interval == inject::CampaignConfig::kCkptAuto) interval = 100'000;
     r = vm::runCheckpointed(ex, a.entry, interval, kRunBudget,
                             [&](vm::Executor& e) { ring.push(e); });
   } else {
@@ -267,16 +276,9 @@ int cmdInject(const Args& a) {
   image.link();
   std::map<std::int32_t, core::ModuleArtifacts> arts{{0, cm.artifacts}};
 
-  inject::CampaignConfig ccfg;
+  inject::CampaignConfig ccfg = a.campaign;
   ccfg.seed = a.seed;
   ccfg.entry = a.entry;
-  ccfg.checkpointEveryInstrs = a.ckptInterval;
-  if (a.recoverGiven) ccfg.recover = a.recover; // else: CARE_RECOVER default
-  if (a.rollbackRing) ccfg.rollbackRingCap = a.rollbackRing;
-  if (a.faultGiven) ccfg.fault = a.fault; // else: CARE_FAULT default
-  if (a.eccGiven) ccfg.ecc = a.ecc;       // else: CARE_ECC default
-  if (a.pruneGiven) ccfg.prune.enabled = a.prune; // else: CARE_PRUNE default
-  if (a.pruneAuditGiven) ccfg.prune.auditK = a.pruneAudit;
   inject::Campaign campaign(&image, ccfg);
   if (!campaign.profile()) {
     std::fprintf(stderr, "program failed its golden run\n");
@@ -292,11 +294,9 @@ int cmdInject(const Args& a) {
   // runCampaign's trial: a plain run, then a CARE re-run of every SIGSEGV
   // or ECC-detected trial; counts are identical for every -j / --procs.
   inject::ServiceConfig svc;
-  svc.processes = inject::resolveProcesses(a.procs);
+  svc.processes = a.procs;
   svc.threads = a.threads;
-  svc.storeDir = a.resultStoreGiven
-                     ? a.resultStore
-                     : inject::resultStoreDirFromEnv(a.artifactDir + "/store");
+  svc.storeDir = a.resultStore.value_or(a.artifactDir + "/store");
   svc.storeKey = inject::campaignKey(cm.imageDigest, ccfg,
                                      campaign.rollbackInterval(), a.withCare);
   inject::CampaignTelemetry tel;
@@ -365,6 +365,12 @@ int main(int argc, char** argv) {
   Args a;
   std::vector<std::string> positional;
   try {
+    const inject::RunEnv env = inject::readRunEnv();
+    env.install();
+    env.apply(a.armor);
+    env.apply(a.campaign);
+    a.procs = env.processes.value_or(a.procs);
+    a.resultStore = env.resultStore;
     for (int i = 1; i < argc; ++i) {
       const std::string s = argv[i];
       auto next = [&]() -> std::string {
@@ -374,66 +380,50 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
+      // The value of `--flag=<v>` when `s` is that flag.
+      auto value = [&](const char* flag) -> std::optional<std::string> {
+        const std::string prefix = std::string(flag) + "=";
+        if (s.rfind(prefix, 0) != 0) return std::nullopt;
+        return s.substr(prefix.size());
+      };
+      std::optional<std::string> v;
       if (s == "-O0") a.level = opt::OptLevel::O0;
       else if (s == "-O1") a.level = opt::OptLevel::O1;
       else if (s == "-d") a.artifactDir = next();
       else if (s == "-e") a.entry = next();
-      else if (s == "-n") a.injections = std::atoi(next().c_str());
-      else if (s == "-s") a.seed = std::strtoull(next().c_str(), nullptr, 10);
-      else if (s == "-j") a.threads = std::atoi(next().c_str());
-      else if (s.rfind("--procs=", 0) == 0)
-        a.procs = std::atoi(s.c_str() + std::strlen("--procs="));
-      else if (s.rfind("--result-store=", 0) == 0) {
-        a.resultStoreGiven = true;
-        a.resultStore = s.substr(std::strlen("--result-store="));
-      }
+      else if (s == "-n") a.injections = intFlag(s, next());
+      else if (s == "-s") a.seed = countFlag(s, next());
+      else if (s == "-j") a.threads = intFlag(s, next());
+      else if ((v = value("--procs"))) a.procs = intFlag("--procs", *v);
+      else if ((v = value("--result-store"))) a.resultStore = *v;
       else if (s == "--ckpt-interval")
-        a.ckptInterval = std::strtoull(next().c_str(), nullptr, 10);
-      else if (s.rfind("--interp=", 0) == 0)
-        vm::setDefaultInterp(
-            vm::parseInterp(s.substr(std::strlen("--interp="))));
-      else if (s.rfind("--detect-sample=", 0) == 0) {
-        a.sampleGiven = true;
-        a.sample = pareto::parseDetectSample(
-            s.substr(std::strlen("--detect-sample=")));
-      }
-      else if (s.rfind("--prune=", 0) == 0) {
-        a.pruneGiven = true;
-        a.prune = pareto::parsePruneFlag(s.substr(std::strlen("--prune=")));
-      }
-      else if (s.rfind("--prune-audit=", 0) == 0) {
-        a.pruneAuditGiven = true;
-        a.pruneAudit =
-            pareto::parsePruneAudit(s.substr(std::strlen("--prune-audit=")));
-      }
-      else if (s.rfind("--detect=", 0) == 0) {
-        a.detectGiven = true;
-        a.detect = sentinel::parseDetect(s.substr(std::strlen("--detect=")));
-      }
-      else if (s.rfind("--recover=", 0) == 0) {
-        a.recoverGiven = true;
-        a.recover = core::parseRecoveryStrategy(
-            s.substr(std::strlen("--recover=")));
-      }
+        a.campaign.checkpointEveryInstrs = a.campaign.rollbackEveryInstrs =
+            countFlag(s, next());
+      else if ((v = value("--interp")))
+        vm::setDefaultInterp(vm::parseInterp(*v));
+      else if ((v = value("--detect-sample")))
+        a.armor.detectSample = pareto::parseDetectSample(*v);
+      else if ((v = value("--prune")))
+        a.campaign.prune.enabled = pareto::parsePruneFlag(*v);
+      else if ((v = value("--prune-audit")))
+        a.campaign.prune.auditK = pareto::parsePruneAudit(*v);
+      else if ((v = value("--detect")))
+        a.armor.detect = sentinel::parseDetect(*v);
+      else if ((v = value("--recover")))
+        a.campaign.recover = core::parseRecoveryStrategy(*v);
       else if (s == "--rollback-ring")
-        a.rollbackRing = std::strtoull(next().c_str(), nullptr, 10);
-      else if (s.rfind("--fault=", 0) == 0) {
-        a.faultGiven = true;
-        a.fault = inject::parseFaultModel(s.substr(std::strlen("--fault=")));
-      }
-      else if (s.rfind("--ecc=", 0) == 0) {
-        a.eccGiven = true;
-        a.ecc = vm::parseEccMode(s.substr(std::strlen("--ecc=")));
-      }
-      else if (s.rfind("--trace=", 0) == 0)
-        trace::enable(s.substr(std::strlen("--trace=")));
+        a.campaign.rollbackRingCap = countFlag(s, next());
+      else if ((v = value("--fault")))
+        a.campaign.fault = inject::parseFaultModel(*v);
+      else if ((v = value("--ecc"))) a.campaign.ecc = vm::parseEccMode(*v);
+      else if ((v = value("--trace"))) trace::enable(*v);
       else if (s == "--trace") trace::enable(next());
       else if (s == "--no-care") a.withCare = false;
-      else if (s == "--iv-recovery") a.inductionRecovery = true;
+      else if (s == "--iv-recovery") a.armor.inductionRecovery = true;
       else if (s == "-h" || s == "--help") { usage(); return 0; }
       else positional.push_back(s);
     }
-  } catch (const Error& e) { // a flag's value failed to parse
+  } catch (const Error& e) { // a flag's or variable's value failed to parse
     std::fprintf(stderr, "carecc: %s\n", e.what());
     return 2;
   }
