@@ -15,7 +15,7 @@ int main() {
   for (const auto* w : workloads::careWorkloads()) {
     auto idxCfg = bench::baseConfig(opt::OptLevel::O0);
     auto baseCfg = idxCfg;
-    baseCfg.patchBaseFirst = true;
+    baseCfg.campaign.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
     const auto ri = inject::runExperiment(*w, idxCfg);
     const auto rb = inject::runExperiment(*w, baseCfg);
     std::printf("%-10s %13.1f%% %13.1f%%\n", w->name.c_str(),

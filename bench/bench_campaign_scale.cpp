@@ -64,10 +64,7 @@ int main() {
   for (const auto* w : workloads::allWorkloads()) {
     auto cfg = bench::baseConfig(opt::OptLevel::O0);
     inject::BuiltWorkload built = inject::buildWorkload(*w, cfg);
-    inject::CampaignConfig ccfg = bench::campaignConfig();
-    ccfg.seed = cfg.seed;
-    ccfg.hangFactor = 4;
-    inject::Campaign campaign(built.image.get(), ccfg);
+    inject::Campaign campaign(built.image.get(), cfg.campaign);
     if (!campaign.profile())
       raise("bench_campaign_scale: " + w->name + " failed to profile");
 
@@ -100,7 +97,7 @@ int main() {
     store.processes = 2;
     store.threads = 1;
     store.storeDir = storeDir;
-    store.storeKey = inject::campaignKey(built.cm.imageDigest, ccfg,
+    store.storeKey = inject::campaignKey(built.cm.imageDigest, cfg.campaign,
                                          campaign.rollbackInterval(), true);
     inject::CampaignTelemetry coldTel, warmTel;
     std::vector<inject::InjectionRecord> warm;

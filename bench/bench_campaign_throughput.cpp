@@ -68,9 +68,7 @@ int main() {
     auto cfg = bench::baseConfig(opt::OptLevel::O0);
     inject::BuiltWorkload built = inject::buildWorkload(*w, cfg);
 
-    inject::CampaignConfig onCfg = bench::campaignConfig();
-    onCfg.seed = cfg.seed;
-    onCfg.hangFactor = 4;
+    const inject::CampaignConfig& onCfg = cfg.campaign;
     inject::CampaignConfig offCfg = onCfg;
     offCfg.checkpointEveryInstrs = 0;
     inject::Campaign off(built.image.get(), offCfg);

@@ -22,7 +22,7 @@ int main() {
 )";
 
 const care::workloads::Workload kLockstepWorkload{
-    "lockstep", {{"lockstep.c", kLockstep}}, "main"};
+    "lockstep", {{"lockstep.c", kLockstep}}};
 
 } // namespace
 

@@ -42,10 +42,10 @@ inject::ExperimentConfig defenseConfig(inject::FaultModel model,
                                        const Defense& d,
                                        vm::EccMode eccMode) {
   auto cfg = bench::baseConfig(opt::OptLevel::O0);
-  cfg.fault = model;
-  cfg.ecc = d.ecc ? eccMode : vm::EccMode::Off;
+  cfg.campaign.fault = model;
+  cfg.campaign.ecc = d.ecc ? eccMode : vm::EccMode::Off;
   cfg.careOnSegv = d.care;
-  cfg.armor.recover = core::RecoveryStrategy::Repair;
+  cfg.campaign.recover = core::RecoveryStrategy::Repair;
   cfg.armor.detect.cfc = d.sentinel;
   cfg.armor.detect.addr = d.sentinel;
   return cfg;

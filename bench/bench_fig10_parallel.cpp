@@ -20,11 +20,9 @@ int main() {
 
   // Find CARE-recoverable injection points (the paper injects recoverable
   // faults into rank 0).
-  inject::CampaignConfig ccfg = bench::campaignConfig();
-  ccfg.seed = cfg.seed;
-  inject::Campaign campaign(built.image.get(), ccfg);
+  inject::Campaign campaign(built.image.get(), cfg.campaign);
   if (!campaign.profile()) return 1;
-  Rng rng(cfg.seed);
+  Rng rng(cfg.campaign.seed);
   std::vector<inject::InjectionPoint> points;
   for (int tries = 0; tries < 4000 && int(points.size()) < runs; ++tries) {
     const auto pt = campaign.sample(rng);

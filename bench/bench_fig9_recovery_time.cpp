@@ -56,7 +56,7 @@ int main() {
   for (const auto* w : workloads::careWorkloads()) {
     for (auto level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
       auto cfg = bench::baseConfig(level);
-      cfg.armor.recover = core::RecoveryStrategy::RepairThenRollback;
+      cfg.campaign.recover = core::RecoveryStrategy::RepairThenRollback;
       const inject::ExperimentResult r = inject::runExperiment(*w, cfg);
       if (r.rolledBackCount() == 0) {
         std::printf("%-10s %4s | %6d %6d | %11s %14s\n", w->name.c_str(),

@@ -66,9 +66,7 @@ int main() {
     base.armor.detect = {};
     base.armor.detectSample = {};
     const inject::BuiltWorkload baseBuild = inject::buildWorkload(*w, base);
-    inject::CampaignConfig baseCcfg = bench::campaignConfig();
-    baseCcfg.seed = base.seed;
-    inject::Campaign baseCampaign(baseBuild.image.get(), baseCcfg);
+    inject::Campaign baseCampaign(baseBuild.image.get(), base.campaign);
     if (!baseCampaign.profile())
       raise("bench_pareto: " + w->name + " failed to profile");
     const double goldenBase =
@@ -135,15 +133,14 @@ int main() {
     inject::ServiceConfig svc;
     svc.processes = 0;
     svc.threads = bench::env().threads.value_or(0);
-    inject::CampaignConfig ccfg = bench::campaignConfig();
-    ccfg.seed = base.seed;
+    inject::CampaignConfig ccfg = base.campaign;
     ccfg.fault = inject::FaultModel::Mem1;
     ccfg.prune.enabled = false;
     inject::Campaign exhaustive(baseBuild.image.get(), ccfg);
     if (!exhaustive.profile())
       raise("bench_pareto: " + w->name + " failed to profile (mem1)");
     const auto exRecords = inject::runCampaign(exhaustive, trials,
-                                               base.seed, 1, nullptr,
+                                               base.campaign.seed, 1, nullptr,
                                                nullptr, &svc);
     ccfg.prune.enabled = true;
     ccfg.prune.auditK = 4;
@@ -151,8 +148,8 @@ int main() {
     if (!pruned.profile())
       raise("bench_pareto: " + w->name + " failed to profile (pruned)");
     inject::CampaignTelemetry tel;
-    const auto prRecords = inject::runCampaign(pruned, trials, base.seed,
-                                               1, nullptr, &tel, &svc);
+    const auto prRecords = inject::runCampaign(
+        pruned, trials, base.campaign.seed, 1, nullptr, &tel, &svc);
     const bool identical = detBytes(exRecords) == detBytes(prRecords);
     std::printf("%-10s mem1 prune: %d groups / %llu weighted trials, "
                 "audit mismatches %llu, records %s\n",

@@ -27,7 +27,7 @@ const char* strategyLabel(core::RecoveryStrategy s) {
 
 inject::ExperimentConfig strategyConfig(core::RecoveryStrategy s) {
   auto cfg = bench::baseConfig(opt::OptLevel::O0);
-  cfg.armor.recover = s;
+  cfg.campaign.recover = s;
   return cfg;
 }
 
@@ -127,7 +127,7 @@ int main() {
         std::uint64_t n = 0;
         const auto t0 = std::chrono::steady_clock::now();
         const vm::RunResult r = vm::runCheckpointed(
-            ex, w->entry, interval, 2'000'000'000ull,
+            ex, "main", interval, 2'000'000'000ull,
             [&](vm::Executor& e) {
               ring.push(e);
               ++n;

@@ -34,8 +34,7 @@ int main() {
   std::map<std::int32_t, core::ModuleArtifacts> artifacts{
       {0, drv.artifacts}, {1, lib.artifacts}};
 
-  inject::CampaignConfig ccfg = bench::campaignConfig();
-  ccfg.seed = static_cast<std::uint64_t>(bench::envInt("CARE_SEED", 2026));
+  inject::CampaignConfig ccfg = bench::baseConfig(opt::OptLevel::O0).campaign;
   ccfg.targetModules = {0, 1}; // §5.5: inject into either sblat1 or BLAS
   inject::Campaign campaign(&image, ccfg);
   if (!campaign.profile()) {

@@ -71,18 +71,10 @@ inline inject::ExperimentConfig baseConfig(opt::OptLevel level,
   inject::ExperimentConfig cfg;
   env().apply(cfg);
   cfg.level = level;
-  cfg.bits = bits;
-  cfg.seed = static_cast<std::uint64_t>(envInt("CARE_SEED", 2026));
+  cfg.campaign.bitsToFlip = bits;
+  cfg.campaign.seed = static_cast<std::uint64_t>(envInt("CARE_SEED", 2026));
   cfg.injections = envInt("CARE_INJECTIONS", 400);
   return cfg;
-}
-
-/// A CampaignConfig with the shared knobs applied, for benches that drive
-/// a Campaign directly.
-inline inject::CampaignConfig campaignConfig() {
-  inject::CampaignConfig c;
-  env().apply(c);
-  return c;
 }
 
 inline void header(const std::string& title, const std::string& paperRef) {

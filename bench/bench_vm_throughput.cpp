@@ -60,11 +60,11 @@ int main() {
   for (const auto* w : workloads::allWorkloads()) {
     auto cfg = bench::baseConfig(opt::OptLevel::O0);
     inject::BuiltWorkload built = inject::buildWorkload(*w, cfg);
-    const Cell ref = golden(built.image.get(), w->entry,
+    const Cell ref = golden(built.image.get(), "main",
                             vm::InterpKind::Ref, reps);
-    const Cell fast = golden(built.image.get(), w->entry,
+    const Cell fast = golden(built.image.get(), "main",
                              vm::InterpKind::Fast, reps);
-    const Cell jit = golden(built.image.get(), w->entry,
+    const Cell jit = golden(built.image.get(), "main",
                             vm::InterpKind::Jit, reps);
     // Identity gate: all backends must retire the same golden instruction
     // stream — the exactness contract the recovery stack depends on.

@@ -16,7 +16,7 @@ int main() {
   inject::ExperimentConfig cfg;
   cfg.level = opt::OptLevel::O0;
   cfg.injections = 200;
-  cfg.seed = 11;
+  cfg.campaign.seed = 11;
 
   const workloads::Workload& w = workloads::gtcp();
   inject::BuiltWorkload built = inject::buildWorkload(w, cfg);

@@ -11,13 +11,15 @@
 
 #include <memory>
 
-#include "care/recovery_strategy.hpp"
 #include "care/recovery_table.hpp"
 #include "ir/module.hpp"
 #include "sentinel/sentinel.hpp"
 
 namespace care::core {
 
+/// Compile-time knobs only: each one changes the compiled image and so its
+/// digest. Runtime policy, such as the Safeguard recovery strategy, lives
+/// in inject::CampaignConfig.
 struct ArmorOptions {
   /// Terminal Value rule: a slice input must be live at the protected access
   /// *and* have a non-local use (guaranteeing machine-level availability).
@@ -39,11 +41,6 @@ struct ArmorOptions {
   /// byte-identical to unsampled instrumentation. Semantic whenever the
   /// detectors are armed and rate > 1 (image digest, telemetry).
   pareto::SampleConfig detectSample;
-  /// Safeguard recovery policy (DESIGN.md §4f). A runtime knob rather than
-  /// a compile-time one, but it rides in ArmorOptions so every consumer of
-  /// the armor ablation plumbing (runExperiment, carecc, benches) picks it
-  /// up the same way `detect` is picked up.
-  RecoveryStrategy recover = RecoveryStrategy::Repair;
   bool detectAuto = false;       // unread; perfbench/ still assigns it
   bool detectSampleAuto = false; // unread; perfbench/ still assigns it
   bool recoverAuto = false;      // unread; perfbench/ still assigns it

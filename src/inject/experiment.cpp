@@ -326,19 +326,7 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   tel.workload = w.name;
   tel.level = cfg.level == opt::OptLevel::O0 ? "O0" : "O1";
 
-  CampaignConfig ccfg;
-  ccfg.seed = cfg.seed;
-  ccfg.bitsToFlip = cfg.bits;
-  ccfg.hangFactor = 4;
-  ccfg.checkpointEveryInstrs = cfg.ckptInterval;
-  ccfg.rollbackEveryInstrs = cfg.rollbackInterval;
-  ccfg.recover = cfg.armor.recover;
-  ccfg.rollbackRingCap = cfg.rollbackRing;
-  ccfg.fault = cfg.fault;
-  ccfg.ecc = cfg.ecc;
-  ccfg.prune = cfg.prune;
-  if (cfg.patchBaseFirst)
-    ccfg.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
+  const CampaignConfig& ccfg = cfg.campaign;
   tel.fault = faultModelName(ccfg.fault);
   tel.ecc = vm::eccModeName(ccfg.ecc);
   tel.detectSample = pareto::sampleName(cfg.armor.detectSample);
@@ -361,7 +349,7 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   out.level = cfg.level;
   out.goldenInstrs = campaign.goldenInstrs();
   out.records =
-      runCampaign(campaign, cfg.injections, cfg.seed, cfg.threads,
+      runCampaign(campaign, cfg.injections, ccfg.seed, cfg.threads,
                   cfg.careOnSegv ? &built.artifacts : nullptr, &tel, &svc);
   publishTelemetry(tel);
   return out;

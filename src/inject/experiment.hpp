@@ -1,14 +1,15 @@
 // Campaign orchestration for the evaluation harness.
 //
-// Every table/figure bench needs the same expensive artifact: a seeded
-// injection campaign over a workload at a given opt level and bit-flip
-// count, optionally re-running each SIGSEGV injection with CARE attached.
-// runExperiment() compiles and profiles the workload, then produces the
-// records deterministically through the shard result store
-// (result_store.hpp), keyed by the compiled image's digest and the
-// campaign knobs that change records (campaignKey). Regenerating one table
-// therefore re-pays only compile + golden profile for campaigns another
-// table already ran, and never reuses records of a different binary.
+// Every table/figure bench, and `carecc inject`, needs the same expensive
+// artifact: a seeded injection campaign over a workload at a given opt
+// level and bit-flip count, optionally re-running each SIGSEGV injection
+// with CARE attached. runExperiment() is the one function that turns an
+// ExperimentConfig into that campaign: it compiles and profiles the
+// workload, then produces the records deterministically through the shard
+// result store (result_store.hpp), keyed by the compiled image's digest and
+// the campaign knobs that change records (campaignKey). Regenerating one
+// table therefore re-pays only compile + golden profile for campaigns
+// another table already ran, and never reuses records of a different binary.
 #pragma once
 
 #include <array>
@@ -30,33 +31,24 @@ namespace care::inject {
 /// once.
 inline constexpr std::uint32_t kExperimentCacheVersion = 11;
 
+/// One campaign over one workload: how to compile it (`level`, `armor`),
+/// the campaign itself (`campaign`, the one copy of every knob Campaign
+/// reads) and how to run it (the rest).
 struct ExperimentConfig {
   opt::OptLevel level = opt::OptLevel::O0;
-  unsigned bits = 1;          // bit flips per injection
-  std::uint64_t seed = 2026;
+  core::ArmorOptions armor;   // compile knobs reach the key via the digest
+  CampaignConfig campaign;    // record-changing knobs reach it via campaignKey
   int injections = 400;       // paper: 10000 (Tables 2-4) / 1000-2000 (Fig 7)
   bool careOnSegv = true;     // re-run SIGSEGV injections with CARE attached
   /// Recovery artifacts, and the result store's default home
   /// (`<cacheDir>/store`).
   std::string cacheDir = "care_artifacts";
-  core::ArmorOptions armor;   // compile knobs reach the key via the digest
-  bool patchBaseFirst = false; // Safeguard patch-heuristic ablation
   /// Campaign worker threads: 0 = hardware_concurrency, 1 = legacy serial
   /// loop. A pure performance knob — the engine guarantees the records are
   /// identical for every value, so it is deliberately NOT part of the
   /// campaign key (serial-written shards serve parallel runs and vice
   /// versa).
   int threads = 0;
-  /// Replay-cache segment length (CampaignConfig::checkpointEveryInstrs;
-  /// kCkptAuto = goldenInstrs/64, 0 disables). Like `threads`, a pure
-  /// performance knob — records are bit-identical for every value, so it
-  /// is NOT part of any cache key.
-  std::uint64_t ckptInterval = CampaignConfig::kCkptAuto;
-  /// Rollback-ring spacing (CampaignConfig::rollbackEveryInstrs) and
-  /// capacity (CampaignConfig::rollbackRingCap); semantic under rollback
-  /// strategies, see campaignKey.
-  std::uint64_t rollbackInterval = CampaignConfig::kCkptAuto;
-  std::size_t rollbackRing = 8;
   /// Forked worker processes (DESIGN.md §4g), 0 = in-process engine. Like
   /// `threads`, a pure performance knob — identical records for every
   /// value, NOT part of any cache key.
@@ -66,18 +58,6 @@ struct ExperimentConfig {
   /// record-identical to recomputing it, so this too stays out of the
   /// campaign key.
   std::optional<std::string> resultStore;
-  /// Fault model (DESIGN.md §4i). Semantic — changes every sampled point —
-  /// so it participates in the campaign key.
-  FaultModel fault = FaultModel::Reg;
-  /// ECC protection on trial executors. Semantic (changes outcomes), part
-  /// of the campaign key.
-  vm::EccMode ecc = vm::EccMode::Off;
-  /// Equivalence-class campaign pruning (DESIGN.md §4j). The
-  /// group-expanded records are deterministically byte-identical to the
-  /// exhaustive campaign's, but the cached full-fidelity stream shares
-  /// timings within a group, so the *enabled* bit joins the campaign key
-  /// (auditK, a pure verification knob, does not).
-  pareto::PruneOptions prune;
 };
 
 /// One injection's record: the plain outcome plus (for SIGSEGV injections

@@ -117,9 +117,11 @@ struct InjectionResult {
 };
 
 struct CampaignConfig {
-  std::uint64_t seed = 1;
+  std::uint64_t seed = 2026;
   unsigned bitsToFlip = 1;            // 1 = Table 2-4, 2 = Tables 10/11
-  std::uint64_t hangFactor = 10;      // budget = hangFactor * golden instrs
+  /// Trial budget: hangFactor * golden instrs + 1M; past it a trial is a
+  /// Hang.
+  std::uint64_t hangFactor{4};
   std::set<std::int32_t> targetModules{0}; // app only, per §5.1
   std::string entry = "main";
   /// Safeguard patch heuristic (ablation; paper default: index first).

@@ -72,7 +72,6 @@ RunEnv readRunEnv(const EnvLookup& lookup) {
 void RunEnv::apply(core::ArmorOptions& a) const {
   if (detect) a.detect = *detect;
   if (detectSample) a.detectSample = *detectSample;
-  if (recover) a.recover = *recover;
 }
 
 void RunEnv::apply(CampaignConfig& c) const {
@@ -88,12 +87,7 @@ void RunEnv::apply(CampaignConfig& c) const {
 
 void RunEnv::apply(ExperimentConfig& c) const {
   apply(c.armor);
-  if (rollbackRing) c.rollbackRing = *rollbackRing;
-  if (fault) c.fault = *fault;
-  if (ecc) c.ecc = *ecc;
-  if (prune) c.prune.enabled = *prune;
-  if (pruneAudit) c.prune.auditK = *pruneAudit;
-  if (ckptInterval) c.ckptInterval = c.rollbackInterval = *ckptInterval;
+  apply(c.campaign);
   if (processes) c.processes = *processes;
   if (threads) c.threads = *threads;
   if (resultStore) c.resultStore = *resultStore;

@@ -5,7 +5,10 @@
 // the test harness — call readRunEnv() once, apply what it returns to their
 // configs, put their own flags or pins on top, and install() the
 // process-wide settings. A campaign's record therefore depends only on
-// values its caller can see.
+// values its caller can see. Each knob has one home: compile knobs in
+// core::ArmorOptions, campaign knobs in CampaignConfig (which
+// ExperimentConfig embeds), and the run's workers and store in
+// ExperimentConfig itself.
 //
 // Each variable keeps one meaning. Unset or empty leaves the field unset,
 // except CARE_DETECT (empty disarms the detectors) and CARE_RESULT_STORE
@@ -45,13 +48,13 @@ struct RunEnv {
   std::optional<std::string> telemetry;             // CARE_TELEMETRY
   std::optional<std::string> trace;                 // CARE_TRACE
 
-  /// Overwrite the fields the environment set: detect, detectSample and
-  /// recover.
+  /// Overwrite the fields the environment set: detect and detectSample.
   void apply(core::ArmorOptions& a) const;
   /// recover, ring, fault, ECC, pruning, and the replay and rollback
   /// spacing.
   void apply(CampaignConfig& c) const;
-  /// Everything above, plus processes, threads and the result store.
+  /// Both of the above, on c.armor and c.campaign, plus processes, threads
+  /// and the result store.
   void apply(ExperimentConfig& c) const;
   /// Install the process-wide settings the environment set: the default
   /// interpreter backend, tracing and the telemetry sink.

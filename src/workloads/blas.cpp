@@ -313,12 +313,12 @@ int main() {
 } // namespace
 
 const Workload& blasLibrary() {
-  static const Workload w{"BLAS", {{"blas.f", kBlasSource}}, ""};
+  static const Workload w{"BLAS", {{"blas.f", kBlasSource}}};
   return w;
 }
 
 const Workload& sblat1Driver() {
-  static const Workload w{"sblat1", {{"sblat1.f", kSblat1Source}}, "main"};
+  static const Workload w{"sblat1", {{"sblat1.f", kSblat1Source}}};
   return w;
 }
 

@@ -206,7 +206,7 @@ int main() {
 } // namespace
 
 const Workload& comd() {
-  static const Workload w{"CoMD", {{"comd.c", kSource}}, "main"};
+  static const Workload w{"CoMD", {{"comd.c", kSource}}};
   return w;
 }
 

@@ -149,7 +149,7 @@ int main() {
 } // namespace
 
 const Workload& gtcp() {
-  static const Workload w{"GTC-P", {{"gtcp.c", kSource}}, "main"};
+  static const Workload w{"GTC-P", {{"gtcp.c", kSource}}};
   return w;
 }
 

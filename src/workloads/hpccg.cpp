@@ -119,7 +119,7 @@ int main() {
 } // namespace
 
 const Workload& hpccg() {
-  static const Workload w{"HPCCG", {{"hpccg.c", kSource}}, "main"};
+  static const Workload w{"HPCCG", {{"hpccg.c", kSource}}};
   return w;
 }
 

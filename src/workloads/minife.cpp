@@ -145,7 +145,7 @@ int main() {
 } // namespace
 
 const Workload& minife() {
-  static const Workload w{"miniFE", {{"minife.c", kSource}}, "main"};
+  static const Workload w{"miniFE", {{"minife.c", kSource}}};
   return w;
 }
 

@@ -165,7 +165,7 @@ int main() {
 } // namespace
 
 const Workload& minimd() {
-  static const Workload w{"miniMD", {{"minimd.c", kSource}}, "main"};
+  static const Workload w{"miniMD", {{"minimd.c", kSource}}};
   return w;
 }
 

@@ -19,7 +19,6 @@ namespace care::workloads {
 struct Workload {
   std::string name;
   std::vector<core::SourceFile> sources;
-  std::string entry = "main";
 };
 
 const Workload& hpccg();

@@ -22,7 +22,7 @@ ExperimentConfig smallConfig(const std::string& dir) {
   runEnv().apply(cfg);
   cfg.level = opt::OptLevel::O0;
   cfg.injections = 40;
-  cfg.seed = 123;
+  cfg.campaign.seed = 123;
   cfg.cacheDir = dir;
   return cfg;
 }
@@ -84,22 +84,43 @@ TEST(Experiment, CacheRoundTripsAggregates) {
 }
 
 TEST(Experiment, DistinctConfigsGetDistinctCaches) {
-  // A config that changes records misses every shard of the other, and
-  // both campaigns then live side by side in one store.
+  // Each campaign knob that changes records, set through cfg.campaign,
+  // misses every shard of the base config, and both campaigns then live
+  // side by side in one store.
   const std::string dir = "care_test_artifacts/exp_keys";
   std::filesystem::remove_all(dir);
-  auto c1 = ownStoreConfig(dir);
-  auto c2 = ownStoreConfig(dir);
-  c2.bits = 2;
-  inject::CampaignTelemetry t1, t2, again1, again2;
-  runExperiment(workloads::minife(), c1, &t1);
-  runExperiment(workloads::minife(), c2, &t2);
-  expectCold(t1);
-  expectCold(t2);
-  runExperiment(workloads::minife(), c1, &again1);
-  runExperiment(workloads::minife(), c2, &again2);
-  expectWarm(again1);
-  expectWarm(again2);
+  const ExperimentConfig base = ownStoreConfig(dir);
+  inject::CampaignTelemetry baseTel;
+  runExperiment(workloads::minife(), base, &baseTel);
+  expectCold(baseTel);
+  using inject::CampaignConfig;
+  using inject::FaultModel;
+  const std::pair<const char*, std::function<void(CampaignConfig&)>>
+      changes[] = {
+          {"bitsToFlip", [](CampaignConfig& c) { c.bitsToFlip = 2; }},
+          {"fault",
+           [](CampaignConfig& c) {
+             c.fault = c.fault == FaultModel::Reg ? FaultModel::Mem1
+                                                  : FaultModel::Reg;
+           }},
+          {"patchTarget",
+           [](CampaignConfig& c) {
+             c.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
+           }},
+          {"hangFactor", [](CampaignConfig& c) { c.hangFactor = 5; }},
+      };
+  for (const auto& [name, change] : changes) {
+    SCOPED_TRACE(name);
+    ExperimentConfig cfg = base;
+    change(cfg.campaign);
+    inject::CampaignTelemetry cold, warm, baseWarm;
+    runExperiment(workloads::minife(), cfg, &cold);
+    expectCold(cold);
+    runExperiment(workloads::minife(), cfg, &warm);
+    expectWarm(warm);
+    runExperiment(workloads::minife(), base, &baseWarm);
+    expectWarm(baseWarm);
+  }
 }
 
 TEST(Experiment, SameNameDifferentSourcesGetDistinctRecords) {
@@ -220,12 +241,12 @@ TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {
   std::filesystem::remove_all(dir);
   ExperimentConfig cfg;
   cfg.injections = 40;
-  cfg.seed = 123;
+  cfg.campaign.seed = 123;
   cfg.cacheDir = dir;
-  cfg.ckptInterval = 0;
-  cfg.armor.recover = core::RecoveryStrategy::RepairThenRollback;
+  cfg.campaign.checkpointEveryInstrs = 0;
+  cfg.campaign.recover = core::RecoveryStrategy::RepairThenRollback;
   auto runAt = [&](std::uint64_t interval) {
-    cfg.rollbackInterval = interval;
+    cfg.campaign.rollbackEveryInstrs = interval;
     inject::CampaignTelemetry tel;
     runExperiment(workloads::hpccg(), cfg, &tel);
     return tel;

@@ -188,7 +188,6 @@ TEST(Injection, PointBeyondProfileCountCompletesWithoutHang) {
   // report injected=false.
   CorpusEnv env;
   CampaignConfig cfg = regConfig();
-  cfg.hangFactor = 4;
   Campaign c(env.p.image.get(), cfg);
   ASSERT_TRUE(c.profile());
   vm::Executor prof(env.p.image.get());
@@ -370,7 +369,6 @@ TEST(Injection, SingleBitMemoryFaultIsCorrectedUnderSecded) {
   CampaignConfig cfg = regConfig();
   cfg.fault = FaultModel::Mem1;
   cfg.ecc = vm::EccMode::Secded;
-  cfg.hangFactor = 4;
   Campaign c(env.p.image.get(), cfg);
   ASSERT_TRUE(c.profile());
   inject::InjectionPoint pt;
@@ -392,7 +390,6 @@ TEST(Injection, AdjacentDoubleBitMemoryFaultTrapsUncorrectable) {
   CampaignConfig cfg = regConfig();
   cfg.fault = FaultModel::Mem2Adj;
   cfg.ecc = vm::EccMode::Secded;
-  cfg.hangFactor = 4;
   Campaign c(env.p.image.get(), cfg);
   ASSERT_TRUE(c.profile());
   inject::InjectionPoint pt;
@@ -412,7 +409,6 @@ TEST(Injection, MemoryFaultWithoutEccLandsSilently) {
   ASSERT_NE(env.wAddr, 0u);
   CampaignConfig cfg = regConfig();
   cfg.fault = FaultModel::Mem1;
-  cfg.hangFactor = 4;
   Campaign c(env.p.image.get(), cfg);
   ASSERT_TRUE(c.profile());
   inject::InjectionPoint pt;
@@ -443,7 +439,6 @@ TEST(Injection, NeverReadAgainFaultIsCaughtByTheEndOfTrialScrub) {
   CampaignConfig cfg = regConfig();
   cfg.fault = FaultModel::Mem1;
   cfg.ecc = vm::EccMode::Secded;
-  cfg.hangFactor = 4;
   Campaign c(env.p.image.get(), cfg);
   ASSERT_TRUE(c.profile());
   inject::InjectionPoint pt;

@@ -108,7 +108,7 @@ TEST_P(WorkloadTextRoundTrip, PrintParsePrintIsFixedPoint) {
     vm::Executor ex(&image);
     ex.setBudget(500'000'000);
     RunOutput out;
-    out.result = vm::runToCompletion(ex, w->entry);
+    out.result = vm::runToCompletion(ex, "main");
     out.output = ex.output();
     return out;
   };

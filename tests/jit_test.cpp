@@ -197,7 +197,7 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
     runEnv().apply(cfg);
     cfg.level = opt::OptLevel::O0;
     cfg.injections = 25;
-    cfg.seed = 77;
+    cfg.campaign.seed = 77;
     cfg.resultStore = "";
 
     cfg.cacheDir = "care_test_artifacts/jit_camp_fast";
@@ -239,9 +239,9 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
     runEnv().apply(cfg);
     cfg.level = opt::OptLevel::O0;
     cfg.injections = 20;
-    cfg.seed = 99;
-    cfg.fault = leg.fault;
-    cfg.ecc = leg.ecc;
+    cfg.campaign.seed = 99;
+    cfg.campaign.fault = leg.fault;
+    cfg.campaign.ecc = leg.ecc;
     cfg.resultStore = "";
     const std::string tag = std::string(inject::faultModelName(leg.fault)) +
                             "/" + vm::eccModeName(leg.ecc);

@@ -28,11 +28,11 @@ ExperimentConfig baseConfig(const std::string& dir) {
   runEnv().apply(cfg);
   cfg.level = opt::OptLevel::O0;
   cfg.injections = 48;
-  cfg.seed = 321;
+  cfg.campaign.seed = 321;
   cfg.cacheDir = dir;
   cfg.threads = 1;
   cfg.armor.detect = {};
-  cfg.armor.recover = core::RecoveryStrategy::Repair;
+  cfg.campaign.recover = core::RecoveryStrategy::Repair;
   cfg.processes = 0;
   cfg.resultStore = "";
   return cfg;
@@ -70,8 +70,8 @@ TEST(MultiprocessCampaign, DetectorsAndRollbackArmedStayBitIdentical) {
   auto armed = baseConfig(dir);
   armed.injections = 80;
   armed.armor.detect.cfc = armed.armor.detect.addr = true;
-  armed.armor.recover = core::RecoveryStrategy::RepairThenRollback;
-  armed.ckptInterval = 3000;
+  armed.campaign.recover = core::RecoveryStrategy::RepairThenRollback;
+  armed.campaign.checkpointEveryInstrs = 3000;
   inject::CampaignTelemetry telS, telF;
   const auto serial = runExperiment(workloads::gtcp(), armed, &telS);
   std::filesystem::remove_all(dir);
@@ -109,9 +109,8 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
       inject::buildWorkload(workloads::gtcp(), cfg);
   inject::CampaignConfig ccfg;
   runEnv().apply(ccfg);
-  ccfg.seed = cfg.seed;
-  ccfg.bitsToFlip = cfg.bits;
-  ccfg.hangFactor = 4;
+  ccfg.seed = cfg.campaign.seed;
+  ccfg.bitsToFlip = cfg.campaign.bitsToFlip;
   inject::Campaign campaign(built.image.get(), ccfg);
   ASSERT_TRUE(campaign.profile());
 
@@ -119,7 +118,7 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
   serialSvc.processes = 0;
   serialSvc.threads = 1;
   const auto reference =
-      inject::runCampaign(campaign, 48, cfg.seed, 1, &built.artifacts, nullptr,
+      inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, nullptr,
                   &serialSvc);
 
   inject::ServiceConfig killSvc;
@@ -129,7 +128,7 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
   killSvc.testKillAtTrial = 10; // SIGKILL the worker holding shard 1
   inject::CampaignTelemetry tel;
   const auto survived =
-      inject::runCampaign(campaign, 48, cfg.seed, 1, &built.artifacts, &tel,
+      inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, &tel,
                   &killSvc);
   EXPECT_GE(tel.workerRestarts, 1);
   EXPECT_GE(tel.shardsRequeued, 1);
@@ -153,9 +152,8 @@ TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
       inject::buildWorkload(workloads::gtcp(), cfg);
   inject::CampaignConfig ccfg;
   runEnv().apply(ccfg);
-  ccfg.seed = cfg.seed;
-  ccfg.bitsToFlip = cfg.bits;
-  ccfg.hangFactor = 4;
+  ccfg.seed = cfg.campaign.seed;
+  ccfg.bitsToFlip = cfg.campaign.bitsToFlip;
   inject::Campaign campaign(built.image.get(), ccfg);
   ASSERT_TRUE(campaign.profile());
 
@@ -163,7 +161,7 @@ TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
   serialSvc.processes = 0;
   serialSvc.threads = 1;
   const auto reference =
-      inject::runCampaign(campaign, 48, cfg.seed, 1, &built.artifacts, nullptr,
+      inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, nullptr,
                   &serialSvc);
 
   inject::ServiceConfig killSvc;
@@ -173,7 +171,7 @@ TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
   killSvc.testKillAfterCommitTrial = 10; // die holding committed shard 1
   inject::CampaignTelemetry tel;
   const auto survived =
-      inject::runCampaign(campaign, 48, cfg.seed, 1, &built.artifacts, &tel,
+      inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, &tel,
                   &killSvc);
   EXPECT_GE(tel.workerRestarts, 1);
   // Exact counts: a double-committed shard would inflate the record list
@@ -198,8 +196,8 @@ TEST(MultiprocessCampaign, EveryFaultModelStaysByteIdenticalAcrossEngines) {
     std::filesystem::remove_all(dir);
     auto cfg = baseConfig(dir);
     cfg.injections = 24;
-    cfg.fault = model;
-    cfg.ecc = vm::EccMode::Secded;
+    cfg.campaign.fault = model;
+    cfg.campaign.ecc = vm::EccMode::Secded;
     const auto serial = runExperiment(workloads::gtcp(), cfg);
     std::filesystem::remove_all(dir);
     auto threadedCfg = cfg;

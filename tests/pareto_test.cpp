@@ -192,7 +192,7 @@ CareEnv buildCare(const char* src, const std::string& tag) {
 
 CampaignConfig pinnedConfig(inject::FaultModel fault, vm::EccMode ecc) {
   CampaignConfig cfg;
-  cfg.hangFactor = 4;
+  cfg.seed = 1; // the campaigns these checks were written against
   cfg.fault = fault;
   cfg.ecc = ecc;
   return cfg;

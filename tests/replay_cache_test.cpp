@@ -84,7 +84,6 @@ TEST(ReplayCache, BoundaryEdgesMatchFromScratchOnBothInterps) {
     vm::setDefaultInterp(interp);
 
     CampaignConfig offCfg = pinnedConfig();
-    offCfg.hangFactor = 4;
     offCfg.checkpointEveryInstrs = 0; // from-scratch reference
     CampaignConfig onCfg = offCfg;
     onCfg.checkpointEveryInstrs = 400; // many segments across the loop
@@ -170,7 +169,6 @@ TEST(ReplayCache, CareRerunFromCheckpointMatchesFromScratch) {
   inject::BuiltWorkload built = inject::buildWorkload(workloads::gtcp(), bcfg);
 
   CampaignConfig onCfg = pinnedConfig();
-  onCfg.hangFactor = 4;
   CampaignConfig offCfg = onCfg;
   offCfg.checkpointEveryInstrs = 0;
   Campaign off(built.image.get(), offCfg);
@@ -224,7 +222,6 @@ TEST(ReplayCache, FiveWorkloadsSerializeBitIdentical) {
     for (const Combo& combo : combos) {
       CampaignConfig onCfg = pinnedConfig();
       onCfg.bitsToFlip = combo.bits;
-      onCfg.hangFactor = 4;
       CampaignConfig offCfg = onCfg;
       offCfg.checkpointEveryInstrs = 0;
       Campaign off(built.image.get(), offCfg);

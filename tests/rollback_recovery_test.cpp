@@ -249,7 +249,6 @@ CareEnv buildCare(const char* src, const std::string& tag,
 CampaignConfig pinnedConfig(RecoveryStrategy s) {
   CampaignConfig cfg;
   runEnv().apply(cfg);
-  cfg.hangFactor = 4;
   cfg.recover = s;
   cfg.rollbackRingCap = 8;
   cfg.fault = inject::FaultModel::Reg;

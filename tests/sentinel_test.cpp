@@ -102,7 +102,7 @@ TEST(Sentinel, GoldenRunUnchangedByDetectors) {
       vm::Executor ex(image.get());
       ex.setBudget(500'000'000);
       RunOutput out;
-      out.result = vm::runToCompletion(ex, w->entry);
+      out.result = vm::runToCompletion(ex, "main");
       out.output = ex.output();
       return out;
     };
@@ -158,13 +158,13 @@ inject::ExperimentConfig campaignConfig(const std::string& dir,
   inject::ExperimentConfig cfg;
   runEnv().apply(cfg);
   cfg.level = level;
-  cfg.seed = 7777;
+  cfg.campaign.seed = 7777;
   cfg.injections = 60;
   cfg.cacheDir = dir;
   cfg.armor.detect = {};
-  cfg.armor.recover = core::RecoveryStrategy::Repair;
-  cfg.fault = inject::FaultModel::Reg;
-  cfg.ecc = vm::EccMode::Off;
+  cfg.campaign.recover = core::RecoveryStrategy::Repair;
+  cfg.campaign.fault = inject::FaultModel::Reg;
+  cfg.campaign.ecc = vm::EccMode::Off;
   return cfg;
 }
 

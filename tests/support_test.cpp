@@ -382,46 +382,47 @@ INSTANTIATE_TEST_SUITE_P(
         EnvVar{"CARE_RECOVER",
                [](auto&, auto& ec, auto& cc) {
                  return std::string(
-                            core::recoveryStrategyName(ec.armor.recover)) +
+                            core::recoveryStrategyName(ec.campaign.recover)) +
                         "/" + core::recoveryStrategyName(cc.recover);
                },
                "repair/repair", "repair/repair", "rollback",
                "rollback/rollback", {"bogus", "Repair"}},
         EnvVar{"CARE_ROLLBACK_RING",
                [](auto&, auto& ec, auto& cc) {
-                 return std::to_string(ec.rollbackRing) + "/" +
+                 return std::to_string(ec.campaign.rollbackRingCap) + "/" +
                         std::to_string(cc.rollbackRingCap);
                },
                "8/8", "8/8", "12", "12/12", kBadCounts},
         EnvVar{"CARE_FAULT",
                [](auto&, auto& ec, auto& cc) {
-                 return std::string(inject::faultModelName(ec.fault)) + "/" +
-                        inject::faultModelName(cc.fault);
+                 return std::string(
+                            inject::faultModelName(ec.campaign.fault)) +
+                        "/" + inject::faultModelName(cc.fault);
                },
                "reg/reg", "reg/reg", "mem1", "mem1/mem1", {"mem3", "REG"}},
         EnvVar{"CARE_ECC",
                [](auto&, auto& ec, auto& cc) {
-                 return std::string(vm::eccModeName(ec.ecc)) + "/" +
-                        vm::eccModeName(cc.ecc);
+                 return std::string(vm::eccModeName(ec.campaign.ecc)) +
+                        "/" + vm::eccModeName(cc.ecc);
                },
                "off/off", "off/off", "secded", "secded/secded",
                {"parity", "secded,"}},
         EnvVar{"CARE_PRUNE",
                [](auto&, auto& ec, auto& cc) {
-                 return std::to_string(ec.prune.enabled) + "/" +
+                 return std::to_string(ec.campaign.prune.enabled) + "/" +
                         std::to_string(cc.prune.enabled);
                },
                "0/0", "0/0", "on", "1/1", {"maybe", "2"}},
         EnvVar{"CARE_PRUNE_AUDIT",
                [](auto&, auto& ec, auto& cc) {
-                 return std::to_string(ec.prune.auditK) + "/" +
+                 return std::to_string(ec.campaign.prune.auditK) + "/" +
                         std::to_string(cc.prune.auditK);
                },
                "0/0", "0/0", "12", "12/12", kBadCounts},
         EnvVar{"CARE_CKPT_INTERVAL",
                [](auto&, auto& ec, auto& cc) {
-                 return spacing(ec.ckptInterval) + "/" +
-                        spacing(ec.rollbackInterval) + "/" +
+                 return spacing(ec.campaign.checkpointEveryInstrs) + "/" +
+                        spacing(ec.campaign.rollbackEveryInstrs) + "/" +
                         spacing(cc.checkpointEveryInstrs) + "/" +
                         spacing(cc.rollbackEveryInstrs);
                },
@@ -465,10 +466,10 @@ TEST(RunEnv, EmptyDetectDisarmsAndFlagsApplyOnTop) {
   // other variable leaves such a config alone when empty.
   inject::ExperimentConfig cfg;
   cfg.armor.detect = {true, true};
-  cfg.fault = inject::FaultModel::Burst;
+  cfg.campaign.fault = inject::FaultModel::Burst;
   readFake({{"CARE_DETECT", ""}, {"CARE_FAULT", ""}}).apply(cfg);
   EXPECT_FALSE(cfg.armor.detect.any());
-  EXPECT_EQ(cfg.fault, inject::FaultModel::Burst);
+  EXPECT_EQ(cfg.campaign.fault, inject::FaultModel::Burst);
 }
 
 } // namespace

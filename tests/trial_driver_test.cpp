@@ -46,7 +46,6 @@ std::string md5Hex(const std::vector<std::uint8_t>& bytes) {
 CampaignConfig pinnedConfig(FaultModel fault, RecoveryStrategy recover) {
   CampaignConfig cfg;
   cfg.seed = 2026;
-  cfg.hangFactor = 4;
   cfg.recover = recover;
   cfg.fault = fault;
   cfg.ecc = fault == FaultModel::Mem2Adj ? vm::EccMode::Secded

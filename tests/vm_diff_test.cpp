@@ -140,7 +140,7 @@ TEST_P(WorkloadDiff, GoldenRunBitIdentical) {
   BuildKeep keep;
   const auto image = lowerWorkload(w, keep);
 
-  const auto res = diffAllBackends(image.get(), w.entry, w.name,
+  const auto res = diffAllBackends(image.get(), "main", w.name,
                                    /*profile=*/true, [](vm::Executor& ex) {
                                      ex.enableProfiling();
                                      ex.setBudget(500'000'000);
@@ -155,7 +155,7 @@ TEST_P(WorkloadDiff, DetectorsArmedGoldenRunBitIdentical) {
   BuildKeep keep;
   const auto image = lowerWorkload(w, keep, /*armDetectors=*/true);
 
-  const auto res = diffAllBackends(image.get(), w.entry, w.name + " (detectors)",
+  const auto res = diffAllBackends(image.get(), "main", w.name + " (detectors)",
                                    /*profile=*/true, [](vm::Executor& ex) {
                                      ex.enableProfiling();
                                      ex.setBudget(500'000'000);
@@ -174,7 +174,7 @@ TEST_P(WorkloadDiff, BudgetCappedRunStopsIdentically) {
   for (const std::uint64_t budget : {1ull, 1000ull, 4096ull, 5001ull}) {
     const std::string tag = w.name + " budget=" + std::to_string(budget);
     const auto res =
-        diffAllBackends(image.get(), w.entry, tag, /*profile=*/false,
+        diffAllBackends(image.get(), "main", tag, /*profile=*/false,
                         [budget](vm::Executor& ex) { ex.setBudget(budget); });
     ASSERT_EQ(res[0].status, vm::RunStatus::BudgetExceeded) << tag;
   }
@@ -258,7 +258,7 @@ TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
   vm::Executor prof(image.get());
   prof.enableProfiling();
   prof.setBudget(500'000'000);
-  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref, w.entry);
+  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref, "main");
   ASSERT_EQ(golden.status, vm::RunStatus::Done);
 
   struct Hot {
@@ -297,7 +297,7 @@ TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
                             std::to_string(nth) + " g" + std::to_string(reg) +
                             "^bit" + std::to_string(bit);
     const auto res = diffAllBackends(
-        image.get(), w.entry, tag, /*profile=*/false,
+        image.get(), "main", tag, /*profile=*/false,
         [&](vm::Executor& ex) {
           ex.setBudget(2 * golden.instrCount);
           ex.armInjection(h.loc, nth, corrupt);
@@ -335,7 +335,7 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
 
   vm::Executor prof(image.get());
   prof.setBudget(500'000'000);
-  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref, w.entry);
+  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref, "main");
   ASSERT_EQ(golden.status, vm::RunStatus::Done);
 
   vm::Executor probe(image.get());
@@ -378,11 +378,11 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
         ex[k]->setInterp(kKinds[k]);
         ex[k]->memory().setEccMode(mode);
         ex[k]->setBudget(2 * golden.instrCount);
-        const vm::RunResult stop = ex[k]->runBounded(faultAt, w.entry);
+        const vm::RunResult stop = ex[k]->runBounded(faultAt, "main");
         ASSERT_EQ(stop.status, vm::RunStatus::BudgetExceeded) << tag;
         ASSERT_EQ(stop.instrCount, faultAt) << tag;
         ASSERT_TRUE(ex[k]->memory().injectFault(addr, bits)) << tag;
-        res[k] = vm::runToCompletion(*ex[k], w.entry);
+        res[k] = vm::runToCompletion(*ex[k], "main");
         digest[k] = memoryDigest(*ex[k]);
       }
       for (std::size_t a = 0; a < kNumKinds; ++a)

@@ -37,7 +37,7 @@ RunOutput runWorkload(const Workload& w, opt::OptLevel level) {
   vm::Executor ex(&image);
   ex.setBudget(500'000'000);
   RunOutput out;
-  out.result = vm::runToCompletion(ex, w.entry);
+  out.result = vm::runToCompletion(ex, "main");
   out.output = ex.output();
   return out;
 }

@@ -6,7 +6,8 @@
 //   carecc compile app.c -O1 -d artifacts/   Armor-compile, write artifacts
 //   carecc run app.c [-O1]                   compile and execute in the VM
 //   carecc inspect app.c [-O1]               dump optimized IR + kernels
-//   carecc inject app.c -n 200 [--no-care]   seeded injection campaign
+//   carecc inject app.c -n 200 [--no-care]   seeded injection campaign,
+//                                            runExperiment as in the benches
 //
 // Exit code: the program's exit code for `run`, 0/1 for the other modes,
 // 2 for a bad flag or CARE_* variable.
@@ -15,6 +16,7 @@
 // from the flags second, so a flag beats its variable.
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -42,22 +44,10 @@ namespace {
 struct Args {
   std::string mode;
   std::string file;
-  opt::OptLevel level = opt::OptLevel::O0;
-  std::string artifactDir = "care_artifacts";
-  std::string entry = "main";
-  int injections = 200;
-  std::uint64_t seed = 2026;
-  int threads = 0; // 0 = hardware concurrency
-  int procs = 0;   // 0 = in-process engine
-  /// nullopt = <artifactDir>/store; empty = store off.
-  std::optional<std::string> resultStore;
-  bool withCare = true;
-  /// Compile knobs: --detect, --detect-sample, --iv-recovery.
-  core::ArmorOptions armor;
-  /// Campaign knobs: --recover, --rollback-ring, --ckpt-interval, --fault,
-  /// --ecc, --prune, --prune-audit. `run` uses recover, the ring and the
-  /// interval too.
-  inject::CampaignConfig campaign;
+  /// Every flag lands in one field: compile flags in cfg.armor, campaign
+  /// flags (-e, -s, --recover, ...) in cfg.campaign, the rest in cfg.
+  /// `run` reads the entry, strategy, ring and spacing too.
+  inject::ExperimentConfig cfg;
 };
 
 void usage() {
@@ -150,18 +140,23 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+/// The file as a one-source workload named after its stem.
+workloads::Workload fileWorkload(const std::string& file) {
+  return {std::filesystem::path(file).stem().string(), {{file, slurp(file)}}};
+}
+
 core::CompiledModule compileFile(const Args& a) {
   core::CompileOptions opts;
-  opts.optLevel = a.level;
-  opts.artifactDir = a.artifactDir;
-  opts.armor = a.armor;
-  return core::careCompile({{a.file, slurp(a.file)}}, "app", opts);
+  opts.optLevel = a.cfg.level;
+  opts.artifactDir = a.cfg.cacheDir;
+  opts.armor = a.cfg.armor;
+  return core::careCompile(fileWorkload(a.file).sources, "app", opts);
 }
 
 int cmdCompile(const Args& a) {
   core::CompiledModule cm = compileFile(a);
   std::printf("compiled %s at %s\n", a.file.c_str(),
-              a.level == opt::OptLevel::O0 ? "-O0" : "-O1");
+              a.cfg.level == opt::OptLevel::O0 ? "-O0" : "-O1");
   std::printf("  functions            : %zu\n", cm.mmod->functions.size());
   std::printf("  memory accesses      : %zu\n", cm.armorStats.memAccesses);
   std::printf("  recovery kernels     : %zu (avg %.1f IR instrs)\n",
@@ -183,32 +178,30 @@ int cmdCompile(const Args& a) {
 }
 
 int cmdRun(const Args& a) {
-  core::CompiledModule cm = compileFile(a);
-  vm::Image image;
-  image.load(cm.mmod.get());
-  image.link();
-  vm::Executor ex(&image);
+  const inject::CampaignConfig& c = a.cfg.campaign;
+  const inject::BuiltWorkload built =
+      inject::buildWorkload(fileWorkload(a.file), a.cfg);
+  vm::Executor ex(built.image.get());
   core::Safeguard safeguard;
-  safeguard.addModule(0, cm.artifacts);
+  safeguard.addModule(0, built.cm.artifacts);
   safeguard.attach(ex);
-  const core::RecoveryStrategy recover = a.campaign.recover;
-  safeguard.setStrategy(recover);
+  safeguard.setStrategy(c.recover);
   constexpr std::uint64_t kRunBudget = 5'000'000'000ull;
   vm::RunResult r;
-  vm::CheckpointRing ring(a.campaign.rollbackRingCap);
-  if (core::strategyRollsBack(recover)) {
+  vm::CheckpointRing ring(c.rollbackRingCap);
+  if (core::strategyRollsBack(c.recover)) {
     // Rollback needs live checkpoints: drive the run through boundary
     // pauses, feeding the ring. Outside a campaign there is no golden
     // instruction count to derive an interval from, so --ckpt-interval /
     // CARE_CKPT_INTERVAL apply directly (default 100k instructions).
     safeguard.setRollbackSource(&ring);
-    std::uint64_t interval = a.campaign.rollbackEveryInstrs;
+    std::uint64_t interval = c.rollbackEveryInstrs;
     if (interval == inject::CampaignConfig::kCkptAuto) interval = 100'000;
-    r = vm::runCheckpointed(ex, a.entry, interval, kRunBudget,
+    r = vm::runCheckpointed(ex, c.entry, interval, kRunBudget,
                             [&](vm::Executor& e) { ring.push(e); });
   } else {
     ex.setBudget(kRunBudget);
-    r = vm::runToCompletion(ex, a.entry);
+    r = vm::runToCompletion(ex, c.entry);
   }
   if (const auto& st = safeguard.stats(); st.rollbacks > 0)
     std::printf("safeguard: %llu rollback(s), %llu instructions "
@@ -270,48 +263,23 @@ int cmdInspect(const Args& a) {
 }
 
 int cmdInject(const Args& a) {
-  core::CompiledModule cm = compileFile(a);
-  vm::Image image;
-  image.load(cm.mmod.get());
-  image.link();
-  std::map<std::int32_t, core::ModuleArtifacts> arts{{0, cm.artifacts}};
-
-  inject::CampaignConfig ccfg = a.campaign;
-  ccfg.seed = a.seed;
-  ccfg.entry = a.entry;
-  inject::Campaign campaign(&image, ccfg);
-  if (!campaign.profile()) {
-    std::fprintf(stderr, "program failed its golden run\n");
-    return 1;
-  }
-  std::printf("golden run: %llu instructions\n",
-              static_cast<unsigned long long>(campaign.goldenInstrs()));
-  if (campaign.checkpointInterval() > 0)
-    std::printf("replay cache: %zu checkpoints every %llu instructions\n",
-                campaign.checkpoints().size(),
-                static_cast<unsigned long long>(campaign.checkpointInterval()));
-
-  // runCampaign's trial: a plain run, then a CARE re-run of every SIGSEGV
-  // or ECC-detected trial; counts are identical for every -j / --procs.
-  inject::ServiceConfig svc;
-  svc.processes = a.procs;
-  svc.threads = a.threads;
-  svc.storeDir = a.resultStore.value_or(a.artifactDir + "/store");
-  svc.storeKey = inject::campaignKey(cm.imageDigest, ccfg,
-                                     campaign.rollbackInterval(), a.withCare);
+  // runExperiment's campaign, the benches' own: a plain run, then a CARE
+  // re-run of every SIGSEGV or ECC-detected trial; counts are identical
+  // for every -j / --procs.
   inject::CampaignTelemetry tel;
-  tel.workload = a.file;
-  inject::ExperimentResult r;
-  r.level = a.level;
-  r.records = inject::runCampaign(campaign, a.injections, a.seed, a.threads,
-                                  a.withCare ? &arts : nullptr, &tel, &svc);
-  inject::publishTelemetry(tel);
+  const inject::ExperimentResult r =
+      inject::runExperiment(fileWorkload(a.file), a.cfg, &tel);
+  std::printf("golden run: %llu instructions\n",
+              static_cast<unsigned long long>(r.goldenInstrs));
+  if (tel.ckptCount > 0)
+    std::printf("replay cache: %llu checkpoints\n",
+                static_cast<unsigned long long>(tel.ckptCount));
 
   // Table 2 layout: plain outcomes, then the CARE re-runs.
   using inject::Outcome;
   const int segv = r.segvCount();
-  std::printf("injections : %d (seed %llu)\n", a.injections,
-              static_cast<unsigned long long>(a.seed));
+  std::printf("injections : %d (seed %llu)\n", a.cfg.injections,
+              static_cast<unsigned long long>(a.cfg.campaign.seed));
   std::printf("benign     : %d\n", r.count(Outcome::Benign));
   std::printf("SDC        : %d\n", r.count(Outcome::SDC));
   std::printf("hang       : %d\n", r.count(Outcome::Hang));
@@ -326,10 +294,10 @@ int cmdInject(const Args& a) {
                 r.count(Outcome::Corrected),
                 static_cast<unsigned long long>(tel.eccCorrected),
                 static_cast<unsigned long long>(tel.eccUncorrectable));
-  if (a.withCare) {
+  if (a.cfg.careOnSegv) {
     std::printf("CARE re-runs of SIGSEGV / ECC-detected trials (strategy "
                 "%s):\n",
-                core::recoveryStrategyName(ccfg.recover));
+                core::recoveryStrategyName(a.cfg.campaign.recover));
     std::printf("  re-runs    : %d\n", tel.careReruns);
     std::printf("  recovered  : %d (avg %.1f us per recovery)\n",
                 r.recoveredCount(), r.meanRecoveryUs());
@@ -365,12 +333,12 @@ int main(int argc, char** argv) {
   Args a;
   std::vector<std::string> positional;
   try {
+    inject::ExperimentConfig& cfg = a.cfg;
+    inject::CampaignConfig& c = cfg.campaign;
+    cfg.injections = 200;
     const inject::RunEnv env = inject::readRunEnv();
     env.install();
-    env.apply(a.armor);
-    env.apply(a.campaign);
-    a.procs = env.processes.value_or(a.procs);
-    a.resultStore = env.resultStore;
+    env.apply(cfg);
     for (int i = 1; i < argc; ++i) {
       const std::string s = argv[i];
       auto next = [&]() -> std::string {
@@ -387,39 +355,38 @@ int main(int argc, char** argv) {
         return s.substr(prefix.size());
       };
       std::optional<std::string> v;
-      if (s == "-O0") a.level = opt::OptLevel::O0;
-      else if (s == "-O1") a.level = opt::OptLevel::O1;
-      else if (s == "-d") a.artifactDir = next();
-      else if (s == "-e") a.entry = next();
-      else if (s == "-n") a.injections = intFlag(s, next());
-      else if (s == "-s") a.seed = countFlag(s, next());
-      else if (s == "-j") a.threads = intFlag(s, next());
-      else if ((v = value("--procs"))) a.procs = intFlag("--procs", *v);
-      else if ((v = value("--result-store"))) a.resultStore = *v;
+      if (s == "-O0") cfg.level = opt::OptLevel::O0;
+      else if (s == "-O1") cfg.level = opt::OptLevel::O1;
+      else if (s == "-d") cfg.cacheDir = next();
+      else if (s == "-e") c.entry = next();
+      else if (s == "-n") cfg.injections = intFlag(s, next());
+      else if (s == "-s") c.seed = countFlag(s, next());
+      else if (s == "-j") cfg.threads = intFlag(s, next());
+      else if ((v = value("--procs"))) cfg.processes = intFlag("--procs", *v);
+      else if ((v = value("--result-store"))) cfg.resultStore = *v;
       else if (s == "--ckpt-interval")
-        a.campaign.checkpointEveryInstrs = a.campaign.rollbackEveryInstrs =
-            countFlag(s, next());
+        c.checkpointEveryInstrs = c.rollbackEveryInstrs = countFlag(s, next());
       else if ((v = value("--interp")))
         vm::setDefaultInterp(vm::parseInterp(*v));
       else if ((v = value("--detect-sample")))
-        a.armor.detectSample = pareto::parseDetectSample(*v);
+        cfg.armor.detectSample = pareto::parseDetectSample(*v);
       else if ((v = value("--prune")))
-        a.campaign.prune.enabled = pareto::parsePruneFlag(*v);
+        c.prune.enabled = pareto::parsePruneFlag(*v);
       else if ((v = value("--prune-audit")))
-        a.campaign.prune.auditK = pareto::parsePruneAudit(*v);
+        c.prune.auditK = pareto::parsePruneAudit(*v);
       else if ((v = value("--detect")))
-        a.armor.detect = sentinel::parseDetect(*v);
+        cfg.armor.detect = sentinel::parseDetect(*v);
       else if ((v = value("--recover")))
-        a.campaign.recover = core::parseRecoveryStrategy(*v);
+        c.recover = core::parseRecoveryStrategy(*v);
       else if (s == "--rollback-ring")
-        a.campaign.rollbackRingCap = countFlag(s, next());
+        c.rollbackRingCap = countFlag(s, next());
       else if ((v = value("--fault")))
-        a.campaign.fault = inject::parseFaultModel(*v);
-      else if ((v = value("--ecc"))) a.campaign.ecc = vm::parseEccMode(*v);
+        c.fault = inject::parseFaultModel(*v);
+      else if ((v = value("--ecc"))) c.ecc = vm::parseEccMode(*v);
       else if ((v = value("--trace"))) trace::enable(*v);
       else if (s == "--trace") trace::enable(next());
-      else if (s == "--no-care") a.withCare = false;
-      else if (s == "--iv-recovery") a.armor.inductionRecovery = true;
+      else if (s == "--no-care") cfg.careOnSegv = false;
+      else if (s == "--iv-recovery") cfg.armor.inductionRecovery = true;
       else if (s == "-h" || s == "--help") { usage(); return 0; }
       else positional.push_back(s);
     }
