@@ -300,7 +300,8 @@ void aggregateRecordTelemetry(const std::vector<InjectionRecord>& records,
     }
     if (!ran) continue; // store-served shard: semantic counters only
     // instrsExecuted is absolute (counted from instruction 0); subtract
-    // the replayed prefix so simInstrs/mips report work actually done.
+    // the skipped golden instructions so simInstrs/mips report work
+    // actually done.
     instrs += rec.plain.instrsExecuted - rec.plain.replaySavedInstrs;
     saved += rec.plain.replaySavedInstrs;
     if (rec.haveCare) {

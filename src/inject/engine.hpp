@@ -69,13 +69,14 @@ struct CampaignTelemetry {
   double workerBusySec = 0;    // sum of per-worker time inside trials
   double utilization = 0;      // workerBusySec / (wallSec * threads)
   std::uint64_t simInstrs = 0; // dynamic VM instructions actually executed
-                               // across all trials (replayed prefixes and
-                               // cache hits excluded)
+                               // across all trials (skipped golden
+                               // instructions and cache hits excluded)
   double mips = 0;             // simInstrs / 1e6 / wallSec (0 on cache hit)
   // Replay cache (DESIGN.md §4c):
   std::uint64_t ckptCount = 0; // golden-run checkpoints held (0 = off)
-  std::uint64_t replaySavedInstrs = 0; // golden-prefix instructions the
-                                       // cache fast-forwarded over
+  std::uint64_t replaySavedInstrs = 0; // golden instructions trials did
+                                       // not execute: replayed prefixes and
+                                       // tails after convergence
   double effectiveMips = 0;    // (simInstrs + replaySavedInstrs) / 1e6 /
                                // wallSec — as-if throughput incl. replay
   // Fig. 9 recovery-phase aggregate (DESIGN.md §4d): wall-time sums over
@@ -161,7 +162,7 @@ struct TelemetrySummary {
   double mips() const {
     return wallSec > 0 ? static_cast<double>(simInstrs) / 1e6 / wallSec : 0;
   }
-  /// As-if throughput counting replayed golden prefixes as simulated.
+  /// As-if throughput counting skipped golden instructions as simulated.
   double effectiveMips() const {
     return wallSec > 0 ? static_cast<double>(simInstrs + replaySavedInstrs) /
                              1e6 / wallSec

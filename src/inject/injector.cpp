@@ -177,19 +177,19 @@ bool Campaign::profile() {
   }
   if (totalWeight_ == 0) return false;
 
-  // Replay cache (DESIGN.md §4c): resolve the segment length, then capture
-  // the golden run's boundary states in a second pass (the auto interval
-  // and the site table both depend on this first pass).
-  checkpoints_.clear();
-  ckptInterval_ = resolveSpacing(cfg_.checkpointEveryInstrs, goldenInstrs_);
-  if (ckptInterval_ > 0) buildCheckpoints();
-
   // Rollback-ring spacing (DESIGN.md §4f): same auto rule, deliberately
   // its own knob — rollback trials must behave identically whether or not
   // the replay cache is enabled.
   rollbackInterval_ = resolveSpacing(cfg_.rollbackEveryInstrs, goldenInstrs_);
   if (rollbackInterval_ == 0)
     rollbackInterval_ = goldenInstrs_ + 1; // entry checkpoint only
+
+  // Replay cache (DESIGN.md §4c): resolve the segment length, then capture
+  // the golden run's boundary states in a second pass (the auto interval
+  // and the site table both depend on this first pass).
+  checkpoints_.clear();
+  ckptInterval_ = resolveSpacing(cfg_.checkpointEveryInstrs, goldenInstrs_);
+  if (ckptInterval_ > 0) buildCheckpoints();
 
   // Pruning support (DESIGN.md §4j): the deadmem class needs a per-word
   // last-access bound, built from one traced golden run. Register-model
@@ -229,26 +229,40 @@ void Campaign::buildCheckpoints() {
   trace::Span span("campaign.build_checkpoints", "campaign");
   // Re-run the golden execution through the shared boundary driver
   // (vm/checkpoint_ring.hpp), capturing a TrialCheckpoint at every segment
-  // boundary. The driver also pauses once at entry (instruction 0) for
-  // rollback rings; the replay cache has no use for that boundary — a
-  // trial with no earlier checkpoint simply runs from scratch — so the
-  // first callback is skipped to keep the pre-existing checkpoint set.
+  // boundary. The driver first pauses at entry (instruction 0): that
+  // capture is entry_, the pinned slot every rollback ring starts with.
+  // When a rolling-back strategy spaces its ring differently, the rollback
+  // grid joins the table as scheduled stops, so a rolling-back trial can
+  // fast-forward to a boundary its own ring would have captured.
   Executor ex(image_, baseMem_);
   ex.enableProfiling();
+  auto capture = [&](Executor& e) {
+    TrialCheckpoint ck;
+    ck.rp = e.resumePoint();
+    ck.siteCounts.reserve(sites_.size());
+    for (const CodeLoc& loc : sites_)
+      ck.siteCounts.push_back(e.profileCount(loc));
+    checkpoints_.push_back(std::move(ck));
+    return false;
+  };
+  std::vector<vm::ScheduledEvent> rollbackGrid;
+  if (core::strategyRollsBack(cfg_.recover) &&
+      rollbackInterval_ != ckptInterval_)
+    for (std::uint64_t at = rollbackInterval_; at < goldenInstrs_;
+         at += rollbackInterval_)
+      if (at % ckptInterval_ != 0) rollbackGrid.push_back({at, capture});
   bool atEntry = true;
-  vm::runCheckpointed(ex, cfg_.entry, ckptInterval_, goldenInstrs_,
-                      [&](Executor& e) {
-                        if (atEntry) {
-                          atEntry = false;
-                          return;
-                        }
-                        TrialCheckpoint ck;
-                        ck.rp = e.resumePoint();
-                        ck.siteCounts.reserve(sites_.size());
-                        for (const CodeLoc& loc : sites_)
-                          ck.siteCounts.push_back(e.profileCount(loc));
-                        checkpoints_.push_back(std::move(ck));
-                      });
+  vm::runCheckpointed(
+      ex, cfg_.entry, ckptInterval_, goldenInstrs_,
+      [&](Executor& e) {
+        if (!atEntry) {
+          capture(e);
+          return;
+        }
+        atEntry = false;
+        entry_ = e.resumePoint();
+      },
+      rollbackGrid);
 }
 
 std::ptrdiff_t Campaign::siteIndexOf(const CodeLoc& loc) const {
@@ -296,6 +310,27 @@ Campaign::replaySourceAt(std::uint64_t instrAt) const {
     else hi = mid;
   }
   return lo > 0 ? &checkpoints_[lo - 1] : nullptr;
+}
+
+const Campaign::TrialCheckpoint*
+Campaign::rollbackSource(const TrialCheckpoint* ck) const {
+  while (ck && ck->rp.instrCount % rollbackInterval_ != 0)
+    ck = ck == checkpoints_.data() ? nullptr : ck - 1;
+  return ck;
+}
+
+void Campaign::seedRing(vm::CheckpointRing& ring,
+                        const TrialCheckpoint* restored) const {
+  // A from-entry trial's ring, when its driver pushes `restored`, holds the
+  // entry plus the latest capacity-1 grid boundaries up to `restored`; the
+  // driver pushes `restored` itself, so seed the entry and the capacity-2
+  // grid boundaries before it, in push order.
+  std::vector<const TrialCheckpoint*> prior;
+  for (const TrialCheckpoint* g = restored;
+       g != checkpoints_.data() && prior.size() + 2 < ring.capacity();)
+    if ((--g)->rp.instrCount % rollbackInterval_ == 0) prior.push_back(g);
+  ring.push(entry_);
+  for (auto g = prior.rbegin(); g != prior.rend(); ++g) ring.push((*g)->rp);
 }
 
 InjectionPoint Campaign::sample(Rng& rng) const {
@@ -364,47 +399,45 @@ InjectionPoint Campaign::sample(Rng& rng) const {
 
 InjectionResult Campaign::runInjection(
     const InjectionPoint& pt,
-    const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts) const {
+    const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts,
+    core::SafeguardStats* careStats) const {
   InjectionResult res;
   Executor ex(image_, baseMem_);
   // ECC shadows are armed on the trial executor only — the golden run is
   // fault-free, so protecting it would measure nothing (DESIGN.md §4i).
   if (cfg_.ecc != vm::EccMode::Off) ex.memory().setEccMode(cfg_.ecc);
   const bool memFault = pt.model != FaultModel::Reg;
-  // Rollback strategies re-execute from ring checkpoints captured *during
-  // this trial*; the replay-cache fast-forward is skipped for them so the
-  // trial is identical whether or not the cache is enabled (the ring's
-  // entry checkpoint must also genuinely be the entry state, which a
-  // restored mid-run prefix would not be).
-  const bool wantRollback =
-      careArtifacts && core::strategyRollsBack(cfg_.recover);
+  const bool rollsBack = careArtifacts && core::strategyRollsBack(cfg_.recover);
+  vm::CheckpointRing ring(cfg_.rollbackRingCap);
   // Replay cache: fast-forward to the last checkpoint before the fault site
   // and arm with the *remaining* executions (memory faults are timed on the
   // absolute instruction count, so they need no re-arming). instrCount and
   // output are restored absolute, so the hang budget, manifestation latency
-  // and SDC comparison below are oblivious to the skipped prefix.
+  // and SDC comparison below are oblivious to the skipped prefix. A
+  // rolling-back trial restores a boundary of its own ring's grid and is
+  // handed the ring a from-entry run would hold there (DESIGN.md §4f).
+  const TrialCheckpoint* ck =
+      memFault ? replaySourceAt(pt.nth) : replaySource(pt);
+  if (rollsBack) ck = rollbackSource(ck);
   std::uint64_t armNth = pt.nth;
-  if (!wantRollback) {
-    if (const TrialCheckpoint* ck =
-            memFault ? replaySourceAt(pt.nth) : replaySource(pt)) {
-      {
-        trace::Span restoreSpan("trial.restore_checkpoint", "campaign");
-        ex.restoreCheckpoint(ck->rp);
-      }
-      if (!memFault)
-        armNth = pt.nth -
-                 ck->siteCounts[static_cast<std::size_t>(siteIndexOf(pt.loc))];
-      res.replaySavedInstrs = ck->rp.instrCount;
+  if (ck) {
+    {
+      trace::Span restoreSpan("trial.restore_checkpoint", "campaign");
+      ex.restoreCheckpoint(ck->rp);
     }
+    if (!memFault)
+      armNth = pt.nth -
+               ck->siteCounts[static_cast<std::size_t>(siteIndexOf(pt.loc))];
+    res.replaySavedInstrs = ck->rp.instrCount;
+    if (rollsBack) seedRing(ring, ck);
   }
   const std::uint64_t budget = goldenInstrs_ * cfg_.hangFactor + 1'000'000;
-  vm::CheckpointRing ring(cfg_.rollbackRingCap);
   std::unique_ptr<core::Safeguard> safeguard;
   if (careArtifacts) {
     safeguard = std::make_unique<core::Safeguard>();
     safeguard->setPatchTarget(cfg_.patchTarget);
     safeguard->setStrategy(cfg_.recover);
-    if (wantRollback) safeguard->setRollbackSource(&ring);
+    if (rollsBack) safeguard->setRollbackSource(&ring);
     for (const auto& [mi, arts] : *careArtifacts)
       safeguard->addModule(mi, arts);
     safeguard->attach(ex);
@@ -420,28 +453,53 @@ InjectionResult Campaign::runInjection(
     });
 
   // One schedule drives every trial (vm/checkpoint_ring.hpp): rollback
-  // trials feed the ring at entry and every rollbackInterval_ (a mid-run
-  // rollback rewinds instrCount; the grid is absolute, so the re-execution
-  // runs back up to the next boundary), and memory models strike their
-  // word exactly at pt.nth, after any capture at that count. The strike is
-  // transient: a rollback to a checkpoint before pt.nth genuinely erases
-  // it. With neither, the trial is one run to completion.
+  // trials feed the ring every rollbackInterval_ from where they start (a
+  // mid-run rollback rewinds instrCount; the grid is absolute, so the
+  // re-execution runs back up to the next boundary), and memory models
+  // strike their word exactly at pt.nth, after any capture at that count.
+  // The strike is transient: a rollback to a checkpoint before pt.nth
+  // genuinely erases it. Convergence (DESIGN.md §4c): at every later golden
+  // boundary an ECC-off trial whose fault has fired compares its state with
+  // the golden one and stops on equality — the rest of the run is the
+  // golden run. ECC shadows are not part of that state, so ECC-armed
+  // trials run to the end.
+  bool converged = false;
   std::vector<vm::ScheduledEvent> events;
-  if (memFault)
-    events.push_back({pt.nth, [&](Executor& e) {
-                        fired = e.memory().injectFault(pt.memAddr, pt.bits);
-                        injAt = pt.nth;
-                      }});
-  const vm::RunResult run = vm::runCheckpointed(
-      ex, cfg_.entry, wantRollback ? rollbackInterval_ : 0, budget,
+  if (cfg_.ecc == vm::EccMode::Off)
+    for (const TrialCheckpoint* g = ck ? ck + 1 : checkpoints_.data();
+         g != checkpoints_.data() + checkpoints_.size(); ++g)
+      events.push_back({g->rp.instrCount, [&, g](Executor& e) {
+                          converged = fired && e.sameState(g->rp);
+                          return converged;
+                        }});
+  if (memFault) {
+    const vm::ScheduledEvent strike{pt.nth, [&](Executor& e) {
+                                      fired = e.memory().injectFault(
+                                          pt.memAddr, pt.bits);
+                                      injAt = pt.nth;
+                                      return false;
+                                    }};
+    events.insert(std::upper_bound(events.begin(), events.end(), strike,
+                                   [](const auto& a, const auto& b) {
+                                     return a.at < b.at;
+                                   }),
+                  strike);
+  }
+  vm::RunResult run = vm::runCheckpointed(
+      ex, cfg_.entry, rollsBack ? rollbackInterval_ : 0, budget,
       [&](Executor& e) { ring.push(e); }, events);
+  if (converged) {
+    res.replaySavedInstrs += goldenInstrs_ - run.instrCount;
+    run.status = vm::RunStatus::Done;
+    run.instrCount = goldenInstrs_;
+  }
   res.injected = fired;
   res.instrsExecuted = run.instrCount;
 
   switch (run.status) {
   case vm::RunStatus::Done:
     res.survived = true;
-    res.outputMatchesGolden = ex.output() == goldenOutput_;
+    res.outputMatchesGolden = converged || ex.output() == goldenOutput_;
     res.outcome = res.outputMatchesGolden ? Outcome::Benign : Outcome::SDC;
     break;
   case vm::RunStatus::Trapped:
@@ -478,6 +536,7 @@ InjectionResult Campaign::runInjection(
 
   if (careArtifacts) {
     const core::SafeguardStats& st = safeguard->stats();
+    if (careStats) *careStats = st;
     res.safeguardActivations = st.activations;
     res.ivAltRecoveries = st.ivAltRecoveries;
     res.rollbacks = st.rollbacks;

@@ -80,8 +80,9 @@ struct InjectionResult {
   std::uint64_t instrsExecuted = 0; // dynamic instructions in this run,
                                     // counted from instruction 0 even when
                                     // the replay cache skipped the prefix
-  /// Golden-prefix instructions the replay cache fast-forwarded over (0
-  /// when checkpointing is off or no checkpoint precedes the fault site).
+  /// Golden instructions this trial did not execute: the prefix the replay
+  /// cache fast-forwarded over, plus the tail after the trial re-converged
+  /// with the golden run (DESIGN.md §4c). 0 when checkpointing is off.
   /// Work accounting, not a semantic outcome: carried by the full-fidelity
   /// wire format (pipes / caches) but excluded from the deterministic
   /// projection, since it varies with the replay interval.
@@ -217,11 +218,13 @@ public:
 
   /// Run one injection. When `careArtifacts` is non-null a fresh Safeguard
   /// is constructed with those per-module artifacts and attached (the
-  /// CARE-enabled configuration).
+  /// CARE-enabled configuration); `careStats`, if given, receives its
+  /// stats, per-activation records included.
   InjectionResult runInjection(
       const InjectionPoint& pt,
       const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts =
-          nullptr) const;
+          nullptr,
+      core::SafeguardStats* careStats = nullptr) const;
 
   /// Does this MIR instruction have an injectable destination operand?
   static bool injectable(const backend::MInst& in);
@@ -241,6 +244,13 @@ private:
   /// Same for memory-resident faults, keyed on absolute instruction time:
   /// the last checkpoint captured at or before `instrAt`.
   const TrialCheckpoint* replaySourceAt(std::uint64_t instrAt) const;
+  /// The restore point of a rolling-back trial: `ck` or the nearest
+  /// checkpoint before it on the rollback grid; null for the entry.
+  const TrialCheckpoint* rollbackSource(const TrialCheckpoint* ck) const;
+  /// Fill a rolling-back trial's ring as a from-entry run would have it
+  /// just before pushing `restored`.
+  void seedRing(vm::CheckpointRing& ring,
+                const TrialCheckpoint* restored) const;
 
   const vm::Image* image_;
   CampaignConfig cfg_;
@@ -258,9 +268,11 @@ private:
   std::vector<std::uint64_t> cumulative_;
   std::uint64_t totalWeight_ = 0;
   // Replay cache: golden-run segment boundaries every ckptInterval_
-  // dynamic instructions (DESIGN.md §4c).
+  // dynamic instructions, plus the rollback grid when a rolling-back
+  // strategy spaces it differently (DESIGN.md §4c), and the entry.
   std::uint64_t ckptInterval_ = 0;
   std::vector<TrialCheckpoint> checkpoints_;
+  vm::Executor::ResumePoint entry_;
   // Dead-after-t word table for pruning (DESIGN.md §4j); built by
   // profile() only when pruning is on and the model is memory-resident.
   std::unique_ptr<pareto::MemoryLife> memLife_;

@@ -62,8 +62,8 @@ RunResult runCheckpointed(Executor& ex, const std::string& entry,
     if (periodic) {
       onBoundary(ex);
       next += interval;
-    } else {
-      (event++)->fire(ex);
+    } else if ((event++)->fire(ex)) {
+      return r;
     }
   }
   return runToCompletion(ex, entry);

@@ -7,7 +7,8 @@
 // out of Campaign::profile() so it also serves the rollback-domain
 // recovery strategy (DESIGN.md §4f): runCheckpointed() pauses a run every
 // `interval` instructions for the caller to capture state, plus at any
-// one-shot events it is given (the campaign's memory strike), and
+// one-shot events it is given (the campaign's memory strike and
+// convergence probes, either of which may end the run), and
 // CheckpointRing holds the captures in bounded memory — the entry
 // checkpoint is pinned (a fault before the first periodic boundary falls
 // back to a from-entry re-execution) while periodic slots evict oldest
@@ -72,10 +73,11 @@ private:
 };
 
 /// A one-shot stop in a runCheckpointed() schedule: when the run reaches
-/// absolute instruction count `at`, call `fire(ex)` (a memory strike).
+/// absolute instruction count `at`, call `fire(ex)` (a memory strike, a
+/// convergence probe). `fire` returns true to end the run right there.
 struct ScheduledEvent {
   std::uint64_t at = 0;
-  std::function<void(Executor&)> fire;
+  std::function<bool(Executor&)> fire;
 };
 
 /// Drive `ex` from `entry` to completion (or trap / finalBudget) by walking
@@ -91,7 +93,8 @@ struct ScheduledEvent {
 ///    (rollback): the segment still runs to its original boundary.
 ///    interval == 0 schedules none;
 ///  * the one-shot `events`, ascending by `at`. At an equal count the
-///    periodic boundary comes first.
+///    periodic boundary comes first. An event that asks to stop ends the
+///    run at its count: the result is that stop's BudgetExceeded.
 /// With no boundaries and no events this is a single runToCompletion().
 RunResult runCheckpointed(Executor& ex, const std::string& entry,
                           std::uint64_t interval, std::uint64_t finalBudget,

@@ -164,6 +164,11 @@ public:
   /// duplicates. The replay cache keeps the default (reseat), preserving
   /// its as-if-from-scratch equivalence.
   void restoreCheckpoint(const ResumePoint& rp, bool preserveOutput = false);
+  /// Is this executor, stopped between run() calls, in exactly `rp`'s
+  /// state? Compares in place, without capturing a ResumePoint: position,
+  /// started, instrCount, registers byte for byte, output, and memory by
+  /// MemorySnapshot::compare. ECC shadows and counters are not compared.
+  bool sameState(const ResumePoint& rp) const;
 
   // --- run ----------------------------------------------------------------
   /// Execute from `entry`. A Barrier instruction (MiniC `mpi_barrier()`)

@@ -15,6 +15,21 @@ namespace {
 // read deltas of this to prove that clone()/checkpoint() share pages
 // instead of deep-copying.
 std::atomic<std::uint64_t> gPageAllocs{0};
+
+/// First entry of a sorted page table at or after `pageNo`.
+template <class PageMap>
+auto lowerBound(PageMap& pages, std::uint64_t pageNo) {
+  return std::lower_bound(
+      pages.begin(), pages.end(), pageNo,
+      [](const auto& entry, std::uint64_t p) { return entry.first < p; });
+}
+
+/// The storage slot of `pageNo`, or null when it is unmapped.
+template <class PageMap>
+auto* findPage(PageMap& pages, std::uint64_t pageNo) {
+  auto it = lowerBound(pages, pageNo);
+  return it != pages.end() && it->first == pageNo ? &it->second : nullptr;
+}
 } // namespace
 
 std::uint64_t Memory::pageAllocCount() {
@@ -30,12 +45,12 @@ void Memory::map(std::uint64_t addr, std::uint64_t size) {
   // cannot wrap even when `end` is within a page of 2^64.
   const std::uint64_t last = end / kPageSize + (end % kPageSize != 0 ? 1 : 0);
   for (std::uint64_t p = first; p < last; ++p) {
-    auto& slot = pages_[p];
-    if (!slot) {
-      slot = std::make_shared<Page>();
-      slot->fill(0);
-      gPageAllocs.fetch_add(1, std::memory_order_relaxed);
-    }
+    auto it = lowerBound(pages_, p);
+    if (it != pages_.end() && it->first == p) continue;
+    auto page = std::make_shared<Page>();
+    page->fill(0);
+    gPageAllocs.fetch_add(1, std::memory_order_relaxed);
+    pages_.emplace(it, p, std::move(page));
   }
   flushTlb();
 }
@@ -45,18 +60,18 @@ bool Memory::isMapped(std::uint64_t addr) const {
 }
 
 const std::uint8_t* Memory::readMiss(std::uint64_t pageNo) const {
-  auto it = pages_.find(pageNo);
-  if (it == pages_.end()) return nullptr;
+  const auto* slot = findPage(pages_, pageNo);
+  if (!slot) return nullptr;
   TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
   e.pageNo = pageNo;
-  e.data = it->second->data();
+  e.data = (*slot)->data();
   return e.data;
 }
 
 std::uint8_t* Memory::writeMiss(std::uint64_t pageNo) {
-  auto it = pages_.find(pageNo);
-  if (it == pages_.end()) return nullptr;
-  std::shared_ptr<Page>& slot = it->second;
+  std::shared_ptr<Page>* found = findPage(pages_, pageNo);
+  if (!found) return nullptr;
+  std::shared_ptr<Page>& slot = *found;
   if (slot.use_count() > 1) {
     // Copy-on-write break: this page is shared with a snapshot/clone.
     slot = std::make_shared<Page>(*slot);
@@ -239,7 +254,6 @@ std::vector<std::uint64_t> Memory::pageNumbers() const {
   std::vector<std::uint64_t> out;
   out.reserve(pages_.size());
   for (const auto& [pageNo, page] : pages_) out.push_back(pageNo);
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -384,11 +398,25 @@ Memory MemorySnapshot::fork() const {
   return out;
 }
 
+std::optional<std::size_t> MemorySnapshot::compare(const Memory& m) const {
+  if (m.pages_.size() != pages_.size()) return std::nullopt;
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < pages_.size(); ++i) {
+    const auto& [pageNo, page] = pages_[i];
+    const auto& [livePageNo, livePage] = m.pages_[i];
+    if (livePageNo != pageNo) return std::nullopt;
+    if (livePage == page) continue;
+    ++compared;
+    if (std::memcmp(livePage->data(), page->data(), Memory::kPageSize) != 0)
+      return std::nullopt;
+  }
+  return compared;
+}
+
 std::vector<std::uint64_t> MemorySnapshot::pageNumbers() const {
   std::vector<std::uint64_t> out;
   out.reserve(pages_.size());
   for (const auto& [pageNo, page] : pages_) out.push_back(pageNo);
-  std::sort(out.begin(), out.end());
   return out;
 }
 

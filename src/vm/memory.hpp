@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -176,7 +177,10 @@ private:
   friend class MemorySnapshot;
 
   using Page = std::array<std::uint8_t, kPageSize>;
-  using PageMap = std::unordered_map<std::uint64_t, std::shared_ptr<Page>>;
+  /// The page table, sorted by page number. A flat array, so a clone,
+  /// snapshot or fork copies one allocation instead of rebuilding a hash
+  /// table; lookups binary-search it, on TLB misses only.
+  using PageMap = std::vector<std::pair<std::uint64_t, std::shared_ptr<Page>>>;
   /// One SECDED code byte per aligned 64-bit word of a page.
   using EccPage = std::array<std::uint8_t, kPageSize / 8>;
   using EccPageMap =
@@ -234,6 +238,13 @@ public:
   }
   /// Sorted page numbers (fault-site sampling over the golden image).
   std::vector<std::uint64_t> pageNumbers() const;
+
+  /// Page-identity diff against a live address space: a page `m` still
+  /// shares copy-on-write with this snapshot is equal without a look, and
+  /// only the others are memcmp'd. Returns how many pages had to be
+  /// compared by content, or nullopt when the contents differ (a byte, or
+  /// a page mapped on one side only). ECC shadows are not compared.
+  std::optional<std::size_t> compare(const Memory& m) const;
 
 private:
   Memory::PageMap pages_;

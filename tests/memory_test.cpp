@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "support/error.hpp"
@@ -194,6 +195,35 @@ TEST(MemoryCow, SnapshotForkSharesAllPages) {
   ASSERT_EQ(f2.load(0, MType::I64, v), MemStatus::Ok);
   EXPECT_EQ(v, 200u);
   EXPECT_EQ(Memory::pageAllocCount(), before + 2); // one CoW break per fork
+}
+
+TEST(MemoryCow, SnapshotComparePagesByIdentityThenContent) {
+  Memory a;
+  a.map(0, 4 * kPage);
+  ASSERT_EQ(a.store(kPage, MType::I64, 42), MemStatus::Ok);
+  const MemorySnapshot snap = MemorySnapshot::capture(a);
+
+  // Every page still shared: equal without a single content comparison.
+  Memory f = snap.fork();
+  EXPECT_EQ(snap.compare(f), std::optional<std::size_t>(0));
+
+  // A store of the value already there copies the page: equal, but by
+  // content, and only that page is compared.
+  ASSERT_EQ(f.store(kPage, MType::I64, 42), MemStatus::Ok);
+  EXPECT_EQ(snap.compare(f), std::optional<std::size_t>(1));
+
+  // One byte off in a copied page.
+  ASSERT_EQ(f.store(kPage + 4095, MType::I8, 1), MemStatus::Ok);
+  EXPECT_EQ(snap.compare(f), std::nullopt);
+  ASSERT_EQ(f.store(kPage + 4095, MType::I8, 0), MemStatus::Ok);
+  EXPECT_EQ(snap.compare(f), std::optional<std::size_t>(1));
+
+  // A zero page mapped on one side only, either side.
+  f.map(8 * kPage, 8);
+  EXPECT_EQ(snap.compare(f), std::nullopt);
+  a.map(8 * kPage, 8);
+  const MemorySnapshot wider = MemorySnapshot::capture(a);
+  EXPECT_EQ(wider.compare(snap.fork()), std::nullopt);
 }
 
 // --- typed accessors, plain and CoW-forked ----------------------------------

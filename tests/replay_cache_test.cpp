@@ -256,5 +256,94 @@ TEST(ReplayCache, FiveWorkloadsSerializeBitIdentical) {
   EXPECT_GT(savedTotal, 0u);
 }
 
+TEST(ReplayCache, EveryStrategyFaultModelAndEccSerializeBitIdentical) {
+  // Replay on (fast-forward, rolling-back re-runs with a seeded ring, and
+  // convergence where ECC is off) against replay off (from entry, to the
+  // end) on every recovery strategy x fault model x ECC mode, with CARE
+  // re-runs of every SIGSEGV and ECC-detected trial.
+  inject::ExperimentConfig bcfg;
+  runEnv().apply(bcfg);
+  bcfg.cacheDir = "care_test_artifacts/replay_matrix";
+  std::filesystem::remove_all(bcfg.cacheDir);
+  inject::BuiltWorkload built = inject::buildWorkload(workloads::gtcp(), bcfg);
+  const inject::ServiceConfig svc = envService(4);
+  int careReruns = 0;
+  for (core::RecoveryStrategy recover :
+       {core::RecoveryStrategy::None, core::RecoveryStrategy::Repair,
+        core::RecoveryStrategy::Rollback,
+        core::RecoveryStrategy::RepairThenRollback})
+    for (inject::FaultModel fault :
+         {inject::FaultModel::Reg, inject::FaultModel::Mem1,
+          inject::FaultModel::Mem2Adj, inject::FaultModel::Burst})
+      for (vm::EccMode ecc : {vm::EccMode::Off, vm::EccMode::Secded,
+                              vm::EccMode::SecdedCrc}) {
+        CampaignConfig onCfg = pinnedConfig();
+        onCfg.recover = recover;
+        onCfg.fault = fault;
+        onCfg.ecc = ecc;
+        onCfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
+        CampaignConfig offCfg = onCfg;
+        offCfg.checkpointEveryInstrs = 0;
+        Campaign off(built.image.get(), offCfg);
+        Campaign on(built.image.get(), onCfg);
+        ASSERT_TRUE(off.profile());
+        ASSERT_TRUE(on.profile());
+        inject::ExperimentResult a, b;
+        a.workload = b.workload = "gtcp";
+        a.level = b.level = opt::OptLevel::O0;
+        a.goldenInstrs = b.goldenInstrs = on.goldenInstrs();
+        a.records = inject::runCampaign(off, 12, /*seed=*/55, 4,
+                                        &built.artifacts, nullptr, &svc);
+        b.records = inject::runCampaign(on, 12, /*seed=*/55, 4,
+                                        &built.artifacts, nullptr, &svc);
+        EXPECT_EQ(inject::serializeDeterministic(a),
+                  inject::serializeDeterministic(b))
+            << core::recoveryStrategyName(recover) << " "
+            << inject::faultModelName(fault) << " ecc "
+            << static_cast<int>(ecc);
+        for (const inject::InjectionRecord& r : b.records)
+          careReruns += r.haveCare;
+      }
+  EXPECT_GT(careReruns, 0) << "matrix produced no CARE re-runs";
+}
+
+TEST(ReplayCache, BenignTrialsStopOnceTheyReconverge) {
+  // Non-vacuity of convergence: on CoMD O0 most Benign tails re-converge
+  // with the golden run, and a trial that stopped there reports the
+  // skipped tail on top of its skipped prefix — more than its restore
+  // point alone.
+  inject::ExperimentConfig bcfg;
+  runEnv().apply(bcfg);
+  bcfg.cacheDir = "care_test_artifacts/replay_converge";
+  std::filesystem::remove_all(bcfg.cacheDir);
+  inject::BuiltWorkload built = inject::buildWorkload(workloads::comd(), bcfg);
+  CampaignConfig cfg = pinnedConfig();
+  cfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
+  Campaign c(built.image.get(), cfg);
+  ASSERT_TRUE(c.profile());
+  ASSERT_GT(c.checkpoints().size(), 0u);
+
+  Rng rng(2026);
+  int benign = 0, converged = 0;
+  for (int i = 0; i < 40; ++i) {
+    const InjectionPoint pt = c.sample(rng);
+    const InjectionResult r = c.runInjection(pt);
+    if (r.outcome != inject::Outcome::Benign) continue;
+    ++benign;
+    // The restore point: the last checkpoint the site had not yet reached
+    // its nth execution by.
+    const auto si = static_cast<std::size_t>(c.siteIndexOf(pt.loc));
+    std::uint64_t restoredAt = 0;
+    for (const Campaign::TrialCheckpoint& ck : c.checkpoints())
+      if (ck.siteCounts[si] < pt.nth) restoredAt = ck.rp.instrCount;
+    EXPECT_GE(r.replaySavedInstrs, restoredAt);
+    if (r.replaySavedInstrs == restoredAt) continue;
+    ++converged;
+    EXPECT_EQ(r.instrsExecuted, c.goldenInstrs());
+  }
+  ASSERT_GT(benign, 0);
+  EXPECT_GT(converged, 0) << "no Benign trial stopped at re-convergence";
+}
+
 } // namespace
 } // namespace care::test

@@ -10,8 +10,9 @@
 //    byte-identical between `repair` and `repair_then_rollback`; a clean
 //    (never-injected) run under `rollback` is observationally identical to
 //    `none`; a rollback whose fault let corrupt/duplicated output escape
-//    is classified RolledBack-with-SDC, never as recovered; rollback
-//    re-runs never engage the replay-cache fast-forward.
+//    is classified RolledBack-with-SDC, never as recovered; a rollback
+//    re-run that fast-forwards through the replay cache rolls back to the
+//    same targets as one run from entry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -190,7 +191,10 @@ TEST(CheckpointRing, RunCheckpointedWalksEventsInScheduleOrder) {
   std::vector<std::pair<std::uint64_t, char>> stops;
   auto event = [&](std::uint64_t at) {
     return vm::ScheduledEvent{
-        at, [&](vm::Executor& e) { stops.emplace_back(e.instrCount(), 'e'); }};
+        at, [&](vm::Executor& e) {
+          stops.emplace_back(e.instrCount(), 'e');
+          return false;
+        }};
   };
   const std::vector<vm::ScheduledEvent> events = {event(0), event(250),
                                                   event(300), event(301)};
@@ -218,6 +222,35 @@ TEST(CheckpointRing, RunCheckpointedWalksEventsInScheduleOrder) {
   const std::vector<std::pair<std::uint64_t, char>> eventsOnly = {
       {0, 'e'}, {250, 'e'}, {300, 'e'}, {301, 'e'}};
   EXPECT_EQ(stops, eventsOnly);
+}
+
+TEST(CheckpointRing, RunCheckpointedStopsAtAnEventThatAsks) {
+  const Program p = buildProgram(R"(
+      int main() {
+        int s = 0;
+        for (int i = 0; i < 300; i = i + 1) { s = s + i; }
+        emit(s);
+        return 0;
+      })", opt::OptLevel::O0);
+  std::vector<std::uint64_t> boundaries, fired;
+  auto event = [&](std::uint64_t at, bool stop) {
+    return vm::ScheduledEvent{at, [&, stop](vm::Executor& e) {
+                                fired.push_back(e.instrCount());
+                                return stop;
+                              }};
+  };
+  const std::vector<vm::ScheduledEvent> events = {
+      event(150, false), event(250, true), event(350, false)};
+  vm::Executor ex(p.image.get());
+  const vm::RunResult r = vm::runCheckpointed(
+      ex, "main", 100, 2'000'000'000ull,
+      [&](vm::Executor& e) { boundaries.push_back(e.instrCount()); }, events);
+  EXPECT_EQ(r.status, vm::RunStatus::BudgetExceeded);
+  EXPECT_EQ(r.instrCount, 250u);
+  EXPECT_EQ(ex.instrCount(), 250u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{150, 250}));
+  EXPECT_EQ(boundaries, (std::vector<std::uint64_t>{0, 100, 200}));
+  EXPECT_TRUE(ex.output().empty());
 }
 
 // --- strategy differentials ----------------------------------------------
@@ -408,41 +441,59 @@ TEST(RollbackRecovery, RepairSuccessRecordsBitIdenticalOnBothInterps) {
   }
 }
 
-TEST(RollbackRecovery, RollbackRerunSkipsReplayFastForward) {
-  // Rollback trials need their ring's entry capture to genuinely be the
-  // entry state, so the replay-cache fast-forward must stay off for them —
-  // and only for them (the plain leg of the same campaign still replays).
+TEST(RollbackRecovery, RollbackRerunFastForwardsWithTheFromEntryRing) {
+  // A rolling-back CARE re-run restores a golden rollback-grid boundary and
+  // is handed the ring a from-entry run holds there, so every rollback
+  // picks the same target with replay on as with replay off — at every
+  // ring capacity, and when the replay and rollback grids differ.
   CareEnv e = buildCare(kGridProg, "replay");
-  CampaignConfig repairCfg = pinnedConfig(RecoveryStrategy::Repair);
-  repairCfg.checkpointEveryInstrs = 400;
-  CampaignConfig rollCfg = repairCfg;
-  rollCfg.recover = RecoveryStrategy::RepairThenRollback;
-  Campaign repair(e.image.get(), repairCfg);
-  Campaign roll(e.image.get(), rollCfg);
-  ASSERT_TRUE(repair.profile());
-  ASSERT_TRUE(roll.profile());
-  ASSERT_GT(repair.checkpoints().size(), 0u);
-  ASSERT_GT(roll.checkpoints().size(), 0u); // cache still built (plain leg)
+  struct Grid {
+    std::uint64_t replay, rollback;
+  };
+  int fastForwarded = 0, rollbacks = 0;
+  for (std::size_t cap : {1u, 2u, 8u})
+    for (const Grid grid : {Grid{400, 400}, Grid{400, 300}}) {
+      CampaignConfig onCfg = pinnedConfig(RecoveryStrategy::Rollback);
+      onCfg.rollbackRingCap = cap;
+      onCfg.checkpointEveryInstrs = grid.replay;
+      onCfg.rollbackEveryInstrs = grid.rollback;
+      CampaignConfig offCfg = onCfg;
+      offCfg.checkpointEveryInstrs = 0;
+      Campaign on(e.image.get(), onCfg);
+      Campaign off(e.image.get(), offCfg);
+      ASSERT_TRUE(on.profile());
+      ASSERT_TRUE(off.profile());
+      ASSERT_GT(on.checkpoints().size(), 3u);
+      ASSERT_EQ(off.checkpoints().size(), 0u);
 
-  // Find a SIGSEGV whose CARE re-run fast-forwards under repair.
-  Rng rng(31);
-  bool found = false;
-  for (int i = 0; i < 300 && !found; ++i) {
-    const InjectionPoint pt = repair.sample(rng);
-    const InjectionResult plain = repair.runInjection(pt);
-    if (plain.outcome != Outcome::SoftFailure ||
-        plain.signal != vm::TrapKind::SegFault)
-      continue;
-    const InjectionResult a = repair.runInjection(pt, &e.artifacts);
-    if (a.replaySavedInstrs == 0) continue;
-    found = true;
-    const InjectionResult b = roll.runInjection(pt, &e.artifacts);
-    EXPECT_EQ(b.replaySavedInstrs, 0u)
-        << "rollback re-run engaged the replay cache";
-    // The plain leg of the rollback campaign is unaffected.
-    EXPECT_GT(roll.runInjection(pt).replaySavedInstrs, 0u);
-  }
-  EXPECT_TRUE(found) << "no fast-forwarded CARE re-run to compare";
+      Rng rng(31);
+      for (int i = 0; i < 200; ++i) {
+        const InjectionPoint pt = on.sample(rng);
+        const InjectionResult plain = on.runInjection(pt);
+        if (plain.outcome != Outcome::SoftFailure ||
+            plain.signal != vm::TrapKind::SegFault)
+          continue;
+        core::SafeguardStats stOn, stOff;
+        const InjectionResult a = on.runInjection(pt, &e.artifacts, &stOn);
+        const InjectionResult b = off.runInjection(pt, &e.artifacts, &stOff);
+        std::vector<std::uint64_t> toOn, toOff;
+        for (const core::RecoveryRecord& r : stOn.records)
+          if (r.rolledBack) toOn.push_back(r.rollbackToInstr);
+        for (const core::RecoveryRecord& r : stOff.records)
+          if (r.rolledBack) toOff.push_back(r.rollbackToInstr);
+        EXPECT_EQ(toOn, toOff) << "cap " << cap << " rollback grid "
+                               << grid.rollback << " trial " << i;
+        const InjectionRecord ra{pt, plain, true, a};
+        const InjectionRecord rb{pt, plain, true, b};
+        EXPECT_EQ(inject::serializeDeterministicRecord(ra),
+                  inject::serializeDeterministicRecord(rb));
+        EXPECT_EQ(b.replaySavedInstrs, 0u);
+        if (a.replaySavedInstrs > 0) ++fastForwarded;
+        rollbacks += static_cast<int>(toOn.size());
+      }
+    }
+  EXPECT_GT(fastForwarded, 0) << "no rollback re-run fast-forwarded";
+  EXPECT_GT(rollbacks, 0) << "no rollback to compare";
 }
 
 TEST(RollbackRecovery, EccUncorrectableTriggersRollbackRecovery) {
@@ -469,6 +520,12 @@ TEST(RollbackRecovery, EccUncorrectableTriggersRollbackRecovery) {
   cfg.ecc = vm::EccMode::Secded;
   Campaign roll(e.image.get(), cfg);
   ASSERT_TRUE(roll.profile());
+  // The same trials from entry: golden checkpoints carry no ECC shadow, so
+  // the fast-forwarded re-run must still see exactly the from-entry run.
+  CampaignConfig offCfg = cfg;
+  offCfg.checkpointEveryInstrs = 0;
+  Campaign rollOff(e.image.get(), offCfg);
+  ASSERT_TRUE(rollOff.profile());
   CampaignConfig repairCfg = pinnedConfig(RecoveryStrategy::Repair);
   repairCfg.fault = inject::FaultModel::Mem2Adj;
   repairCfg.ecc = vm::EccMode::Secded;
@@ -498,6 +555,12 @@ TEST(RollbackRecovery, EccUncorrectableTriggersRollbackRecovery) {
     // The rollback strategy turns it into a survival: the fault is
     // transient, so rewinding past the strike genuinely erases it.
     const InjectionResult r = roll.runInjection(pt, &e.artifacts);
+    const InjectionRecord rOn{pt, plain, true, r};
+    const InjectionRecord rOff{pt, rollOff.runInjection(pt), true,
+                               rollOff.runInjection(pt, &e.artifacts)};
+    EXPECT_EQ(inject::serializeDeterministicRecord(rOn),
+              inject::serializeDeterministicRecord(rOff));
+    EXPECT_GT(r.replaySavedInstrs, 0u) << "DUE re-run did not fast-forward";
     EXPECT_TRUE(r.survived);
     if (!r.survived) continue;
     EXPECT_EQ(r.outcome, Outcome::RolledBack);

@@ -320,7 +320,7 @@ int cmdInject(const Args& a) {
                 tel.storeMisses == 1 ? "" : "es", tel.shardsRequeued,
                 tel.workerRestarts);
   if (tel.replaySavedInstrs > 0)
-    std::printf("replay     : %llu prefix instrs skipped "
+    std::printf("replay     : %llu golden instrs skipped "
                 "(%.1f effective MIPS)\n",
                 static_cast<unsigned long long>(tel.replaySavedInstrs),
                 tel.effectiveMips);
