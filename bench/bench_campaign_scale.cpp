@@ -8,7 +8,7 @@
 // Writes BENCH_campaign_scale.json (path: CARE_BENCH_SCALE_JSON).
 //
 // Speedup expectations are host-dependent: on a single-core host the procs
-// curve is flat (fork + pipe overhead, no parallelism to win); the warm
+// curve is flat (fork + socket overhead, no parallelism to win); the warm
 // store speedup is hardware-independent because the warm pass only reads
 // entries back.
 #include <chrono>

@@ -210,7 +210,7 @@ std::vector<InjectionRecord> runCampaign(
     const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts,
     CampaignTelemetry* telemetry, const ServiceConfig* service = nullptr);
 
-/// The trial-execution tail of runCampaign, shared with carecc: shard
+/// The trial-execution tail of runCampaign, shared with perfbench: shard
 /// `points.size()` trials over `service`, applying equivalence-class
 /// pruning (DESIGN.md §4j) when the campaign's PruneOptions enable it.
 /// `trial` must be a pure function of its index (it must ignore its Rng

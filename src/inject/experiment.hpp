@@ -162,7 +162,7 @@ std::vector<std::uint8_t> serializeDeterministicRecord(
 
 /// Full-fidelity (timings included) record wire format, version
 /// kExperimentCacheVersion — the unit the shard result store and the
-/// multi-process service's pipe frames carry.
+/// multi-process service's socket frames carry.
 /// readRecordBytes throws care::Error on truncation.
 void writeRecordBytes(const InjectionRecord& rec, ByteWriter& w);
 InjectionRecord readRecordBytes(ByteReader& r);

@@ -517,7 +517,7 @@ InjectionResult Campaign::runInjection(
     res.outcome = Outcome::Hang;
     break;
   case vm::RunStatus::Yielded:
-    CARE_UNREACHABLE("runToCompletion cannot yield");
+    CARE_UNREACHABLE("runCheckpointed cannot yield");
   }
 
   // End-of-trial scrub (DESIGN.md §4i): a completed run may still hold the

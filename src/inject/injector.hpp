@@ -84,7 +84,7 @@ struct InjectionResult {
   /// cache fast-forwarded over, plus the tail after the trial re-converged
   /// with the golden run (DESIGN.md §4c). 0 when checkpointing is off.
   /// Work accounting, not a semantic outcome: carried by the full-fidelity
-  /// wire format (pipes / caches) but excluded from the deterministic
+  /// wire format (sockets / caches) but excluded from the deterministic
   /// projection, since it varies with the replay interval.
   std::uint64_t replaySavedInstrs = 0;
   bool injected = false;           // the point was actually reached

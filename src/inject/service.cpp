@@ -3,23 +3,23 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 
 #include "inject/experiment.hpp"
 #include "inject/result_store.hpp"
 #include "support/bytestream.hpp"
 #include "support/md5.hpp"
-#include "support/shm.hpp"
 #include "support/trace.hpp"
 
 namespace care::inject {
@@ -32,32 +32,22 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-constexpr std::uint64_t kNoShard = ~0ull;
 constexpr std::uint32_t kFrameMagic = 0x46535243; // "CRSF"
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4 + 4 + 8 + 4;
 constexpr std::size_t kMaxFramePayload = 64u << 20; // sanity bound
 
-/// Per-seat coordination slot in shared memory: which shard the worker on
-/// this seat currently holds. The worker publishes the claim right after
-/// popping and clears it right after the shard's frame is fully written, so
-/// on a worker death the coordinator knows exactly what to requeue. (A kill
-/// landing in the pop->publish gap loses the claim; the end-game sweep
-/// below covers that window.)
-struct alignas(64) WorkerSlot {
-  std::atomic<std::uint64_t> claimedShard;
+/// Coordinator -> worker: run this shard. `armKill` arms the testKill*
+/// hooks; the coordinator sets it only on the first dispatch of the shard
+/// holding the hooked trial, so a hook fires once per campaign and the
+/// replacement worker runs the shard normally.
+struct Dispatch {
+  std::uint32_t shard;
+  std::uint32_t armKill;
 };
 
-struct alignas(64) ShmHeader {
-  /// testKillAtTrial one-shot latch: first worker to reach the trial wins
-  /// the CAS and SIGKILLs itself; its replacement runs the trial normally.
-  std::atomic<std::uint64_t> testKillFired;
-};
+int shardStart(int shard, int shardSize) { return shard * shardSize; }
 
-int shardStart(std::uint64_t shard, int shardSize) {
-  return static_cast<int>(shard) * shardSize;
-}
-
-int shardCount(std::uint64_t shard, int shardSize, int trials) {
+int shardCount(int shard, int shardSize, int trials) {
   const int start = shardStart(shard, shardSize);
   return std::min(shardSize, trials - start);
 }
@@ -75,46 +65,49 @@ bool writeAll(int fd, const std::uint8_t* p, std::size_t len) {
   return true;
 }
 
-/// Worker process body. Never returns: _exit() skips atexit hooks (the
-/// trace writer, gtest teardown) the coordinator owns. Exit codes: 0 =
-/// drained the queue, 3 = a trial threw, 4 = pipe write failed.
-[[noreturn]] void workerMain(ShmHeader* hdr, WorkerSlot* slot, ShmQueue* q,
-                             int wfd, int trials, std::uint64_t seed,
-                             int shardSize, const ServiceConfig& svc,
-                             const TrialFn& fn) {
+/// Block until `len` bytes arrived. False on EOF or a read error.
+bool readAll(int fd, void* out, std::size_t len) {
+  auto* p = static_cast<std::uint8_t*>(out);
+  while (len > 0) {
+    const ssize_t k = ::read(fd, p, len);
+    if (k == 0) return false;
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += k;
+    len -= static_cast<std::size_t>(k);
+  }
+  return true;
+}
+
+/// Worker process body: run each dispatched shard and answer with its
+/// sealed frame, until the coordinator closes the socket. Never returns:
+/// _exit() skips atexit hooks (the trace writer, gtest teardown) the
+/// coordinator owns. Exit codes: 0 = socket closed, 3 = a trial threw,
+/// 4 = frame write failed.
+[[noreturn]] void workerMain(int fd, int trials, std::uint64_t seed,
+                             const ServiceConfig& svc, const TrialFn& fn) {
 #ifdef __linux__
   ::prctl(PR_SET_PDEATHSIG, SIGKILL); // don't outlive the coordinator
 #endif
   int rc = 0;
   try {
-    int idle = 0;
-    for (;;) {
-      std::uint64_t shard;
-      if (!q->pop(shard)) {
-        // The queue can be transiently empty while the coordinator requeues
-        // a dead peer's shard; idle-poll briefly before concluding done.
-        if (++idle > 50) break;
-        ::usleep(2000);
-        continue;
-      }
-      idle = 0;
-      slot->claimedShard.store(shard, std::memory_order_release);
-      const int start = shardStart(shard, shardSize);
-      const int count = shardCount(shard, shardSize, trials);
+    Dispatch d{};
+    while (readAll(fd, &d, sizeof d)) {
+      const int shard = static_cast<int>(d.shard);
+      const int start = shardStart(shard, svc.shardSize);
+      const int count = shardCount(shard, svc.shardSize, trials);
       const Clock::time_point w0 = Clock::now();
       ByteWriter payload;
       for (int i = start; i < start + count; ++i) {
-        if (i == svc.testKillAtTrial) {
-          std::uint64_t expect = 0;
-          if (hdr->testKillFired.compare_exchange_strong(expect, 1))
-            ::kill(::getpid(), SIGKILL);
-        }
+        if (d.armKill && i == svc.testKillAtTrial) ::kill(::getpid(), SIGKILL);
         Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
         writeRecordBytes(fn(i, trialRng), payload);
       }
       ByteWriter frame;
       frame.u32(kFrameMagic);
-      frame.u32(static_cast<std::uint32_t>(shard));
+      frame.u32(d.shard);
       frame.u32(static_cast<std::uint32_t>(start));
       frame.u32(static_cast<std::uint32_t>(count));
       frame.f64(secondsSince(w0));
@@ -124,34 +117,24 @@ bool writeAll(int fd, const std::uint8_t* p, std::size_t len) {
       h.update(payload.data().data(), payload.size());
       const Md5Digest digest = h.finish();
       frame.bytes(digest.bytes.data(), 16);
-      if (!writeAll(wfd, frame.data().data(), frame.size())) {
+      if (!writeAll(fd, frame.data().data(), frame.size())) {
         rc = 4;
         break;
       }
-      // Test hook: die in the committed-but-still-claimed window, i.e.
-      // exactly the race the comment below describes. The coordinator must
-      // drain the frame first and then drop the requeue as a duplicate —
-      // the shard's trials may be recomputed but never double-committed.
-      if (svc.testKillAfterCommitTrial >= 0 &&
-          svc.testKillAfterCommitTrial >= start &&
-          svc.testKillAfterCommitTrial < start + count) {
-        std::uint64_t expect = 0;
-        if (hdr->testKillFired.compare_exchange_strong(expect, 1))
-          ::kill(::getpid(), SIGKILL);
-      }
-      // Clear the claim only after the frame is fully on the pipe: a death
-      // in between makes the coordinator requeue an already-committed
-      // shard, which commitShard() drops as a duplicate (records are
-      // deterministic, so re-execution is merely wasted work, never skew).
-      slot->claimedShard.store(kNoShard, std::memory_order_release);
+      // Still armed after the trials ran: the hook is testKillAfterCommit.
+      // Die with the frame fully sent; the coordinator must commit it from
+      // the drained socket and never run or count the shard twice.
+      if (d.armKill) ::kill(::getpid(), SIGKILL);
     }
   } catch (...) {
-    rc = 3; // coordinator requeues our claim; end-game rethrows if fatal
+    rc = 3; // coordinator requeues the shard; end-game rethrows if fatal
   }
   ::_exit(rc);
 }
 
-/// The fork/requeue/respawn coordinator. One instance per campaign.
+/// The fork/dispatch/requeue coordinator. One instance per campaign. It
+/// owns the queue of pending shards and knows which shard every seat
+/// holds, so a dead worker's shard is requeued from that record alone.
 class Coordinator {
 public:
   Coordinator(int trials, std::uint64_t seed, const ServiceConfig& svc,
@@ -167,8 +150,7 @@ public:
         storeHits_(storeHits), storeMisses_(storeMisses), t0_(t0) {
     for (int s = 0; s < numShards_; ++s)
       if (shardDone_[static_cast<std::size_t>(s)])
-        trialsDone_ +=
-            shardCount(static_cast<std::uint64_t>(s), svc_.shardSize, trials_);
+        trialsDone_ += shardCount(s, svc_.shardSize, trials_);
   }
 
   int restarts() const { return restarts_; }
@@ -176,58 +158,30 @@ public:
   double busySec() const { return busySec_; }
 
   void run(const std::vector<int>& missing) {
-    // The queue never wraps: capacity covers every push that can ever
-    // happen (initial shards + one requeue per tolerated restart + the
-    // normal-exit margin), so a slot wedged by a worker killed mid-pop can
-    // never block a later producer — crash tolerance by construction.
-    const std::size_t queueCap =
-        missing.size() + static_cast<std::size_t>(svc_.maxRestarts) + 16;
-    const std::size_t slotsOff =
-        (sizeof(ShmHeader) + alignof(WorkerSlot) - 1) / alignof(WorkerSlot) *
-        alignof(WorkerSlot);
+    pending_.assign(missing.begin(), missing.end());
     const int procs = std::max(
         1, std::min(svc_.processes, static_cast<int>(missing.size())));
-    const std::size_t queueOff =
-        (slotsOff + sizeof(WorkerSlot) * static_cast<std::size_t>(procs) +
-         63) /
-        64 * 64;
-    shm_ = SharedRegion(queueOff + ShmQueue::bytesFor(queueCap));
-    auto* base = static_cast<std::uint8_t*>(shm_.data());
-    hdr_ = new (base) ShmHeader;
-    hdr_->testKillFired.store(0, std::memory_order_relaxed);
-    slots_ = reinterpret_cast<WorkerSlot*>(base + slotsOff);
-    for (int w = 0; w < procs; ++w) {
-      new (slots_ + w) WorkerSlot;
-      slots_[w].claimedShard.store(kNoShard, std::memory_order_relaxed);
-    }
-    queue_ = ShmQueue::init(base + queueOff, queueCap);
-    for (int s : missing) queue_->push(static_cast<std::uint64_t>(s));
-
     seats_.resize(static_cast<std::size_t>(procs));
-    for (int w = 0; w < procs; ++w)
-      if (spawn(w)) ++live_;
+    for (Seat& seat : seats_) spawn(seat);
 
-    while (doneShards() < numShards_ && live_ > 0) {
-      pollPipes();
+    // A pending shard never waits while a live seat is idle, so once no
+    // seat holds a shard either every shard is done or no worker is left.
+    while (anyHeld()) {
+      pollSockets();
       reapWorkers();
       maybeEmitProgress();
     }
 
-    // Campaign complete (or no worker left): kill stragglers still chewing
-    // a duplicate, then run whatever is uncommitted inline. The inline
-    // sweep is the completion guarantee — it covers exhausted restart
-    // budgets, fork failures, and shards lost in the pop->publish gap.
+    // Every live worker is now idle, blocked on its socket: closing the
+    // socket is the EOF that ends it. Whatever is still uncommitted is run
+    // inline — the completion guarantee for exhausted restart budgets and
+    // fork failures.
     for (Seat& seat : seats_) {
-      if (seat.pid > 0) {
-        ::kill(seat.pid, SIGKILL);
-        ::waitpid(seat.pid, nullptr, 0);
-        seat.pid = -1;
-      }
-      if (seat.fd >= 0) {
-        ::close(seat.fd);
-        seat.fd = -1;
-      }
+      if (seat.fd >= 0) ::close(seat.fd);
+      if (seat.pid > 0) ::waitpid(seat.pid, nullptr, 0);
+      seat = Seat{};
     }
+    live_ = 0;
     for (int s = 0; s < numShards_; ++s)
       if (!shardDone_[static_cast<std::size_t>(s)]) runShardInline(s);
     emitProgress(); // final event, guaranteed
@@ -237,61 +191,87 @@ private:
   struct Seat {
     pid_t pid = -1;
     int fd = -1;
+    int shard = -1; // dispatched and not yet committed
     std::vector<std::uint8_t> buf;
   };
 
-  int doneShards() const {
-    int n = 0;
-    for (std::uint8_t d : shardDone_) n += d;
-    return n;
+  bool anyHeld() const {
+    for (const Seat& seat : seats_)
+      if (seat.shard >= 0) return true;
+    return false;
   }
 
-  bool spawn(int seatIdx) {
-    Seat& seat = seats_[static_cast<std::size_t>(seatIdx)];
+  bool holdsTrial(int shard, int trial) const {
+    const int start = shardStart(shard, svc_.shardSize);
+    return trial >= start &&
+           trial < start + shardCount(shard, svc_.shardSize, trials_);
+  }
+
+  /// Fork a worker onto `seat` and hand it the next pending shard.
+  void spawn(Seat& seat) {
     int fds[2];
-    if (::pipe(fds) != 0) return false;
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return;
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
-      return false;
+      return;
     }
     if (pid == 0) {
+      // Drop the other seats' sockets, so closing them reaches their
+      // workers as EOF.
       ::close(fds[0]);
       for (const Seat& other : seats_)
         if (other.fd >= 0) ::close(other.fd);
-      workerMain(hdr_, slots_ + seatIdx, queue_, fds[1], trials_, seed_,
-                 svc_.shardSize, svc_, fn_); // noreturn
+      workerMain(fds[1], trials_, seed_, svc_, fn_); // noreturn
     }
     ::close(fds[1]);
     ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
     seat.pid = pid;
     seat.fd = fds[0];
     seat.buf.clear();
-    return true;
+    ++live_;
+    dispatchNext(seat);
   }
 
-  void pollPipes() {
+  /// Hand the seat the next pending shard, if any. A failed send leaves
+  /// the shard held: the worker is killed and the reap path requeues it.
+  void dispatchNext(Seat& seat) {
+    if (pending_.empty()) return;
+    seat.shard = pending_.front();
+    pending_.pop_front();
+    Dispatch d{static_cast<std::uint32_t>(seat.shard), 0};
+    if (!killArmed_ && (holdsTrial(seat.shard, svc_.testKillAtTrial) ||
+                        holdsTrial(seat.shard, svc_.testKillAfterCommitTrial))) {
+      d.armKill = 1;
+      killArmed_ = true;
+    }
+    if (::send(seat.fd, &d, sizeof d, MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(sizeof d))
+      ::kill(seat.pid, SIGKILL);
+  }
+
+  void pollSockets() {
     std::vector<pollfd> pfds;
-    std::vector<std::size_t> seatOf;
-    for (std::size_t i = 0; i < seats_.size(); ++i) {
-      if (seats_[i].fd < 0) continue;
-      pfds.push_back({seats_[i].fd, POLLIN, 0});
-      seatOf.push_back(i);
+    std::vector<Seat*> seatOf;
+    for (Seat& seat : seats_) {
+      if (seat.fd < 0) continue;
+      pfds.push_back({seat.fd, POLLIN, 0});
+      seatOf.push_back(&seat);
     }
     if (pfds.empty()) return;
     const int r = ::poll(pfds.data(), pfds.size(), 20);
     if (r <= 0) return;
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      Seat& seat = seats_[seatOf[k]];
+      Seat& seat = *seatOf[k];
       if (!drainAndParse(seat) && seat.pid > 0)
         ::kill(seat.pid, SIGKILL); // poisoned stream; reap path requeues
     }
   }
 
-  /// Read whatever the pipe holds and parse complete frames. Returns false
-  /// on a corrupt stream.
+  /// Read whatever the socket holds and parse complete frames. Returns
+  /// false on a corrupt stream.
   bool drainAndParse(Seat& seat) {
     for (;;) {
       std::uint8_t tmp[65536];
@@ -323,10 +303,10 @@ private:
       const std::uint32_t count = hdr.u32();
       const double busy = hdr.f64();
       const std::uint32_t payloadLen = hdr.u32();
-      if (shard >= static_cast<std::uint32_t>(numShards_) ||
-          static_cast<int>(start) != shardStart(shard, svc_.shardSize) ||
+      if (seat.shard < 0 || static_cast<int>(shard) != seat.shard ||
+          static_cast<int>(start) != shardStart(seat.shard, svc_.shardSize) ||
           static_cast<int>(count) !=
-              shardCount(shard, svc_.shardSize, trials_) ||
+              shardCount(seat.shard, svc_.shardSize, trials_) ||
           payloadLen > kMaxFramePayload) {
         ok = false;
         break;
@@ -341,7 +321,7 @@ private:
         ok = false;
         break;
       }
-      if (!commitShard(shard, payload, payloadLen)) {
+      if (!commitShard(seat, payload, payloadLen)) {
         ok = false;
         break;
       }
@@ -354,9 +334,10 @@ private:
     return ok;
   }
 
-  bool commitShard(std::uint64_t shard, const std::uint8_t* payload,
+  /// Commit the shard `seat` holds from its verified frame payload.
+  bool commitShard(Seat& seat, const std::uint8_t* payload,
                    std::size_t payloadLen) {
-    if (shardDone_[static_cast<std::size_t>(shard)]) return true; // duplicate
+    const int shard = seat.shard;
     const int start = shardStart(shard, svc_.shardSize);
     const int count = shardCount(shard, svc_.shardSize, trials_);
     std::vector<InjectionRecord> recs;
@@ -375,6 +356,9 @@ private:
     }
     shardDone_[static_cast<std::size_t>(shard)] = 1;
     trialsDone_ += count;
+    // Keep the worker busy while the store write runs.
+    seat.shard = -1;
+    if (seat.pid > 0) dispatchNext(seat);
     if (store_.enabled())
       store_.save(start, count,
                   {records_.begin() + start, records_.begin() + start + count});
@@ -382,42 +366,35 @@ private:
   }
 
   void reapWorkers() {
-    for (std::size_t i = 0; i < seats_.size(); ++i) {
-      Seat& seat = seats_[i];
+    for (Seat& seat : seats_) {
       if (seat.pid <= 0) continue;
       int status = 0;
-      const pid_t r = ::waitpid(seat.pid, &status, WNOHANG);
-      if (r != seat.pid) continue;
-      // Flush everything the worker managed to commit before it went away.
+      if (::waitpid(seat.pid, &status, WNOHANG) != seat.pid) continue;
+      seat.pid = -1;
+      --live_;
+      // Commit everything the worker managed to send before it went away,
+      // then requeue what it still held.
       drainAndParse(seat);
       ::close(seat.fd);
       seat.fd = -1;
-      seat.pid = -1;
-      --live_;
-      const bool crashed =
-          !(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-      const std::uint64_t claimed =
-          slots_[i].claimedShard.exchange(kNoShard,
-                                          std::memory_order_acq_rel);
-      if (claimed != kNoShard &&
-          !shardDone_[static_cast<std::size_t>(claimed)]) {
-        queue_->push(claimed);
+      if (seat.shard >= 0) {
+        pending_.push_back(seat.shard);
+        seat.shard = -1;
         ++requeued_;
       }
-      if (crashed) {
+      if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
         ++restarts_;
-        if (restarts_ <= svc_.maxRestarts && doneShards() < numShards_ &&
-            spawn(static_cast<int>(i)))
-          ++live_;
+        if (restarts_ <= svc_.maxRestarts && !pending_.empty()) spawn(seat);
       }
+      // A requeued shard goes to any idle seat, not only a respawned one.
+      for (Seat& idle : seats_)
+        if (idle.pid > 0 && idle.shard < 0) dispatchNext(idle);
     }
   }
 
   void runShardInline(int shard) {
-    const int start = shardStart(static_cast<std::uint64_t>(shard),
-                                 svc_.shardSize);
-    const int count = shardCount(static_cast<std::uint64_t>(shard),
-                                 svc_.shardSize, trials_);
+    const int start = shardStart(shard, svc_.shardSize);
+    const int count = shardCount(shard, svc_.shardSize, trials_);
     const Clock::time_point w0 = Clock::now();
     for (int i = start; i < start + count; ++i) {
       Rng trialRng = Rng::stream(seed_, static_cast<std::uint64_t>(i));
@@ -476,11 +453,9 @@ private:
   const int storeMisses_;
   const Clock::time_point t0_;
 
-  SharedRegion shm_;
-  ShmHeader* hdr_ = nullptr;
-  WorkerSlot* slots_ = nullptr;
-  ShmQueue* queue_ = nullptr;
+  std::deque<int> pending_;
   std::vector<Seat> seats_;
+  bool killArmed_ = false;
   int live_ = 0;
   int restarts_ = 0;
   int requeued_ = 0;
@@ -512,8 +487,8 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
   int storeMisses = 0;
   std::vector<int> missing;
   for (int s = 0; s < numShards; ++s) {
-    const int start = s * shardSize;
-    const int count = std::min(shardSize, n - start);
+    const int start = shardStart(s, shardSize);
+    const int count = shardCount(s, shardSize, n);
     if (store.enabled()) {
       if (auto recs = store.load(start, count)) {
         std::move(recs->begin(), recs->end(),
@@ -551,8 +526,8 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
     busySec = runTrialPool(idx, seed, svc.threads, fn, records);
     for (int i : idx) executed[static_cast<std::size_t>(i)] = 1;
     for (int s : missing) {
-      const int start = s * shardSize;
-      const int count = std::min(shardSize, n - start);
+      const int start = shardStart(s, shardSize);
+      const int count = shardCount(s, shardSize, n);
       store.save(start, count,
                  {records.begin() + start, records.begin() + start + count});
     }

@@ -9,16 +9,16 @@
 //  * the coordinator creates the golden snapshot / checkpoints once, then
 //    forks workers that inherit them copy-on-write — no serialization of
 //    the campaign state, no exec;
-//  * workers claim shard indices from a lock-free MPMC queue (ShmQueue) in
-//    anonymous shared memory and publish their current claim in a per-seat
-//    slot, so the coordinator always knows what a dead worker was holding;
-//  * completed shards stream back over per-worker pipes as framed, md5-
+//  * the coordinator owns the queue of pending shards and dispatches one
+//    shard at a time to each worker over its socketpair, so it always knows
+//    what a dead worker was holding;
+//  * completed shards stream back over the same socket as framed, md5-
 //    sealed record batches; the coordinator commits them into the records
 //    array at their trial indices, so the merged output is in trial order
 //    and `serializeDeterministic` stays byte-identical to the serial and
 //    threaded engines;
 //  * a worker killed mid-shard — crash, SIGKILL, or one of our own escaped
-//    faults — has its claimed shard requeued and is respawned up to a
+//    faults — has its held shard requeued and is respawned up to a
 //    bounded restart budget; whatever is still uncommitted when no worker
 //    remains is executed inline by the coordinator, so the campaign always
 //    completes with identical records.
@@ -57,15 +57,15 @@ struct ServiceConfig {
   /// Crashed-worker respawns tolerated before the coordinator stops
   /// re-forking and finishes the remaining shards inline.
   int maxRestarts = 8;
-  /// Test hook: the first worker to reach this trial index SIGKILLs itself
-  /// (once per campaign, via a CAS in shared memory). -1 = off.
+  /// Test hook: the worker reaching this trial index SIGKILLs itself. Once
+  /// per campaign: the coordinator arms it only on the first dispatch of
+  /// the shard holding the trial. -1 = off.
   int testKillAtTrial = -1;
   /// Test hook for the opposite window: the worker whose shard contains
   /// this trial index SIGKILLs itself *after* its result frame is fully on
-  /// the pipe but *before* it releases its seat claim (once per campaign).
-  /// The coordinator then observes a dead worker still claiming a committed
-  /// shard — the requeue must be dropped as a duplicate, never recounted.
-  /// -1 = off.
+  /// the socket (once per campaign, armed like testKillAtTrial). The
+  /// coordinator must commit the shard from the drained socket exactly
+  /// once and requeue only what the worker was handed next. -1 = off.
   int testKillAfterCommitTrial = -1;
 };
 

@@ -82,17 +82,18 @@ JobResult JobSimulator::run(const JobConfig& cfg,
 
     // C/R baseline: a real checkpoint of the whole process image, charged
     // with modeled stable-storage I/O time.
-    std::optional<vm::Executor::Checkpoint> cp;
+    std::optional<vm::Executor::ResumePoint> cp;
     int cpStep = 0;
     auto ioCost = [&](std::uint64_t bytes) {
       return cfg.ioLatencySeconds +
              static_cast<double>(bytes) / cfg.ioBandwidthBytesPerSec;
     };
+    auto cpBytes = [&] { return cp->mem.mappedBytes() + sizeof(cp->st); };
     auto takeCheckpoint = [&](int atStep) {
-      cp = ex.checkpoint();
+      cp = ex.resumePoint();
       cpStep = atStep;
-      out.checkpointBytes = cp->bytes();
-      const double cost = ioCost(cp->bytes());
+      out.checkpointBytes = cpBytes();
+      const double cost = ioCost(cpBytes());
       out.checkpointSeconds += cost;
       std::this_thread::sleep_for(std::chrono::duration<double>(cost));
     };
@@ -118,10 +119,10 @@ JobResult JobSimulator::run(const JobConfig& cfg,
         // Unrecovered fault with C/R: reload the checkpoint and replay.
         ++out.restarts;
         out.stepsReplayed += step - cpStep;
-        const double cost = ioCost(cp->bytes());
+        const double cost = ioCost(cpBytes());
         out.restartSeconds += cost;
         std::this_thread::sleep_for(std::chrono::duration<double>(cost));
-        ex.restore(*cp);
+        ex.restoreCheckpoint(*cp);
         step = cpStep;
         continue; // other ranks keep meeting us at the barrier
       } else {

@@ -108,28 +108,6 @@ void Executor::armInjection(const CodeLoc& loc, std::uint64_t nth,
   injCb_ = std::move(cb);
 }
 
-Executor::Checkpoint Executor::checkpoint() const {
-  Checkpoint cp;
-  cp.st = st_;
-  cp.mem = mem_.clone();
-  cp.module = curModule_;
-  cp.func = curFunc_;
-  cp.instr = curInstr_;
-  cp.started = started_;
-  cp.instrCount = instrCount_;
-  cp.output = output_;
-  return cp;
-}
-
-void Executor::restore(const Checkpoint& cp) {
-  st_ = cp.st;
-  mem_.restoreFrom(cp.mem);
-  started_ = cp.started;
-  instrCount_ = cp.instrCount;
-  output_ = cp.output;
-  jumpTo({cp.module, cp.func, cp.instr});
-}
-
 Executor::ResumePoint Executor::resumePoint() {
   ResumePoint rp;
   rp.st = st_;

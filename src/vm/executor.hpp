@@ -116,25 +116,11 @@ public:
   void armInjection(const CodeLoc& loc, std::uint64_t nth,
                     std::function<void(Executor&)> cb);
 
-  // --- checkpoint / restart (the C/R baseline CARE is compared to) --------
-  /// Full process image: registers, memory, position, emitted output.
-  struct Checkpoint {
-    MachineState st;
-    Memory mem;
-    std::int32_t module = 0, func = 0, instr = 0;
-    bool started = false;
-    std::uint64_t instrCount = 0;
-    std::vector<std::uint64_t> output;
-    /// Checkpoint size in bytes (what a real C/R system would write).
-    std::uint64_t bytes() const { return mem.mappedBytes() + sizeof(st); }
-  };
-  Checkpoint checkpoint() const;
-  void restore(const Checkpoint& cp);
-
-  // --- replay cache (campaign fast-forward, DESIGN.md §4c) ----------------
-  /// Everything checkpoint() captures, but with the address space held as a
-  /// shareable MemorySnapshot: many trial Executors may restoreCheckpoint()
-  /// the same ResumePoint concurrently, each CoW-forking the pages.
+  // --- checkpoints (replay cache, rollback, the C/R baseline) -------------
+  /// Full process image: registers, position, emitted output, and the
+  /// address space held as a shareable MemorySnapshot: many trial Executors
+  /// may restoreCheckpoint() the same ResumePoint concurrently, each
+  /// CoW-forking the pages.
   struct ResumePoint {
     MachineState st;
     MemorySnapshot mem;

@@ -12,7 +12,7 @@ using backend::mtypeSize;
 
 namespace {
 // Fresh page allocations (initial maps + CoW breaks), process-wide. Tests
-// read deltas of this to prove that clone()/checkpoint() share pages
+// read deltas of this to prove that snapshots and checkpoints share pages
 // instead of deep-copying.
 std::atomic<std::uint64_t> gPageAllocs{0};
 
@@ -73,7 +73,7 @@ std::uint8_t* Memory::writeMiss(std::uint64_t pageNo) {
   if (!found) return nullptr;
   std::shared_ptr<Page>& slot = *found;
   if (slot.use_count() > 1) {
-    // Copy-on-write break: this page is shared with a snapshot/clone.
+    // Copy-on-write break: this page is shared with a snapshot or fork.
     slot = std::make_shared<Page>(*slot);
     gPageAllocs.fetch_add(1, std::memory_order_relaxed);
     // A read-TLB entry may still point at the old shared storage.
@@ -349,32 +349,6 @@ std::pair<std::uint64_t, std::uint64_t> Memory::scrubEcc() {
     for (std::uint64_t wi = 0; wi < kPageSize / 8; ++wi)
       (void)eccCheckWord(pageNo * kPageSize + wi * 8);
   return {eccCorrected_ - c0, eccUncorrectable_ - u0};
-}
-
-Memory Memory::clone() const {
-  // CoW share: both sides keep the same page storage until one stores. Our
-  // cached write translations would let this side scribble on shared pages
-  // without a use_count check, so drop them first.
-  flushWriteTlb();
-  Memory out;
-  out.pages_ = pages_;
-  out.eccMode_ = eccMode_;
-  out.eccCorrected_ = eccCorrected_;
-  out.eccUncorrectable_ = eccUncorrectable_;
-  out.eccPages_ = eccPages_;
-  out.eccWordCrc_ = eccWordCrc_;
-  return out;
-}
-
-void Memory::restoreFrom(const Memory& other) {
-  other.flushWriteTlb();
-  pages_ = other.pages_;
-  eccMode_ = other.eccMode_;
-  eccCorrected_ = other.eccCorrected_;
-  eccUncorrectable_ = other.eccUncorrectable_;
-  eccPages_ = other.eccPages_;
-  eccWordCrc_ = other.eccWordCrc_;
-  flushTlb();
 }
 
 MemorySnapshot MemorySnapshot::capture(Memory& m) {

@@ -9,9 +9,9 @@
 //
 //  * a software TLB: two small direct-mapped translation caches (separate
 //    read and write views) in front of the page table, explicitly flushed
-//    on map()/restoreFrom()/moves and on copy-on-write breaks;
-//  * copy-on-write pages: pages are shared_ptr-backed, so clone() /
-//    restoreFrom() / MemorySnapshot::fork() share page storage and a store
+//    on map()/moves and on copy-on-write breaks;
+//  * copy-on-write pages: pages are shared_ptr-backed, so
+//    MemorySnapshot::capture() / fork() share page storage and a store
 //    copies only the page it touches. The write TLB only ever caches pages
 //    that are exclusively owned, which is what makes the hit path a plain
 //    pointer compare.
@@ -121,15 +121,6 @@ public:
   /// {corrected, uncorrectable} deltas (also added to the counters).
   std::pair<std::uint64_t, std::uint64_t> scrubEcc();
 
-  /// Snapshot of the whole address space (checkpoint support). O(mapped
-  /// pages) map copy; page *storage* is shared copy-on-write, so untouched
-  /// pages are never duplicated. Not thread-safe w.r.t. this Memory (the
-  /// write TLB is flushed so later stores break sharing).
-  Memory clone() const;
-  /// Replace this address space with (a CoW share of) `other`'s. `other`
-  /// may be restored from again; stores on either side break sharing.
-  void restoreFrom(const Memory& other);
-
   /// Fast-path page translation for the decoded-dispatch interpreter.
   /// Returns the page's backing store, or nullptr if `pageNo` is unmapped.
   /// writePage() breaks copy-on-write sharing before returning.
@@ -177,8 +168,8 @@ private:
   friend class MemorySnapshot;
 
   using Page = std::array<std::uint8_t, kPageSize>;
-  /// The page table, sorted by page number. A flat array, so a clone,
-  /// snapshot or fork copies one allocation instead of rebuilding a hash
+  /// The page table, sorted by page number. A flat array, so a snapshot
+  /// or fork copies one allocation instead of rebuilding a hash
   /// table; lookups binary-search it, on TLB misses only.
   using PageMap = std::vector<std::pair<std::uint64_t, std::shared_ptr<Page>>>;
   /// One SECDED code byte per aligned 64-bit word of a page.

@@ -35,15 +35,15 @@ TEST(Checkpoint, SnapshotRestoreResumesIdentically) {
   vm::Executor ex(p.image.get());
   ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded);
   ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded);
-  const vm::Executor::Checkpoint cp = ex.checkpoint();
-  EXPECT_GT(cp.bytes(), 4096u);
+  const vm::Executor::ResumePoint cp = ex.resumePoint();
+  EXPECT_GT(cp.mem.mappedBytes() + sizeof(cp.st), 4096u);
 
   const vm::RunResult first = vm::runToCompletion(ex, "main");
   ASSERT_EQ(first.status, vm::RunStatus::Done);
   EXPECT_EQ(first.exitCode, want.exitCode);
   EXPECT_EQ(ex.output(), ref.output());
 
-  ex.restore(cp);
+  ex.restoreCheckpoint(cp);
   const vm::RunResult second = vm::runToCompletion(ex, "main");
   ASSERT_EQ(second.status, vm::RunStatus::Done);
   EXPECT_EQ(second.exitCode, want.exitCode);
@@ -51,10 +51,10 @@ TEST(Checkpoint, SnapshotRestoreResumesIdentically) {
   EXPECT_EQ(second.instrCount, first.instrCount);
 }
 
-// The CoW acceptance test: checkpoint()/restore() must share page storage
-// with the live address space, not deep-copy it. Page allocations (counted
-// process-wide by Memory::pageAllocCount) may only happen when a store
-// actually breaks sharing.
+// The CoW acceptance test: resumePoint()/restoreCheckpoint() must share
+// page storage with the live address space, not deep-copy it. Page
+// allocations (counted process-wide by Memory::pageAllocCount) may only
+// happen when a store actually breaks sharing.
 TEST(Checkpoint, CheckpointSharesUntouchedPages) {
   Program p = buildProgram(R"(
     double grid[2048];
@@ -72,10 +72,10 @@ TEST(Checkpoint, CheckpointSharesUntouchedPages) {
 
   // Taking the checkpoint copies no pages — it CoW-shares all of them.
   const std::uint64_t before = vm::Memory::pageAllocCount();
-  const vm::Executor::Checkpoint cp = ex.checkpoint();
+  const vm::Executor::ResumePoint cp = ex.resumePoint();
   EXPECT_EQ(vm::Memory::pageAllocCount(), before)
-      << "checkpoint() deep-copied untouched pages";
-  EXPECT_GT(cp.bytes(), 4096u);
+      << "resumePoint() deep-copied untouched pages";
+  EXPECT_GT(cp.mem.mappedBytes() + sizeof(cp.st), 4096u);
 
   // Running the next step breaks sharing only for the pages it stores to
   // (the touched grid page + the stack page), not the whole address space.
@@ -86,11 +86,11 @@ TEST(Checkpoint, CheckpointSharesUntouchedPages) {
   EXPECT_LT(broken, mappedPages / 2)
       << "a single step re-copied most of the address space";
 
-  // restore() CoW-shares back; the checkpoint stays reusable.
+  // restoreCheckpoint() CoW-shares back; the checkpoint stays reusable.
   const std::uint64_t beforeRestore = vm::Memory::pageAllocCount();
-  ex.restore(cp);
+  ex.restoreCheckpoint(cp);
   EXPECT_EQ(vm::Memory::pageAllocCount(), beforeRestore)
-      << "restore() deep-copied pages";
+      << "restoreCheckpoint() deep-copied pages";
   const vm::RunResult done = vm::runToCompletion(ex, "main");
   ASSERT_EQ(done.status, vm::RunStatus::Done);
   EXPECT_EQ(done.exitCode, 1); // grid[0] was only bumped in step 0: (int)1.5
@@ -108,14 +108,14 @@ TEST(Checkpoint, RestoreDiscardsLaterWrites) {
     })", opt::OptLevel::O0);
   vm::Executor ex(p.image.get());
   ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded); // state == 1
-  const auto cp = ex.checkpoint();
+  const auto cp = ex.resumePoint();
   ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded); // state == 2
   const std::uint64_t stateAddr = p.image->module(0).globalAddr[0];
   std::uint64_t v = 0;
   ASSERT_EQ(ex.memory().load(stateAddr, backend::MType::I32, v),
             vm::MemStatus::Ok);
   EXPECT_EQ(v, 2u);
-  ex.restore(cp);
+  ex.restoreCheckpoint(cp);
   ASSERT_EQ(ex.memory().load(stateAddr, backend::MType::I32, v),
             vm::MemStatus::Ok);
   EXPECT_EQ(v, 1u);

@@ -50,14 +50,15 @@ TEST(MemoryMap, ZeroSizeMapsNothing) {
 
 // --- TLB invalidation -------------------------------------------------------
 
-// restoreFrom() must drop cached translations: a load served from the TLB
-// before the restore must not be served from the old page after it.
-TEST(MemoryTlb, RestoreFromInvalidatesReadTlb) {
+// Restoring a snapshot (`mem = snap.fork()`, as restoreCheckpoint does)
+// must drop cached translations: a load served from the TLB before the
+// restore must not be served from the old page after it.
+TEST(MemoryTlb, SnapshotRestoreInvalidatesReadTlb) {
   Memory a;
   a.map(0x1000, kPage);
   ASSERT_EQ(a.store(0x1000, MType::I64, 0x11), MemStatus::Ok);
 
-  Memory b = a.clone();
+  const MemorySnapshot snap = MemorySnapshot::capture(a);
   ASSERT_EQ(a.store(0x1000, MType::I64, 0x22), MemStatus::Ok); // CoW break
 
   // Warm a's read TLB on the post-break page.
@@ -65,27 +66,13 @@ TEST(MemoryTlb, RestoreFromInvalidatesReadTlb) {
   ASSERT_EQ(a.load(0x1000, MType::I64, v), MemStatus::Ok);
   EXPECT_EQ(v, 0x22u);
 
-  a.restoreFrom(b);
+  a = snap.fork();
   ASSERT_EQ(a.load(0x1000, MType::I64, v), MemStatus::Ok);
-  EXPECT_EQ(v, 0x11u) << "stale read-TLB entry survived restoreFrom()";
+  EXPECT_EQ(v, 0x11u) << "stale read-TLB entry survived the restore";
 }
 
 // The write TLB only ever caches exclusively-owned pages; a cached write
 // translation must not let a store scribble on pages that became shared.
-TEST(MemoryTlb, CloneAfterWarmWriteTlbStillCopiesOnWrite) {
-  Memory a;
-  a.map(0x1000, kPage);
-  ASSERT_EQ(a.store(0x1000, MType::I64, 0x11), MemStatus::Ok); // warm write TLB
-
-  Memory b = a.clone(); // shares the page; must drop a's write translation
-  ASSERT_EQ(a.store(0x1000, MType::I64, 0x22), MemStatus::Ok);
-
-  std::uint64_t v = 0;
-  ASSERT_EQ(b.load(0x1000, MType::I64, v), MemStatus::Ok);
-  EXPECT_EQ(v, 0x11u) << "store through a stale write-TLB entry hit a page "
-                         "shared with the clone";
-}
-
 TEST(MemoryTlb, SnapshotCaptureAfterWarmWriteTlbStillCopiesOnWrite) {
   Memory a;
   a.map(0x1000, kPage);
@@ -144,26 +131,28 @@ TEST(MemoryTlb, MapInvalidatesExistingTranslations) {
   Memory a;
   a.map(0x1000, kPage);
   ASSERT_EQ(a.store(0x1000, MType::I64, 0x11), MemStatus::Ok);
-  Memory b = a.clone();
-  (void)b; // page now shared; a's write TLB was flushed by clone()
+  const MemorySnapshot snap = MemorySnapshot::capture(a);
+  // page now shared; a's write TLB was flushed by capture()
 
   // map() of an overlapping range keeps existing pages but must flush, so
   // the next store re-checks sharing and breaks CoW.
   a.map(0x1000, kPage);
   ASSERT_EQ(a.store(0x1000, MType::I64, 0x22), MemStatus::Ok);
   std::uint64_t v = 0;
-  ASSERT_EQ(b.load(0x1000, MType::I64, v), MemStatus::Ok);
+  ASSERT_EQ(snap.fork().load(0x1000, MType::I64, v), MemStatus::Ok);
   EXPECT_EQ(v, 0x11u);
 }
 
 // --- copy-on-write sharing (page-allocation accounting) ---------------------
 
-TEST(MemoryCow, CloneAllocatesNoPagesUntilStore) {
+TEST(MemoryCow, SnapshotForkAllocatesNoPagesUntilStore) {
   Memory a;
   a.map(0, 8 * kPage);
   const std::uint64_t before = Memory::pageAllocCount();
-  Memory b = a.clone();
-  EXPECT_EQ(Memory::pageAllocCount(), before) << "clone() deep-copied pages";
+  const MemorySnapshot snap = MemorySnapshot::capture(a);
+  Memory b = snap.fork();
+  EXPECT_EQ(Memory::pageAllocCount(), before)
+      << "capture()/fork() deep-copied pages";
 
   // First store to a shared page copies exactly that one page.
   ASSERT_EQ(b.store(3 * kPage + 8, MType::I64, 7), MemStatus::Ok);

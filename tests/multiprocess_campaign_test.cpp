@@ -2,11 +2,14 @@
 //
 // The service's contract is the same one the threaded engine states, but
 // across address spaces: shard the trials over forked worker processes,
-// stream the records back over pipes, and the merged campaign is
+// stream the records back over sockets, and the merged campaign is
 // byte-for-byte identical to the serial engine — including when a worker is
-// SIGKILLed mid-shard and the coordinator has to requeue and respawn.
+// SIGKILLed mid-shard and the coordinator has to requeue and respawn. Every
+// forked campaign must also leave no child process behind.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cerrno>
 #include <filesystem>
 
 #include "inject/experiment.hpp"
@@ -38,6 +41,13 @@ ExperimentConfig baseConfig(const std::string& dir) {
   return cfg;
 }
 
+/// The coordinator reaped every worker it forked: no orphans, no zombies.
+void expectNoChildren() {
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 TEST(MultiprocessCampaign, ForkedWorkersMatchSerialByteForByte) {
   // Two workloads, plain repair-only configuration.
   for (const workloads::Workload* w :
@@ -51,6 +61,7 @@ TEST(MultiprocessCampaign, ForkedWorkersMatchSerialByteForByte) {
     cfg.processes = 3;
     inject::CampaignTelemetry tel;
     const auto forked = runExperiment(*w, cfg, &tel);
+    expectNoChildren();
     EXPECT_FALSE(tel.fromCache);
     EXPECT_EQ(tel.processes, 3);
     EXPECT_GT(tel.shards, 0);
@@ -64,7 +75,7 @@ TEST(MultiprocessCampaign, ForkedWorkersMatchSerialByteForByte) {
 TEST(MultiprocessCampaign, DetectorsAndRollbackArmedStayBitIdentical) {
   // The hardest configuration: Sentinel detectors armed AND the rollback
   // strategy live, so worker processes carry detector traps, checkpoint
-  // restores and re-execution counts back over the pipes.
+  // restores and re-execution counts back over the sockets.
   const std::string dir = "care_test_artifacts/mp_armed";
   std::filesystem::remove_all(dir);
   auto armed = baseConfig(dir);
@@ -78,9 +89,10 @@ TEST(MultiprocessCampaign, DetectorsAndRollbackArmedStayBitIdentical) {
   auto forkedCfg = armed;
   forkedCfg.processes = 4;
   const auto forked = runExperiment(workloads::gtcp(), forkedCfg, &telF);
+  expectNoChildren();
   EXPECT_EQ(inject::serializeDeterministic(serial),
             inject::serializeDeterministic(forked));
-  // Semantic telemetry survives the pipe trip: both engines agree on what
+  // Semantic telemetry survives the socket trip: both engines agree on what
   // the campaign *was*, not just on the record bytes.
   EXPECT_EQ(telS.detected, telF.detected);
   EXPECT_EQ(telS.recoveries, telF.recoveries);
@@ -97,6 +109,7 @@ TEST(MultiprocessCampaign, OneProcessEqualsInProcessEngine) {
   auto cfg = baseConfig(dir);
   cfg.processes = 1;
   const auto oneProc = runExperiment(workloads::gtcp(), cfg);
+  expectNoChildren();
   EXPECT_EQ(inject::serializeDeterministic(inproc),
             inject::serializeDeterministic(oneProc));
 }
@@ -121,30 +134,37 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
       inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, nullptr,
                   &serialSvc);
 
-  inject::ServiceConfig killSvc;
-  killSvc.processes = 3;
-  killSvc.threads = 1;
-  killSvc.shardSize = 8;
-  killSvc.testKillAtTrial = 10; // SIGKILL the worker holding shard 1
-  inject::CampaignTelemetry tel;
-  const auto survived =
-      inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, &tel,
-                  &killSvc);
-  EXPECT_GE(tel.workerRestarts, 1);
-  EXPECT_GE(tel.shardsRequeued, 1);
-  ASSERT_EQ(reference.size(), survived.size());
-  for (std::size_t i = 0; i < reference.size(); ++i)
-    EXPECT_EQ(inject::serializeDeterministicRecord(reference[i]),
-              inject::serializeDeterministicRecord(survived[i]))
-        << "trial " << i;
+  // 10: mid-shard 1. 8: the first trial of shard 1, so the worker dies
+  // holding a dispatched shard it has not started. 47: the last trial of
+  // the last shard, so the requeue arrives with nothing else pending and
+  // the other seats idle.
+  for (const int killAt : {10, 8, 47}) {
+    SCOPED_TRACE("testKillAtTrial=" + std::to_string(killAt));
+    inject::ServiceConfig killSvc;
+    killSvc.processes = 3;
+    killSvc.threads = 1;
+    killSvc.shardSize = 8;
+    killSvc.testKillAtTrial = killAt;
+    inject::CampaignTelemetry tel;
+    const auto survived =
+        inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts,
+                            &tel, &killSvc);
+    expectNoChildren();
+    EXPECT_GE(tel.workerRestarts, 1);
+    EXPECT_GE(tel.shardsRequeued, 1);
+    ASSERT_EQ(reference.size(), survived.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+      EXPECT_EQ(inject::serializeDeterministicRecord(reference[i]),
+                inject::serializeDeterministicRecord(survived[i]))
+          << "trial " << i;
+  }
 }
 
 TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
-  // The mirror image of the mid-shard kill: the worker dies *after* its
-  // result frame is fully on the pipe but *before* it releases its seat
-  // claim. The coordinator's end-game then sees a dead worker still
-  // claiming a shard that was already committed — the requeue must be
-  // dropped as a duplicate, never re-run or double-counted.
+  // The mirror image of the mid-shard kill: the worker dies right *after*
+  // its result frame is fully on the socket. The coordinator must commit
+  // that shard from the drained socket exactly once and requeue only the
+  // shard it had handed the worker next — never re-run or double-count.
   const std::string dir = "care_test_artifacts/mp_kill_commit";
   std::filesystem::remove_all(dir);
   const auto cfg = baseConfig(dir);
@@ -168,11 +188,12 @@ TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
   killSvc.processes = 3;
   killSvc.threads = 1;
   killSvc.shardSize = 8;
-  killSvc.testKillAfterCommitTrial = 10; // die holding committed shard 1
+  killSvc.testKillAfterCommitTrial = 10; // die after sending shard 1
   inject::CampaignTelemetry tel;
   const auto survived =
       inject::runCampaign(campaign, 48, ccfg.seed, 1, &built.artifacts, &tel,
                   &killSvc);
+  expectNoChildren();
   EXPECT_GE(tel.workerRestarts, 1);
   // Exact counts: a double-committed shard would inflate the record list
   // (or corrupt the trial order) before byte comparison even runs.
@@ -208,6 +229,7 @@ TEST(MultiprocessCampaign, EveryFaultModelStaysByteIdenticalAcrossEngines) {
     forkedCfg.processes = 2;
     inject::CampaignTelemetry tel;
     const auto forked = runExperiment(workloads::gtcp(), forkedCfg, &tel);
+    expectNoChildren();
     EXPECT_EQ(tel.fault, inject::faultModelName(model));
     EXPECT_EQ(tel.ecc, "secded");
     EXPECT_EQ(inject::serializeDeterministic(serial),
@@ -229,9 +251,11 @@ TEST(MultiprocessCampaign, ResultStoreComposesWithForkedWorkers) {
   cfg.resultStore = storeDir;
   inject::CampaignTelemetry cold, warm;
   const auto first = runExperiment(workloads::gtcp(), cfg, &cold);
+  expectNoChildren();
   EXPECT_EQ(cold.storeHits, 0);
   EXPECT_GT(cold.storeMisses, 0);
   const auto second = runExperiment(workloads::gtcp(), cfg, &warm);
+  expectNoChildren();
   EXPECT_TRUE(warm.fromCache);
   EXPECT_EQ(warm.storeMisses, 0);
   EXPECT_EQ(warm.storeHits, warm.shards);

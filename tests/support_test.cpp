@@ -1,14 +1,11 @@
-// Unit tests for src/support: MD5, byte streams, RNG, bit utilities, the
-// shared-memory MPMC queue behind the multi-process campaign service, and
+// Unit tests for src/support: MD5, byte streams, RNG, bit utilities, and
 // the one reader of the CARE_* environment (over a fake environment).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "inject/run_env.hpp"
@@ -16,7 +13,6 @@
 #include "support/bytestream.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
-#include "support/shm.hpp"
 
 namespace care::test {
 namespace {
@@ -237,67 +233,6 @@ TEST(BitUtil, FlipBitBufferWrapsWithinLength) {
   EXPECT_EQ(buf[0], 2);
   flipBitBuffer(buf, 4, 33);
   EXPECT_EQ(buf[0], 0);
-}
-
-// --- shared-memory MPMC queue ------------------------------------------------
-
-TEST(ShmQueue, FifoWithinCapacityAndFullEmptySignals) {
-  SharedRegion shm(ShmQueue::bytesFor(8));
-  ShmQueue* q = ShmQueue::init(shm.data(), 8);
-  EXPECT_EQ(q->capacity(), 8u);
-  std::uint64_t v = 0;
-  EXPECT_FALSE(q->pop(v)); // starts empty
-  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_TRUE(q->push(100 + i));
-  EXPECT_FALSE(q->push(999)); // full
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q->pop(v));
-    EXPECT_EQ(v, 100 + i); // FIFO under single-threaded use
-  }
-  EXPECT_FALSE(q->pop(v));
-  // Slots recycle across laps.
-  EXPECT_TRUE(q->push(7));
-  ASSERT_TRUE(q->pop(v));
-  EXPECT_EQ(v, 7u);
-}
-
-TEST(ShmQueue, CapacityRoundsUpToPowerOfTwo) {
-  SharedRegion shm(ShmQueue::bytesFor(5));
-  ShmQueue* q = ShmQueue::init(shm.data(), 5);
-  EXPECT_EQ(q->capacity(), 8u);
-}
-
-TEST(ShmQueue, ConcurrentProducersConsumersLoseNothing) {
-  // 4 producers push 4096 distinct values while 4 consumers drain; every
-  // value must come out exactly once. Capacity covers all pushes, so no
-  // producer ever sees "full" — the regime the campaign service runs in.
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr std::uint64_t kPerProducer = 1024;
-  SharedRegion shm(ShmQueue::bytesFor(kProducers * kPerProducer));
-  ShmQueue* q = ShmQueue::init(shm.data(), kProducers * kPerProducer);
-  std::atomic<std::uint64_t> drained{0};
-  std::vector<std::vector<std::uint64_t>> got(kConsumers);
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p)
-    threads.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i)
-        EXPECT_TRUE(q->push(static_cast<std::uint64_t>(p) * kPerProducer + i));
-    });
-  for (int c = 0; c < kConsumers; ++c)
-    threads.emplace_back([&, c] {
-      std::uint64_t v = 0;
-      while (drained.load() < kProducers * kPerProducer) {
-        if (!q->pop(v)) continue;
-        got[static_cast<std::size_t>(c)].push_back(v);
-        drained.fetch_add(1);
-      }
-    });
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(q->pushed(), kProducers * kPerProducer);
-  EXPECT_EQ(q->popped(), kProducers * kPerProducer);
-  std::set<std::uint64_t> seen;
-  for (const auto& g : got) seen.insert(g.begin(), g.end());
-  EXPECT_EQ(seen.size(), kProducers * kPerProducer); // nothing lost or duped
 }
 
 // --- the one environment reader (inject/run_env.hpp) ------------------------
