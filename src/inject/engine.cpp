@@ -95,6 +95,7 @@ std::string CampaignTelemetry::json() const {
   jsonField(out, "care_reruns", "%d,", careReruns);
   out += "\"from_cache\":";
   out += fromCache ? "true," : "false,";
+  jsonField(out, "profile_ms", "%.3f,", profileMs);
   jsonField(out, "wall_sec", "%.6f,", wallSec);
   jsonField(out, "trials_per_sec", "%.2f,", trialsPerSec);
   jsonField(out, "worker_busy_sec", "%.6f,", workerBusySec);

@@ -64,6 +64,7 @@ struct CampaignTelemetry {
   double etaSec = 0;           // remaining-work estimate (progress events)
   int careReruns = 0;          // SIGSEGV trials re-run with CARE attached
   bool fromCache = false;      // every shard was served from the store
+  double profileMs = 0;        // Campaign::profile wall time (runExperiment)
   double wallSec = 0;
   double trialsPerSec = 0;
   double workerBusySec = 0;    // sum of per-worker time inside trials

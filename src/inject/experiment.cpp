@@ -1,6 +1,7 @@
 #include "inject/experiment.hpp"
 
 #include <array>
+#include <chrono>
 
 #include "support/bytestream.hpp"
 #include "support/error.hpp"
@@ -335,7 +336,11 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   tel.totalSites = static_cast<int>(built.cm.sentinelStats.totalSites());
   tel.sampledSites = static_cast<int>(built.cm.sentinelStats.armedSites());
   Campaign campaign(built.image.get(), ccfg);
+  const auto profileStart = std::chrono::steady_clock::now();
   if (!campaign.profile()) raise("workload failed to profile: " + w.name);
+  tel.profileMs = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - profileStart)
+                      .count();
 
   ServiceConfig svc;
   svc.processes = cfg.processes;

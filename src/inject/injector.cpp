@@ -145,51 +145,83 @@ Campaign::Campaign(const vm::Image* image, CampaignConfig cfg)
 
 bool Campaign::profile() {
   trace::Span profileSpan("campaign.profile", "campaign");
+  // Both checkpoint spacings resolve against the golden count
+  // (resolveSpacing), and the counting pass stops on their grids. With the
+  // replay cache off, or a run too short for one segment, it stops nowhere
+  // and is the golden run itself.
+  const bool replay = cfg_.checkpointEveryInstrs != 0;
+  auto runGolden = [&](Executor& ex) {
+    trace::Span goldenSpan("campaign.golden_run", "campaign");
+    ex.setBudget(2'000'000'000ull);
+    const vm::RunResult res = vm::runToCompletion(ex, cfg_.entry);
+    if (res.status != vm::RunStatus::Done) return false;
+    goldenInstrs_ = res.instrCount;
+    goldenOutput_ = ex.output();
+    // Rollback-ring spacing (DESIGN.md §4f): same auto rule, deliberately
+    // its own knob — rollback trials must behave identically whether or
+    // not the replay cache is enabled.
+    rollbackInterval_ =
+        resolveSpacing(cfg_.rollbackEveryInstrs, goldenInstrs_);
+    if (rollbackInterval_ == 0)
+      rollbackInterval_ = goldenInstrs_ + 1; // entry checkpoint only
+    ckptInterval_ = resolveSpacing(cfg_.checkpointEveryInstrs, goldenInstrs_);
+    return true;
+  };
+
+  // Pass 1: a plain golden run at the campaign backend's full speed.
+  if (replay) {
+    Executor plain(image_, baseMem_);
+    if (!runGolden(plain)) return false;
+  }
+
+  // Pass 2: one profiled run, capturing the replay cache's boundaries
+  // (DESIGN.md §4c) on the way. Captures record every injectable
+  // instruction's count; the sampling table keeps those the whole run
+  // executed.
+  std::vector<CodeLoc> candidates;
+  for (std::int32_t m : cfg_.targetModules) {
+    const auto& fns = image_->module(static_cast<std::size_t>(m)).mod->functions;
+    for (std::size_t f = 0; f < fns.size(); ++f)
+      for (std::size_t i = 0; i < fns[f].code.size(); ++i)
+        if (injectable(fns[f].code[i]))
+          candidates.push_back({m, static_cast<std::int32_t>(f),
+                                static_cast<std::int32_t>(i)});
+  }
+  checkpoints_.clear();
   Executor ex(image_, baseMem_);
   ex.enableProfiling();
-  ex.setBudget(2'000'000'000ull);
-  trace::Span goldenSpan("campaign.golden_run", "campaign");
-  const vm::RunResult res = vm::runToCompletion(ex, cfg_.entry);
-  goldenSpan.end();
-  if (res.status != vm::RunStatus::Done) return false;
-  goldenInstrs_ = res.instrCount;
-  goldenOutput_ = ex.output();
+  if (replay && ckptInterval_ > 0) {
+    const vm::RunResult res = buildCheckpoints(ex, candidates);
+    CARE_ASSERT(res.status == vm::RunStatus::Done &&
+                    res.instrCount == goldenInstrs_ &&
+                    ex.output() == goldenOutput_,
+                "the counting pass diverged from the golden run");
+  } else if (!runGolden(ex)) {
+    return false;
+  }
 
   sites_.clear();
   counts_.clear();
   cumulative_.clear();
   totalWeight_ = 0;
-  for (std::int32_t m : cfg_.targetModules) {
-    const auto& fns = image_->module(static_cast<std::size_t>(m)).mod->functions;
-    for (std::size_t f = 0; f < fns.size(); ++f) {
-      for (std::size_t i = 0; i < fns[f].code.size(); ++i) {
-        if (!injectable(fns[f].code[i])) continue;
-        const CodeLoc loc{m, static_cast<std::int32_t>(f),
-                          static_cast<std::int32_t>(i)};
-        const std::uint64_t count = ex.profileCount(loc);
-        if (count == 0) continue;
-        sites_.push_back(loc);
-        counts_.push_back(count);
-        totalWeight_ += count;
-        cumulative_.push_back(totalWeight_);
-      }
-    }
+  std::vector<std::size_t> kept;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const std::uint64_t count = ex.profileCount(candidates[c]);
+    if (count == 0) continue;
+    kept.push_back(c);
+    sites_.push_back(candidates[c]);
+    counts_.push_back(count);
+    totalWeight_ += count;
+    cumulative_.push_back(totalWeight_);
   }
   if (totalWeight_ == 0) return false;
-
-  // Rollback-ring spacing (DESIGN.md §4f): same auto rule, deliberately
-  // its own knob — rollback trials must behave identically whether or not
-  // the replay cache is enabled.
-  rollbackInterval_ = resolveSpacing(cfg_.rollbackEveryInstrs, goldenInstrs_);
-  if (rollbackInterval_ == 0)
-    rollbackInterval_ = goldenInstrs_ + 1; // entry checkpoint only
-
-  // Replay cache (DESIGN.md §4c): resolve the segment length, then capture
-  // the golden run's boundary states in a second pass (the auto interval
-  // and the site table both depend on this first pass).
-  checkpoints_.clear();
-  ckptInterval_ = resolveSpacing(cfg_.checkpointEveryInstrs, goldenInstrs_);
-  if (ckptInterval_ > 0) buildCheckpoints();
+  // Project the captures onto the sampling table (kept is ascending).
+  for (TrialCheckpoint& ck : checkpoints_) {
+    for (std::size_t k = 0; k < kept.size(); ++k)
+      ck.siteCounts[k] = ck.siteCounts[kept[k]];
+    ck.siteCounts.resize(kept.size());
+    ck.siteCounts.shrink_to_fit();
+  }
 
   // Pruning support (DESIGN.md §4j): the deadmem class needs a per-word
   // last-access bound, built from one traced golden run. Register-model
@@ -225,22 +257,21 @@ std::string Campaign::pruneKey(const InjectionPoint& pt) const {
   return key;
 }
 
-void Campaign::buildCheckpoints() {
+vm::RunResult Campaign::buildCheckpoints(
+    Executor& ex, const std::vector<CodeLoc>& candidates) {
   trace::Span span("campaign.build_checkpoints", "campaign");
-  // Re-run the golden execution through the shared boundary driver
+  // Run the golden execution through the shared boundary driver
   // (vm/checkpoint_ring.hpp), capturing a TrialCheckpoint at every segment
   // boundary. The driver first pauses at entry (instruction 0): that
   // capture is entry_, the pinned slot every rollback ring starts with.
   // When a rolling-back strategy spaces its ring differently, the rollback
   // grid joins the table as scheduled stops, so a rolling-back trial can
   // fast-forward to a boundary its own ring would have captured.
-  Executor ex(image_, baseMem_);
-  ex.enableProfiling();
   auto capture = [&](Executor& e) {
     TrialCheckpoint ck;
     ck.rp = e.resumePoint();
-    ck.siteCounts.reserve(sites_.size());
-    for (const CodeLoc& loc : sites_)
+    ck.siteCounts.reserve(candidates.size());
+    for (const CodeLoc& loc : candidates)
       ck.siteCounts.push_back(e.profileCount(loc));
     checkpoints_.push_back(std::move(ck));
     return false;
@@ -252,7 +283,7 @@ void Campaign::buildCheckpoints() {
          at += rollbackInterval_)
       if (at % ckptInterval_ != 0) rollbackGrid.push_back({at, capture});
   bool atEntry = true;
-  vm::runCheckpointed(
+  return vm::runCheckpointed(
       ex, cfg_.entry, ckptInterval_, goldenInstrs_,
       [&](Executor& e) {
         if (!atEntry) {

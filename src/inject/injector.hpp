@@ -169,8 +169,11 @@ class Campaign {
 public:
   Campaign(const vm::Image* image, CampaignConfig cfg);
 
-  /// Golden (fault-free) profiling run. Must be called once before sampling
-  /// or injecting. Returns false if the program itself fails.
+  /// Golden (fault-free) profile: a plain golden run on the campaign's
+  /// backend, then one profiled run that also captures the replay cache's
+  /// checkpoints (with the cache off, the profiled run alone). Must be
+  /// called once before sampling or injecting. Returns false if the
+  /// program itself fails.
   bool profile();
 
   std::uint64_t goldenInstrs() const { return goldenInstrs_; }
@@ -235,7 +238,11 @@ public:
                                  const std::vector<unsigned>& bits);
 
 private:
-  void buildCheckpoints();
+  /// The counting pass under the replay cache: run the profiled `ex` from
+  /// entry to the golden count, capturing entry_ and a TrialCheckpoint
+  /// (with one count per candidate) at every boundary.
+  vm::RunResult buildCheckpoints(vm::Executor& ex,
+                                 const std::vector<vm::CodeLoc>& candidates);
   /// The checkpoint runInjection(pt) should fast-forward through: the last
   /// one at which fewer than pt.nth executions of pt.loc had completed.
   /// Null when checkpointing is off, the site is unknown, or the fault

@@ -9,9 +9,13 @@
 //
 // Two instrumentation facilities serve the evaluation harness:
 //  * profiling mode counts executions of every static instruction (the
-//    paper's Pin-based profile for execution-weighted injection sampling);
+//    paper's Pin-based profile for execution-weighted injection sampling).
+//    Every backend counts exactly alike; under the JIT a profiled run stays
+//    native on counting code (jit.hpp);
 //  * an armed injection fires a callback right after the n-th execution of
-//    a chosen static instruction (the paper's GDB/ptrace injector).
+//    a chosen static instruction (the paper's GDB/ptrace injector). Under
+//    the JIT the fast interpreter watches for it, and the run goes native
+//    once it has fired.
 #pragma once
 
 #include <functional>
@@ -21,6 +25,8 @@
 #include "vm/loader.hpp"
 
 namespace care::vm {
+
+class JitImage;
 
 enum class TrapKind : std::uint8_t {
   SegFault,
@@ -108,7 +114,7 @@ public:
   // --- instrumentation ------------------------------------------------------
   void enableProfiling();
   /// Execution count of static instruction (module, func, instr); valid
-  /// after a profiled run.
+  /// between run() calls of a profiled executor.
   std::uint64_t profileCount(const CodeLoc& loc) const;
 
   /// After the `nth` (1-based) completed execution of the instruction at
@@ -187,14 +193,18 @@ private:
   RunResult runReference();
   RunResult runFast();
   RunResult runJit(); // executor_jit.cpp: the mixed-mode driver
+  /// runJit's native loop over the plain or the counting code variant.
+  RunResult runNative(JitImage& jimg, bool counting);
   /// The token-threaded loop, compiled twice: the instrumented variant
   /// carries the per-instruction profiling and injection checks; the plain
   /// variant (profiling off, nothing armed — golden runs) omits them. If a
   /// trap hook arms instrumentation mid-run, the plain variant syncs state,
-  /// sets *switchToInstrumented and returns so runFast() can re-enter the
+  /// sets *switchVariant and returns so runFast() can re-enter the
   /// instrumented one — equivalent to the reference loop's Retry `continue`.
+  /// The instrumented variant does the same once a fired injection leaves
+  /// nothing instrumented, which is where runJit() goes native.
   template <bool kInstrumented>
-  RunResult runFastImpl(bool* switchToInstrumented = nullptr);
+  RunResult runFastImpl(bool* switchVariant = nullptr);
 
   const Image* image_;
   InterpKind interp_ = InterpKind::Fast;
@@ -216,6 +226,10 @@ private:
   // Profiling.
   bool profiling_ = false;
   std::vector<std::vector<std::vector<std::uint64_t>>> profile_;
+  /// Block counters of the JIT's counting code, one slot per static
+  /// instruction (JitImage::counterSlots); runJit drains them into
+  /// profile_ before it returns.
+  std::vector<std::uint64_t> blockCounts_;
 
   // Injection.
   bool injArmed_ = false;

@@ -3,8 +3,16 @@
 // run() under InterpKind::Jit alternates between native execution of
 // compiled code and the fast interpreter:
 //
-//  * instrumented runs (profiling, armed injection) stay on the fast
-//    interpreter entirely — they need its per-instruction checks;
+//  * profiled runs stay native on the counting code variant (jit.hpp):
+//    blocks count themselves, the driver credits the instructions of a
+//    mid-block entry and debits the unexecuted rest of a block left early
+//    (Trap, ColdOp), and interpreter bursts count per instruction, so
+//    profileCount() equals the fast interpreter's exactly;
+//  * an armed injection runs on the instrumented fast loop until it fires,
+//    then the rest of the run goes native;
+//  * ECC-armed or access-traced memory, and profiling together with an
+//    armed injection, stay on the fast interpreter entirely — they need
+//    per-access or per-instruction checks the templates don't carry;
 //  * a position with no native entry (function below its compile
 //    threshold, interpret-only, or a basic block that no longer fits the
 //    effective budget) is burst-interpreted under a stopAt_ bound, then
@@ -30,11 +38,8 @@ constexpr std::uint64_t kBurst = 65536;
 } // namespace
 
 RunResult Executor::runJit() {
-  // Profiling counts, nth-execution injection watchpoints and ECC-armed
-  // memory need per-access checks the emitted templates don't carry; the
-  // fast interpreter provides them with identical results.
-  if (profiling_ || injArmed_ || mem_.eccEnabled() ||
-      mem_.accessTraceActive())
+  if (mem_.eccEnabled() || mem_.accessTraceActive() ||
+      (profiling_ && injArmed_))
     return runFast();
 
   JitImage& jimg = image_->jit();
@@ -42,6 +47,36 @@ RunResult Executor::runJit() {
     warnJitUnavailableOnce();
     return runFast();
   }
+
+  if (injArmed_) {
+    // The instrumented loop returns with `fired` set once the injection
+    // has fired and left no instrumentation behind.
+    bool fired = false;
+    const RunResult r = runFastImpl<true>(&fired);
+    if (!fired) return r;
+  }
+  if (!profiling_) return runNative(jimg, false);
+
+  blockCounts_.resize(jimg.counterSlots());
+  const RunResult r = runNative(jimg, true);
+  jimg.drainBlockCounts(blockCounts_.data(), profile_);
+  return r;
+}
+
+RunResult Executor::runNative(JitImage& jimg, bool counting) {
+  const JitVariant variant =
+      counting ? JitVariant::Counting : JitVariant::Plain;
+  // Add `delta` (wrapping: ~0 subtracts one) to the profile counts of the
+  // rest of j's block from `from` on — a counting run's mid-block entry
+  // credit or early-exit debit.
+  auto adjustBlock = [&](std::int32_t from, std::uint32_t n,
+                         std::uint64_t delta) {
+    std::uint64_t* row = profile_[static_cast<std::size_t>(curModule_)]
+                                 [static_cast<std::size_t>(curFunc_)]
+                                     .data() +
+                         from;
+    for (std::uint32_t i = 0; i < n; ++i) row[i] += delta;
+  };
 
   RunResult res;
   JitContext ctx;
@@ -56,6 +91,7 @@ RunResult Executor::runJit() {
   ctx.mem = &mem_;
   ctx.output = &output_;
   ctx.jit = &jimg;
+  ctx.blockCounts = counting ? blockCounts_.data() : nullptr;
 
   for (;;) {
     const std::uint64_t stop = budget_ < stopAt_ ? budget_ : stopAt_;
@@ -66,12 +102,12 @@ RunResult Executor::runJit() {
     }
     // A trap hook may have armed instrumentation mid-run; hand the rest of
     // the run over, like the plain fast-loop variant does.
-    if (profiling_ || injArmed_ || mem_.eccEnabled() ||
+    if (profiling_ != counting || injArmed_ || mem_.eccEnabled() ||
         mem_.accessTraceActive())
       return runFast();
 
-    const void* entry =
-        jimg.entryFor(curModule_, curFunc_, curInstr_, instrCount_, stop);
+    const void* entry = jimg.entryFor(curModule_, curFunc_, curInstr_,
+                                      instrCount_, stop, variant);
     if (!entry) {
       // Burst-interpret under a transient bound. An artificial stop shows
       // up as BudgetExceeded short of the real bound — re-probe the cache.
@@ -87,6 +123,10 @@ RunResult Executor::runJit() {
       return r;
     }
 
+    // The entry skips the block counter: credit the rest of the block.
+    if (counting)
+      adjustBlock(curInstr_, jimg.blockRest(curModule_, curFunc_, curInstr_),
+                  1);
     ctx.ic = instrCount_;
     ctx.budget = stop;
     jimg.enter(ctx, entry);
@@ -106,6 +146,10 @@ RunResult Executor::runJit() {
       return res;
 
     case JitExit::Trap: {
+      // The trapping instruction counted; the rest of its block did not run.
+      if (counting)
+        adjustBlock(curInstr_ + 1,
+                    jimg.blockRest(curModule_, curFunc_, curInstr_) - 1, ~0ull);
       const Trap trap{static_cast<TrapKind>(ctx.trapKind), currentPC(),
                       ctx.trapAddr};
       if (trapHook_ && trapHook_(*this, trap) == TrapAction::Retry)
@@ -148,8 +192,12 @@ RunResult Executor::runJit() {
       continue;
 
     case JitExit::ColdOp: {
-      // Single-step the rare op on the interpreter, then resume natively
-      // at the next instruction (its counter increment happens there).
+      // Single-step the rare op on the interpreter (which counts it), then
+      // resume natively at the next instruction (its counter increment
+      // happens there).
+      if (counting)
+        adjustBlock(curInstr_, jimg.blockRest(curModule_, curFunc_, curInstr_),
+                    ~0ull);
       const std::uint64_t save = stopAt_;
       stopAt_ = instrCount_ + 1;
       RunResult r = runFast();

@@ -106,6 +106,7 @@ constexpr std::int32_t kOffF = offsetof(JitContext, f);
 constexpr std::int32_t kOffReadTlb = offsetof(JitContext, readTlb);
 constexpr std::int32_t kOffWriteTlb = offsetof(JitContext, writeTlb);
 constexpr std::int32_t kOffMem = offsetof(JitContext, mem);
+constexpr std::int32_t kOffBlockCounts = offsetof(JitContext, blockCounts);
 constexpr std::int32_t kOffIc = offsetof(JitContext, ic);
 constexpr std::int32_t kOffBudget = offsetof(JitContext, budget);
 constexpr std::int32_t kOffTrapAddr = offsetof(JitContext, trapAddr);
@@ -265,6 +266,7 @@ struct Asm {
     rex(w, 0, 0, reg); u8(0xC1); modrm(3, ext, reg); u8(n);
   }
   void incR(int reg) { rexW(0, 0, reg); u8(0xFF); modrm(3, 0, reg); }
+  void incM(int base, std::int32_t d) { rexW(0, 0, base); u8(0xFF); mem(0, base, d); }
   void negR(int reg, bool w = true) { rex(w, 0, 0, reg); u8(0xF7); modrm(3, 3, reg); }
   void cqo() { u8(0x48); u8(0x99); }
   void cdq() { u8(0x99); }
@@ -396,17 +398,21 @@ struct FnArtifact {
 };
 
 // Compiles one decoded function. Layout: hot templates in instruction
-// order (leaders prefixed by their block budget check), then the cold
-// stubs (trap materialization, TLB misses, deopts), then the shared
-// per-function exit tails and the trampoline to the common exit thunk.
+// order (leaders prefixed by their block budget check and, in the counting
+// variant, their block counter increment), then the cold stubs (trap
+// materialization, TLB misses, deopts), then the shared per-function exit
+// tails and the trampoline to the common exit thunk.
 class FnCompiler {
 public:
+  /// `counterBase` is the function's first JitContext::blockCounts slot in
+  /// the counting variant, or -1 for plain code.
   FnCompiler(const DecodedFunction& df, std::int32_t m, std::int32_t f,
              const std::vector<std::vector<std::atomic<const void*>>>& slots,
-             const void* commonExit)
+             const void* commonExit, std::int64_t counterBase)
       : code_(df.code.data()),
         n_(df.code.size() - 1), // exclude the OobGuard sentinel
-        m_(m), f_(f), slots_(slots), commonExit_(commonExit) {}
+        m_(m), f_(f), slots_(slots), commonExit_(commonExit),
+        counterBase_(counterBase) {}
 
   FnArtifact run() {
     FnArtifact art;
@@ -449,6 +455,7 @@ private:
   std::int32_t m_, f_;
   const std::vector<std::vector<std::atomic<const void*>>>& slots_;
   const void* commonExit_;
+  std::int64_t counterBase_;
   Asm a_;
   std::vector<bool> leader_;
   std::vector<std::uint32_t> suffix_;
@@ -496,7 +503,7 @@ private:
 
   // Block-entry budget check: enter only if every instruction of the block
   // still fits; otherwise deopt so the interpreter stops on the exact
-  // boundary.
+  // boundary. The counting variant then credits the whole block at once.
   void emitBlockCheck(std::int32_t j) {
     a_.leaRM(RAX, kIc, static_cast<std::int32_t>(suffix_[j]));
     a_.cmpRM(RAX, kCtx, kOffBudget);
@@ -507,6 +514,10 @@ private:
       a_.movMImm32(kCtx, kOffInstr, static_cast<std::uint32_t>(j));
       a_.jmpTo(exitLabel(JitExit::Deopt));
     });
+    if (counterBase_ >= 0) {
+      a_.movRM(RAX, kCtx, kOffBlockCounts);
+      a_.incM(RAX, static_cast<std::int32_t>(8 * (counterBase_ + j)));
+    }
   }
 
   enum class TrapAddrFrom { Rsi, Scratch, Zero };
@@ -1181,12 +1192,25 @@ JitImage::JitImage(const Image& image)
   }
   const DecodedImage& dimg = image.decoded();
   const std::size_t nm = dimg.funcs.size();
-  slots_.reserve(nm);
-  fns_.reserve(nm);
-  for (std::size_t m = 0; m < nm; ++m) {
-    const std::size_t nf = dimg.funcs[m].size();
-    slots_.emplace_back(nf);  // inner vectors are never resized again:
-    fns_.emplace_back(nf);    // emitted code embeds their element addresses
+  for (int v = 0; v < 2; ++v) {
+    slots_[v].reserve(nm);
+    fns_[v].reserve(nm);
+    for (std::size_t m = 0; m < nm; ++m) {
+      const std::size_t nf = dimg.funcs[m].size();
+      slots_[v].emplace_back(nf); // inner vectors are never resized again:
+      fns_[v].emplace_back(nf);   // emitted code embeds their addresses
+    }
+  }
+  counterBase_.resize(nm);
+  for (std::size_t m = 0; m < nm; ++m)
+    for (const DecodedFunction& df : dimg.funcs[m]) {
+      counterBase_[m].push_back(static_cast<std::uint32_t>(counterSlots_));
+      counterSlots_ += df.code.size() - 1; // the OobGuard sentinel excluded
+    }
+  // Counter displacements are disp32 in emitted code.
+  if (counterSlots_ >= (1u << 28)) {
+    broken_ = true;
+    return;
   }
 
   // The stub chunk: entry thunk, common exit, one CrossEnter stub per
@@ -1244,26 +1268,32 @@ JitImage::JitImage(const Image& image)
   }
   entryThunk_ = base + thunkOff;
   commonExit_ = base + exitOff;
-  for (std::size_t m = 0; m < nm; ++m)
-    for (std::size_t f = 0; f < ceOff[m].size(); ++f)
-      slots_[m][f].store(base + ceOff[m][f], std::memory_order_release);
+  for (auto& slots : slots_)
+    for (std::size_t m = 0; m < nm; ++m)
+      for (std::size_t f = 0; f < ceOff[m].size(); ++f)
+        slots[m][f].store(base + ceOff[m][f], std::memory_order_release);
 }
 
 JitImage::~JitImage() = default;
 
-JitImage::FnJit* JitImage::compiled(std::int32_t m, std::int32_t f) {
-  return fns_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)].load(
-      std::memory_order_acquire);
+JitImage::FnJit* JitImage::compiled(std::int32_t m, std::int32_t f,
+                                    JitVariant v) const {
+  return fns_[static_cast<int>(v)][static_cast<std::size_t>(m)]
+             [static_cast<std::size_t>(f)]
+                 .load(std::memory_order_acquire);
 }
 
-JitImage::FnJit* JitImage::compileLocked(std::int32_t m, std::int32_t f) {
-  auto& cell =
-      fns_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)];
+JitImage::FnJit* JitImage::compileLocked(std::int32_t m, std::int32_t f,
+                                         JitVariant v) {
+  const auto mi = static_cast<std::size_t>(m);
+  const auto fi = static_cast<std::size_t>(f);
+  auto& cell = fns_[static_cast<int>(v)][mi][fi];
   if (FnJit* fj = cell.load(std::memory_order_relaxed)) return fj;
-  const DecodedFunction& df =
-      image_.decoded().funcs[static_cast<std::size_t>(m)]
-                           [static_cast<std::size_t>(f)];
-  FnCompiler fc(df, m, f, slots_, commonExit_);
+  const DecodedFunction& df = image_.decoded().funcs[mi][fi];
+  FnCompiler fc(df, m, f, slots_[static_cast<int>(v)], commonExit_,
+                v == JitVariant::Counting
+                    ? static_cast<std::int64_t>(counterBase_[mi][fi])
+                    : -1);
   FnArtifact art = fc.run();
   auto own = std::make_unique<FnJit>();
   if (art.ok) {
@@ -1278,24 +1308,25 @@ JitImage::FnJit* JitImage::compileLocked(std::int32_t m, std::int32_t f) {
   fnStore_.push_back(std::move(own));
   if (raw->base) {
     // Calls may now jump straight in; offset 0 is the leader-0 block check.
-    slots_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)].store(
-        raw->base, std::memory_order_release);
+    slots_[static_cast<int>(v)][mi][fi].store(raw->base,
+                                              std::memory_order_release);
   }
   cell.store(raw, std::memory_order_release);
   return raw;
 }
 
 const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
-                               std::uint64_t ic, std::uint64_t limit) {
+                               std::uint64_t ic, std::uint64_t limit,
+                               JitVariant v) {
   if (broken_ || m < 0 || f < 0 || j < 0) return nullptr;
-  if (static_cast<std::size_t>(m) >= fns_.size() ||
-      static_cast<std::size_t>(f) >= fns_[static_cast<std::size_t>(m)].size())
+  if (static_cast<std::size_t>(m) >= counterBase_.size() ||
+      static_cast<std::size_t>(f) >=
+          counterBase_[static_cast<std::size_t>(m)].size())
     return nullptr;
-  FnJit* fj = compiled(m, f);
+  FnJit* fj = compiled(m, f, v);
   if (!fj) {
     std::lock_guard<std::mutex> lk(compileMutex_);
-    fj = compileLocked(m, f);
-    if (!fj) return nullptr;
+    fj = compileLocked(m, f, v);
   }
   if (!fj->base) return nullptr;
   if (static_cast<std::size_t>(j) >= fj->instrOff.size()) return nullptr;
@@ -1303,13 +1334,6 @@ const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
   // of j's basic block still fits the effective budget.
   if (ic + fj->suffixLen[static_cast<std::size_t>(j)] > limit) return nullptr;
   return fj->base + fj->instrOff[static_cast<std::size_t>(j)];
-}
-
-const void* JitImage::entryForPC(std::uint64_t pc, std::uint64_t ic,
-                                 std::uint64_t limit) {
-  const CodeLoc loc = image_.locate(pc);
-  if (!loc.valid()) return nullptr;
-  return entryFor(loc.module, loc.func, loc.instr, ic, limit);
 }
 
 void JitImage::enter(JitContext& ctx, const void* target) const {
@@ -1321,17 +1345,63 @@ void JitImage::enter(JitContext& ctx, const void* target) const {
 
 std::size_t JitImage::compiledFunctions() const {
   std::size_t n = 0;
-  for (const auto& mod : fns_)
-    for (const auto& cell : mod) {
-      const FnJit* fj = cell.load(std::memory_order_acquire);
-      if (fj && fj->base) ++n;
-    }
+  for (const auto& fns : fns_)
+    for (const auto& mod : fns)
+      for (const auto& cell : mod) {
+        const FnJit* fj = cell.load(std::memory_order_acquire);
+        if (fj && fj->base) ++n;
+      }
   return n;
+}
+
+std::uint32_t JitImage::blockRest(std::int32_t m, std::int32_t f,
+                                  std::int32_t j) const {
+  return compiled(m, f, JitVariant::Counting)
+      ->suffixLen[static_cast<std::size_t>(j)];
+}
+
+void JitImage::drainBlockCounts(
+    std::uint64_t* counts,
+    std::vector<std::vector<std::vector<std::uint64_t>>>& rows) const {
+  const auto& fns = fns_[static_cast<int>(JitVariant::Counting)];
+  for (std::size_t m = 0; m < fns.size(); ++m)
+    for (std::size_t f = 0; f < fns[m].size(); ++f) {
+      const FnJit* fj = fns[m][f].load(std::memory_order_acquire);
+      if (!fj || !fj->base) continue;
+      std::uint64_t* c = counts + counterBase_[m][f];
+      std::uint64_t* row = rows[m][f].data();
+      // Walk the leaders: each block's length takes us to the next one.
+      for (std::size_t j = 0; j < fj->suffixLen.size();
+           j += fj->suffixLen[j]) {
+        if (!c[j]) continue;
+        for (std::size_t i = j; i < j + fj->suffixLen[j]; ++i) row[i] += c[j];
+        c[j] = 0;
+      }
+    }
+}
+
+const void* JitImage::retEntry(JitContext& ctx, std::uint64_t pc) {
+  const CodeLoc loc = image_.locate(pc);
+  if (!loc.valid()) return nullptr;
+  if (!ctx.blockCounts)
+    return entryFor(loc.module, loc.func, loc.instr, ctx.ic, ctx.budget);
+  const void* e = entryFor(loc.module, loc.func, loc.instr, ctx.ic,
+                           ctx.budget, JitVariant::Counting);
+  // A return lands on a block leader (the instruction after a Call): count
+  // the block here, since the entry skips its counter. A mid-block address
+  // is left to the driver, which credits it.
+  if (!e || (loc.instr > 0 &&
+             blockRest(loc.module, loc.func, loc.instr - 1) != 1))
+    return nullptr;
+  ++ctx.blockCounts[counterBase_[static_cast<std::size_t>(loc.module)]
+                               [static_cast<std::size_t>(loc.func)] +
+                    static_cast<std::size_t>(loc.instr)];
+  return e;
 }
 
 const void* jitResolveRet(JitContext* ctx, std::uint64_t pc) {
   JitImage* ji = static_cast<JitImage*>(const_cast<void*>(ctx->jit));
-  if (const void* e = ji->entryForPC(pc, ctx->ic, ctx->budget)) return e;
+  if (const void* e = ji->retEntry(*ctx, pc)) return e;
   ctx->retPC = pc;
   return nullptr;
 }

@@ -27,6 +27,15 @@
 //    through a ColdOp stub and are single-stepped by the interpreter, then
 //    native execution resumes at the next instruction.
 //
+// Profiled runs execute natively too, on a second *counting* variant of
+// each function: the same templates plus one increment of a per-block
+// counter after the block's budget check. The counters belong to the
+// profiling Executor (JitContext::blockCounts), never to the shared
+// JitImage; the driver credits mid-block entries and debits the unexecuted
+// rest of a block left early (Trap, ColdOp), and drainBlockCounts() folds
+// the block counters into the per-instruction profile, so the counts equal
+// the interpreters' exactly. Plain code carries no counting instruction.
+//
 // Compilation is per-function, on the first driver touch, into chunks that
 // are sealed PROT_READ|PROT_EXEC before their entry is published — no page
 // is ever writable and executable at once, and no sealed page is rewritten
@@ -76,6 +85,9 @@ struct JitContext {
   Memory* mem = nullptr;             // for TLB-miss helpers
   std::vector<std::uint64_t>* output = nullptr; // Emit/EmitI sink
   const void* jit = nullptr;         // owning JitImage (Ret resolution)
+  // Counting runs only: the profiling Executor's block counters, indexed
+  // by JitImage counter slot; null selects the plain variant.
+  std::uint64_t* blockCounts = nullptr;
   // Run state (in: driver -> native; out: native -> driver).
   std::uint64_t ic = 0;              // absolute instrCount
   std::uint64_t budget = 0;          // effective stop (min(budget, stopAt))
@@ -99,6 +111,10 @@ enum class JitExit : std::int32_t {
   Yield,         // Barrier; position is the resume point
 };
 
+/// Which code a JitImage hands out: the plain templates, or the same
+/// templates counting block entries for a profiled run.
+enum class JitVariant : std::uint8_t { Plain = 0, Counting = 1 };
+
 /// Per-Image native code cache. Thread-safe: many campaign Executors share
 /// one Image and compile/execute concurrently.
 class JitImage {
@@ -111,15 +127,12 @@ public:
   /// Native address to enter for position (m, f, j) under the given
   /// counter/limit, or nullptr when the driver should interpret instead:
   /// compilation failed, or the remainder of j's basic block no longer
-  /// fits `limit` (the budget-exactness deopt). Compiles the function on
-  /// its first touch.
+  /// fits `limit` (the budget-exactness deopt). Compiles the function's
+  /// `v` variant on its first touch. The entry skips j's block counter:
+  /// a counting caller credits the entry itself.
   const void* entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
-                       std::uint64_t ic, std::uint64_t limit);
-
-  /// entryFor for a raw code address (the Ret path): resolves `pc` through
-  /// Image::locate. Returns nullptr for wild PCs too.
-  const void* entryForPC(std::uint64_t pc, std::uint64_t ic,
-                         std::uint64_t limit);
+                       std::uint64_t ic, std::uint64_t limit,
+                       JitVariant v = JitVariant::Plain);
 
   /// The shared entry thunk: saves host state, seats the fixed registers
   /// from `ctx`, jumps to `target` (a value from entryFor).
@@ -131,22 +144,44 @@ public:
   /// and interpret everything.
   bool usable() const { return !broken_; }
 
-  /// Compiled-function count (tests/telemetry).
+  /// Compiled function bodies, both variants (tests/telemetry).
   std::size_t compiledFunctions() const;
+
+  /// Length of a JitContext::blockCounts array: one slot per static
+  /// instruction of the image (only block leaders' slots are used).
+  std::size_t counterSlots() const { return counterSlots_; }
+  /// Instructions from j to the end of its basic block, j included. Valid
+  /// for functions whose counting variant is compiled.
+  std::uint32_t blockRest(std::int32_t m, std::int32_t f,
+                          std::int32_t j) const;
+  /// Fold the block counters of a counting run into per-instruction
+  /// `rows[m][f][instr]` (every instruction of a block gets its counter)
+  /// and zero them.
+  void drainBlockCounts(
+      std::uint64_t* counts,
+      std::vector<std::vector<std::vector<std::uint64_t>>>& rows) const;
 
 private:
   struct FnJit;
   struct Chunk;
 
-  FnJit* compiled(std::int32_t m, std::int32_t f);
-  FnJit* compileLocked(std::int32_t m, std::int32_t f);
+  FnJit* compiled(std::int32_t m, std::int32_t f, JitVariant v) const;
+  FnJit* compileLocked(std::int32_t m, std::int32_t f, JitVariant v);
+  /// Native entry for a cross-function return to `pc` (jitResolveRet), or
+  /// nullptr to let the driver take over: a wild PC, a block that no longer
+  /// fits, or a counting run returning mid-block.
+  const void* retEntry(JitContext& ctx, std::uint64_t pc);
 
   const Image& image_;
-  // One slot per function: the address cross-function call templates jump
-  // through. Initially the function's CrossEnter stub; atomically repointed
-  // at the real entry once compiled. Lives in plain data, never in code.
-  std::vector<std::vector<std::atomic<const void*>>> slots_;
-  std::vector<std::vector<std::atomic<FnJit*>>> fns_;
+  // Per variant, one slot per function: the address cross-function call
+  // templates jump through. Initially the function's CrossEnter stub;
+  // atomically repointed at the variant's entry once compiled. Lives in
+  // plain data, never in code.
+  std::vector<std::vector<std::atomic<const void*>>> slots_[2];
+  std::vector<std::vector<std::atomic<FnJit*>>> fns_[2];
+  // First counter slot of each function ([m][f]); counterSlots_ in total.
+  std::vector<std::vector<std::uint32_t>> counterBase_;
+  std::size_t counterSlots_ = 0;
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::unique_ptr<FnJit>> fnStore_;
   // Emitted once into the first chunk.

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 
 #include "inject/experiment.hpp"
 #include "support/error.hpp"
@@ -260,6 +261,280 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
     EXPECT_EQ(inject::serializeDeterministic(jit),
               inject::serializeDeterministic(fast))
         << tag;
+  }
+}
+
+// --- native profiling: exact counts on the counting code variant -----------
+
+/// Every static instruction's profile count, in (module, func, instr) order.
+std::vector<std::uint64_t> allCounts(const vm::Executor& ex) {
+  std::vector<std::uint64_t> out;
+  const vm::Image& img = *ex.image();
+  for (std::size_t m = 0; m < img.numModules(); ++m) {
+    const auto& fns = img.module(m).mod->functions;
+    for (std::size_t f = 0; f < fns.size(); ++f)
+      for (std::size_t i = 0; i < fns[f].code.size(); ++i)
+        out.push_back(ex.profileCount({static_cast<std::int32_t>(m),
+                                       static_cast<std::int32_t>(f),
+                                       static_cast<std::int32_t>(i)}));
+  }
+  return out;
+}
+
+std::unique_ptr<vm::Executor> profiledExecutor(const Program& p,
+                                               vm::InterpKind k) {
+  auto ex = std::make_unique<vm::Executor>(p.image.get());
+  ex->setInterp(k);
+  ex->setBudget(50'000'000);
+  ex->enableProfiling();
+  return ex;
+}
+
+// `1000 / a[i]` fuses its load into a div-from-memory, an op the templates
+// leave to the interpreter (a ColdOp single-step mid-block); `helper` makes
+// every iteration a cross-function call and Ret.
+constexpr const char* kCountProgram = R"(
+  int a[64];
+  int helper(int x) {
+    if (x % 3 == 0) return x * 3 + 1;
+    return x - 2;
+  }
+  int main() {
+    int s = 0;
+    for (int i = 0; i < 64; i = i + 1) a[i] = i + 1;
+    for (int r = 0; r < 12; r = r + 1) {
+      for (int i = 0; i < 64; i = i + 1) {
+        s = s + 1000 / a[i];
+        s = s + helper(i + r);
+      }
+      emiti(s);
+    }
+    return s % 199;
+  })";
+
+bool hasColdDivFromMemory(const Program& p) {
+  for (const auto& fn : p.image->module(0).mod->functions)
+    for (const backend::MInst& in : fn.code)
+      if (in.op == backend::MOp::IAluMem &&
+          static_cast<backend::MOp>(in.sub) == backend::MOp::IDiv)
+        return true;
+  return false;
+}
+
+TEST(JitProfile, CountsMatchFastAcrossColdOpsCallsAndReturns) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  Program p = buildProgram(kCountProgram, opt::OptLevel::O0);
+  ASSERT_TRUE(hasColdDivFromMemory(p));
+
+  auto fast = profiledExecutor(p, vm::InterpKind::Fast);
+  const vm::RunResult fr = vm::runToCompletion(*fast, "main");
+  ASSERT_EQ(fr.status, vm::RunStatus::Done);
+  // Two counting runs over one Image: the counters are per Executor, so
+  // the second starts from zero like the first.
+  for (int run = 0; run < 2; ++run) {
+    auto jit = profiledExecutor(p, vm::InterpKind::Jit);
+    const vm::RunResult jr = vm::runToCompletion(*jit, "main");
+    EXPECT_EQ(jr.status, fr.status) << run;
+    EXPECT_EQ(jr.instrCount, fr.instrCount) << run;
+    EXPECT_EQ(jit->output(), fast->output()) << run;
+    EXPECT_EQ(allCounts(*jit), allCounts(*fast)) << run;
+  }
+  EXPECT_GT(p.image->jit().compiledFunctions(), 0u);
+}
+
+// Counting runs on one Image from several threads at once: the first ones
+// race to compile the counting variant, and each Executor's counters stay
+// its own.
+TEST(JitProfile, ConcurrentCountingRunsKeepTheirOwnCounts) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  Program p = buildProgram(kCountProgram, opt::OptLevel::O0);
+  auto fast = profiledExecutor(p, vm::InterpKind::Fast);
+  ASSERT_EQ(vm::runToCompletion(*fast, "main").status, vm::RunStatus::Done);
+  const std::vector<std::uint64_t> want = allCounts(*fast);
+
+  std::vector<std::vector<std::uint64_t>> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      auto jit = profiledExecutor(p, vm::InterpKind::Jit);
+      if (vm::runToCompletion(*jit, "main").status == vm::RunStatus::Done)
+        got[t] = allCounts(*jit);
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < got.size(); ++t) EXPECT_EQ(got[t], want) << t;
+}
+
+// Profiled runs stopped on every exact budget in a window: each stop lands
+// mid-block, on a block entry or right after a block's last instruction, so
+// the Deopt burst ends on an exact stop with the counts at that point; the
+// resumed run then enters natively mid-block, which the driver credits.
+TEST(JitProfile, CountsMatchFastAtEveryExactStopAndAfterMidBlockEntry) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  Program p = buildProgram(kCountProgram, opt::OptLevel::O0);
+  auto golden = profiledExecutor(p, vm::InterpKind::Fast);
+  const vm::RunResult gr = vm::runToCompletion(*golden, "main");
+  ASSERT_EQ(gr.status, vm::RunStatus::Done);
+
+  const std::uint64_t base = gr.instrCount / 2;
+  for (std::uint64_t stop = base; stop < base + 40; ++stop) {
+    const std::string tag = "stop=" + std::to_string(stop);
+    auto fast = profiledExecutor(p, vm::InterpKind::Fast);
+    auto jit = profiledExecutor(p, vm::InterpKind::Jit);
+    const vm::RunResult fs = fast->runBounded(stop);
+    const vm::RunResult js = jit->runBounded(stop);
+    ASSERT_EQ(fs.status, vm::RunStatus::BudgetExceeded) << tag;
+    ASSERT_EQ(js.status, vm::RunStatus::BudgetExceeded) << tag;
+    ASSERT_EQ(js.instrCount, stop) << tag;
+    ASSERT_EQ(allCounts(*jit), allCounts(*fast)) << tag;
+
+    const vm::RunResult ff = vm::runToCompletion(*fast, "main");
+    const vm::RunResult jf = vm::runToCompletion(*jit, "main");
+    EXPECT_EQ(jf.status, ff.status) << tag;
+    EXPECT_EQ(jf.instrCount, ff.instrCount) << tag;
+    EXPECT_EQ(allCounts(*jit), allCounts(*golden)) << tag;
+  }
+}
+
+// A native trap mid-block counts the trapping instruction but not the rest
+// of its block; a Retry re-enters natively. The hook rolls the executor back
+// to an earlier ResumePoint once, then lets the second trap propagate.
+TEST(JitProfile, CountsMatchFastAcrossTrapsAndRetries) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  Program p = buildProgram(R"(
+    int a[16];
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 40; i = i + 1) {
+        s = s + i * 7;
+        if (i > 30) s = s + a[i * 1000000];
+        s = s + 1;
+      }
+      return s;
+    })",
+                           opt::OptLevel::O0);
+  std::vector<std::uint64_t> want;
+  vm::RunResult wantRes;
+  for (vm::InterpKind k : {vm::InterpKind::Fast, vm::InterpKind::Jit}) {
+    const std::string tag = vm::interpName(k);
+    auto ex = profiledExecutor(p, k);
+    ASSERT_EQ(ex->runBounded(200).status, vm::RunStatus::BudgetExceeded);
+    const vm::Executor::ResumePoint rp = ex->resumePoint();
+    int traps = 0;
+    ex->setTrapHook([&](vm::Executor& e, const vm::Trap&) {
+      if (++traps > 1) return vm::TrapAction::Propagate;
+      e.restoreCheckpoint(rp);
+      return vm::TrapAction::Retry;
+    });
+    const vm::RunResult r = vm::runToCompletion(*ex, "main");
+    ASSERT_EQ(r.status, vm::RunStatus::Trapped) << tag;
+    EXPECT_EQ(r.trap.kind, vm::TrapKind::SegFault) << tag;
+    EXPECT_EQ(traps, 2) << tag;
+    if (want.empty()) {
+      want = allCounts(*ex);
+      wantRes = r;
+      continue;
+    }
+    EXPECT_EQ(r.instrCount, wantRes.instrCount) << tag;
+    EXPECT_EQ(r.trap.pc, wantRes.trap.pc) << tag;
+    EXPECT_EQ(allCounts(*ex), want) << tag;
+  }
+}
+
+// Campaign::profile on every backend: the same golden run, sampling table,
+// per-instruction counts and replay checkpoints, at auto spacing and at a
+// 5000-instruction replay grid under repair_then_rollback (whose rollback
+// grid then differs from the replay grid).
+TEST(JitProfile, CampaignProfileIsIdenticalOnEveryBackend) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  constexpr vm::InterpKind kBackends[] = {
+      vm::InterpKind::Ref, vm::InterpKind::Fast, vm::InterpKind::Jit};
+  InterpGuard guard;
+  struct Build {
+    const workloads::Workload* w;
+    opt::OptLevel level;
+    bool detect;
+  };
+  std::vector<Build> builds;
+  for (const workloads::Workload* w : workloads::allWorkloads())
+    for (opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1})
+      builds.push_back({w, level, false});
+  builds.push_back({&workloads::hpccg(), opt::OptLevel::O0, true});
+
+  for (const Build& b : builds) {
+    inject::ExperimentConfig ecfg;
+    ecfg.level = b.level;
+    ecfg.armor.detect.cfc = ecfg.armor.detect.addr = b.detect;
+    ecfg.cacheDir = "care_test_artifacts/jit_profile";
+    const inject::BuiltWorkload built = inject::buildWorkload(*b.w, ecfg);
+    const vm::Image& img = *built.image;
+    // Every static instruction's count, from one profiled run each.
+    std::vector<std::vector<std::uint64_t>> counts;
+    for (vm::InterpKind k : kBackends) {
+      vm::Executor ex(&img);
+      ex.setInterp(k);
+      ex.enableProfiling();
+      ex.setBudget(2'000'000'000ull);
+      ASSERT_EQ(vm::runToCompletion(ex, "main").status, vm::RunStatus::Done);
+      counts.push_back(allCounts(ex));
+      EXPECT_EQ(counts.back(), counts.front())
+          << b.w->name << " " << vm::interpName(k);
+    }
+
+    for (bool grid : {false, true}) {
+      inject::CampaignConfig ccfg;
+      if (grid) {
+        ccfg.checkpointEveryInstrs = 5000;
+        ccfg.recover = core::RecoveryStrategy::RepairThenRollback;
+      }
+      const std::string tag = b.w->name + (b.level == opt::OptLevel::O0
+                                               ? "/O0" : "/O1") +
+                              (b.detect ? "/detect" : "") +
+                              (grid ? "/5000-rtr" : "/auto");
+      std::vector<std::unique_ptr<inject::Campaign>> camps;
+      for (vm::InterpKind k : kBackends) {
+        vm::setDefaultInterp(k);
+        camps.push_back(std::make_unique<inject::Campaign>(&img, ccfg));
+        ASSERT_TRUE(camps.back()->profile()) << tag;
+      }
+      const inject::Campaign& want = *camps[0];
+      ASSERT_GT(want.checkpoints().size(), 8u) << tag;
+      for (std::size_t c = 0; c < camps.size(); ++c) {
+        const inject::Campaign& got = *camps[c];
+        const std::string ctag = tag + "/" + vm::interpName(kBackends[c]);
+        EXPECT_EQ(got.goldenInstrs(), want.goldenInstrs()) << ctag;
+        EXPECT_EQ(got.goldenOutput(), want.goldenOutput()) << ctag;
+        EXPECT_EQ(got.rollbackInterval(), want.rollbackInterval()) << ctag;
+        // The sampling table: the same site set, and the same draws.
+        for (std::size_t m = 0; m < img.numModules(); ++m) {
+          const auto& fns = img.module(m).mod->functions;
+          for (std::size_t f = 0; f < fns.size(); ++f)
+            for (std::size_t i = 0; i < fns[f].code.size(); ++i) {
+              const vm::CodeLoc loc{static_cast<std::int32_t>(m),
+                                    static_cast<std::int32_t>(f),
+                                    static_cast<std::int32_t>(i)};
+              ASSERT_EQ(got.siteIndexOf(loc), want.siteIndexOf(loc)) << ctag;
+            }
+        }
+        Rng rg(5), rw(5);
+        for (int d = 0; d < 64; ++d) {
+          const inject::InjectionPoint a = got.sample(rg), e = want.sample(rw);
+          ASSERT_TRUE(a.loc.module == e.loc.module &&
+                      a.loc.func == e.loc.func &&
+                      a.loc.instr == e.loc.instr && a.nth == e.nth &&
+                      a.bits == e.bits)
+              << ctag << " draw " << d;
+        }
+        ASSERT_EQ(got.checkpoints().size(), want.checkpoints().size()) << ctag;
+        for (std::size_t k = 0; k < want.checkpoints().size(); ++k) {
+          EXPECT_EQ(got.checkpoints()[k].rp.instrCount,
+                    want.checkpoints()[k].rp.instrCount)
+              << ctag << " ckpt " << k;
+          EXPECT_EQ(got.checkpoints()[k].siteCounts,
+                    want.checkpoints()[k].siteCounts)
+              << ctag << " ckpt " << k;
+        }
+      }
+    }
   }
 }
 
