@@ -147,10 +147,6 @@ public:
   /// cascades toward the pinned entry state and the cascade terminates.
   void setRollbackSource(vm::CheckpointRing* ring) { ring_ = ring; }
 
-  /// Backstop on total rollbacks per Safeguard (the floor already bounds
-  /// them by the ring size).
-  void setMaxRollbacks(std::uint32_t n) { maxRollbacks_ = n; }
-
   /// Install as `ex`'s trap hook. The Safeguard must outlive the executor's
   /// run.
   void attach(vm::Executor& ex);
@@ -182,6 +178,8 @@ private:
   std::size_t maxRecords_ = 65536;
   RecoveryStrategy strategy_ = RecoveryStrategy::Repair;
   vm::CheckpointRing* ring_ = nullptr;
+  /// Backstop on total rollbacks per Safeguard (the floor already bounds
+  /// them by the ring size).
   std::uint32_t maxRollbacks_ = 32;
   std::uint32_t rollbackCount_ = 0;
   /// Strictly-decreasing ceiling on restore targets (see

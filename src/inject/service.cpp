@@ -35,6 +35,9 @@ double secondsSince(Clock::time_point t0) {
 constexpr std::uint32_t kFrameMagic = 0x46535243; // "CRSF"
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4 + 4 + 8 + 4;
 constexpr std::size_t kMaxFramePayload = 64u << 20; // sanity bound
+/// Crashed-worker respawns tolerated per campaign before the coordinator
+/// stops re-forking and finishes the remaining shards inline.
+constexpr int kMaxRestarts = 8;
 
 /// Coordinator -> worker: run this shard. `armKill` arms the testKill*
 /// hooks; the coordinator sets it only on the first dispatch of the shard
@@ -384,7 +387,7 @@ private:
       }
       if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
         ++restarts_;
-        if (restarts_ <= svc_.maxRestarts && !pending_.empty()) spawn(seat);
+        if (restarts_ <= kMaxRestarts && !pending_.empty()) spawn(seat);
       }
       // A requeued shard goes to any idle seat, not only a respawned one.
       for (Seat& idle : seats_)

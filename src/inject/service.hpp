@@ -54,9 +54,6 @@ struct ServiceConfig {
   /// Trials per work unit. Also the result store's entry granularity:
   /// reruns only hit entries written at the same shard size.
   int shardSize = 16;
-  /// Crashed-worker respawns tolerated before the coordinator stops
-  /// re-forking and finishes the remaining shards inline.
-  int maxRestarts = 8;
   /// Test hook: the worker reaching this trial index SIGKILLs itself. Once
   /// per campaign: the coordinator arms it only on the first dispatch of
   /// the shard holding the trial. -1 = off.

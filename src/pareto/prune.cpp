@@ -29,6 +29,9 @@ void MemoryLife::build(const vm::Image* image,
   if (goldenInstrs == 0) return;
   if (segments == 0) segments = 1;
   vm::Executor ex(image, initialMem);
+  // Only the typed accessors record the trace, and only the reference loop
+  // makes every access through them.
+  ex.setInterp(vm::InterpKind::Ref);
   ex.setBudget(goldenInstrs + 1);
   std::vector<std::uint64_t> sink;
   ex.memory().setAccessTrace(&sink);

@@ -68,9 +68,8 @@ class MemoryLife {
 public:
   /// Trace one golden run of `entry` on `image` starting from `initialMem`,
   /// splitting the run's `goldenInstrs` into `segments` bounded legs. The
-  /// traced executor stays on an interpreter loop (the JIT driver defers
-  /// to it while tracing is armed), so every typed access funnels through
-  /// the recording accessors.
+  /// traced executor runs on the reference loop (InterpKind::Ref), whose
+  /// every access funnels through the recording typed accessors.
   void build(const vm::Image* image, const vm::MemorySnapshot& initialMem,
              const std::string& entry, std::uint64_t goldenInstrs,
              std::uint64_t segments = 256);

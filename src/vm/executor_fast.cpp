@@ -3,8 +3,8 @@
 // Semantics are defined by Executor::runReference() (executor.cpp); this
 // loop must match it bit for bit — same instrCount, same profile counts,
 // same trap kind/pc/addr, same injection arming, same register file and
-// output. The differential tests (vm_diff_test, interp_equiv_test) hold the
-// two loops against each other on every workload.
+// output. The differential tests (vm_diff_test) hold the two loops against
+// each other on every workload.
 //
 // What makes it fast:
 //  * operands were resolved at decode time: global addresses folded into
@@ -19,7 +19,10 @@
 //    one pointer increment, and the instruction index is reconstructed
 //    (d - code) only on cold paths — syncs, traps, profiling rows;
 //  * memory accesses translate pages inline through the software TLB and
-//    memcpy directly, instead of calling the out-of-line Memory API;
+//    memcpy directly, instead of calling the out-of-line Memory API. The
+//    TLB is the only gate: an access it cannot serve (misaligned, unmapped,
+//    or on a page with an ECC shadow) takes the typed accessor, which also
+//    makes ECC-armed runs inline everywhere but on the struck page;
 //  * effective addresses are branch-free: the decoder aliases absent
 //    base/index operands to the hardwired-zero register slot and applies
 //    the element-size scale as a shift;
@@ -68,17 +71,6 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
   double* const f = st_.f;
 
   constexpr std::uint64_t kPageMask = Memory::kPageSize - 1;
-
-  // ECC-armed runs route every memory access through the typed Memory API,
-  // whose accessors verify/correct shadowed words (memory.cpp) — the same
-  // path the reference loop always takes, so trap semantics match by
-  // construction. The inline TLB fast paths below stay untouched for the
-  // common unprotected case; the mode cannot change mid-run (hooks and
-  // restoreCheckpoint preserve it), so one local suffices. Access tracing
-  // (pareto::MemoryLife) rides the same detour: the typed accessors are
-  // where the trace hook lives, and with ECC off they are otherwise
-  // semantically identical to the inline paths.
-  const bool eccOn = mem_.eccEnabled() || mem_.accessTraceActive();
 
   std::int32_t m = curModule_, fi = curFunc_;
   std::uint64_t ic = instrCount_;
@@ -283,68 +275,52 @@ L_FMovImm:
   NEXT();
 
   // --- loads ----------------------------------------------------------------
-// ECC detour: the typed accessor verifies/corrects the containing word
-// first, then performs the access; its status maps to the same traps the
-// inline paths raise (plus EccUncorrectable).
-#define ECC_LOAD(a, type, lvalue)                                           \
+// The one slow path of a memory handler. The inline path needs an aligned
+// address on a page the software TLB hands out; readPage()/writePage()
+// return null for an unmapped page and for a page with an ECC shadow. The
+// typed accessor then finishes the access: it raises the exact trap
+// (trapKindForMem: Bus, SegFault, EccUncorrectable) or checks, corrects
+// and performs the access on the shadowed page.
+#define MEM_TRAP(a, s)                                                      \
   do {                                                                      \
-    std::uint64_t v_;                                                       \
-    const MemStatus s_ = mem_.load((a), (type), v_);                        \
-    if (s_ != MemStatus::Ok) {                                              \
-      trapKind = trapKindForMem(s_);                                        \
-      trapAddr = (a);                                                       \
-      goto trapped;                                                         \
-    }                                                                       \
+    trapKind = trapKindForMem(s);                                           \
+    trapAddr = (a);                                                         \
+    goto trapped;                                                           \
+  } while (0)
+#define SLOW_LOAD(fn, T, a, type, lvalue)                                   \
+  do {                                                                      \
+    T v_;                                                                   \
+    const MemStatus s_ = mem_.fn((a), (type), v_);                          \
+    if (s_ != MemStatus::Ok) MEM_TRAP(a, s_);                               \
     (lvalue) = v_;                                                          \
     NEXT();                                                                 \
   } while (0)
-#define ECC_LOADF(a, type)                                                  \
+#define SLOW_STORE(fn, a, type, value)                                      \
   do {                                                                      \
-    double v_;                                                              \
-    const MemStatus s_ = mem_.loadF((a), (type), v_);                       \
-    if (s_ != MemStatus::Ok) {                                              \
-      trapKind = trapKindForMem(s_);                                        \
-      trapAddr = (a);                                                       \
-      goto trapped;                                                         \
-    }                                                                       \
-    f[d->dst] = v_;                                                         \
+    const MemStatus s_ = mem_.fn((a), (type), (value));                     \
+    if (s_ != MemStatus::Ok) MEM_TRAP(a, s_);                               \
     NEXT();                                                                 \
   } while (0)
-#define ECC_STORE(a, type, value)                                           \
-  do {                                                                      \
-    const MemStatus s_ = mem_.store((a), (type), (value));                  \
-    if (s_ != MemStatus::Ok) {                                              \
-      trapKind = trapKindForMem(s_);                                        \
-      trapAddr = (a);                                                       \
-      goto trapped;                                                         \
-    }                                                                       \
-    NEXT();                                                                 \
-  } while (0)
-#define ECC_STOREF(a, type, value)                                          \
-  do {                                                                      \
-    const MemStatus s_ = mem_.storeF((a), (type), (value));                 \
-    if (s_ != MemStatus::Ok) {                                              \
-      trapKind = trapKindForMem(s_);                                        \
-      trapAddr = (a);                                                       \
-      goto trapped;                                                         \
-    }                                                                       \
-    NEXT();                                                                 \
-  } while (0)
+// Inline page translation of a naturally aligned access; null sends the
+// handler down its slow path.
+#define READ_PAGE(a, align)                                                 \
+  (((a) & (align)) ? nullptr : mem_.readPage((a) >> Memory::kPageShift))
+#define WRITE_PAGE(a, align)                                                \
+  (((a) & (align)) ? nullptr : mem_.writePage((a) >> Memory::kPageShift))
 
 L_LoadI8: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_LOAD(a, MType::I8, g[d->dst]);
-  const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = READ_PAGE(a, 0);
+  if (__builtin_expect(!p, 0))
+    SLOW_LOAD(load, std::uint64_t, a, MType::I8, g[d->dst]);
   g[d->dst] = p[a & kPageMask];
   NEXT();
 }
 L_LoadI32: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_LOAD(a, MType::I32, g[d->dst]);
-  if (a & 3) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = READ_PAGE(a, 3);
+  if (__builtin_expect(!p, 0))
+    SLOW_LOAD(load, std::uint64_t, a, MType::I32, g[d->dst]);
   std::int32_t v;
   std::memcpy(&v, p + (a & kPageMask), 4);
   g[d->dst] = static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
@@ -352,10 +328,9 @@ L_LoadI32: {
 }
 L_LoadI64: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_LOAD(a, MType::I64, g[d->dst]);
-  if (a & 7) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = READ_PAGE(a, 7);
+  if (__builtin_expect(!p, 0))
+    SLOW_LOAD(load, std::uint64_t, a, MType::I64, g[d->dst]);
   std::uint64_t v;
   std::memcpy(&v, p + (a & kPageMask), 8);
   g[d->dst] = v;
@@ -363,10 +338,9 @@ L_LoadI64: {
 }
 L_LoadF32: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_LOADF(a, MType::F32);
-  if (a & 3) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = READ_PAGE(a, 3);
+  if (__builtin_expect(!p, 0))
+    SLOW_LOAD(loadF, double, a, MType::F32, f[d->dst]);
   float v;
   std::memcpy(&v, p + (a & kPageMask), 4);
   f[d->dst] = static_cast<double>(v);
@@ -374,10 +348,9 @@ L_LoadF32: {
 }
 L_LoadF64: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_LOADF(a, MType::F64);
-  if (a & 7) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = READ_PAGE(a, 7);
+  if (__builtin_expect(!p, 0))
+    SLOW_LOAD(loadF, double, a, MType::F64, f[d->dst]);
   std::memcpy(&f[d->dst], p + (a & kPageMask), 8);
   NEXT();
 }
@@ -385,47 +358,43 @@ L_LoadF64: {
   // --- stores ---------------------------------------------------------------
 L_StoreI8: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_STORE(a, MType::I8, g[d->src1]);
-  std::uint8_t* p = mem_.writePage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  std::uint8_t* p = WRITE_PAGE(a, 0);
+  if (__builtin_expect(!p, 0))
+    SLOW_STORE(store, a, MType::I8, g[d->src1]);
   p[a & kPageMask] = static_cast<std::uint8_t>(g[d->src1]);
   NEXT();
 }
 L_StoreI32: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_STORE(a, MType::I32, g[d->src1]);
-  if (a & 3) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  std::uint8_t* p = mem_.writePage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  std::uint8_t* p = WRITE_PAGE(a, 3);
+  if (__builtin_expect(!p, 0))
+    SLOW_STORE(store, a, MType::I32, g[d->src1]);
   const std::uint32_t v = static_cast<std::uint32_t>(g[d->src1]);
   std::memcpy(p + (a & kPageMask), &v, 4);
   NEXT();
 }
 L_StoreI64: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_STORE(a, MType::I64, g[d->src1]);
-  if (a & 7) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  std::uint8_t* p = mem_.writePage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  std::uint8_t* p = WRITE_PAGE(a, 7);
+  if (__builtin_expect(!p, 0))
+    SLOW_STORE(store, a, MType::I64, g[d->src1]);
   std::memcpy(p + (a & kPageMask), &g[d->src1], 8);
   NEXT();
 }
 L_StoreF32: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_STOREF(a, MType::F32, f[d->src1]);
-  if (a & 3) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  std::uint8_t* p = mem_.writePage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  std::uint8_t* p = WRITE_PAGE(a, 3);
+  if (__builtin_expect(!p, 0))
+    SLOW_STORE(storeF, a, MType::F32, f[d->src1]);
   const float v = static_cast<float>(f[d->src1]);
   std::memcpy(p + (a & kPageMask), &v, 4);
   NEXT();
 }
 L_StoreF64: {
   const std::uint64_t a = EA(*d);
-  if (__builtin_expect(eccOn, 0)) ECC_STOREF(a, MType::F64, f[d->src1]);
-  if (a & 7) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-  std::uint8_t* p = mem_.writePage(a >> Memory::kPageShift);
-  if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  std::uint8_t* p = WRITE_PAGE(a, 7);
+  if (__builtin_expect(!p, 0))
+    SLOW_STORE(storeF, a, MType::F64, f[d->src1]);
   std::memcpy(p + (a & kPageMask), &f[d->src1], 8);
   NEXT();
 }
@@ -515,30 +484,22 @@ L_Sext32:
 L_IAluMem: {
   // Hot in the sparse-matrix workloads (reg ⊕= mem folded ops) — the two
   // common widths take the same inline TLB path as the plain loads; I8
-  // falls back to the generic accessor.
+  // always takes the typed accessor.
   const std::uint64_t a = EA(*d);
   std::uint64_t v;
   const MType t = static_cast<MType>(d->memType);
-  if (t == MType::I32 && !__builtin_expect(eccOn, 0)) {
-    if (a & 3) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-    const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-    if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = t == MType::I32   ? READ_PAGE(a, 3)
+                          : t == MType::I64 ? READ_PAGE(a, 7)
+                                            : nullptr;
+  if (__builtin_expect(!p, 0)) {
+    const MemStatus s = mem_.load(a, d->memType, v);
+    if (s != MemStatus::Ok) MEM_TRAP(a, s);
+  } else if (t == MType::I32) {
     std::int32_t w;
     std::memcpy(&w, p + (a & kPageMask), 4);
     v = static_cast<std::uint64_t>(static_cast<std::int64_t>(w));
-  } else if (t == MType::I64 && !eccOn) {
-    if (a & 7) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-    const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-    if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
-    std::memcpy(&v, p + (a & kPageMask), 8);
   } else {
-    // Generic accessor: I8, and every width when ECC is armed.
-    const MemStatus s = mem_.load(a, d->memType, v);
-    if (s != MemStatus::Ok) {
-      trapKind = trapKindForMem(s);
-      trapAddr = a;
-      goto trapped;
-    }
+    std::memcpy(&v, p + (a & kPageMask), 8);
   }
   std::uint64_t out;
   if (!intAluOp(static_cast<MOp>(d->sub), g[d->src1], v, d->sext != 0, out)) {
@@ -568,25 +529,18 @@ L_FAluMem: {
   const std::uint64_t a = EA(*d);
   double v;
   const MType t = static_cast<MType>(d->memType);
-  if (t == MType::F64 && !__builtin_expect(eccOn, 0)) {
-    if (a & 7) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-    const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-    if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  const std::uint8_t* p = t == MType::F64   ? READ_PAGE(a, 7)
+                          : t == MType::F32 ? READ_PAGE(a, 3)
+                                            : nullptr;
+  if (__builtin_expect(!p, 0)) {
+    const MemStatus s = mem_.loadF(a, d->memType, v);
+    if (s != MemStatus::Ok) MEM_TRAP(a, s);
+  } else if (t == MType::F64) {
     std::memcpy(&v, p + (a & kPageMask), 8);
-  } else if (t == MType::F32 && !eccOn) {
-    if (a & 3) { trapKind = TrapKind::Bus; trapAddr = a; goto trapped; }
-    const std::uint8_t* p = mem_.readPage(a >> Memory::kPageShift);
-    if (!p) { trapKind = TrapKind::SegFault; trapAddr = a; goto trapped; }
+  } else {
     float w;
     std::memcpy(&w, p + (a & kPageMask), 4);
     v = static_cast<double>(w);
-  } else {
-    const MemStatus s = mem_.loadF(a, d->memType, v);
-    if (s != MemStatus::Ok) {
-      trapKind = trapKindForMem(s);
-      trapAddr = a;
-      goto trapped;
-    }
   }
   f[d->dst] = fpAluOp(static_cast<MOp>(d->sub), f[d->src1], v, d->sext != 0);
   NEXT();
@@ -662,17 +616,11 @@ L_Jmp:
   // --- calls ------------------------------------------------------------------
 L_Call: {
   const std::uint64_t newSP = g[backend::kSP] - 8;
-  if (__builtin_expect(eccOn, 0)) {
+  std::uint8_t* p = WRITE_PAGE(newSP, 7);
+  if (__builtin_expect(!p, 0)) {
     const MemStatus s = mem_.store(newSP, MType::I64, d->retPC);
-    if (s != MemStatus::Ok) {
-      trapKind = trapKindForMem(s);
-      trapAddr = newSP;
-      goto trapped;
-    }
+    if (s != MemStatus::Ok) MEM_TRAP(newSP, s);
   } else {
-    if (newSP & 7) { trapKind = TrapKind::Bus; trapAddr = newSP; goto trapped; }
-    std::uint8_t* p = mem_.writePage(newSP >> Memory::kPageShift);
-    if (!p) { trapKind = TrapKind::SegFault; trapAddr = newSP; goto trapped; }
     std::memcpy(p + (newSP & kPageMask), &d->retPC, 8);
   }
   g[backend::kSP] = newSP;
@@ -700,17 +648,11 @@ L_Call: {
 L_Ret: {
   const std::uint64_t sp = g[backend::kSP];
   std::uint64_t retPC;
-  if (__builtin_expect(eccOn, 0)) {
+  const std::uint8_t* p = READ_PAGE(sp, 7);
+  if (__builtin_expect(!p, 0)) {
     const MemStatus s = mem_.load(sp, MType::I64, retPC);
-    if (s != MemStatus::Ok) {
-      trapKind = trapKindForMem(s);
-      trapAddr = sp;
-      goto trapped;
-    }
+    if (s != MemStatus::Ok) MEM_TRAP(sp, s);
   } else {
-    if (sp & 7) { trapKind = TrapKind::Bus; trapAddr = sp; goto trapped; }
-    const std::uint8_t* p = mem_.readPage(sp >> Memory::kPageShift);
-    if (!p) { trapKind = TrapKind::SegFault; trapAddr = sp; goto trapped; }
     std::memcpy(&retPC, p + (sp & kPageMask), 8);
   }
   g[backend::kSP] = sp + 8;
@@ -852,10 +794,11 @@ trapped:
     return res;
   }
 
-#undef ECC_LOAD
-#undef ECC_LOADF
-#undef ECC_STORE
-#undef ECC_STOREF
+#undef MEM_TRAP
+#undef SLOW_LOAD
+#undef SLOW_STORE
+#undef READ_PAGE
+#undef WRITE_PAGE
 #undef DISPATCH
 #undef NEXT
 #undef BR_TAKEN

@@ -10,9 +10,9 @@
 //    profileCount() equals the fast interpreter's exactly;
 //  * an armed injection runs on the instrumented fast loop until it fires,
 //    then the rest of the run goes native;
-//  * ECC-armed or access-traced memory, and profiling together with an
-//    armed injection, stay on the fast interpreter entirely — they need
-//    per-access or per-instruction checks the templates don't carry;
+//  * ECC-armed memory, and profiling together with an armed injection,
+//    stay on the fast interpreter entirely — they need per-access or
+//    per-instruction checks the templates don't carry;
 //  * a position with no native entry (function below its compile
 //    threshold, interpret-only, or a basic block that no longer fits the
 //    effective budget) is burst-interpreted under a stopAt_ bound, then
@@ -38,9 +38,11 @@ constexpr std::uint64_t kBurst = 65536;
 } // namespace
 
 RunResult Executor::runJit() {
-  if (mem_.eccEnabled() || mem_.accessTraceActive() ||
-      (profiling_ && injArmed_))
-    return runFast();
+  // ECC-armed memory must stay off native code: readPage()/writePage(),
+  // which back careJitReadMiss/careJitWriteMiss, return null for a mapped
+  // page with an ECC shadow, and the emitted code would report that null
+  // as a SegFault. The fast loop takes the typed accessor there instead.
+  if (mem_.eccEnabled() || (profiling_ && injArmed_)) return runFast();
 
   JitImage& jimg = image_->jit();
   if (!jimg.usable()) {
@@ -102,8 +104,7 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
     }
     // A trap hook may have armed instrumentation mid-run; hand the rest of
     // the run over, like the plain fast-loop variant does.
-    if (profiling_ != counting || injArmed_ || mem_.eccEnabled() ||
-        mem_.accessTraceActive())
+    if (profiling_ != counting || injArmed_ || mem_.eccEnabled())
       return runFast();
 
     const void* entry = jimg.entryFor(curModule_, curFunc_, curInstr_,

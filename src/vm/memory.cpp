@@ -56,19 +56,26 @@ void Memory::map(std::uint64_t addr, std::uint64_t size) {
 }
 
 bool Memory::isMapped(std::uint64_t addr) const {
-  return readPage(addr / kPageSize) != nullptr;
+  return mappedPage(addr / kPageSize) != nullptr;
 }
 
-const std::uint8_t* Memory::readMiss(std::uint64_t pageNo) const {
+const std::uint8_t* Memory::readMiss(std::uint64_t pageNo,
+                                     bool shadowedToo) const {
+  const bool shadow = shadowed(pageNo);
+  if (shadow && !shadowedToo) return nullptr;
   const auto* slot = findPage(pages_, pageNo);
   if (!slot) return nullptr;
-  TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
-  e.pageNo = pageNo;
-  e.data = (*slot)->data();
-  return e.data;
+  if (!shadow) {
+    TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
+    e.pageNo = pageNo;
+    e.data = (*slot)->data();
+  }
+  return (*slot)->data();
 }
 
-std::uint8_t* Memory::writeMiss(std::uint64_t pageNo) {
+std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool shadowedToo) {
+  const bool shadow = shadowed(pageNo);
+  if (shadow && !shadowedToo) return nullptr;
   std::shared_ptr<Page>* found = findPage(pages_, pageNo);
   if (!found) return nullptr;
   std::shared_ptr<Page>& slot = *found;
@@ -80,10 +87,12 @@ std::uint8_t* Memory::writeMiss(std::uint64_t pageNo) {
     TlbEntry& r = readTlb_[pageNo & (kTlbEntries - 1)];
     if (r.pageNo == pageNo) r.data = slot->data();
   }
-  TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
-  e.pageNo = pageNo;
-  e.data = slot->data();
-  return e.data;
+  if (!shadow) {
+    TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
+    e.pageNo = pageNo;
+    e.data = slot->data();
+  }
+  return slot->data();
 }
 
 void Memory::flushTlb() const {
@@ -136,7 +145,7 @@ MemStatus Memory::load(std::uint64_t addr, MType type,
         const_cast<Memory*>(this)->eccCheckWord(addr & ~7ull);
     if (es != MemStatus::Ok) return es;
   }
-  const std::uint8_t* page = readPage(addr / kPageSize);
+  const std::uint8_t* page = mappedPage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
   if (traceSink_) traceSink_->push_back(addr & ~7ull);
   const std::uint64_t off = addr % kPageSize; // size-aligned: no page split
@@ -161,7 +170,7 @@ MemStatus Memory::loadF(std::uint64_t addr, MType type, double& out) const {
         const_cast<Memory*>(this)->eccCheckWord(addr & ~7ull);
     if (es != MemStatus::Ok) return es;
   }
-  const std::uint8_t* page = readPage(addr / kPageSize);
+  const std::uint8_t* page = mappedPage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
   if (traceSink_) traceSink_->push_back(addr & ~7ull);
   const std::uint64_t off = addr % kPageSize;
@@ -184,7 +193,7 @@ MemStatus Memory::store(std::uint64_t addr, MType type, std::uint64_t v) {
     const MemStatus es = eccCheckWord(addr & ~7ull);
     if (es != MemStatus::Ok) return es;
   }
-  std::uint8_t* page = writePage(addr / kPageSize);
+  std::uint8_t* page = mappedPageForWrite(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
   if (traceSink_) traceSink_->push_back(addr & ~7ull);
   std::memcpy(page + addr % kPageSize, &v, size);
@@ -199,7 +208,7 @@ MemStatus Memory::storeF(std::uint64_t addr, MType type, double v) {
     const MemStatus es = eccCheckWord(addr & ~7ull);
     if (es != MemStatus::Ok) return es;
   }
-  std::uint8_t* page = writePage(addr / kPageSize);
+  std::uint8_t* page = mappedPageForWrite(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
   if (traceSink_) traceSink_->push_back(addr & ~7ull);
   if (type == MType::F32) {
@@ -216,7 +225,7 @@ bool Memory::readBytes(std::uint64_t addr, void* out,
                        std::uint64_t len) const {
   auto* dst = static_cast<std::uint8_t*>(out);
   while (len > 0) {
-    const std::uint8_t* page = readPage(addr / kPageSize);
+    const std::uint8_t* page = mappedPage(addr / kPageSize);
     if (!page) return false;
     const std::uint64_t off = addr % kPageSize;
     const std::uint64_t chunk = std::min(len, kPageSize - off);
@@ -233,7 +242,7 @@ bool Memory::writeBytes(std::uint64_t addr, const void* data,
   const std::uint64_t start = addr;
   const auto* src = static_cast<const std::uint8_t*>(data);
   while (len > 0) {
-    std::uint8_t* page = writePage(addr / kPageSize);
+    std::uint8_t* page = mappedPageForWrite(addr / kPageSize);
     if (!page) return false;
     const std::uint64_t off = addr % kPageSize;
     const std::uint64_t chunk = std::min(len, kPageSize - off);
@@ -260,9 +269,15 @@ std::vector<std::uint64_t> Memory::pageNumbers() const {
 bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits) {
   const std::uint64_t wordAddr = addr & ~7ull;
   const std::uint64_t pageNo = wordAddr / kPageSize;
-  std::uint8_t* page = writePage(pageNo);
+  std::uint8_t* page = mappedPageForWrite(pageNo);
   if (!page) return false;
-  if (eccMode_ != EccMode::Off) ensureEccPage(pageNo, page);
+  if (eccMode_ != EccMode::Off) {
+    ensureEccPage(pageNo, page);
+    // Evict: from here on every access to the page takes a typed accessor.
+    for (Tlb* tlb : {&readTlb_, &writeTlb_})
+      if ((*tlb)[pageNo & (kTlbEntries - 1)].pageNo == pageNo)
+        (*tlb)[pageNo & (kTlbEntries - 1)] = TlbEntry{};
+  }
   const std::uint64_t off = wordAddr % kPageSize;
   std::uint64_t word = 0;
   std::memcpy(&word, page + off, 8);
@@ -275,7 +290,7 @@ bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits) 
 MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
   auto it = eccPages_.find(wordAddr / kPageSize);
   if (it == eccPages_.end()) return MemStatus::Ok;
-  std::uint8_t* page = writePage(wordAddr / kPageSize);
+  std::uint8_t* page = mappedPageForWrite(wordAddr / kPageSize);
   if (!page) return MemStatus::Ok; // shadow for an unmapped page: moot
   const std::uint64_t off = wordAddr % kPageSize;
   const std::size_t wi = static_cast<std::size_t>(off / 8);
@@ -311,7 +326,7 @@ MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
 void Memory::eccEncodeWord(std::uint64_t wordAddr) {
   const std::uint64_t pageNo = wordAddr / kPageSize;
   if (eccPages_.find(pageNo) == eccPages_.end()) return;
-  const std::uint8_t* page = writePage(pageNo);
+  const std::uint8_t* page = mappedPageForWrite(pageNo);
   if (!page) return;
   const std::uint64_t off = wordAddr % kPageSize;
   std::uint64_t word = 0;

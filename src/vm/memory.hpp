@@ -9,7 +9,9 @@
 //
 //  * a software TLB: two small direct-mapped translation caches (separate
 //    read and write views) in front of the page table, explicitly flushed
-//    on map()/moves and on copy-on-write breaks;
+//    on map()/moves and on copy-on-write breaks. A page with an ECC shadow
+//    never enters either view, so a miss is the one gate to the checked
+//    typed accessors;
 //  * copy-on-write pages: pages are shared_ptr-backed, so
 //    MemorySnapshot::capture() / fork() share page storage and a store
 //    copies only the page it touches. The write TLB only ever caches pages
@@ -76,10 +78,11 @@ public:
   /// --- ECC layer (DESIGN.md §4i) -------------------------------------
   ///
   /// Opt-in SECDED(72,64) shadow over VM pages. Shadows are lazy: a page
-  /// gets a code-byte shadow only when injectFault() touches it — every
-  /// other store goes through the typed accessors, which keep any existing
-  /// shadow in sync, so a page without a shadow is by construction clean
-  /// and behaves exactly as if it had been eagerly encoded. Typed loads
+  /// gets a code-byte shadow only when injectFault() touches it. Every
+  /// later access to a shadowed page goes through the typed accessors
+  /// (it never enters the TLB), which keep the shadow in sync, so a page
+  /// without a shadow is by construction clean and behaves exactly as if
+  /// it had been eagerly encoded. Typed loads
   /// verify (and correct) the containing 64-bit word before reading;
   /// sub-word stores verify first so a latent corrupted neighbor byte is
   /// never laundered into a freshly encoded word. Uncorrectable words
@@ -100,19 +103,19 @@ public:
   ///
   /// While a sink is armed, every typed access appends the aligned 64-bit
   /// word address it touches (accesses are naturally aligned, so a typed
-  /// access touches exactly one word). The interpreter loops funnel all
-  /// program accesses through the typed accessors; the JIT driver defers
-  /// to them while a trace is armed (executor_jit.cpp), so traced runs see
-  /// the complete access stream on every backend. The caller owns the
-  /// sink and drains it between runBounded() legs for time-bounded tables.
+  /// access touches exactly one word). Only the typed accessors record:
+  /// the reference loop makes every program access through them, so a
+  /// traced run must use InterpKind::Ref (pareto::MemoryLife does). The
+  /// caller owns the sink and drains it between runBounded() legs for
+  /// time-bounded tables.
   void setAccessTrace(std::vector<std::uint64_t>* sink) { traceSink_ = sink; }
-  bool accessTraceActive() const { return traceSink_ != nullptr; }
 
   /// Flip `bits` (positions 0..63) in the aligned 64-bit word containing
   /// `addr`, bypassing ECC maintenance — this is the soft fault. When ECC
   /// is armed the page's shadow is materialized from the pre-fault
   /// contents first (and secded,crc records the pre-fault word's CRC), so
-  /// the flip becomes a detectable mismatch. Returns false if unmapped.
+  /// the flip becomes a detectable mismatch, and the page leaves both TLB
+  /// views for as long as the shadow lives. Returns false if unmapped.
   bool injectFault(std::uint64_t addr, const std::vector<unsigned>& bits);
 
   /// Verify every shadowed word, correcting what SECDED can fix — the
@@ -121,18 +124,20 @@ public:
   /// {corrected, uncorrectable} deltas (also added to the counters).
   std::pair<std::uint64_t, std::uint64_t> scrubEcc();
 
-  /// Fast-path page translation for the decoded-dispatch interpreter.
-  /// Returns the page's backing store, or nullptr if `pageNo` is unmapped.
+  /// Fast-path page translation for the decoded-dispatch interpreter and
+  /// the JIT's miss helpers. Returns the page's backing store, or nullptr
+  /// if `pageNo` is unmapped or has an ECC shadow: the caller then takes
+  /// the typed accessor, which raises the exact trap or checks the word.
   /// writePage() breaks copy-on-write sharing before returning.
   const std::uint8_t* readPage(std::uint64_t pageNo) const {
     const TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
     if (e.pageNo == pageNo) return e.data;
-    return readMiss(pageNo);
+    return readMiss(pageNo, false);
   }
   std::uint8_t* writePage(std::uint64_t pageNo) {
     const TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
     if (e.pageNo == pageNo) return e.data;
-    return writeMiss(pageNo);
+    return writeMiss(pageNo, false);
   }
 
   /// Process-wide count of page allocations (fresh maps + CoW copies).
@@ -178,8 +183,24 @@ private:
       std::unordered_map<std::uint64_t, std::shared_ptr<EccPage>>;
   using EccCrcMap = std::unordered_map<std::uint64_t, std::uint64_t>;
 
-  const std::uint8_t* readMiss(std::uint64_t pageNo) const;
-  std::uint8_t* writeMiss(std::uint64_t pageNo);
+  /// The page-table search after a TLB miss. It fills the view only for
+  /// a page without an ECC shadow; a shadowed page it returns only when
+  /// `shadowedToo`, which Memory's own accessors pass.
+  const std::uint8_t* readMiss(std::uint64_t pageNo, bool shadowedToo) const;
+  std::uint8_t* writeMiss(std::uint64_t pageNo, bool shadowedToo);
+  /// Memory's own page lookup: any mapped page, copy-on-write broken for
+  /// writes.
+  const std::uint8_t* mappedPage(std::uint64_t pageNo) const {
+    const TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
+    return e.pageNo == pageNo ? e.data : readMiss(pageNo, true);
+  }
+  std::uint8_t* mappedPageForWrite(std::uint64_t pageNo) {
+    const TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
+    return e.pageNo == pageNo ? e.data : writeMiss(pageNo, true);
+  }
+  bool shadowed(std::uint64_t pageNo) const {
+    return !eccPages_.empty() && eccPages_.count(pageNo) != 0;
+  }
   void flushTlb() const;
   void flushWriteTlb() const;
 

@@ -1,7 +1,8 @@
 // Memory subsystem tests: map-range overflow guard, software-TLB
 // invalidation across restore/move/CoW interleavings, copy-on-write page
-// sharing (counted via Memory::pageAllocCount), and the typed accessors
-// exercised against both plain and CoW-forked address spaces.
+// sharing (counted via Memory::pageAllocCount), ECC-shadowed pages kept out
+// of the TLB, and the typed accessors exercised against both plain and
+// CoW-forked address spaces.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -141,6 +142,85 @@ TEST(MemoryTlb, MapInvalidatesExistingTranslations) {
   std::uint64_t v = 0;
   ASSERT_EQ(snap.fork().load(0x1000, MType::I64, v), MemStatus::Ok);
   EXPECT_EQ(v, 0x11u);
+}
+
+// --- ECC shadows stay out of the TLB ---------------------------------------
+
+// Is `pageNo` cached in the (read, write) TLB views? Reads the raw entry
+// arrays the JIT addresses, so a lookup cannot refill what it inspects.
+std::pair<bool, bool> cached(const Memory& mem, std::uint64_t pageNo) {
+  const auto [readTlb, writeTlb] = mem.jitTlbView();
+  const std::size_t slot = pageNo & (Memory::kTlbEntries - 1);
+  return {(*static_cast<const Memory::Tlb*>(readTlb))[slot].pageNo == pageNo,
+          (*static_cast<const Memory::Tlb*>(writeTlb))[slot].pageNo == pageNo};
+}
+
+// The software TLB is the only gate between the fast loop's inline paths
+// and the checked typed accessors: a page with an ECC shadow must never be
+// handed out by readPage()/writePage(), while Memory's own accessors still
+// reach it.
+TEST(MemoryEccTlb, InjectFaultEvictsStruckPageFromBothViews) {
+  Memory mem;
+  mem.map(0x1000, 2 * kPage);
+  mem.setEccMode(vm::EccMode::Secded);
+  const std::uint64_t pn = 0x1000 / kPage;
+  ASSERT_EQ(mem.store(0x1008, MType::I64, 0x1234), MemStatus::Ok);
+  std::uint64_t v = 0;
+  ASSERT_EQ(mem.load(0x1008, MType::I64, v), MemStatus::Ok);
+  ASSERT_EQ(cached(mem, pn), std::make_pair(true, true));
+
+  ASSERT_TRUE(mem.injectFault(0x1008, {5}));
+  EXPECT_EQ(cached(mem, pn), std::make_pair(false, false));
+  EXPECT_EQ(mem.readPage(pn), nullptr);
+  EXPECT_EQ(mem.writePage(pn), nullptr);
+  EXPECT_TRUE(mem.isMapped(0x1008));
+
+  // The typed load reaches the shadowed page, corrects the word and counts
+  // it, and the page still stays out of both views.
+  ASSERT_EQ(mem.load(0x1008, MType::I64, v), MemStatus::Ok);
+  EXPECT_EQ(v, 0x1234u);
+  EXPECT_EQ(mem.eccCorrected(), 1u);
+  ASSERT_EQ(mem.store(0x1010, MType::I64, 7), MemStatus::Ok);
+  EXPECT_EQ(cached(mem, pn), std::make_pair(false, false));
+  EXPECT_EQ(mem.readPage(pn), nullptr);
+  EXPECT_EQ(mem.writePage(pn), nullptr);
+
+  // The neighbouring page has no shadow and caches as usual.
+  EXPECT_NE(mem.readPage(pn + 1), nullptr);
+  EXPECT_NE(mem.writePage(pn + 1), nullptr);
+}
+
+// A snapshot taken before the strike carries no shadow for the page, so
+// an address space forked from it caches the page again.
+TEST(MemoryEccTlb, ForkOfPreStrikeSnapshotCachesPageAgain) {
+  Memory mem;
+  mem.map(0x1000, kPage);
+  mem.setEccMode(vm::EccMode::Secded);
+  const std::uint64_t pn = 0x1000 / kPage;
+  const MemorySnapshot before = MemorySnapshot::capture(mem);
+  ASSERT_TRUE(mem.injectFault(0x1000, {0}));
+  ASSERT_EQ(mem.readPage(pn), nullptr);
+
+  Memory f = before.fork();
+  f.setEccMode(vm::EccMode::Secded);
+  EXPECT_NE(f.readPage(pn), nullptr);
+  EXPECT_NE(f.writePage(pn), nullptr);
+  EXPECT_EQ(cached(f, pn), std::make_pair(true, true));
+}
+
+// Arming ECC alone changes nothing: until a strike creates a shadow, every
+// page caches exactly as with ECC off.
+TEST(MemoryEccTlb, ArmedEccWithoutShadowCachesNormally) {
+  Memory mem;
+  mem.map(0x1000, kPage);
+  mem.setEccMode(vm::EccMode::Secded);
+  const std::uint64_t pn = 0x1000 / kPage;
+  ASSERT_EQ(mem.store(0x1000, MType::I64, 1), MemStatus::Ok);
+  std::uint64_t v = 0;
+  ASSERT_EQ(mem.load(0x1000, MType::I64, v), MemStatus::Ok);
+  EXPECT_EQ(cached(mem, pn), std::make_pair(true, true));
+  EXPECT_NE(mem.readPage(pn), nullptr);
+  EXPECT_NE(mem.writePage(pn), nullptr);
 }
 
 // --- copy-on-write sharing (page-allocation accounting) ---------------------

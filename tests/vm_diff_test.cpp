@@ -10,16 +10,20 @@
 //    instructions (exact-budget deopt on the JIT side),
 //  * trapping programs (SegFault / Fpe),
 //  * fuzzed injection runs that corrupt a register mid-flight at sampled hot
-//    instructions and let the corruption play out to whatever end state.
+//    instructions and let the corruption play out to whatever end state,
+//  * memory-word strikes under ECC off, SECDED and SECDED+CRC, including
+//    words the run reads back from a shadowed page.
 // All backends in a leg share ONE Image: rebuilding a sentinel-armed module
 // is not bit-deterministic across in-process builds, and the contract under
 // test is per-image equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstring>
 
+#include "pareto/prune.hpp"
 #include "sentinel/sentinel.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
@@ -324,10 +328,14 @@ std::string memoryDigest(vm::Executor& ex) {
 }
 
 // Flip bits in a mapped word at a sampled dynamic-instruction time and let
-// the corruption play out under all three backends, with ECC off and with
-// SECDED armed: trap kind, faulting instrCount, registers, output, ECC
+// the corruption play out under all three backends, with ECC off, SECDED
+// and SECDED+CRC: trap kind, faulting instrCount, registers, output, ECC
 // counters and the full post-run memory image must be pairwise identical.
 // Models rotate across trials: single bit, adjacent pair, 8-bit lane burst.
+// Random words are mostly on untouched stack pages, so the later trials
+// strike words the run goes on to use — the word at the stack pointer, and
+// words the traced golden run accesses after the strike — and under ECC
+// their reads must reach the shadowed page through the typed accessors.
 TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
@@ -341,13 +349,33 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   vm::Executor probe(image.get());
   const std::vector<std::uint64_t> pages = probe.memory().pageNumbers();
   ASSERT_FALSE(pages.empty());
+  pareto::MemoryLife life;
+  life.build(image.get(), vm::MemorySnapshot::capture(probe.memory()), "main",
+             golden.instrCount);
+  std::vector<std::uint64_t> words = life.words();
+  std::sort(words.begin(), words.end());
+  ASSERT_FALSE(words.empty());
 
+  // Word addresses below this mean "the word at the stack pointer".
+  constexpr std::uint64_t kAtSP = 0;
+  constexpr int kRandomTrials = 9, kSPTrials = 3, kLiveTrials = 3;
+  std::uint64_t liveEccEvents = 0;
   Rng rng(0xECC);
-  for (int trial = 0; trial < 9; ++trial) {
+  for (int trial = 0; trial < kRandomTrials + kSPTrials + kLiveTrials;
+       ++trial) {
     const std::uint64_t faultAt = 1 + rng.next() % (golden.instrCount - 1);
-    const std::uint64_t page = pages[rng.next() % pages.size()];
-    const std::uint64_t addr =
-        page * vm::Memory::kPageSize + 8 * (rng.next() % 512);
+    std::uint64_t addr = kAtSP;
+    if (trial < kRandomTrials) {
+      const std::uint64_t page = pages[rng.next() % pages.size()];
+      addr = page * vm::Memory::kPageSize + 8 * (rng.next() % 512);
+    } else if (trial >= kRandomTrials + kSPTrials) {
+      // The first traced word, from a random start, still used at faultAt.
+      std::size_t i = rng.next() % words.size();
+      for (std::size_t n = 0; n < words.size(); ++n, i = (i + 1) % words.size())
+        if (!life.deadAfter(words[i], faultAt)) break;
+      ASSERT_FALSE(life.deadAfter(words[i], faultAt)) << "trial " << trial;
+      addr = words[i];
+    }
     std::vector<unsigned> bits;
     switch (trial % 3) {
     case 0: // mem1
@@ -365,14 +393,17 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
     }
     }
 
-    for (const vm::EccMode mode : {vm::EccMode::Off, vm::EccMode::Secded}) {
+    for (const vm::EccMode mode :
+         {vm::EccMode::Off, vm::EccMode::Secded, vm::EccMode::SecdedCrc}) {
       const std::string tag =
-          "trial " + std::to_string(trial) + " addr=" + std::to_string(addr) +
+          "trial " + std::to_string(trial) + " addr=" +
+          (addr == kAtSP ? std::string("sp") : std::to_string(addr)) +
           " at=" + std::to_string(faultAt) +
           " ecc=" + vm::eccModeName(mode);
       std::array<std::unique_ptr<vm::Executor>, kNumKinds> ex;
       std::array<vm::RunResult, kNumKinds> res;
       std::array<std::string, kNumKinds> digest;
+      std::uint64_t struck = addr;
       for (std::size_t k = 0; k < kNumKinds; ++k) {
         ex[k] = std::make_unique<vm::Executor>(image.get());
         ex[k]->setInterp(kKinds[k]);
@@ -381,10 +412,18 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
         const vm::RunResult stop = ex[k]->runBounded(faultAt, "main");
         ASSERT_EQ(stop.status, vm::RunStatus::BudgetExceeded) << tag;
         ASSERT_EQ(stop.instrCount, faultAt) << tag;
-        ASSERT_TRUE(ex[k]->memory().injectFault(addr, bits)) << tag;
+        if (addr == kAtSP) {
+          const std::uint64_t sp = ex[k]->state().g[backend::kSP];
+          if (k == 0) struck = sp;
+          ASSERT_EQ(sp, struck) << tag << ": stack pointers differ";
+        }
+        ASSERT_TRUE(ex[k]->memory().injectFault(struck, bits)) << tag;
         res[k] = vm::runToCompletion(*ex[k], "main");
         digest[k] = memoryDigest(*ex[k]);
       }
+      if (trial >= kRandomTrials && mode != vm::EccMode::Off)
+        liveEccEvents += ex[0]->memory().eccCorrected() +
+                         ex[0]->memory().eccUncorrectable();
       for (std::size_t a = 0; a < kNumKinds; ++a)
         for (std::size_t b = a + 1; b < kNumKinds; ++b) {
           const std::string t = pairTag(kKinds[a], kKinds[b], tag);
@@ -399,6 +438,10 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
         }
     }
   }
+  // No scrub runs here: every counted event is a program access that met
+  // a shadowed word.
+  EXPECT_GT(liveEccEvents, 0u)
+      << "no live-word strike was ever read back under ECC";
 }
 
 } // namespace
