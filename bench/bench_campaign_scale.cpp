@@ -97,8 +97,8 @@ int main() {
     store.processes = 2;
     store.threads = 1;
     store.storeDir = storeDir;
-    store.storeKey = inject::campaignKey(built.cm.imageDigest, cfg.campaign,
-                                         campaign.rollbackInterval(), true);
+    store.storeKey =
+        inject::campaignKey(built.cm.imageDigest, cfg.campaign, true);
     inject::CampaignTelemetry coldTel, warmTel;
     std::vector<inject::InjectionRecord> warm;
     const double coldSec = runOnce(campaign, trials, seed, &built.artifacts,

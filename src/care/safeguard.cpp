@@ -152,37 +152,26 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
   rec.keyUs = usSince(t0, tKey);
   trace::span("safeguard.key", "safeguard", t0, tKey);
 
-  // --- phase 2: lazy artifact load + kernel lookup ------------------------
+  // --- phase 2: artifact load + kernel lookup ----------------------------
   // (paper: protobuf decode + dlopen happen inside the handler; >98% of
-  // recovery time is this preparation).
-  LoadedArtifacts* arts;
-  auto lit = loaded_.find(loc.module);
-  if (lit != loaded_.end()) {
-    arts = &lit->second;
-  } else {
-    LoadedArtifacts fresh;
-    try {
-      fresh.table = RecoveryTable::readFile(ait->second.tablePath);
-      fresh.lib = ir::readModuleFile(ait->second.libPath);
-    } catch (const Error&) {
-      return failWith(FailCode::ArtifactLoadFailed, "artifact load failed");
-    }
-    arts = &loaded_.emplace(loc.module, std::move(fresh)).first->second;
+  // recovery time is this preparation). Both are released when the
+  // activation ends, trading repeat load cost for the paper's fixed 27 MB
+  // memory budget.
+  RecoveryTable table;
+  std::unique_ptr<ir::Module> lib;
+  try {
+    table = RecoveryTable::readFile(ait->second.tablePath);
+    lib = ir::readModuleFile(ait->second.libPath);
+  } catch (const Error&) {
+    return failWith(FailCode::ArtifactLoadFailed, "artifact load failed");
   }
-  auto release = [&] {
-    if (!cacheArtifacts_) loaded_.erase(loc.module);
-  };
 
-  const RecoveryEntry* entry = arts->table.find(key);
-  if (!entry) {
-    release();
+  const RecoveryEntry* entry = table.find(key);
+  if (!entry)
     return failWith(FailCode::NoKernelForKey, "no recovery kernel for key");
-  }
-  const ir::Function* kernel = arts->lib->findFunction(entry->symbol);
-  if (!kernel) {
-    release();
+  const ir::Function* kernel = lib->findFunction(entry->symbol);
+  if (!kernel)
     return failWith(FailCode::KernelSymbolMissing, "kernel symbol missing");
-  }
   const auto tLoad = Clock::now();
   rec.loadUs = usSince(tKey, tLoad);
   trace::span("safeguard.load", "safeguard", tKey, tLoad);
@@ -190,11 +179,9 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
   // --- phase 3: operand disassembly + parameter fetch ---------------------
   // Disassemble the faulting instruction; it must have a memory operand.
   const MInst& inst = image.instruction(loc);
-  if (!inst.accessesMemory()) {
-    release();
+  if (!inst.accessesMemory())
     return failWith(FailCode::NoMemoryOperand,
                     "faulting instruction has no memory operand");
-  }
   const MemRef& mem = inst.mem;
   const auto& lm = image.module(static_cast<std::size_t>(loc.module));
 
@@ -249,11 +236,9 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
           break;
         }
       }
-      if (!found) {
-        release();
+      if (!found)
         return failWith(FailCode::GlobalParamMissing,
                         "global parameter not found");
-      }
       continue;
     }
     // Pre-compute the induction-variable alternative, if any.
@@ -276,11 +261,9 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
         continue;
       }
       // The paper's live-range limitation: the value is not available in
-      // any register or stack slot at this PC. (Build the message before
-      // release() frees the table entry `p` lives in.)
-      std::string reason = "parameter location unavailable: " + p.name;
-      release();
-      return failWith(FailCode::ParamUnavailable, std::move(reason));
+      // any register or stack slot at this PC.
+      return failWith(FailCode::ParamUnavailable,
+                      "parameter location unavailable: " + p.name);
     }
     if (haveAlt && altValue != v)
       altArgs.push_back({args.size(), altValue});
@@ -295,7 +278,6 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
   KernelResult kres = runRecoveryKernel(*kernel, args, ex.memory());
   if (!kres.ok) {
     rec.kernelUs = usSince(tParam, Clock::now());
-    release();
     return failWith(FailCode::KernelFailed,
                     std::string("kernel failed: ") + kres.error);
   }
@@ -322,7 +304,6 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
     }
     if (!usedIvAlt) {
       rec.kernelUs = usSince(tParam, Clock::now());
-      release();
       return failWith(FailCode::SdcGuardTripped,
                       "recomputed address equals faulting address");
     }
@@ -343,15 +324,12 @@ bool Safeguard::tryRepair(vm::Executor& ex, const Trap& trap,
   const auto tPatch = Clock::now();
   rec.patchUs = usSince(tKern, tPatch);
   trace::span("safeguard.patch", "safeguard", tKern, tPatch);
-  if (!patched) {
-    release();
+  if (!patched)
     return failWith(FailCode::NoPatchableOperand,
                     "no patchable address operand");
-  }
 
   rec.usedIvAlt = usedIvAlt;
   rec.patchedAddr = newAddr;
-  release();
   return true;
 }
 

@@ -117,11 +117,6 @@ public:
   /// Register Armor's artifacts for module `moduleIdx` of the image.
   void addModule(std::int32_t moduleIdx, ModuleArtifacts artifacts);
 
-  /// Keep table/library resident between activations instead of releasing
-  /// them (paper default: release, trading repeat load cost for the fixed
-  /// 27 MB memory budget).
-  void setCacheArtifacts(bool v) { cacheArtifacts_ = v; }
-
   /// Which register of a base+index*scale operand to patch first. The paper
   /// defaults to the index register ("computed more frequently ... more
   /// likely to experience faults", §3.4); BaseFirst is the ablation.
@@ -154,11 +149,6 @@ public:
   const SafeguardStats& stats() const { return stats_; }
 
 private:
-  struct LoadedArtifacts {
-    RecoveryTable table;
-    std::unique_ptr<ir::Module> lib;
-  };
-
   vm::TrapAction onTrap(vm::Executor& ex, const vm::Trap& trap);
   /// Phases 1-5 of Algorithm 1. Fills `rec`'s phase timings and, on
   /// failure, failCode/failReason; mutates no stats (the caller commits
@@ -172,8 +162,6 @@ private:
   void pushRecord(RecoveryRecord&& rec);
 
   std::map<std::int32_t, ModuleArtifacts> modules_;
-  std::map<std::int32_t, LoadedArtifacts> loaded_;
-  bool cacheArtifacts_ = false;
   PatchTarget patchTarget_ = PatchTarget::IndexFirst;
   std::size_t maxRecords_ = 65536;
   RecoveryStrategy strategy_ = RecoveryStrategy::Repair;

@@ -99,13 +99,13 @@ void getInjectionResult(ByteReader& r, InjectionResult& ir) {
 } // namespace
 
 std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
-                        std::uint64_t rollbackInterval, bool careReruns) {
+                        bool careReruns) {
   Md5 h;
   h.update("care-campaign");
   h.update(image.bytes.data(), image.bytes.size());
   h.update(cfg.entry);
-  // Rollback trials space their ring by the resolved interval; every other
-  // strategy never reads it.
+  // Rollback trials space their ring by the interval the knob resolves to
+  // against the golden count; every other strategy never reads it.
   const std::uint64_t nums[] = {
       cfg.bitsToFlip,
       cfg.seed,
@@ -114,7 +114,7 @@ std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
       static_cast<std::uint64_t>(cfg.patchTarget),
       static_cast<std::uint64_t>(cfg.recover),
       cfg.rollbackRingCap,
-      core::strategyRollsBack(cfg.recover) ? rollbackInterval : 0,
+      core::strategyRollsBack(cfg.recover) ? cfg.rollbackEveryInstrs : 0,
       static_cast<std::uint64_t>(cfg.fault),
       static_cast<std::uint64_t>(cfg.ecc),
       cfg.prune.enabled ? 1u : 0u,
@@ -328,8 +328,6 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   tel.level = cfg.level == opt::OptLevel::O0 ? "O0" : "O1";
 
   const CampaignConfig& ccfg = cfg.campaign;
-  tel.fault = faultModelName(ccfg.fault);
-  tel.ecc = vm::eccModeName(ccfg.ecc);
   tel.detectSample = pareto::sampleName(cfg.armor.detectSample);
 
   BuiltWorkload built = buildWorkload(w, cfg);
@@ -346,8 +344,7 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   svc.processes = cfg.processes;
   svc.threads = cfg.threads;
   svc.storeDir = cfg.resultStore.value_or(cfg.cacheDir + "/store");
-  svc.storeKey = campaignKey(built.cm.imageDigest, ccfg,
-                             campaign.rollbackInterval(), cfg.careOnSegv);
+  svc.storeKey = campaignKey(built.cm.imageDigest, ccfg, cfg.careOnSegv);
 
   ExperimentResult out;
   out.workload = w.name;

@@ -127,13 +127,14 @@ struct ExperimentResult {
 /// every Armor, Sentinel and sampling knob. The key adds the knobs of `cfg`
 /// that change records — entry, seed, bits, hang factor, patch target,
 /// recovery strategy, ring capacity, fault model, ECC, pruning — and, under
-/// rollback strategies, `rollbackInterval`, the ring spacing the profiled
-/// Campaign resolved (Campaign::rollbackInterval). It reads no environment
-/// and excludes the trial count and every pure performance knob (threads,
-/// processes, backend, replay interval), so overlapping campaigns share
-/// shards.
+/// rollback strategies, the ring-spacing knob rollbackEveryInstrs (the
+/// spacing it resolves to is a function of the knob and the golden count,
+/// which the image and entry fix). It needs no profile, reads no
+/// environment and excludes the trial count and every pure performance
+/// knob (threads, processes, backend, replay interval), so overlapping
+/// campaigns share shards.
 std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
-                        std::uint64_t rollbackInterval, bool careReruns);
+                        bool careReruns);
 
 /// Compile `w` with CARE per cfg, profile it, then run the campaign on
 /// cfg.threads workers, serving shards from the result store where it holds

@@ -209,7 +209,7 @@ public:
     return checkpoints_;
   }
   /// Resolved rollback-ring spacing of rollback-strategy trials, valid
-  /// after profile(); semantic under those strategies (campaignKey).
+  /// after profile() (campaignKey keys the knob it resolves from).
   std::uint64_t rollbackInterval() const { return rollbackInterval_; }
   /// Index of `loc` in the sampling table, or -1 when it is not an
   /// injectable site with a nonzero profile count.

@@ -172,10 +172,11 @@ RunResult Executor::run(const std::string& entry) {
 }
 
 RunResult Executor::runBounded(std::uint64_t stopAt, const std::string& entry) {
-  stopAt_ = stopAt;
+  const std::uint64_t budget = budget_;
+  if (stopAt < budget_) budget_ = stopAt;
   RunResult res = run(entry);
   while (res.status == RunStatus::Yielded) res = run(entry);
-  stopAt_ = ~0ull;
+  budget_ = budget;
   return res;
 }
 
@@ -189,7 +190,7 @@ RunResult Executor::runReference() {
   auto* f = st_.f;
 
   for (;;) {
-    if (instrCount_ >= (budget_ < stopAt_ ? budget_ : stopAt_)) {
+    if (instrCount_ >= budget_) {
       res.status = RunStatus::BudgetExceeded;
       res.instrCount = instrCount_;
       return res;

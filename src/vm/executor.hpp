@@ -15,7 +15,7 @@
 //  * an armed injection fires a callback right after the n-th execution of
 //    a chosen static instruction (the paper's GDB/ptrace injector). Under
 //    the JIT the fast interpreter watches for it, and the run goes native
-//    once it has fired.
+//    once it has fired, profiled or not.
 #pragma once
 
 #include <functional>
@@ -112,6 +112,11 @@ public:
   void setBudget(std::uint64_t maxInstrs) { budget_ = maxInstrs; }
 
   // --- instrumentation ------------------------------------------------------
+  // Precondition of enableProfiling() and armInjection(): call them between
+  // run() calls or from an injection callback, never from a trap hook
+  // (which only patches state or restores a checkpoint). The fast and JIT
+  // loops read the instrumentation only when a run starts and after an
+  // injection fires.
   void enableProfiling();
   /// Execution count of static instruction (module, func, instr); valid
   /// between run() calls of a profiled executor.
@@ -172,7 +177,8 @@ public:
   /// reaches min(budget, stopAt) — the shared exact-stop mechanism under
   /// runCheckpointed() and the replay cache's golden prefixes. Barrier
   /// yields are resumed transparently (they are no-ops off the harness
-  /// hook); the budget itself is not consumed or modified.
+  /// hook). The budget is lowered to `stopAt` for the call and restored
+  /// afterwards, so every loop tests one bound.
   RunResult runBounded(std::uint64_t stopAt, const std::string& entry = "main");
 
   // --- state access (used by hooks, Safeguard and the injector) -----------
@@ -197,12 +203,10 @@ private:
   RunResult runNative(JitImage& jimg, bool counting);
   /// The token-threaded loop, compiled twice: the instrumented variant
   /// carries the per-instruction profiling and injection checks; the plain
-  /// variant (profiling off, nothing armed — golden runs) omits them. If a
-  /// trap hook arms instrumentation mid-run, the plain variant syncs state,
-  /// sets *switchVariant and returns so runFast() can re-enter the
-  /// instrumented one — equivalent to the reference loop's Retry `continue`.
-  /// The instrumented variant does the same once a fired injection leaves
-  /// nothing instrumented, which is where runJit() goes native.
+  /// variant (profiling off, nothing armed — golden runs) omits them. Once
+  /// a fired injection leaves nothing armed, the instrumented variant syncs
+  /// state, sets *switchVariant and returns: runFast() re-picks a variant
+  /// and runJit() goes native.
   template <bool kInstrumented>
   RunResult runFastImpl(bool* switchVariant = nullptr);
 
@@ -212,10 +216,9 @@ private:
   MachineState st_;
   std::vector<std::uint64_t> output_;
   std::uint64_t instrCount_ = 0;
+  /// The one run bound every loop tests; runBounded() and the JIT's
+  /// interpreter steps lower it transiently.
   std::uint64_t budget_ = ~0ull;
-  /// Transient exact-stop bound (runBounded); every loop runs to
-  /// min(budget_, stopAt_). ~0ull = no bound.
-  std::uint64_t stopAt_ = ~0ull;
   TrapHook trapHook_;
 
   // Current position.

@@ -31,8 +31,8 @@
 //    reference loop's BadPC exactly; only branch targets are range-checked;
 //  * the loop is compiled twice (runFastImpl<kInstrumented>): golden runs —
 //    profiling off, no injection armed — pay for neither check, and an
-//    injection run hands off to the plain variant once its injection has
-//    fired and disarmed;
+//    injection run returns once its injection has fired and disarmed, to
+//    continue on the plain variant (or natively, under the JIT);
 //  * hot interpreter state (position, instruction count, budget, code
 //    pointer, profile row, injection target) lives in locals, published to
 //    the Executor members only around hook/callback boundaries and
@@ -51,9 +51,9 @@ using backend::MOp;
 using backend::MType;
 
 RunResult Executor::runFast() {
-  // Pick the loop variant by the instrumentation in effect; re-pick when a
-  // variant bails out because a hook/callback changed that state mid-run
-  // (resuming from the synced members, like the reference loop's continue).
+  // Pick the loop variant by the instrumentation in effect; re-pick when
+  // the instrumented variant returns after its injection fired (resuming
+  // from the synced members).
   for (;;) {
     bool switchVariant = false;
     RunResult res = (profiling_ || injArmed_)
@@ -74,7 +74,7 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
 
   std::int32_t m = curModule_, fi = curFunc_;
   std::uint64_t ic = instrCount_;
-  std::uint64_t bud = budget_ < stopAt_ ? budget_ : stopAt_;
+  std::uint64_t bud = budget_;
 
   const DInst* code = nullptr;
   std::uint64_t codeSize = 0; // real instruction count (sentinel excluded)
@@ -128,7 +128,7 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
     m = curModule_;                                                         \
     fi = curFunc_;                                                          \
     ic = instrCount_;                                                       \
-    bud = budget_ < stopAt_ ? budget_ : stopAt_;                            \
+    bud = budget_;                                                          \
     ENTER();                                                                \
     d = code + curInstr_;                                                   \
   } while (0)
@@ -146,15 +146,15 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
       SYNC();                                                               \
       injCb_(*this);                                                        \
       ic = instrCount_;                                                     \
-      bud = budget_ < stopAt_ ? budget_ : stopAt_;                          \
+      bud = budget_;                                                        \
       ENTER();                                                              \
     }                                                                       \
   } while (0)
 
-// After FIRE_INJ: true when the injection fired, disarmed and left no
-// instrumentation behind — the caller may hand the rest of the run to
-// the plain loop variant.
-#define WANT_PLAIN() (!injArmed_ && !profiling_)
+// After FIRE_INJ: true when the injection fired and left nothing armed —
+// the caller returns, and runFast() continues on the plain variant unless
+// profiling, runJit() natively.
+#define DISARMED() (!injArmed_)
 
 #define EA(dd) ((dd).disp + g[(dd).base] + (g[(dd).index] << (dd).scale))
 
@@ -214,7 +214,7 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
     if constexpr (kInstrumented) {                                          \
       if (__builtin_expect(d == injPtr, 0)) {                               \
         FIRE_INJ();                                                          \
-        if (WANT_PLAIN()) {                                                  \
+        if (DISARMED()) {                                                    \
           advance;                                                          \
           SYNC();                                                           \
           *switchVariant = true;                                            \
@@ -628,7 +628,7 @@ L_Call: {
   if constexpr (kInstrumented) {
     if (__builtin_expect(d == injPtr, 0)) {
       FIRE_INJ();
-      if (WANT_PLAIN()) {
+      if (DISARMED()) {
         curModule_ = callee.module;
         curFunc_ = callee.func;
         curInstr_ = 0;
@@ -663,11 +663,11 @@ L_Ret: {
     res.exitCode = static_cast<std::int64_t>(g[backend::kRet]);
     return res;
   }
-  bool plainAfterInj = false;
+  bool disarmed = false;
   if constexpr (kInstrumented) {
     if (__builtin_expect(d == injPtr, 0)) {
       FIRE_INJ();
-      plainAfterInj = WANT_PLAIN();
+      disarmed = DISARMED();
     }
   }
   const CodeLoc loc = image_->locate(retPC);
@@ -682,7 +682,7 @@ L_Ret: {
     res.instrCount = instrCount_;
     return res;
   }
-  if (plainAfterInj) {
+  if (disarmed) {
     curModule_ = loc.module;
     curFunc_ = loc.func;
     curInstr_ = loc.instr;
@@ -776,15 +776,6 @@ trapped:
     if (trapHook_) {
       if (trapHook_(*this, trap) == TrapAction::Retry) {
         RELOAD();
-        if constexpr (!kInstrumented) {
-          // A hook may have enabled profiling or armed an injection; the
-          // plain loop cannot honor either, so hand off (the re-entry is
-          // the reference loop's Retry `continue`).
-          if (profiling_ || injArmed_) {
-            *switchVariant = true;
-            return res;
-          }
-        }
         DISPATCH(); // re-execute, state patched
       }
     }
@@ -817,7 +808,7 @@ trapped:
 #undef SYNC
 #undef RELOAD
 #undef FIRE_INJ
-#undef WANT_PLAIN
+#undef DISARMED
 #undef EA
 }
 

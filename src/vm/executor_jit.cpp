@@ -1,25 +1,28 @@
 // Mixed-mode driver for the template-JIT backend (DESIGN.md §4h).
 //
-// run() under InterpKind::Jit alternates between native execution of
-// compiled code and the fast interpreter:
+// run() under InterpKind::Jit runs compiled code and hands the fast
+// interpreter only three things:
 //
-//  * profiled runs stay native on the counting code variant (jit.hpp):
-//    blocks count themselves, the driver credits the instructions of a
-//    mid-block entry and debits the unexecuted rest of a block left early
-//    (Trap, ColdOp), and interpreter bursts count per instruction, so
-//    profileCount() equals the fast interpreter's exactly;
-//  * an armed injection runs on the instrumented fast loop until it fires,
-//    then the rest of the run goes native;
-//  * ECC-armed memory, and profiling together with an armed injection,
-//    stay on the fast interpreter entirely — they need per-access or
-//    per-instruction checks the templates don't carry;
-//  * a position with no native entry (function below its compile
-//    threshold, interpret-only, or a basic block that no longer fits the
-//    effective budget) is burst-interpreted under a stopAt_ bound, then
-//    the code cache is probed again;
-//  * native execution returns through the JitExit protocol, with the
-//    position/count fields synced exactly like the interpreter's SYNC(),
-//    so trap hooks, checkpoints and ResumePoints observe identical state.
+//  * an armed prefix: an armed injection runs on the instrumented fast
+//    loop until it fires, then the rest of the run goes native;
+//  * a burst, at a position with no native entry (function below its
+//    compile threshold, interpret-only, or a basic block that no longer
+//    fits the budget), after which the code cache is probed again;
+//  * a single instruction: a rare op (ColdOp), or an access the software
+//    TLB cannot serve on a mapped page, i.e. one with an ECC shadow. The
+//    emitted miss helpers report that as a SegFault at a mapped address;
+//    the fast loop's typed accessor corrects the word or raises
+//    EccUncorrectable, and native execution resumes after it.
+//
+// Profiled runs stay native on the counting code variant (jit.hpp): blocks
+// count themselves, the driver credits the instructions of a mid-block
+// entry and debits the unexecuted rest of a block left early (Trap,
+// ColdOp, single steps), and interpreter steps count per instruction, so
+// profileCount() equals the fast interpreter's exactly. Native execution
+// returns through the JitExit protocol, with the position/count fields
+// synced exactly like the interpreter's SYNC(), so trap hooks, checkpoints
+// and ResumePoints observe identical state. A whole run goes to the fast
+// loop only when the JIT is unusable.
 //
 // Every loop iteration makes progress: entryFor repeats the emitted
 // block-fit check in C++, so whenever it hands out an entry the native
@@ -38,12 +41,6 @@ constexpr std::uint64_t kBurst = 65536;
 } // namespace
 
 RunResult Executor::runJit() {
-  // ECC-armed memory must stay off native code: readPage()/writePage(),
-  // which back careJitReadMiss/careJitWriteMiss, return null for a mapped
-  // page with an ECC shadow, and the emitted code would report that null
-  // as a SegFault. The fast loop takes the typed accessor there instead.
-  if (mem_.eccEnabled() || (profiling_ && injArmed_)) return runFast();
-
   JitImage& jimg = image_->jit();
   if (!jimg.usable()) {
     warnJitUnavailableOnce();
@@ -80,6 +77,17 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
     for (std::uint32_t i = 0; i < n; ++i) row[i] += delta;
   };
 
+  // Interpret up to `limit` (never past the run's own bound) on the fast
+  // loop. True when it stopped only at `limit`: resume natively. Otherwise
+  // `r` ends the run.
+  auto interpretTo = [&](std::uint64_t limit, RunResult& r) {
+    const std::uint64_t bound = budget_;
+    if (limit < bound) budget_ = limit;
+    r = runFast();
+    budget_ = bound;
+    return r.status == RunStatus::BudgetExceeded && r.instrCount < bound;
+  };
+
   RunResult res;
   JitContext ctx;
   // All pointers are members of this Executor (or member arrays of mem_),
@@ -96,31 +104,18 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
   ctx.blockCounts = counting ? blockCounts_.data() : nullptr;
 
   for (;;) {
-    const std::uint64_t stop = budget_ < stopAt_ ? budget_ : stopAt_;
-    if (instrCount_ >= stop) {
+    if (instrCount_ >= budget_) {
       res.status = RunStatus::BudgetExceeded;
       res.instrCount = instrCount_;
       return res;
     }
-    // A trap hook may have armed instrumentation mid-run; hand the rest of
-    // the run over, like the plain fast-loop variant does.
-    if (profiling_ != counting || injArmed_ || mem_.eccEnabled())
-      return runFast();
 
     const void* entry = jimg.entryFor(curModule_, curFunc_, curInstr_,
-                                      instrCount_, stop, variant);
+                                      instrCount_, budget_, variant);
     if (!entry) {
-      // Burst-interpret under a transient bound. An artificial stop shows
-      // up as BudgetExceeded short of the real bound — re-probe the cache.
-      const std::uint64_t save = stopAt_;
-      std::uint64_t burstStop = instrCount_ + kBurst;
-      if (burstStop > stop) burstStop = stop;
-      stopAt_ = burstStop;
-      RunResult r = runFast();
-      stopAt_ = save;
-      if (r.status == RunStatus::BudgetExceeded &&
-          r.instrCount < (budget_ < stopAt_ ? budget_ : stopAt_))
-        continue;
+      // Burst-interpret, then re-probe the cache.
+      RunResult r;
+      if (interpretTo(instrCount_ + kBurst, r)) continue;
       return r;
     }
 
@@ -129,7 +124,7 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
       adjustBlock(curInstr_, jimg.blockRest(curModule_, curFunc_, curInstr_),
                   1);
     ctx.ic = instrCount_;
-    ctx.budget = stop;
+    ctx.budget = budget_;
     jimg.enter(ctx, entry);
 
     // Publish the exit state the way the interpreter's SYNC() does.
@@ -147,6 +142,13 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
       return res;
 
     case JitExit::Trap: {
+      // A SegFault at a mapped address is a TLB miss on an ECC-shadowed
+      // page: single-step the access like a ColdOp.
+      if (static_cast<TrapKind>(ctx.trapKind) == TrapKind::SegFault &&
+          mem_.isMapped(ctx.trapAddr)) {
+        --instrCount_;
+        goto single_step;
+      }
       // The trapping instruction counted; the rest of its block did not run.
       if (counting)
         adjustBlock(curInstr_ + 1,
@@ -192,20 +194,16 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
       // the exact budget boundary.
       continue;
 
-    case JitExit::ColdOp: {
-      // Single-step the rare op on the interpreter (which counts it), then
-      // resume natively at the next instruction (its counter increment
+    case JitExit::ColdOp:
+    single_step: {
+      // Single-step the instruction on the interpreter (which counts it),
+      // then resume natively at the next one (its counter increment
       // happens there).
       if (counting)
         adjustBlock(curInstr_, jimg.blockRest(curModule_, curFunc_, curInstr_),
                     ~0ull);
-      const std::uint64_t save = stopAt_;
-      stopAt_ = instrCount_ + 1;
-      RunResult r = runFast();
-      stopAt_ = save;
-      if (r.status == RunStatus::BudgetExceeded &&
-          r.instrCount < (budget_ < stopAt_ ? budget_ : stopAt_))
-        continue;
+      RunResult r;
+      if (interpretTo(instrCount_ + 1, r)) continue;
       return r;
     }
 

@@ -25,7 +25,12 @@
 //    stop mechanism runCheckpointed() and the replay cache use);
 //  * cold or rare ops (fused div-from-memory, sub-word fused loads) exit
 //    through a ColdOp stub and are single-stepped by the interpreter, then
-//    native execution resumes at the next instruction.
+//    native execution resumes at the next instruction;
+//  * the software TLB is the one memory gate: the miss helpers return null
+//    for an unmapped page and for one with an ECC shadow alike, and both
+//    exit as a SegFault. The driver single-steps the access on a mapped
+//    page the same way as a ColdOp, on the interpreter's typed accessor,
+//    so native code never tests the ECC mode.
 //
 // Profiled runs execute natively too, on a second *counting* variant of
 // each function: the same templates plus one increment of a per-block
@@ -90,7 +95,7 @@ struct JitContext {
   std::uint64_t* blockCounts = nullptr;
   // Run state (in: driver -> native; out: native -> driver).
   std::uint64_t ic = 0;              // absolute instrCount
-  std::uint64_t budget = 0;          // effective stop (min(budget, stopAt))
+  std::uint64_t budget = 0;          // the Executor's run bound
   std::uint64_t trapAddr = 0;        // faulting data address
   std::uint64_t retPC = 0;           // unresolved cross-function PC
   std::uint64_t scratch = 0;         // miss-stub spill slot

@@ -1,8 +1,9 @@
 // Template-JIT backend tests (DESIGN.md §4h): backend selection and its
 // error path, compilation of hot functions, exact-budget deopt at every
 // block boundary shape (block entry, mid-block, last instruction of a
-// compiled block), ResumePoint equivalence and cross-backend restore, and
-// full-campaign byte-identity against the fast interpreter.
+// compiled block), ResumePoint equivalence and cross-backend restore,
+// native ECC-armed runs, and full-campaign byte-identity against the fast
+// interpreter.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -225,8 +226,8 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
 // Same acceptance gate for the memory-resident fault models: with faults
 // landing in mapped words (and, in the first leg, SECDED correcting or
 // trapping them), the jit-backend campaign must serialize byte-identical
-// to the fast interpreter. Covers the ECC delegation path (secded) and the
-// native path with silent memory corruption (burst, ECC off).
+// to the fast interpreter. Covers native runs with shadowed pages (secded)
+// and with silent memory corruption (burst, ECC off).
 TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
   InterpGuard guard;
@@ -279,6 +280,82 @@ std::vector<std::uint64_t> allCounts(const vm::Executor& ex) {
                                        static_cast<std::int32_t>(i)}));
   }
   return out;
+}
+
+// Reads back every word of a global array many times after writing it once.
+constexpr const char* kReadBackProgram = R"(
+  double tab[64];
+  int main() {
+    for (int i = 0; i < 64; i = i + 1) tab[i] = i * 1.5;
+    double s = 0.0;
+    for (int r = 0; r < 40; r = r + 1)
+      for (int i = 0; i < 64; i = i + 1) s = s + tab[i];
+    emit(s);
+    return 5;
+  })";
+
+// An ECC-armed run on the JIT stays native. The struck page leaves the
+// software TLB, so each native access to it exits as a SegFault at a mapped
+// address, which the driver single-steps on the fast loop's typed accessor:
+// a single-bit strike is corrected on read, a double-bit one traps. Every
+// observable, profile counts included, must equal the fast interpreter's,
+// and the JIT must have compiled code for the run.
+TEST(Jit, EccArmedRunStaysNativeAndMatchesFast) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  Program p = buildProgram(kReadBackProgram, opt::OptLevel::O0);
+  const std::uint64_t word = p.image->module(0).globalAddr[0] + 8 * 5;
+
+  vm::Executor golden(p.image.get());
+  golden.setInterp(vm::InterpKind::Fast);
+  const vm::RunResult gr = vm::runToCompletion(golden, "main");
+  ASSERT_EQ(gr.status, vm::RunStatus::Done);
+  // Mid-way through the read-back loops, long after tab[5] was written.
+  const std::uint64_t strikeAt = gr.instrCount / 2;
+
+  for (const std::vector<unsigned>& bits :
+       {std::vector<unsigned>{3}, std::vector<unsigned>{3, 4}}) {
+    const std::string tag = std::to_string(bits.size()) + "-bit strike";
+    std::unique_ptr<vm::Executor> ex[2];
+    vm::RunResult res[2];
+    const vm::InterpKind kinds[2] = {vm::InterpKind::Fast,
+                                     vm::InterpKind::Jit};
+    for (int k = 0; k < 2; ++k) {
+      ex[k] = std::make_unique<vm::Executor>(p.image.get());
+      ex[k]->setInterp(kinds[k]);
+      ex[k]->memory().setEccMode(vm::EccMode::Secded);
+      ex[k]->enableProfiling();
+      ASSERT_EQ(ex[k]->runBounded(strikeAt, "main").status,
+                vm::RunStatus::BudgetExceeded)
+          << tag;
+      ASSERT_TRUE(ex[k]->memory().injectFault(word, bits)) << tag;
+      res[k] = vm::runToCompletion(*ex[k], "main");
+    }
+    if (bits.size() == 1) {
+      EXPECT_EQ(res[0].status, vm::RunStatus::Done) << tag;
+      EXPECT_GT(ex[0]->memory().eccCorrected(), 0u) << tag;
+    } else {
+      EXPECT_EQ(res[0].status, vm::RunStatus::Trapped) << tag;
+      EXPECT_EQ(res[0].trap.kind, vm::TrapKind::EccUncorrectable) << tag;
+    }
+    EXPECT_EQ(res[1].status, res[0].status) << tag;
+    EXPECT_EQ(res[1].instrCount, res[0].instrCount) << tag;
+    EXPECT_EQ(res[1].exitCode, res[0].exitCode) << tag;
+    EXPECT_EQ(res[1].trap.kind, res[0].trap.kind) << tag;
+    EXPECT_EQ(res[1].trap.pc, res[0].trap.pc) << tag;
+    EXPECT_EQ(res[1].trap.addr, res[0].trap.addr) << tag;
+    EXPECT_EQ(ex[1]->output(), ex[0]->output()) << tag;
+    EXPECT_EQ(allCounts(*ex[1]), allCounts(*ex[0])) << tag;
+    EXPECT_EQ(std::memcmp(ex[1]->state().g, ex[0]->state().g,
+                          sizeof ex[0]->state().g),
+              0)
+        << tag;
+    EXPECT_EQ(ex[1]->memory().eccCorrected(), ex[0]->memory().eccCorrected())
+        << tag;
+    EXPECT_EQ(ex[1]->memory().eccUncorrectable(),
+              ex[0]->memory().eccUncorrectable())
+        << tag;
+  }
+  EXPECT_GT(p.image->jit().compiledFunctions(), 0u);
 }
 
 std::unique_ptr<vm::Executor> profiledExecutor(const Program& p,

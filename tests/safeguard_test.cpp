@@ -1,5 +1,5 @@
 // Safeguard runtime tests: Algorithm 1's failure paths, the SDC guard,
-// operand patching, artifact caching, cross-module key resolution.
+// operand patching, cross-module key resolution.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -130,41 +130,6 @@ TEST(Safeguard, SdcGuardRefusesContaminatedInputs) {
     }
   }
   EXPECT_GT(guards, 0) << "SDC guard never exercised";
-}
-
-TEST(Safeguard, CachedArtifactsSpeedUpSecondActivation) {
-  Env e = build(opt::OptLevel::O0, "cache");
-  inject::CampaignConfig ccfg;
-  inject::Campaign campaign(e.image.get(), ccfg);
-  ASSERT_TRUE(campaign.profile());
-  // Find a recoverable injection with >= 2 activations if possible; at
-  // minimum verify the cached mode also recovers.
-  Rng rng(55);
-  for (int i = 0; i < 300; ++i) {
-    const auto pt = campaign.sample(rng);
-    const auto plain = campaign.runInjection(pt);
-    if (plain.outcome != inject::Outcome::SoftFailure ||
-        plain.signal != vm::TrapKind::SegFault)
-      continue;
-    const auto withCare = campaign.runInjection(pt, &e.artifacts);
-    if (!withCare.careRecovered) continue;
-
-    // Re-run by hand with a caching Safeguard.
-    vm::Executor ex(e.image.get());
-    ex.setBudget(1'000'000'000ull);
-    Safeguard sg;
-    sg.setCacheArtifacts(true);
-    sg.addModule(0, e.artifacts[0]);
-    sg.attach(ex);
-    ex.armInjection(pt.loc, pt.nth, [&](vm::Executor& ex2) {
-      inject::Campaign::corruptDestination(ex2, pt.loc, pt.bits);
-    });
-    const vm::RunResult r = vm::runToCompletion(ex, "main");
-    EXPECT_EQ(r.status, vm::RunStatus::Done);
-    EXPECT_GT(sg.stats().recovered, 0u);
-    return;
-  }
-  FAIL() << "no recoverable injection found";
 }
 
 TEST(Safeguard, RecoversAtO1WithRegisterParams) {

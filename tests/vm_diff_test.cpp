@@ -9,8 +9,9 @@
 //  * budget-capped runs stopping mid-execution after a few thousand
 //    instructions (exact-budget deopt on the JIT side),
 //  * trapping programs (SegFault / Fpe),
-//  * fuzzed injection runs that corrupt a register mid-flight at sampled hot
-//    instructions and let the corruption play out to whatever end state,
+//  * fuzzed injection runs, plain and profiled, that corrupt a register
+//    mid-flight at sampled hot instructions and let the corruption play out
+//    to whatever end state,
 //  * memory-word strikes under ECC off, SECDED and SECDED+CRC, including
 //    words the run reads back from a shadowed page.
 // All backends in a leg share ONE Image: rebuilding a sentinel-armed module
@@ -250,9 +251,9 @@ TEST(TrapDiff, RemainderOverflowFpeIdentically) {
 // and let the fault play out: soft failure, masked run, or silent
 // corruption — whatever happens, all backends must land on the same bits.
 // This sweeps the trap paths (SegFault/Bus/BadPC from wild addresses), the
-// injection arming/firing bookkeeping, and the post-injection
-// instrumented→plain handoff (which on the JIT backend also covers the
-// whole-run delegation for armed executors) in one go.
+// injection arming/firing bookkeeping, and the post-injection handoff
+// (instrumented→plain on the fast loop, instrumented→native on the JIT), in
+// plain and profiled runs, in one go.
 TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
@@ -300,13 +301,18 @@ TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
                             std::to_string(h.loc.instr) + ") nth=" +
                             std::to_string(nth) + " g" + std::to_string(reg) +
                             "^bit" + std::to_string(bit);
-    const auto res = diffAllBackends(
-        image.get(), "main", tag, /*profile=*/false,
-        [&](vm::Executor& ex) {
-          ex.setBudget(2 * golden.instrCount);
-          ex.armInjection(h.loc, nth, corrupt);
-        });
-    if (res[0].status == vm::RunStatus::Trapped) ++trapped;
+    // Profiled too: the armed prefix counts per instruction, the rest of
+    // the run on the JIT's counting code.
+    for (const bool profile : {false, true}) {
+      const auto res = diffAllBackends(
+          image.get(), "main", tag + (profile ? " profiled" : ""), profile,
+          [&](vm::Executor& ex) {
+            if (profile) ex.enableProfiling();
+            ex.setBudget(2 * golden.instrCount);
+            ex.armInjection(h.loc, nth, corrupt);
+          });
+      if (res[0].status == vm::RunStatus::Trapped) ++trapped;
+    }
   }
   // The sweep should have found at least one hard fault to be meaningful.
   EXPECT_GT(trapped, 0) << "fuzz never produced a trap; widen the sweep";
