@@ -434,9 +434,6 @@ InjectionResult Campaign::runInjection(
     core::SafeguardStats* careStats) const {
   InjectionResult res;
   Executor ex(image_, baseMem_);
-  // ECC shadows are armed on the trial executor only — the golden run is
-  // fault-free, so protecting it would measure nothing (DESIGN.md §4i).
-  if (cfg_.ecc != vm::EccMode::Off) ex.memory().setEccMode(cfg_.ecc);
   const bool memFault = pt.model != FaultModel::Reg;
   const bool rollsBack = careArtifacts && core::strategyRollsBack(cfg_.recover);
   vm::CheckpointRing ring(cfg_.rollbackRingCap);
@@ -490,23 +487,21 @@ InjectionResult Campaign::runInjection(
   // strike their word exactly at pt.nth, after any capture at that count.
   // The strike is transient: a rollback to a checkpoint before pt.nth
   // genuinely erases it. Convergence (DESIGN.md §4c): at every later golden
-  // boundary an ECC-off trial whose fault has fired compares its state with
-  // the golden one and stops on equality — the rest of the run is the
-  // golden run. ECC shadows are not part of that state, so ECC-armed
-  // trials run to the end.
+  // boundary a trial whose fault has fired compares its state with the
+  // golden one, struck words included, and stops on equality — the rest of
+  // the run is the golden run.
   bool converged = false;
   std::vector<vm::ScheduledEvent> events;
-  if (cfg_.ecc == vm::EccMode::Off)
-    for (const TrialCheckpoint* g = ck ? ck + 1 : checkpoints_.data();
-         g != checkpoints_.data() + checkpoints_.size(); ++g)
-      events.push_back({g->rp.instrCount, [&, g](Executor& e) {
-                          converged = fired && e.sameState(g->rp);
-                          return converged;
-                        }});
+  for (const TrialCheckpoint* g = ck ? ck + 1 : checkpoints_.data();
+       g != checkpoints_.data() + checkpoints_.size(); ++g)
+    events.push_back({g->rp.instrCount, [&, g](Executor& e) {
+                        converged = fired && e.sameState(g->rp);
+                        return converged;
+                      }});
   if (memFault) {
     const vm::ScheduledEvent strike{pt.nth, [&](Executor& e) {
                                       fired = e.memory().injectFault(
-                                          pt.memAddr, pt.bits);
+                                          pt.memAddr, pt.bits, cfg_.ecc);
                                       injAt = pt.nth;
                                       return false;
                                     }};
@@ -552,18 +547,16 @@ InjectionResult Campaign::runInjection(
   }
 
   // End-of-trial scrub (DESIGN.md §4i): a completed run may still hold the
-  // flipped word in a cell it never read back — patrol every shadowed word
+  // flipped word in a cell it never read back — patrol every struck word
   // so the correctable/uncorrectable verdict is about the *fault*, not
   // about whether the workload happened to touch it. Then fold the counters
   // into the record; a clean-output completion that needed a correction is
   // its own outcome class.
-  if (ex.memory().eccEnabled()) {
-    if (res.survived) (void)ex.memory().scrubEcc();
-    res.eccCorrected = ex.memory().eccCorrected();
-    res.eccUncorrectable = ex.memory().eccUncorrectable();
-    if (res.outcome == Outcome::Benign && res.eccCorrected > 0)
-      res.outcome = Outcome::Corrected;
-  }
+  if (res.survived) (void)ex.memory().scrubEcc();
+  res.eccCorrected = ex.memory().eccCorrected();
+  res.eccUncorrectable = ex.memory().eccUncorrectable();
+  if (res.outcome == Outcome::Benign && res.eccCorrected > 0)
+    res.outcome = Outcome::Corrected;
 
   if (careArtifacts) {
     const core::SafeguardStats& st = safeguard->stats();

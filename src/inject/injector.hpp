@@ -150,9 +150,9 @@ struct CampaignConfig {
   /// What gets corrupted (DESIGN.md §4i). Semantic: participates in the
   /// campaign key.
   FaultModel fault = FaultModel::Reg;
-  /// ECC protection armed on every trial executor (never on the golden
-  /// run, which is fault-free either way). Semantic: participates in the
-  /// campaign key.
+  /// ECC protection of a memory-model strike: the mode the trial passes to
+  /// Memory::injectFault (the golden run strikes nothing). Semantic:
+  /// participates in the campaign key.
   vm::EccMode ecc = vm::EccMode::Off;
   /// Equivalence-class campaign pruning (DESIGN.md §4j): group provably
   /// identical trials and run one representative per group, expanding its

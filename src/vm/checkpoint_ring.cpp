@@ -2,12 +2,6 @@
 
 namespace care::vm {
 
-void CheckpointRing::clear() {
-  entry_.reset();
-  ring_.clear();
-  evicted_ = 0;
-}
-
 void CheckpointRing::push(Executor::ResumePoint rp) {
   if (!entry_) {
     entry_ = std::move(rp);

@@ -42,8 +42,6 @@ public:
   /// only; stale futures removed by push()/dropAfter() are not counted).
   std::uint64_t evicted() const { return evicted_; }
 
-  void clear();
-
   /// Capture `ex`'s current position. Only meaningful between run() calls
   /// (an exact budget boundary). The first push lands in the pinned entry
   /// slot; later pushes append to the periodic ring, evicting the oldest

@@ -7,11 +7,12 @@
 // error (data, check, or parity bit) and detects any double-bit error —
 // the same guarantee DDR ECC DIMMs give per 64-bit beat.
 //
-// Memory keeps an opt-in shadow of code bytes per page (one byte per
-// aligned 64-bit word) and checks/corrects on access; see memory.hpp. The
-// optional CRC64 scrub mode catches the aliasing gap of SECDED (a >=3-bit
-// burst can decode as clean or miscorrect): the injector records a CRC of
-// the pre-fault word and the first ECC check cross-validates against it.
+// Memory records, for each word injectFault strikes under ECC, the code
+// byte of its pre-fault value, and checks/corrects the word on access until
+// it settles; see memory.hpp. The optional CRC64 scrub mode catches the
+// aliasing gap of SECDED (a >=3-bit burst can decode as clean or
+// miscorrect): the strike also records a CRC of the pre-fault word, and the
+// word's check cross-validates against it.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,7 @@
 
 namespace care::vm {
 
-/// ECC protection level for VM memory (`--ecc=` / `CARE_ECC`): off |
+/// ECC protection level of a memory strike (`--ecc=` / `CARE_ECC`): off |
 /// secded | secded,crc.
 enum class EccMode : std::uint8_t { Off = 0, Secded = 1, SecdedCrc = 2 };
 

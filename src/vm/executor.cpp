@@ -123,14 +123,11 @@ Executor::ResumePoint Executor::resumePoint() {
 
 void Executor::restoreCheckpoint(const ResumePoint& rp, bool preserveOutput) {
   st_ = rp.st;
-  // The ECC mode and correction counters belong to the machine, not the
-  // captured address space: carry them across the fork so a rollback keeps
-  // the protection armed and the accounting cumulative.
-  const EccMode eccMode = mem_.eccMode();
+  // The ECC counters belong to the machine, not the captured address
+  // space: carry them across the fork so the accounting stays cumulative.
   const std::uint64_t eccCorrected = mem_.eccCorrected();
   const std::uint64_t eccUncorrectable = mem_.eccUncorrectable();
   mem_ = rp.mem.fork();
-  mem_.setEccMode(eccMode);
   mem_.setEccCounters(eccCorrected, eccUncorrectable);
   started_ = rp.started;
   instrCount_ = rp.instrCount;

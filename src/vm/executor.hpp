@@ -164,7 +164,8 @@ public:
   /// Is this executor, stopped between run() calls, in exactly `rp`'s
   /// state? Compares in place, without capturing a ResumePoint: position,
   /// started, instrCount, registers byte for byte, output, and memory by
-  /// MemorySnapshot::compare. ECC shadows and counters are not compared.
+  /// MemorySnapshot::compare, struck words included. The ECC counters are
+  /// not compared.
   bool sameState(const ResumePoint& rp) const;
 
   // --- run ----------------------------------------------------------------

@@ -21,8 +21,9 @@
 //  * memory accesses translate pages inline through the software TLB and
 //    memcpy directly, instead of calling the out-of-line Memory API. The
 //    TLB is the only gate: an access it cannot serve (misaligned, unmapped,
-//    or on a page with an ECC shadow) takes the typed accessor, which also
-//    makes ECC-armed runs inline everywhere but on the struck page;
+//    or on a page holding a word struck under ECC) takes the typed
+//    accessor, so ECC trials run inline everywhere but on that page, and
+//    on it too once the word settles;
 //  * effective addresses are branch-free: the decoder aliases absent
 //    base/index operands to the hardwired-zero register slot and applies
 //    the element-size scale as a shift;
@@ -277,10 +278,10 @@ L_FMovImm:
   // --- loads ----------------------------------------------------------------
 // The one slow path of a memory handler. The inline path needs an aligned
 // address on a page the software TLB hands out; readPage()/writePage()
-// return null for an unmapped page and for a page with an ECC shadow. The
-// typed accessor then finishes the access: it raises the exact trap
+// return null for an unmapped page and for a page holding a struck word.
+// The typed accessor then finishes the access: it raises the exact trap
 // (trapKindForMem: Bus, SegFault, EccUncorrectable) or checks, corrects
-// and performs the access on the shadowed page.
+// and performs the access on that page.
 #define MEM_TRAP(a, s)                                                      \
   do {                                                                      \
     trapKind = trapKindForMem(s);                                           \

@@ -9,10 +9,10 @@
 //    compile threshold, interpret-only, or a basic block that no longer
 //    fits the budget), after which the code cache is probed again;
 //  * a single instruction: a rare op (ColdOp), or an access the software
-//    TLB cannot serve on a mapped page, i.e. one with an ECC shadow. The
-//    emitted miss helpers report that as a SegFault at a mapped address;
-//    the fast loop's typed accessor corrects the word or raises
-//    EccUncorrectable, and native execution resumes after it.
+//    TLB cannot serve on a mapped page, i.e. one holding a word struck
+//    under ECC. The emitted miss helpers report that as a SegFault at a
+//    mapped address; the fast loop's typed accessor corrects the word or
+//    raises EccUncorrectable, and native execution resumes after it.
 //
 // Profiled runs stay native on the counting code variant (jit.hpp): blocks
 // count themselves, the driver credits the instructions of a mid-block
@@ -142,8 +142,8 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
       return res;
 
     case JitExit::Trap: {
-      // A SegFault at a mapped address is a TLB miss on an ECC-shadowed
-      // page: single-step the access like a ColdOp.
+      // A SegFault at a mapped address is a TLB miss on a page holding a
+      // struck word: single-step the access like a ColdOp.
       if (static_cast<TrapKind>(ctx.trapKind) == TrapKind::SegFault &&
           mem_.isMapped(ctx.trapAddr)) {
         --instrCount_;

@@ -27,10 +27,10 @@
 //    through a ColdOp stub and are single-stepped by the interpreter, then
 //    native execution resumes at the next instruction;
 //  * the software TLB is the one memory gate: the miss helpers return null
-//    for an unmapped page and for one with an ECC shadow alike, and both
-//    exit as a SegFault. The driver single-steps the access on a mapped
-//    page the same way as a ColdOp, on the interpreter's typed accessor,
-//    so native code never tests the ECC mode.
+//    for an unmapped page and for one holding a word struck under ECC
+//    alike, and both exit as a SegFault. The driver single-steps the
+//    access on a mapped page the same way as a ColdOp, on the
+//    interpreter's typed accessor, so native code never tests for ECC.
 //
 // Profiled runs execute natively too, on a second *counting* variant of
 // each function: the same templates plus one increment of a per-block

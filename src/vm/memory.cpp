@@ -60,12 +60,12 @@ bool Memory::isMapped(std::uint64_t addr) const {
 }
 
 const std::uint8_t* Memory::readMiss(std::uint64_t pageNo,
-                                     bool shadowedToo) const {
-  const bool shadow = shadowed(pageNo);
-  if (shadow && !shadowedToo) return nullptr;
+                                     bool struckToo) const {
+  const bool struck = holdsStruck(pageNo);
+  if (struck && !struckToo) return nullptr;
   const auto* slot = findPage(pages_, pageNo);
   if (!slot) return nullptr;
-  if (!shadow) {
+  if (!struck) {
     TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
     e.pageNo = pageNo;
     e.data = (*slot)->data();
@@ -73,9 +73,9 @@ const std::uint8_t* Memory::readMiss(std::uint64_t pageNo,
   return (*slot)->data();
 }
 
-std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool shadowedToo) {
-  const bool shadow = shadowed(pageNo);
-  if (shadow && !shadowedToo) return nullptr;
+std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool struckToo) {
+  const bool struck = holdsStruck(pageNo);
+  if (struck && !struckToo) return nullptr;
   std::shared_ptr<Page>* found = findPage(pages_, pageNo);
   if (!found) return nullptr;
   std::shared_ptr<Page>& slot = *found;
@@ -87,7 +87,7 @@ std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool shadowedToo) {
     TlbEntry& r = readTlb_[pageNo & (kTlbEntries - 1)];
     if (r.pageNo == pageNo) r.data = slot->data();
   }
-  if (!shadow) {
+  if (!struck) {
     TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
     e.pageNo = pageNo;
     e.data = slot->data();
@@ -102,33 +102,16 @@ void Memory::flushTlb() const {
 
 void Memory::flushWriteTlb() const { writeTlb_.fill(TlbEntry{}); }
 
-void Memory::moveEccFrom(Memory& other) {
-  eccMode_ = other.eccMode_;
-  eccCorrected_ = other.eccCorrected_;
-  eccUncorrectable_ = other.eccUncorrectable_;
-  eccPages_ = std::move(other.eccPages_);
-  eccWordCrc_ = std::move(other.eccWordCrc_);
-  other.eccMode_ = EccMode::Off;
-  other.eccCorrected_ = 0;
-  other.eccUncorrectable_ = 0;
-  other.eccPages_.clear();
-  other.eccWordCrc_.clear();
-}
-
-Memory::Memory(Memory&& other) noexcept : pages_(std::move(other.pages_)) {
-  other.pages_.clear();
-  other.flushTlb();
-  flushTlb();
-  moveEccFrom(other);
-}
+Memory::Memory(Memory&& other) noexcept { *this = std::move(other); }
 
 Memory& Memory::operator=(Memory&& other) noexcept {
   if (this != &other) {
-    pages_ = std::move(other.pages_);
-    other.pages_.clear();
+    pages_ = std::exchange(other.pages_, {});
+    struck_ = std::exchange(other.struck_, {});
+    eccCorrected_ = std::exchange(other.eccCorrected_, 0);
+    eccUncorrectable_ = std::exchange(other.eccUncorrectable_, 0);
     other.flushTlb();
     flushTlb();
-    moveEccFrom(other);
   }
   return *this;
 }
@@ -138,7 +121,7 @@ MemStatus Memory::load(std::uint64_t addr, MType type,
   const unsigned size = mtypeSize(type);
   if (addr % size != 0) return MemStatus::Misaligned;
   if (eccActive()) {
-    // Verify (and correct in place) the containing word before reading.
+    // Check (and correct in place) the containing word before reading.
     // eccCheckWord only mutates ECC bookkeeping and corrected page bytes —
     // logically a mutable cache repair, hence the const_cast.
     const MemStatus es =
@@ -187,8 +170,8 @@ MemStatus Memory::loadF(std::uint64_t addr, MType type, double& out) const {
 MemStatus Memory::store(std::uint64_t addr, MType type, std::uint64_t v) {
   const unsigned size = mtypeSize(type);
   if (addr % size != 0) return MemStatus::Misaligned;
-  // A sub-word store must verify the word first: re-encoding after the
-  // write would launder a latent error in the bytes it does not overwrite.
+  // A sub-word store must check the word first: settling it unchecked
+  // would launder a latent error in the bytes it does not overwrite.
   if (eccActive() && size < 8) {
     const MemStatus es = eccCheckWord(addr & ~7ull);
     if (es != MemStatus::Ok) return es;
@@ -197,7 +180,7 @@ MemStatus Memory::store(std::uint64_t addr, MType type, std::uint64_t v) {
   if (!page) return MemStatus::Unmapped;
   if (traceSink_) traceSink_->push_back(addr & ~7ull);
   std::memcpy(page + addr % kPageSize, &v, size);
-  if (eccActive()) eccEncodeWord(addr & ~7ull);
+  if (eccActive() && size == 8) struck_.erase(addr); // overwritten: settled
   return MemStatus::Ok;
 }
 
@@ -217,7 +200,7 @@ MemStatus Memory::storeF(std::uint64_t addr, MType type, double v) {
   } else {
     std::memcpy(page + addr % kPageSize, &v, 8);
   }
-  if (eccActive()) eccEncodeWord(addr & ~7ull);
+  if (eccActive() && size == 8) struck_.erase(addr); // overwritten: settled
   return MemStatus::Ok;
 }
 
@@ -251,11 +234,12 @@ bool Memory::writeBytes(std::uint64_t addr, const void* data,
     addr += chunk;
     len -= chunk;
   }
-  // Raw writes (loader init, register-model repair writeback) keep any
-  // existing shadow consistent: the written bytes become the protected
-  // truth, exactly as a full overwrite through the typed path would.
+  // Raw writes (loader init, register-model repair writeback) settle every
+  // word they touch: the written bytes become the protected truth, as a
+  // full overwrite through the typed path would.
   if (eccActive())
-    for (std::uint64_t w = start & ~7ull; w < addr; w += 8) eccEncodeWord(w);
+    struck_.erase(struck_.lower_bound(start & ~7ull),
+                  struck_.lower_bound(addr));
   return true;
 }
 
@@ -266,103 +250,59 @@ std::vector<std::uint64_t> Memory::pageNumbers() const {
   return out;
 }
 
-bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits) {
+bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits,
+                         EccMode mode) {
   const std::uint64_t wordAddr = addr & ~7ull;
   const std::uint64_t pageNo = wordAddr / kPageSize;
   std::uint8_t* page = mappedPageForWrite(pageNo);
   if (!page) return false;
-  if (eccMode_ != EccMode::Off) {
-    ensureEccPage(pageNo, page);
+  const std::uint64_t off = wordAddr % kPageSize;
+  std::uint64_t word = 0;
+  std::memcpy(&word, page + off, 8);
+  if (mode != EccMode::Off) {
+    StruckWord pre{ecc::secdedEncode(word), std::nullopt};
+    if (mode == EccMode::SecdedCrc) pre.crc = ecc::crc64Word(word);
+    struck_.try_emplace(wordAddr, pre); // a struck word keeps its record
     // Evict: from here on every access to the page takes a typed accessor.
     for (Tlb* tlb : {&readTlb_, &writeTlb_})
       if ((*tlb)[pageNo & (kTlbEntries - 1)].pageNo == pageNo)
         (*tlb)[pageNo & (kTlbEntries - 1)] = TlbEntry{};
   }
-  const std::uint64_t off = wordAddr % kPageSize;
-  std::uint64_t word = 0;
-  std::memcpy(&word, page + off, 8);
-  if (eccMode_ == EccMode::SecdedCrc) eccWordCrc_[wordAddr] = ecc::crc64Word(word);
   for (unsigned b : bits) word ^= 1ull << (b & 63);
   std::memcpy(page + off, &word, 8);
   return true;
 }
 
 MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
-  auto it = eccPages_.find(wordAddr / kPageSize);
-  if (it == eccPages_.end()) return MemStatus::Ok;
-  std::uint8_t* page = mappedPageForWrite(wordAddr / kPageSize);
-  if (!page) return MemStatus::Ok; // shadow for an unmapped page: moot
+  const auto it = struck_.find(wordAddr);
+  if (it == struck_.end()) return MemStatus::Ok;
+  const std::uint64_t pageNo = wordAddr / kPageSize;
   const std::uint64_t off = wordAddr % kPageSize;
-  const std::size_t wi = static_cast<std::size_t>(off / 8);
   std::uint64_t word = 0;
-  std::memcpy(&word, page + off, 8);
+  std::memcpy(&word, mappedPage(pageNo) + off, 8); // pages never unmap
   std::uint64_t fixed = word;
-  const ecc::Secded r = ecc::secdedDecode(fixed, (*it->second)[wi]);
-  if (r == ecc::Secded::Uncorrectable) {
+  const ecc::Secded r = ecc::secdedDecode(fixed, it->second.code);
+  // Under secded,crc the pre-fault CRC arbitrates: SECDED can alias a wide
+  // burst to "clean" or to a bogus single-bit fix.
+  if (r == ecc::Secded::Uncorrectable ||
+      (it->second.crc && ecc::crc64Word(fixed) != *it->second.crc)) {
     ++eccUncorrectable_;
     return MemStatus::EccUncorrectable;
   }
-  if (eccMode_ == EccMode::SecdedCrc) {
-    // Scrub cross-check: SECDED can alias a wide burst to "clean" or to a
-    // bogus single-bit fix. The CRC of the pre-fault word arbitrates once,
-    // on the first check after injection.
-    auto ci = eccWordCrc_.find(wordAddr);
-    if (ci != eccWordCrc_.end()) {
-      if (ecc::crc64Word(fixed) != ci->second) {
-        ++eccUncorrectable_;
-        return MemStatus::EccUncorrectable;
-      }
-      eccWordCrc_.erase(ci);
-    }
-  }
   if (r == ecc::Secded::Corrected) {
     ++eccCorrected_;
-    if (fixed != word) std::memcpy(page + off, &fixed, 8);
-    eccPageForWrite(wordAddr / kPageSize)[wi] = ecc::secdedEncode(fixed);
+    if (fixed != word) std::memcpy(mappedPageForWrite(pageNo) + off, &fixed, 8);
   }
+  struck_.erase(it);
   return MemStatus::Ok;
-}
-
-void Memory::eccEncodeWord(std::uint64_t wordAddr) {
-  const std::uint64_t pageNo = wordAddr / kPageSize;
-  if (eccPages_.find(pageNo) == eccPages_.end()) return;
-  const std::uint8_t* page = mappedPageForWrite(pageNo);
-  if (!page) return;
-  const std::uint64_t off = wordAddr % kPageSize;
-  std::uint64_t word = 0;
-  std::memcpy(&word, page + off, 8);
-  eccPageForWrite(pageNo)[off / 8] = ecc::secdedEncode(word);
-  // An overwrite retires any pending scrub entry: the faulted pre-image is
-  // gone, so there is nothing left to cross-check.
-  if (eccMode_ == EccMode::SecdedCrc) eccWordCrc_.erase(wordAddr);
-}
-
-void Memory::ensureEccPage(std::uint64_t pageNo, const std::uint8_t* pageData) {
-  std::shared_ptr<EccPage>& slot = eccPages_[pageNo];
-  if (slot) return;
-  slot = std::make_shared<EccPage>();
-  for (std::size_t wi = 0; wi < kPageSize / 8; ++wi) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, pageData + wi * 8, 8);
-    (*slot)[wi] = ecc::secdedEncode(word);
-  }
-}
-
-Memory::EccPage& Memory::eccPageForWrite(std::uint64_t pageNo) {
-  std::shared_ptr<EccPage>& slot = eccPages_[pageNo];
-  if (slot.use_count() > 1) slot = std::make_shared<EccPage>(*slot);
-  return *slot;
 }
 
 std::pair<std::uint64_t, std::uint64_t> Memory::scrubEcc() {
   const std::uint64_t c0 = eccCorrected_, u0 = eccUncorrectable_;
-  std::vector<std::uint64_t> pageNos;
-  pageNos.reserve(eccPages_.size());
-  for (const auto& [pageNo, shadow] : eccPages_) pageNos.push_back(pageNo);
-  std::sort(pageNos.begin(), pageNos.end());
-  for (std::uint64_t pageNo : pageNos)
-    for (std::uint64_t wi = 0; wi < kPageSize / 8; ++wi)
-      (void)eccCheckWord(pageNo * kPageSize + wi * 8);
+  // Step past each word before checking it: a check that settles the word
+  // erases its entry.
+  for (auto it = struck_.begin(); it != struck_.end();)
+    (void)eccCheckWord((it++)->first);
   return {eccCorrected_ - c0, eccUncorrectable_ - u0};
 }
 
@@ -370,25 +310,24 @@ MemorySnapshot MemorySnapshot::capture(Memory& m) {
   m.flushWriteTlb();
   MemorySnapshot s;
   s.pages_ = m.pages_;
-  s.eccPages_ = m.eccPages_;
-  s.eccWordCrc_ = m.eccWordCrc_;
+  s.struck_ = m.struck_;
   return s;
 }
 
 Memory MemorySnapshot::fork() const {
-  // Only copies the page maps and bumps atomic refcounts — safe to call
-  // concurrently from campaign worker threads. The ECC mode and counters
-  // intentionally do not travel with the snapshot; Executor re-applies
-  // them (restoreCheckpoint) or the trial sets them up front.
+  // Only copies the page table and struck words and bumps atomic
+  // refcounts — safe to call concurrently from campaign worker threads.
+  // The ECC counters do not travel with the snapshot;
+  // Executor::restoreCheckpoint carries them.
   Memory out;
   out.pages_ = pages_;
-  out.eccPages_ = eccPages_;
-  out.eccWordCrc_ = eccWordCrc_;
+  out.struck_ = struck_;
   return out;
 }
 
 std::optional<std::size_t> MemorySnapshot::compare(const Memory& m) const {
-  if (m.pages_.size() != pages_.size()) return std::nullopt;
+  if (m.pages_.size() != pages_.size() || m.struck_ != struck_)
+    return std::nullopt;
   std::size_t compared = 0;
   for (std::size_t i = 0; i < pages_.size(); ++i) {
     const auto& [pageNo, page] = pages_[i];

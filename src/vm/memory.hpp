@@ -9,9 +9,9 @@
 //
 //  * a software TLB: two small direct-mapped translation caches (separate
 //    read and write views) in front of the page table, explicitly flushed
-//    on map()/moves and on copy-on-write breaks. A page with an ECC shadow
-//    never enters either view, so a miss is the one gate to the checked
-//    typed accessors;
+//    on map()/moves and on copy-on-write breaks. A page holding a word
+//    struck under ECC never enters either view, so a miss is the one gate
+//    to the checked typed accessors;
 //  * copy-on-write pages: pages are shared_ptr-backed, so
 //    MemorySnapshot::capture() / fork() share page storage and a store
 //    copies only the page it touches. The write TLB only ever caches pages
@@ -22,9 +22,9 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,19 +77,16 @@ public:
 
   /// --- ECC layer (DESIGN.md §4i) -------------------------------------
   ///
-  /// Opt-in SECDED(72,64) shadow over VM pages. Shadows are lazy: a page
-  /// gets a code-byte shadow only when injectFault() touches it. Every
-  /// later access to a shadowed page goes through the typed accessors
-  /// (it never enters the TLB), which keep the shadow in sync, so a page
-  /// without a shadow is by construction clean and behaves exactly as if
-  /// it had been eagerly encoded. Typed loads
-  /// verify (and correct) the containing 64-bit word before reading;
-  /// sub-word stores verify first so a latent corrupted neighbor byte is
-  /// never laundered into a freshly encoded word. Uncorrectable words
-  /// surface as MemStatus::EccUncorrectable.
-  void setEccMode(EccMode m) { eccMode_ = m; }
-  EccMode eccMode() const { return eccMode_; }
-  bool eccEnabled() const { return eccMode_ != EccMode::Off; }
+  /// SECDED(72,64) over the words struck under ECC. Only injectFault() can
+  /// make a word disagree with its code, so every word it did not strike
+  /// is clean, and the ECC state is just the struck words: for each, the
+  /// code byte of its pre-fault value and, under secded,crc, that value's
+  /// CRC. Typed loads check (and correct) the containing 64-bit word
+  /// before reading; sub-word stores check first so a latent corrupted
+  /// neighbour byte is never laundered. A word that checks out, or that a
+  /// full-word store or writeBytes() overwrites, settles: its record goes.
+  /// An uncorrectable word stays struck and surfaces as
+  /// MemStatus::EccUncorrectable on every check.
   std::uint64_t eccCorrected() const { return eccCorrected_; }
   std::uint64_t eccUncorrectable() const { return eccUncorrectable_; }
   /// Re-seat the counters (Executor::restoreCheckpoint re-applies them
@@ -111,22 +108,24 @@ public:
   void setAccessTrace(std::vector<std::uint64_t>* sink) { traceSink_ = sink; }
 
   /// Flip `bits` (positions 0..63) in the aligned 64-bit word containing
-  /// `addr`, bypassing ECC maintenance — this is the soft fault. When ECC
-  /// is armed the page's shadow is materialized from the pre-fault
-  /// contents first (and secded,crc records the pre-fault word's CRC), so
-  /// the flip becomes a detectable mismatch, and the page leaves both TLB
-  /// views for as long as the shadow lives. Returns false if unmapped.
-  bool injectFault(std::uint64_t addr, const std::vector<unsigned>& bits);
+  /// `addr` — this is the soft fault. Under an ECC `mode` the word is
+  /// struck: its pre-fault code byte (and, under secded,crc, CRC) is
+  /// recorded, so the flip becomes a detectable mismatch, and its page
+  /// leaves both TLB views until the word settles. A word already struck
+  /// keeps its pre-fault record. Returns false if unmapped.
+  bool injectFault(std::uint64_t addr, const std::vector<unsigned>& bits,
+                   EccMode mode);
 
-  /// Verify every shadowed word, correcting what SECDED can fix — the
-  /// background-scrub analogue, run by the injector at end of trial so
-  /// faults in never-again-read words still meet the detector. Returns
-  /// {corrected, uncorrectable} deltas (also added to the counters).
+  /// Check every struck word in address order, correcting what SECDED can
+  /// fix — the background-scrub analogue, run by the injector at end of
+  /// trial so faults in never-again-read words still meet the detector.
+  /// Returns {corrected, uncorrectable} deltas (also added to the
+  /// counters).
   std::pair<std::uint64_t, std::uint64_t> scrubEcc();
 
   /// Fast-path page translation for the decoded-dispatch interpreter and
   /// the JIT's miss helpers. Returns the page's backing store, or nullptr
-  /// if `pageNo` is unmapped or has an ECC shadow: the caller then takes
+  /// if `pageNo` is unmapped or holds a struck word: the caller then takes
   /// the typed accessor, which raises the exact trap or checks the word.
   /// writePage() breaks copy-on-write sharing before returning.
   const std::uint8_t* readPage(std::uint64_t pageNo) const {
@@ -177,17 +176,21 @@ private:
   /// or fork copies one allocation instead of rebuilding a hash
   /// table; lookups binary-search it, on TLB misses only.
   using PageMap = std::vector<std::pair<std::uint64_t, std::shared_ptr<Page>>>;
-  /// One SECDED code byte per aligned 64-bit word of a page.
-  using EccPage = std::array<std::uint8_t, kPageSize / 8>;
-  using EccPageMap =
-      std::unordered_map<std::uint64_t, std::shared_ptr<EccPage>>;
-  using EccCrcMap = std::unordered_map<std::uint64_t, std::uint64_t>;
+  /// A word struck under ECC: the code byte of its pre-fault value and,
+  /// under secded,crc, the pending pre-fault CRC.
+  struct StruckWord {
+    std::uint8_t code = 0;
+    std::optional<std::uint64_t> crc;
+    bool operator==(const StruckWord&) const = default;
+  };
+  /// Struck words by aligned word address.
+  using StruckWords = std::map<std::uint64_t, StruckWord>;
 
   /// The page-table search after a TLB miss. It fills the view only for
-  /// a page without an ECC shadow; a shadowed page it returns only when
-  /// `shadowedToo`, which Memory's own accessors pass.
-  const std::uint8_t* readMiss(std::uint64_t pageNo, bool shadowedToo) const;
-  std::uint8_t* writeMiss(std::uint64_t pageNo, bool shadowedToo);
+  /// a page without a struck word; such a page it returns only when
+  /// `struckToo`, which Memory's own accessors pass.
+  const std::uint8_t* readMiss(std::uint64_t pageNo, bool struckToo) const;
+  std::uint8_t* writeMiss(std::uint64_t pageNo, bool struckToo);
   /// Memory's own page lookup: any mapped page, copy-on-write broken for
   /// writes.
   const std::uint8_t* mappedPage(std::uint64_t pageNo) const {
@@ -198,35 +201,27 @@ private:
     const TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
     return e.pageNo == pageNo ? e.data : writeMiss(pageNo, true);
   }
-  bool shadowed(std::uint64_t pageNo) const {
-    return !eccPages_.empty() && eccPages_.count(pageNo) != 0;
+  bool holdsStruck(std::uint64_t pageNo) const {
+    if (struck_.empty()) return false;
+    const auto it = struck_.lower_bound(pageNo * kPageSize);
+    return it != struck_.end() && it->first / kPageSize == pageNo;
   }
   void flushTlb() const;
   void flushWriteTlb() const;
 
-  /// True when a typed access must consult the shadow. Shadows only exist
-  /// after injectFault(), so clean runs pay one short-circuited branch.
-  bool eccActive() const {
-    return eccMode_ != EccMode::Off && !eccPages_.empty();
-  }
-  /// Verify/correct the shadowed word at `wordAddr` (8-aligned). Ok when
-  /// the page has no shadow.
+  /// True when a typed access must consult the struck words. Only
+  /// injectFault() strikes, so clean runs pay one branch.
+  bool eccActive() const { return !struck_.empty(); }
+  /// Check/correct the word at `wordAddr` (8-aligned). Ok, and nothing
+  /// decoded, when it is not struck.
   MemStatus eccCheckWord(std::uint64_t wordAddr);
-  /// Recompute the code byte for the (just overwritten) word at `wordAddr`
-  /// and drop any pending CRC-scrub entry. No-op without a shadow.
-  void eccEncodeWord(std::uint64_t wordAddr);
-  void ensureEccPage(std::uint64_t pageNo, const std::uint8_t* pageData);
-  EccPage& eccPageForWrite(std::uint64_t pageNo);
-  void moveEccFrom(Memory& other);
 
   PageMap pages_;
   mutable Tlb readTlb_{};
   mutable Tlb writeTlb_{};
-  EccMode eccMode_ = EccMode::Off;
   std::uint64_t eccCorrected_ = 0;
   std::uint64_t eccUncorrectable_ = 0;
-  EccPageMap eccPages_;
-  EccCrcMap eccWordCrc_;
+  StruckWords struck_;
   /// Armed by setAccessTrace(); mutable so const loads can record. Not
   /// moved with the address space — a trace belongs to one executor's run.
   mutable std::vector<std::uint64_t>* traceSink_ = nullptr;
@@ -254,18 +249,16 @@ public:
   /// Page-identity diff against a live address space: a page `m` still
   /// shares copy-on-write with this snapshot is equal without a look, and
   /// only the others are memcmp'd. Returns how many pages had to be
-  /// compared by content, or nullopt when the contents differ (a byte, or
-  /// a page mapped on one side only). ECC shadows are not compared.
+  /// compared by content, or nullopt when the contents differ (a byte, a
+  /// page mapped on one side only, or the set of struck words).
   std::optional<std::size_t> compare(const Memory& m) const;
 
 private:
   Memory::PageMap pages_;
-  // ECC shadow state rides along so rollback restores the exact
-  // detection state captured at the checkpoint (the ECC *mode* and
-  // counters stay on the live Memory; Executor::restoreCheckpoint
-  // re-applies them across fork()).
-  Memory::EccPageMap eccPages_;
-  Memory::EccCrcMap eccWordCrc_;
+  // The struck words ride along so a rollback restores the exact detection
+  // state captured at the checkpoint (the counters stay on the live
+  // Memory; Executor::restoreCheckpoint carries them across fork()).
+  Memory::StruckWords struck_;
 };
 
 } // namespace care::vm

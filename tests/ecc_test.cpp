@@ -1,9 +1,10 @@
 // SECDED (72,64) ECC tests (DESIGN.md §4i): codec exhaustiveness (every
 // single-bit data/check/parity error corrects, every adjacent double-bit
-// error is flagged), the Memory-level shadow protocol (lazy materialization
-// on injectFault, correct-on-read, verify-before-sub-word-store, full-word
-// re-encode), the patrol scrub, CRC cross-validation of wide bursts, the
-// snapshot/rollback round trip of shadow state, and option parsing.
+// error is flagged), the Memory-level struck-word protocol (the record
+// taken at injectFault, correct-on-read, check-before-sub-word-store,
+// full-word overwrite), the patrol scrub, CRC cross-validation of wide
+// bursts, the snapshot/rollback round trip of struck words, and option
+// parsing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -110,22 +111,21 @@ TEST(EccMode, ParsesAndRoundTrips) {
   EXPECT_THROW(vm::parseEccMode(""), Error);
 }
 
-// --- Memory-level shadow protocol -------------------------------------------
+// --- Memory-level struck-word protocol --------------------------------------
 
 constexpr std::uint64_t kBase = 0x10000;
 
-Memory protectedMemory(EccMode mode = EccMode::Secded) {
+Memory mappedMemory() {
   Memory m;
   m.map(kBase, Memory::kPageSize);
-  m.setEccMode(mode);
   return m;
 }
 
 TEST(EccMemory, SingleBitFaultIsCorrectedOnRead) {
-  Memory m = protectedMemory();
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 0x1122334455667788ull),
             MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {9}));
+  ASSERT_TRUE(m.injectFault(kBase, {9}, EccMode::Secded));
   std::uint64_t out = 0;
   EXPECT_EQ(m.load(kBase, backend::MType::I64, out), MemStatus::Ok);
   EXPECT_EQ(out, 0x1122334455667788ull);
@@ -137,9 +137,9 @@ TEST(EccMemory, SingleBitFaultIsCorrectedOnRead) {
 }
 
 TEST(EccMemory, DoubleBitFaultSurfacesAsEccUncorrectable) {
-  Memory m = protectedMemory();
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase + 8, backend::MType::I64, 42), MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase + 8, {3, 4}));
+  ASSERT_TRUE(m.injectFault(kBase + 8, {3, 4}, EccMode::Secded));
   std::uint64_t out = 0;
   EXPECT_EQ(m.load(kBase + 8, backend::MType::I64, out),
             MemStatus::EccUncorrectable);
@@ -148,10 +148,10 @@ TEST(EccMemory, DoubleBitFaultSurfacesAsEccUncorrectable) {
 }
 
 TEST(EccMemory, SubWordLoadVerifiesTheContainingWord) {
-  Memory m = protectedMemory();
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 0x00ff00ff00ff00ffull),
             MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {40})); // corrupt byte 5...
+  ASSERT_TRUE(m.injectFault(kBase, {40}, EccMode::Secded)); // corrupt byte 5...
   std::uint64_t out = 0;
   EXPECT_EQ(m.load(kBase, backend::MType::I8, out), MemStatus::Ok);
   EXPECT_EQ(out, 0xffu); // ...but even a byte-0 load heals the whole word
@@ -164,20 +164,20 @@ TEST(EccMemory, SubWordLoadVerifiesTheContainingWord) {
 TEST(EccMemory, SubWordStoreRefusesToLaunderAnUncorrectableWord) {
   // A sub-word store must verify first: blindly re-encoding around a
   // latent double-bit corruption would turn a detectable fault into SDC.
-  Memory m = protectedMemory();
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 7), MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {20, 21}));
+  ASSERT_TRUE(m.injectFault(kBase, {20, 21}, EccMode::Secded));
   EXPECT_EQ(m.store(kBase, backend::MType::I8, 1),
             MemStatus::EccUncorrectable);
   EXPECT_EQ(m.eccUncorrectable(), 1u);
 }
 
 TEST(EccMemory, FullWordStoreReencodesOverAnyFault) {
-  // A full 64-bit store overwrites the whole word, so the shadow is simply
-  // recomputed — even a previously uncorrectable word becomes clean.
-  Memory m = protectedMemory();
+  // A full 64-bit store overwrites the whole word, so the word settles —
+  // even a previously uncorrectable word becomes clean.
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 7), MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {50, 51}));
+  ASSERT_TRUE(m.injectFault(kBase, {50, 51}, EccMode::Secded));
   EXPECT_EQ(m.store(kBase, backend::MType::I64, 99), MemStatus::Ok);
   std::uint64_t out = 0;
   EXPECT_EQ(m.load(kBase, backend::MType::I64, out), MemStatus::Ok);
@@ -186,12 +186,13 @@ TEST(EccMemory, FullWordStoreReencodesOverAnyFault) {
   EXPECT_EQ(m.eccUncorrectable(), 0u);
 }
 
-TEST(EccMemory, ScrubPatrolsEveryShadowedWord) {
-  Memory m = protectedMemory();
+TEST(EccMemory, ScrubPatrolsEveryStruckWord) {
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 1), MemStatus::Ok);
   ASSERT_EQ(m.store(kBase + 64, backend::MType::I64, 2), MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {5}));       // correctable
-  ASSERT_TRUE(m.injectFault(kBase + 64, {8, 9})); // uncorrectable
+  ASSERT_TRUE(m.injectFault(kBase, {5}, EccMode::Secded)); // correctable
+  ASSERT_TRUE(
+      m.injectFault(kBase + 64, {8, 9}, EccMode::Secded)); // uncorrectable
   const auto [corrected, uncorrectable] = m.scrubEcc();
   EXPECT_EQ(corrected, 1u);
   EXPECT_EQ(uncorrectable, 1u);
@@ -213,10 +214,10 @@ TEST(EccMemory, CrcModeCatchesWideBurstsSecdedWouldMisjudge) {
   // refuses to return data that only looks corrected.
   for (const std::vector<unsigned> burst :
        {std::vector<unsigned>{0, 1, 2}, std::vector<unsigned>{4, 17, 33, 52}}) {
-    Memory m = protectedMemory(EccMode::SecdedCrc);
+    Memory m = mappedMemory();
     ASSERT_EQ(m.store(kBase, backend::MType::I64, 0xfeedfacefeedfaceull),
               MemStatus::Ok);
-    ASSERT_TRUE(m.injectFault(kBase, burst));
+    ASSERT_TRUE(m.injectFault(kBase, burst, EccMode::SecdedCrc));
     std::uint64_t out = 0;
     EXPECT_EQ(m.load(kBase, backend::MType::I64, out),
               MemStatus::EccUncorrectable);
@@ -224,16 +225,37 @@ TEST(EccMemory, CrcModeCatchesWideBurstsSecdedWouldMisjudge) {
   }
 }
 
-TEST(EccMemory, ShadowSurvivesSnapshotForkLikeARollback) {
+TEST(EccMemory, WordStruckTwiceKeepsItsPreFaultRecord) {
+  // A second strike before the word settles keeps the record of the
+  // pre-fault value. Striking bit 0 twice puts that value back, so it
+  // checks clean under secded,crc instead of failing the CRC.
+  Memory m = mappedMemory();
+  ASSERT_EQ(m.store(kBase, backend::MType::I64, 0x0123456789abcdefull),
+            MemStatus::Ok);
+  ASSERT_TRUE(m.injectFault(kBase, {0}, EccMode::SecdedCrc));
+  ASSERT_TRUE(m.injectFault(kBase, {0}, EccMode::SecdedCrc));
+  std::uint64_t out = 0;
+  EXPECT_EQ(m.load(kBase, backend::MType::I64, out), MemStatus::Ok);
+  EXPECT_EQ(out, 0x0123456789abcdefull);
+  EXPECT_EQ(m.eccCorrected(), 0u);
+  EXPECT_EQ(m.eccUncorrectable(), 0u);
+  // Two single-bit strikes on one word are a double error against the
+  // pre-fault code.
+  ASSERT_TRUE(m.injectFault(kBase + 8, {3}, EccMode::Secded));
+  ASSERT_TRUE(m.injectFault(kBase + 8, {4}, EccMode::Secded));
+  EXPECT_EQ(m.load(kBase + 8, backend::MType::I64, out),
+            MemStatus::EccUncorrectable);
+}
+
+TEST(EccMemory, StruckWordSurvivesSnapshotForkLikeARollback) {
   // Executor::restoreCheckpoint rebuilds Memory via MemorySnapshot::fork
-  // and re-applies mode + counters; the shadow must ride along so a
+  // and carries the counters; the struck word must ride along so a
   // pre-checkpoint fault stays detectable after the rewind.
-  Memory m = protectedMemory();
+  Memory m = mappedMemory();
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 11), MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {30}));
+  ASSERT_TRUE(m.injectFault(kBase, {30}, EccMode::Secded));
   vm::MemorySnapshot snap = vm::MemorySnapshot::capture(m);
   Memory f = snap.fork();
-  f.setEccMode(EccMode::Secded);
   std::uint64_t out = 0;
   EXPECT_EQ(f.load(kBase, backend::MType::I64, out), MemStatus::Ok);
   EXPECT_EQ(out, 11u);
@@ -241,15 +263,15 @@ TEST(EccMemory, ShadowSurvivesSnapshotForkLikeARollback) {
 }
 
 TEST(EccMemory, InjectFaultRequiresAMappedPage) {
-  Memory m = protectedMemory();
-  EXPECT_FALSE(m.injectFault(0xdead0000, {0}));
+  Memory m = mappedMemory();
+  EXPECT_FALSE(m.injectFault(0xdead0000, {0}, EccMode::Secded));
 }
 
-TEST(EccMemory, OffModeNeverMaterializesAShadow) {
+TEST(EccMemory, OffModeStrikesNoWord) {
   Memory m;
   m.map(kBase, Memory::kPageSize);
   ASSERT_EQ(m.store(kBase, backend::MType::I64, 5), MemStatus::Ok);
-  ASSERT_TRUE(m.injectFault(kBase, {2}));
+  ASSERT_TRUE(m.injectFault(kBase, {2}, EccMode::Off));
   std::uint64_t out = 0;
   EXPECT_EQ(m.load(kBase, backend::MType::I64, out), MemStatus::Ok);
   EXPECT_EQ(out, 5u ^ 4u) << "without ECC the flip must land silently";

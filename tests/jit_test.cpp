@@ -2,8 +2,8 @@
 // error path, compilation of hot functions, exact-budget deopt at every
 // block boundary shape (block entry, mid-block, last instruction of a
 // compiled block), ResumePoint equivalence and cross-backend restore,
-// native ECC-armed runs, and full-campaign byte-identity against the fast
-// interpreter.
+// native runs with words struck under ECC, and full-campaign byte-identity
+// against the fast interpreter.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -226,7 +226,7 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
 // Same acceptance gate for the memory-resident fault models: with faults
 // landing in mapped words (and, in the first leg, SECDED correcting or
 // trapping them), the jit-backend campaign must serialize byte-identical
-// to the fast interpreter. Covers native runs with shadowed pages (secded)
+// to the fast interpreter. Covers native runs with struck words (secded)
 // and with silent memory corruption (burst, ECC off).
 TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
@@ -294,7 +294,7 @@ constexpr const char* kReadBackProgram = R"(
     return 5;
   })";
 
-// An ECC-armed run on the JIT stays native. The struck page leaves the
+// An ECC run on the JIT stays native. The struck word's page leaves the
 // software TLB, so each native access to it exits as a SegFault at a mapped
 // address, which the driver single-steps on the fast loop's typed accessor:
 // a single-bit strike is corrected on read, a double-bit one traps. Every
@@ -322,12 +322,12 @@ TEST(Jit, EccArmedRunStaysNativeAndMatchesFast) {
     for (int k = 0; k < 2; ++k) {
       ex[k] = std::make_unique<vm::Executor>(p.image.get());
       ex[k]->setInterp(kinds[k]);
-      ex[k]->memory().setEccMode(vm::EccMode::Secded);
       ex[k]->enableProfiling();
       ASSERT_EQ(ex[k]->runBounded(strikeAt, "main").status,
                 vm::RunStatus::BudgetExceeded)
           << tag;
-      ASSERT_TRUE(ex[k]->memory().injectFault(word, bits)) << tag;
+      ASSERT_TRUE(ex[k]->memory().injectFault(word, bits, vm::EccMode::Secded))
+          << tag;
       res[k] = vm::runToCompletion(*ex[k], "main");
     }
     if (bits.size() == 1) {

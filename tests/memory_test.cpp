@@ -1,8 +1,8 @@
 // Memory subsystem tests: map-range overflow guard, software-TLB
 // invalidation across restore/move/CoW interleavings, copy-on-write page
-// sharing (counted via Memory::pageAllocCount), ECC-shadowed pages kept out
-// of the TLB, and the typed accessors exercised against both plain and
-// CoW-forked address spaces.
+// sharing (counted via Memory::pageAllocCount), pages holding a word struck
+// under ECC kept out of the TLB, and the typed accessors exercised against
+// both plain and CoW-forked address spaces.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -144,7 +144,7 @@ TEST(MemoryTlb, MapInvalidatesExistingTranslations) {
   EXPECT_EQ(v, 0x11u);
 }
 
-// --- ECC shadows stay out of the TLB ---------------------------------------
+// --- struck pages stay out of the TLB ----------------------------------------
 
 // Is `pageNo` cached in the (read, write) TLB views? Reads the raw entry
 // arrays the JIT addresses, so a lookup cannot refill what it inspects.
@@ -156,71 +156,87 @@ std::pair<bool, bool> cached(const Memory& mem, std::uint64_t pageNo) {
 }
 
 // The software TLB is the only gate between the fast loop's inline paths
-// and the checked typed accessors: a page with an ECC shadow must never be
-// handed out by readPage()/writePage(), while Memory's own accessors still
-// reach it.
+// and the checked typed accessors: a page holding a word struck under ECC
+// must never be handed out by readPage()/writePage(), while Memory's own
+// accessors still reach it. Once its struck word settles, the page caches
+// again.
 TEST(MemoryEccTlb, InjectFaultEvictsStruckPageFromBothViews) {
   Memory mem;
   mem.map(0x1000, 2 * kPage);
-  mem.setEccMode(vm::EccMode::Secded);
   const std::uint64_t pn = 0x1000 / kPage;
   ASSERT_EQ(mem.store(0x1008, MType::I64, 0x1234), MemStatus::Ok);
   std::uint64_t v = 0;
   ASSERT_EQ(mem.load(0x1008, MType::I64, v), MemStatus::Ok);
   ASSERT_EQ(cached(mem, pn), std::make_pair(true, true));
 
-  ASSERT_TRUE(mem.injectFault(0x1008, {5}));
+  ASSERT_TRUE(mem.injectFault(0x1008, {5}, vm::EccMode::Secded));
   EXPECT_EQ(cached(mem, pn), std::make_pair(false, false));
   EXPECT_EQ(mem.readPage(pn), nullptr);
   EXPECT_EQ(mem.writePage(pn), nullptr);
   EXPECT_TRUE(mem.isMapped(0x1008));
 
-  // The typed load reaches the shadowed page, corrects the word and counts
-  // it, and the page still stays out of both views.
-  ASSERT_EQ(mem.load(0x1008, MType::I64, v), MemStatus::Ok);
-  EXPECT_EQ(v, 0x1234u);
-  EXPECT_EQ(mem.eccCorrected(), 1u);
+  // A store to a neighbouring word that was not struck reaches the page
+  // through the typed accessor and keeps it out of both views.
   ASSERT_EQ(mem.store(0x1010, MType::I64, 7), MemStatus::Ok);
   EXPECT_EQ(cached(mem, pn), std::make_pair(false, false));
   EXPECT_EQ(mem.readPage(pn), nullptr);
   EXPECT_EQ(mem.writePage(pn), nullptr);
 
-  // The neighbouring page has no shadow and caches as usual.
+  // The neighbouring page holds no struck word and caches as usual.
   EXPECT_NE(mem.readPage(pn + 1), nullptr);
   EXPECT_NE(mem.writePage(pn + 1), nullptr);
+
+  // The correcting load settles the word and lets the page back in.
+  ASSERT_EQ(mem.load(0x1008, MType::I64, v), MemStatus::Ok);
+  EXPECT_EQ(v, 0x1234u);
+  EXPECT_EQ(mem.eccCorrected(), 1u);
+  EXPECT_NE(mem.readPage(pn), nullptr);
+  EXPECT_NE(mem.writePage(pn), nullptr);
+  EXPECT_EQ(cached(mem, pn), std::make_pair(true, true));
+
+  // So does a full-word overwrite of a struck word, uncorrectable or not.
+  ASSERT_TRUE(mem.injectFault(0x1008, {5, 6}, vm::EccMode::Secded));
+  EXPECT_EQ(mem.readPage(pn), nullptr);
+  ASSERT_EQ(mem.store(0x1008, MType::I64, 9), MemStatus::Ok);
+  EXPECT_NE(mem.readPage(pn), nullptr);
+  EXPECT_NE(mem.writePage(pn), nullptr);
+  EXPECT_EQ(cached(mem, pn), std::make_pair(true, true));
+  EXPECT_EQ(mem.eccUncorrectable(), 0u);
 }
 
-// A snapshot taken before the strike carries no shadow for the page, so
-// an address space forked from it caches the page again.
+// A snapshot taken before the strike holds no struck word, so an address
+// space forked from it caches the page again.
 TEST(MemoryEccTlb, ForkOfPreStrikeSnapshotCachesPageAgain) {
   Memory mem;
   mem.map(0x1000, kPage);
-  mem.setEccMode(vm::EccMode::Secded);
   const std::uint64_t pn = 0x1000 / kPage;
   const MemorySnapshot before = MemorySnapshot::capture(mem);
-  ASSERT_TRUE(mem.injectFault(0x1000, {0}));
+  ASSERT_TRUE(mem.injectFault(0x1000, {0}, vm::EccMode::Secded));
   ASSERT_EQ(mem.readPage(pn), nullptr);
 
   Memory f = before.fork();
-  f.setEccMode(vm::EccMode::Secded);
   EXPECT_NE(f.readPage(pn), nullptr);
   EXPECT_NE(f.writePage(pn), nullptr);
   EXPECT_EQ(cached(f, pn), std::make_pair(true, true));
 }
 
-// Arming ECC alone changes nothing: until a strike creates a shadow, every
-// page caches exactly as with ECC off.
-TEST(MemoryEccTlb, ArmedEccWithoutShadowCachesNormally) {
+// A strike under EccMode::Off records nothing: the flip lands silently and
+// the page stays in both views.
+TEST(MemoryEccTlb, StrikeWithEccOffLeavesPageCached) {
   Memory mem;
   mem.map(0x1000, kPage);
-  mem.setEccMode(vm::EccMode::Secded);
   const std::uint64_t pn = 0x1000 / kPage;
   ASSERT_EQ(mem.store(0x1000, MType::I64, 1), MemStatus::Ok);
   std::uint64_t v = 0;
   ASSERT_EQ(mem.load(0x1000, MType::I64, v), MemStatus::Ok);
+  ASSERT_EQ(cached(mem, pn), std::make_pair(true, true));
+
+  ASSERT_TRUE(mem.injectFault(0x1000, {1}, vm::EccMode::Off));
   EXPECT_EQ(cached(mem, pn), std::make_pair(true, true));
   EXPECT_NE(mem.readPage(pn), nullptr);
   EXPECT_NE(mem.writePage(pn), nullptr);
+  ASSERT_EQ(mem.load(0x1000, MType::I64, v), MemStatus::Ok);
+  EXPECT_EQ(v, 3u);
 }
 
 // --- copy-on-write sharing (page-allocation accounting) ---------------------
@@ -293,6 +309,29 @@ TEST(MemoryCow, SnapshotComparePagesByIdentityThenContent) {
   a.map(8 * kPage, 8);
   const MemorySnapshot wider = MemorySnapshot::capture(a);
   EXPECT_EQ(wider.compare(snap.fork()), std::nullopt);
+}
+
+// The words struck under ECC are part of the compared state: equal bytes
+// with a different struck set are a difference, either side.
+TEST(MemoryCow, SnapshotCompareCountsStruckWords) {
+  Memory a;
+  a.map(0, kPage);
+  const MemorySnapshot clean = MemorySnapshot::capture(a);
+
+  // Two strikes on the same bit put the bytes back, but the word stays
+  // struck until it settles.
+  Memory f = clean.fork();
+  ASSERT_TRUE(f.injectFault(8, {3}, vm::EccMode::Secded));
+  ASSERT_TRUE(f.injectFault(8, {3}, vm::EccMode::Secded));
+  EXPECT_EQ(clean.compare(f), std::nullopt);
+  EXPECT_EQ(MemorySnapshot::capture(f).compare(clean.fork()), std::nullopt);
+
+  // A load settles it, and the address spaces are equal again.
+  std::uint64_t v = 1;
+  ASSERT_EQ(f.load(8, MType::I64, v), MemStatus::Ok);
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(f.eccCorrected(), 0u);
+  EXPECT_EQ(clean.compare(f), std::optional<std::size_t>(1));
 }
 
 // --- typed accessors, plain and CoW-forked ----------------------------------

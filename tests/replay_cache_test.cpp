@@ -52,6 +52,8 @@ void expectSameResult(const InjectionResult& a, const InjectionResult& b) {
   EXPECT_EQ(a.rollbackReexecInstrs, b.rollbackReexecInstrs);
   EXPECT_EQ(a.outputMatchesGolden, b.outputMatchesGolden);
   EXPECT_EQ(a.careFailReason, b.careFailReason);
+  EXPECT_EQ(a.eccCorrected, b.eccCorrected);
+  EXPECT_EQ(a.eccUncorrectable, b.eccUncorrectable);
 }
 
 struct ReplayEnv {
@@ -258,9 +260,9 @@ TEST(ReplayCache, FiveWorkloadsSerializeBitIdentical) {
 
 TEST(ReplayCache, EveryStrategyFaultModelAndEccSerializeBitIdentical) {
   // Replay on (fast-forward, rolling-back re-runs with a seeded ring, and
-  // convergence where ECC is off) against replay off (from entry, to the
-  // end) on every recovery strategy x fault model x ECC mode, with CARE
-  // re-runs of every SIGSEGV and ECC-detected trial.
+  // convergence) against replay off (from entry, to the end) on every
+  // recovery strategy x fault model x ECC mode, with CARE re-runs of every
+  // SIGSEGV and ECC-detected trial.
   inject::ExperimentConfig bcfg;
   runEnv().apply(bcfg);
   bcfg.cacheDir = "care_test_artifacts/replay_matrix";
@@ -343,6 +345,47 @@ TEST(ReplayCache, BenignTrialsStopOnceTheyReconverge) {
   }
   ASSERT_GT(benign, 0);
   EXPECT_GT(converged, 0) << "no Benign trial stopped at re-convergence";
+}
+
+TEST(ReplayCache, EccTrialsConvergeLikeEveryOtherTrial) {
+  // A trial struck under ECC converges too, once its struck word has
+  // settled and its state equals golden. On HPCCG mem1+secded some trial
+  // stops there, reporting a skipped tail beyond its restore point, and
+  // each such trial equals its replay-off run, which runs to the end.
+  inject::ExperimentConfig bcfg;
+  runEnv().apply(bcfg);
+  bcfg.cacheDir = "care_test_artifacts/replay_ecc_converge";
+  std::filesystem::remove_all(bcfg.cacheDir);
+  inject::BuiltWorkload built =
+      inject::buildWorkload(workloads::hpccg(), bcfg);
+  CampaignConfig onCfg = pinnedConfig();
+  onCfg.fault = inject::FaultModel::Mem1;
+  onCfg.ecc = vm::EccMode::Secded;
+  onCfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
+  CampaignConfig offCfg = onCfg;
+  offCfg.checkpointEveryInstrs = 0;
+  Campaign on(built.image.get(), onCfg);
+  Campaign off(built.image.get(), offCfg);
+  ASSERT_TRUE(on.profile());
+  ASSERT_TRUE(off.profile());
+  ASSERT_GT(on.checkpoints().size(), 0u);
+
+  Rng rng(2026);
+  int converged = 0;
+  for (int i = 0; i < 100; ++i) {
+    const InjectionPoint pt = on.sample(rng);
+    const InjectionResult r = on.runInjection(pt);
+    // The restore point: the last checkpoint at or before the strike.
+    std::uint64_t restoredAt = 0;
+    for (const Campaign::TrialCheckpoint& ck : on.checkpoints())
+      if (ck.rp.instrCount <= pt.nth) restoredAt = ck.rp.instrCount;
+    EXPECT_GE(r.replaySavedInstrs, restoredAt);
+    if (r.replaySavedInstrs == restoredAt) continue;
+    ++converged;
+    SCOPED_TRACE("trial " + std::to_string(i));
+    expectSameResult(r, off.runInjection(pt));
+  }
+  EXPECT_GT(converged, 0) << "no ECC trial stopped at re-convergence";
 }
 
 } // namespace

@@ -520,7 +520,7 @@ TEST(RollbackRecovery, EccUncorrectableTriggersRollbackRecovery) {
   cfg.ecc = vm::EccMode::Secded;
   Campaign roll(e.image.get(), cfg);
   ASSERT_TRUE(roll.profile());
-  // The same trials from entry: golden checkpoints carry no ECC shadow, so
+  // The same trials from entry: golden checkpoints hold no struck word, so
   // the fast-forwarded re-run must still see exactly the from-entry run.
   CampaignConfig offCfg = cfg;
   offCfg.checkpointEveryInstrs = 0;

@@ -13,7 +13,7 @@
 //    mid-flight at sampled hot instructions and let the corruption play out
 //    to whatever end state,
 //  * memory-word strikes under ECC off, SECDED and SECDED+CRC, including
-//    words the run reads back from a shadowed page.
+//    struck words the run reads back.
 // All backends in a leg share ONE Image: rebuilding a sentinel-armed module
 // is not bit-deterministic across in-process builds, and the contract under
 // test is per-image equivalence.
@@ -341,7 +341,7 @@ std::string memoryDigest(vm::Executor& ex) {
 // Random words are mostly on untouched stack pages, so the later trials
 // strike words the run goes on to use — the word at the stack pointer, and
 // words the traced golden run accesses after the strike — and under ECC
-// their reads must reach the shadowed page through the typed accessors.
+// their reads must reach the struck word through the typed accessors.
 TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
@@ -413,7 +413,6 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
       for (std::size_t k = 0; k < kNumKinds; ++k) {
         ex[k] = std::make_unique<vm::Executor>(image.get());
         ex[k]->setInterp(kKinds[k]);
-        ex[k]->memory().setEccMode(mode);
         ex[k]->setBudget(2 * golden.instrCount);
         const vm::RunResult stop = ex[k]->runBounded(faultAt, "main");
         ASSERT_EQ(stop.status, vm::RunStatus::BudgetExceeded) << tag;
@@ -423,7 +422,7 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
           if (k == 0) struck = sp;
           ASSERT_EQ(sp, struck) << tag << ": stack pointers differ";
         }
-        ASSERT_TRUE(ex[k]->memory().injectFault(struck, bits)) << tag;
+        ASSERT_TRUE(ex[k]->memory().injectFault(struck, bits, mode)) << tag;
         res[k] = vm::runToCompletion(*ex[k], "main");
         digest[k] = memoryDigest(*ex[k]);
       }
@@ -445,7 +444,7 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
     }
   }
   // No scrub runs here: every counted event is a program access that met
-  // a shadowed word.
+  // a struck word.
   EXPECT_GT(liveEccEvents, 0u)
       << "no live-word strike was ever read back under ECC";
 }
