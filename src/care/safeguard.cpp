@@ -23,6 +23,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Backstop on total rollbacks per Safeguard (the floor already bounds
+/// them by the ring size).
+constexpr std::uint32_t kMaxRollbacks = 32;
+
 double usSince(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
@@ -353,7 +357,7 @@ bool Safeguard::tryRollback(vm::Executor& ex, RecoveryRecord& rec) {
   if (!ring_)
     return failWith(FailCode::NoCheckpointForRollback,
                     "no checkpoint ring armed");
-  if (rollbackCount_ >= maxRollbacks_)
+  if (rollbackCount_ >= kMaxRollbacks)
     return failWith(FailCode::RollbackLimitReached, "rollback limit reached");
   // The floor makes restore targets strictly decrease across activations:
   // a contaminated checkpoint whose re-execution traps again is never

@@ -166,9 +166,6 @@ private:
   std::size_t maxRecords_ = 65536;
   RecoveryStrategy strategy_ = RecoveryStrategy::Repair;
   vm::CheckpointRing* ring_ = nullptr;
-  /// Backstop on total rollbacks per Safeguard (the floor already bounds
-  /// them by the ring size).
-  std::uint32_t maxRollbacks_ = 32;
   std::uint32_t rollbackCount_ = 0;
   /// Strictly-decreasing ceiling on restore targets (see
   /// setRollbackSource).

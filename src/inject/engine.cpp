@@ -176,11 +176,6 @@ void setTelemetrySink(const std::string& path) {
   gTelemetrySink = path;
 }
 
-const std::vector<CampaignTelemetry>& campaignLog() {
-  std::lock_guard<std::mutex> lock(gTelemetryMutex);
-  return telemetryLog();
-}
-
 double TelemetrySummary::utilization() const {
   return wallSec > 0 && threads > 0 ? workerBusySec / (wallSec * threads)
                                     : 0;

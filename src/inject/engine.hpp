@@ -40,8 +40,9 @@ struct ServiceConfig;   // service.hpp; ditto
 struct CampaignTelemetry {
   /// "campaign" for the one-per-campaign summary record, or
   /// "campaign_progress" for the streaming snapshots the multi-process
-  /// service emits while running. Only "campaign" records enter
-  /// campaignLog(); every record goes to the telemetry sink.
+  /// service emits while running. Only "campaign" records enter the
+  /// process-wide log telemetrySummary() aggregates; every record goes to
+  /// the telemetry sink.
   std::string event = "campaign";
   std::string workload;        // empty for anonymous (carecc) campaigns
   std::string level;           // "O0" / "O1" / ""
@@ -139,10 +140,8 @@ void publishTelemetry(const CampaignTelemetry& t);
 /// default) writes none. Set by the edge (CARE_TELEMETRY, inject/run_env).
 void setTelemetrySink(const std::string& path);
 
-/// All campaigns published so far (bench mains print a footer from this).
-const std::vector<CampaignTelemetry>& campaignLog();
-
-/// Aggregate of campaignLog() for one-line summaries.
+/// Aggregate of the campaigns published so far, for one-line summaries
+/// (bench mains print a footer from this).
 struct TelemetrySummary {
   int executed = 0;         // campaigns not served whole from the store
   int cacheHits = 0;        // campaigns served whole (fromCache)

@@ -245,18 +245,6 @@ double ExperimentResult::meanRecoveryUs() const {
   return n ? sum / n : 0;
 }
 
-double ExperimentResult::meanKernelUs() const {
-  double sum = 0;
-  int n = 0;
-  for (const auto& r : records) {
-    if (r.haveCare && r.withCare.careRecovered) {
-      sum += r.withCare.kernelUsTotal;
-      ++n;
-    }
-  }
-  return n ? sum / n : 0;
-}
-
 ExperimentResult::RecoveryPhases ExperimentResult::meanRecoveryPhases() const {
   RecoveryPhases p;
   int n = 0;

@@ -100,7 +100,6 @@ struct ExperimentResult {
   std::array<int, 4> latencyBuckets() const;
   /// Mean Safeguard time per recovered injection, microseconds.
   double meanRecoveryUs() const;
-  double meanKernelUs() const;
 
   /// Fig. 9 phase breakdown: mean per-recovered-injection wall time in each
   /// Safeguard phase (same population as meanRecoveryUs).

@@ -146,9 +146,10 @@ Campaign::Campaign(const vm::Image* image, CampaignConfig cfg)
 bool Campaign::profile() {
   trace::Span profileSpan("campaign.profile", "campaign");
   // Both checkpoint spacings resolve against the golden count
-  // (resolveSpacing), and the counting pass stops on their grids. With the
-  // replay cache off, or a run too short for one segment, it stops nowhere
-  // and is the golden run itself.
+  // (resolveSpacing), and the counting pass stops on the table's grid: the
+  // rollback grid under a rolling-back strategy, the replay grid otherwise.
+  // With the replay cache off, or a run too short for one segment, it stops
+  // nowhere and is the golden run itself.
   const bool replay = cfg_.checkpointEveryInstrs != 0;
   auto runGolden = [&](Executor& ex) {
     trace::Span goldenSpan("campaign.golden_run", "campaign");
@@ -162,9 +163,13 @@ bool Campaign::profile() {
     // not the replay cache is enabled.
     rollbackInterval_ =
         resolveSpacing(cfg_.rollbackEveryInstrs, goldenInstrs_);
+    ckptInterval_ = !replay ? 0
+                    : core::strategyRollsBack(cfg_.recover)
+                        ? rollbackInterval_
+                        : resolveSpacing(cfg_.checkpointEveryInstrs,
+                                         goldenInstrs_);
     if (rollbackInterval_ == 0)
       rollbackInterval_ = goldenInstrs_ + 1; // entry checkpoint only
-    ckptInterval_ = resolveSpacing(cfg_.checkpointEveryInstrs, goldenInstrs_);
     return true;
   };
 
@@ -264,36 +269,21 @@ vm::RunResult Campaign::buildCheckpoints(
   // (vm/checkpoint_ring.hpp), capturing a TrialCheckpoint at every segment
   // boundary. The driver first pauses at entry (instruction 0): that
   // capture is entry_, the pinned slot every rollback ring starts with.
-  // When a rolling-back strategy spaces its ring differently, the rollback
-  // grid joins the table as scheduled stops, so a rolling-back trial can
-  // fast-forward to a boundary its own ring would have captured.
-  auto capture = [&](Executor& e) {
-    TrialCheckpoint ck;
-    ck.rp = e.resumePoint();
-    ck.siteCounts.reserve(candidates.size());
-    for (const CodeLoc& loc : candidates)
-      ck.siteCounts.push_back(e.profileCount(loc));
-    checkpoints_.push_back(std::move(ck));
-    return false;
-  };
-  std::vector<vm::ScheduledEvent> rollbackGrid;
-  if (core::strategyRollsBack(cfg_.recover) &&
-      rollbackInterval_ != ckptInterval_)
-    for (std::uint64_t at = rollbackInterval_; at < goldenInstrs_;
-         at += rollbackInterval_)
-      if (at % ckptInterval_ != 0) rollbackGrid.push_back({at, capture});
   bool atEntry = true;
   return vm::runCheckpointed(
-      ex, cfg_.entry, ckptInterval_, goldenInstrs_,
-      [&](Executor& e) {
-        if (!atEntry) {
-          capture(e);
+      ex, cfg_.entry, ckptInterval_, goldenInstrs_, [&](Executor& e) {
+        if (atEntry) {
+          atEntry = false;
+          entry_ = e.resumePoint();
           return;
         }
-        atEntry = false;
-        entry_ = e.resumePoint();
-      },
-      rollbackGrid);
+        TrialCheckpoint ck;
+        ck.rp = e.resumePoint();
+        ck.siteCounts.reserve(candidates.size());
+        for (const CodeLoc& loc : candidates)
+          ck.siteCounts.push_back(e.profileCount(loc));
+        checkpoints_.push_back(std::move(ck));
+      });
 }
 
 std::ptrdiff_t Campaign::siteIndexOf(const CodeLoc& loc) const {
@@ -343,25 +333,18 @@ Campaign::replaySourceAt(std::uint64_t instrAt) const {
   return lo > 0 ? &checkpoints_[lo - 1] : nullptr;
 }
 
-const Campaign::TrialCheckpoint*
-Campaign::rollbackSource(const TrialCheckpoint* ck) const {
-  while (ck && ck->rp.instrCount % rollbackInterval_ != 0)
-    ck = ck == checkpoints_.data() ? nullptr : ck - 1;
-  return ck;
-}
-
 void Campaign::seedRing(vm::CheckpointRing& ring,
                         const TrialCheckpoint* restored) const {
   // A from-entry trial's ring, when its driver pushes `restored`, holds the
   // entry plus the latest capacity-1 grid boundaries up to `restored`; the
-  // driver pushes `restored` itself, so seed the entry and the capacity-2
-  // grid boundaries before it, in push order.
-  std::vector<const TrialCheckpoint*> prior;
-  for (const TrialCheckpoint* g = restored;
-       g != checkpoints_.data() && prior.size() + 2 < ring.capacity();)
-    if ((--g)->rp.instrCount % rollbackInterval_ == 0) prior.push_back(g);
+  // table is that grid and the driver pushes `restored` itself, so seed the
+  // entry and the capacity-2 table entries before it, in push order.
+  const std::size_t prior = std::min<std::size_t>(
+      static_cast<std::size_t>(restored - checkpoints_.data()),
+      ring.capacity() < 2 ? 0 : ring.capacity() - 2);
   ring.push(entry_);
-  for (auto g = prior.rbegin(); g != prior.rend(); ++g) ring.push((*g)->rp);
+  for (const TrialCheckpoint* g = restored - prior; g != restored; ++g)
+    ring.push(g->rp);
 }
 
 InjectionPoint Campaign::sample(Rng& rng) const {
@@ -442,11 +425,11 @@ InjectionResult Campaign::runInjection(
   // absolute instruction count, so they need no re-arming). instrCount and
   // output are restored absolute, so the hang budget, manifestation latency
   // and SDC comparison below are oblivious to the skipped prefix. A
-  // rolling-back trial restores a boundary of its own ring's grid and is
-  // handed the ring a from-entry run would hold there (DESIGN.md §4f).
+  // rolling-back campaign's checkpoints lie on its rollback grid, so a
+  // rolling-back trial restores a boundary its own ring would capture and
+  // is handed the ring a from-entry run would hold there (DESIGN.md §4f).
   const TrialCheckpoint* ck =
       memFault ? replaySourceAt(pt.nth) : replaySource(pt);
-  if (rollsBack) ck = rollbackSource(ck);
   std::uint64_t armNth = pt.nth;
   if (ck) {
     {

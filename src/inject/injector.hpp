@@ -131,13 +131,16 @@ struct CampaignConfig {
   /// Replay-cache segment length in dynamic instructions (DESIGN.md §4c).
   /// kCkptAuto means goldenInstrs/64; 0 disables the cache (every trial
   /// re-executes its golden prefix from instruction 0). Any value yields
-  /// bit-identical campaign records — this is a performance knob.
+  /// bit-identical campaign records — this is a performance knob. Under a
+  /// rolling-back strategy only its 0 counts: the cache's checkpoints are
+  /// then captured on the rollback spacing below.
   static constexpr std::uint64_t kCkptAuto = ~0ull;
   std::uint64_t checkpointEveryInstrs = kCkptAuto;
   /// Rollback-ring spacing of rollback-strategy trials (DESIGN.md §4f):
   /// kCkptAuto means goldenInstrs/64, 0 keeps the entry checkpoint only.
   /// Semantic under rollback strategies (campaignKey), so it is its own
-  /// knob: the replay cache stays a pure performance knob.
+  /// knob: the replay cache stays a pure performance knob. A rolling-back
+  /// campaign's replay checkpoints use this spacing, so at 0 it has none.
   std::uint64_t rollbackEveryInstrs = kCkptAuto;
   /// Safeguard recovery policy for CARE-attached trials (DESIGN.md §4f).
   /// Unlike the replay knob above this *does* change trial semantics for
@@ -146,7 +149,7 @@ struct CampaignConfig {
   core::RecoveryStrategy recover = core::RecoveryStrategy::Repair;
   /// Capacity of the per-trial rollback checkpoint ring (incl. the pinned
   /// entry checkpoint).
-  std::size_t rollbackRingCap = 8;
+  std::size_t rollbackRingCap = vm::CheckpointRing::kDefaultCapacity;
   /// What gets corrupted (DESIGN.md §4i). Semantic: participates in the
   /// campaign key.
   FaultModel fault = FaultModel::Reg;
@@ -201,9 +204,10 @@ public:
     std::vector<std::uint64_t> siteCounts;
   };
 
-  /// Resolved replay-cache segment length (0 = off) and the captured
-  /// boundaries, valid after profile(). Read-only during trials, so safe
-  /// to consult from campaign worker threads.
+  /// Resolved replay-cache segment length (0 = off; the rollback spacing
+  /// under a rolling-back strategy) and the captured boundaries, valid
+  /// after profile(). Read-only during trials, so safe to consult from
+  /// campaign worker threads.
   std::uint64_t checkpointInterval() const { return ckptInterval_; }
   const std::vector<TrialCheckpoint>& checkpoints() const {
     return checkpoints_;
@@ -251,9 +255,6 @@ private:
   /// Same for memory-resident faults, keyed on absolute instruction time:
   /// the last checkpoint captured at or before `instrAt`.
   const TrialCheckpoint* replaySourceAt(std::uint64_t instrAt) const;
-  /// The restore point of a rolling-back trial: `ck` or the nearest
-  /// checkpoint before it on the rollback grid; null for the entry.
-  const TrialCheckpoint* rollbackSource(const TrialCheckpoint* ck) const;
   /// Fill a rolling-back trial's ring as a from-entry run would have it
   /// just before pushing `restored`.
   void seedRing(vm::CheckpointRing& ring,
@@ -275,8 +276,9 @@ private:
   std::vector<std::uint64_t> cumulative_;
   std::uint64_t totalWeight_ = 0;
   // Replay cache: golden-run segment boundaries every ckptInterval_
-  // dynamic instructions, plus the rollback grid when a rolling-back
-  // strategy spaces it differently (DESIGN.md §4c), and the entry.
+  // dynamic instructions (DESIGN.md §4c), and the entry. A rolling-back
+  // campaign spaces them by rollbackInterval_, so each is a boundary its
+  // trials' rings capture.
   std::uint64_t ckptInterval_ = 0;
   std::vector<TrialCheckpoint> checkpoints_;
   vm::Executor::ResumePoint entry_;
@@ -287,6 +289,7 @@ private:
   // §4f), resolved from rollbackEveryInstrs — *not* from
   // checkpointEveryInstrs — so the replay cache stays a pure performance
   // knob (bit-identical records at any setting) under every strategy.
+  // goldenInstrs_ + 1 when it resolves to 0 (entry checkpoint only).
   std::uint64_t rollbackInterval_ = 0;
 };
 

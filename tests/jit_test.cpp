@@ -518,9 +518,9 @@ TEST(JitProfile, CountsMatchFastAcrossTrapsAndRetries) {
 }
 
 // Campaign::profile on every backend: the same golden run, sampling table,
-// per-instruction counts and replay checkpoints, at auto spacing and at a
-// 5000-instruction replay grid under repair_then_rollback (whose rollback
-// grid then differs from the replay grid).
+// per-instruction counts and replay checkpoints, at auto spacing and on a
+// 5000-instruction grid under repair_then_rollback (whose checkpoint table
+// is its rollback grid).
 TEST(JitProfile, CampaignProfileIsIdenticalOnEveryBackend) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
   constexpr vm::InterpKind kBackends[] = {
@@ -560,7 +560,7 @@ TEST(JitProfile, CampaignProfileIsIdenticalOnEveryBackend) {
     for (bool grid : {false, true}) {
       inject::CampaignConfig ccfg;
       if (grid) {
-        ccfg.checkpointEveryInstrs = 5000;
+        ccfg.checkpointEveryInstrs = ccfg.rollbackEveryInstrs = 5000;
         ccfg.recover = core::RecoveryStrategy::RepairThenRollback;
       }
       const std::string tag = b.w->name + (b.level == opt::OptLevel::O0

@@ -85,7 +85,9 @@ TEST(ReplayCache, BoundaryEdgesMatchFromScratchOnBothInterps) {
        {vm::InterpKind::Fast, vm::InterpKind::Ref, vm::InterpKind::Jit}) {
     vm::setDefaultInterp(interp);
 
+    // Both spacings: a rolling-back env leg's table is its rollback grid.
     CampaignConfig offCfg = pinnedConfig();
+    offCfg.rollbackEveryInstrs = 400;
     offCfg.checkpointEveryInstrs = 0; // from-scratch reference
     CampaignConfig onCfg = offCfg;
     onCfg.checkpointEveryInstrs = 400; // many segments across the loop
@@ -152,7 +154,9 @@ TEST(ReplayCache, BoundaryEdgesMatchFromScratchOnBothInterps) {
 TEST(ReplayCache, TinyIntervalIsClampedToBoundedSegmentCount) {
   ReplayEnv env;
   CampaignConfig cfg = pinnedConfig();
-  cfg.checkpointEveryInstrs = 1; // would be thousands of segments unclamped
+  // Thousands of segments unclamped. Both spacings, since a rolling-back
+  // env leg's table is its rollback grid.
+  cfg.checkpointEveryInstrs = cfg.rollbackEveryInstrs = 1;
   Campaign c(env.p.image.get(), cfg);
   ASSERT_TRUE(c.profile());
   EXPECT_GT(c.checkpointInterval(), 0u);

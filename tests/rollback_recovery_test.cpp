@@ -441,11 +441,30 @@ TEST(RollbackRecovery, RepairSuccessRecordsBitIdenticalOnBothInterps) {
   }
 }
 
+TEST(RollbackRecovery, RollingCampaignCheckpointsAreTheRollbackGrid) {
+  // A rolling-back campaign captures its golden checkpoints on its rollback
+  // spacing, whatever the replay spacing: every table entry is a boundary
+  // a rolling trial's own ring captures, and every such boundary is there.
+  CareEnv e = buildCare(kGridProg, "ckgrid");
+  CampaignConfig cfg = pinnedConfig(RecoveryStrategy::Rollback);
+  cfg.checkpointEveryInstrs = 400;
+  cfg.rollbackEveryInstrs = 300;
+  Campaign c(e.image.get(), cfg);
+  ASSERT_TRUE(c.profile());
+  ASSERT_EQ(c.rollbackInterval(), 300u);
+  ASSERT_GT(c.checkpoints().size(), 3u);
+  for (const Campaign::TrialCheckpoint& ck : c.checkpoints())
+    EXPECT_EQ(ck.rp.instrCount % c.rollbackInterval(), 0u)
+        << "checkpoint at " << ck.rp.instrCount;
+  EXPECT_EQ(c.checkpoints().size(), (c.goldenInstrs() - 1) / 300);
+}
+
 TEST(RollbackRecovery, RollbackRerunFastForwardsWithTheFromEntryRing) {
-  // A rolling-back CARE re-run restores a golden rollback-grid boundary and
-  // is handed the ring a from-entry run holds there, so every rollback
-  // picks the same target with replay on as with replay off — at every
-  // ring capacity, and when the replay and rollback grids differ.
+  // A rolling-back CARE re-run restores a golden checkpoint, which lies on
+  // its rollback grid, and is handed the ring a from-entry run holds there,
+  // so every rollback picks the same target with replay on as with replay
+  // off — at every ring capacity, and when the replay spacing differs from
+  // the rollback spacing (the rolling campaign's table ignores it).
   CareEnv e = buildCare(kGridProg, "replay");
   struct Grid {
     std::uint64_t replay, rollback;
