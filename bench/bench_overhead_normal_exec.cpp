@@ -31,7 +31,7 @@ void BM_NormalExec_NoCare(benchmark::State& state) {
   for (auto _ : state) {
     vm::Executor ex(fixture().built.image.get());
     ex.setBudget(2'000'000'000ull);
-    const vm::RunResult r = vm::runToCompletion(ex, "main");
+    const vm::RunResult r = vm::runToCompletion(ex);
     benchmark::DoNotOptimize(r.instrCount);
     if (r.status != vm::RunStatus::Done) state.SkipWithError("run failed");
   }
@@ -48,7 +48,7 @@ void BM_NormalExec_SafeguardArmed(benchmark::State& state) {
     for (const auto& [mi, arts] : fixture().built.artifacts)
       safeguard.addModule(mi, arts);
     safeguard.attach(ex);
-    const vm::RunResult r = vm::runToCompletion(ex, "main");
+    const vm::RunResult r = vm::runToCompletion(ex);
     benchmark::DoNotOptimize(r.instrCount);
     if (r.status != vm::RunStatus::Done) state.SkipWithError("run failed");
   }

@@ -127,7 +127,7 @@ int main() {
         std::uint64_t n = 0;
         const auto t0 = std::chrono::steady_clock::now();
         const vm::RunResult r = vm::runCheckpointed(
-            ex, "main", interval, 2'000'000'000ull,
+            ex, interval, 2'000'000'000ull,
             [&](vm::Executor& e) {
               ring.push(e);
               ++n;

@@ -26,8 +26,8 @@ struct Cell {
   double mips() const { return sec > 0 ? instrs / 1e6 / sec : 0; }
 };
 
-Cell golden(const care::vm::Image* image, const std::string& entry,
-            care::vm::InterpKind kind, int reps) {
+Cell golden(const care::vm::Image* image, care::vm::InterpKind kind,
+            int reps) {
   using namespace care;
   Cell cell;
   for (int r = 0; r < reps; ++r) {
@@ -35,7 +35,7 @@ Cell golden(const care::vm::Image* image, const std::string& entry,
     ex.setInterp(kind);
     ex.setBudget(5'000'000'000ull);
     const Clock::time_point t0 = Clock::now();
-    const vm::RunResult res = vm::runToCompletion(ex, entry);
+    const vm::RunResult res = vm::runToCompletion(ex);
     const double sec = std::chrono::duration<double>(Clock::now() - t0).count();
     if (res.status != vm::RunStatus::Done)
       raise("bench_vm_throughput: golden run did not complete");
@@ -60,12 +60,9 @@ int main() {
   for (const auto* w : workloads::allWorkloads()) {
     auto cfg = bench::baseConfig(opt::OptLevel::O0);
     inject::BuiltWorkload built = inject::buildWorkload(*w, cfg);
-    const Cell ref = golden(built.image.get(), "main",
-                            vm::InterpKind::Ref, reps);
-    const Cell fast = golden(built.image.get(), "main",
-                             vm::InterpKind::Fast, reps);
-    const Cell jit = golden(built.image.get(), "main",
-                            vm::InterpKind::Jit, reps);
+    const Cell ref = golden(built.image.get(), vm::InterpKind::Ref, reps);
+    const Cell fast = golden(built.image.get(), vm::InterpKind::Fast, reps);
+    const Cell jit = golden(built.image.get(), vm::InterpKind::Jit, reps);
     // Identity gate: all backends must retire the same golden instruction
     // stream — the exactness contract the recovery stack depends on.
     if (ref.instrs != fast.instrs || fast.instrs != jit.instrs)

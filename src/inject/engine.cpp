@@ -413,8 +413,10 @@ std::vector<InjectionRecord> runCampaignTrials(
   const TrialFn repFn = [&](int j, Rng& r) {
     return trial(reps[static_cast<std::size_t>(j)], r);
   };
-  std::vector<InjectionRecord> repRecords = runShardedTrials(
-      static_cast<int>(reps.size()), seed, service, repFn, telemetry);
+  std::vector<std::uint8_t> repExecuted;
+  std::vector<InjectionRecord> repRecords =
+      runShardedTrials(static_cast<int>(reps.size()), seed, service, repFn,
+                       telemetry, &repExecuted);
 
   // Expand: every member receives a copy of its representative's record
   // with its own point. For `dup` groups the points are equal too; for
@@ -461,25 +463,14 @@ std::vector<InjectionRecord> runCampaignTrials(
 
   if (telemetry) {
     CampaignTelemetry& t = *telemetry;
-    // Semantic counters re-aggregate over the group-expanded records
-    // (weighted accounting); work/time counters keep the representative
-    // run's honest numbers — the members were never executed.
-    const CampaignTelemetry repRun = t;
+    // Semantic counters aggregate over the group-expanded records
+    // (weighted accounting); work/time counters over the representatives
+    // whose shards ran — the members were never executed.
+    std::vector<std::uint8_t> executed(records.size(), 0);
+    for (std::size_t j = 0; j < reps.size(); ++j)
+      executed[static_cast<std::size_t>(reps[j])] = repExecuted[j];
     t.trials = static_cast<int>(records.size());
-    const std::vector<std::uint8_t> noneExecuted(records.size(), 0);
-    aggregateRecordTelemetry(records, &noneExecuted, t);
-    t.simInstrs = repRun.simInstrs;
-    t.replaySavedInstrs = repRun.replaySavedInstrs;
-    t.mips = repRun.mips;
-    t.effectiveMips = repRun.effectiveMips;
-    t.rollbackUs = repRun.rollbackUs;
-    t.recKeyUs = repRun.recKeyUs;
-    t.recLoadUs = repRun.recLoadUs;
-    t.recParamUs = repRun.recParamUs;
-    t.recKernelUs = repRun.recKernelUs;
-    t.recPatchUs = repRun.recPatchUs;
-    t.recTotalUs = repRun.recTotalUs;
-    t.trialsPerSec = t.wallSec > 0 ? t.trials / t.wallSec : 0;
+    aggregateRecordTelemetry(records, &executed, t);
     t.pruneGroups = static_cast<int>(reps.size());
     t.pruneWeightedTrials = static_cast<int>(records.size());
   }

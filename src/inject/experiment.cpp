@@ -103,7 +103,6 @@ std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
   Md5 h;
   h.update("care-campaign");
   h.update(image.bytes.data(), image.bytes.size());
-  h.update(cfg.entry);
   // Rollback trials space their ring by the interval the knob resolves to
   // against the golden count; every other strategy never reads it.
   const std::uint64_t nums[] = {

@@ -124,11 +124,11 @@ struct ExperimentResult {
 /// result store's key. `image` is the compiled binary
 /// (CompiledModule::imageDigest), which already covers the opt level and
 /// every Armor, Sentinel and sampling knob. The key adds the knobs of `cfg`
-/// that change records — entry, seed, bits, hang factor, patch target,
+/// that change records — seed, bits, hang factor, patch target,
 /// recovery strategy, ring capacity, fault model, ECC, pruning — and, under
 /// rollback strategies, the ring-spacing knob rollbackEveryInstrs (the
 /// spacing it resolves to is a function of the knob and the golden count,
-/// which the image and entry fix). It needs no profile, reads no
+/// which the image fixes). It needs no profile, reads no
 /// environment and excludes the trial count and every pure performance
 /// knob (threads, processes, backend, replay interval), so overlapping
 /// campaigns share shards.

@@ -154,7 +154,7 @@ bool Campaign::profile() {
   auto runGolden = [&](Executor& ex) {
     trace::Span goldenSpan("campaign.golden_run", "campaign");
     ex.setBudget(2'000'000'000ull);
-    const vm::RunResult res = vm::runToCompletion(ex, cfg_.entry);
+    const vm::RunResult res = vm::runToCompletion(ex);
     if (res.status != vm::RunStatus::Done) return false;
     goldenInstrs_ = res.instrCount;
     goldenOutput_ = ex.output();
@@ -234,7 +234,7 @@ bool Campaign::profile() {
   if (cfg_.prune.enabled && cfg_.fault != FaultModel::Reg) {
     trace::Span lifeSpan("campaign.memory_life", "campaign");
     memLife_ = std::make_unique<pareto::MemoryLife>();
-    memLife_->build(image_, baseMem_, cfg_.entry, goldenInstrs_);
+    memLife_->build(image_, baseMem_, goldenInstrs_);
   }
   return true;
 }
@@ -271,7 +271,7 @@ vm::RunResult Campaign::buildCheckpoints(
   // capture is entry_, the pinned slot every rollback ring starts with.
   bool atEntry = true;
   return vm::runCheckpointed(
-      ex, cfg_.entry, ckptInterval_, goldenInstrs_, [&](Executor& e) {
+      ex, ckptInterval_, goldenInstrs_, [&](Executor& e) {
         if (atEntry) {
           atEntry = false;
           entry_ = e.resumePoint();
@@ -495,7 +495,7 @@ InjectionResult Campaign::runInjection(
                   strike);
   }
   vm::RunResult run = vm::runCheckpointed(
-      ex, cfg_.entry, rollsBack ? rollbackInterval_ : 0, budget,
+      ex, rollsBack ? rollbackInterval_ : 0, budget,
       [&](Executor& e) { ring.push(e); }, events);
   if (converged) {
     res.replaySavedInstrs += goldenInstrs_ - run.instrCount;

@@ -124,7 +124,6 @@ struct CampaignConfig {
   /// Hang.
   std::uint64_t hangFactor{4};
   std::set<std::int32_t> targetModules{0}; // app only, per §5.1
-  std::string entry = "main";
   /// Safeguard patch heuristic (ablation; paper default: index first).
   core::Safeguard::PatchTarget patchTarget =
       core::Safeguard::PatchTarget::IndexFirst;

@@ -54,7 +54,6 @@ RunEnv readRunEnv(const EnvLookup& lookup) {
                   /*emptyIsSet=*/true);
   e.detectSample = read(get, "CARE_DETECT_SAMPLE", pareto::parseDetectSample);
   e.recover = read(get, "CARE_RECOVER", core::parseRecoveryStrategy);
-  e.rollbackRing = read(get, "CARE_ROLLBACK_RING", count);
   e.fault = read(get, "CARE_FAULT", parseFaultModel);
   e.ecc = read(get, "CARE_ECC", vm::parseEccMode);
   e.prune = read(get, "CARE_PRUNE", pareto::parsePruneFlag);
@@ -76,7 +75,6 @@ void RunEnv::apply(core::ArmorOptions& a) const {
 
 void RunEnv::apply(CampaignConfig& c) const {
   if (recover) c.recover = *recover;
-  if (rollbackRing) c.rollbackRingCap = *rollbackRing;
   if (fault) c.fault = *fault;
   if (ecc) c.ecc = *ecc;
   if (prune) c.prune.enabled = *prune;

@@ -34,7 +34,6 @@ struct RunEnv {
   std::optional<sentinel::DetectOptions> detect;    // CARE_DETECT
   std::optional<pareto::SampleConfig> detectSample; // CARE_DETECT_SAMPLE
   std::optional<core::RecoveryStrategy> recover;    // CARE_RECOVER
-  std::optional<std::size_t> rollbackRing;          // CARE_ROLLBACK_RING
   std::optional<FaultModel> fault;                  // CARE_FAULT
   std::optional<vm::EccMode> ecc;                   // CARE_ECC
   std::optional<bool> prune;                        // CARE_PRUNE
@@ -50,8 +49,7 @@ struct RunEnv {
 
   /// Overwrite the fields the environment set: detect and detectSample.
   void apply(core::ArmorOptions& a) const;
-  /// recover, ring, fault, ECC, pruning, and the replay and rollback
-  /// spacing.
+  /// recover, fault, ECC, pruning, and the replay and rollback spacing.
   void apply(CampaignConfig& c) const;
   /// Both of the above, on c.armor and c.campaign, plus processes, threads
   /// and the result store.

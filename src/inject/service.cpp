@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -210,14 +211,23 @@ private:
            trial < start + shardCount(shard, svc_.shardSize, trials_);
   }
 
-  /// Fork a worker onto `seat` and hand it the next pending shard.
+  /// Fork a worker onto `seat` and hand it the next pending shard. On
+  /// failure the seat stays empty (its shards run inline in the end-game
+  /// sweep) and one stderr line names the failed call.
   void spawn(Seat& seat) {
     int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return;
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      std::fprintf(stderr, "[care] service: socketpair failed: %s\n",
+                   std::strerror(errno));
+      return;
+    }
     const pid_t pid = ::fork();
     if (pid < 0) {
+      const int err = errno;
       ::close(fds[0]);
       ::close(fds[1]);
+      std::fprintf(stderr, "[care] service: fork failed: %s\n",
+                   std::strerror(err));
       return;
     }
     if (pid == 0) {
@@ -469,10 +479,10 @@ private:
 
 } // namespace
 
-std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
-                                              const ServiceConfig& svc,
-                                              const TrialFn& fn,
-                                              CampaignTelemetry* telemetry) {
+std::vector<InjectionRecord>
+runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
+                 const TrialFn& fn, CampaignTelemetry* telemetry,
+                 std::vector<std::uint8_t>* executedOut) {
   const Clock::time_point t0 = Clock::now();
   const ResultStore store(svc.storeDir, svc.storeKey);
   const int procs = svc.processes < 0 ? 0 : svc.processes;
@@ -565,6 +575,7 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
       publishTelemetry(p);
     }
   }
+  if (executedOut) *executedOut = std::move(executed);
   return records;
 }
 

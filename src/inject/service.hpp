@@ -73,10 +73,11 @@ struct ServiceConfig {
 /// no shards and every trial goes to the pool. Exceptions from a trial
 /// are (eventually — after the restart budget, for a
 /// deterministically-throwing trial under workers) rethrown on the
-/// caller's thread.
-std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
-                                              const ServiceConfig& svc,
-                                              const TrialFn& fn,
-                                              CampaignTelemetry* telemetry);
+/// caller's thread. `executed`, when given, receives the per-trial mask of
+/// trials this call ran (0 for store-served ones).
+std::vector<InjectionRecord>
+runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
+                 const TrialFn& fn, CampaignTelemetry* telemetry,
+                 std::vector<std::uint8_t>* executed = nullptr);
 
 } // namespace care::inject

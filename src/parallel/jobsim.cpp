@@ -15,15 +15,15 @@ namespace {
 using Clock = std::chrono::steady_clock;
 } // namespace
 
-double JobSimulator::measureGoldenStepSeconds(const std::string& entry) {
+double JobSimulator::measureGoldenStepSeconds() {
   vm::Executor ex(image_, baseMem_);
   ex.setBudget(2'000'000'000ull);
   int steps = 0;
   const auto t0 = Clock::now();
-  vm::RunResult res = ex.run(entry);
+  vm::RunResult res = ex.run();
   while (res.status == vm::RunStatus::Yielded) {
     ++steps;
-    res = ex.run(entry);
+    res = ex.run();
   }
   CARE_ASSERT(res.status == vm::RunStatus::Done,
               "golden parallel workload failed");
@@ -36,7 +36,7 @@ JobResult JobSimulator::run(const JobConfig& cfg,
   JobResult out;
   const double stepSec = cfg.workerStepSeconds > 0
                              ? cfg.workerStepSeconds
-                             : measureGoldenStepSeconds(cfg.entry);
+                             : measureGoldenStepSeconds();
 
   std::barrier<> bar(cfg.ranks);
   // Termination must be latched to a barrier phase: rank 0 publishes the
@@ -102,7 +102,7 @@ JobResult JobSimulator::run(const JobConfig& cfg,
     int phase = 0;
     int step = 0; // logical workload step (rewinds on restore)
     for (;;) {
-      const vm::RunResult res = ex.run(cfg.entry);
+      const vm::RunResult res = ex.run();
       if (res.status == vm::RunStatus::Yielded) {
         ++step;
         out.stepsCompleted = std::max(out.stepsCompleted, step);

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 
 #include "care/safeguard.hpp"
 #include "inject/injector.hpp"
@@ -23,7 +22,6 @@ namespace care::parallel {
 struct JobConfig {
   int ranks = 64;          // simulated processes (threads)
   int threadsPerRank = 6;  // modeled only; reported as core count
-  std::string entry = "main";
   bool withCare = true;
   /// Per-step compute time for non-zero ranks; <=0 means "measure rank 0's
   /// golden per-step time first and use that".
@@ -67,7 +65,7 @@ public:
   }
 
   /// Measure the fault-free per-step wall time of rank 0's workload.
-  double measureGoldenStepSeconds(const std::string& entry = "main");
+  double measureGoldenStepSeconds();
 
   /// Run one job. `inj` (optional) is injected into rank 0.
   JobResult run(const JobConfig& cfg,

@@ -23,8 +23,7 @@ int parsePruneAudit(const std::string& s) {
 
 void MemoryLife::build(const vm::Image* image,
                        const vm::MemorySnapshot& initialMem,
-                       const std::string& entry, std::uint64_t goldenInstrs,
-                       std::uint64_t segments) {
+                       std::uint64_t goldenInstrs, std::uint64_t segments) {
   lastAccessEnd_.clear();
   if (goldenInstrs == 0) return;
   if (segments == 0) segments = 1;
@@ -39,7 +38,7 @@ void MemoryLife::build(const vm::Image* image,
     // Ceiling-partition the run so the last boundary is exactly the end.
     const std::uint64_t stop = goldenInstrs * k / segments;
     if (stop <= ex.instrCount() && k < segments) continue;
-    const vm::RunResult r = ex.runBounded(stop, entry);
+    const vm::RunResult r = ex.runBounded(stop);
     for (std::uint64_t w : sink) {
       auto [it, fresh] = lastAccessEnd_.emplace(w, stop);
       if (!fresh && it->second < stop) it->second = stop;

@@ -66,13 +66,12 @@ int parsePruneAudit(const std::string& s);
 /// segment [b, e) is recorded as possibly-accessed until e).
 class MemoryLife {
 public:
-  /// Trace one golden run of `entry` on `image` starting from `initialMem`,
+  /// Trace one golden run of `image` starting from `initialMem`,
   /// splitting the run's `goldenInstrs` into `segments` bounded legs. The
   /// traced executor runs on the reference loop (InterpKind::Ref), whose
   /// every access funnels through the recording typed accessors.
   void build(const vm::Image* image, const vm::MemorySnapshot& initialMem,
-             const std::string& entry, std::uint64_t goldenInstrs,
-             std::uint64_t segments = 256);
+             std::uint64_t goldenInstrs, std::uint64_t segments = 256);
 
   /// True when no access touches the aligned word containing `addr` at or
   /// after dynamic-instruction time `t` — i.e. a fault injected at the

@@ -33,8 +33,8 @@ void CheckpointRing::dropAfter(std::uint64_t instrCount) {
   if (entry_ && entry_->instrCount > instrCount) entry_.reset();
 }
 
-RunResult runCheckpointed(Executor& ex, const std::string& entry,
-                          std::uint64_t interval, std::uint64_t finalBudget,
+RunResult runCheckpointed(Executor& ex, std::uint64_t interval,
+                          std::uint64_t finalBudget,
                           const std::function<void(Executor&)>& onBoundary,
                           std::span<const ScheduledEvent> events) {
   ex.setBudget(finalBudget);
@@ -51,7 +51,7 @@ RunResult runCheckpointed(Executor& ex, const std::string& entry,
     const bool periodic =
         next < finalBudget && (event == events.end() || next <= event->at);
     if (!periodic && event == events.end()) break;
-    const RunResult r = ex.runBounded(periodic ? next : event->at, entry);
+    const RunResult r = ex.runBounded(periodic ? next : event->at);
     if (r.status != RunStatus::BudgetExceeded) return r;
     if (periodic) {
       onBoundary(ex);
@@ -60,7 +60,7 @@ RunResult runCheckpointed(Executor& ex, const std::string& entry,
       return r;
     }
   }
-  return runToCompletion(ex, entry);
+  return runToCompletion(ex);
 }
 
 } // namespace care::vm

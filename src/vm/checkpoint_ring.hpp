@@ -12,7 +12,8 @@
 // CheckpointRing holds the captures in bounded memory — the entry
 // checkpoint is pinned (a fault before the first periodic boundary falls
 // back to a from-entry re-execution) while periodic slots evict oldest
-// first.
+// first. Its capacity is a constructor argument: campaigns pass the
+// CampaignConfig::rollbackRingCap field, which no variable or flag sets.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +79,7 @@ struct ScheduledEvent {
   std::function<bool(Executor&)> fire;
 };
 
-/// Drive `ex` from `entry` to completion (or trap / finalBudget) by walking
+/// Drive `ex` from `main` to completion (or trap / finalBudget) by walking
 /// one sorted schedule of exact runBounded() stops, then run the rest in
 /// one piece:
 ///  * periodic boundaries every `interval` dynamic instructions, each
@@ -94,8 +95,8 @@ struct ScheduledEvent {
 ///    periodic boundary comes first. An event that asks to stop ends the
 ///    run at its count: the result is that stop's BudgetExceeded.
 /// With no boundaries and no events this is a single runToCompletion().
-RunResult runCheckpointed(Executor& ex, const std::string& entry,
-                          std::uint64_t interval, std::uint64_t finalBudget,
+RunResult runCheckpointed(Executor& ex, std::uint64_t interval,
+                          std::uint64_t finalBudget,
                           const std::function<void(Executor&)>& onBoundary,
                           std::span<const ScheduledEvent> events = {});
 

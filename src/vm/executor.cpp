@@ -153,10 +153,10 @@ bool Executor::jumpTo(const CodeLoc& loc) {
   return true;
 }
 
-RunResult Executor::run(const std::string& entry) {
+RunResult Executor::run() {
   if (!started_) {
-    FuncRef start = image_->findFunction(entry);
-    if (!start.valid()) raise("entry function not found: " + entry);
+    const FuncRef start = image_->mainFunction();
+    if (!start.valid()) raise("entry function not found: main");
     jumpTo({start.module, start.func, 0});
     // Push the halt sentinel as the entry frame's return address.
     st_.g[backend::kSP] -= 8;
@@ -168,12 +168,31 @@ RunResult Executor::run(const std::string& entry) {
   return runFast();
 }
 
-RunResult Executor::runBounded(std::uint64_t stopAt, const std::string& entry) {
+RunResult Executor::runBounded(std::uint64_t stopAt) {
   const std::uint64_t budget = budget_;
   if (stopAt < budget_) budget_ = stopAt;
-  RunResult res = run(entry);
-  while (res.status == RunStatus::Yielded) res = run(entry);
+  const RunResult res = runToCompletion(*this);
   budget_ = budget;
+  return res;
+}
+
+bool Executor::deliverTrap(const Trap& trap) {
+  return trapHook_ && trapHook_(*this, trap) == TrapAction::Retry;
+}
+
+RunResult Executor::endAtLostReturn(std::uint64_t pc) {
+  const Trap trap{TrapKind::BadPC, pc, 0};
+  (void)deliverTrap(trap);
+  return endRun(RunStatus::Trapped, trap);
+}
+
+RunResult Executor::endRun(RunStatus status, const Trap& trap) const {
+  RunResult res;
+  res.status = status;
+  res.trap = trap;
+  res.instrCount = instrCount_;
+  if (status == RunStatus::Done)
+    res.exitCode = static_cast<std::int64_t>(st_.g[backend::kRet]);
   return res;
 }
 
@@ -182,16 +201,11 @@ RunResult Executor::runBounded(std::uint64_t stopAt, const std::string& entry) {
 // (executor_fast.cpp) must match it bit for bit, which the differential
 // tests assert. Scalar semantics live in exec_common.hpp, shared by both.
 RunResult Executor::runReference() {
-  RunResult res;
   auto* g = st_.g;
   auto* f = st_.f;
 
   for (;;) {
-    if (instrCount_ >= budget_) {
-      res.status = RunStatus::BudgetExceeded;
-      res.instrCount = instrCount_;
-      return res;
-    }
+    if (instrCount_ >= budget_) return endRun(RunStatus::BudgetExceeded);
     const MInst& in = fn_->code[static_cast<std::size_t>(curInstr_)];
     ++instrCount_;
     if (profiling_)
@@ -355,12 +369,7 @@ RunResult Executor::runReference() {
       const MemStatus s = mem_.load(sp, MType::I64, retPC);
       if (s != MemStatus::Ok) { memTrap(s, sp); break; }
       g[backend::kSP] = sp + 8;
-      if (retPC == Image::kHaltPC) {
-        res.status = RunStatus::Done;
-        res.instrCount = instrCount_;
-        res.exitCode = static_cast<std::int64_t>(g[backend::kRet]);
-        return res;
-      }
+      if (retPC == Image::kHaltPC) return endRun(RunStatus::Done);
       crossJump = true;
       crossPC = retPC;
       break;
@@ -389,21 +398,13 @@ RunResult Executor::runReference() {
     case MOp::Barrier:
       // Yield to the harness; resuming run() continues after the barrier.
       curInstr_ = nextInstr;
-      res.status = RunStatus::Yielded;
-      res.instrCount = instrCount_;
-      return res;
+      return endRun(RunStatus::Yielded);
     }
 
     if (trapped) {
-      Trap trap{trapKind, currentPC(), trapAddr};
-      if (trapHook_) {
-        const TrapAction act = trapHook_(*this, trap);
-        if (act == TrapAction::Retry) continue; // re-execute, state patched
-      }
-      res.status = RunStatus::Trapped;
-      res.trap = trap;
-      res.instrCount = instrCount_;
-      return res;
+      const Trap trap{trapKind, currentPC(), trapAddr};
+      if (deliverTrap(trap)) continue; // re-execute, state patched
+      return endRun(RunStatus::Trapped, trap);
     }
 
     // Injection: fires after the n-th completed execution of the target.
@@ -417,19 +418,8 @@ RunResult Executor::runReference() {
 
     if (crossJump) {
       const CodeLoc loc = image_->locate(crossPC);
-      if (!loc.valid()) {
-        Trap trap{TrapKind::BadPC, crossPC, 0};
-        // A wild return address is not recoverable by CARE; still give the
-        // hook a chance to observe it.
-        if (trapHook_) {
-          const TrapAction act = trapHook_(*this, trap);
-          (void)act; // Retry is meaningless for a lost PC
-        }
-        res.status = RunStatus::Trapped;
-        res.trap = trap;
-        res.instrCount = instrCount_;
-        return res;
-      }
+      // A wild return address is not recoverable by CARE.
+      if (!loc.valid()) return endAtLostReturn(crossPC);
       jumpTo(loc);
       continue;
     }
@@ -438,13 +428,8 @@ RunResult Executor::runReference() {
       continue;
     }
     if (nextInstr < 0 ||
-        static_cast<std::size_t>(nextInstr) >= fn_->code.size()) {
-      Trap trap{TrapKind::BadPC, currentPC(), 0};
-      res.status = RunStatus::Trapped;
-      res.trap = trap;
-      res.instrCount = instrCount_;
-      return res;
-    }
+        static_cast<std::size_t>(nextInstr) >= fn_->code.size())
+      return endRun(RunStatus::Trapped, Trap{TrapKind::BadPC, currentPC(), 0});
     curInstr_ = nextInstr;
   }
 }

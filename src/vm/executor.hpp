@@ -7,6 +7,11 @@
 // state and request re-execution of the faulting instruction. That hook is
 // exactly where CARE's Safeguard runtime plugs in.
 //
+// All three loops (ref, fast, jit) follow one run protocol (DESIGN.md §4b):
+// a run starts at `main`, one helper delivers a trap and reads the hook's
+// answer, one ends the run at a lost return PC, and one builds every
+// RunResult. Each loop keeps only its own continuation after a Retry.
+//
 // Two instrumentation facilities serve the evaluation harness:
 //  * profiling mode counts executions of every static instruction (the
 //    paper's Pin-based profile for execution-weighted injection sampling).
@@ -169,10 +174,12 @@ public:
   bool sameState(const ResumePoint& rp) const;
 
   // --- run ----------------------------------------------------------------
-  /// Execute from `entry`. A Barrier instruction (MiniC `mpi_barrier()`)
-  /// yields with RunStatus::Yielded; calling run() again resumes right
-  /// after it — the harness hook multi-rank job simulation is built on.
-  RunResult run(const std::string& entry = "main");
+  /// Execute from `main` (resolved by Image::link(); a missing one raises
+  /// "entry function not found: main"). A Barrier instruction (MiniC
+  /// `mpi_barrier()`) yields with RunStatus::Yielded; calling run() again
+  /// resumes right after it — the harness hook multi-rank job simulation
+  /// is built on.
+  RunResult run();
 
   /// run(), but stop with RunStatus::BudgetExceeded as soon as instrCount()
   /// reaches min(budget, stopAt) — the shared exact-stop mechanism under
@@ -180,7 +187,7 @@ public:
   /// yields are resumed transparently (they are no-ops off the harness
   /// hook). The budget is lowered to `stopAt` for the call and restored
   /// afterwards, so every loop tests one bound.
-  RunResult runBounded(std::uint64_t stopAt, const std::string& entry = "main");
+  RunResult runBounded(std::uint64_t stopAt);
 
   // --- state access (used by hooks, Safeguard and the injector) -----------
   const Image* image() const { return image_; }
@@ -197,6 +204,21 @@ private:
   };
 
   bool jumpTo(const CodeLoc& loc);
+
+  // The run protocol all three loops share. Each helper reads the members
+  // the loop has synced; each loop keeps only its own continuation after
+  // a Retry.
+  /// Deliver `trap` to the hook. True when the hook patched the state and
+  /// asked to re-execute the faulting instruction.
+  bool deliverTrap(const Trap& trap);
+  /// End the run at a lost return PC: the hook may observe the BadPC, but
+  /// Retry means nothing for a lost PC, so the run ends Trapped at `pc`
+  /// whatever the hook answers.
+  RunResult endAtLostReturn(std::uint64_t pc);
+  /// The RunResult every loop returns: `status`, `trap`, the instruction
+  /// count, and the exit code from the return register on Done.
+  RunResult endRun(RunStatus status, const Trap& trap = {}) const;
+
   RunResult runReference();
   RunResult runFast();
   RunResult runJit(); // executor_jit.cpp: the mixed-mode driver
@@ -245,10 +267,9 @@ private:
 
 /// Run to completion, transparently resuming across Barrier yields (for
 /// single-process runs where barriers are no-ops).
-inline RunResult runToCompletion(Executor& ex,
-                                 const std::string& entry = "main") {
-  RunResult res = ex.run(entry);
-  while (res.status == RunStatus::Yielded) res = ex.run(entry);
+inline RunResult runToCompletion(Executor& ex) {
+  RunResult res = ex.run();
+  while (res.status == RunStatus::Yielded) res = ex.run();
   return res;
 }
 

@@ -66,7 +66,6 @@ RunResult Executor::runFast() {
 
 template <bool kInstrumented>
 RunResult Executor::runFastImpl(bool* switchVariant) {
-  RunResult res;
   const DecodedImage& dimg = image_->decoded();
   std::uint64_t* const g = st_.g;
   double* const f = st_.f;
@@ -219,7 +218,7 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
           advance;                                                          \
           SYNC();                                                           \
           *switchVariant = true;                                            \
-          return res;                                                       \
+          return {};                                                        \
         }                                                                   \
       }                                                                     \
     }                                                                       \
@@ -256,9 +255,7 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
   // what lets it tell a fall-off-the-end BadPC from plain exhaustion.
   if (__builtin_expect(ic >= bud, 0)) {
     SYNC();
-    res.status = RunStatus::BudgetExceeded;
-    res.instrCount = instrCount_;
-    return res;
+    return endRun(RunStatus::BudgetExceeded);
   }
   DISPATCH();
 
@@ -636,7 +633,7 @@ L_Call: {
         fn_ = &image_->function({curModule_, curFunc_, 0});
         instrCount_ = ic;
         *switchVariant = true;
-        return res;
+        return {};
       }
     }
   }
@@ -659,10 +656,7 @@ L_Ret: {
   g[backend::kSP] = sp + 8;
   if (retPC == Image::kHaltPC) {
     SYNC();
-    res.status = RunStatus::Done;
-    res.instrCount = instrCount_;
-    res.exitCode = static_cast<std::int64_t>(g[backend::kRet]);
-    return res;
+    return endRun(RunStatus::Done);
   }
   bool disarmed = false;
   if constexpr (kInstrumented) {
@@ -673,15 +667,9 @@ L_Ret: {
   }
   const CodeLoc loc = image_->locate(retPC);
   if (!loc.valid()) {
+    // A wild return address is not recoverable by CARE.
     SYNC();
-    const Trap trap{TrapKind::BadPC, retPC, 0};
-    // A wild return address is not recoverable by CARE; still give the
-    // hook a chance to observe it (Retry is meaningless for a lost PC).
-    if (trapHook_) (void)trapHook_(*this, trap);
-    res.status = RunStatus::Trapped;
-    res.trap = trap;
-    res.instrCount = instrCount_;
-    return res;
+    return endAtLostReturn(retPC);
   }
   if (disarmed) {
     curModule_ = loc.module;
@@ -690,7 +678,7 @@ L_Ret: {
     fn_ = &image_->function({loc.module, loc.func, 0});
     instrCount_ = ic;
     *switchVariant = true;
-    return res;
+    return {};
   }
   m = loc.module;
   fi = loc.func;
@@ -728,9 +716,7 @@ L_Barrier:
   // Yield to the harness; resuming run() continues after the barrier.
   ++d;
   SYNC();
-  res.status = RunStatus::Yielded;
-  res.instrCount = instrCount_;
-  return res;
+  return endRun(RunStatus::Yielded);
 
 L_OobGuard:
   // Fell off the end of the function onto the sentinel: roll back the
@@ -753,37 +739,24 @@ budget_out:
     goto oob_pc;
   }
   SYNC();
-  res.status = RunStatus::BudgetExceeded;
-  res.instrCount = instrCount_;
-  return res;
+  return endRun(RunStatus::BudgetExceeded);
 
 oob_pc:
   // Fell or branched past the end of the function (same-function control
   // only; a wild *cross*-function PC is the Ret path above). No hook: the
   // reference loop treats this as an unobservable internal BadPC too.
   SYNC();
-  res.status = RunStatus::Trapped;
-  res.trap = Trap{TrapKind::BadPC,
-                  image_->pcOf(m, fi, static_cast<std::int32_t>(d - code)), 0};
-  res.instrCount = instrCount_;
-  return res;
+  return endRun(RunStatus::Trapped, Trap{TrapKind::BadPC, currentPC(), 0});
 
 trapped:
   SYNC();
   {
-    const Trap trap{trapKind,
-                    image_->pcOf(m, fi, static_cast<std::int32_t>(d - code)),
-                    trapAddr};
-    if (trapHook_) {
-      if (trapHook_(*this, trap) == TrapAction::Retry) {
-        RELOAD();
-        DISPATCH(); // re-execute, state patched
-      }
+    const Trap trap{trapKind, currentPC(), trapAddr};
+    if (deliverTrap(trap)) {
+      RELOAD();
+      DISPATCH(); // re-execute, state patched
     }
-    res.status = RunStatus::Trapped;
-    res.trap = trap;
-    res.instrCount = instrCount_;
-    return res;
+    return endRun(RunStatus::Trapped, trap);
   }
 
 #undef MEM_TRAP

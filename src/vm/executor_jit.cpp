@@ -88,7 +88,6 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
     return r.status == RunStatus::BudgetExceeded && r.instrCount < bound;
   };
 
-  RunResult res;
   JitContext ctx;
   // All pointers are members of this Executor (or member arrays of mem_),
   // so they stay valid even when a trap hook restoreCheckpoint()s: the
@@ -104,11 +103,7 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
   ctx.blockCounts = counting ? blockCounts_.data() : nullptr;
 
   for (;;) {
-    if (instrCount_ >= budget_) {
-      res.status = RunStatus::BudgetExceeded;
-      res.instrCount = instrCount_;
-      return res;
-    }
+    if (instrCount_ >= budget_) return endRun(RunStatus::BudgetExceeded);
 
     const void* entry = jimg.entryFor(curModule_, curFunc_, curInstr_,
                                       instrCount_, budget_, variant);
@@ -136,10 +131,7 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
 
     switch (static_cast<JitExit>(ctx.exitKind)) {
     case JitExit::Done:
-      res.status = RunStatus::Done;
-      res.instrCount = instrCount_;
-      res.exitCode = static_cast<std::int64_t>(st_.g[backend::kRet]);
-      return res;
+      return endRun(RunStatus::Done);
 
     case JitExit::Trap: {
       // A SegFault at a mapped address is a TLB miss on a page holding a
@@ -155,37 +147,23 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
                     jimg.blockRest(curModule_, curFunc_, curInstr_) - 1, ~0ull);
       const Trap trap{static_cast<TrapKind>(ctx.trapKind), currentPC(),
                       ctx.trapAddr};
-      if (trapHook_ && trapHook_(*this, trap) == TrapAction::Retry)
+      if (deliverTrap(trap))
         continue; // members re-read at the loop top (the reference Retry)
-      res.status = RunStatus::Trapped;
-      res.trap = trap;
-      res.instrCount = instrCount_;
-      return res;
+      return endRun(RunStatus::Trapped, trap);
     }
 
     case JitExit::BadPCInternal:
       // Fell or branched past the function end: hook-invisible, exactly
       // like the interpreter loops' oob_pc path.
-      res.status = RunStatus::Trapped;
-      res.trap = Trap{TrapKind::BadPC, currentPC(), 0};
-      res.instrCount = instrCount_;
-      return res;
+      return endRun(RunStatus::Trapped, Trap{TrapKind::BadPC, currentPC(), 0});
 
     case JitExit::CrossJump: {
-      // Ret to a PC the code cache would not resolve. A wild address is a
-      // BadPC with an observe-only hook (Retry is meaningless for a lost
-      // PC, as in L_Ret); a valid one continues at the loop top.
+      // Ret to a PC the code cache would not resolve: a wild address ends
+      // the run, a valid one continues at the loop top.
       const CodeLoc loc = image_->locate(ctx.retPC);
-      if (loc.valid()) {
-        jumpTo(loc);
-        continue;
-      }
-      const Trap trap{TrapKind::BadPC, ctx.retPC, 0};
-      if (trapHook_) (void)trapHook_(*this, trap);
-      res.status = RunStatus::Trapped;
-      res.trap = trap;
-      res.instrCount = instrCount_;
-      return res;
+      if (!loc.valid()) return endAtLostReturn(ctx.retPC);
+      jumpTo(loc);
+      continue;
     }
 
     case JitExit::CrossEnter:
@@ -208,16 +186,11 @@ RunResult Executor::runNative(JitImage& jimg, bool counting) {
     }
 
     case JitExit::Yield:
-      res.status = RunStatus::Yielded;
-      res.instrCount = instrCount_;
-      return res;
+      return endRun(RunStatus::Yielded);
     }
 
     // Unreachable: every JitExit either returned or continued.
-    res.status = RunStatus::Trapped;
-    res.trap = Trap{TrapKind::BadPC, 0, 0};
-    res.instrCount = instrCount_;
-    return res;
+    return endRun(RunStatus::Trapped, Trap{TrapKind::BadPC, 0, 0});
   }
 }
 

@@ -14,8 +14,9 @@
 //    at the top of every template, exactly where the interpreter loops
 //    count, so a trap stub materializes the same instrCount;
 //  * every trap site exits through a stub that records (instr index,
-//    TrapKind, faulting address) and returns to the driver, which invokes
-//    the trap hook against fully synced Executor members — Safeguard, the
+//    TrapKind, faulting address) and returns to the driver, which syncs
+//    the Executor members and runs the executors' shared run protocol
+//    (trap delivery, lost-return end, result builder) — Safeguard, the
 //    rollback ring and the injection classifier cannot tell the backends
 //    apart;
 //  * exact dynamic-instruction budgets come from per-block counting: a

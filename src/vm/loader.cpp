@@ -68,6 +68,7 @@ void Image::link() {
       lm.externTargets.push_back(target);
     }
   }
+  main_ = findFunction("main");
 }
 
 FuncRef Image::findFunction(const std::string& name) const {

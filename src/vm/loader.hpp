@@ -58,8 +58,9 @@ public:
   /// ones are shared libraries. The MModule must outlive the Image.
   std::int32_t load(const backend::MModule* mod);
 
-  /// Resolve extern tables across all loaded modules. Throws care::Error on
-  /// unresolved symbols.
+  /// Resolve extern tables across all loaded modules and the `main` every
+  /// run starts at. Throws care::Error on unresolved externs; a missing
+  /// `main` is reported by the first Executor::run().
   void link();
 
   std::size_t numModules() const { return modules_.size(); }
@@ -77,6 +78,8 @@ public:
 
   /// Find a function by name across modules (first match).
   FuncRef findFunction(const std::string& name) const;
+  /// The `main` link() resolved; invalid before link() or when missing.
+  FuncRef mainFunction() const { return main_; }
 
   /// Map and initialize global data + the stack; returns the initial stack
   /// pointer (stack top).
@@ -105,6 +108,7 @@ public:
 
 private:
   std::vector<LoadedModule> modules_;
+  FuncRef main_;
   mutable std::once_flag decodeOnce_;
   mutable std::unique_ptr<const DecodedImage> decoded_;
   mutable std::once_flag jitOnce_;

@@ -27,24 +27,24 @@ TEST(Checkpoint, SnapshotRestoreResumesIdentically) {
 
   // Reference run.
   vm::Executor ref(p.image.get());
-  const vm::RunResult want = vm::runToCompletion(ref, "main");
+  const vm::RunResult want = vm::runToCompletion(ref);
   ASSERT_EQ(want.status, vm::RunStatus::Done);
 
   // Run two steps, checkpoint, run to completion, then restore and re-run
   // the tail: both tails must agree with the reference bit-for-bit.
   vm::Executor ex(p.image.get());
-  ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded);
-  ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded);
+  ASSERT_EQ(ex.run().status, vm::RunStatus::Yielded);
+  ASSERT_EQ(ex.run().status, vm::RunStatus::Yielded);
   const vm::Executor::ResumePoint cp = ex.resumePoint();
   EXPECT_GT(cp.mem.mappedBytes() + sizeof(cp.st), 4096u);
 
-  const vm::RunResult first = vm::runToCompletion(ex, "main");
+  const vm::RunResult first = vm::runToCompletion(ex);
   ASSERT_EQ(first.status, vm::RunStatus::Done);
   EXPECT_EQ(first.exitCode, want.exitCode);
   EXPECT_EQ(ex.output(), ref.output());
 
   ex.restoreCheckpoint(cp);
-  const vm::RunResult second = vm::runToCompletion(ex, "main");
+  const vm::RunResult second = vm::runToCompletion(ex);
   ASSERT_EQ(second.status, vm::RunStatus::Done);
   EXPECT_EQ(second.exitCode, want.exitCode);
   EXPECT_EQ(ex.output(), ref.output());
@@ -68,7 +68,7 @@ TEST(Checkpoint, CheckpointSharesUntouchedPages) {
     })", opt::OptLevel::O0);
 
   vm::Executor ex(p.image.get());
-  ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded);
+  ASSERT_EQ(ex.run().status, vm::RunStatus::Yielded);
 
   // Taking the checkpoint copies no pages — it CoW-shares all of them.
   const std::uint64_t before = vm::Memory::pageAllocCount();
@@ -80,7 +80,7 @@ TEST(Checkpoint, CheckpointSharesUntouchedPages) {
   // Running the next step breaks sharing only for the pages it stores to
   // (the touched grid page + the stack page), not the whole address space.
   const std::uint64_t mappedPages = ex.memory().mappedBytes() / 4096;
-  ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded);
+  ASSERT_EQ(ex.run().status, vm::RunStatus::Yielded);
   const std::uint64_t broken = vm::Memory::pageAllocCount() - before;
   EXPECT_GT(broken, 0u);
   EXPECT_LT(broken, mappedPages / 2)
@@ -91,7 +91,7 @@ TEST(Checkpoint, CheckpointSharesUntouchedPages) {
   ex.restoreCheckpoint(cp);
   EXPECT_EQ(vm::Memory::pageAllocCount(), beforeRestore)
       << "restoreCheckpoint() deep-copied pages";
-  const vm::RunResult done = vm::runToCompletion(ex, "main");
+  const vm::RunResult done = vm::runToCompletion(ex);
   ASSERT_EQ(done.status, vm::RunStatus::Done);
   EXPECT_EQ(done.exitCode, 1); // grid[0] was only bumped in step 0: (int)1.5
 }
@@ -107,9 +107,9 @@ TEST(Checkpoint, RestoreDiscardsLaterWrites) {
       return state;
     })", opt::OptLevel::O0);
   vm::Executor ex(p.image.get());
-  ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded); // state == 1
+  ASSERT_EQ(ex.run().status, vm::RunStatus::Yielded); // state == 1
   const auto cp = ex.resumePoint();
-  ASSERT_EQ(ex.run("main").status, vm::RunStatus::Yielded); // state == 2
+  ASSERT_EQ(ex.run().status, vm::RunStatus::Yielded); // state == 2
   const std::uint64_t stateAddr = p.image->module(0).globalAddr[0];
   std::uint64_t v = 0;
   ASSERT_EQ(ex.memory().load(stateAddr, backend::MType::I32, v),

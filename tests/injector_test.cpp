@@ -110,7 +110,7 @@ TEST(Sampling, NthWithinProfiledCount) {
   Rng rng(23);
   vm::Executor prof(env.p.image.get());
   prof.enableProfiling();
-  ASSERT_EQ(vm::runToCompletion(prof, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(prof).status, vm::RunStatus::Done);
   for (int i = 0; i < 200; ++i) {
     const auto pt = c.sample(rng);
     EXPECT_GE(pt.nth, 1u);
@@ -192,7 +192,7 @@ TEST(Injection, PointBeyondProfileCountCompletesWithoutHang) {
   ASSERT_TRUE(c.profile());
   vm::Executor prof(env.p.image.get());
   prof.enableProfiling();
-  ASSERT_EQ(vm::runToCompletion(prof, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(prof).status, vm::RunStatus::Done);
   Rng rng(41);
   inject::InjectionPoint pt = c.sample(rng);
   pt.nth = prof.profileCount(pt.loc) + 1000;

@@ -56,7 +56,7 @@ entry:
   image.load(mm.get());
   image.link();
   vm::Executor ex(&image);
-  const vm::RunResult r = vm::runToCompletion(ex, "main");
+  const vm::RunResult r = vm::runToCompletion(ex);
   ASSERT_EQ(r.status, vm::RunStatus::Done);
   EXPECT_EQ(r.exitCode, 7);
 
@@ -108,7 +108,7 @@ TEST_P(WorkloadTextRoundTrip, PrintParsePrintIsFixedPoint) {
     vm::Executor ex(&image);
     ex.setBudget(500'000'000);
     RunOutput out;
-    out.result = vm::runToCompletion(ex, "main");
+    out.result = vm::runToCompletion(ex);
     out.output = ex.output();
     return out;
   };

@@ -73,13 +73,13 @@ TEST(Jit, CompilesHotFunctionsAndMatchesFast) {
   vm::Executor fast(p.image.get());
   fast.setInterp(vm::InterpKind::Fast);
   fast.setBudget(10'000'000);
-  const vm::RunResult fr = vm::runToCompletion(fast, "main");
+  const vm::RunResult fr = vm::runToCompletion(fast);
   ASSERT_EQ(fr.status, vm::RunStatus::Done);
 
   vm::Executor jit(p.image.get());
   jit.setInterp(vm::InterpKind::Jit);
   jit.setBudget(10'000'000);
-  const vm::RunResult jr = vm::runToCompletion(jit, "main");
+  const vm::RunResult jr = vm::runToCompletion(jit);
   EXPECT_EQ(jr.status, vm::RunStatus::Done);
   EXPECT_EQ(jr.exitCode, fr.exitCode);
   EXPECT_EQ(jr.instrCount, fr.instrCount);
@@ -121,7 +121,7 @@ TEST(Jit, BudgetBoundaryResumePointsMatchFastAtEveryOffset) {
 
   vm::Executor golden(p.image.get());
   golden.setBudget(10'000'000);
-  const vm::RunResult gr = vm::runToCompletion(golden, "main");
+  const vm::RunResult gr = vm::runToCompletion(golden);
   ASSERT_EQ(gr.status, vm::RunStatus::Done);
 
   // Mid-run window: deep enough that the loop body is compiled and hot.
@@ -145,8 +145,8 @@ TEST(Jit, BudgetBoundaryResumePointsMatchFastAtEveryOffset) {
 
     expectSameResumePoint(jit.resumePoint(), fast.resumePoint(), tag);
 
-    const vm::RunResult ff = vm::runToCompletion(fast, "main");
-    const vm::RunResult jf = vm::runToCompletion(jit, "main");
+    const vm::RunResult ff = vm::runToCompletion(fast);
+    const vm::RunResult jf = vm::runToCompletion(jit);
     ASSERT_EQ(ff.status, vm::RunStatus::Done) << tag;
     EXPECT_EQ(jf.status, ff.status) << tag;
     EXPECT_EQ(jf.instrCount, ff.instrCount) << tag;
@@ -169,14 +169,14 @@ TEST(Jit, FastCapturedResumePointRestoresIntoJit) {
   const vm::RunResult fstop = fast.runBounded(500);
   ASSERT_EQ(fstop.status, vm::RunStatus::BudgetExceeded);
   const vm::Executor::ResumePoint rp = fast.resumePoint();
-  const vm::RunResult fdone = vm::runToCompletion(fast, "main");
+  const vm::RunResult fdone = vm::runToCompletion(fast);
   ASSERT_EQ(fdone.status, vm::RunStatus::Done);
 
   vm::Executor jit(p.image.get());
   jit.setInterp(vm::InterpKind::Jit);
   jit.setBudget(10'000'000);
   jit.restoreCheckpoint(rp);
-  const vm::RunResult jdone = vm::runToCompletion(jit, "main");
+  const vm::RunResult jdone = vm::runToCompletion(jit);
   EXPECT_EQ(jdone.status, fdone.status);
   EXPECT_EQ(jdone.instrCount, fdone.instrCount);
   EXPECT_EQ(jdone.exitCode, fdone.exitCode);
@@ -307,7 +307,7 @@ TEST(Jit, EccArmedRunStaysNativeAndMatchesFast) {
 
   vm::Executor golden(p.image.get());
   golden.setInterp(vm::InterpKind::Fast);
-  const vm::RunResult gr = vm::runToCompletion(golden, "main");
+  const vm::RunResult gr = vm::runToCompletion(golden);
   ASSERT_EQ(gr.status, vm::RunStatus::Done);
   // Mid-way through the read-back loops, long after tab[5] was written.
   const std::uint64_t strikeAt = gr.instrCount / 2;
@@ -323,12 +323,12 @@ TEST(Jit, EccArmedRunStaysNativeAndMatchesFast) {
       ex[k] = std::make_unique<vm::Executor>(p.image.get());
       ex[k]->setInterp(kinds[k]);
       ex[k]->enableProfiling();
-      ASSERT_EQ(ex[k]->runBounded(strikeAt, "main").status,
+      ASSERT_EQ(ex[k]->runBounded(strikeAt).status,
                 vm::RunStatus::BudgetExceeded)
           << tag;
       ASSERT_TRUE(ex[k]->memory().injectFault(word, bits, vm::EccMode::Secded))
           << tag;
-      res[k] = vm::runToCompletion(*ex[k], "main");
+      res[k] = vm::runToCompletion(*ex[k]);
     }
     if (bits.size() == 1) {
       EXPECT_EQ(res[0].status, vm::RunStatus::Done) << tag;
@@ -404,13 +404,13 @@ TEST(JitProfile, CountsMatchFastAcrossColdOpsCallsAndReturns) {
   ASSERT_TRUE(hasColdDivFromMemory(p));
 
   auto fast = profiledExecutor(p, vm::InterpKind::Fast);
-  const vm::RunResult fr = vm::runToCompletion(*fast, "main");
+  const vm::RunResult fr = vm::runToCompletion(*fast);
   ASSERT_EQ(fr.status, vm::RunStatus::Done);
   // Two counting runs over one Image: the counters are per Executor, so
   // the second starts from zero like the first.
   for (int run = 0; run < 2; ++run) {
     auto jit = profiledExecutor(p, vm::InterpKind::Jit);
-    const vm::RunResult jr = vm::runToCompletion(*jit, "main");
+    const vm::RunResult jr = vm::runToCompletion(*jit);
     EXPECT_EQ(jr.status, fr.status) << run;
     EXPECT_EQ(jr.instrCount, fr.instrCount) << run;
     EXPECT_EQ(jit->output(), fast->output()) << run;
@@ -426,7 +426,7 @@ TEST(JitProfile, ConcurrentCountingRunsKeepTheirOwnCounts) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
   Program p = buildProgram(kCountProgram, opt::OptLevel::O0);
   auto fast = profiledExecutor(p, vm::InterpKind::Fast);
-  ASSERT_EQ(vm::runToCompletion(*fast, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(*fast).status, vm::RunStatus::Done);
   const std::vector<std::uint64_t> want = allCounts(*fast);
 
   std::vector<std::vector<std::uint64_t>> got(4);
@@ -434,7 +434,7 @@ TEST(JitProfile, ConcurrentCountingRunsKeepTheirOwnCounts) {
   for (std::size_t t = 0; t < got.size(); ++t)
     threads.emplace_back([&, t] {
       auto jit = profiledExecutor(p, vm::InterpKind::Jit);
-      if (vm::runToCompletion(*jit, "main").status == vm::RunStatus::Done)
+      if (vm::runToCompletion(*jit).status == vm::RunStatus::Done)
         got[t] = allCounts(*jit);
     });
   for (std::thread& th : threads) th.join();
@@ -449,7 +449,7 @@ TEST(JitProfile, CountsMatchFastAtEveryExactStopAndAfterMidBlockEntry) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
   Program p = buildProgram(kCountProgram, opt::OptLevel::O0);
   auto golden = profiledExecutor(p, vm::InterpKind::Fast);
-  const vm::RunResult gr = vm::runToCompletion(*golden, "main");
+  const vm::RunResult gr = vm::runToCompletion(*golden);
   ASSERT_EQ(gr.status, vm::RunStatus::Done);
 
   const std::uint64_t base = gr.instrCount / 2;
@@ -464,8 +464,8 @@ TEST(JitProfile, CountsMatchFastAtEveryExactStopAndAfterMidBlockEntry) {
     ASSERT_EQ(js.instrCount, stop) << tag;
     ASSERT_EQ(allCounts(*jit), allCounts(*fast)) << tag;
 
-    const vm::RunResult ff = vm::runToCompletion(*fast, "main");
-    const vm::RunResult jf = vm::runToCompletion(*jit, "main");
+    const vm::RunResult ff = vm::runToCompletion(*fast);
+    const vm::RunResult jf = vm::runToCompletion(*jit);
     EXPECT_EQ(jf.status, ff.status) << tag;
     EXPECT_EQ(jf.instrCount, ff.instrCount) << tag;
     EXPECT_EQ(allCounts(*jit), allCounts(*golden)) << tag;
@@ -502,7 +502,7 @@ TEST(JitProfile, CountsMatchFastAcrossTrapsAndRetries) {
       e.restoreCheckpoint(rp);
       return vm::TrapAction::Retry;
     });
-    const vm::RunResult r = vm::runToCompletion(*ex, "main");
+    const vm::RunResult r = vm::runToCompletion(*ex);
     ASSERT_EQ(r.status, vm::RunStatus::Trapped) << tag;
     EXPECT_EQ(r.trap.kind, vm::TrapKind::SegFault) << tag;
     EXPECT_EQ(traps, 2) << tag;
@@ -551,7 +551,7 @@ TEST(JitProfile, CampaignProfileIsIdenticalOnEveryBackend) {
       ex.setInterp(k);
       ex.enableProfiling();
       ex.setBudget(2'000'000'000ull);
-      ASSERT_EQ(vm::runToCompletion(ex, "main").status, vm::RunStatus::Done);
+      ASSERT_EQ(vm::runToCompletion(ex).status, vm::RunStatus::Done);
       counts.push_back(allCounts(ex));
       EXPECT_EQ(counts.back(), counts.front())
           << b.w->name << " " << vm::interpName(k);

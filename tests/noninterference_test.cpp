@@ -36,7 +36,7 @@ TEST_P(ArmorNonInterference, CareCompileMatchesPlainCompile) {
       safeguard.attach(ex);
     }
     RunOutput out;
-    out.result = vm::runToCompletion(ex, "main");
+    out.result = vm::runToCompletion(ex);
     out.output = ex.output();
     EXPECT_EQ(safeguard.stats().activations, 0u)
         << "Safeguard activated during a fault-free run";

@@ -284,7 +284,7 @@ TEST_P(PassPreservesSemantics, OutputUnchanged) {
     p.image = std::make_unique<vm::Image>();
     p.image->load(p.mMod.get());
     p.image->link();
-    return runProgram(p, "main", 500'000'000);
+    return runProgram(p, 500'000'000);
   }();
   ASSERT_EQ(baseline.result.status, vm::RunStatus::Done);
 
@@ -304,7 +304,7 @@ TEST_P(PassPreservesSemantics, OutputUnchanged) {
   p.image = std::make_unique<vm::Image>();
   p.image->load(p.mMod.get());
   p.image->link();
-  RunOutput out = runProgram(p, "main", 500'000'000);
+  RunOutput out = runProgram(p, 500'000'000);
   ASSERT_EQ(out.result.status, vm::RunStatus::Done) << pass.name;
   EXPECT_EQ(out.output, baseline.output) << pass.name << " changed output";
 }

@@ -385,7 +385,7 @@ TEST(ParetoPrune, PruneKeySeparatesLiveAndDeadStrikes) {
   e.image->initMemory(base);
   const auto snap = vm::MemorySnapshot::capture(base);
   pareto::MemoryLife life;
-  life.build(e.image.get(), snap, "main", campaign.goldenInstrs());
+  life.build(e.image.get(), snap, campaign.goldenInstrs());
   ASSERT_GT(life.trackedWords(), 100u) << "access trace suspiciously small";
   inject::InjectionPoint pt = campaign.sample(rng);
   pt.nth = 0;

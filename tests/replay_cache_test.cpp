@@ -109,7 +109,7 @@ TEST(ReplayCache, BoundaryEdgesMatchFromScratchOnBothInterps) {
     ASSERT_GE(si, 0);
     vm::Executor prof(env.p.image.get());
     prof.enableProfiling();
-    ASSERT_EQ(vm::runToCompletion(prof, "main").status, vm::RunStatus::Done);
+    ASSERT_EQ(vm::runToCompletion(prof).status, vm::RunStatus::Done);
     const std::uint64_t total = prof.profileCount(hot.loc);
     ASSERT_GE(total, 10u);
 

@@ -144,13 +144,13 @@ TEST(CheckpointRing, RunCheckpointedPausesOnGridAndMatchesPlainRun) {
       })", opt::OptLevel::O0);
   vm::Executor plain(p.image.get());
   plain.setBudget(2'000'000'000ull);
-  const vm::RunResult ref = vm::runToCompletion(plain, "main");
+  const vm::RunResult ref = vm::runToCompletion(plain);
   ASSERT_EQ(ref.status, vm::RunStatus::Done);
 
   vm::Executor ex(p.image.get());
   std::vector<std::uint64_t> boundaries;
   const vm::RunResult r = vm::runCheckpointed(
-      ex, "main", 100, 2'000'000'000ull,
+      ex, 100, 2'000'000'000ull,
       [&](vm::Executor& e) { boundaries.push_back(e.instrCount()); });
   EXPECT_EQ(r.status, vm::RunStatus::Done);
   EXPECT_EQ(r.exitCode, ref.exitCode);
@@ -166,14 +166,14 @@ TEST(CheckpointRing, RunCheckpointedPausesOnGridAndMatchesPlainRun) {
   // never-run executor's: restore it into a third executor and finish.
   vm::Executor probe(p.image.get());
   vm::Executor::ResumePoint entryRp;
-  vm::runCheckpointed(probe, "main", 1'000'000'000ull, 2'000'000'000ull,
+  vm::runCheckpointed(probe, 1'000'000'000ull, 2'000'000'000ull,
                       [&](vm::Executor& e) { entryRp = e.resumePoint(); });
   ASSERT_TRUE(entryRp.started);
   ASSERT_EQ(entryRp.instrCount, 0u);
   vm::Executor resumed(p.image.get());
   resumed.restoreCheckpoint(entryRp);
   resumed.setBudget(2'000'000'000ull);
-  const vm::RunResult rr = vm::runToCompletion(resumed, "main");
+  const vm::RunResult rr = vm::runToCompletion(resumed);
   EXPECT_EQ(rr.status, vm::RunStatus::Done);
   EXPECT_EQ(rr.instrCount, ref.instrCount);
   EXPECT_EQ(resumed.output(), plain.output());
@@ -200,7 +200,7 @@ TEST(CheckpointRing, RunCheckpointedWalksEventsInScheduleOrder) {
                                                   event(300), event(301)};
   vm::Executor ex(p.image.get());
   const vm::RunResult r = vm::runCheckpointed(
-      ex, "main", 100, 2'000'000'000ull,
+      ex, 100, 2'000'000'000ull,
       [&](vm::Executor& e) { stops.emplace_back(e.instrCount(), 'b'); },
       events);
   EXPECT_EQ(r.status, vm::RunStatus::Done);
@@ -216,7 +216,7 @@ TEST(CheckpointRing, RunCheckpointedWalksEventsInScheduleOrder) {
   stops.clear();
   vm::Executor solo(p.image.get());
   vm::runCheckpointed(
-      solo, "main", 0, 2'000'000'000ull,
+      solo, 0, 2'000'000'000ull,
       [&](vm::Executor& e) { stops.emplace_back(e.instrCount(), 'b'); },
       events);
   const std::vector<std::pair<std::uint64_t, char>> eventsOnly = {
@@ -243,7 +243,7 @@ TEST(CheckpointRing, RunCheckpointedStopsAtAnEventThatAsks) {
       event(150, false), event(250, true), event(350, false)};
   vm::Executor ex(p.image.get());
   const vm::RunResult r = vm::runCheckpointed(
-      ex, "main", 100, 2'000'000'000ull,
+      ex, 100, 2'000'000'000ull,
       [&](vm::Executor& e) { boundaries.push_back(e.instrCount()); }, events);
   EXPECT_EQ(r.status, vm::RunStatus::BudgetExceeded);
   EXPECT_EQ(r.instrCount, 250u);
@@ -329,7 +329,7 @@ TEST(RollbackRecovery, FaultBeforeFirstCheckpointRollsBackToEntry) {
   // Golden output for the SDC comparison below.
   vm::Executor gold(e.image.get());
   gold.setBudget(2'000'000'000ull);
-  ASSERT_EQ(vm::runToCompletion(gold, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(gold).status, vm::RunStatus::Done);
 
   // Drive the faulting run by hand with an interval far beyond the golden
   // length: the ring holds nothing but the entry capture, so the rollback
@@ -345,7 +345,7 @@ TEST(RollbackRecovery, FaultBeforeFirstCheckpointRollsBackToEntry) {
     Campaign::corruptDestination(e2, pt.loc, pt.bits);
   });
   const vm::RunResult r = vm::runCheckpointed(
-      ex, "main", 1'000'000'000ull, campaign.goldenInstrs() * 4,
+      ex, 1'000'000'000ull, campaign.goldenInstrs() * 4,
       [&](vm::Executor& e2) { ring.push(e2); });
 
   EXPECT_EQ(r.status, vm::RunStatus::Done);

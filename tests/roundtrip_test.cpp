@@ -41,7 +41,7 @@ TEST_P(ModuleRoundTrip, SerializePreservesPrintAndBehaviour) {
     vm::Executor ex(&image);
     ex.setBudget(500'000'000);
     RunOutput out;
-    out.result = vm::runToCompletion(ex, "main");
+    out.result = vm::runToCompletion(ex);
     out.output = ex.output();
     return out;
   };
@@ -70,8 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Determinism, RepeatedRunsBitIdentical) {
   Program p = buildProgram(workloads::gtcp().sources[0].content,
                            opt::OptLevel::O1, "gtcp");
-  RunOutput a = runProgram(p, "main");
-  RunOutput b = runProgram(p, "main");
+  RunOutput a = runProgram(p);
+  RunOutput b = runProgram(p);
   ASSERT_EQ(a.result.status, vm::RunStatus::Done);
   EXPECT_EQ(a.output, b.output);
   EXPECT_EQ(a.result.instrCount, b.result.instrCount);

@@ -94,7 +94,7 @@ TEST(Safeguard, NonSegvTrapsPropagate) {
   Safeguard sg;
   sg.addModule(0, cm.artifacts);
   sg.attach(ex);
-  const vm::RunResult r = ex.run("main");
+  const vm::RunResult r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::Trapped);
   EXPECT_EQ(r.trap.kind, vm::TrapKind::Fpe);
   EXPECT_EQ(sg.stats().activations, 0u); // SIGSEGV-only service
@@ -258,7 +258,7 @@ TEST(Safeguard, RecordCapBoundsMemoryButNotCounters) {
     ex.armInjection(pt.loc, pt.nth, [&](vm::Executor& ex2) {
       inject::Campaign::corruptDestination(ex2, pt.loc, pt.bits);
     });
-    const vm::RunResult r = vm::runToCompletion(ex, "main");
+    const vm::RunResult r = vm::runToCompletion(ex);
     EXPECT_EQ(r.status, vm::RunStatus::Trapped);
   }
   EXPECT_EQ(sg.stats().activations, 5u);
@@ -384,13 +384,13 @@ TEST(Safeguard, StatsCommitOnlyBehindOutcomeDecision) {
     });
     const std::uint64_t budget = campaign.goldenInstrs() * 4;
     const vm::RunResult r =
-        v.armRing ? vm::runCheckpointed(ex, "main", /*interval=*/500, budget,
+        v.armRing ? vm::runCheckpointed(ex, /*interval=*/500, budget,
                                         [&](vm::Executor& ex2) {
                                           ring.push(ex2);
                                         })
                   : [&] {
                       ex.setBudget(budget);
-                      return vm::runToCompletion(ex, "main");
+                      return vm::runToCompletion(ex);
                     }();
 
     // The tiling invariant, for every strategy.

@@ -102,7 +102,7 @@ TEST(Sentinel, GoldenRunUnchangedByDetectors) {
       vm::Executor ex(image.get());
       ex.setBudget(500'000'000);
       RunOutput out;
-      out.result = vm::runToCompletion(ex, "main");
+      out.result = vm::runToCompletion(ex);
       out.output = ex.output();
       return out;
     };

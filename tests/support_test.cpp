@@ -322,12 +322,6 @@ INSTANTIATE_TEST_SUITE_P(
                },
                "repair/repair", "repair/repair", "rollback",
                "rollback/rollback", {"bogus", "Repair"}},
-        EnvVar{"CARE_ROLLBACK_RING",
-               [](auto&, auto& ec, auto& cc) {
-                 return std::to_string(ec.campaign.rollbackRingCap) + "/" +
-                        std::to_string(cc.rollbackRingCap);
-               },
-               "8/8", "8/8", "12", "12/12", kBadCounts},
         EnvVar{"CARE_FAULT",
                [](auto&, auto& ec, auto& cc) {
                  return std::string(

@@ -56,20 +56,18 @@ struct RunOutput {
 };
 
 inline RunOutput runProgram(const Program& p,
-                            const std::string& entry = "main",
                             std::uint64_t budget = 200'000'000) {
   vm::Executor ex(p.image.get());
   ex.setBudget(budget);
   RunOutput out;
-  out.result = vm::runToCompletion(ex, entry);
+  out.result = vm::runToCompletion(ex);
   out.output = ex.output();
   return out;
 }
 
-inline RunOutput compileAndRun(const std::string& source, opt::OptLevel level,
-                               const std::string& entry = "main") {
+inline RunOutput compileAndRun(const std::string& source, opt::OptLevel level) {
   const Program p = buildProgram(source, level);
-  return runProgram(p, entry);
+  return runProgram(p);
 }
 
 inline double bitsToDouble(std::uint64_t bits) {

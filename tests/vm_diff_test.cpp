@@ -67,10 +67,9 @@ std::unique_ptr<vm::Image> lowerWorkload(const Workload& w, BuildKeep& keep,
 }
 
 // Run to completion (resuming across barriers) under the given interpreter.
-vm::RunResult runUnder(vm::Executor& ex, vm::InterpKind kind,
-                       const std::string& entry) {
+vm::RunResult runUnder(vm::Executor& ex, vm::InterpKind kind) {
   ex.setInterp(kind);
-  return vm::runToCompletion(ex, entry);
+  return vm::runToCompletion(ex);
 }
 
 std::string pairTag(vm::InterpKind a, vm::InterpKind b,
@@ -119,14 +118,14 @@ void expectSameProfile(const vm::Image& image, vm::Executor& a,
 // profiling, injection, ...).
 template <typename Arm>
 std::array<vm::RunResult, kNumKinds>
-diffAllBackends(const vm::Image* image, const std::string& entry,
-                const std::string& tag, bool profile, Arm arm) {
+diffAllBackends(const vm::Image* image, const std::string& tag, bool profile,
+                Arm arm) {
   std::array<std::unique_ptr<vm::Executor>, kNumKinds> ex;
   std::array<vm::RunResult, kNumKinds> res;
   for (std::size_t k = 0; k < kNumKinds; ++k) {
     ex[k] = std::make_unique<vm::Executor>(image);
     arm(*ex[k]);
-    res[k] = runUnder(*ex[k], kKinds[k], entry);
+    res[k] = runUnder(*ex[k], kKinds[k]);
   }
   for (std::size_t a = 0; a < kNumKinds; ++a)
     for (std::size_t b = a + 1; b < kNumKinds; ++b) {
@@ -145,7 +144,7 @@ TEST_P(WorkloadDiff, GoldenRunBitIdentical) {
   BuildKeep keep;
   const auto image = lowerWorkload(w, keep);
 
-  const auto res = diffAllBackends(image.get(), "main", w.name,
+  const auto res = diffAllBackends(image.get(), w.name,
                                    /*profile=*/true, [](vm::Executor& ex) {
                                      ex.enableProfiling();
                                      ex.setBudget(500'000'000);
@@ -160,7 +159,7 @@ TEST_P(WorkloadDiff, DetectorsArmedGoldenRunBitIdentical) {
   BuildKeep keep;
   const auto image = lowerWorkload(w, keep, /*armDetectors=*/true);
 
-  const auto res = diffAllBackends(image.get(), "main", w.name + " (detectors)",
+  const auto res = diffAllBackends(image.get(), w.name + " (detectors)",
                                    /*profile=*/true, [](vm::Executor& ex) {
                                      ex.enableProfiling();
                                      ex.setBudget(500'000'000);
@@ -179,7 +178,7 @@ TEST_P(WorkloadDiff, BudgetCappedRunStopsIdentically) {
   for (const std::uint64_t budget : {1ull, 1000ull, 4096ull, 5001ull}) {
     const std::string tag = w.name + " budget=" + std::to_string(budget);
     const auto res =
-        diffAllBackends(image.get(), "main", tag, /*profile=*/false,
+        diffAllBackends(image.get(), tag, /*profile=*/false,
                         [budget](vm::Executor& ex) { ex.setBudget(budget); });
     ASSERT_EQ(res[0].status, vm::RunStatus::BudgetExceeded) << tag;
   }
@@ -201,7 +200,7 @@ void diffProgram(const std::string& src, vm::RunStatus wantStatus,
                  vm::TrapKind wantKind, const std::string& tag) {
   Program p = buildProgram(src, opt::OptLevel::O0);
   const auto res =
-      diffAllBackends(p.image.get(), "main", tag, /*profile=*/false,
+      diffAllBackends(p.image.get(), tag, /*profile=*/false,
                       [](vm::Executor& ex) { ex.setBudget(10'000'000); });
   ASSERT_EQ(res[0].status, wantStatus) << tag;
   if (wantStatus == vm::RunStatus::Trapped)
@@ -263,7 +262,7 @@ TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
   vm::Executor prof(image.get());
   prof.enableProfiling();
   prof.setBudget(500'000'000);
-  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref, "main");
+  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref);
   ASSERT_EQ(golden.status, vm::RunStatus::Done);
 
   struct Hot {
@@ -305,7 +304,7 @@ TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
     // the run on the JIT's counting code.
     for (const bool profile : {false, true}) {
       const auto res = diffAllBackends(
-          image.get(), "main", tag + (profile ? " profiled" : ""), profile,
+          image.get(), tag + (profile ? " profiled" : ""), profile,
           [&](vm::Executor& ex) {
             if (profile) ex.enableProfiling();
             ex.setBudget(2 * golden.instrCount);
@@ -349,14 +348,14 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
 
   vm::Executor prof(image.get());
   prof.setBudget(500'000'000);
-  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref, "main");
+  const vm::RunResult golden = runUnder(prof, vm::InterpKind::Ref);
   ASSERT_EQ(golden.status, vm::RunStatus::Done);
 
   vm::Executor probe(image.get());
   const std::vector<std::uint64_t> pages = probe.memory().pageNumbers();
   ASSERT_FALSE(pages.empty());
   pareto::MemoryLife life;
-  life.build(image.get(), vm::MemorySnapshot::capture(probe.memory()), "main",
+  life.build(image.get(), vm::MemorySnapshot::capture(probe.memory()),
              golden.instrCount);
   std::vector<std::uint64_t> words = life.words();
   std::sort(words.begin(), words.end());
@@ -414,7 +413,7 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
         ex[k] = std::make_unique<vm::Executor>(image.get());
         ex[k]->setInterp(kKinds[k]);
         ex[k]->setBudget(2 * golden.instrCount);
-        const vm::RunResult stop = ex[k]->runBounded(faultAt, "main");
+        const vm::RunResult stop = ex[k]->runBounded(faultAt);
         ASSERT_EQ(stop.status, vm::RunStatus::BudgetExceeded) << tag;
         ASSERT_EQ(stop.instrCount, faultAt) << tag;
         if (addr == kAtSP) {
@@ -423,7 +422,7 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
           ASSERT_EQ(sp, struck) << tag << ": stack pointers differ";
         }
         ASSERT_TRUE(ex[k]->memory().injectFault(struck, bits, mode)) << tag;
-        res[k] = vm::runToCompletion(*ex[k], "main");
+        res[k] = vm::runToCompletion(*ex[k]);
         digest[k] = memoryDigest(*ex[k]);
       }
       if (trial >= kRandomTrials && mode != vm::EccMode::Off)

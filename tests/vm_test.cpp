@@ -13,6 +13,9 @@ using backend::MType;
 using vm::Memory;
 using vm::MemStatus;
 
+constexpr vm::InterpKind kAllInterps[] = {
+    vm::InterpKind::Ref, vm::InterpKind::Fast, vm::InterpKind::Jit};
+
 // --- memory -----------------------------------------------------------------
 
 class MemoryTypes : public ::testing::TestWithParam<MType> {};
@@ -131,7 +134,7 @@ TEST(Loader, LibraryLoadsHighAndResolvesExterns) {
   EXPECT_LT(image.module(0).codeBase, image.module(1).codeBase);
   EXPECT_GE(image.module(1).codeBase, vm::Image::kLibBase);
   vm::Executor ex(&image);
-  const vm::RunResult r = vm::runToCompletion(ex, "main");
+  const vm::RunResult r = vm::runToCompletion(ex);
   ASSERT_EQ(r.status, vm::RunStatus::Done);
   EXPECT_EQ(r.exitCode, 42);
 }
@@ -155,7 +158,7 @@ TEST(Executor, BudgetExceededOnInfiniteLoop) {
                            opt::OptLevel::O0);
   vm::Executor ex(p.image.get());
   ex.setBudget(10'000);
-  const vm::RunResult r = ex.run("main");
+  const vm::RunResult r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::BudgetExceeded);
   EXPECT_GE(r.instrCount, 10'000u);
 }
@@ -171,13 +174,13 @@ TEST(Executor, BarrierYieldsAndResumes) {
       return 7;
     })", opt::OptLevel::O0);
   vm::Executor ex(p.image.get());
-  vm::RunResult r = ex.run("main");
+  vm::RunResult r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::Yielded);
   EXPECT_EQ(ex.output().size(), 1u);
-  r = ex.run("main");
+  r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::Yielded);
   EXPECT_EQ(ex.output().size(), 2u);
-  r = ex.run("main");
+  r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::Done);
   EXPECT_EQ(r.exitCode, 7);
   EXPECT_EQ(ex.output().size(), 3u);
@@ -193,7 +196,7 @@ TEST(Executor, InjectionFiresExactlyOnceAtNth) {
   // Profile to find a hot instruction.
   vm::Executor prof(p.image.get());
   prof.enableProfiling();
-  ASSERT_EQ(vm::runToCompletion(prof, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(prof).status, vm::RunStatus::Done);
   vm::CodeLoc hot;
   std::uint64_t hotCount = 0;
   const auto& fn = p.image->module(0).mod->functions[0];
@@ -213,14 +216,16 @@ TEST(Executor, InjectionFiresExactlyOnceAtNth) {
     ++fired;
     at = e.instrCount();
   });
-  ASSERT_EQ(vm::runToCompletion(ex, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(ex).status, vm::RunStatus::Done);
   EXPECT_EQ(fired, 1);
   EXPECT_GT(at, 0u);
 }
 
 TEST(Executor, TrapHookRetryReexecutes) {
-  // Program stores through a pointer-sized index that we corrupt; the hook
-  // fixes the register and retries, so the run completes.
+  // The store's index register is corrupted right before the store runs, so
+  // it traps; the hook repairs the register and retries. On every backend
+  // the run then completes like the golden run, one instruction longer:
+  // the retried store counts twice.
   Program p = buildProgram(R"(
     double a[8];
     int main() {
@@ -228,31 +233,49 @@ TEST(Executor, TrapHookRetryReexecutes) {
       a[i] = 1.0;
       return (int)(a[2]);
     })", opt::OptLevel::O0);
-  vm::Executor ex(p.image.get());
-  int hookCalls = 0;
-  ex.setTrapHook([&](vm::Executor& e, const vm::Trap& t) {
-    ++hookCalls;
-    if (t.kind != vm::TrapKind::SegFault) return vm::TrapAction::Propagate;
-    // Repair every integer register holding the wild index.
-    for (int r = 0; r < backend::kNumRegs; ++r)
-      if (e.state().g[r] == 0x40000002ull) e.state().g[r] = 2;
-    return vm::TrapAction::Retry;
-  });
-  // Corrupt the index the moment the store's address registers are set:
-  // flip a high bit in every register holding value 2 right before... we
-  // instead patch memory directly: use the injection hook on the hottest
-  // store. Simpler: corrupt nothing and verify the hook never fires.
-  const vm::RunResult r = vm::runToCompletion(ex, "main");
-  EXPECT_EQ(r.status, vm::RunStatus::Done);
-  EXPECT_EQ(hookCalls, 0);
-  EXPECT_EQ(r.exitCode, 1);
+  const vm::FuncRef mainFn = p.image->mainFunction();
+  const auto& code = p.image->function({mainFn.module, mainFn.func, 0}).code;
+  std::int32_t store = -1;
+  for (std::size_t i = 0; i < code.size() && store < 0; ++i)
+    if (code[i].op == backend::MOp::Store && code[i].mem.index != backend::kNoReg)
+      store = static_cast<std::int32_t>(i);
+  ASSERT_GT(store, 0) << "no indexed store in main";
+  const std::size_t index = static_cast<std::size_t>(code[static_cast<std::size_t>(store)].mem.index);
+
+  vm::Executor gold(p.image.get());
+  const vm::RunResult golden = vm::runToCompletion(gold);
+  ASSERT_EQ(golden.status, vm::RunStatus::Done);
+
+  for (const vm::InterpKind kind : kAllInterps) {
+    SCOPED_TRACE(vm::interpName(kind));
+    vm::Executor ex(p.image.get());
+    ex.setInterp(kind);
+    std::uint64_t intact = 0;
+    ex.armInjection({mainFn.module, mainFn.func, store - 1}, 1,
+                    [&](vm::Executor& e) {
+                      intact = e.state().g[index];
+                      e.state().g[index] ^= 1ull << 40;
+                    });
+    int hookCalls = 0;
+    ex.setTrapHook([&](vm::Executor& e, const vm::Trap& t) {
+      ++hookCalls;
+      if (t.kind != vm::TrapKind::SegFault) return vm::TrapAction::Propagate;
+      e.state().g[index] = intact;
+      return vm::TrapAction::Retry;
+    });
+    const vm::RunResult r = vm::runToCompletion(ex);
+    EXPECT_EQ(hookCalls, 1);
+    EXPECT_EQ(r.status, vm::RunStatus::Done);
+    EXPECT_EQ(r.exitCode, 1);
+    EXPECT_EQ(r.instrCount, golden.instrCount + 1);
+  }
 }
 
 TEST(Executor, AbortTrapFromAssert) {
   Program p = buildProgram("int main() { assert(0); return 0; }",
                            opt::OptLevel::O0);
   vm::Executor ex(p.image.get());
-  const vm::RunResult r = ex.run("main");
+  const vm::RunResult r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::Trapped);
   EXPECT_EQ(r.trap.kind, vm::TrapKind::Abort);
 }
@@ -264,32 +287,68 @@ TEST(Executor, StackOverflowSegfaults) {
   )", opt::OptLevel::O0);
   vm::Executor ex(p.image.get());
   ex.setBudget(1'000'000'000ull);
-  const vm::RunResult r = ex.run("main");
+  const vm::RunResult r = ex.run();
   EXPECT_EQ(r.status, vm::RunStatus::Trapped);
   EXPECT_EQ(r.trap.kind, vm::TrapKind::SegFault); // hit the stack guard
 }
 
 TEST(Executor, CorruptedReturnAddressTrapsAsOther) {
+  // Smash the callee's return address on entry. On every backend the Ret
+  // reaches the hook once and ends the run Trapped/BadPC at the wild PC,
+  // although the hook asks to retry: a lost PC cannot be re-executed.
   Program p = buildProgram(R"(
     int callee(int x) { return x + 1; }
     int main() { return callee(1); }
   )", opt::OptLevel::O0);
-  // Corrupt the return address on the stack while inside the callee: find
-  // the callee's first instruction and smash [rsp+8..] memory.
-  vm::Executor ex(p.image.get());
+  constexpr std::uint64_t kWild = 0xdead000000000000ull;
+  const vm::FuncRef mainFn = p.image->mainFunction();
+  const auto& mainCode = p.image->function({mainFn.module, mainFn.func, 0}).code;
+  std::int32_t call = -1;
+  for (std::size_t i = 0; i < mainCode.size() && call < 0; ++i)
+    if (mainCode[i].op == backend::MOp::Call) call = static_cast<std::int32_t>(i);
+  ASSERT_GE(call, 0);
+  const std::uint64_t retPC = p.image->pcOf(mainFn.module, mainFn.func, call + 1);
   const auto& fns = p.image->module(0).mod->functions;
   std::int32_t calleeIdx = -1;
   for (std::size_t f = 0; f < fns.size(); ++f)
     if (fns[f].name == "callee") calleeIdx = static_cast<std::int32_t>(f);
   ASSERT_GE(calleeIdx, 0);
-  ex.armInjection({0, calleeIdx, 1, }, 1, [&](vm::Executor& e) {
-    // After the prologue's first instruction, [rsp] holds the caller's
-    // frame or return data: write garbage over the return-address slot.
-    const std::uint64_t sp = e.state().g[backend::kSP];
-    e.memory().store(sp + 8, backend::MType::I64, 0xdead000000000000ull);
-  });
-  const vm::RunResult r = vm::runToCompletion(ex, "main");
-  EXPECT_EQ(r.status, vm::RunStatus::Trapped);
+
+  std::vector<vm::RunResult> results;
+  for (const vm::InterpKind kind : kAllInterps) {
+    SCOPED_TRACE(vm::interpName(kind));
+    vm::Executor ex(p.image.get());
+    ex.setInterp(kind);
+    ex.armInjection({0, calleeIdx, 0}, 1, [&](vm::Executor& e) {
+      const std::uint64_t sp = e.state().g[backend::kSP];
+      for (std::uint64_t a = sp; a < sp + 128; a += 8) {
+        std::uint64_t v = 0;
+        if (e.memory().load(a, MType::I64, v) == MemStatus::Ok && v == retPC)
+          e.memory().store(a, MType::I64, kWild);
+      }
+    });
+    int hookCalls = 0;
+    ex.setTrapHook([&](vm::Executor&, const vm::Trap& t) {
+      ++hookCalls;
+      EXPECT_EQ(t.kind, vm::TrapKind::BadPC);
+      EXPECT_EQ(t.pc, kWild);
+      return vm::TrapAction::Retry;
+    });
+    const vm::RunResult r = vm::runToCompletion(ex);
+    EXPECT_EQ(hookCalls, 1);
+    EXPECT_EQ(r.status, vm::RunStatus::Trapped);
+    EXPECT_EQ(r.trap.kind, vm::TrapKind::BadPC);
+    EXPECT_EQ(r.trap.pc, kWild);
+    results.push_back(r);
+  }
+  for (const vm::RunResult& r : results) {
+    EXPECT_EQ(r.status, results[0].status);
+    EXPECT_EQ(r.trap.kind, results[0].trap.kind);
+    EXPECT_EQ(r.trap.pc, results[0].trap.pc);
+    EXPECT_EQ(r.trap.addr, results[0].trap.addr);
+    EXPECT_EQ(r.instrCount, results[0].instrCount);
+    EXPECT_EQ(r.exitCode, results[0].exitCode);
+  }
 }
 
 } // namespace

@@ -37,7 +37,7 @@ RunOutput runWorkload(const Workload& w, opt::OptLevel level) {
   vm::Executor ex(&image);
   ex.setBudget(500'000'000);
   RunOutput out;
-  out.result = vm::runToCompletion(ex, "main");
+  out.result = vm::runToCompletion(ex);
   out.output = ex.output();
   return out;
 }
@@ -101,7 +101,7 @@ TEST(WorkloadGolden, Blat1RunsAgainstLibraryModule) {
   image.link();
   vm::Executor ex(&image);
   ex.setBudget(100'000'000);
-  const vm::RunResult res = vm::runToCompletion(ex, "main");
+  const vm::RunResult res = vm::runToCompletion(ex);
   ASSERT_EQ(res.status, vm::RunStatus::Done);
   const auto& out = ex.output();
   ASSERT_GE(out.size(), 26u);

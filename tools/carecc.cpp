@@ -45,8 +45,8 @@ struct Args {
   std::string mode;
   std::string file;
   /// Every flag lands in one field: compile flags in cfg.armor, campaign
-  /// flags (-e, -s, --recover, ...) in cfg.campaign, the rest in cfg.
-  /// `run` reads the entry, strategy, ring and spacing too.
+  /// flags (-s, --recover, ...) in cfg.campaign, the rest in cfg. `run`
+  /// reads the strategy and spacing too.
   inject::ExperimentConfig cfg;
 };
 
@@ -55,7 +55,6 @@ void usage() {
                "usage: carecc <compile|run|inspect|inject> <file.c>\n"
                "  -O0|-O1            optimization level (default -O0)\n"
                "  -d <dir>           artifact directory\n"
-               "  -e <entry>         entry function (default main)\n"
                "  -n <count>         injections (inject mode)\n"
                "  -s <seed>          campaign seed\n"
                "  -j <threads>       campaign workers (0 = all cores; any\n"
@@ -100,8 +99,6 @@ void usage() {
                "  --recover=<s>      Safeguard policy: repair (default),\n"
                "                     rollback, repair_then_rollback, none;\n"
                "                     overrides CARE_RECOVER\n"
-               "  --rollback-ring <n> rollback checkpoint ring capacity\n"
-               "                     (default CARE_ROLLBACK_RING or 8)\n"
                "  --fault=<m>        fault model: reg (destination operand,\n"
                "                     default), mem1 (one memory bit),\n"
                "                     mem2adj (two adjacent bits), burst\n"
@@ -197,11 +194,11 @@ int cmdRun(const Args& a) {
     safeguard.setRollbackSource(&ring);
     std::uint64_t interval = c.rollbackEveryInstrs;
     if (interval == inject::CampaignConfig::kCkptAuto) interval = 100'000;
-    r = vm::runCheckpointed(ex, c.entry, interval, kRunBudget,
+    r = vm::runCheckpointed(ex, interval, kRunBudget,
                             [&](vm::Executor& e) { ring.push(e); });
   } else {
     ex.setBudget(kRunBudget);
-    r = vm::runToCompletion(ex, c.entry);
+    r = vm::runToCompletion(ex);
   }
   if (const auto& st = safeguard.stats(); st.rollbacks > 0)
     std::printf("safeguard: %llu rollback(s), %llu instructions "
@@ -358,7 +355,6 @@ int main(int argc, char** argv) {
       if (s == "-O0") cfg.level = opt::OptLevel::O0;
       else if (s == "-O1") cfg.level = opt::OptLevel::O1;
       else if (s == "-d") cfg.cacheDir = next();
-      else if (s == "-e") c.entry = next();
       else if (s == "-n") cfg.injections = intFlag(s, next());
       else if (s == "-s") c.seed = countFlag(s, next());
       else if (s == "-j") cfg.threads = intFlag(s, next());
@@ -378,8 +374,6 @@ int main(int argc, char** argv) {
         cfg.armor.detect = sentinel::parseDetect(*v);
       else if ((v = value("--recover")))
         c.recover = core::parseRecoveryStrategy(*v);
-      else if (s == "--rollback-ring")
-        c.rollbackRingCap = countFlag(s, next());
       else if ((v = value("--fault")))
         c.fault = inject::parseFaultModel(*v);
       else if ((v = value("--ecc"))) c.ecc = vm::parseEccMode(*v);
