@@ -1,5 +1,6 @@
 #include "backend/isel.hpp"
 
+#include "ir/scalar.hpp"
 #include "support/error.hpp"
 
 namespace care::backend {
@@ -519,7 +520,7 @@ void ISel::lowerCall(const Instruction* in) {
   if (callee->isIntrinsic()) {
     MInst mi;
     mi.op = MOp::MathCall;
-    mi.sub = static_cast<std::uint8_t>(mathFnByName(callee->name()));
+    mi.sub = static_cast<std::uint8_t>(ir::mathFnByName(callee->name()));
     mi.dst = vregOf_.at(in);
     mi.src1 = regOf(in->operand(0));
     if (in->numOperands() > 1) mi.src2 = regOf(in->operand(1));

@@ -1,6 +1,5 @@
 #include "backend/mir.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -78,38 +77,6 @@ const char* mopName(MOp op) {
   case MOp::SentinelTrap: return "senttrap";
   }
   CARE_UNREACHABLE("bad mop");
-}
-
-MathFn mathFnByName(const std::string& n) {
-  if (n == "sqrt") return MathFn::Sqrt;
-  if (n == "fabs") return MathFn::Fabs;
-  if (n == "sin") return MathFn::Sin;
-  if (n == "cos") return MathFn::Cos;
-  if (n == "exp") return MathFn::Exp;
-  if (n == "log") return MathFn::Log;
-  if (n == "floor") return MathFn::Floor;
-  if (n == "ceil") return MathFn::Ceil;
-  if (n == "fmin") return MathFn::Fmin;
-  if (n == "fmax") return MathFn::Fmax;
-  if (n == "pow") return MathFn::Pow;
-  raise("unknown math intrinsic: " + n);
-}
-
-double evalMathFn(MathFn fn, double a, double b) {
-  switch (fn) {
-  case MathFn::Sqrt: return std::sqrt(a);
-  case MathFn::Fabs: return std::fabs(a);
-  case MathFn::Sin: return std::sin(a);
-  case MathFn::Cos: return std::cos(a);
-  case MathFn::Exp: return std::exp(a);
-  case MathFn::Log: return std::log(a);
-  case MathFn::Floor: return std::floor(a);
-  case MathFn::Ceil: return std::ceil(a);
-  case MathFn::Fmin: return std::fmin(a, b);
-  case MathFn::Fmax: return std::fmax(a, b);
-  case MathFn::Pow: return std::pow(a, b);
-  }
-  CARE_UNREACHABLE("bad math fn");
 }
 
 namespace {

@@ -119,16 +119,24 @@ enum class MOp : std::uint8_t {
 
 const char* mopName(MOp op);
 
-/// Math intrinsic ids for MathCall.sub.
-enum class MathFn : std::uint8_t {
-  Sqrt, Fabs, Sin, Cos, Exp, Log, Floor, Ceil, Fmin, Fmax, Pow,
-};
-MathFn mathFnByName(const std::string& name);
-double evalMathFn(MathFn fn, double a, double b);
+/// The CARE-IR opcode an ALU op computes: IAdd..IAshr list Add..AShr and
+/// FAdd..FDiv list FAdd..FDiv in the same order. The VM evaluates MIR's
+/// arithmetic with ir/scalar.hpp through it.
+constexpr ir::Opcode aluOpcode(MOp op) {
+  return op <= MOp::IAshr
+             ? static_cast<ir::Opcode>(static_cast<int>(ir::Opcode::Add) +
+                                       static_cast<int>(op) -
+                                       static_cast<int>(MOp::IAdd))
+             : static_cast<ir::Opcode>(static_cast<int>(ir::Opcode::FAdd) +
+                                       static_cast<int>(op) -
+                                       static_cast<int>(MOp::FAdd));
+}
+static_assert(aluOpcode(MOp::IAshr) == ir::Opcode::AShr &&
+              aluOpcode(MOp::FDiv) == ir::Opcode::FDiv);
 
 struct MInst {
   MOp op = MOp::Mov;
-  std::uint8_t sub = 0;   // CmpPred, fused ALU op, or MathFn
+  std::uint8_t sub = 0;   // CmpPred, fused ALU op, or ir::MathFn
   /// Width qualifier: FP ops round results to f32; integer ALU wraps the
   /// result to 32 bits (sign-extended) — mirrors x86 "l" vs "q" forms.
   bool narrow = false;

@@ -3,7 +3,8 @@
 #include <cstring>
 #include <map>
 
-#include "backend/mir.hpp" // evalMathFn / mathFnByName
+#include "backend/mir.hpp" // mtypeFor
+#include "ir/scalar.hpp"
 #include "support/error.hpp"
 
 namespace care::core {
@@ -11,7 +12,6 @@ namespace care::core {
 namespace {
 
 using ir::BasicBlock;
-using ir::CmpPred;
 using ir::Function;
 using ir::Instruction;
 using ir::Opcode;
@@ -24,17 +24,6 @@ constexpr std::uint64_t kLocalBase = 0xCA7E000000000000ull;
 
 constexpr std::size_t kMaxSteps = 100000;
 constexpr int kMaxDepth = 32;
-
-double bitsToF(RawValue v) {
-  double d;
-  std::memcpy(&d, &v, 8);
-  return d;
-}
-RawValue fToBits(double d) {
-  RawValue v;
-  std::memcpy(&v, &d, 8);
-  return v;
-}
 
 struct Interp {
   const vm::Memory& mem;
@@ -74,7 +63,7 @@ struct Interp {
         error = "kernel read unmapped/misaligned process memory";
         return false;
       }
-      out = fToBits(d);
+      out = ir::bitsOfFP(d);
       return true;
     }
     std::uint64_t v;
@@ -89,13 +78,11 @@ struct Interp {
   static RawValue normalizeLoad(std::uint64_t raw, Type* type) {
     switch (type->kind()) {
     case ir::TypeKind::I1: return raw & 1;
-    case ir::TypeKind::I32:
-      return static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(static_cast<std::int32_t>(raw)));
+    case ir::TypeKind::I32: return ir::norm32(raw);
     case ir::TypeKind::F32: {
       float f;
       std::memcpy(&f, &raw, 4);
-      return fToBits(static_cast<double>(f));
+      return ir::bitsOfFP(static_cast<double>(f));
     }
     default: return raw;
     }
@@ -110,7 +97,7 @@ struct Interp {
     std::uint8_t* p = localPtr(addr, size);
     if (!p) { error = "kernel write outside local buffer"; return false; }
     if (type == Type::f32()) {
-      const float f = static_cast<float>(bitsToF(v));
+      const float f = static_cast<float>(ir::fpOfBits(v));
       std::memcpy(p, &f, 4);
     } else if (type == Type::f64()) {
       std::memcpy(p, &v, 8);
@@ -123,30 +110,6 @@ struct Interp {
   bool call(const Function& f, const std::vector<RawValue>& args,
             RawValue& ret, int depth);
 };
-
-bool cmpInt(CmpPred p, std::int64_t a, std::int64_t b) {
-  switch (p) {
-  case CmpPred::EQ: return a == b;
-  case CmpPred::NE: return a != b;
-  case CmpPred::LT: return a < b;
-  case CmpPred::LE: return a <= b;
-  case CmpPred::GT: return a > b;
-  case CmpPred::GE: return a >= b;
-  }
-  return false;
-}
-
-bool cmpFP(CmpPred p, double a, double b) {
-  switch (p) {
-  case CmpPred::EQ: return a == b;
-  case CmpPred::NE: return a != b;
-  case CmpPred::LT: return a < b;
-  case CmpPred::LE: return a <= b;
-  case CmpPred::GT: return a > b;
-  case CmpPred::GE: return a >= b;
-  }
-  return false;
-}
 
 bool Interp::call(const Function& f, const std::vector<RawValue>& args,
                   RawValue& ret, int depth) {
@@ -174,7 +137,7 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
           static_cast<const ir::ConstantInt*>(v)->value());
       return true;
     case ir::ValueKind::ConstantFP:
-      out = fToBits(static_cast<const ir::ConstantFP*>(v)->value());
+      out = ir::bitsOfFP(static_cast<const ir::ConstantFP*>(v)->value());
       return true;
     case ir::ValueKind::GlobalVariable:
       // Kernels never reference globals directly: Armor rewrites global
@@ -251,22 +214,12 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
       ++idx;
       continue;
     }
-    case Opcode::ICmp: {
-      RawValue a, b;
-      if (!valueOf(in->operand(0), a) || !valueOf(in->operand(1), b))
-        return false;
-      define(in, cmpInt(in->pred(), static_cast<std::int64_t>(a),
-                        static_cast<std::int64_t>(b))
-                     ? 1
-                     : 0);
-      ++idx;
-      continue;
-    }
+    case Opcode::ICmp:
     case Opcode::FCmp: {
       RawValue a, b;
       if (!valueOf(in->operand(0), a) || !valueOf(in->operand(1), b))
         return false;
-      define(in, cmpFP(in->pred(), bitsToF(a), bitsToF(b)) ? 1 : 0);
+      define(in, ir::evalCompare(in->opcode(), in->pred(), a, b) ? 1 : 0);
       ++idx;
       continue;
     }
@@ -286,10 +239,10 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
         if (!valueOf(in->operand(i), cargs[i])) return false;
       RawValue r = 0;
       if (callee->isIntrinsic()) {
-        const double a = bitsToF(cargs[0]);
-        const double b = cargs.size() > 1 ? bitsToF(cargs[1]) : 0.0;
-        r = fToBits(backend::evalMathFn(
-            backend::mathFnByName(callee->name()), a, b));
+        const double a = ir::fpOfBits(cargs[0]);
+        const double b = cargs.size() > 1 ? ir::fpOfBits(cargs[1]) : 0.0;
+        r = ir::bitsOfFP(
+            ir::evalMathFn(ir::mathFnByName(callee->name()), a, b));
       } else {
         if (!call(*callee, cargs, r, depth + 1)) return false;
       }
@@ -322,88 +275,26 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
       break;
     }
 
-    // Binary arithmetic and casts.
+    // Binary arithmetic and casts, computed as the machine computes them.
     if (in->isBinaryOp()) {
-      RawValue ra, rb;
-      if (!valueOf(in->operand(0), ra) || !valueOf(in->operand(1), rb))
+      RawValue a, b, r;
+      if (!valueOf(in->operand(0), a) || !valueOf(in->operand(1), b))
         return false;
-      Type* t = in->type();
-      if (t->isFloat()) {
-        const double a = bitsToF(ra), b = bitsToF(rb);
-        double r = 0;
-        switch (in->opcode()) {
-        case Opcode::FAdd: r = a + b; break;
-        case Opcode::FSub: r = a - b; break;
-        case Opcode::FMul: r = a * b; break;
-        case Opcode::FDiv: r = a / b; break;
-        default: error = "bad fp op"; return false;
-        }
-        if (t == Type::f32()) r = static_cast<double>(static_cast<float>(r));
-        define(in, fToBits(r));
-      } else {
-        const std::int64_t a = static_cast<std::int64_t>(ra);
-        const std::int64_t b = static_cast<std::int64_t>(rb);
-        std::int64_t r = 0;
-        switch (in->opcode()) {
-        case Opcode::Add: r = a + b; break;
-        case Opcode::Sub: r = a - b; break;
-        case Opcode::Mul: r = a * b; break;
-        case Opcode::SDiv:
-          if (b == 0) { error = "kernel divide by zero"; return false; }
-          r = a / b;
-          break;
-        case Opcode::SRem:
-          if (b == 0) { error = "kernel divide by zero"; return false; }
-          r = a % b;
-          break;
-        case Opcode::And: r = a & b; break;
-        case Opcode::Or: r = a | b; break;
-        case Opcode::Xor: r = a ^ b; break;
-        case Opcode::Shl: r = a << (b & 63); break;
-        case Opcode::AShr: r = a >> (b & 63); break;
-        default: error = "bad int op"; return false;
-        }
-        if (t == Type::i32())
-          r = static_cast<std::int64_t>(static_cast<std::int32_t>(r));
-        define(in, static_cast<RawValue>(r));
+      const bool narrow = ir::isNarrow(in->type());
+      if (!ir::evalBinary(in->opcode(), a, b, narrow, r)) {
+        error = (narrow ? ir::norm32(b) : b) == 0
+                    ? "kernel divide by zero"
+                    : "kernel division overflow";
+        return false;
       }
+      define(in, r);
       ++idx;
       continue;
     }
     if (in->isCast()) {
-      RawValue rv;
-      if (!valueOf(in->operand(0), rv)) return false;
-      switch (in->opcode()) {
-      case Opcode::Sext:
-      case Opcode::Zext:
-        define(in, rv);
-        break;
-      case Opcode::Trunc:
-        define(in, static_cast<RawValue>(static_cast<std::int64_t>(
-                       static_cast<std::int32_t>(rv))));
-        break;
-      case Opcode::SIToFP: {
-        double r = static_cast<double>(static_cast<std::int64_t>(rv));
-        if (in->type() == Type::f32())
-          r = static_cast<double>(static_cast<float>(r));
-        define(in, fToBits(r));
-        break;
-      }
-      case Opcode::FPToSI:
-        define(in, static_cast<RawValue>(
-                       static_cast<std::int64_t>(bitsToF(rv))));
-        break;
-      case Opcode::FPExt:
-        define(in, rv);
-        break;
-      case Opcode::FPTrunc:
-        define(in,
-               fToBits(static_cast<double>(static_cast<float>(bitsToF(rv)))));
-        break;
-      default:
-        error = "bad cast";
-        return false;
-      }
+      RawValue v;
+      if (!valueOf(in->operand(0), v)) return false;
+      define(in, ir::evalCast(in->opcode(), v, ir::isNarrow(in->type())));
       ++idx;
       continue;
     }

@@ -31,8 +31,9 @@ struct KernelResult {
 };
 
 /// Execute `kernel` with `args` (one RawValue per parameter, in order)
-/// against `mem`. Returns the kernel's return value, or failure if the
-/// kernel would read unmapped memory, write process memory, or exceed the
+/// against `mem`, computing as the machine does (ir/scalar.hpp). Returns
+/// the kernel's return value, or failure if the kernel would read unmapped
+/// memory, write process memory, trap on a division, or exceed the
 /// step/recursion budget.
 KernelResult runRecoveryKernel(const ir::Function& kernel,
                                const std::vector<RawValue>& args,

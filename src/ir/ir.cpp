@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "ir/module.hpp"
+#include "ir/scalar.hpp"
 
 namespace care::ir {
 
@@ -290,28 +291,13 @@ const std::string& Module::fileName(std::uint32_t id) const {
 }
 
 Function* Module::intrinsic(const std::string& name) {
-  static const char* kUnary[] = {"sqrt", "fabs", "sin",   "cos",
-                                 "exp",  "log",  "floor", "ceil"};
-  static const char* kBinary[] = {"fmin", "fmax", "pow"};
   if (Function* f = findFunction(name)) return f;
   Type* d = Type::f64();
-  for (const char* u : kUnary) {
-    if (name == u) {
-      Function* f = addFunction(name, d, {d});
-      f->setIntrinsic(true);
-      f->setSimpleCall(true);
-      return f;
-    }
-  }
-  for (const char* b : kBinary) {
-    if (name == b) {
-      Function* f = addFunction(name, d, {d, d});
-      f->setIntrinsic(true);
-      f->setSimpleCall(true);
-      return f;
-    }
-  }
-  raise("unknown intrinsic: " + name);
+  Function* f = addFunction(
+      name, d, std::vector<Type*>(mathFnArity(mathFnByName(name)), d));
+  f->setIntrinsic(true);
+  f->setSimpleCall(true);
+  return f;
 }
 
 } // namespace care::ir

@@ -1,5 +1,6 @@
-// Textual dump of CARE-IR in an LLVM-flavoured syntax (for tests/debugging;
-// the dump is not re-parsed — serialization uses ir/serialize.hpp).
+// Textual dump of CARE-IR in an LLVM-flavoured syntax, for people: tests,
+// diagnostics and `carecc inspect`. Nothing reads it back; modules are
+// stored and loaded with ir/serialize.hpp.
 #pragma once
 
 #include <string>

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "ir/irbuilder.hpp"
+#include "ir/scalar.hpp"
 #include "lang/compile.hpp"
 #include "lang/parser.hpp"
 #include "support/error.hpp"
@@ -34,15 +35,6 @@ Type* lowerType(const CType& t) {
   Type* ty = lowerScalar(t.base);
   for (unsigned i = 0; i < t.ptrDepth; ++i) ty = Type::ptrTo(ty);
   return ty;
-}
-
-bool isMathIntrinsic(const std::string& n) {
-  static const char* kNames[] = {"sqrt", "fabs", "sin", "cos",  "exp",
-                                 "log",  "floor", "ceil", "fmin", "fmax",
-                                 "pow"};
-  for (const char* k : kNames)
-    if (n == k) return true;
-  return false;
 }
 
 class Codegen {
@@ -572,7 +564,7 @@ private:
 
   Value* genCall(const Expr& e) {
     Function* callee = nullptr;
-    if (isMathIntrinsic(e.name)) {
+    if (ir::isMathFn(e.name)) {
       callee = mod_.intrinsic(e.name);
     } else {
       callee = mod_.findFunction(e.name);

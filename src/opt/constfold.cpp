@@ -1,6 +1,6 @@
-// Constant folding and algebraic simplification.
-#include <cmath>
-
+// Constant folding and algebraic simplification. Constants fold with the
+// machine's own semantics (ir/scalar.hpp); an op that would trap is kept.
+#include "ir/scalar.hpp"
 #include "opt/passes.hpp"
 
 namespace care::opt {
@@ -16,90 +16,38 @@ using ir::Value;
 
 namespace {
 
-std::int64_t truncToWidth(std::int64_t v, Type* t) {
-  if (t == Type::i32()) return static_cast<std::int32_t>(v);
-  if (t == Type::i1()) return v & 1;
-  return v;
-}
-
-Value* foldIntBinary(Module* m, Opcode op, Type* t, std::int64_t a,
-                     std::int64_t b) {
-  std::int64_t r;
-  switch (op) {
-  case Opcode::Add: r = a + b; break;
-  case Opcode::Sub: r = a - b; break;
-  case Opcode::Mul: r = a * b; break;
-  case Opcode::SDiv:
-    if (b == 0) return nullptr; // keep the trapping instruction
-    r = a / b;
-    break;
-  case Opcode::SRem:
-    if (b == 0) return nullptr;
-    r = a % b;
-    break;
-  case Opcode::And: r = a & b; break;
-  case Opcode::Or: r = a | b; break;
-  case Opcode::Xor: r = a ^ b; break;
-  case Opcode::Shl: r = a << (b & 63); break;
-  case Opcode::AShr: r = a >> (b & 63); break;
-  default: return nullptr;
+/// A constant's 64 bits as the machine holds them (FP as double bits).
+bool constBits(const Value* v, std::uint64_t& out) {
+  if (const auto* ci = dynamic_cast<const ConstantInt*>(v)) {
+    out = static_cast<std::uint64_t>(ci->value());
+    return true;
   }
-  return m->constInt(t, truncToWidth(r, t));
-}
-
-Value* foldFPBinary(Module* m, Opcode op, Type* t, double a, double b) {
-  double r;
-  switch (op) {
-  case Opcode::FAdd: r = a + b; break;
-  case Opcode::FSub: r = a - b; break;
-  case Opcode::FMul: r = a * b; break;
-  case Opcode::FDiv: r = a / b; break;
-  default: return nullptr;
-  }
-  if (t == Type::f32()) r = static_cast<float>(r);
-  return m->constFP(t, r);
-}
-
-bool cmpHolds(ir::CmpPred p, double a, double b) {
-  switch (p) {
-  case ir::CmpPred::EQ: return a == b;
-  case ir::CmpPred::NE: return a != b;
-  case ir::CmpPred::LT: return a < b;
-  case ir::CmpPred::LE: return a <= b;
-  case ir::CmpPred::GT: return a > b;
-  case ir::CmpPred::GE: return a >= b;
+  if (const auto* cf = dynamic_cast<const ConstantFP*>(v)) {
+    out = ir::bitsOfFP(cf->value());
+    return true;
   }
   return false;
 }
 
-bool cmpHoldsInt(ir::CmpPred p, std::int64_t a, std::int64_t b) {
-  switch (p) {
-  case ir::CmpPred::EQ: return a == b;
-  case ir::CmpPred::NE: return a != b;
-  case ir::CmpPred::LT: return a < b;
-  case ir::CmpPred::LE: return a <= b;
-  case ir::CmpPred::GT: return a > b;
-  case ir::CmpPred::GE: return a >= b;
-  }
-  return false;
+Value* constOfBits(Module* m, Type* t, std::uint64_t bits) {
+  if (t->isFloat()) return m->constFP(t, ir::fpOfBits(bits));
+  return m->constInt(t, static_cast<std::int64_t>(bits));
 }
 
 /// Try to compute a replacement for `in`; null if nothing applies.
 Value* simplify(Module* m, Instruction* in) {
   const Opcode op = in->opcode();
   auto asInt = [](Value* v) { return dynamic_cast<ConstantInt*>(v); };
-  auto asFP = [](Value* v) { return dynamic_cast<ConstantFP*>(v); };
 
+  std::uint64_t x = 0, y = 0;
   if (in->isBinaryOp()) {
     Value* a = in->operand(0);
     Value* b = in->operand(1);
-    if (auto* ca = asInt(a)) {
-      if (auto* cb = asInt(b))
-        return foldIntBinary(m, op, in->type(), ca->value(), cb->value());
-    }
-    if (auto* ca = asFP(a)) {
-      if (auto* cb = asFP(b))
-        return foldFPBinary(m, op, in->type(), ca->value(), cb->value());
+    if (constBits(a, x) && constBits(b, y)) {
+      std::uint64_t r;
+      if (!ir::evalBinary(op, x, y, ir::isNarrow(in->type()), r))
+        return nullptr; // keep the trapping instruction
+      return constOfBits(m, in->type(), r);
     }
     // Integer identities (exact; FP identities are skipped on purpose:
     // x+0.0 and x*1.0 are not identities under signed zero / NaN).
@@ -129,45 +77,15 @@ Value* simplify(Module* m, Instruction* in) {
   }
 
   if (in->isCast()) {
-    Value* v = in->operand(0);
-    if (auto* ci = asInt(v)) {
-      switch (op) {
-      case Opcode::Sext:
-      case Opcode::Zext:
-      case Opcode::Trunc:
-        return m->constInt(in->type(), truncToWidth(ci->value(), in->type()));
-      case Opcode::SIToFP:
-        return m->constFP(in->type(),
-                          in->type() == Type::f32()
-                              ? static_cast<float>(ci->value())
-                              : static_cast<double>(ci->value()));
-      default:
-        return nullptr;
-      }
-    }
-    if (auto* cf = asFP(v)) {
-      switch (op) {
-      case Opcode::FPToSI:
-        return m->constInt(in->type(),
-                           truncToWidth(static_cast<std::int64_t>(cf->value()),
-                                        in->type()));
-      case Opcode::FPExt:
-        return m->constFP(in->type(), cf->value());
-      case Opcode::FPTrunc:
-        return m->constFP(in->type(), static_cast<float>(cf->value()));
-      default:
-        return nullptr;
-      }
-    }
-    return nullptr;
+    if (!constBits(in->operand(0), x)) return nullptr;
+    return constOfBits(m, in->type(),
+                       ir::evalCast(op, x, ir::isNarrow(in->type())));
   }
 
-  if (op == Opcode::ICmp) {
-    auto* ca = asInt(in->operand(0));
-    auto* cb = asInt(in->operand(1));
-    if (ca && cb)
-      return m->constBool(cmpHoldsInt(in->pred(), ca->value(), cb->value()));
-    if (in->operand(0) == in->operand(1)) {
+  if (op == Opcode::ICmp || op == Opcode::FCmp) {
+    if (constBits(in->operand(0), x) && constBits(in->operand(1), y))
+      return m->constBool(ir::evalCompare(op, in->pred(), x, y));
+    if (op == Opcode::ICmp && in->operand(0) == in->operand(1)) {
       // x pred x is decidable for integers.
       switch (in->pred()) {
       case ir::CmpPred::EQ:
@@ -180,42 +98,22 @@ Value* simplify(Module* m, Instruction* in) {
     }
     return nullptr;
   }
-  if (op == Opcode::FCmp) {
-    auto* ca = asFP(in->operand(0));
-    auto* cb = asFP(in->operand(1));
-    if (ca && cb)
-      return m->constBool(cmpHolds(in->pred(), ca->value(), cb->value()));
-    return nullptr;
-  }
+
   if (op == Opcode::Select) {
     if (auto* c = asInt(in->operand(0)))
       return c->value() ? in->operand(1) : in->operand(2);
     if (in->operand(1) == in->operand(2)) return in->operand(1);
     return nullptr;
   }
+
   if (op == Opcode::Call && in->callee() && in->callee()->isIntrinsic()) {
     // Fold intrinsics on constant arguments.
-    std::vector<double> args;
-    for (unsigned i = 0; i < in->numOperands(); ++i) {
-      auto* c = asFP(in->operand(i));
-      if (!c) return nullptr;
-      args.push_back(c->value());
-    }
-    const std::string& n = in->callee()->name();
-    double r;
-    if (n == "sqrt") r = std::sqrt(args[0]);
-    else if (n == "fabs") r = std::fabs(args[0]);
-    else if (n == "sin") r = std::sin(args[0]);
-    else if (n == "cos") r = std::cos(args[0]);
-    else if (n == "exp") r = std::exp(args[0]);
-    else if (n == "log") r = std::log(args[0]);
-    else if (n == "floor") r = std::floor(args[0]);
-    else if (n == "ceil") r = std::ceil(args[0]);
-    else if (n == "fmin") r = std::fmin(args[0], args[1]);
-    else if (n == "fmax") r = std::fmax(args[0], args[1]);
-    else if (n == "pow") r = std::pow(args[0], args[1]);
-    else return nullptr;
-    return m->constFP(in->type(), r);
+    if (!constBits(in->operand(0), x) ||
+        (in->numOperands() > 1 && !constBits(in->operand(1), y)))
+      return nullptr;
+    return m->constFP(in->type(),
+                      ir::evalMathFn(ir::mathFnByName(in->callee()->name()),
+                                     ir::fpOfBits(x), ir::fpOfBits(y)));
   }
   return nullptr;
 }

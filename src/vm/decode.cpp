@@ -124,6 +124,8 @@ DecodedImage decodeImage(const Image& image) {
         case MOp::Sext32: d.kind = DKind::Sext32; break;
         case MOp::IAluMem:
           d.kind = DKind::IAluMem;
+          d.sub = static_cast<std::uint8_t>(
+              backend::aluOpcode(static_cast<MOp>(in.sub)));
           decodeMem(in, lm, d);
           break;
         case MOp::FAdd: d.kind = DKind::FAdd; break;
@@ -132,6 +134,8 @@ DecodedImage decodeImage(const Image& image) {
         case MOp::FDiv: d.kind = DKind::FDiv; break;
         case MOp::FAluMem:
           d.kind = DKind::FAluMem;
+          d.sub = static_cast<std::uint8_t>(
+              backend::aluOpcode(static_cast<MOp>(in.sub)));
           decodeMem(in, lm, d);
           break;
         case MOp::CvtSiToF: d.kind = DKind::CvtSiToF; break;

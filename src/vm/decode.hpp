@@ -80,7 +80,7 @@ struct CallRef {
 /// fimm, Call retPC + call; branches use target).
 struct DInst {
   DKind kind = DKind::Mov;
-  std::uint8_t sub = 0;   // CmpPred / fused-ALU MOp / MathFn
+  std::uint8_t sub = 0;   // CmpPred / fused-ALU ir::Opcode / ir::MathFn
   /// 32-bit wrap amount: 0 (full width) or 32. A narrow result r becomes
   /// (int64)(r << sext) >> sext — branch-free sign-extension of the low
   /// half. Also doubles as the narrow flag for div/rem, FP rounding and

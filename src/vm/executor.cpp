@@ -4,8 +4,8 @@
 #include <cstring>
 #include <string_view>
 
+#include "ir/scalar.hpp"
 #include "support/error.hpp"
-#include "vm/exec_common.hpp"
 
 namespace care::vm {
 
@@ -32,6 +32,17 @@ const char* trapKindName(TrapKind k) {
 namespace {
 
 std::atomic<InterpKind> gDefaultInterp{InterpKind::Fast};
+
+/// Effective address of a memory operand: disp + global + base + index*scale.
+std::uint64_t effectiveAddr(const backend::MemRef& m, const std::uint64_t* g,
+                            const LoadedModule& lm) {
+  std::uint64_t a = static_cast<std::uint64_t>(m.disp);
+  if (m.globalIdx >= 0)
+    a += lm.globalAddr[static_cast<std::size_t>(m.globalIdx)];
+  if (m.base != kNoReg) a += g[m.base];
+  if (m.index != kNoReg) a += g[m.index] * m.scale;
+  return a;
+}
 
 } // namespace
 
@@ -199,7 +210,7 @@ RunResult Executor::endRun(RunStatus status, const Trap& trap) const {
 // The original big-switch loop, kept verbatim in structure as the executable
 // specification of the VM's semantics: the fast decoded dispatcher
 // (executor_fast.cpp) must match it bit for bit, which the differential
-// tests assert. Scalar semantics live in exec_common.hpp, shared by both.
+// tests assert. Scalar semantics come from ir/scalar.hpp.
 RunResult Executor::runReference() {
   auto* g = st_.g;
   auto* f = st_.f;
@@ -268,7 +279,8 @@ RunResult Executor::runReference() {
       const std::uint64_t b =
           in.src2 != kNoReg ? g[in.src2] : static_cast<std::uint64_t>(in.imm);
       std::uint64_t out;
-      if (intAluOp(in.op, g[in.src1], b, in.narrow, out)) {
+      if (ir::evalIntBinary(backend::aluOpcode(in.op), g[in.src1], b,
+                            in.narrow, out)) {
         g[in.dst] = out;
       } else {
         trapKind = TrapKind::Fpe;
@@ -277,14 +289,15 @@ RunResult Executor::runReference() {
       }
       break;
     }
-    case MOp::Sext32: g[in.dst] = norm32(g[in.src1]); break;
+    case MOp::Sext32: g[in.dst] = ir::norm32(g[in.src1]); break;
     case MOp::IAluMem: {
       const std::uint64_t a = effectiveAddr(in.mem, g, lm);
       std::uint64_t v;
       const MemStatus s = mem_.load(a, in.mem.type, v);
       if (s != MemStatus::Ok) { memTrap(s, a); break; }
       std::uint64_t out;
-      if (intAluOp(static_cast<MOp>(in.sub), g[in.src1], v, in.narrow, out)) {
+      if (ir::evalIntBinary(backend::aluOpcode(static_cast<MOp>(in.sub)),
+                            g[in.src1], v, in.narrow, out)) {
         g[in.dst] = out;
       } else {
         trapKind = TrapKind::Fpe;
@@ -294,54 +307,47 @@ RunResult Executor::runReference() {
       break;
     }
     case MOp::FAdd: case MOp::FSub: case MOp::FMul: case MOp::FDiv:
-      f[in.dst] = fpAluOp(in.op, f[in.src1], f[in.src2], in.narrow);
+      f[in.dst] = ir::evalFPBinary(backend::aluOpcode(in.op), f[in.src1],
+                                   f[in.src2], in.narrow);
       break;
     case MOp::FAluMem: {
       const std::uint64_t a = effectiveAddr(in.mem, g, lm);
       double v;
       const MemStatus s = mem_.loadF(a, in.mem.type, v);
       if (s != MemStatus::Ok) { memTrap(s, a); break; }
-      f[in.dst] = fpAluOp(static_cast<MOp>(in.sub), f[in.src1], v, in.narrow);
+      f[in.dst] = ir::evalFPBinary(backend::aluOpcode(static_cast<MOp>(in.sub)),
+                                   f[in.src1], v, in.narrow);
       break;
     }
-    case MOp::CvtSiToF: {
-      double r = static_cast<double>(static_cast<std::int64_t>(g[in.src1]));
-      if (in.narrow) r = static_cast<double>(static_cast<float>(r));
-      f[in.dst] = r;
-      break;
-    }
-    case MOp::CvtFToSi: {
-      const std::int64_t r = static_cast<std::int64_t>(f[in.src1]);
-      g[in.dst] = in.narrow ? norm32(static_cast<std::uint64_t>(r))
-                            : static_cast<std::uint64_t>(r);
-      break;
-    }
+    case MOp::CvtSiToF: f[in.dst] = ir::siToFp(g[in.src1], in.narrow); break;
+    case MOp::CvtFToSi: g[in.dst] = ir::fpToSi(f[in.src1], in.narrow); break;
     case MOp::CvtF32F64: f[in.dst] = f[in.src1]; break;
-    case MOp::CvtF64F32:
-      f[in.dst] = static_cast<double>(static_cast<float>(f[in.src1]));
-      break;
+    case MOp::CvtF64F32: f[in.dst] = ir::roundF32(f[in.src1]); break;
     case MOp::SetCmp:
-      g[in.dst] = intCmp(static_cast<CmpPred>(in.sub),
-                         static_cast<std::int64_t>(g[in.src1]),
-                         in.src2 != kNoReg
-                             ? static_cast<std::int64_t>(g[in.src2])
-                             : in.imm)
+      g[in.dst] = ir::cmpHolds(static_cast<CmpPred>(in.sub),
+                               static_cast<std::int64_t>(g[in.src1]),
+                               in.src2 != kNoReg
+                                   ? static_cast<std::int64_t>(g[in.src2])
+                                   : in.imm)
                       ? 1
                       : 0;
       break;
     case MOp::FSetCmp:
       g[in.dst] =
-          fpCmp(static_cast<CmpPred>(in.sub), f[in.src1], f[in.src2]) ? 1 : 0;
+          ir::cmpHolds(static_cast<CmpPred>(in.sub), f[in.src1], f[in.src2])
+              ? 1
+              : 0;
       break;
     case MOp::BrCmp:
-      if (intCmp(static_cast<CmpPred>(in.sub),
-                 static_cast<std::int64_t>(g[in.src1]),
-                 in.src2 != kNoReg ? static_cast<std::int64_t>(g[in.src2])
-                                   : in.imm))
+      if (ir::cmpHolds(static_cast<CmpPred>(in.sub),
+                       static_cast<std::int64_t>(g[in.src1]),
+                       in.src2 != kNoReg
+                           ? static_cast<std::int64_t>(g[in.src2])
+                           : in.imm))
         nextInstr = in.target;
       break;
     case MOp::FBrCmp:
-      if (fpCmp(static_cast<CmpPred>(in.sub), f[in.src1], f[in.src2]))
+      if (ir::cmpHolds(static_cast<CmpPred>(in.sub), f[in.src1], f[in.src2]))
         nextInstr = in.target;
       break;
     case MOp::Jmp: nextInstr = in.target; break;
@@ -375,9 +381,8 @@ RunResult Executor::runReference() {
       break;
     }
     case MOp::MathCall:
-      f[in.dst] = backend::evalMathFn(
-          static_cast<backend::MathFn>(in.sub), f[in.src1],
-          in.src2 != kNoReg ? f[in.src2] : 0.0);
+      f[in.dst] = ir::evalMathFn(static_cast<ir::MathFn>(in.sub), f[in.src1],
+                                 in.src2 != kNoReg ? f[in.src2] : 0.0);
       break;
     case MOp::Emit: {
       std::uint64_t bits;

@@ -41,15 +41,16 @@
 //    is observable.
 #include <cstring>
 
+#include "ir/scalar.hpp"
 #include "support/error.hpp"
 #include "vm/decode.hpp"
-#include "vm/exec_common.hpp"
 #include "vm/executor.hpp"
 
 namespace care::vm {
 
 using backend::MOp;
 using backend::MType;
+using ir::norm32;
 
 RunResult Executor::runFast() {
   // Pick the loop variant by the instrumentation in effect; re-pick when
@@ -422,7 +423,7 @@ L_Lea:
 #define IDIVREM(label, op, rhs)                                             \
   label: {                                                                  \
     std::uint64_t out;                                                      \
-    if (!intAluOp(op, g[d->src1], (rhs), d->sext != 0, out)) {              \
+    if (!ir::evalIntBinary(op, g[d->src1], (rhs), d->sext != 0, out)) {     \
       trapKind = TrapKind::Fpe;                                             \
       trapAddr = 0;                                                         \
       goto trapped;                                                         \
@@ -431,10 +432,10 @@ L_Lea:
     NEXT();                                                                 \
   }
 
-  IDIVREM(L_IDivRR, MOp::IDiv, g[d->src2])
-  IDIVREM(L_IDivRI, MOp::IDiv, static_cast<std::uint64_t>(d->imm))
-  IDIVREM(L_IRemRR, MOp::IRem, g[d->src2])
-  IDIVREM(L_IRemRI, MOp::IRem, static_cast<std::uint64_t>(d->imm))
+  IDIVREM(L_IDivRR, ir::Opcode::SDiv, g[d->src2])
+  IDIVREM(L_IDivRI, ir::Opcode::SDiv, static_cast<std::uint64_t>(d->imm))
+  IDIVREM(L_IRemRR, ir::Opcode::SRem, g[d->src2])
+  IDIVREM(L_IRemRI, ir::Opcode::SRem, static_cast<std::uint64_t>(d->imm))
 
   IALU64(L_IAndRR, g[d->src1] & g[d->src2])
   IALU64(L_IAndRI, g[d->src1] & static_cast<std::uint64_t>(d->imm))
@@ -500,7 +501,8 @@ L_IAluMem: {
     std::memcpy(&v, p + (a & kPageMask), 8);
   }
   std::uint64_t out;
-  if (!intAluOp(static_cast<MOp>(d->sub), g[d->src1], v, d->sext != 0, out)) {
+  if (!ir::evalIntBinary(static_cast<ir::Opcode>(d->sub), g[d->src1], v,
+                         d->sext != 0, out)) {
     trapKind = TrapKind::Fpe;
     trapAddr = 0;
     goto trapped;
@@ -540,7 +542,8 @@ L_FAluMem: {
     std::memcpy(&w, p + (a & kPageMask), 4);
     v = static_cast<double>(w);
   }
-  f[d->dst] = fpAluOp(static_cast<MOp>(d->sub), f[d->src1], v, d->sext != 0);
+  f[d->dst] = ir::evalFPBinary(static_cast<ir::Opcode>(d->sub), f[d->src1], v,
+                               d->sext != 0);
   NEXT();
 }
 
@@ -551,12 +554,9 @@ L_CvtSiToF: {
   f[d->dst] = r;
   NEXT();
 }
-L_CvtFToSi: {
-  const std::int64_t r = static_cast<std::int64_t>(f[d->src1]);
-  g[d->dst] = d->sext ? norm32(static_cast<std::uint64_t>(r))
-                      : static_cast<std::uint64_t>(r);
+L_CvtFToSi:
+  g[d->dst] = ir::fpToSi(f[d->src1], d->sext != 0);
   NEXT();
-}
 L_CvtF32F64:
   f[d->dst] = f[d->src1];
   NEXT();
@@ -687,10 +687,8 @@ L_Ret: {
   DISPATCH();
 }
 L_MathCall:
-  f[d->dst] = backend::evalMathFn(static_cast<backend::MathFn>(d->sub),
-                                  f[d->src1],
-                                  d->src2 != backend::kNoReg ? f[d->src2]
-                                                             : 0.0);
+  f[d->dst] = ir::evalMathFn(static_cast<ir::MathFn>(d->sub), f[d->src1],
+                             d->src2 != backend::kNoReg ? f[d->src2] : 0.0);
   NEXT();
 
   // --- runtime services -------------------------------------------------------

@@ -18,7 +18,7 @@
 #include <functional>
 #include <type_traits>
 
-#include "vm/exec_common.hpp"
+#include "ir/scalar.hpp"
 #include "vm/executor.hpp"
 #include "vm/loader.hpp"
 #include "vm/memory.hpp"
@@ -83,7 +83,7 @@ void careJitEmit(JitContext* ctx, std::uint64_t bits) {
 }
 
 double careJitMath(int fn, double a, double b) {
-  return backend::evalMathFn(static_cast<backend::MathFn>(fn), a, b);
+  return ir::evalMathFn(static_cast<ir::MathFn>(fn), a, b);
 }
 
 } // extern "C"
@@ -376,17 +376,15 @@ bool hasTarget(DKind k) {
 // Ops the templates do not cover: the driver single-steps these in the
 // interpreter (ColdOp exit). All are rare fused forms.
 bool isColdInst(const DInst& d) {
-  const MOp op = static_cast<MOp>(d.sub);
+  using ir::Opcode;
+  const Opcode op = static_cast<Opcode>(d.sub);
   if (d.kind == DKind::IAluMem) {
     if (d.memType != MType::I32 && d.memType != MType::I64) return true;
-    return !(op == MOp::IAdd || op == MOp::ISub || op == MOp::IMul ||
-             op == MOp::IAnd || op == MOp::IOr || op == MOp::IXor);
+    return !(op == Opcode::Add || op == Opcode::Sub || op == Opcode::Mul ||
+             op == Opcode::And || op == Opcode::Or || op == Opcode::Xor);
   }
-  if (d.kind == DKind::FAluMem) {
-    if (d.memType != MType::F32 && d.memType != MType::F64) return true;
-    return !(op == MOp::FAdd || op == MOp::FSub || op == MOp::FMul ||
-             op == MOp::FDiv);
-  }
+  if (d.kind == DKind::FAluMem)
+    return d.memType != MType::F32 && d.memType != MType::F64;
   return false;
 }
 
@@ -986,13 +984,13 @@ void FnCompiler::emitAluMem(std::int32_t j, const DInst& d) {
   else movRSib(a_, RCX, RDX, RAX, 0);
   a_.movRM(RAX, kG, 8 * d.src1);
   const bool w = d.sext == 0;
-  switch (static_cast<MOp>(d.sub)) {
-  case MOp::IAdd: a_.addRR(RAX, RCX, w); break;
-  case MOp::ISub: a_.subRR(RAX, RCX, w); break;
-  case MOp::IMul: a_.imulRR(RAX, RCX, w); break;
-  case MOp::IAnd: a_.andRR(RAX, RCX, w); break;
-  case MOp::IOr: a_.orRR(RAX, RCX, w); break;
-  case MOp::IXor: a_.xorRR(RAX, RCX, w); break;
+  switch (static_cast<ir::Opcode>(d.sub)) {
+  case ir::Opcode::Add: a_.addRR(RAX, RCX, w); break;
+  case ir::Opcode::Sub: a_.subRR(RAX, RCX, w); break;
+  case ir::Opcode::Mul: a_.imulRR(RAX, RCX, w); break;
+  case ir::Opcode::And: a_.andRR(RAX, RCX, w); break;
+  case ir::Opcode::Or: a_.orRR(RAX, RCX, w); break;
+  case ir::Opcode::Xor: a_.xorRR(RAX, RCX, w); break;
   default: break; // unreachable: isColdInst routed everything else away
   }
   if (!w) a_.movsxdRR(RAX, RAX);
@@ -1013,9 +1011,7 @@ void FnCompiler::emitFAluMem(std::int32_t j, const DInst& d) {
     a_.sseSib(0xF2, 0x10, 1, RDX, RAX);
   }
   a_.movsdXM(0, kF, 8 * d.src1);
-  a_.fopXX(kFOp[static_cast<int>(static_cast<MOp>(d.sub)) -
-                static_cast<int>(MOp::FAdd)],
-           0, 1);
+  a_.fopXX(kFOp[d.sub - static_cast<int>(ir::Opcode::FAdd)], 0, 1);
   if (d.sext) emitNarrowRound();
   a_.movsdMX(kF, 8 * d.dst, 0);
 }

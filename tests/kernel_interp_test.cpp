@@ -49,6 +49,29 @@ TEST(KernelInterp, RecomputesAddressArithmetic) {
       runRecoveryKernel(*k, {0x10000, 3, 5}, mem);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.value, 0x10000 + ((3 + 1) * 8 + 5) * 8u);
+
+  // i64 arithmetic computes what the machine computes: a product wraps,
+  // and a division that would trap fails the kernel, not the host.
+  Function* mulK = m.addFunction("mul", Type::i64(), {Type::i64(), Type::i64()});
+  b.setInsertPoint(mulK->addBlock("entry"));
+  b.ret(b.mul(mulK->arg(0), mulK->arg(1)));
+  Function* divK = m.addFunction("div", Type::i64(), {Type::i64(), Type::i64()});
+  b.setInsertPoint(divK->addBlock("entry"));
+  b.ret(b.sdiv(divK->arg(0), divK->arg(1)));
+  verifyOrDie(m);
+  const RawValue kMin = static_cast<RawValue>(INT64_MIN);
+  const RawValue kMinusOne = static_cast<RawValue>(-1);
+  const KernelResult wrapped =
+      runRecoveryKernel(*mulK, {static_cast<RawValue>(INT64_MAX), 2}, mem);
+  ASSERT_TRUE(wrapped.ok) << wrapped.error;
+  EXPECT_EQ(wrapped.value, static_cast<RawValue>(-2));
+  const KernelResult overflow =
+      runRecoveryKernel(*divK, {kMin, kMinusOne}, mem);
+  EXPECT_FALSE(overflow.ok);
+  EXPECT_STREQ(overflow.error, "kernel division overflow");
+  const KernelResult byZero = runRecoveryKernel(*divK, {kMin, 0}, mem);
+  EXPECT_FALSE(byZero.ok);
+  EXPECT_STREQ(byZero.error, "kernel divide by zero");
 }
 
 TEST(KernelInterp, ReadsProcessMemory) {

@@ -1,5 +1,6 @@
 // MiniC conformance corpus: each program runs at O0 and O1 and must
-// produce the expected exit code (and identical emits at both levels).
+// produce the expected exit code, or the expected SIGFPE trap (and
+// identical emits at both levels).
 #include <gtest/gtest.h>
 
 #include "testutil.hpp"
@@ -11,6 +12,7 @@ struct Prog {
   const char* name;
   const char* src;
   std::int64_t exitCode;
+  bool trapsFpe = false; // ends in SIGFPE instead of exiting
 };
 
 class MiniCCorpus : public ::testing::TestWithParam<Prog> {};
@@ -19,10 +21,15 @@ TEST_P(MiniCCorpus, RunsCorrectlyAtBothLevels) {
   const Prog& p = GetParam();
   RunOutput o0 = compileAndRun(p.src, opt::OptLevel::O0);
   RunOutput o1 = compileAndRun(p.src, opt::OptLevel::O1);
-  ASSERT_EQ(o0.result.status, vm::RunStatus::Done) << p.name;
-  ASSERT_EQ(o1.result.status, vm::RunStatus::Done) << p.name;
-  EXPECT_EQ(o0.result.exitCode, p.exitCode) << p.name;
-  EXPECT_EQ(o1.result.exitCode, p.exitCode) << p.name;
+  for (const RunOutput* o : {&o0, &o1}) {
+    if (p.trapsFpe) {
+      ASSERT_EQ(o->result.status, vm::RunStatus::Trapped) << p.name;
+      EXPECT_EQ(o->result.trap.kind, vm::TrapKind::Fpe) << p.name;
+    } else {
+      ASSERT_EQ(o->result.status, vm::RunStatus::Done) << p.name;
+      EXPECT_EQ(o->result.exitCode, p.exitCode) << p.name;
+    }
+  }
   EXPECT_EQ(o0.output, o1.output) << p.name;
 }
 
@@ -197,7 +204,12 @@ INSTANTIATE_TEST_SUITE_P(
             int big = 2147483647;
             int wrapped = big + 1;      // INT32_MIN by wrap
             return wrapped < 0 ? 1 : 0;
-          })", 1}),
+          })", 1},
+        Prog{"int32MinByMinusOneTraps", R"(
+          int main() {
+            int a = -2147483647 - 1;
+            return a / (0 - 1);         // SIGFPE, also once folded
+          })", 0, true}),
     [](const auto& info) { return info.param.name; });
 
 } // namespace

@@ -88,6 +88,22 @@ TEST(ConstFold, KeepsTrappingDivByZero) {
   Function* f = m.findFunction("main");
   opt::constFold(*f);
   EXPECT_EQ(countOpcode(*f, Opcode::SDiv), 1); // must still trap at runtime
+
+  // MIN / -1 traps too, at either width, and the folder computes what the
+  // VM computes: an i32 shift count is masked to 5 bits, so 1 << 33 is 2.
+  Function* g = m.addFunction("g", Type::i32(), {});
+  IRBuilder b(&m);
+  b.setInsertPoint(g->addBlock("entry"));
+  b.sdiv(m.constI32(INT32_MIN), m.constI32(-1));
+  b.sdiv(m.constI64(INT64_MIN), m.constI64(-1));
+  b.ret(b.binary(Opcode::Shl, m.constI32(1), m.constI32(33)));
+  verifyOrDie(m);
+  opt::constFold(*g);
+  EXPECT_EQ(countOpcode(*g, Opcode::SDiv), 2);
+  const auto* shl =
+      dynamic_cast<const ConstantInt*>(g->entry()->terminator()->operand(0));
+  ASSERT_NE(shl, nullptr);
+  EXPECT_EQ(shl->value(), 2);
 }
 
 TEST(ConstFold, IntegerIdentities) {

@@ -1,5 +1,5 @@
-// Sentinel detector subsystem tests: option parsing, IR round-trips of
-// instrumented modules, golden-run noninterference, detection outcomes in
+// Sentinel detector subsystem tests: option parsing, serialization
+// round-trips of instrumented modules, golden-run noninterference, detection outcomes in
 // injection campaigns, and the byte-stability guarantees of the campaign
 // cache with detectors off (pre-PR golden digests) and on (cache
 // round-trip).
@@ -11,8 +11,8 @@
 #include "care/driver.hpp"
 #include "inject/experiment.hpp"
 #include "ir/names.hpp"
-#include "ir/parse.hpp"
 #include "ir/printer.hpp"
+#include "ir/serialize.hpp"
 #include "sentinel/sentinel.hpp"
 #include "support/md5.hpp"
 #include "testutil.hpp"
@@ -54,7 +54,7 @@ std::unique_ptr<ir::Module> buildWorkloadIR(const Workload& w,
   ir::verifyOrDie(*m);
   opt::optimize(*m, level);
   // Armor re-uniquifies after the optimizer (mem2reg mints fresh .phi
-  // names); mirror that here since the textual parser needs unique names.
+  // names); mirror that here so the modules are the ones Armor sees.
   ir::uniquifyNames(*m);
   ir::verifyOrDie(*m);
   return m;
@@ -66,7 +66,7 @@ sentinel::DetectOptions bothDetectors() {
   return d;
 }
 
-TEST(Sentinel, InstrumentedModulesRoundTripThroughText) {
+TEST(Sentinel, InstrumentedModulesRoundTripThroughSerialization) {
   for (const Workload* w : workloads::allWorkloads()) {
     for (opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
       auto m = buildWorkloadIR(*w, level);
@@ -78,11 +78,14 @@ TEST(Sentinel, InstrumentedModulesRoundTripThroughText) {
       EXPECT_GT(stats.signatureChecks(), 0u) << w->name;
       EXPECT_GT(stats.shadowChains(), 0u) << w->name;
 
-      const std::string once = ir::toString(m.get());
-      auto reparsed = ir::parseModule(once);
-      ir::verifyOrDie(*reparsed);
-      EXPECT_EQ(once, ir::toString(reparsed.get()))
-          << w->name << " instrumented IR is not a print->parse fixed point";
+      // The binary format is the one Safeguard loads kernels from.
+      ByteWriter buf;
+      ir::writeModule(*m, buf);
+      ByteReader r{std::vector<std::uint8_t>(buf.data())};
+      auto reread = ir::readModule(r);
+      ir::verifyOrDie(*reread);
+      EXPECT_EQ(ir::toString(m.get()), ir::toString(reread.get()))
+          << w->name << " instrumented IR does not survive serialization";
     }
   }
 }
@@ -190,6 +193,7 @@ TEST(Sentinel, DetectorCampaignCacheRoundTrips) {
   const std::string dir = "care_test_artifacts/sentinel_cache";
   std::filesystem::remove_all(dir);
   auto cfg = campaignConfig(dir, opt::OptLevel::O0);
+  cfg.resultStore = dir + "/store"; // not a leg's shared store
   cfg.armor.detect = bothDetectors();
   const auto fresh = runExperiment(workloads::gtcp(), cfg);
   inject::CampaignTelemetry tel;
