@@ -15,10 +15,8 @@
 namespace care::core {
 
 using analysis::Liveness;
-using ir::Argument;
 using ir::BasicBlock;
 using ir::Function;
-using ir::GlobalVariable;
 using ir::Instruction;
 using ir::Module;
 using ir::Opcode;
@@ -68,6 +66,22 @@ private:
   // Kernel construction
   // ------------------------------------------------------------------
 
+  /// A value from outside a cloned body, in the kernel module: constants
+  /// are re-created there, callees cloned, and everything else comes from
+  /// `args` (the kernel's parameters, or a cloned callee's arguments).
+  Value* kernelValue(const Value* v,
+                     const std::map<const Value*, Value*>& args) {
+    if (const auto* ci = dynamic_cast<const ir::ConstantInt*>(v))
+      return kernels_->constInt(ci->type(), ci->value());
+    if (const auto* cf = dynamic_cast<const ir::ConstantFP*>(v))
+      return kernels_->constFP(cf->type(), cf->value());
+    if (const auto* f = dynamic_cast<const Function*>(v)) return cloneCallee(f);
+    auto it = args.find(v);
+    CARE_ASSERT(it != args.end(),
+                "kernel clone: unmapped value (global in a simple callee?)");
+    return it->second;
+  }
+
   /// Clone a "simple" callee (and transitively its simple callees) into the
   /// kernel module so kernels can call it (the paper links kernel libraries
   /// against the objects providing such helpers).
@@ -86,58 +100,13 @@ private:
         kernels_->addFunction(f->name(), f->returnType(), std::move(params));
     nf->setSimpleCall(true);
     clonedFns_[f] = nf;
-    for (unsigned i = 0; i < f->numArgs(); ++i)
+    std::map<const Value*, Value*> args;
+    for (unsigned i = 0; i < f->numArgs(); ++i) {
       nf->setArgName(i, f->arg(i)->name());
-
-    // Full structural clone.
-    std::map<const Value*, Value*> vmap;
-    for (unsigned i = 0; i < f->numArgs(); ++i) vmap[f->arg(i)] = nf->arg(i);
-    std::map<const BasicBlock*, BasicBlock*> bmap;
-    for (const BasicBlock* bb : *f) bmap[bb] = nf->addBlock(bb->name());
-    auto mapValue = [&](const Value* v) -> Value* {
-      if (const auto* ci = dynamic_cast<const ir::ConstantInt*>(v))
-        return kernels_->constInt(ci->type(), ci->value());
-      if (const auto* cf = dynamic_cast<const ir::ConstantFP*>(v))
-        return kernels_->constFP(cf->type(), cf->value());
-      auto mit = vmap.find(v);
-      CARE_ASSERT(mit != vmap.end(),
-                  "simple-callee clone: unmapped value (global in callee?)");
-      return mit->second;
-    };
-    // Two passes so phis can reference forward values.
-    for (const BasicBlock* bb : *f) {
-      for (const Instruction* in : *bb) {
-        auto ni = std::make_unique<Instruction>(in->opcode(), in->type(),
-                                                in->name());
-        ni->setDebugLoc(in->debugLoc());
-        if (in->opcode() == Opcode::Alloca)
-          ni->setAllocaInfo(in->allocaElemType(), in->allocaCount());
-        if (in->opcode() == Opcode::ICmp || in->opcode() == Opcode::FCmp)
-          ni->setPred(in->pred());
-        if (in->opcode() == Opcode::Call)
-          ni->setCallee(cloneCallee(in->callee()));
-        vmap[in] = bmap[bb]->append(std::move(ni));
-      }
+      args[f->arg(i)] = nf->arg(i);
     }
-    for (const BasicBlock* bb : *f) {
-      for (const Instruction* in : *bb) {
-        auto* ni = static_cast<Instruction*>(vmap[in]);
-        if (in->opcode() == Opcode::Phi) {
-          for (unsigned i = 0; i < in->numPhiIncoming(); ++i)
-            ni->addPhiIncoming(mapValue(in->operand(i)),
-                               bmap[in->phiBlock(i)]);
-        } else {
-          for (unsigned i = 0; i < in->numOperands(); ++i)
-            ni->addOperand(mapValue(in->operand(i)));
-        }
-        if (in->numSuccs() > 0) {
-          std::vector<BasicBlock*> succs;
-          for (unsigned i = 0; i < in->numSuccs(); ++i)
-            succs.push_back(bmap[in->succ(i)]);
-          ni->setSuccs(std::move(succs));
-        }
-      }
-    }
+    ir::cloneBody(*f, *nf, "",
+                  [&](const Value* v) { return kernelValue(v, args); });
     return nf;
   }
 
@@ -147,39 +116,24 @@ private:
     for (const Value* p : slice.params) paramTypes.push_back(p->type());
     Function* kf = kernels_->addFunction(
         symbol, memInst->pointerOperand()->type(), std::move(paramTypes));
-    BasicBlock* bb = kf->addBlock("entry");
     ir::IRBuilder b(kernels_.get());
-    b.setInsertPoint(bb);
+    b.setInsertPoint(kf->addBlock("entry"));
 
+    // Parameters map to the kernel's arguments, statements to their clones.
     std::map<const Value*, Value*> vmap;
     for (unsigned i = 0; i < slice.params.size(); ++i) {
       kf->setArgName(i, slice.params[i]->name());
       vmap[slice.params[i]] = kf->arg(i);
     }
-    auto mapValue = [&](const Value* v) -> Value* {
-      if (const auto* ci = dynamic_cast<const ir::ConstantInt*>(v))
-        return kernels_->constInt(ci->type(), ci->value());
-      if (const auto* cf = dynamic_cast<const ir::ConstantFP*>(v))
-        return kernels_->constFP(cf->type(), cf->value());
-      auto it = vmap.find(v);
-      CARE_ASSERT(it != vmap.end(), "kernel clone: unmapped value");
-      return it->second;
-    };
-
     for (const Instruction* in : slice.stmts) {
-      auto ni =
-          std::make_unique<Instruction>(in->opcode(), in->type(), in->name());
-      if (in->opcode() == Opcode::ICmp || in->opcode() == Opcode::FCmp)
-        ni->setPred(in->pred());
-      if (in->opcode() == Opcode::Call)
-        ni->setCallee(cloneCallee(in->callee()));
-      Instruction* cloned = bb->append(std::move(ni));
+      Instruction* ni = b.clone(*in, in->name());
+      ni->setDebugLoc({}); // kernels carry no source locations
+      if (in->callee()) ni->setCallee(cloneCallee(in->callee()));
       for (unsigned i = 0; i < in->numOperands(); ++i)
-        cloned->addOperand(mapValue(in->operand(i)));
-      vmap[in] = cloned;
+        ni->addOperand(kernelValue(in->operand(i), vmap));
+      vmap[in] = ni;
     }
-    b.setInsertPoint(bb);
-    b.ret(mapValue(memInst->pointerOperand()));
+    b.ret(kernelValue(memInst->pointerOperand(), vmap));
 
     stats_.kernelsBuilt++;
     stats_.kernelInstrs += slice.stmts.size();
@@ -294,36 +248,21 @@ private:
 
   // ------------------------------------------------------------------
 
-  /// Structural (liveness-free) operation count of an address calc, for the
-  /// Table 5 statistics.
-  std::size_t countAddrOps(const Instruction* memInst) const {
-    std::set<const Value*> seen;
-    std::vector<const Value*> stack{memInst->pointerOperand()};
+  /// Table 5's operation count of an address calculation: the statements
+  /// of its maximal slice, loads expanded.
+  std::size_t countAddrOps(const Instruction* memInst,
+                           const Liveness& live) const {
+    analysis::SliceOptions so;
+    so.maximal = true;
     std::size_t ops = 0;
-    while (!stack.empty()) {
-      const Value* v = stack.back();
-      stack.pop_back();
-      if (!seen.insert(v).second) continue;
-      const auto* in = dynamic_cast<const Instruction*>(v);
-      if (!in) continue;
-      switch (in->opcode()) {
-      case Opcode::Alloca:
-      case Opcode::Phi:
-        continue;
-      case Opcode::Call:
-        if (!isSimpleCallInst(in)) continue;
-        break;
-      default:
-        break;
-      }
+    for (const Instruction* in :
+         analysis::extractAddressSlice(memInst, live, so).stmts) {
       if (in->isBinaryOp() || isSimpleCallInst(in)) ++ops;
       // A gep with a variable index is a scale-multiply plus a base-add at
       // machine level (the paper counts address *operations*, e.g. Fig. 2's
       // "3 or 4 additions, 1 subtraction, and 1 multiplication").
       if (in->opcode() == Opcode::Gep)
         ops += dynamic_cast<const ir::ConstantInt*>(in->operand(1)) ? 1 : 2;
-      for (unsigned i = 0; i < in->numOperands(); ++i)
-        stack.push_back(in->operand(i));
     }
     return ops;
   }
@@ -339,7 +278,7 @@ private:
 
     for (Instruction* memInst : accesses) {
       stats_.memAccesses++;
-      const std::size_t ops = countAddrOps(memInst);
+      const std::size_t ops = countAddrOps(memInst, live);
       if (ops > 1) {
         stats_.multiOpAccesses++;
         stats_.totalAddrOps += ops;

@@ -37,6 +37,8 @@ public:
   std::unique_ptr<Instruction> detach(std::size_t idx);
   /// Index of `in` within this block. Aborts if absent.
   std::size_t indexOf(const Instruction* in) const;
+  /// Index of the first instruction that is not a phi.
+  std::size_t firstNonPhi() const;
 
   /// Iteration support (over raw pointers, stable across no mutation).
   struct Iter {
@@ -58,6 +60,14 @@ public:
   std::vector<BasicBlock*> successors() const;
   /// Predecessors, computed by scanning the parent function (O(blocks)).
   std::vector<BasicBlock*> predecessors() const;
+
+  // --- CFG edits ----------------------------------------------------------
+  /// Move [idx, end) into a new block `name` appended to the function, and
+  /// repoint the phis of the moved terminator's successors to it. The caller
+  /// re-terminates this block.
+  BasicBlock* splitAt(std::size_t idx, std::string name);
+  /// Phi entries flowing in from `from` now flow in from `to`.
+  void repointPhis(BasicBlock* from, BasicBlock* to);
 
 private:
   Function* parent_;

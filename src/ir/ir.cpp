@@ -168,6 +168,12 @@ std::size_t BasicBlock::indexOf(const Instruction* in) const {
   CARE_UNREACHABLE("instruction not in block");
 }
 
+std::size_t BasicBlock::firstNonPhi() const {
+  std::size_t i = 0;
+  while (i < insts_.size() && insts_[i]->opcode() == Opcode::Phi) ++i;
+  return i;
+}
+
 std::vector<BasicBlock*> BasicBlock::successors() const {
   std::vector<BasicBlock*> out;
   if (Instruction* t = terminator())
@@ -186,6 +192,22 @@ std::vector<BasicBlock*> BasicBlock::predecessors() const {
     }
   }
   return out;
+}
+
+BasicBlock* BasicBlock::splitAt(std::size_t idx, std::string name) {
+  CARE_ASSERT(idx <= insts_.size(), "split index out of range");
+  BasicBlock* tail = parent_->addBlock(std::move(name));
+  while (insts_.size() > idx) tail->append(detach(idx));
+  for (BasicBlock* s : tail->successors()) s->repointPhis(this, tail);
+  return tail;
+}
+
+void BasicBlock::repointPhis(BasicBlock* from, BasicBlock* to) {
+  for (Instruction* phi : *this) {
+    if (phi->opcode() != Opcode::Phi) break;
+    for (unsigned i = 0; i < phi->numPhiIncoming(); ++i)
+      if (phi->phiBlock(i) == from) phi->setPhiBlock(i, to);
+  }
 }
 
 // --------------------------------------------------------------------------

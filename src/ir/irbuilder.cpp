@@ -7,10 +7,15 @@ std::string IRBuilder::autoName(const std::string& name) {
   return "t" + std::to_string(bb_->parent()->nextValueId());
 }
 
-Instruction* IRBuilder::finish(std::unique_ptr<Instruction> in) {
+Instruction* IRBuilder::place(std::unique_ptr<Instruction> in) {
   CARE_ASSERT(bb_, "no insertion point");
+  if (pos_ == kAtEnd) return bb_->append(std::move(in));
+  return bb_->insertAt(pos_++, std::move(in));
+}
+
+Instruction* IRBuilder::finish(std::unique_ptr<Instruction> in) {
   in->setDebugLoc(loc_);
-  return bb_->append(std::move(in));
+  return place(std::move(in));
 }
 
 Instruction* IRBuilder::alloca_(Type* elemType, std::uint64_t count,
@@ -97,13 +102,13 @@ Instruction* IRBuilder::cast(Opcode op, Value* v, Type* to,
 }
 
 Instruction* IRBuilder::phi(Type* type, const std::string& name) {
-  auto in = std::make_unique<Instruction>(Opcode::Phi, type, autoName(name));
-  // Phis belong at the top of the block, before any non-phi.
   CARE_ASSERT(bb_, "no insertion point");
+  auto in = std::make_unique<Instruction>(Opcode::Phi, type, autoName(name));
   in->setDebugLoc(loc_);
-  std::size_t pos = 0;
-  while (pos < bb_->size() && bb_->inst(pos)->opcode() == Opcode::Phi) ++pos;
-  return bb_->insertAt(pos, std::move(in));
+  // Phis belong at the top of the block, before any non-phi.
+  if (pos_ == kAtEnd) return bb_->insertAt(bb_->firstNonPhi(), std::move(in));
+  CARE_ASSERT(pos_ <= bb_->firstNonPhi(), "phi after a non-phi");
+  return place(std::move(in));
 }
 
 Instruction* IRBuilder::call(Function* callee,
@@ -152,6 +157,61 @@ Instruction* IRBuilder::ret(Value* v) {
   auto in = std::make_unique<Instruction>(Opcode::Ret, Type::voidTy(), "");
   if (v) in->addOperand(v);
   return finish(std::move(in));
+}
+
+Instruction* IRBuilder::clone(const Instruction& in, const std::string& name) {
+  auto ni = std::make_unique<Instruction>(in.opcode(), in.type(), name);
+  ni->setAllocaInfo(in.allocaElemType(), in.allocaCount());
+  ni->setPred(in.pred());
+  ni->setCallee(in.callee());
+  ni->setDebugLoc(in.debugLoc());
+  return place(std::move(ni));
+}
+
+std::map<const BasicBlock*, BasicBlock*> cloneBody(
+    const Function& src, Function& dst, const std::string& blockPrefix,
+    const std::function<Value*(const Value*)>& outside) {
+  std::map<const BasicBlock*, BasicBlock*> bmap;
+  for (const BasicBlock* bb : src)
+    bmap[bb] = dst.addBlock(blockPrefix + bb->name());
+  std::map<const Value*, Value*> vmap;
+  IRBuilder b(dst.parent());
+  for (const BasicBlock* bb : src) {
+    b.setInsertPoint(bmap[bb]);
+    for (const Instruction* in : *bb) {
+      Instruction* ni = b.clone(*in, in->name());
+      if (const Function* callee = in->callee()) {
+        Value* mapped = outside(callee);
+        CARE_ASSERT(mapped->kind() == ValueKind::Function,
+                    "callee mapped to a non-function");
+        ni->setCallee(static_cast<Function*>(mapped));
+      }
+      vmap[in] = ni;
+    }
+  }
+  auto map = [&](const Value* v) {
+    auto it = vmap.find(v);
+    return it != vmap.end() ? it->second : outside(v);
+  };
+  for (const BasicBlock* bb : src) {
+    for (const Instruction* in : *bb) {
+      auto* ni = static_cast<Instruction*>(vmap[in]);
+      if (in->opcode() == Opcode::Phi) {
+        for (unsigned i = 0; i < in->numPhiIncoming(); ++i)
+          ni->addPhiIncoming(map(in->operand(i)), bmap.at(in->phiBlock(i)));
+      } else {
+        for (unsigned i = 0; i < in->numOperands(); ++i)
+          ni->addOperand(map(in->operand(i)));
+      }
+      if (in->numSuccs() > 0) {
+        std::vector<BasicBlock*> succs;
+        for (unsigned i = 0; i < in->numSuccs(); ++i)
+          succs.push_back(bmap.at(in->succ(i)));
+        ni->setSuccs(std::move(succs));
+      }
+    }
+  }
+  return bmap;
 }
 
 } // namespace care::ir

@@ -6,8 +6,6 @@
 // and the fault-injection profile (frame-pointer faults are never
 // CARE-recoverable). The heuristic is deliberately simple: inline defined
 // callees below a size threshold, bottom-up, never recursive calls.
-#include <map>
-
 #include "ir/irbuilder.hpp"
 #include "opt/passes.hpp"
 
@@ -16,7 +14,6 @@ namespace care::opt {
 using ir::BasicBlock;
 using ir::Function;
 using ir::Instruction;
-using ir::Module;
 using ir::Opcode;
 using ir::Value;
 
@@ -43,125 +40,44 @@ bool callsSelf(const Function& f) {
 }
 
 /// Inline one call site. `callBB` is split after the call; the callee body
-/// is cloned between the halves with arguments substituted; returns feed a
-/// phi in the continuation block.
+/// is cloned between the halves with arguments substituted; returns become
+/// branches to the continuation block and feed a phi there.
 void inlineCall(Function& caller, BasicBlock* callBB, std::size_t callIdx) {
   Instruction* call = callBB->inst(callIdx);
   const Function* callee = call->callee();
-  Module* m = caller.parent();
+  BasicBlock* cont = callBB->splitAt(callIdx + 1, callee->name() + ".cont");
 
-  // Split: move everything after the call into a continuation block.
-  BasicBlock* cont = caller.addBlock(callee->name() + ".cont");
-  while (callBB->size() > callIdx + 1) {
-    auto moved = callBB->detach(callIdx + 1);
-    cont->append(std::move(moved));
-  }
-  // Phis in cont's successors must now name cont as the predecessor.
-  if (Instruction* t = cont->terminator()) {
-    for (unsigned s = 0; s < t->numSuccs(); ++s) {
-      for (Instruction* phi : *t->succ(s)) {
-        if (phi->opcode() != Opcode::Phi) break;
-        for (unsigned pi = 0; pi < phi->numPhiIncoming(); ++pi)
-          if (phi->phiBlock(pi) == callBB) phi->setPhiBlock(pi, cont);
-      }
-    }
-  }
+  // Constants, globals and callees are the caller module's own.
+  const auto bmap = ir::cloneBody(
+      *callee, caller, callee->name() + ".", [&](const Value* v) -> Value* {
+        if (v->kind() == ir::ValueKind::Argument)
+          return call->operand(static_cast<const ir::Argument*>(v)->index());
+        return const_cast<Value*>(v);
+      });
 
-  // Clone the callee body.
-  std::map<const Value*, Value*> vmap;
-  for (unsigned i = 0; i < callee->numArgs(); ++i)
-    vmap[callee->arg(i)] = call->operand(i);
-  std::map<const BasicBlock*, BasicBlock*> bmap;
-  for (const BasicBlock* bb : *callee)
-    bmap[bb] = caller.addBlock(callee->name() + "." + bb->name());
-
-  auto mapValue = [&](const Value* v) -> Value* {
-    if (const auto* ci = dynamic_cast<const ir::ConstantInt*>(v))
-      return m->constInt(ci->type(), ci->value());
-    if (const auto* cf = dynamic_cast<const ir::ConstantFP*>(v))
-      return m->constFP(cf->type(), cf->value());
-    if (v->kind() == ir::ValueKind::GlobalVariable)
-      return const_cast<Value*>(v);
-    auto it = vmap.find(v);
-    CARE_ASSERT(it != vmap.end(), "inline: unmapped value");
-    return it->second;
-  };
-
-  // Returns become branches to cont; return values feed a phi there.
+  ir::IRBuilder b(caller.parent());
   std::vector<std::pair<Value*, BasicBlock*>> returns;
-
   for (const BasicBlock* bb : *callee) {
-    BasicBlock* nb = bmap[bb];
-    for (const Instruction* in : *bb) {
-      if (in->opcode() == Opcode::Ret) {
-        auto br =
-            std::make_unique<Instruction>(Opcode::Br, ir::Type::voidTy(), "");
-        br->setDebugLoc(in->debugLoc());
-        br->setSuccs({cont});
-        Instruction* cloned = nb->append(std::move(br));
-        (void)cloned;
-        if (in->numOperands() == 1)
-          returns.push_back({const_cast<Value*>(
-                                 static_cast<const Value*>(in->operand(0))),
-                             nb});
-        else
-          returns.push_back({nullptr, nb});
-        continue;
-      }
-      auto ni =
-          std::make_unique<Instruction>(in->opcode(), in->type(), in->name());
-      ni->setDebugLoc(in->debugLoc());
-      if (in->opcode() == Opcode::Alloca)
-        ni->setAllocaInfo(in->allocaElemType(), in->allocaCount());
-      if (in->opcode() == Opcode::ICmp || in->opcode() == Opcode::FCmp)
-        ni->setPred(in->pred());
-      if (in->opcode() == Opcode::Call)
-        ni->setCallee(in->callee());
-      vmap[in] = nb->append(std::move(ni));
-    }
+    BasicBlock* nb = bmap.at(bb);
+    Instruction* ret = nb->terminator();
+    if (ret->opcode() != Opcode::Ret) continue;
+    returns.push_back({ret->numOperands() ? ret->operand(0) : nullptr, nb});
+    b.setDebugLoc(ret->debugLoc());
+    ret->dropOperands();
+    nb->erase(nb->size() - 1);
+    b.setInsertPoint(nb);
+    b.br(cont);
   }
-  // Second pass: operands / phi inputs / successors (forward refs exist).
-  for (const BasicBlock* bb : *callee) {
-    std::size_t cloneIdx = 0;
-    BasicBlock* nb = bmap[bb];
-    for (const Instruction* in : *bb) {
-      Instruction* ni = nb->inst(cloneIdx++);
-      if (in->opcode() == Opcode::Ret) {
-        continue; // already a br; its "return value" is patched below
-      }
-      if (in->opcode() == Opcode::Phi) {
-        for (unsigned i = 0; i < in->numPhiIncoming(); ++i)
-          ni->addPhiIncoming(mapValue(in->operand(i)),
-                             bmap[in->phiBlock(i)]);
-      } else {
-        for (unsigned i = 0; i < in->numOperands(); ++i)
-          ni->addOperand(mapValue(in->operand(i)));
-      }
-      if (in->numSuccs() > 0) {
-        std::vector<BasicBlock*> succs;
-        for (unsigned i = 0; i < in->numSuccs(); ++i)
-          succs.push_back(bmap[in->succ(i)]);
-        ni->setSuccs(std::move(succs));
-      }
-    }
-  }
-  // Map cloned return values now that vmap is complete.
-  for (auto& [v, bb] : returns)
-    if (v) v = mapValue(v);
 
-  // Wire the call site: branch into the cloned entry.
-  ir::IRBuilder b(m);
   // Replace the call's result with the merged return value.
   if (!call->type()->isVoid()) {
-    Value* result;
-    if (returns.size() == 1) {
-      result = returns[0].first;
-    } else {
-      auto phi = std::make_unique<Instruction>(Opcode::Phi, call->type(),
-                                               callee->name() + ".ret");
-      phi->setDebugLoc(call->debugLoc());
+    Value* result = returns[0].first;
+    if (returns.size() > 1) {
+      b.setInsertPoint(cont, 0);
+      b.setDebugLoc(call->debugLoc());
+      Instruction* phi = b.phi(call->type(), callee->name() + ".ret");
       for (auto& [v, bb] : returns) phi->addPhiIncoming(v, bb);
-      result = cont->insertAt(0, std::move(phi));
+      result = phi;
     }
     call->replaceAllUsesWith(result);
   }
@@ -169,7 +85,8 @@ void inlineCall(Function& caller, BasicBlock* callBB, std::size_t callIdx) {
   call->dropOperands();
   callBB->erase(callIdx);
   b.setInsertPoint(callBB);
-  b.br(bmap[callee->entry()]);
+  b.setDebugLoc({});
+  b.br(bmap.at(callee->entry()));
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "analysis/dominators.hpp"
+#include "ir/irbuilder.hpp"
 #include "opt/passes.hpp"
 
 namespace care::opt {
@@ -59,10 +60,13 @@ bool mem2reg(Function& f) {
   std::map<const Instruction*, unsigned> allocaIndex;
   for (unsigned i = 0; i < allocas.size(); ++i) allocaIndex[allocas[i]] = i;
 
-  // Phi placement at iterated dominance frontiers of defining blocks.
+  // Phi placement at iterated dominance frontiers of defining blocks. Each
+  // new phi goes to the top of its block, ahead of earlier ones.
   std::map<const Instruction*, unsigned> phiFor; // phi -> alloca index
+  ir::IRBuilder b(f.parent());
   for (unsigned ai = 0; ai < allocas.size(); ++ai) {
     Instruction* a = allocas[ai];
+    b.setDebugLoc(a->debugLoc());
     std::vector<BasicBlock*> work;
     std::set<BasicBlock*> defBlocks;
     for (const ir::Use& u : a->uses())
@@ -76,11 +80,8 @@ bool mem2reg(Function& f) {
       if (!dt.reachable(bb)) continue;
       for (BasicBlock* df : dt.frontier(bb)) {
         if (!hasPhi.insert(df).second) continue;
-        auto phi = std::make_unique<Instruction>(
-            Opcode::Phi, a->allocaElemType(), a->name() + ".phi");
-        phi->setDebugLoc(a->debugLoc());
-        Instruction* p = df->insertAt(0, std::move(phi));
-        phiFor[p] = ai;
+        b.setInsertPoint(df, 0);
+        phiFor[b.phi(a->allocaElemType(), a->name() + ".phi")] = ai;
         if (!defBlocks.count(df)) work.push_back(df);
       }
     }

@@ -151,13 +151,7 @@ bool simplifyCfg(Function& f) {
         bb->append(std::move(in));
       }
       // Successor blocks of the moved terminator may have phis naming succ.
-      for (BasicBlock* s2 : bb->successors()) {
-        for (Instruction* phi : *s2) {
-          if (phi->opcode() != Opcode::Phi) break;
-          for (unsigned j = 0; j < phi->numPhiIncoming(); ++j)
-            if (phi->phiBlock(j) == succ) phi->setPhiBlock(j, bb);
-        }
-      }
+      for (BasicBlock* s2 : bb->successors()) s2->repointPhis(succ, bb);
       f.eraseBlock(f.indexOfBlock(succ));
       changed = true;
       break; // block list mutated; restart scan

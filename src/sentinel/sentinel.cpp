@@ -62,8 +62,10 @@ public:
       names_.insert(bb->name());
       for (Instruction* in : *bb) names_.insert(in->name());
     }
+    const std::size_t before = instrCount();
     if (opts_.addr) runAddr();
     if (opts_.cfc) runCfc();
+    stats_.addedInstrs = instrCount() - before;
     return std::move(stats_);
   }
 
@@ -77,6 +79,12 @@ private:
     }
   }
 
+  std::size_t instrCount() const {
+    std::size_t n = 0;
+    for (const BasicBlock* bb : f_) n += bb->size();
+    return n;
+  }
+
   /// The function's (lazily created) detector-abort block: calls the
   /// `__sentinel_trap` runtime service, which the backend lowers to a
   /// trapping MIR op; the self-branch after it never executes and exists
@@ -88,63 +96,16 @@ private:
     b.setInsertPoint(trapBB_);
     b.call(trapFn_, {});
     b.br(trapBB_);
-    stats_.addedInstrs += 2;
     return trapBB_;
   }
 
-  /// Split `bb` before instruction index `idx`: [idx, end) moves to a fresh
-  /// block (returned). The caller must re-terminate `bb` and fix up phis of
-  /// the moved terminator's successors via retargetPhis.
-  BasicBlock* splitBefore(BasicBlock* bb, std::size_t idx, const char* base) {
-    BasicBlock* cont = f_.addBlock(freshName(base));
-    while (bb->size() > idx) cont->append(bb->detach(idx));
-    return cont;
-  }
-
-  /// After moving `term` from `oldPred` into a new block `newPred`, repoint
-  /// phi incoming-block entries in its successors.
-  void retargetPhis(Instruction* term, BasicBlock* oldPred,
-                    BasicBlock* newPred) {
-    for (unsigned s = 0; s < term->numSuccs(); ++s) {
-      for (Instruction* in : *term->succ(s)) {
-        if (in->opcode() != Opcode::Phi) break;
-        for (unsigned i = 0; i < in->numPhiIncoming(); ++i)
-          if (in->phiBlock(i) == oldPred) in->setPhiBlock(i, newPred);
-      }
-    }
-  }
-
-  std::size_t firstNonPhi(const BasicBlock* bb) const {
-    std::size_t i = 0;
-    while (i < bb->size() && bb->inst(i)->opcode() == Opcode::Phi) ++i;
-    return i;
-  }
-
-  Instruction* insertLoad(BasicBlock* bb, std::size_t& pos, Value* cell,
-                          const char* base) {
-    auto in = std::make_unique<Instruction>(Opcode::Load, Type::i64(),
-                                            freshName(base));
-    Instruction* r = bb->insertAt(pos++, std::move(in));
-    r->addOperand(cell);
-    return r;
-  }
-
-  void insertStore(BasicBlock* bb, std::size_t& pos, Value* v, Value* cell) {
-    auto in =
-        std::make_unique<Instruction>(Opcode::Store, Type::voidTy(), "");
-    Instruction* r = bb->insertAt(pos++, std::move(in));
-    r->addOperand(v);
-    r->addOperand(cell);
-  }
-
-  Instruction* insertXor(BasicBlock* bb, std::size_t& pos, Value* a, Value* b,
-                         const char* base) {
-    auto in = std::make_unique<Instruction>(Opcode::Xor, Type::i64(),
-                                            freshName(base));
-    Instruction* r = bb->insertAt(pos++, std::move(in));
-    r->addOperand(a);
-    r->addOperand(b);
-    return r;
+  /// Split the builder's block at its insertion point into a fresh
+  /// continuation block and end it with "trap if `fail`, else continue".
+  void trapIf(ir::IRBuilder& b, Instruction* fail) {
+    BasicBlock* bb = b.insertBlock();
+    BasicBlock* cont = bb->splitAt(b.insertIndex(), freshName("cont"));
+    b.setInsertPoint(bb);
+    b.condBr(fail, trapBlock(), cont);
   }
 
   // --- ADDR: address-chain duplication ----------------------------------
@@ -187,7 +148,8 @@ private:
   void instrumentAccess(Instruction* access,
                         const analysis::AddressSlice& slice) {
     BasicBlock* bb = access->parent();
-    std::size_t idx = bb->indexOf(access);
+    ir::IRBuilder b(&m_);
+    b.setInsertPoint(bb, bb->indexOf(access));
 
     // Clone the slice (topo order, deps first) right before the access.
     // Terminals — params, constants, loads — are shared with the original
@@ -195,13 +157,7 @@ private:
     // them and the effective address.
     std::map<const Value*, Value*> vmap;
     for (const Instruction* in : slice.stmts) {
-      auto ni = std::make_unique<Instruction>(in->opcode(), in->type(),
-                                              freshName("a"));
-      if (in->opcode() == Opcode::ICmp || in->opcode() == Opcode::FCmp)
-        ni->setPred(in->pred());
-      if (in->opcode() == Opcode::Call) ni->setCallee(in->callee());
-      ni->setDebugLoc(in->debugLoc());
-      Instruction* cloned = bb->insertAt(idx++, std::move(ni));
+      Instruction* cloned = b.clone(*in, freshName("a"));
       for (unsigned i = 0; i < in->numOperands(); ++i) {
         Value* op = in->operand(i);
         auto it = vmap.find(op);
@@ -211,23 +167,11 @@ private:
     }
     // A nonempty slice always contains the pointer computation itself.
     Value* shadow = vmap.at(access->pointerOperand());
-
-    auto cmp = std::make_unique<Instruction>(Opcode::ICmp, Type::i1(),
-                                             freshName("chk"));
-    cmp->setPred(CmpPred::NE);
-    Instruction* chk = bb->insertAt(idx++, std::move(cmp));
-    chk->addOperand(access->pointerOperand());
-    chk->addOperand(shadow);
-
-    BasicBlock* cont = splitBefore(bb, idx, "cont");
-    ir::IRBuilder b(&m_);
-    b.setInsertPoint(bb);
-    b.condBr(chk, trapBlock(), cont);
-    retargetPhis(cont->terminator(), bb, cont);
+    trapIf(b, b.icmp(CmpPred::NE, access->pointerOperand(), shadow,
+                     freshName("chk")));
 
     stats_.shadowChains++;
     stats_.shadowInstrs += slice.stmts.size();
-    stats_.addedInstrs += slice.stmts.size() + 2; // + compare + branch
   }
 
   // --- CFC: control-flow signature checking -----------------------------
@@ -264,24 +208,22 @@ private:
         ir::IRBuilder b(&m_);
         b.setInsertPoint(edge);
         b.br(succ);
-        stats_.addedInstrs++;
         term->setSucc(i, edge);
         auto key = std::make_pair(bb, succ);
         auto fe = firstEdge.find(key);
+        if (fe == firstEdge.end()) {
+          succ->repointPhis(bb, edge);
+          firstEdge[key] = edge;
+          continue;
+        }
         for (Instruction* phi : *succ) {
           if (phi->opcode() != Opcode::Phi) break;
-          if (fe == firstEdge.end()) {
-            for (unsigned k = 0; k < phi->numPhiIncoming(); ++k)
-              if (phi->phiBlock(k) == bb) phi->setPhiBlock(k, edge);
-          } else {
-            for (unsigned k = 0; k < phi->numPhiIncoming(); ++k)
-              if (phi->phiBlock(k) == fe->second) {
-                phi->addPhiIncoming(phi->operand(k), edge);
-                break;
-              }
-          }
+          for (unsigned k = 0; k < phi->numPhiIncoming(); ++k)
+            if (phi->phiBlock(k) == fe->second) {
+              phi->addPhiIncoming(phi->operand(k), edge);
+              break;
+            }
         }
-        if (fe == firstEdge.end()) firstEdge[key] = edge;
       }
     }
   }
@@ -318,22 +260,13 @@ private:
 
     // Signature (and, with fan-in blocks, adjusting-value) stack cells.
     BasicBlock* entry = f_.entry();
-    std::size_t pos = firstNonPhi(entry);
-    auto mkCell = [&](const char* base) {
-      auto a = std::make_unique<Instruction>(
-          Opcode::Alloca, Type::ptrTo(Type::i64()), freshName(base));
-      a->setAllocaInfo(Type::i64(), 1);
-      stats_.addedInstrs++;
-      return entry->insertAt(pos++, std::move(a));
-    };
-    Instruction* sigCell = mkCell("sig");
-    Instruction* adjCell = fanIn ? mkCell("adj") : nullptr;
-    insertStore(entry, pos, m_.constI64(std::int64_t(sig[entry])), sigCell);
-    stats_.addedInstrs++;
-    if (adjCell) {
-      insertStore(entry, pos, m_.constI64(0), adjCell);
-      stats_.addedInstrs++;
-    }
+    ir::IRBuilder b(&m_);
+    b.setInsertPoint(entry, entry->firstNonPhi());
+    Instruction* sigCell = b.alloca_(Type::i64(), 1, freshName("sig"));
+    Instruction* adjCell =
+        fanIn ? b.alloca_(Type::i64(), 1, freshName("adj")) : nullptr;
+    b.store(m_.constI64(std::int64_t(sig[entry])), sigCell);
+    if (adjCell) b.store(m_.constI64(0), adjCell);
     stats_.signatureBlocks++;
 
     // Per-block signature updates (after phis). Unreachable blocks with no
@@ -342,17 +275,16 @@ private:
       if (bb == trapBB_ || bb == entry) continue;
       const auto& ps = preds[bb];
       if (ps.empty()) continue;
-      std::size_t at = firstNonPhi(bb);
-      Instruction* cur = insertLoad(bb, at, sigCell, "s");
+      b.setInsertPoint(bb, bb->firstNonPhi());
+      Instruction* cur = b.load(sigCell, freshName("s"));
       if (ps.size() >= 2) {
-        Instruction* adj = insertLoad(bb, at, adjCell, "r");
-        cur = insertXor(bb, at, cur, adj, "x");
-        stats_.addedInstrs += 2;
+        Instruction* adj = b.load(adjCell, freshName("r"));
+        cur = b.binary(Opcode::Xor, cur, adj, freshName("x"));
       }
       const std::uint64_t d = sig[ps.front()] ^ sig[bb];
-      cur = insertXor(bb, at, cur, m_.constI64(std::int64_t(d)), "x");
-      insertStore(bb, at, cur, sigCell);
-      stats_.addedInstrs += 3;
+      cur = b.binary(Opcode::Xor, cur, m_.constI64(std::int64_t(d)),
+                     freshName("x"));
+      b.store(cur, sigCell);
       stats_.signatureBlocks++;
     }
 
@@ -365,9 +297,8 @@ private:
       if (ps.size() < 2) continue;
       const std::uint64_t base = sig[ps.front()];
       for (BasicBlock* p : ps) {
-        std::size_t at = p->indexOf(p->terminator());
-        insertStore(p, at, m_.constI64(std::int64_t(sig[p] ^ base)), adjCell);
-        stats_.addedInstrs++;
+        b.setInsertPoint(p, p->indexOf(p->terminator()));
+        b.store(m_.constI64(std::int64_t(sig[p] ^ base)), adjCell);
       }
     }
 
@@ -397,21 +328,10 @@ private:
     }
 
     for (BasicBlock* bb : checkSites) {
-      std::size_t at = bb->indexOf(bb->terminator());
-      Instruction* cur = insertLoad(bb, at, sigCell, "s");
-      auto cmp = std::make_unique<Instruction>(Opcode::ICmp, Type::i1(),
-                                               freshName("chk"));
-      cmp->setPred(CmpPred::NE);
-      Instruction* chk = bb->insertAt(at++, std::move(cmp));
-      chk->addOperand(cur);
-      chk->addOperand(m_.constI64(std::int64_t(sig[bb])));
-
-      BasicBlock* cont = splitBefore(bb, at, "cont");
-      ir::IRBuilder b(&m_);
-      b.setInsertPoint(bb);
-      b.condBr(chk, trapBlock(), cont);
-      retargetPhis(cont->terminator(), bb, cont);
-      stats_.addedInstrs += 3;
+      b.setInsertPoint(bb, bb->indexOf(bb->terminator()));
+      Instruction* cur = b.load(sigCell, freshName("s"));
+      trapIf(b, b.icmp(CmpPred::NE, cur, m_.constI64(std::int64_t(sig[bb])),
+                       freshName("chk")));
       stats_.signatureChecks++;
     }
   }

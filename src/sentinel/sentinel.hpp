@@ -60,7 +60,7 @@ struct FunctionSentinelStats {
   std::size_t signatureChecks = 0; // CFC: compare sites (exits + back-edges)
   std::size_t shadowChains = 0;    // ADDR: protected accesses
   std::size_t shadowInstrs = 0;    // ADDR: cloned address instructions
-  std::size_t addedInstrs = 0;     // all instructions this pass inserted
+  std::size_t addedInstrs = 0;     // instruction count after minus before
   // Sampling-layer site accounting (DESIGN.md §4j). A "site" is a unit the
   // sampler can arm independently: the whole function for CFC (signature
   // schemes need every block participating), one protectable access for

@@ -212,7 +212,7 @@ TEST(EccMemory, CrcModeCatchesWideBurstsSecdedWouldMisjudge) {
   // A >=3-bit burst can alias to a clean or single-bit syndrome; the
   // secded,crc mode cross-validates against the recorded pre-fault CRC and
   // refuses to return data that only looks corrected.
-  for (const std::vector<unsigned> burst :
+  for (const std::vector<unsigned>& burst :
        {std::vector<unsigned>{0, 1, 2}, std::vector<unsigned>{4, 17, 33, 52}}) {
     Memory m = mappedMemory();
     ASSERT_EQ(m.store(kBase, backend::MType::I64, 0xfeedfacefeedfaceull),

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "inject/experiment.hpp"
@@ -231,6 +232,81 @@ int main() {
   };
   EXPECT_EQ(sampled(1), sampled(17));
   EXPECT_NE(sampled(1), sampled(0));
+}
+
+TEST(Experiment, ArmedImageDigestsArePinned) {
+  // The compiled binaries themselves, detectors off and armed: any change
+  // to the optimizer, Armor or Sentinel that moves one instruction of one
+  // workload moves its digest here.
+  const std::string dir = "care_test_artifacts/exp_pinned_digest";
+  std::filesystem::remove_all(dir);
+  struct Build {
+    const char* name;
+    std::function<void(core::ArmorOptions&)> edit;
+  };
+  const Build builds[] = {
+      {"off", [](core::ArmorOptions&) {}},
+      {"cfc+addr",
+       [](core::ArmorOptions& a) { a.detect.cfc = a.detect.addr = true; }},
+      {"cfc+addr@16",
+       [](core::ArmorOptions& a) {
+         a.detect.cfc = a.detect.addr = true;
+         a.detectSample = pareto::SampleConfig{16, 0};
+       }},
+  };
+  // workload level build -> digest
+  const std::map<std::string, std::string> pinned = {
+      {"HPCCG O0 off", "075a69b597c6b4406d6319de0164b1f0"},
+      {"HPCCG O0 cfc+addr", "86bff8b64513ca7e5d85a468057da8df"},
+      {"HPCCG O0 cfc+addr@16", "dd83466937341050d8ca9ccbb6e4d06b"},
+      {"HPCCG O1 off", "92d87c6c804ff96d9d76274a0e68d06d"},
+      {"HPCCG O1 cfc+addr", "3115271fbf53b8d0e7f4d9542d6c3da8"},
+      {"HPCCG O1 cfc+addr@16", "8abd83897d756ec1fc4abdefb66541ef"},
+      {"CoMD O0 off", "4e839aa7c717de6c11f9e606fafa9da8"},
+      {"CoMD O0 cfc+addr", "6bfbeda168dec58d791edc962646006b"},
+      {"CoMD O0 cfc+addr@16", "0534886523a884e54da32d185b2d86d5"},
+      {"CoMD O1 off", "15431256abd2bcae4bfda16a75e6f4ea"},
+      {"CoMD O1 cfc+addr", "8e2794b4126475e23a2623b217ac3361"},
+      {"CoMD O1 cfc+addr@16", "3b6c3a767b8c61dc679978cbb1023ee6"},
+      {"miniFE O0 off", "a009e477b62bede384fe5c66a01699b0"},
+      {"miniFE O0 cfc+addr", "6ad4b810939b1ef10cfdbe6f575a38ab"},
+      {"miniFE O0 cfc+addr@16", "4c48a53e7eb09024cdb10e28ba43476f"},
+      {"miniFE O1 off", "5c1f08d62c7be531c6956b9add918c21"},
+      {"miniFE O1 cfc+addr", "8beb0d6cdb1c32202144d26ac4dd524d"},
+      {"miniFE O1 cfc+addr@16", "13553c2f0d2bcb0d72037f3578fecc06"},
+      {"miniMD O0 off", "b0dd9dcca52dd6102697f4a8d691aab3"},
+      {"miniMD O0 cfc+addr", "e5aedd251fc4effeb7cd497afeabc247"},
+      {"miniMD O0 cfc+addr@16", "63179543318828d8bcc77415d2b7cfb2"},
+      {"miniMD O1 off", "7fec0758c13974e24462816ef33e7577"},
+      {"miniMD O1 cfc+addr", "5337ed37148a05558fe83e4422b937c2"},
+      {"miniMD O1 cfc+addr@16", "412bf889c07e6076cf9f2d303f8a6dd5"},
+      {"GTC-P O0 off", "614270ee95d6c3089533a8a15cfe765c"},
+      {"GTC-P O0 cfc+addr", "0c90d0b7beca7e1eb7e29d4722d78494"},
+      {"GTC-P O0 cfc+addr@16", "3e29e7678c4a7bcafa2f30fba699d4eb"},
+      {"GTC-P O1 off", "cf75c1feefc8045d19f298e31fa70ac5"},
+      {"GTC-P O1 cfc+addr", "9f69023b292326b18614341a3815c7da"},
+      {"GTC-P O1 cfc+addr@16", "8960866ad7a95a51e103fc6e335bbe5d"},
+  };
+  std::size_t checked = 0;
+  for (const workloads::Workload* w : workloads::allWorkloads()) {
+    for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
+      for (const Build& build : builds) {
+        ExperimentConfig cfg;
+        cfg.cacheDir = dir;
+        cfg.level = level;
+        build.edit(cfg.armor);
+        const std::string key = w->name +
+                                (level == opt::OptLevel::O0 ? " O0 " : " O1 ") +
+                                build.name;
+        ASSERT_TRUE(pinned.count(key)) << key;
+        EXPECT_EQ(inject::buildWorkload(*w, cfg).cm.imageDigest.hex(),
+                  pinned.at(key))
+            << key;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, pinned.size());
 }
 
 TEST(Experiment, RollbackIntervalGetsDistinctCachesAndShards) {

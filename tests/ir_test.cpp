@@ -1,5 +1,5 @@
 // Unit tests for the CARE-IR core: types, values, def-use, builder,
-// verifier, printer, serialization.
+// cloning and block splits, verifier, printer, serialization.
 #include <gtest/gtest.h>
 
 #include "ir/irbuilder.hpp"
@@ -144,6 +144,143 @@ TEST(Verifier, RejectsTypeMismatchedStore) {
   bb->append(std::move(bad));
   b.ret();
   EXPECT_FALSE(verify(m).empty());
+}
+
+TEST(Builder, InsertsMidBlockInProgramOrder) {
+  Module m("t");
+  Function* f = m.addFunction("f", Type::i32(), {Type::i32()});
+  BasicBlock* entry = f->addBlock("entry");
+  BasicBlock* loop = f->addBlock("loop");
+  IRBuilder b(&m);
+  b.setInsertPoint(entry);
+  Instruction* add = b.add(f->arg(0), m.constI32(1), "add");
+  b.br(loop);
+  b.setInsertPoint(loop);
+  Instruction* ret = b.ret(add);
+
+  // Between the add and the branch: each create advances the index.
+  b.setInsertPoint(entry, 1);
+  b.setDebugLoc({1, 7, 3});
+  Instruction* mul = b.mul(add, add, "mul");
+  Instruction* cmp = b.icmp(CmpPred::LT, mul, m.constI32(9), "cmp");
+  EXPECT_EQ(b.insertIndex(), 3u);
+  ASSERT_EQ(entry->size(), 4u);
+  EXPECT_EQ(entry->inst(1), mul);
+  EXPECT_EQ(entry->inst(2), cmp);
+  EXPECT_EQ(entry->inst(3)->opcode(), Opcode::Br);
+  EXPECT_EQ(cmp->debugLoc(), (DebugLoc{1, 7, 3}));
+
+  // Phis: appended after the block's phis, or exactly at a position.
+  b.setInsertPoint(loop);
+  Instruction* p1 = b.phi(Type::i32(), "p1");
+  b.setInsertPoint(loop, 0);
+  Instruction* p0 = b.phi(Type::i32(), "p0");
+  EXPECT_EQ(loop->inst(0), p0);
+  EXPECT_EQ(loop->inst(1), p1);
+  EXPECT_EQ(loop->inst(2), ret);
+  EXPECT_EQ(loop->firstNonPhi(), 2u);
+  p0->addPhiIncoming(mul, entry);
+  p1->addPhiIncoming(add, entry);
+  EXPECT_TRUE(verify(m).empty());
+}
+
+TEST(Clone, BodyPrintsEqualToTheOriginal) {
+  Module m("t");
+  const std::uint32_t file = m.internFile("clone.c");
+  Function* sq = m.addFunction("sq", Type::f64(), {Type::f64()});
+  Function* f = m.addFunction("f", Type::i32(), {Type::i32(), Type::f64()});
+  f->setArgName(0, "n");
+  f->setArgName(1, "x");
+  IRBuilder b(&m);
+  b.setInsertPoint(sq->addBlock("entry"));
+  b.ret(b.fmul(sq->arg(0), sq->arg(0), "y"));
+
+  BasicBlock* entry = f->addBlock("entry");
+  BasicBlock* left = f->addBlock("left");
+  BasicBlock* join = f->addBlock("join");
+  b.setInsertPoint(entry);
+  b.setDebugLoc({file, 2, 5});
+  Instruction* cell = b.alloca_(Type::i32(), 4, "cell");
+  b.store(f->arg(0), cell);
+  Instruction* big = b.icmp(CmpPred::GT, f->arg(0), m.constI32(10), "big");
+  b.condBr(big, left, join);
+  b.setInsertPoint(left);
+  b.setDebugLoc({file, 3, 9});
+  Instruction* y = b.call(sq, {f->arg(1)}, "y");
+  Instruction* neg = b.fcmp(CmpPred::LT, y, m.constF64(0.5), "neg");
+  Instruction* v = b.select(neg, m.constI32(1), b.load(cell, "ld"), "v");
+  b.br(join);
+  b.setInsertPoint(join);
+  b.setDebugLoc({});
+  Instruction* phi = b.phi(Type::i32(), "r");
+  phi->addPhiIncoming(m.constI32(0), entry);
+  phi->addPhiIncoming(v, left);
+  b.ret(phi);
+  ASSERT_TRUE(verify(m).empty());
+
+  // Into a second module: arguments, constants and the callee map across.
+  Module m2("t2");
+  m2.internFile("clone.c");
+  Function* sq2 = m2.addFunction("sq", Type::f64(), {Type::f64()});
+  Function* f2 = m2.addFunction("f", Type::i32(), {Type::i32(), Type::f64()});
+  f2->setArgName(0, "n");
+  f2->setArgName(1, "x");
+  const auto bmap = cloneBody(*f, *f2, "", [&](const Value* v) -> Value* {
+    if (v->kind() == ValueKind::Argument)
+      return f2->arg(static_cast<const Argument*>(v)->index());
+    if (v == sq) return sq2;
+    if (const auto* c = dynamic_cast<const ConstantInt*>(v))
+      return m2.constInt(c->type(), c->value());
+    if (const auto* c = dynamic_cast<const ConstantFP*>(v))
+      return m2.constFP(c->type(), c->value());
+    ADD_FAILURE() << "unexpected outside value " << toString(v);
+    return nullptr;
+  });
+  EXPECT_EQ(bmap.at(join), f2->block(2));
+  IRBuilder b2(&m2);
+  b2.setInsertPoint(sq2->addBlock("entry"));
+  b2.ret(b2.fmul(sq2->arg(0), sq2->arg(0), "y"));
+  EXPECT_TRUE(verify(m2).empty());
+  EXPECT_EQ(toString(f2), toString(f));
+}
+
+TEST(Split, RepointsTheSuccessorsPhis) {
+  Module m("t");
+  Function* f = m.addFunction("f", Type::i32(), {Type::i32()});
+  BasicBlock* entry = f->addBlock("entry");
+  BasicBlock* loop = f->addBlock("loop");
+  BasicBlock* exit = f->addBlock("exit");
+  IRBuilder b(&m);
+  b.setInsertPoint(entry);
+  b.br(loop);
+  b.setInsertPoint(loop);
+  Instruction* i = b.phi(Type::i32(), "i");
+  Instruction* next = b.add(i, m.constI32(1), "next");
+  Instruction* more = b.icmp(CmpPred::LT, next, f->arg(0), "more");
+  b.condBr(more, loop, exit);
+  b.setInsertPoint(exit);
+  Instruction* out = b.phi(Type::i32(), "out");
+  b.ret(out);
+  i->addPhiIncoming(m.constI32(0), entry);
+  i->addPhiIncoming(next, loop);
+  out->addPhiIncoming(next, loop);
+  ASSERT_TRUE(verify(m).empty());
+
+  // Split the loop body after the add: the condbr moves to the new block,
+  // which becomes the predecessor of both the header (back edge) and exit.
+  BasicBlock* tail = loop->splitAt(loop->indexOf(next) + 1, "tail");
+  b.setInsertPoint(loop);
+  b.br(tail);
+  EXPECT_EQ(tail->size(), 2u);
+  EXPECT_EQ(more->parent(), tail);
+  EXPECT_EQ(i->phiBlock(0), entry);
+  EXPECT_EQ(i->phiBlock(1), tail);
+  EXPECT_EQ(out->phiBlock(0), tail);
+  EXPECT_TRUE(verify(m).empty());
+
+  // And back: phis that named `tail` name `loop` again.
+  exit->repointPhis(tail, loop);
+  EXPECT_EQ(out->phiBlock(0), loop);
 }
 
 TEST(Names, UniquifyMakesNamesUniqueAndNonEmpty) {

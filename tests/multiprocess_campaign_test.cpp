@@ -10,7 +10,9 @@
 #include <sys/wait.h>
 
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "inject/experiment.hpp"
 #include "inject/service.hpp"
@@ -42,10 +44,42 @@ ExperimentConfig baseConfig(const std::string& dir) {
 }
 
 /// The coordinator reaped every worker it forked: no orphans, no zombies.
+/// Pids of this process's live children, as Linux lists them per thread.
+std::string runningChildren() {
+  std::string pids;
+  std::error_code ec;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    std::ifstream in(task.path() / "children");
+    for (std::string pid; in >> pid;) pids += " " + pid;
+  }
+  return pids.empty() ? " (unknown)" : pids;
+}
+
+/// A leftover child is reaped and reported with its pid and wait status.
 void expectNoChildren() {
-  errno = 0;
-  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
-  EXPECT_EQ(errno, ECHILD);
+  for (;;) {
+    int status = 0;
+    errno = 0;
+    const pid_t pid = ::waitpid(-1, &status, WNOHANG);
+    if (pid == -1 && errno == ECHILD) return;
+    if (pid == -1) {
+      ADD_FAILURE() << "waitpid failed: " << std::strerror(errno);
+      return;
+    }
+    if (pid == 0) {
+      ADD_FAILURE() << "child process(es) still running, pids:"
+                    << runningChildren();
+      return;
+    }
+    std::string how = "stopped or continued";
+    if (WIFEXITED(status))
+      how = "exited with status " + std::to_string(WEXITSTATUS(status));
+    else if (WIFSIGNALED(status))
+      how = "killed by signal " + std::to_string(WTERMSIG(status)) + " (" +
+            strsignal(WTERMSIG(status)) + ")";
+    ADD_FAILURE() << "child " << pid << " was left unreaped: " << how;
+  }
 }
 
 TEST(MultiprocessCampaign, ForkedWorkersMatchSerialByteForByte) {

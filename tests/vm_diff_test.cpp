@@ -203,8 +203,9 @@ void diffProgram(const std::string& src, vm::RunStatus wantStatus,
       diffAllBackends(p.image.get(), tag, /*profile=*/false,
                       [](vm::Executor& ex) { ex.setBudget(10'000'000); });
   ASSERT_EQ(res[0].status, wantStatus) << tag;
-  if (wantStatus == vm::RunStatus::Trapped)
+  if (wantStatus == vm::RunStatus::Trapped) {
     ASSERT_EQ(res[0].trap.kind, wantKind) << tag;
+  }
 }
 
 TEST(TrapDiff, OutOfBoundsStoreSegfaultsIdentically) {
