@@ -66,7 +66,7 @@ bool maskedByOverwrite(const inject::InjectionRecord& r) {
 int main() {
   using namespace care;
   bench::header("Memory-fault defense matrix",
-                "DESIGN.md §4i; no single-paper counterpart (ROADMAP 4)");
+                "DESIGN.md §4i; no single-paper counterpart");
 
   std::string rows;
   char row[512];

@@ -205,6 +205,11 @@ TelemetrySummary telemetrySummary() {
   return s;
 }
 
+InjectionRecord runTrialAt(const TrialFn& fn, std::uint64_t seed, int i) {
+  Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
+  return fn(i, trialRng);
+}
+
 double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
                     int threads, const TrialFn& fn,
                     std::vector<InjectionRecord>& records) {
@@ -214,10 +219,8 @@ double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
   const Clock::time_point t0 = Clock::now();
   if (workers <= 1) {
     // Serial path: list order, no pool machinery.
-    for (int i : idx) {
-      Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
-      records[static_cast<std::size_t>(i)] = fn(i, trialRng);
-    }
+    for (int i : idx)
+      records[static_cast<std::size_t>(i)] = runTrialAt(fn, seed, i);
     return secondsSince(t0);
   }
   std::atomic<std::size_t> next{0};
@@ -238,10 +241,9 @@ double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
           if (k >= idx.size()) break;
           const int i = idx[k];
           const Clock::time_point w0 = Clock::now();
-          Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
           // Each slot is written by exactly one worker; the merge back
           // into trial-index order is the indexed store itself.
-          records[static_cast<std::size_t>(i)] = fn(i, trialRng);
+          records[static_cast<std::size_t>(i)] = runTrialAt(fn, seed, i);
           busy[static_cast<std::size_t>(w)] += secondsSince(w0);
         }
       } catch (...) {
@@ -450,8 +452,7 @@ std::vector<InjectionRecord> runCampaignTrials(
       const std::size_t j = auditRng.below(members.size() - k);
       std::swap(members[j], members[members.size() - 1 - k]);
       const int i = members[members.size() - 1 - k];
-      Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
-      const InjectionRecord fresh = trial(i, trialRng);
+      const InjectionRecord fresh = runTrialAt(trial, seed, i);
       if (serializeDeterministicRecord(fresh) !=
           serializeDeterministicRecord(records[static_cast<std::size_t>(i)]))
         raise("prune audit mismatch: trial " + std::to_string(i) +

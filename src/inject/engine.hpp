@@ -176,6 +176,10 @@ TelemetrySummary telemetrySummary();
 /// distinct indices (each call builds its own Executor/Safeguard).
 using TrialFn = std::function<InjectionRecord(int trialIndex, Rng& trialRng)>;
 
+/// The one way to run trial `i`: call `fn` with the trial's private RNG
+/// stream, Rng::stream(seed, i), forked from the index alone.
+InjectionRecord runTrialAt(const TrialFn& fn, std::uint64_t seed, int i);
+
 /// The one in-process trial pool: run every trial index in `idx` on
 /// resolveThreads(threads, idx.size()) std::thread workers (one worker runs
 /// them in list order on the caller's thread), storing each record at

@@ -23,78 +23,82 @@ constexpr std::uint32_t kCacheMagic = 0x45435243; // "CRCE"
 // campaign: register-fault bit positions are now sampled within the
 // destination's width instead of being folded by a modulo.
 
-void putInjectionResult(const InjectionResult& ir, ByteWriter& w,
-                        bool withTimings) {
-  w.u8(static_cast<std::uint8_t>(ir.outcome));
-  w.u8(static_cast<std::uint8_t>(ir.signal));
-  w.u64(ir.latencyInstrs);
-  w.u64(ir.instrsExecuted);
-  w.u8(ir.injected ? 1 : 0);
-  w.u8(ir.survived ? 1 : 0);
-  w.u8(ir.careRecovered ? 1 : 0);
-  w.u64(ir.safeguardActivations);
-  w.u64(ir.ivAltRecoveries);
-  w.u64(ir.rollbacks);
-  w.u64(ir.rollbackReexecInstrs);
+/// The one list of a record's fields, in wire order. `io` is a Put (the
+/// writer, over a const record) or a Get (the reader); each names the wire
+/// width of a field and converts it both ways. The timing block is visited
+/// only in the full-fidelity format.
+template <class IO, class Result>
+void visitResult(IO&& io, Result& ir, bool withTimings) {
+  io.u8(ir.outcome);
+  io.u8(ir.signal);
+  io.u64(ir.latencyInstrs);
+  io.u64(ir.instrsExecuted);
+  io.u8(ir.injected);
+  io.u8(ir.survived);
+  io.u8(ir.careRecovered);
+  io.u64(ir.safeguardActivations);
+  io.u64(ir.ivAltRecoveries);
+  io.u64(ir.rollbacks);
+  io.u64(ir.rollbackReexecInstrs);
   // Deterministic: ECC corrections/detections depend only on (point, mode).
-  w.u64(ir.eccCorrected);
-  w.u64(ir.eccUncorrectable);
+  io.u64(ir.eccCorrected);
+  io.u64(ir.eccUncorrectable);
   if (withTimings) {
-    w.f64(ir.recoveryUsTotal);
-    w.f64(ir.kernelUsTotal);
-    w.f64(ir.keyUsTotal);
-    w.f64(ir.loadUsTotal);
-    w.f64(ir.paramUsTotal);
-    w.f64(ir.patchUsTotal);
-    w.f64(ir.rollbackUsTotal);
+    io.f64(ir.recoveryUsTotal);
+    io.f64(ir.kernelUsTotal);
+    io.f64(ir.keyUsTotal);
+    io.f64(ir.loadUsTotal);
+    io.f64(ir.paramUsTotal);
+    io.f64(ir.patchUsTotal);
+    io.f64(ir.rollbackUsTotal);
     // Work-actually-done accounting, not a semantic outcome: varies with
     // the replay-cache interval, so it travels only with the timinged
     // format and stays out of the deterministic projection.
-    w.u64(ir.replaySavedInstrs);
+    io.u64(ir.replaySavedInstrs);
   }
-  w.u8(ir.outputMatchesGolden ? 1 : 0);
-  w.str(ir.careFailReason);
+  io.u8(ir.outputMatchesGolden);
+  io.str(ir.careFailReason);
 }
 
-void putRecord(const InjectionRecord& rec, ByteWriter& w, bool withTimings) {
-  w.u32(static_cast<std::uint32_t>(rec.point.loc.module));
-  w.u32(static_cast<std::uint32_t>(rec.point.loc.func));
-  w.u32(static_cast<std::uint32_t>(rec.point.loc.instr));
-  w.u64(rec.point.nth);
-  w.u8(static_cast<std::uint8_t>(rec.point.model));
-  w.u64(rec.point.memAddr);
-  w.u32(static_cast<std::uint32_t>(rec.point.bits.size()));
-  for (unsigned b : rec.point.bits) w.u32(b);
-  putInjectionResult(rec.plain, w, withTimings);
-  w.u8(rec.haveCare ? 1 : 0);
-  if (rec.haveCare) putInjectionResult(rec.withCare, w, withTimings);
+template <class IO, class Record>
+void visitRecord(IO&& io, Record& rec, bool withTimings) {
+  io.u32(rec.point.loc.module);
+  io.u32(rec.point.loc.func);
+  io.u32(rec.point.loc.instr);
+  io.u64(rec.point.nth);
+  io.u8(rec.point.model);
+  io.u64(rec.point.memAddr);
+  io.u32s(rec.point.bits);
+  visitResult(io, rec.plain, withTimings);
+  io.u8(rec.haveCare);
+  if (rec.haveCare) visitResult(io, rec.withCare, withTimings);
 }
 
-void getInjectionResult(ByteReader& r, InjectionResult& ir) {
-  ir.outcome = static_cast<Outcome>(r.u8());
-  ir.signal = static_cast<vm::TrapKind>(r.u8());
-  ir.latencyInstrs = r.u64();
-  ir.instrsExecuted = r.u64();
-  ir.injected = r.u8() != 0;
-  ir.survived = r.u8() != 0;
-  ir.careRecovered = r.u8() != 0;
-  ir.safeguardActivations = r.u64();
-  ir.ivAltRecoveries = r.u64();
-  ir.rollbacks = r.u64();
-  ir.rollbackReexecInstrs = r.u64();
-  ir.eccCorrected = r.u64();
-  ir.eccUncorrectable = r.u64();
-  ir.recoveryUsTotal = r.f64();
-  ir.kernelUsTotal = r.f64();
-  ir.keyUsTotal = r.f64();
-  ir.loadUsTotal = r.f64();
-  ir.paramUsTotal = r.f64();
-  ir.patchUsTotal = r.f64();
-  ir.rollbackUsTotal = r.f64();
-  ir.replaySavedInstrs = r.u64();
-  ir.outputMatchesGolden = r.u8() != 0;
-  ir.careFailReason = r.str();
-}
+struct Put {
+  ByteWriter& w;
+  template <class T> void u8(T v) { w.u8(static_cast<std::uint8_t>(v)); }
+  template <class T> void u32(T v) { w.u32(static_cast<std::uint32_t>(v)); }
+  void u64(std::uint64_t v) { w.u64(v); }
+  void f64(double v) { w.f64(v); }
+  void str(const std::string& s) { w.str(s); }
+  void u32s(const std::vector<unsigned>& v) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (unsigned x : v) w.u32(x);
+  }
+};
+
+struct Get {
+  ByteReader& r;
+  template <class T> void u8(T& v) { v = static_cast<T>(r.u8()); }
+  template <class T> void u32(T& v) { v = static_cast<T>(r.u32()); }
+  void u64(std::uint64_t& v) { v = r.u64(); }
+  void f64(double& v) { v = r.f64(); }
+  void str(std::string& s) { s = r.str(); }
+  void u32s(std::vector<unsigned>& v) {
+    const std::uint32_t n = r.u32();
+    for (std::uint32_t k = 0; k < n; ++k) v.push_back(r.u32());
+  }
+};
 
 } // namespace
 
@@ -123,22 +127,12 @@ std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
 }
 
 void writeRecordBytes(const InjectionRecord& rec, ByteWriter& w) {
-  putRecord(rec, w, /*withTimings=*/true);
+  visitRecord(Put{w}, rec, /*withTimings=*/true);
 }
 
 InjectionRecord readRecordBytes(ByteReader& r) {
   InjectionRecord rec;
-  rec.point.loc.module = static_cast<std::int32_t>(r.u32());
-  rec.point.loc.func = static_cast<std::int32_t>(r.u32());
-  rec.point.loc.instr = static_cast<std::int32_t>(r.u32());
-  rec.point.nth = r.u64();
-  rec.point.model = static_cast<FaultModel>(r.u8());
-  rec.point.memAddr = r.u64();
-  const std::uint32_t nb = r.u32();
-  for (std::uint32_t b = 0; b < nb; ++b) rec.point.bits.push_back(r.u32());
-  getInjectionResult(r, rec.plain);
-  rec.haveCare = r.u8() != 0;
-  if (rec.haveCare) getInjectionResult(r, rec.withCare);
+  visitRecord(Get{r}, rec, /*withTimings=*/true);
   return rec;
 }
 
@@ -294,14 +288,14 @@ std::vector<std::uint8_t> serializeDeterministic(const ExperimentResult& r) {
   w.u64(r.goldenInstrs);
   w.u32(static_cast<std::uint32_t>(r.records.size()));
   for (const InjectionRecord& rec : r.records)
-    putRecord(rec, w, /*withTimings=*/false);
+    visitRecord(Put{w}, rec, /*withTimings=*/false);
   return w.data();
 }
 
 std::vector<std::uint8_t> serializeDeterministicRecord(
     const InjectionRecord& rec) {
   ByteWriter w;
-  putRecord(rec, w, /*withTimings=*/false);
+  visitRecord(Put{w}, rec, /*withTimings=*/false);
   return w.data();
 }
 

@@ -161,9 +161,10 @@ std::vector<std::uint8_t> serializeDeterministicRecord(
     const InjectionRecord& rec);
 
 /// Full-fidelity (timings included) record wire format, version
-/// kExperimentCacheVersion — the unit the shard result store and the
-/// multi-process service's socket frames carry.
-/// readRecordBytes throws care::Error on truncation.
+/// kExperimentCacheVersion — the record unit of a sealed shard entry
+/// (shard::seal / shard::open, result_store.hpp), which the result store
+/// keeps and forked workers send. readRecordBytes throws care::Error on
+/// truncation.
 void writeRecordBytes(const InjectionRecord& rec, ByteWriter& w);
 InjectionRecord readRecordBytes(ByteReader& r);
 

@@ -105,15 +105,10 @@ void Campaign::corruptDestination(Executor& ex, const CodeLoc& loc,
   CARE_ASSERT(d.has, "injection at instruction without destination");
   if (d.memory) {
     // Recompute the store's effective address and flip bits in the cell.
-    const backend::MemRef& m = in.mem;
-    std::uint64_t a = static_cast<std::uint64_t>(m.disp);
-    if (m.globalIdx >= 0)
-      a += ex.image()
-               ->module(static_cast<std::size_t>(loc.module))
-               .globalAddr[static_cast<std::size_t>(m.globalIdx)];
-    if (m.base != backend::kNoReg) a += ex.state().g[m.base];
-    if (m.index != backend::kNoReg) a += ex.state().g[m.index] * m.scale;
-    const unsigned size = backend::mtypeSize(m.type);
+    const std::uint64_t a = vm::effectiveAddr(
+        in.mem, ex.state().g,
+        ex.image()->module(static_cast<std::size_t>(loc.module)));
+    const unsigned size = backend::mtypeSize(in.mem.type);
     std::uint8_t buf[8] = {};
     if (!ex.memory().readBytes(a, buf, size)) return; // store itself trapped
     // Bits were sampled within the destination's width (sample() consults

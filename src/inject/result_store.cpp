@@ -5,28 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "support/bytestream.hpp"
 #include "support/md5.hpp"
 
 namespace care::inject {
-
-namespace {
-
-/// Whole file as bytes, or nullopt when unreadable.
-std::optional<std::vector<std::uint8_t>> readFileBytes(
-    const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return buf;
-}
-
-} // namespace
 
 ResultStore::ResultStore(std::string dir, std::string key)
     : dir_(std::move(dir)), key_(std::move(key)) {
@@ -44,21 +28,77 @@ std::string ResultStore::entryPath(int start, int count) const {
 std::optional<std::vector<InjectionRecord>> ResultStore::load(
     int start, int count) const {
   if (!enabled_) return std::nullopt;
-  auto bytes = readFileBytes(entryPath(start, count));
-  // Shortest possible entry: header words + empty key + md5 trailer.
-  if (!bytes || bytes->size() < 4 + 4 + 4 + 4 + 4 + 16) return std::nullopt;
-  const std::size_t bodyLen = bytes->size() - 16;
+  try {
+    return shard::open(readFileBytes(entryPath(start, count)), key_, start,
+                       count);
+  } catch (const Error&) {
+    return std::nullopt; // no readable entry: a miss
+  }
+}
+
+bool ResultStore::save(int start, int count,
+                       const std::vector<InjectionRecord>& records) const {
+  if (!enabled_ || count < 0 ||
+      records.size() != static_cast<std::size_t>(count))
+    return false;
+  return write(start, count, shard::seal(key_, start, records));
+}
+
+bool ResultStore::write(int start, int count,
+                        const std::vector<std::uint8_t>& entry) const {
+  if (!enabled_) return false;
+  const std::string path = entryPath(start, count);
+  const std::string tmp =
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  try {
+    writeFileBytes(tmp, entry);
+  } catch (const Error&) {
+    return false;
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
+  return true;
+}
+
+namespace shard {
+
+std::vector<std::uint8_t> seal(const std::string& key, int start,
+                               std::span<const InjectionRecord> records) {
+  ByteWriter w;
+  w.u32(ResultStore::kMagic);
+  w.u32(ResultStore::kVersion);
+  w.str(key);
+  w.u32(static_cast<std::uint32_t>(start));
+  w.u32(static_cast<std::uint32_t>(records.size()));
+  for (const InjectionRecord& rec : records) writeRecordBytes(rec, w);
   Md5 h;
-  h.update(bytes->data(), bodyLen);
+  h.update(w.data().data(), w.size());
   const Md5Digest digest = h.finish();
-  if (std::memcmp(digest.bytes.data(), bytes->data() + bodyLen, 16) != 0)
+  w.bytes(digest.bytes.data(), 16);
+  return w.data();
+}
+
+std::optional<std::vector<InjectionRecord>>
+open(const std::vector<std::uint8_t>& entry, const std::string& key,
+     int start, int count) {
+  // Shortest possible entry: header words + empty key + md5 trailer.
+  if (entry.size() < 4 + 4 + 4 + 4 + 4 + 16) return std::nullopt;
+  const std::size_t bodyLen = entry.size() - 16;
+  Md5 h;
+  h.update(entry.data(), bodyLen);
+  const Md5Digest digest = h.finish();
+  if (std::memcmp(digest.bytes.data(), entry.data() + bodyLen, 16) != 0)
     return std::nullopt; // torn or bit-rotted entry
   try {
-    ByteReader r(std::vector<std::uint8_t>(bytes->begin(),
-                                           bytes->begin() +
-                                               static_cast<long>(bodyLen)));
-    if (r.u32() != kMagic || r.u32() != kVersion) return std::nullopt;
-    if (r.str() != key_) return std::nullopt; // digest-prefix collision
+    ByteReader r(std::vector<std::uint8_t>(
+        entry.begin(), entry.begin() + static_cast<long>(bodyLen)));
+    if (r.u32() != ResultStore::kMagic || r.u32() != ResultStore::kVersion)
+      return std::nullopt;
+    if (r.str() != key) return std::nullopt; // digest-prefix collision
     if (r.u32() != static_cast<std::uint32_t>(start) ||
         r.u32() != static_cast<std::uint32_t>(count))
       return std::nullopt;
@@ -72,37 +112,6 @@ std::optional<std::vector<InjectionRecord>> ResultStore::load(
   }
 }
 
-bool ResultStore::save(int start, int count,
-                       const std::vector<InjectionRecord>& records) const {
-  if (!enabled_ || count < 0 ||
-      records.size() != static_cast<std::size_t>(count))
-    return false;
-  ByteWriter w;
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.str(key_);
-  w.u32(static_cast<std::uint32_t>(start));
-  w.u32(static_cast<std::uint32_t>(count));
-  for (const InjectionRecord& rec : records) writeRecordBytes(rec, w);
-  Md5 h;
-  h.update(w.data().data(), w.size());
-  const Md5Digest digest = h.finish();
-  w.bytes(digest.bytes.data(), 16);
-  const std::string path = entryPath(start, count);
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  try {
-    w.writeFile(tmp);
-  } catch (const Error&) {
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
-}
+} // namespace shard
 
 } // namespace care::inject

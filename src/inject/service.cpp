@@ -10,6 +10,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include "inject/experiment.hpp"
 #include "inject/result_store.hpp"
 #include "support/bytestream.hpp"
-#include "support/md5.hpp"
 #include "support/trace.hpp"
 
 namespace care::inject {
@@ -33,11 +33,13 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-constexpr std::uint32_t kFrameMagic = 0x46535243; // "CRSF"
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4 + 4 + 8 + 4;
-constexpr std::size_t kMaxFramePayload = 64u << 20; // sanity bound
+/// Worker -> coordinator message: this header, then the finished shard's
+/// sealed store entry (shard::seal). Busy seconds are telemetry and stay
+/// outside the seal.
+constexpr std::size_t kMsgHeaderBytes = 4 + 8; // u32 entry length, f64 busy
+constexpr std::size_t kMaxEntryBytes = 64u << 20; // sanity bound
 /// Crashed-worker respawns tolerated per campaign before the coordinator
-/// stops re-forking and finishes the remaining shards inline.
+/// stops re-forking and runs the remaining shards in-process.
 constexpr int kMaxRestarts = 8;
 
 /// Coordinator -> worker: run this shard. `armKill` arms the testKill*
@@ -49,11 +51,117 @@ struct Dispatch {
   std::uint32_t armKill;
 };
 
-int shardStart(int shard, int shardSize) { return shard * shardSize; }
+/// One campaign's shards: the records in trial order, which trials this
+/// call ran, which shards are done, the store each finished shard goes to,
+/// and the service counters telemetry reports. Every engine finishes a
+/// shard through commit().
+struct Shards {
+  Shards(int trials, int shardSize, ResultStore store)
+      : trials(trials), size(shardSize),
+        count((trials + shardSize - 1) / shardSize), store(std::move(store)),
+        records(static_cast<std::size_t>(trials)),
+        executed(static_cast<std::size_t>(trials), 0),
+        done(static_cast<std::size_t>(count), 0) {}
 
-int shardCount(int shard, int shardSize, int trials) {
-  const int start = shardStart(shard, shardSize);
-  return std::min(shardSize, trials - start);
+  int start(int s) const { return s * size; }
+  int trialsIn(int s) const { return std::min(size, trials - start(s)); }
+  bool holds(int s, int trial) const {
+    return trial >= start(s) && trial < start(s) + trialsIn(s);
+  }
+  std::vector<int> undone() const {
+    std::vector<int> out;
+    for (int s = 0; s < count; ++s)
+      if (!done[static_cast<std::size_t>(s)]) out.push_back(s);
+    return out;
+  }
+
+  /// Serve every shard the store holds.
+  void load() {
+    for (int s = 0; s < count && store.enabled(); ++s) {
+      auto recs = store.load(start(s), trialsIn(s));
+      if (!recs) {
+        ++storeMisses;
+        continue;
+      }
+      std::move(recs->begin(), recs->end(), records.begin() + start(s));
+      done[static_cast<std::size_t>(s)] = 1;
+      trialsDone += trialsIn(s);
+      ++storeHits;
+    }
+  }
+
+  /// Finish shard `s`: place `recs` (empty = the records are already in
+  /// place), mark its trials executed, count them, and store `entry`, the
+  /// shard's sealed bytes (empty = seal them here).
+  void commit(int s, std::vector<InjectionRecord> recs = {},
+              std::vector<std::uint8_t> entry = {}) {
+    const auto first = records.begin() + start(s);
+    std::move(recs.begin(), recs.end(), first);
+    std::fill_n(executed.begin() + start(s), trialsIn(s), 1);
+    done[static_cast<std::size_t>(s)] = 1;
+    trialsDone += trialsIn(s);
+    if (!store.enabled()) return;
+    if (entry.empty())
+      entry = shard::seal(store.key(), start(s), {first, first + trialsIn(s)});
+    store.write(start(s), trialsIn(s), entry);
+  }
+
+  const int trials;
+  const int size;
+  const int count;
+  const ResultStore store;
+  std::vector<InjectionRecord> records;
+  std::vector<std::uint8_t> executed;
+  std::vector<std::uint8_t> done;
+  int trialsDone = 0;
+  int storeHits = 0;
+  int storeMisses = 0;
+  int restarts = 0;
+  int requeued = 0;
+  double busySec = 0;
+};
+
+/// Run `shards` on the in-process pool (runTrialPool) and commit each.
+void runShardsInProcess(Shards& book, const std::vector<int>& shards,
+                        std::uint64_t seed, int threads, const TrialFn& fn) {
+  std::vector<int> idx;
+  for (int s : shards)
+    for (int i = book.start(s); i < book.start(s) + book.trialsIn(s); ++i)
+      idx.push_back(i);
+  book.busySec += runTrialPool(idx, seed, threads, fn, book.records);
+  for (int s : shards) book.commit(s);
+}
+
+/// Copy the service counters of `book` into `t`, the campaign line or a
+/// progress event.
+void putServiceCounters(const Shards& book, const ServiceConfig& svc,
+                        Clock::time_point t0, CampaignTelemetry& t) {
+  t.trials = book.trials;
+  t.threads = resolveThreads(svc.threads, book.trials);
+  t.processes = std::max(svc.processes, 0);
+  t.shards = book.count;
+  t.storeHits = book.storeHits;
+  t.storeMisses = book.storeMisses;
+  t.workerRestarts = book.restarts;
+  t.shardsRequeued = book.requeued;
+  t.wallSec = secondsSince(t0);
+}
+
+/// Publish a campaign_progress event for `book`, carrying what the caller
+/// has set in `telemetry` so far (workload, level, fault model, ECC, ...).
+void publishProgress(const Shards& book, const ServiceConfig& svc,
+                     Clock::time_point t0, const CampaignTelemetry* telemetry,
+                     int workersAlive) {
+  CampaignTelemetry p = telemetry ? *telemetry : CampaignTelemetry{};
+  p.event = "campaign_progress";
+  putServiceCounters(book, svc, t0, p);
+  p.workersAlive = workersAlive;
+  p.trialsDone = book.trialsDone;
+  p.trialsPerSec = p.wallSec > 0 ? book.trialsDone / p.wallSec : 0;
+  p.etaSec = p.trialsPerSec > 0
+                 ? (book.trials - book.trialsDone) / p.trialsPerSec
+                 : 0;
+  publishTelemetry(p);
 }
 
 bool writeAll(int fd, const std::uint8_t* p, std::size_t len) {
@@ -86,11 +194,11 @@ bool readAll(int fd, void* out, std::size_t len) {
 }
 
 /// Worker process body: run each dispatched shard and answer with its
-/// sealed frame, until the coordinator closes the socket. Never returns:
+/// sealed entry, until the coordinator closes the socket. Never returns:
 /// _exit() skips atexit hooks (the trace writer, gtest teardown) the
 /// coordinator owns. Exit codes: 0 = socket closed, 3 = a trial threw,
-/// 4 = frame write failed.
-[[noreturn]] void workerMain(int fd, int trials, std::uint64_t seed,
+/// 4 = message write failed.
+[[noreturn]] void workerMain(int fd, const Shards& book, std::uint64_t seed,
                              const ServiceConfig& svc, const TrialFn& fn) {
 #ifdef __linux__
   ::prctl(PR_SET_PDEATHSIG, SIGKILL); // don't outlive the coordinator
@@ -99,34 +207,26 @@ bool readAll(int fd, void* out, std::size_t len) {
   try {
     Dispatch d{};
     while (readAll(fd, &d, sizeof d)) {
-      const int shard = static_cast<int>(d.shard);
-      const int start = shardStart(shard, svc.shardSize);
-      const int count = shardCount(shard, svc.shardSize, trials);
+      const int s = static_cast<int>(d.shard);
+      const int start = book.start(s);
       const Clock::time_point w0 = Clock::now();
-      ByteWriter payload;
-      for (int i = start; i < start + count; ++i) {
+      std::vector<InjectionRecord> recs;
+      for (int i = start; i < start + book.trialsIn(s); ++i) {
         if (d.armKill && i == svc.testKillAtTrial) ::kill(::getpid(), SIGKILL);
-        Rng trialRng = Rng::stream(seed, static_cast<std::uint64_t>(i));
-        writeRecordBytes(fn(i, trialRng), payload);
+        recs.push_back(runTrialAt(fn, seed, i));
       }
-      ByteWriter frame;
-      frame.u32(kFrameMagic);
-      frame.u32(d.shard);
-      frame.u32(static_cast<std::uint32_t>(start));
-      frame.u32(static_cast<std::uint32_t>(count));
-      frame.f64(secondsSince(w0));
-      frame.u32(static_cast<std::uint32_t>(payload.size()));
-      frame.bytes(payload.data().data(), payload.size());
-      Md5 h;
-      h.update(payload.data().data(), payload.size());
-      const Md5Digest digest = h.finish();
-      frame.bytes(digest.bytes.data(), 16);
-      if (!writeAll(fd, frame.data().data(), frame.size())) {
+      const std::vector<std::uint8_t> entry =
+          shard::seal(book.store.key(), start, recs);
+      ByteWriter hdr;
+      hdr.u32(static_cast<std::uint32_t>(entry.size()));
+      hdr.f64(secondsSince(w0));
+      if (!writeAll(fd, hdr.data().data(), hdr.size()) ||
+          !writeAll(fd, entry.data(), entry.size())) {
         rc = 4;
         break;
       }
       // Still armed after the trials ran: the hook is testKillAfterCommit.
-      // Die with the frame fully sent; the coordinator must commit it from
+      // Die with the entry fully sent; the coordinator must commit it from
       // the drained socket and never run or count the shard twice.
       if (d.armKill) ::kill(::getpid(), SIGKILL);
     }
@@ -141,25 +241,11 @@ bool readAll(int fd, void* out, std::size_t len) {
 /// holds, so a dead worker's shard is requeued from that record alone.
 class Coordinator {
 public:
-  Coordinator(int trials, std::uint64_t seed, const ServiceConfig& svc,
-              const TrialFn& fn, int numShards,
-              std::vector<InjectionRecord>& records,
-              std::vector<std::uint8_t>& executed,
-              std::vector<std::uint8_t>& shardDone, const ResultStore& store,
-              CampaignTelemetry* telemetry, int storeHits, int storeMisses,
+  Coordinator(Shards& book, std::uint64_t seed, const ServiceConfig& svc,
+              const TrialFn& fn, const CampaignTelemetry* telemetry,
               Clock::time_point t0)
-      : trials_(trials), seed_(seed), svc_(svc), fn_(fn),
-        numShards_(numShards), records_(records), executed_(executed),
-        shardDone_(shardDone), store_(store), telemetry_(telemetry),
-        storeHits_(storeHits), storeMisses_(storeMisses), t0_(t0) {
-    for (int s = 0; s < numShards_; ++s)
-      if (shardDone_[static_cast<std::size_t>(s)])
-        trialsDone_ += shardCount(s, svc_.shardSize, trials_);
-  }
-
-  int restarts() const { return restarts_; }
-  int requeued() const { return requeued_; }
-  double busySec() const { return busySec_; }
+      : book_(book), seed_(seed), svc_(svc), fn_(fn), telemetry_(telemetry),
+        t0_(t0) {}
 
   void run(const std::vector<int>& missing) {
     pending_.assign(missing.begin(), missing.end());
@@ -173,22 +259,22 @@ public:
     while (anyHeld()) {
       pollSockets();
       reapWorkers();
-      maybeEmitProgress();
+      if (secondsSince(lastProgress_) >= 0.25) {
+        lastProgress_ = Clock::now();
+        publishProgress(book_, svc_, t0_, telemetry_, live_);
+      }
     }
 
     // Every live worker is now idle, blocked on its socket: closing the
-    // socket is the EOF that ends it. Whatever is still uncommitted is run
-    // inline — the completion guarantee for exhausted restart budgets and
-    // fork failures.
+    // socket is the EOF that ends it. Whatever is still uncommitted runs
+    // on the in-process pool — the completion guarantee for exhausted
+    // restart budgets and fork failures.
     for (Seat& seat : seats_) {
       if (seat.fd >= 0) ::close(seat.fd);
       if (seat.pid > 0) ::waitpid(seat.pid, nullptr, 0);
       seat = Seat{};
     }
-    live_ = 0;
-    for (int s = 0; s < numShards_; ++s)
-      if (!shardDone_[static_cast<std::size_t>(s)]) runShardInline(s);
-    emitProgress(); // final event, guaranteed
+    runShardsInProcess(book_, book_.undone(), seed_, svc_.threads, fn_);
   }
 
 private:
@@ -205,15 +291,9 @@ private:
     return false;
   }
 
-  bool holdsTrial(int shard, int trial) const {
-    const int start = shardStart(shard, svc_.shardSize);
-    return trial >= start &&
-           trial < start + shardCount(shard, svc_.shardSize, trials_);
-  }
-
   /// Fork a worker onto `seat` and hand it the next pending shard. On
-  /// failure the seat stays empty (its shards run inline in the end-game
-  /// sweep) and one stderr line names the failed call.
+  /// failure the seat stays empty (its shards run in the end-game) and one
+  /// stderr line names the failed call.
   void spawn(Seat& seat) {
     int fds[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
@@ -236,7 +316,7 @@ private:
       ::close(fds[0]);
       for (const Seat& other : seats_)
         if (other.fd >= 0) ::close(other.fd);
-      workerMain(fds[1], trials_, seed_, svc_, fn_); // noreturn
+      workerMain(fds[1], book_, seed_, svc_, fn_); // noreturn
     }
     ::close(fds[1]);
     ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
@@ -254,8 +334,9 @@ private:
     seat.shard = pending_.front();
     pending_.pop_front();
     Dispatch d{static_cast<std::uint32_t>(seat.shard), 0};
-    if (!killArmed_ && (holdsTrial(seat.shard, svc_.testKillAtTrial) ||
-                        holdsTrial(seat.shard, svc_.testKillAfterCommitTrial))) {
+    if (!killArmed_ &&
+        (book_.holds(seat.shard, svc_.testKillAtTrial) ||
+         book_.holds(seat.shard, svc_.testKillAfterCommitTrial))) {
       d.armKill = 1;
       killArmed_ = true;
     }
@@ -278,14 +359,14 @@ private:
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR))) continue;
       Seat& seat = *seatOf[k];
-      if (!drainAndParse(seat) && seat.pid > 0)
+      if (!drainAndCommit(seat) && seat.pid > 0)
         ::kill(seat.pid, SIGKILL); // poisoned stream; reap path requeues
     }
   }
 
-  /// Read whatever the socket holds and parse complete frames. Returns
-  /// false on a corrupt stream.
-  bool drainAndParse(Seat& seat) {
+  /// Read whatever the socket holds and commit every complete message.
+  /// Returns false on a message that does not open as the held shard.
+  bool drainAndCommit(Seat& seat) {
     for (;;) {
       std::uint8_t tmp[65536];
       const ssize_t k = ::read(seat.fd, tmp, sizeof(tmp));
@@ -297,49 +378,20 @@ private:
       if (errno == EINTR) continue;
       break; // EAGAIN
     }
-    return parseFrames(seat);
-  }
-
-  bool parseFrames(Seat& seat) {
     std::size_t off = 0;
     bool ok = true;
-    while (seat.buf.size() - off >= kFrameHeaderBytes) {
-      ByteReader hdr(std::vector<std::uint8_t>(
-          seat.buf.begin() + static_cast<long>(off),
-          seat.buf.begin() + static_cast<long>(off + kFrameHeaderBytes)));
-      if (hdr.u32() != kFrameMagic) {
-        ok = false;
-        break;
-      }
-      const std::uint32_t shard = hdr.u32();
-      const std::uint32_t start = hdr.u32();
-      const std::uint32_t count = hdr.u32();
+    while (ok && seat.buf.size() - off >= kMsgHeaderBytes) {
+      const auto hdrAt = seat.buf.begin() + static_cast<long>(off);
+      ByteReader hdr(std::vector<std::uint8_t>(hdrAt, hdrAt + kMsgHeaderBytes));
+      const std::uint32_t len = hdr.u32();
       const double busy = hdr.f64();
-      const std::uint32_t payloadLen = hdr.u32();
-      if (seat.shard < 0 || static_cast<int>(shard) != seat.shard ||
-          static_cast<int>(start) != shardStart(seat.shard, svc_.shardSize) ||
-          static_cast<int>(count) !=
-              shardCount(seat.shard, svc_.shardSize, trials_) ||
-          payloadLen > kMaxFramePayload) {
-        ok = false;
-        break;
-      }
-      const std::size_t total = kFrameHeaderBytes + payloadLen + 16;
-      if (seat.buf.size() - off < total) break; // incomplete tail frame
-      const std::uint8_t* payload = seat.buf.data() + off + kFrameHeaderBytes;
-      Md5 h;
-      h.update(payload, payloadLen);
-      const Md5Digest digest = h.finish();
-      if (std::memcmp(digest.bytes.data(), payload + payloadLen, 16) != 0) {
-        ok = false;
-        break;
-      }
-      if (!commitShard(seat, payload, payloadLen)) {
-        ok = false;
-        break;
-      }
-      busySec_ += busy;
-      off += total;
+      ok = seat.shard >= 0 && len <= kMaxEntryBytes;
+      if (!ok || seat.buf.size() - off - kMsgHeaderBytes < len)
+        break; // poisoned, or an incomplete tail message
+      const auto entryAt = hdrAt + kMsgHeaderBytes;
+      ok = commitEntry(seat, std::vector<std::uint8_t>(entryAt, entryAt + len));
+      if (ok) book_.busySec += busy;
+      off += kMsgHeaderBytes + len;
     }
     seat.buf.erase(seat.buf.begin(),
                    seat.buf.begin() + static_cast<long>(off));
@@ -347,34 +399,17 @@ private:
     return ok;
   }
 
-  /// Commit the shard `seat` holds from its verified frame payload.
-  bool commitShard(Seat& seat, const std::uint8_t* payload,
-                   std::size_t payloadLen) {
-    const int shard = seat.shard;
-    const int start = shardStart(shard, svc_.shardSize);
-    const int count = shardCount(shard, svc_.shardSize, trials_);
-    std::vector<InjectionRecord> recs;
-    recs.reserve(static_cast<std::size_t>(count));
-    try {
-      ByteReader r(std::vector<std::uint8_t>(payload, payload + payloadLen));
-      for (int i = 0; i < count; ++i) recs.push_back(readRecordBytes(r));
-      if (!r.atEnd()) return false;
-    } catch (const Error&) {
-      return false;
-    }
-    for (int i = 0; i < count; ++i) {
-      records_[static_cast<std::size_t>(start + i)] =
-          std::move(recs[static_cast<std::size_t>(i)]);
-      executed_[static_cast<std::size_t>(start + i)] = 1;
-    }
-    shardDone_[static_cast<std::size_t>(shard)] = 1;
-    trialsDone_ += count;
-    // Keep the worker busy while the store write runs.
+  /// Open `entry` as the shard `seat` holds and commit it, storing the
+  /// verified bytes as they are.
+  bool commitEntry(Seat& seat, std::vector<std::uint8_t> entry) {
+    const int s = seat.shard;
+    auto recs = shard::open(entry, book_.store.key(), book_.start(s),
+                            book_.trialsIn(s));
+    if (!recs) return false;
+    // Keep the worker busy while the commit writes the store.
     seat.shard = -1;
     if (seat.pid > 0) dispatchNext(seat);
-    if (store_.enabled())
-      store_.save(start, count,
-                  {records_.begin() + start, records_.begin() + start + count});
+    book_.commit(s, std::move(*recs), std::move(entry));
     return true;
   }
 
@@ -387,17 +422,17 @@ private:
       --live_;
       // Commit everything the worker managed to send before it went away,
       // then requeue what it still held.
-      drainAndParse(seat);
+      drainAndCommit(seat);
       ::close(seat.fd);
       seat.fd = -1;
       if (seat.shard >= 0) {
         pending_.push_back(seat.shard);
         seat.shard = -1;
-        ++requeued_;
+        ++book_.requeued;
       }
       if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-        ++restarts_;
-        if (restarts_ <= kMaxRestarts && !pending_.empty()) spawn(seat);
+        ++book_.restarts;
+        if (book_.restarts <= kMaxRestarts && !pending_.empty()) spawn(seat);
       }
       // A requeued shard goes to any idle seat, not only a respawned one.
       for (Seat& idle : seats_)
@@ -405,75 +440,17 @@ private:
     }
   }
 
-  void runShardInline(int shard) {
-    const int start = shardStart(shard, svc_.shardSize);
-    const int count = shardCount(shard, svc_.shardSize, trials_);
-    const Clock::time_point w0 = Clock::now();
-    for (int i = start; i < start + count; ++i) {
-      Rng trialRng = Rng::stream(seed_, static_cast<std::uint64_t>(i));
-      records_[static_cast<std::size_t>(i)] = fn_(i, trialRng);
-      executed_[static_cast<std::size_t>(i)] = 1;
-    }
-    busySec_ += secondsSince(w0);
-    shardDone_[static_cast<std::size_t>(shard)] = 1;
-    trialsDone_ += count;
-    if (store_.enabled())
-      store_.save(start, count,
-                  {records_.begin() + start, records_.begin() + start + count});
-  }
-
-  void maybeEmitProgress() {
-    if (secondsSince(lastProgress_) < 0.25) return;
-    emitProgress();
-  }
-
-  void emitProgress() {
-    lastProgress_ = Clock::now();
-    CampaignTelemetry p;
-    if (telemetry_) {
-      p.workload = telemetry_->workload;
-      p.level = telemetry_->level;
-    }
-    p.event = "campaign_progress";
-    p.trials = trials_;
-    p.threads = resolveThreads(svc_.threads, trials_);
-    p.processes = svc_.processes;
-    p.shards = numShards_;
-    p.storeHits = storeHits_;
-    p.storeMisses = storeMisses_;
-    p.workerRestarts = restarts_;
-    p.shardsRequeued = requeued_;
-    p.workersAlive = live_;
-    p.trialsDone = trialsDone_;
-    p.wallSec = secondsSince(t0_);
-    p.trialsPerSec = p.wallSec > 0 ? trialsDone_ / p.wallSec : 0;
-    p.etaSec = p.trialsPerSec > 0 ? (trials_ - trialsDone_) / p.trialsPerSec
-                                  : 0;
-    publishTelemetry(p);
-  }
-
-  const int trials_;
+  Shards& book_;
   const std::uint64_t seed_;
   const ServiceConfig& svc_;
   const TrialFn& fn_;
-  const int numShards_;
-  std::vector<InjectionRecord>& records_;
-  std::vector<std::uint8_t>& executed_;
-  std::vector<std::uint8_t>& shardDone_;
-  const ResultStore& store_;
-  CampaignTelemetry* telemetry_;
-  const int storeHits_;
-  const int storeMisses_;
+  const CampaignTelemetry* telemetry_;
   const Clock::time_point t0_;
 
   std::deque<int> pending_;
   std::vector<Seat> seats_;
   bool killArmed_ = false;
   int live_ = 0;
-  int restarts_ = 0;
-  int requeued_ = 0;
-  int trialsDone_ = 0;
-  double busySec_ = 0;
   Clock::time_point lastProgress_ = Clock::now();
 };
 
@@ -484,99 +461,36 @@ runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
                  const TrialFn& fn, CampaignTelemetry* telemetry,
                  std::vector<std::uint8_t>* executedOut) {
   const Clock::time_point t0 = Clock::now();
-  const ResultStore store(svc.storeDir, svc.storeKey);
-  const int procs = svc.processes < 0 ? 0 : svc.processes;
-  // Shards exist only for the store and the forked workers; the plain
-  // in-process engine hands every trial straight to the pool.
-  const bool sharded = store.enabled() || procs > 0;
   const int n = trials < 0 ? 0 : trials;
-  const int shardSize = svc.shardSize < 1 ? 16 : svc.shardSize;
-  const int numShards = sharded ? (n + shardSize - 1) / shardSize : 0;
-
-  std::vector<InjectionRecord> records(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> executed(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint8_t> shardDone(static_cast<std::size_t>(numShards), 0);
-  int storeHits = 0;
-  int storeMisses = 0;
-  std::vector<int> missing;
-  for (int s = 0; s < numShards; ++s) {
-    const int start = shardStart(s, shardSize);
-    const int count = shardCount(s, shardSize, n);
-    if (store.enabled()) {
-      if (auto recs = store.load(start, count)) {
-        std::move(recs->begin(), recs->end(),
-                  records.begin() + start);
-        shardDone[static_cast<std::size_t>(s)] = 1;
-        ++storeHits;
-        continue;
-      }
-      ++storeMisses;
-    }
-    missing.push_back(s);
-  }
-
-  double busySec = 0;
-  int restarts = 0;
-  int requeued = 0;
-  if (procs > 0 && !missing.empty()) {
+  // Shards exist only for the store and the forked workers; the plain
+  // in-process engine runs the whole campaign as one unstored shard.
+  ResultStore store(svc.storeDir, svc.storeKey);
+  const bool sharded = store.enabled() || svc.processes > 0;
+  const int shardSize =
+      !sharded ? std::max(n, 1) : svc.shardSize < 1 ? 16 : svc.shardSize;
+  Shards book(n, shardSize, std::move(store));
+  book.load();
+  const std::vector<int> missing = book.undone();
+  if (svc.processes > 0 && !missing.empty()) {
     trace::Span span("campaign.shards", "campaign");
-    ServiceConfig runCfg = svc;
-    runCfg.shardSize = shardSize;
-    Coordinator coord(n, seed, runCfg, fn, numShards, records, executed,
-                      shardDone, store, telemetry, storeHits, storeMisses,
-                      t0);
-    coord.run(missing);
-    busySec = coord.busySec();
-    restarts = coord.restarts();
-    requeued = coord.requeued();
+    Coordinator(book, seed, svc, fn, telemetry, t0).run(missing);
   } else {
-    std::vector<int> idx;
-    for (int s : missing)
-      for (int i = s * shardSize; i < std::min((s + 1) * shardSize, n); ++i)
-        idx.push_back(i);
-    if (!sharded)
-      for (int i = 0; i < n; ++i) idx.push_back(i);
-    busySec = runTrialPool(idx, seed, svc.threads, fn, records);
-    for (int i : idx) executed[static_cast<std::size_t>(i)] = 1;
-    for (int s : missing) {
-      const int start = shardStart(s, shardSize);
-      const int count = shardCount(s, shardSize, n);
-      store.save(start, count,
-                 {records.begin() + start, records.begin() + start + count});
-    }
+    runShardsInProcess(book, missing, seed, svc.threads, fn);
   }
+  if (sharded) publishProgress(book, svc, t0, telemetry, 0);
 
   if (telemetry) {
-    telemetry->trials = n;
-    telemetry->threads = resolveThreads(svc.threads, n);
-    telemetry->processes = procs;
-    telemetry->fromCache = numShards > 0 && storeHits == numShards;
-    telemetry->shards = numShards;
-    telemetry->storeHits = storeHits;
-    telemetry->storeMisses = storeMisses;
-    telemetry->workerRestarts = restarts;
-    telemetry->shardsRequeued = requeued;
-    telemetry->wallSec = secondsSince(t0);
-    telemetry->workerBusySec = busySec;
-    telemetry->utilization =
-        telemetry->wallSec > 0
-            ? busySec / (telemetry->wallSec *
-                         (procs > 0 ? procs : telemetry->threads))
-            : 0;
-    aggregateRecordTelemetry(records, &executed, *telemetry);
-    // Guaranteed closing progress event for the in-process sharded path
-    // (the coordinator emits its own final event).
-    if (sharded && procs <= 0) {
-      CampaignTelemetry p = *telemetry;
-      p.event = "campaign_progress";
-      p.workersAlive = 0;
-      p.trialsDone = n;
-      p.etaSec = 0;
-      publishTelemetry(p);
-    }
+    CampaignTelemetry& t = *telemetry;
+    putServiceCounters(book, svc, t0, t);
+    if (!sharded) t.shards = 0;
+    t.fromCache = t.shards > 0 && t.storeHits == t.shards;
+    t.workerBusySec = book.busySec;
+    const int seats = t.processes > 0 ? t.processes : t.threads;
+    t.utilization = t.wallSec > 0 ? book.busySec / (t.wallSec * seats) : 0;
+    aggregateRecordTelemetry(book.records, &book.executed, t);
   }
-  if (executedOut) *executedOut = std::move(executed);
-  return records;
+  if (executedOut) *executedOut = std::move(book.executed);
+  return std::move(book.records);
 }
 
 } // namespace care::inject

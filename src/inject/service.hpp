@@ -12,16 +12,17 @@
 //  * the coordinator owns the queue of pending shards and dispatches one
 //    shard at a time to each worker over its socketpair, so it always knows
 //    what a dead worker was holding;
-//  * completed shards stream back over the same socket as framed, md5-
-//    sealed record batches; the coordinator commits them into the records
-//    array at their trial indices, so the merged output is in trial order
-//    and `serializeDeterministic` stays byte-identical to the serial and
-//    threaded engines;
+//  * a worker answers each shard with its sealed store entry
+//    (shard::seal in result_store.hpp); the coordinator opens it once
+//    against the shard the worker holds, commits the records at their
+//    trial indices and writes those same bytes to the store, so the merged
+//    output is in trial order and `serializeDeterministic` stays
+//    byte-identical to the serial and threaded engines;
 //  * a worker killed mid-shard — crash, SIGKILL, or one of our own escaped
 //    faults — has its held shard requeued and is respawned up to a
 //    bounded restart budget; whatever is still uncommitted when no worker
-//    remains is executed inline by the coordinator, so the campaign always
-//    completes with identical records.
+//    remains runs on the in-process pool, so the campaign always completes
+//    with identical records.
 //
 // Layered on top: the shard-granular result store (result_store.hpp), which
 // serves previously computed shards across runs, and streaming progress
@@ -59,7 +60,7 @@ struct ServiceConfig {
   /// the shard holding the trial. -1 = off.
   int testKillAtTrial = -1;
   /// Test hook for the opposite window: the worker whose shard contains
-  /// this trial index SIGKILLs itself *after* its result frame is fully on
+  /// this trial index SIGKILLs itself *after* its shard's entry is fully on
   /// the socket (once per campaign, armed like testKillAtTrial). The
   /// coordinator must commit the shard from the drained socket exactly
   /// once and requeue only what the worker was handed next. -1 = off.

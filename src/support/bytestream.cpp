@@ -16,17 +16,17 @@ void ByteWriter::bytes(const void* data, std::size_t len) {
   buf_.insert(buf_.end(), p, p + len);
 }
 
-void ByteWriter::writeFile(const std::string& path) const {
+void writeFileBytes(const std::string& path,
+                    const std::vector<std::uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) raise("cannot open for writing: " + path);
-  const std::size_t written = buf_.empty()
-                                  ? 0
-                                  : std::fwrite(buf_.data(), 1, buf_.size(), f);
+  const std::size_t written =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
-  if (written != buf_.size()) raise("short write: " + path);
+  if (written != bytes.size()) raise("short write: " + path);
 }
 
-ByteReader ByteReader::fromFile(const std::string& path) {
+std::vector<std::uint8_t> readFileBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) raise("cannot open for reading: " + path);
   std::fseek(f, 0, SEEK_END);
@@ -37,7 +37,7 @@ ByteReader ByteReader::fromFile(const std::string& path) {
       data.empty() ? 0 : std::fread(data.data(), 1, data.size(), f);
   std::fclose(f);
   if (got != data.size()) raise("short read: " + path);
-  return ByteReader(std::move(data));
+  return data;
 }
 
 const std::uint8_t* ByteReader::take(std::size_t n) {

@@ -15,6 +15,14 @@
 
 namespace care {
 
+/// The whole file at `path` as bytes. Throws care::Error if unreadable.
+std::vector<std::uint8_t> readFileBytes(const std::string& path);
+
+/// Write `bytes` as the whole file at `path`. Throws care::Error on
+/// failure.
+void writeFileBytes(const std::string& path,
+                    const std::vector<std::uint8_t>& bytes);
+
 /// Append-only binary writer.
 class ByteWriter {
 public:
@@ -34,7 +42,7 @@ public:
   std::size_t size() const { return buf_.size(); }
 
   /// Write the accumulated buffer to a file. Throws care::Error on failure.
-  void writeFile(const std::string& path) const;
+  void writeFile(const std::string& path) const { writeFileBytes(path, buf_); }
 
 private:
   void putLE(std::uint64_t v, int n) {
@@ -52,7 +60,9 @@ public:
       : buf_(std::move(data)) {}
 
   /// Load a whole file. Throws care::Error if unreadable.
-  static ByteReader fromFile(const std::string& path);
+  static ByteReader fromFile(const std::string& path) {
+    return ByteReader(readFileBytes(path));
+  }
 
   std::uint8_t u8() { return take(1)[0]; }
   std::uint16_t u16() { return static_cast<std::uint16_t>(getLE(2)); }

@@ -33,17 +33,6 @@ namespace {
 
 std::atomic<InterpKind> gDefaultInterp{InterpKind::Fast};
 
-/// Effective address of a memory operand: disp + global + base + index*scale.
-std::uint64_t effectiveAddr(const backend::MemRef& m, const std::uint64_t* g,
-                            const LoadedModule& lm) {
-  std::uint64_t a = static_cast<std::uint64_t>(m.disp);
-  if (m.globalIdx >= 0)
-    a += lm.globalAddr[static_cast<std::size_t>(m.globalIdx)];
-  if (m.base != kNoReg) a += g[m.base];
-  if (m.index != kNoReg) a += g[m.index] * m.scale;
-  return a;
-}
-
 } // namespace
 
 InterpKind parseInterp(std::string_view name) {

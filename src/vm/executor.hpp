@@ -55,6 +55,19 @@ inline TrapKind trapKindForMem(MemStatus s) {
   return TrapKind::Bus;
 }
 
+/// Effective address of memory operand `m` of module `lm` under integer
+/// registers `g`: disp + global + base + index*scale.
+inline std::uint64_t effectiveAddr(const backend::MemRef& m,
+                                   const std::uint64_t* g,
+                                   const LoadedModule& lm) {
+  std::uint64_t a = static_cast<std::uint64_t>(m.disp);
+  if (m.globalIdx >= 0)
+    a += lm.globalAddr[static_cast<std::size_t>(m.globalIdx)];
+  if (m.base != backend::kNoReg) a += g[m.base];
+  if (m.index != backend::kNoReg) a += g[m.index] * m.scale;
+  return a;
+}
+
 struct Trap {
   TrapKind kind = TrapKind::SegFault;
   std::uint64_t pc = 0;   // address of the faulting instruction

@@ -16,6 +16,7 @@
 
 #include "inject/experiment.hpp"
 #include "inject/service.hpp"
+#include "support/bytestream.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
 #include "workloads/workloads.hpp"
@@ -196,7 +197,7 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
 
 TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
   // The mirror image of the mid-shard kill: the worker dies right *after*
-  // its result frame is fully on the socket. The coordinator must commit
+  // its shard's entry is fully on the socket. The coordinator must commit
   // that shard from the drained socket exactly once and requeue only the
   // shard it had handed the worker next — never re-run or double-count.
   const std::string dir = "care_test_artifacts/mp_kill_commit";
@@ -295,6 +296,15 @@ TEST(MultiprocessCampaign, ResultStoreComposesWithForkedWorkers) {
   EXPECT_EQ(warm.storeHits, warm.shards);
   EXPECT_EQ(inject::serializeDeterministic(first),
             inject::serializeDeterministic(second));
+  // The store holds exactly what the workers measured, timings included:
+  // the coordinator writes the entries the workers sealed.
+  ASSERT_EQ(first.records.size(), second.records.size());
+  for (std::size_t i = 0; i < first.records.size(); ++i) {
+    ByteWriter cold, warm;
+    inject::writeRecordBytes(first.records[i], cold);
+    inject::writeRecordBytes(second.records[i], warm);
+    EXPECT_EQ(cold.data(), warm.data()) << "trial " << i;
+  }
 }
 
 } // namespace

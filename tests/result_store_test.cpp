@@ -75,6 +75,20 @@ TEST_F(ResultStoreTest, SaveLoadRoundTripsEveryField) {
   }
 }
 
+TEST_F(ResultStoreTest, EntryBytesArePinned) {
+  // The on-disk entry format: a store warmed by an earlier build must stay
+  // warm, so these bytes may change only with ResultStore::kVersion or
+  // kExperimentCacheVersion.
+  ResultStore store(kDir, kKey);
+  ASSERT_TRUE(store.save(32, 5, sampleRecords(5, 100)));
+  std::ifstream in(store.entryPath(32, 5), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  Md5 h;
+  h.update(bytes.data(), bytes.size());
+  EXPECT_EQ(h.finish().hex(), "07f8a455367a971f67c749ac91187edf");
+}
+
 TEST_F(ResultStoreTest, MissingEntryIsAMiss) {
   ResultStore store(kDir, kKey);
   EXPECT_FALSE(store.load(0, 16).has_value());
