@@ -465,15 +465,22 @@ InjectionResult Campaign::runInjection(
   // strike their word exactly at pt.nth, after any capture at that count.
   // The strike is transient: a rollback to a checkpoint before pt.nth
   // genuinely erases it. Convergence (DESIGN.md §4c): at every later golden
-  // boundary a trial whose fault has fired compares its state with the
-  // golden one, struck words included, and stops on equality — the rest of
-  // the run is the golden run.
+  // boundary, on the golden-path count, a trial whose fault has fired
+  // compares its state with the golden one, struck words included, and
+  // stops on equality — the rest of the run is the golden run, so the run
+  // to the end would finish at goldenInstrs_ + its retries. Past the
+  // budget that run would be a Hang, so the trial runs on. At any
+  // hangFactor >= 1 the budget's slack over golden is at least 1M
+  // instructions, so only a trial with over a million repairs reaches
+  // that guard; no campaign does.
   bool converged = false;
   std::vector<vm::ScheduledEvent> events;
   for (const TrialCheckpoint* g = ck ? ck + 1 : checkpoints_.data();
        g != checkpoints_.data() + checkpoints_.size(); ++g)
     events.push_back({g->rp.instrCount, [&, g](Executor& e) {
-                        converged = fired && e.sameState(g->rp);
+                        converged = fired &&
+                                    goldenInstrs_ + e.retries() <= budget &&
+                                    e.sameState(g->rp);
                         return converged;
                       }});
   if (memFault) {
@@ -493,9 +500,9 @@ InjectionResult Campaign::runInjection(
       ex, rollsBack ? rollbackInterval_ : 0, budget,
       [&](Executor& e) { ring.push(e); }, events);
   if (converged) {
-    res.replaySavedInstrs += goldenInstrs_ - run.instrCount;
+    res.replaySavedInstrs += goldenInstrs_ - (run.instrCount - ex.retries());
     run.status = vm::RunStatus::Done;
-    run.instrCount = goldenInstrs_;
+    run.instrCount = goldenInstrs_ + ex.retries();
   }
   res.injected = fired;
   res.instrsExecuted = run.instrCount;

@@ -48,14 +48,21 @@ RunResult runCheckpointed(Executor& ex, std::uint64_t interval,
   std::uint64_t next = interval > 0 ? ex.instrCount() : kNone;
   auto event = events.begin();
   for (;;) {
-    const bool periodic =
-        next < finalBudget && (event == events.end() || next <= event->at);
+    // An event stops at its golden-path count: `at` plus the repairs on
+    // the current timeline.
+    const std::uint64_t eventStop =
+        event == events.end() ? kNone : event->at + ex.retries();
+    const bool periodic = next < finalBudget && next <= eventStop;
     if (!periodic && event == events.end()) break;
-    const RunResult r = ex.runBounded(periodic ? next : event->at);
+    const RunResult r = ex.runBounded(periodic ? next : eventStop);
     if (r.status != RunStatus::BudgetExceeded) return r;
     if (periodic) {
       onBoundary(ex);
       next += interval;
+    } else if (ex.instrCount() - ex.retries() < event->at) {
+      // A repair inside the segment moved the stop: stop again there,
+      // unless the run is out of budget.
+      if (ex.instrCount() >= finalBudget) return r;
     } else if ((event++)->fire(ex)) {
       return r;
     }

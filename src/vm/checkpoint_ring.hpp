@@ -72,8 +72,9 @@ private:
 };
 
 /// A one-shot stop in a runCheckpointed() schedule: when the run reaches
-/// absolute instruction count `at`, call `fire(ex)` (a memory strike, a
-/// convergence probe). `fire` returns true to end the run right there.
+/// golden-path count `at` (instrCount() − retries(), which is the absolute
+/// count until a repair), call `fire(ex)` (a memory strike, a convergence
+/// probe). `fire` returns true to end the run right there.
 struct ScheduledEvent {
   std::uint64_t at = 0;
   std::function<bool(Executor&)> fire;
@@ -91,9 +92,13 @@ struct ScheduledEvent {
 ///    grid even if a trap hook rewinds the executor mid-segment
 ///    (rollback): the segment still runs to its original boundary.
 ///    interval == 0 schedules none;
-///  * the one-shot `events`, ascending by `at`. At an equal count the
-///    periodic boundary comes first. An event that asks to stop ends the
-///    run at its count: the result is that stop's BudgetExceeded.
+///  * the one-shot `events`, ascending by `at`, each stopped at `at` plus
+///    the executor's retries(); a repair inside the segment moves that
+///    stop, so the run stops again. A rollback that undoes a repair
+///    mid-segment makes the event fire late, past its golden-path count.
+///    At an equal instrCount the periodic boundary comes first. An event
+///    that asks to stop ends the run at its count: the result is that
+///    stop's BudgetExceeded.
 /// With no boundaries and no events this is a single runToCompletion().
 RunResult runCheckpointed(Executor& ex, std::uint64_t interval,
                           std::uint64_t finalBudget,

@@ -117,6 +117,7 @@ Executor::ResumePoint Executor::resumePoint() {
   rp.instr = curInstr_;
   rp.started = started_;
   rp.instrCount = instrCount_;
+  rp.retries = retries_;
   rp.output = output_;
   return rp;
 }
@@ -131,6 +132,7 @@ void Executor::restoreCheckpoint(const ResumePoint& rp, bool preserveOutput) {
   mem_.setEccCounters(eccCorrected, eccUncorrectable);
   started_ = rp.started;
   instrCount_ = rp.instrCount;
+  retries_ = rp.retries;
   if (!preserveOutput) output_ = rp.output;
   // A never-started point restores to a fresh executor; run() then performs
   // its usual entry setup.
@@ -138,7 +140,8 @@ void Executor::restoreCheckpoint(const ResumePoint& rp, bool preserveOutput) {
 }
 
 bool Executor::sameState(const ResumePoint& rp) const {
-  return started_ == rp.started && instrCount_ == rp.instrCount &&
+  return started_ == rp.started &&
+         instrCount_ - retries_ == rp.instrCount - rp.retries &&
          curModule_ == rp.module && curFunc_ == rp.func &&
          curInstr_ == rp.instr && std::memcmp(&st_, &rp.st, sizeof st_) == 0 &&
          output_ == rp.output && rp.mem.compare(mem_).has_value();
@@ -177,7 +180,13 @@ RunResult Executor::runBounded(std::uint64_t stopAt) {
 }
 
 bool Executor::deliverTrap(const Trap& trap) {
-  return trapHook_ && trapHook_(*this, trap) == TrapAction::Retry;
+  if (!trapHook_) return false;
+  const std::uint64_t count = instrCount_;
+  if (trapHook_(*this, trap) != TrapAction::Retry) return false;
+  // A rollback's Retry has already rewound the count (and the retries)
+  // through restoreCheckpoint; only an in-place repair adds one.
+  if (instrCount_ == count) ++retries_;
+  return true;
 }
 
 RunResult Executor::endAtLostReturn(std::uint64_t pc) {

@@ -156,6 +156,9 @@ public:
     std::int32_t module = 0, func = 0, instr = 0;
     bool started = false;
     std::uint64_t instrCount = 0;
+    /// In-place Retries on the captured timeline (retries()); golden
+    /// checkpoints carry 0.
+    std::uint64_t retries = 0;
     std::vector<std::uint64_t> output;
   };
   /// Capture the current position as a ResumePoint. Only meaningful between
@@ -164,11 +167,12 @@ public:
   /// the pages it then touches.
   ResumePoint resumePoint();
   /// Restore `rp` into this executor: CoW-fork the captured address space
-  /// and reseat registers, frame position, instruction count and the output
-  /// buffer, so every downstream observable (budget clock, manifestation
-  /// latency, SDC output comparison) stays absolute — exactly as if the
-  /// whole golden prefix had been re-executed. The next run() resumes at
-  /// the captured position on whichever interpreter loop is selected.
+  /// and reseat registers, frame position, instruction count, retries and
+  /// the output buffer, so every downstream observable (budget clock,
+  /// manifestation latency, SDC output comparison) stays absolute — exactly
+  /// as if the whole golden prefix had been re-executed. The next run()
+  /// resumes at the captured position on whichever interpreter loop is
+  /// selected.
   /// Thread-safe with respect to concurrent restores of the same point.
   ///
   /// `preserveOutput` keeps the current output buffer instead of the
@@ -181,9 +185,9 @@ public:
   void restoreCheckpoint(const ResumePoint& rp, bool preserveOutput = false);
   /// Is this executor, stopped between run() calls, in exactly `rp`'s
   /// state? Compares in place, without capturing a ResumePoint: position,
-  /// started, instrCount, registers byte for byte, output, and memory by
-  /// MemorySnapshot::compare, struck words included. The ECC counters are
-  /// not compared.
+  /// started, the golden-path count (instrCount − retries), registers byte
+  /// for byte, output, and memory by MemorySnapshot::compare, struck words
+  /// included. The ECC counters are not compared.
   bool sameState(const ResumePoint& rp) const;
 
   // --- run ----------------------------------------------------------------
@@ -208,6 +212,10 @@ public:
   MachineState& state() { return st_; }
   const std::vector<std::uint64_t>& output() const { return output_; }
   std::uint64_t instrCount() const { return instrCount_; }
+  /// In-place Retries (repairs) on the current timeline, each of which
+  /// counted its faulting instruction twice: instrCount() − retries() is
+  /// the golden-path count. A restored checkpoint brings back its own.
+  std::uint64_t retries() const { return retries_; }
   /// PC of the instruction currently being executed.
   std::uint64_t currentPC() const;
 
@@ -222,7 +230,8 @@ private:
   // the loop has synced; each loop keeps only its own continuation after
   // a Retry.
   /// Deliver `trap` to the hook. True when the hook patched the state and
-  /// asked to re-execute the faulting instruction.
+  /// asked to re-execute the faulting instruction; a Retry that left the
+  /// count where it was is a repair and counts in retries_.
   bool deliverTrap(const Trap& trap);
   /// End the run at a lost return PC: the hook may observe the BadPC, but
   /// Retry means nothing for a lost PC, so the run ends Trapped at `pc`
@@ -252,6 +261,7 @@ private:
   MachineState st_;
   std::vector<std::uint64_t> output_;
   std::uint64_t instrCount_ = 0;
+  std::uint64_t retries_ = 0;
   /// The one run bound every loop tests; runBounded() and the JIT's
   /// interpreter steps lower it transiently.
   std::uint64_t budget_ = ~0ull;

@@ -351,6 +351,66 @@ TEST(ReplayCache, BenignTrialsStopOnceTheyReconverge) {
   EXPECT_GT(converged, 0) << "no Benign trial stopped at re-convergence";
 }
 
+TEST(ReplayCache, RepairedReRunsStopOnceTheyReconverge) {
+  // Non-vacuity of convergence after a repair: a CARE re-run that
+  // Safeguard repaired compares with golden on the golden-path count, so
+  // on GTC-P some recovered re-run stops early under `repair` and under
+  // `repair_then_rollback`. It reports golden plus its repairs as executed
+  // and is byte-identical to its replay-off run, which runs to the end.
+  inject::ExperimentConfig bcfg;
+  runEnv().apply(bcfg);
+  bcfg.cacheDir = "care_test_artifacts/replay_repair_converge";
+  // Detectors off: armed, they catch most of these faults before the
+  // SIGSEGV and leave next to nothing to repair.
+  bcfg.armor.detect = {};
+  std::filesystem::remove_all(bcfg.cacheDir);
+  inject::BuiltWorkload built = inject::buildWorkload(workloads::gtcp(), bcfg);
+  const inject::ServiceConfig svc = envService(4);
+  for (core::RecoveryStrategy recover :
+       {core::RecoveryStrategy::Repair,
+        core::RecoveryStrategy::RepairThenRollback}) {
+    SCOPED_TRACE(core::recoveryStrategyName(recover));
+    CampaignConfig onCfg = pinnedConfig();
+    onCfg.recover = recover;
+    onCfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
+    CampaignConfig offCfg = onCfg;
+    offCfg.checkpointEveryInstrs = 0;
+    Campaign on(built.image.get(), onCfg);
+    Campaign off(built.image.get(), offCfg);
+    ASSERT_TRUE(on.profile());
+    ASSERT_TRUE(off.profile());
+    ASSERT_GT(on.checkpoints().size(), 0u);
+    const auto recOn = inject::runCampaign(on, 60, /*seed=*/123, 4,
+                                           &built.artifacts, nullptr, &svc);
+    const auto recOff = inject::runCampaign(off, 60, /*seed=*/123, 4,
+                                            &built.artifacts, nullptr, &svc);
+    ASSERT_EQ(recOn.size(), recOff.size());
+    int converged = 0;
+    for (std::size_t i = 0; i < recOn.size(); ++i) {
+      const InjectionResult& r = recOn[i].withCare;
+      // Recovered, and by at least one repair.
+      if (!recOn[i].haveCare || !r.careRecovered ||
+          r.safeguardActivations == r.rollbacks)
+        continue;
+      const InjectionPoint& pt = recOn[i].point;
+      const auto si = static_cast<std::size_t>(on.siteIndexOf(pt.loc));
+      std::uint64_t restoredAt = 0;
+      for (const Campaign::TrialCheckpoint& ck : on.checkpoints())
+        if (ck.siteCounts[si] < pt.nth) restoredAt = ck.rp.instrCount;
+      if (r.replaySavedInstrs <= restoredAt) continue;
+      ++converged;
+      SCOPED_TRACE("trial " + std::to_string(i));
+      if (r.rollbacks == 0) {
+        EXPECT_EQ(r.instrsExecuted,
+                  on.goldenInstrs() + r.safeguardActivations);
+      }
+      EXPECT_EQ(inject::serializeDeterministicRecord(recOn[i]),
+                inject::serializeDeterministicRecord(recOff[i]));
+    }
+    EXPECT_GT(converged, 0) << "no repaired re-run stopped at re-convergence";
+  }
+}
+
 TEST(ReplayCache, EccTrialsConvergeLikeEveryOtherTrial) {
   // A trial struck under ECC converges too, once its struck word has
   // settled and its state equals golden. On HPCCG mem1+secded some trial

@@ -5,7 +5,8 @@
 //    eviction under tiny capacity with the entry slot pinned, stale-future
 //    dropping after a rollback;
 //  * the runCheckpointed() boundary driver: grid pauses, entry capture,
-//    observational equivalence with a plain run;
+//    events on the golden-path count, observational equivalence with a
+//    plain run;
 //  * the strategy-level differential oracles: a repair-success trial is
 //    byte-identical between `repair` and `repair_then_rollback`; a clean
 //    (never-injected) run under `rollback` is observationally identical to
@@ -251,6 +252,65 @@ TEST(CheckpointRing, RunCheckpointedStopsAtAnEventThatAsks) {
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{150, 250}));
   EXPECT_EQ(boundaries, (std::vector<std::uint64_t>{0, 100, 200}));
   EXPECT_TRUE(ex.output().empty());
+}
+
+TEST(CheckpointRing, RunCheckpointedStopsEventsOnTheGoldenPathCount) {
+  // A repaired store inside the segment moves an event's stop one
+  // instruction later, and the run stops again there; periodic boundaries
+  // stay on the raw count, and at an equal count the boundary comes
+  // first.
+  const Program p = buildProgram(R"(
+      double a[8];
+      int main() {
+        int i = 2;
+        a[i] = 1.0;
+        emit(a[2]);
+        return 0;
+      })", opt::OptLevel::O0);
+  const vm::FuncRef mainFn = p.image->mainFunction();
+  const auto& code = p.image->function({mainFn.module, mainFn.func, 0}).code;
+  std::int32_t store = -1;
+  for (std::size_t i = 0; i < code.size() && store < 0; ++i)
+    if (code[i].op == backend::MOp::Store &&
+        code[i].mem.index != backend::kNoReg)
+      store = static_cast<std::int32_t>(i);
+  ASSERT_GT(store, 0) << "no indexed store in main";
+  const auto reg =
+      static_cast<std::size_t>(code[static_cast<std::size_t>(store)].mem.index);
+  // Straight-line main: the golden point at count store + 2 is past the
+  // store.
+  const std::uint64_t at = static_cast<std::uint64_t>(store) + 2;
+  vm::Executor gold(p.image.get());
+  ASSERT_EQ(gold.runBounded(at).status, vm::RunStatus::BudgetExceeded);
+  const vm::Executor::ResumePoint goldAt = gold.resumePoint();
+
+  vm::Executor ex(p.image.get());
+  std::uint64_t intact = 0;
+  ex.armInjection({mainFn.module, mainFn.func, store - 1}, 1,
+                  [&](vm::Executor& e) {
+                    intact = e.state().g[reg];
+                    e.state().g[reg] ^= 1ull << 40;
+                  });
+  ex.setTrapHook([&](vm::Executor& e, const vm::Trap&) {
+    e.state().g[reg] = intact;
+    return vm::TrapAction::Retry;
+  });
+  std::vector<std::uint64_t> boundaries, fired;
+  bool same = false;
+  const std::vector<vm::ScheduledEvent> events = {
+      {at, [&](vm::Executor& e) {
+         fired.push_back(e.instrCount());
+         same = e.sameState(goldAt);
+         return true;
+       }}};
+  const vm::RunResult r = vm::runCheckpointed(
+      ex, at + 1, 2'000'000'000ull,
+      [&](vm::Executor& e) { boundaries.push_back(e.instrCount()); }, events);
+  EXPECT_EQ(r.status, vm::RunStatus::BudgetExceeded);
+  EXPECT_EQ(ex.retries(), 1u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{at + 1}));
+  EXPECT_TRUE(same);
+  EXPECT_EQ(boundaries, (std::vector<std::uint64_t>{0, at + 1}));
 }
 
 // --- strategy differentials ----------------------------------------------

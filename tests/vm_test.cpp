@@ -271,6 +271,85 @@ TEST(Executor, TrapHookRetryReexecutes) {
   }
 }
 
+TEST(Executor, RepairedRetriesKeepTheGoldenPathCount) {
+  // Two indexed stores, each corrupted right before it runs and repaired
+  // by the hook. A repair counts in retries(), the count keeps both
+  // attempts, and the state compares equal to golden on the golden-path
+  // count; a ResumePoint carries its retries through a restore.
+  Program p = buildProgram(R"(
+    double a[8];
+    int main() {
+      int i = 2;
+      a[i] = 1.0;
+      int j = 3;
+      a[j] = 2.0;
+      return (int)(a[2] + a[3]);
+    })", opt::OptLevel::O0);
+  const vm::FuncRef mainFn = p.image->mainFunction();
+  const auto& code = p.image->function({mainFn.module, mainFn.func, 0}).code;
+  std::vector<std::int32_t> stores;
+  for (std::size_t i = 0; i < code.size(); ++i)
+    if (code[i].op == backend::MOp::Store &&
+        code[i].mem.index != backend::kNoReg)
+      stores.push_back(static_cast<std::int32_t>(i));
+  ASSERT_EQ(stores.size(), 2u) << "expected two indexed stores in main";
+  ASSERT_GT(stores[0], 0);
+
+  // main is straight-line code, so instruction n runs at count n: the
+  // golden point at count stores[0] + 1 lies between the two stores.
+  const std::uint64_t between = static_cast<std::uint64_t>(stores[0]) + 1;
+  vm::Executor gold(p.image.get());
+  ASSERT_EQ(gold.runBounded(between).status, vm::RunStatus::BudgetExceeded);
+  const vm::Executor::ResumePoint goldBetween = gold.resumePoint();
+  ASSERT_EQ(goldBetween.instr, static_cast<std::int32_t>(between));
+  EXPECT_EQ(goldBetween.retries, 0u);
+  const vm::RunResult golden = vm::runToCompletion(gold);
+  ASSERT_EQ(golden.status, vm::RunStatus::Done);
+
+  for (const vm::InterpKind kind : kAllInterps) {
+    SCOPED_TRACE(vm::interpName(kind));
+    vm::Executor ex(p.image.get());
+    ex.setInterp(kind);
+    std::size_t reg = 0;
+    std::uint64_t intact = 0;
+    auto corruptBefore = [&](std::int32_t store) {
+      reg = static_cast<std::size_t>(
+          code[static_cast<std::size_t>(store)].mem.index);
+      ex.armInjection({mainFn.module, mainFn.func, store - 1}, 1,
+                      [&](vm::Executor& e) {
+                        intact = e.state().g[reg];
+                        e.state().g[reg] ^= 1ull << 40;
+                      });
+    };
+    ex.setTrapHook([&](vm::Executor& e, const vm::Trap& t) {
+      if (t.kind != vm::TrapKind::SegFault) return vm::TrapAction::Propagate;
+      e.state().g[reg] = intact;
+      return vm::TrapAction::Retry;
+    });
+
+    corruptBefore(stores[0]);
+    ASSERT_EQ(ex.runBounded(between + 1).status,
+              vm::RunStatus::BudgetExceeded);
+    EXPECT_EQ(ex.retries(), 1u);
+    EXPECT_EQ(ex.instrCount(), between + 1);
+    EXPECT_TRUE(ex.sameState(goldBetween));
+    const vm::Executor::ResumePoint repairedOnce = ex.resumePoint();
+    EXPECT_EQ(repairedOnce.retries, 1u);
+
+    corruptBefore(stores[1]);
+    const vm::RunResult r = vm::runToCompletion(ex);
+    EXPECT_EQ(r.status, vm::RunStatus::Done);
+    EXPECT_EQ(r.exitCode, 3);
+    EXPECT_EQ(ex.retries(), 2u);
+    EXPECT_EQ(r.instrCount, golden.instrCount + 2);
+
+    ex.restoreCheckpoint(repairedOnce);
+    EXPECT_EQ(ex.retries(), 1u);
+    EXPECT_EQ(ex.instrCount(), between + 1);
+    EXPECT_TRUE(ex.sameState(goldBetween));
+  }
+}
+
 TEST(Executor, AbortTrapFromAssert) {
   Program p = buildProgram("int main() { assert(0); return 0; }",
                            opt::OptLevel::O0);
