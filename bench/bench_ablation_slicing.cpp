@@ -5,9 +5,12 @@
 //   no-nlu    — liveness only (drops the non-local-use half)
 //   maximal   — "aggressively copy all computations": slice to the roots,
 //               ignoring liveness entirely
-// Maximal slicing inflates kernels and loses coverage because parameters it
-// assumes exist were optimized away or dead at the fault point — exactly
-// the failure mode §3.2 argues the Terminal Value rule prevents.
+// §3.2 argues maximal slicing inflates kernels and loses coverage because
+// parameters it assumes exist were optimized away or dead at the fault
+// point. On the four workloads measured here it does not: every no-nlu and
+// maximal row ends with "= paper" (same image digest, kernel counts and
+// sizes; EXPERIMENTS.md). A workload where the rule changes the binary is
+// ROADMAP item 7.
 //
 // A configuration whose compiled image has the paper row's digest ends its
 // row with "= paper": the rule changed nothing in that binary, so the row

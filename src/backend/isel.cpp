@@ -14,26 +14,6 @@ using ir::Value;
 
 namespace {
 
-MOp aluOpFor(Opcode op) {
-  switch (op) {
-  case Opcode::Add: return MOp::IAdd;
-  case Opcode::Sub: return MOp::ISub;
-  case Opcode::Mul: return MOp::IMul;
-  case Opcode::SDiv: return MOp::IDiv;
-  case Opcode::SRem: return MOp::IRem;
-  case Opcode::And: return MOp::IAnd;
-  case Opcode::Or: return MOp::IOr;
-  case Opcode::Xor: return MOp::IXor;
-  case Opcode::Shl: return MOp::IShl;
-  case Opcode::AShr: return MOp::IAshr;
-  case Opcode::FAdd: return MOp::FAdd;
-  case Opcode::FSub: return MOp::FSub;
-  case Opcode::FMul: return MOp::FMul;
-  case Opcode::FDiv: return MOp::FDiv;
-  default: CARE_UNREACHABLE("not an ALU opcode");
-  }
-}
-
 bool commutative(Opcode op) {
   switch (op) {
   case Opcode::Add:
@@ -393,7 +373,7 @@ void ISel::lowerInst(const Instruction* in, const Instruction* next) {
     }
     if (fused) {
       mi.op = fp ? MOp::FAluMem : MOp::IAluMem;
-      mi.sub = static_cast<std::uint8_t>(aluOpFor(in->opcode()));
+      mi.sub = static_cast<std::uint8_t>(aluMOp(in->opcode()));
       mi.dst = vregOf_.at(in);
       mi.src1 = regOf(swapped ? in->operand(1) : in->operand(0));
       mi.mem = addrOf(fused->pointerOperand(), mtypeFor(fused->type()));
@@ -405,7 +385,7 @@ void ISel::lowerInst(const Instruction* in, const Instruction* next) {
       if (fused->debugLoc().valid()) out.loc = fused->debugLoc();
       return;
     }
-    mi.op = aluOpFor(in->opcode());
+    mi.op = aluMOp(in->opcode());
     mi.dst = vregOf_.at(in);
     mi.src1 = regOf(in->operand(0));
     mi.narrow =
@@ -453,55 +433,26 @@ void ISel::lowerInst(const Instruction* in, const Instruction* next) {
     return;
   }
   case Opcode::Sext:
-  case Opcode::Zext: {
-    // Integer values are kept sign-extended in 64-bit registers, so these
-    // are plain register copies.
-    MInst mi;
-    mi.op = MOp::Mov;
-    mi.dst = vregOf_.at(in);
-    mi.src1 = regOf(in->operand(0));
-    emit(mi);
-    return;
-  }
-  case Opcode::Trunc: {
-    MInst mi;
-    mi.op = MOp::Sext32;
-    mi.dst = vregOf_.at(in);
-    mi.src1 = regOf(in->operand(0));
-    emit(mi);
-    return;
-  }
-  case Opcode::SIToFP: {
-    MInst mi;
-    mi.op = MOp::CvtSiToF;
-    mi.dst = vregOf_.at(in);
-    mi.src1 = regOf(in->operand(0));
-    mi.narrow = in->type() == Type::f32();
-    emit(mi);
-    return;
-  }
-  case Opcode::FPToSI: {
-    MInst mi;
-    mi.op = MOp::CvtFToSi;
-    mi.dst = vregOf_.at(in);
-    mi.src1 = regOf(in->operand(0));
-    mi.narrow = in->type() == Type::i32();
-    emit(mi);
-    return;
-  }
-  case Opcode::FPExt: {
-    MInst mi;
-    mi.op = MOp::CvtF32F64;
-    mi.dst = vregOf_.at(in);
-    mi.src1 = regOf(in->operand(0));
-    emit(mi);
-    return;
-  }
+  case Opcode::Zext:
+  case Opcode::Trunc:
+  case Opcode::SIToFP:
+  case Opcode::FPToSI:
+  case Opcode::FPExt:
   case Opcode::FPTrunc: {
+    // Indexed from Sext. Integer values are kept sign-extended in 64-bit
+    // registers, so sext and zext are plain register copies.
+    static constexpr MOp kCastMOp[] = {
+        MOp::Mov,      MOp::Mov,      MOp::Sext32,    MOp::CvtSiToF,
+        MOp::CvtFToSi, MOp::CvtF32F64, MOp::CvtF64F32,
+    };
     MInst mi;
-    mi.op = MOp::CvtF64F32;
+    mi.op = kCastMOp[static_cast<int>(in->opcode()) -
+                     static_cast<int>(Opcode::Sext)];
     mi.dst = vregOf_.at(in);
     mi.src1 = regOf(in->operand(0));
+    mi.narrow = (in->opcode() == Opcode::SIToFP ||
+                 in->opcode() == Opcode::FPToSI) &&
+                ir::isNarrow(in->type());
     emit(mi);
     return;
   }

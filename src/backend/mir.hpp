@@ -131,8 +131,29 @@ constexpr ir::Opcode aluOpcode(MOp op) {
                                        static_cast<int>(op) -
                                        static_cast<int>(MOp::FAdd));
 }
-static_assert(aluOpcode(MOp::IAshr) == ir::Opcode::AShr &&
-              aluOpcode(MOp::FDiv) == ir::Opcode::FDiv);
+
+/// The inverse: the ALU op instruction selection emits for a CARE-IR
+/// binary op (Add..FDiv).
+constexpr MOp aluMOp(ir::Opcode op) {
+  return op <= ir::Opcode::AShr
+             ? static_cast<MOp>(static_cast<int>(MOp::IAdd) +
+                                static_cast<int>(op) -
+                                static_cast<int>(ir::Opcode::Add))
+             : static_cast<MOp>(static_cast<int>(MOp::FAdd) +
+                                static_cast<int>(op) -
+                                static_cast<int>(ir::Opcode::FAdd));
+}
+
+static_assert([] {
+  for (int i = static_cast<int>(ir::Opcode::Add);
+       i <= static_cast<int>(ir::Opcode::FDiv); ++i) {
+    const auto op = static_cast<ir::Opcode>(i);
+    if (aluOpcode(aluMOp(op)) != op) return false;
+  }
+  return aluMOp(ir::Opcode::AShr) == MOp::IAshr &&
+         aluMOp(ir::Opcode::FAdd) == MOp::FAdd &&
+         aluMOp(ir::Opcode::FDiv) == MOp::FDiv;
+}());
 
 struct MInst {
   MOp op = MOp::Mov;

@@ -162,6 +162,22 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
     if (idx >= bb->size()) { error = "kernel fell off block end"; return false; }
     const Instruction* in = bb->inst(idx);
 
+    // Pure ops evaluate exactly as the constant folder folds them.
+    if (ir::isPure(in)) {
+      RawValue ops[ir::kMaxPureOperands] = {}, r = 0;
+      for (unsigned i = 0; i < in->numOperands(); ++i)
+        if (!valueOf(in->operand(i), ops[i])) return false;
+      if (!ir::evalPure(in, ops, r)) {
+        error = (ir::isNarrow(in->type()) ? ir::norm32(ops[1]) : ops[1]) == 0
+                    ? "kernel divide by zero"
+                    : "kernel division overflow";
+        return false;
+      }
+      define(in, r);
+      ++idx;
+      continue;
+    }
+
     switch (in->opcode()) {
     case Opcode::Phi: {
       RawValue v = 0;
@@ -205,47 +221,12 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
       ++idx;
       continue;
     }
-    case Opcode::Gep: {
-      RawValue base, index;
-      if (!valueOf(in->operand(0), base)) return false;
-      if (!valueOf(in->operand(1), index)) return false;
-      const std::uint64_t scale = in->type()->pointee()->sizeBytes();
-      define(in, base + index * scale);
-      ++idx;
-      continue;
-    }
-    case Opcode::ICmp:
-    case Opcode::FCmp: {
-      RawValue a, b;
-      if (!valueOf(in->operand(0), a) || !valueOf(in->operand(1), b))
-        return false;
-      define(in, ir::evalCompare(in->opcode(), in->pred(), a, b) ? 1 : 0);
-      ++idx;
-      continue;
-    }
-    case Opcode::Select: {
-      RawValue c, t, fv;
-      if (!valueOf(in->operand(0), c) || !valueOf(in->operand(1), t) ||
-          !valueOf(in->operand(2), fv))
-        return false;
-      define(in, c ? t : fv);
-      ++idx;
-      continue;
-    }
     case Opcode::Call: {
-      const Function* callee = in->callee();
       std::vector<RawValue> cargs(in->numOperands());
       for (unsigned i = 0; i < in->numOperands(); ++i)
         if (!valueOf(in->operand(i), cargs[i])) return false;
       RawValue r = 0;
-      if (callee->isIntrinsic()) {
-        const double a = ir::fpOfBits(cargs[0]);
-        const double b = cargs.size() > 1 ? ir::fpOfBits(cargs[1]) : 0.0;
-        r = ir::bitsOfFP(
-            ir::evalMathFn(ir::mathFnByName(callee->name()), a, b));
-      } else {
-        if (!call(*callee, cargs, r, depth + 1)) return false;
-      }
+      if (!call(*in->callee(), cargs, r, depth + 1)) return false;
       if (!in->type()->isVoid()) define(in, r);
       ++idx;
       continue;
@@ -272,34 +253,9 @@ bool Interp::call(const Function& f, const std::vector<RawValue>& args,
       return true;
     }
     default:
-      break;
+      error = "unsupported opcode in kernel";
+      return false;
     }
-
-    // Binary arithmetic and casts, computed as the machine computes them.
-    if (in->isBinaryOp()) {
-      RawValue a, b, r;
-      if (!valueOf(in->operand(0), a) || !valueOf(in->operand(1), b))
-        return false;
-      const bool narrow = ir::isNarrow(in->type());
-      if (!ir::evalBinary(in->opcode(), a, b, narrow, r)) {
-        error = (narrow ? ir::norm32(b) : b) == 0
-                    ? "kernel divide by zero"
-                    : "kernel division overflow";
-        return false;
-      }
-      define(in, r);
-      ++idx;
-      continue;
-    }
-    if (in->isCast()) {
-      RawValue v;
-      if (!valueOf(in->operand(0), v)) return false;
-      define(in, ir::evalCast(in->opcode(), v, ir::isNarrow(in->type())));
-      ++idx;
-      continue;
-    }
-    error = "unsupported opcode in kernel";
-    return false;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "inject/experiment.hpp"
 #include "inject/service.hpp"
+#include "support/json.hpp"
 #include "support/trace.hpp"
 
 namespace care::inject {
@@ -20,32 +21,6 @@ using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-    case '"': out += "\\\""; break;
-    case '\\': out += "\\\\"; break;
-    case '\n': out += "\\n"; break;
-    case '\t': out += "\\t"; break;
-    case '\r': out += "\\r"; break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        // Remaining control characters: \u00XX keeps one record per line.
-        char u[8];
-        std::snprintf(u, sizeof(u), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(c)));
-        out += u;
-      } else {
-        out += c;
-      }
-      break;
-    }
-  }
-  return out;
 }
 
 /// Append `"key":<formatted value>` — telemetry JSON is built by string
@@ -73,13 +48,13 @@ std::vector<CampaignTelemetry>& telemetryLog() {
 
 std::string CampaignTelemetry::json() const {
   std::string out = "{\"event\":\"";
-  out += jsonEscape(event);
+  appendJsonEscaped(out, event);
   out += "\",\"workload\":\"";
-  out += jsonEscape(workload);
+  appendJsonEscaped(out, workload);
   out += "\",\"level\":\"";
-  out += jsonEscape(level);
+  appendJsonEscaped(out, level);
   out += "\",\"interp\":\"";
-  out += jsonEscape(interp);
+  appendJsonEscaped(out, interp);
   out += "\",";
   jsonField(out, "trials", "%d,", trials);
   jsonField(out, "threads", "%d,", threads);
@@ -111,7 +86,7 @@ std::string CampaignTelemetry::json() const {
   jsonField(out, "detected", "%d,", detected);
   jsonField(out, "detect_latency_instrs", "%.1f,", detectLatencyInstrs);
   out += "\"detect_sample\":\"";
-  out += jsonEscape(detectSample);
+  appendJsonEscaped(out, detectSample);
   out += "\",";
   jsonField(out, "sampled_sites", "%d,", sampledSites);
   jsonField(out, "total_sites", "%d,", totalSites);
@@ -119,9 +94,9 @@ std::string CampaignTelemetry::json() const {
   jsonField(out, "prune_weighted_trials", "%d,", pruneWeightedTrials);
   jsonField(out, "audit_mismatches", "%d,", auditMismatches);
   out += "\"fault\":\"";
-  out += jsonEscape(fault);
+  appendJsonEscaped(out, fault);
   out += "\",\"ecc\":\"";
-  out += jsonEscape(ecc);
+  appendJsonEscaped(out, ecc);
   out += "\",";
   jsonField(out, "corrected", "%d,", corrected);
   jsonField(out, "ecc_corrected", "%llu,",

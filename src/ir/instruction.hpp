@@ -149,4 +149,9 @@ private:
   DebugLoc loc_;
 };
 
+/// The object pointer `p` is based on: the alloca, global or argument a
+/// gep chain starts from, or null when it starts anywhere else (a load, a
+/// phi, a select).
+const Value* baseObject(const Value* p);
+
 } // namespace care::ir

@@ -78,6 +78,19 @@ bool Instruction::hasSideEffects() const {
   }
 }
 
+const Value* baseObject(const Value* p) {
+  for (;;) {
+    if (p->kind() == ValueKind::GlobalVariable ||
+        p->kind() == ValueKind::Argument)
+      return p;
+    const auto* in = dynamic_cast<const Instruction*>(p);
+    if (!in) return nullptr;
+    if (in->opcode() == Opcode::Alloca) return p;
+    if (in->opcode() != Opcode::Gep) return nullptr;
+    p = in->operand(0);
+  }
+}
+
 const char* opcodeName(Opcode op) {
   switch (op) {
   case Opcode::Alloca: return "alloca";

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "ir/function.hpp"
+
 namespace care::ir {
 
 namespace {
@@ -51,6 +53,61 @@ double evalMathFn(MathFn fn, double a, double b) {
   case MathFn::Pow: return std::pow(a, b);
   }
   CARE_UNREACHABLE("bad math fn");
+}
+
+bool isPure(const Instruction* in) {
+  if (in->isBinaryOp() || in->isCast()) return true;
+  switch (in->opcode()) {
+  case Opcode::ICmp:
+  case Opcode::FCmp:
+  case Opcode::Select:
+  case Opcode::Gep:
+    return true;
+  case Opcode::Call:
+    return in->callee() && in->callee()->isIntrinsic();
+  default:
+    return false;
+  }
+}
+
+bool evalPure(const Instruction* in, const std::uint64_t* ops,
+              std::uint64_t& out) {
+  const Opcode op = in->opcode();
+  const bool narrow = isNarrow(in->type());
+  switch (op) {
+  case Opcode::FAdd:
+  case Opcode::FSub:
+  case Opcode::FMul:
+  case Opcode::FDiv:
+    out = bitsOfFP(
+        evalFPBinary(op, fpOfBits(ops[0]), fpOfBits(ops[1]), narrow));
+    return true;
+  // Integers are kept sign-extended, so sext and zext copy the bits.
+  case Opcode::Sext:
+  case Opcode::Zext:
+  case Opcode::FPExt: out = ops[0]; return true;
+  case Opcode::Trunc: out = norm32(ops[0]); return true;
+  case Opcode::SIToFP: out = bitsOfFP(siToFp(ops[0], narrow)); return true;
+  case Opcode::FPToSI: out = fpToSi(fpOfBits(ops[0]), narrow); return true;
+  case Opcode::FPTrunc: out = bitsOfFP(roundF32(fpOfBits(ops[0]))); return true;
+  case Opcode::ICmp:
+    out = cmpHolds(in->pred(), static_cast<std::int64_t>(ops[0]),
+                   static_cast<std::int64_t>(ops[1]));
+    return true;
+  case Opcode::FCmp:
+    out = cmpHolds(in->pred(), fpOfBits(ops[0]), fpOfBits(ops[1]));
+    return true;
+  case Opcode::Select: out = ops[0] ? ops[1] : ops[2]; return true;
+  case Opcode::Gep:
+    out = ops[0] + ops[1] * in->type()->pointee()->sizeBytes();
+    return true;
+  case Opcode::Call:
+    out = bitsOfFP(evalMathFn(mathFnByName(in->callee()->name()),
+                              fpOfBits(ops[0]),
+                              in->numOperands() > 1 ? fpOfBits(ops[1]) : 0.0));
+    return true;
+  default: return evalIntBinary(op, ops[0], ops[1], narrow, out);
+  }
 }
 
 } // namespace care::ir

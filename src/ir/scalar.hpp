@@ -2,10 +2,10 @@
 //
 // What an integer or FP operation, a compare, a cast or a math intrinsic
 // computes, bit for bit. The VM's reference loop and the fast loop's
-// out-of-line paths execute MIR with it, the -O1 constant folder folds with
-// it, and Safeguard's recovery kernels compute with it. A kernel recomputes
-// the address the faulting instruction meant to use, so all three must
-// agree exactly (paper §3.4). The fast loop's inline handlers and the JIT's
+// out-of-line paths execute MIR with it; the -O1 constant folder and
+// Safeguard's recovery kernels evaluate CARE-IR through evalPure. A kernel
+// recomputes the address the faulting instruction meant to use, so all
+// three must agree exactly (paper §3.4). The fast loop's inline handlers and the JIT's
 // templates spell the same rules out by hand; vm_diff_test holds them equal
 // to the reference loop.
 //
@@ -49,10 +49,6 @@ inline double fpOfBits(std::uint64_t v) {
 /// The narrow width of `t`'s class: i32 among integers, f32 among FP.
 inline bool isNarrow(const Type* t) {
   return t == Type::i32() || t == Type::f32();
-}
-
-inline bool isFPBinary(Opcode op) {
-  return op >= Opcode::FAdd && op <= Opcode::FDiv;
 }
 
 /// Integer ALU, `op` in Add..AShr. Arithmetic wraps, shift counts are
@@ -105,15 +101,6 @@ inline double evalFPBinary(Opcode op, double a, double b, bool narrow) {
   return narrow ? roundF32(r) : r;
 }
 
-/// Either ALU on 64-bit scalars, FP operands and result as double bits.
-/// False when the op traps.
-inline bool evalBinary(Opcode op, std::uint64_t a, std::uint64_t b,
-                       bool narrow, std::uint64_t& out) {
-  if (!isFPBinary(op)) return evalIntBinary(op, a, b, narrow, out);
-  out = bitsOfFP(evalFPBinary(op, fpOfBits(a), fpOfBits(b), narrow));
-  return true;
-}
-
 /// The six predicates, on signed integers or on doubles (every predicate
 /// but NE is false on a NaN).
 template <class T> bool cmpHolds(CmpPred p, T a, T b) {
@@ -126,14 +113,6 @@ template <class T> bool cmpHolds(CmpPred p, T a, T b) {
   case CmpPred::GE: return a >= b;
   }
   return false;
-}
-
-/// ICmp or FCmp on 64-bit scalars (FCmp operands as double bits).
-inline bool evalCompare(Opcode op, CmpPred p, std::uint64_t a,
-                        std::uint64_t b) {
-  if (op == Opcode::FCmp) return cmpHolds(p, fpOfBits(a), fpOfBits(b));
-  return cmpHolds(p, static_cast<std::int64_t>(a),
-                  static_cast<std::int64_t>(b));
 }
 
 inline double siToFp(std::uint64_t v, bool narrow) {
@@ -152,22 +131,6 @@ inline std::uint64_t fpToSi(double v, bool narrow) {
   return narrow ? norm32(r) : r;
 }
 
-/// A cast, `op` in Sext..FPTrunc, on 64-bit scalars (FP as double bits);
-/// `narrow` is the destination's. Integers are kept sign-extended, so sext
-/// and zext copy the bits; trunc wraps through norm32.
-inline std::uint64_t evalCast(Opcode op, std::uint64_t v, bool narrow) {
-  switch (op) {
-  case Opcode::Sext:
-  case Opcode::Zext:
-  case Opcode::FPExt: return v;
-  case Opcode::Trunc: return norm32(v);
-  case Opcode::SIToFP: return bitsOfFP(siToFp(v, narrow));
-  case Opcode::FPToSI: return fpToSi(fpOfBits(v), narrow);
-  case Opcode::FPTrunc: return bitsOfFP(roundF32(fpOfBits(v)));
-  default: CARE_UNREACHABLE("not a cast");
-  }
-}
-
 /// The math intrinsics (Module::intrinsic); MIR's MathCall carries one in
 /// its `sub` field.
 enum class MathFn : std::uint8_t {
@@ -180,5 +143,17 @@ MathFn mathFnByName(const std::string& name);
 unsigned mathFnArity(MathFn fn);
 /// `b` is ignored by the unary functions.
 double evalMathFn(MathFn fn, double a, double b);
+
+/// Ops whose result depends on their operands alone and that touch no
+/// memory: binary ops, casts, compares, selects, geps and math-intrinsic
+/// calls. At most kMaxPureOperands operands.
+bool isPure(const Instruction* in);
+constexpr unsigned kMaxPureOperands = 3;
+
+/// What pure `in` computes from its operands' 64-bit scalars `ops` (FP as
+/// double bits; narrow forms follow in's type). Returns false, leaving
+/// `out` untouched, when the op traps: only an integer division can.
+bool evalPure(const Instruction* in, const std::uint64_t* ops,
+              std::uint64_t& out);
 
 } // namespace care::ir

@@ -5,6 +5,29 @@
 namespace care::lang {
 namespace {
 
+/// MiniC's binary operators, loosest first: || < && < the six comparisons
+/// < + - < * / %.
+struct BinOpInfo {
+  Tok tok;
+  BinOp op;
+  int level;
+};
+constexpr BinOpInfo kBinOps[] = {
+    {Tok::PipePipe, BinOp::LOr, 0}, {Tok::AmpAmp, BinOp::LAnd, 1},
+    {Tok::EqEq, BinOp::Eq, 2},      {Tok::NotEq, BinOp::Ne, 2},
+    {Tok::Lt, BinOp::Lt, 2},        {Tok::Le, BinOp::Le, 2},
+    {Tok::Gt, BinOp::Gt, 2},        {Tok::Ge, BinOp::Ge, 2},
+    {Tok::Plus, BinOp::Add, 3},     {Tok::Minus, BinOp::Sub, 3},
+    {Tok::Star, BinOp::Mul, 4},     {Tok::Slash, BinOp::Div, 4},
+    {Tok::Percent, BinOp::Rem, 4},
+};
+
+const BinOpInfo* binOpInfo(Tok t) {
+  for (const BinOpInfo& b : kBinOps)
+    if (b.tok == t) return &b;
+  return nullptr;
+}
+
 class Parser {
 public:
   explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
@@ -249,7 +272,7 @@ private:
   }
 
   std::unique_ptr<Expr> parseTernary() {
-    auto cond = parseLOr();
+    auto cond = parseBinary(0);
     if (cur().kind != Tok::Question) return cond;
     const Pos p = here();
     eat(Tok::Question);
@@ -261,88 +284,18 @@ private:
     return e;
   }
 
-  std::unique_ptr<Expr> parseLOr() {
-    auto lhs = parseLAnd();
-    while (cur().kind == Tok::PipePipe) {
-      const Pos p = here();
-      eat(Tok::PipePipe);
-      auto e = std::make_unique<Expr>(ExprKind::Binary, p);
-      e->binOp = BinOp::LOr;
-      e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parseLAnd());
-      lhs = std::move(e);
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Expr> parseLAnd() {
-    auto lhs = parseCompare();
-    while (cur().kind == Tok::AmpAmp) {
-      const Pos p = here();
-      eat(Tok::AmpAmp);
-      auto e = std::make_unique<Expr>(ExprKind::Binary, p);
-      e->binOp = BinOp::LAnd;
-      e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parseCompare());
-      lhs = std::move(e);
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Expr> parseCompare() {
-    auto lhs = parseAddSub();
-    for (;;) {
-      BinOp op;
-      switch (cur().kind) {
-      case Tok::EqEq: op = BinOp::Eq; break;
-      case Tok::NotEq: op = BinOp::Ne; break;
-      case Tok::Lt: op = BinOp::Lt; break;
-      case Tok::Le: op = BinOp::Le; break;
-      case Tok::Gt: op = BinOp::Gt; break;
-      case Tok::Ge: op = BinOp::Ge; break;
-      default: return lhs;
-      }
-      const Pos p = here();
-      ++pos_;
-      auto e = std::make_unique<Expr>(ExprKind::Binary, p);
-      e->binOp = op;
-      e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parseAddSub());
-      lhs = std::move(e);
-    }
-  }
-
-  std::unique_ptr<Expr> parseAddSub() {
-    auto lhs = parseMulDiv();
-    for (;;) {
-      BinOp op;
-      if (cur().kind == Tok::Plus) op = BinOp::Add;
-      else if (cur().kind == Tok::Minus) op = BinOp::Sub;
-      else return lhs;
-      const Pos p = here();
-      ++pos_;
-      auto e = std::make_unique<Expr>(ExprKind::Binary, p);
-      e->binOp = op;
-      e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parseMulDiv());
-      lhs = std::move(e);
-    }
-  }
-
-  std::unique_ptr<Expr> parseMulDiv() {
+  /// Precedence climbing: every level is left-associative and each node
+  /// sits at its operator token.
+  std::unique_ptr<Expr> parseBinary(int minLevel) {
     auto lhs = parseUnary();
     for (;;) {
-      BinOp op;
-      if (cur().kind == Tok::Star) op = BinOp::Mul;
-      else if (cur().kind == Tok::Slash) op = BinOp::Div;
-      else if (cur().kind == Tok::Percent) op = BinOp::Rem;
-      else return lhs;
-      const Pos p = here();
+      const BinOpInfo* info = binOpInfo(cur().kind);
+      if (!info || info->level < minLevel) return lhs;
+      auto e = std::make_unique<Expr>(ExprKind::Binary, here());
       ++pos_;
-      auto e = std::make_unique<Expr>(ExprKind::Binary, p);
-      e->binOp = op;
+      e->binOp = info->op;
       e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parseUnary());
+      e->kids.push_back(parseBinary(info->level + 1));
       lhs = std::move(e);
     }
   }

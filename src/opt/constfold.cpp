@@ -1,5 +1,7 @@
-// Constant folding and algebraic simplification. Constants fold with the
-// machine's own semantics (ir/scalar.hpp); an op that would trap is kept.
+// Constant folding and algebraic simplification. A pure op other than a gep
+// folds on constant operands through ir::evalPure, the recovery kernels'
+// evaluator, with the machine's own semantics; an op that would trap is
+// kept.
 #include "ir/scalar.hpp"
 #include "opt/passes.hpp"
 
@@ -39,18 +41,22 @@ Value* simplify(Module* m, Instruction* in) {
   const Opcode op = in->opcode();
   auto asInt = [](Value* v) { return dynamic_cast<ConstantInt*>(v); };
 
-  std::uint64_t x = 0, y = 0;
-  if (in->isBinaryOp()) {
-    Value* a = in->operand(0);
-    Value* b = in->operand(1);
-    if (constBits(a, x) && constBits(b, y)) {
-      std::uint64_t r;
-      if (!ir::evalBinary(op, x, y, ir::isNarrow(in->type()), r))
-        return nullptr; // keep the trapping instruction
+  std::uint64_t ops[ir::kMaxPureOperands] = {};
+  if (ir::isPure(in) && op != Opcode::Gep) {
+    unsigned i = 0;
+    while (i < in->numOperands() && constBits(in->operand(i), ops[i])) ++i;
+    if (i == in->numOperands()) {
+      std::uint64_t r = 0;
+      if (!ir::evalPure(in, ops, r)) return nullptr; // keep a trapping op
       return constOfBits(m, in->type(), r);
     }
+  }
+
+  if (in->isBinaryOp()) {
     // Integer identities (exact; FP identities are skipped on purpose:
     // x+0.0 and x*1.0 are not identities under signed zero / NaN).
+    Value* a = in->operand(0);
+    Value* b = in->operand(1);
     auto* cb = asInt(b);
     auto* ca = asInt(a);
     switch (op) {
@@ -76,44 +82,22 @@ Value* simplify(Module* m, Instruction* in) {
     return nullptr;
   }
 
-  if (in->isCast()) {
-    if (!constBits(in->operand(0), x)) return nullptr;
-    return constOfBits(m, in->type(),
-                       ir::evalCast(op, x, ir::isNarrow(in->type())));
-  }
-
-  if (op == Opcode::ICmp || op == Opcode::FCmp) {
-    if (constBits(in->operand(0), x) && constBits(in->operand(1), y))
-      return m->constBool(ir::evalCompare(op, in->pred(), x, y));
-    if (op == Opcode::ICmp && in->operand(0) == in->operand(1)) {
-      // x pred x is decidable for integers.
-      switch (in->pred()) {
-      case ir::CmpPred::EQ:
-      case ir::CmpPred::LE:
-      case ir::CmpPred::GE:
-        return m->constBool(true);
-      default:
-        return m->constBool(false);
-      }
+  if (op == Opcode::ICmp && in->operand(0) == in->operand(1)) {
+    // x pred x is decidable for integers.
+    switch (in->pred()) {
+    case ir::CmpPred::EQ:
+    case ir::CmpPred::LE:
+    case ir::CmpPred::GE:
+      return m->constBool(true);
+    default:
+      return m->constBool(false);
     }
-    return nullptr;
   }
 
   if (op == Opcode::Select) {
     if (auto* c = asInt(in->operand(0)))
       return c->value() ? in->operand(1) : in->operand(2);
     if (in->operand(1) == in->operand(2)) return in->operand(1);
-    return nullptr;
-  }
-
-  if (op == Opcode::Call && in->callee() && in->callee()->isIntrinsic()) {
-    // Fold intrinsics on constant arguments.
-    if (!constBits(in->operand(0), x) ||
-        (in->numOperands() > 1 && !constBits(in->operand(1), y)))
-      return nullptr;
-    return m->constFP(in->type(),
-                      ir::evalMathFn(ir::mathFnByName(in->callee()->name()),
-                                     ir::fpOfBits(x), ir::fpOfBits(y)));
   }
   return nullptr;
 }

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "analysis/dominators.hpp"
+#include "ir/scalar.hpp"
 #include "opt/passes.hpp"
 
 namespace care::opt {
@@ -24,19 +25,8 @@ using ir::Value;
 namespace {
 
 bool isCsEable(const Instruction* in) {
-  if (in->isBinaryOp() || in->isCast()) return true;
-  switch (in->opcode()) {
-  case Opcode::ICmp:
-  case Opcode::FCmp:
-  case Opcode::Gep:
-  case Opcode::Select:
-    return true;
-  case Opcode::Call:
-    return in->callee() &&
-           (in->callee()->isIntrinsic() || in->callee()->isSimpleCall());
-  default:
-    return false;
-  }
+  return ir::isPure(in) ||
+         (in->opcode() == Opcode::Call && !in->hasSideEffects());
 }
 
 struct Key {
@@ -65,28 +55,10 @@ Key keyFor(const Instruction* in) {
   return k;
 }
 
-/// Chase a pointer to its base object. Returns one of: Alloca instruction,
-/// GlobalVariable, Argument, or null (unknown).
-const Value* baseObject(const Value* p) {
-  for (;;) {
-    if (p->kind() == ir::ValueKind::GlobalVariable ||
-        p->kind() == ir::ValueKind::Argument)
-      return p;
-    const auto* in = dynamic_cast<const Instruction*>(p);
-    if (!in) return nullptr;
-    if (in->opcode() == Opcode::Alloca) return p;
-    if (in->opcode() == Opcode::Gep) {
-      p = in->operand(0);
-      continue;
-    }
-    return nullptr; // load result, phi, select: unknown
-  }
-}
-
 /// May pointers a and b alias? Conservative.
 bool mayAlias(const Value* a, const Value* b) {
-  const Value* ba = baseObject(a);
-  const Value* bb = baseObject(b);
+  const Value* ba = ir::baseObject(a);
+  const Value* bb = ir::baseObject(b);
   if (!ba || !bb) return true;
   // Distinct allocas / globals cannot alias; an argument may alias another
   // argument or a global (caller could pass a global's address) but not a
@@ -137,9 +109,7 @@ bool forwardLoads(BasicBlock* bb) {
       break;
     }
     case Opcode::Call:
-      if (!(in->callee() && (in->callee()->isIntrinsic() ||
-                             in->callee()->isSimpleCall())))
-        avail.clear(); // unknown callee may write anything
+      if (in->hasSideEffects()) avail.clear(); // callee may write anything
       break;
     default:
       break;

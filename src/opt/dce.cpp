@@ -17,16 +17,8 @@ bool deletable(const Instruction* in) {
   if (in->opcode() == Opcode::Load) {
     // Our IR gives loads "may trap" side effects; an unused load from a
     // provably in-module object (alloca/global via geps) is still dead.
-    const ir::Value* p = in->operand(0);
-    while (const auto* pi = dynamic_cast<const Instruction*>(p)) {
-      if (pi->opcode() == Opcode::Alloca) return true;
-      if (pi->opcode() == Opcode::Gep) {
-        p = pi->operand(0);
-        continue;
-      }
-      return false;
-    }
-    return p->kind() == ir::ValueKind::GlobalVariable;
+    const ir::Value* base = ir::baseObject(in->operand(0));
+    return base && base->kind() != ir::ValueKind::Argument;
   }
   return !in->hasSideEffects();
 }

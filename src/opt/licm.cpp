@@ -1,13 +1,14 @@
 // Loop-invariant code motion.
 //
-// Hoists pure instructions (arithmetic, casts, compares, geps, simple calls)
-// whose operands are defined outside the loop into the preheader. For the
-// paper's workloads this is what turns `mzeta + 1`-style subexpressions into
-// long-lived register values that Armor can use as recovery-kernel
-// parameters (extending kernel coverage scope at -O1).
+// Hoists pure instructions (ir::isPure; a division only by a nonzero
+// constant) whose operands are defined outside the loop into the
+// preheader. For the paper's workloads this is what turns `mzeta + 1`-style
+// subexpressions into long-lived register values that Armor can use as
+// recovery-kernel parameters (extending kernel coverage scope at -O1).
 #include <set>
 
 #include "analysis/loopinfo.hpp"
+#include "ir/scalar.hpp"
 #include "opt/passes.hpp"
 
 namespace care::opt {
@@ -22,23 +23,6 @@ using ir::Opcode;
 using ir::Value;
 
 namespace {
-
-/// Chase a pointer to its base object (alloca/global/argument), or null.
-const Value* baseObject(const Value* p) {
-  for (;;) {
-    if (p->kind() == ir::ValueKind::GlobalVariable ||
-        p->kind() == ir::ValueKind::Argument)
-      return p;
-    const auto* in = dynamic_cast<const Instruction*>(p);
-    if (!in) return nullptr;
-    if (in->opcode() == Opcode::Alloca) return p;
-    if (in->opcode() == Opcode::Gep) {
-      p = in->operand(0);
-      continue;
-    }
-    return nullptr;
-  }
-}
 
 /// What the loop may write: the set of stored-to base objects, plus flags
 /// for writes through unknown pointers and for calls that may write memory.
@@ -57,15 +41,13 @@ LoopMemSummary summarizeLoopMemory(const Loop& loop) {
   for (const BasicBlock* bb : loop.blocks) {
     for (const Instruction* in : *bb) {
       if (in->opcode() == Opcode::Store) {
-        const Value* base = baseObject(in->pointerOperand());
+        const Value* base = ir::baseObject(in->pointerOperand());
         if (base)
           s.storedBases.insert(base);
         else
           s.unknownStore = true;
-      } else if (in->opcode() == Opcode::Call) {
-        if (!(in->callee() && (in->callee()->isIntrinsic() ||
-                               in->callee()->isSimpleCall())))
-          s.opaqueCall = true;
+      } else if (in->opcode() == Opcode::Call && in->hasSideEffects()) {
+        s.opaqueCall = true;
       }
     }
   }
@@ -81,7 +63,7 @@ bool isInvariantGlobalLoad(const Instruction* in,
                            const LoopMemSummary& mem) {
   if (in->opcode() != Opcode::Load) return false;
   const Value* p = in->pointerOperand();
-  const Value* base = baseObject(p);
+  const Value* base = ir::baseObject(p);
   if (!base || base->kind() != ir::ValueKind::GlobalVariable) return false;
   // Pointer must itself be loop-invariant: direct global or const-gep.
   if (p->kind() != ir::ValueKind::GlobalVariable) {
@@ -95,26 +77,12 @@ bool isInvariantGlobalLoad(const Instruction* in,
 }
 
 bool isHoistable(const Instruction* in) {
-  if (in->isBinaryOp()) {
-    // Division can trap; only hoist when the divisor is a nonzero constant.
-    if (in->opcode() == Opcode::SDiv || in->opcode() == Opcode::SRem) {
-      const auto* c = dynamic_cast<const ir::ConstantInt*>(in->operand(1));
-      return c && c->value() != 0;
-    }
-    return true;
+  // Division can trap; only hoist when the divisor is a nonzero constant.
+  if (in->opcode() == Opcode::SDiv || in->opcode() == Opcode::SRem) {
+    const auto* c = dynamic_cast<const ir::ConstantInt*>(in->operand(1));
+    return c && c->value() != 0;
   }
-  if (in->isCast()) return true;
-  switch (in->opcode()) {
-  case Opcode::ICmp:
-  case Opcode::FCmp:
-  case Opcode::Gep:
-  case Opcode::Select:
-    return true;
-  case Opcode::Call:
-    return in->callee() && in->callee()->isIntrinsic();
-  default:
-    return false;
-  }
+  return ir::isPure(in);
 }
 
 bool operandsOutside(const Instruction* in, const Loop& loop) {

@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include "support/json.hpp"
+
 namespace care::trace {
 
 namespace detail {
@@ -88,33 +90,16 @@ double usSinceEpoch(Clock::time_point t) {
       .count();
 }
 
-void appendEscaped(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char u[8];
-      std::snprintf(u, sizeof(u), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += u;
-    } else {
-      out += c;
-    }
-  }
-}
-
 void appendEvent(std::string& out, const Event& ev, std::uint32_t tid,
                  bool& first) {
   if (!first) out += ',';
   first = false;
   out += "\n{\"name\":\"";
-  appendEscaped(out, ev.name);
+  appendJsonEscaped(out, ev.name);
   out += '"';
   if (ev.kind != EvKind::Counter) {
     out += ",\"cat\":\"";
-    appendEscaped(out, ev.cat);
+    appendJsonEscaped(out, ev.cat);
     out += '"';
   }
   out += ",\"ph\":\"";

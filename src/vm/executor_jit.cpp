@@ -5,9 +5,10 @@
 //
 //  * an armed prefix: an armed injection runs on the instrumented fast
 //    loop until it fires, then the rest of the run goes native;
-//  * a burst, at a position with no native entry (function below its
-//    compile threshold, interpret-only, or a basic block that no longer
-//    fits the budget), after which the code cache is probed again;
+//  * a burst, at a position with no native entry (a function compiles on
+//    its first touch, so: its compile failed, or the rest of the basic
+//    block no longer fits the budget), after which the code cache is
+//    probed again;
 //  * a single instruction: a rare op (ColdOp), or an access the software
 //    TLB cannot serve on a mapped page, i.e. one holding a word struck
 //    under ECC. The emitted miss helpers report that as a SegFault at a

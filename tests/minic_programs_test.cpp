@@ -205,6 +205,22 @@ INSTANTIATE_TEST_SUITE_P(
             int wrapped = big + 1;      // INT32_MIN by wrap
             return wrapped < 0 ? 1 : 0;
           })", 1},
+        // Binding: each level is left-associative, and the six
+        // comparisons share one level.
+        Prog{"subtractionIsLeftAssociative",
+             "int main() { return 10 - 3 - 2; }", 5},
+        Prog{"divisionAndProductAreLeftAssociative",
+             "int main() { return 7 / 2 * 2; }", 6},
+        Prog{"remainderBindsWithProduct",
+             "int main() { return 2 + 3 * 4 % 5; }", 4},
+        Prog{"andBindsTighterThanOr",
+             "int main() { return 1 || 0 && 0; }", 1},
+        Prog{"relationalAndEqualityShareALevel",
+             "int main() { return 1 < 2 == 1; }", 1},
+        Prog{"comparisonsChainLeftToRight",
+             "int main() { return 3 > 2 > 1; }", 0},
+        Prog{"unaryMinusBindsTighterThanProduct",
+             "int main() { return 10 + -2 * 3; }", 4},
         Prog{"int32MinByMinusOneTraps", R"(
           int main() {
             int a = -2147483647 - 1;
