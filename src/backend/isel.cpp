@@ -248,25 +248,11 @@ void ISel::lowerArgs() {
     const ir::Argument* a = f_.arg(i);
     const bool fp = isFPValue(a);
     const std::int16_t v = newVReg(fp);
-    MInst in;
-    if (fp && fpN < kNumArgRegs) {
-      in.op = MOp::FMov;
-      in.dst = v;
-      in.src1 = static_cast<std::int16_t>(fpN++);
-      emit(in);
-    } else if (!fp && intN < kNumArgRegs) {
-      in.op = MOp::Mov;
-      in.dst = v;
-      in.src1 = static_cast<std::int16_t>(intN++);
-      emit(in);
-    } else {
-      in.op = MOp::Load;
-      in.dst = v;
-      in.mem.base = kFP;
-      in.mem.disp = 16 + 8 * stackN++;
-      in.mem.type = fp ? MType::F64 : MType::I64;
-      emit(in);
-    }
+    int& regN = fp ? fpN : intN;
+    if (regN < kNumArgRegs)
+      emit(copyReg(v, static_cast<std::int16_t>(kArg0 + regN++), fp));
+    else
+      emit(slotAccess(MOp::Load, v, fp, kFP, 16 + 8 * stackN++));
     bind(a, v);
   }
 }
@@ -278,11 +264,7 @@ void ISel::lowerBlock(const BasicBlock* bb) {
     if (in->opcode() != Opcode::Phi) break;
     const auto [phiReg, tmpReg] = phiRegs_.at(in);
     curLoc_ = in->debugLoc();
-    MInst mv;
-    mv.op = isFPValue(in) ? MOp::FMov : MOp::Mov;
-    mv.dst = phiReg;
-    mv.src1 = tmpReg;
-    emit(mv);
+    emit(copyReg(phiReg, tmpReg, isFPValue(in)));
   }
   for (std::size_t i = 0; i < bb->size(); ++i) {
     const Instruction* in = bb->inst(i);
@@ -478,29 +460,13 @@ void ISel::lowerCall(const Instruction* in) {
     emit(mi);
     return;
   }
-  // Runtime services.
-  if (callee->name() == "emit" || callee->name() == "emiti") {
+  // Runtime services: one MIR op each, indexed by ir::RuntimeFn.
+  if (const auto rt = ir::runtimeFnByName(callee->name())) {
+    static constexpr MOp kRuntimeMOp[] = {MOp::Emit, MOp::EmitI, MOp::Abort,
+                                          MOp::Barrier, MOp::SentinelTrap};
     MInst mi;
-    mi.op = callee->name() == "emit" ? MOp::Emit : MOp::EmitI;
-    mi.src1 = regOf(in->operand(0));
-    emit(mi);
-    return;
-  }
-  if (callee->name() == "__abort") {
-    MInst mi;
-    mi.op = MOp::Abort;
-    emit(mi);
-    return;
-  }
-  if (callee->name() == "__sentinel_trap") {
-    MInst mi;
-    mi.op = MOp::SentinelTrap;
-    emit(mi);
-    return;
-  }
-  if (callee->name() == "mpi_barrier") {
-    MInst mi;
-    mi.op = MOp::Barrier;
+    mi.op = kRuntimeMOp[static_cast<int>(*rt)];
+    if (in->numOperands() > 0) mi.src1 = regOf(in->operand(0));
     emit(mi);
     return;
   }
@@ -512,21 +478,12 @@ void ISel::lowerCall(const Instruction* in) {
   for (unsigned i = 0; i < in->numOperands(); ++i) {
     const Value* a = in->operand(i);
     const bool fp = isFPValue(a);
-    if (fp && fpN < kNumArgRegs) {
-      MInst mv;
-      mv.op = MOp::FMov;
-      mv.dst = static_cast<std::int16_t>(fpN++);
-      mv.src1 = regOf(a);
-      regMoves.push_back(mv);
-    } else if (!fp && intN < kNumArgRegs) {
-      MInst mv;
-      mv.op = MOp::Mov;
-      mv.dst = static_cast<std::int16_t>(intN++);
-      mv.src1 = regOf(a);
-      regMoves.push_back(mv);
-    } else {
+    int& regN = fp ? fpN : intN;
+    if (regN < kNumArgRegs)
+      regMoves.push_back(
+          copyReg(static_cast<std::int16_t>(kArg0 + regN++), regOf(a), fp));
+    else
       stackArgs.push_back({a, fp});
-    }
   }
   // Stack args: reserve space (16-aligned), store them, then the reg moves,
   // then the call, then release the space. Stack stores happen before the
@@ -534,21 +491,11 @@ void ISel::lowerCall(const Instruction* in) {
   std::int64_t stackBytes = 0;
   if (!stackArgs.empty()) {
     stackBytes = static_cast<std::int64_t>((stackArgs.size() * 8 + 15) & ~15ull);
-    MInst sub;
-    sub.op = MOp::ISub;
-    sub.dst = kSP;
-    sub.src1 = kSP;
-    sub.imm = stackBytes;
-    emit(sub);
-    for (std::size_t k = 0; k < stackArgs.size(); ++k) {
-      MInst st;
-      st.op = MOp::Store;
-      st.src1 = regOf(stackArgs[k].first);
-      st.mem.base = kSP;
-      st.mem.disp = static_cast<std::int64_t>(8 * k);
-      st.mem.type = stackArgs[k].second ? MType::F64 : MType::I64;
-      emit(st);
-    }
+    emit(adjustSP(-stackBytes));
+    for (std::size_t k = 0; k < stackArgs.size(); ++k)
+      emit(slotAccess(MOp::Store, regOf(stackArgs[k].first),
+                      stackArgs[k].second, kSP,
+                      static_cast<std::int64_t>(8 * k)));
   }
   for (const MInst& mv : regMoves) emit(mv);
 
@@ -564,22 +511,9 @@ void ISel::lowerCall(const Instruction* in) {
   callPositions_.push_back(static_cast<std::uint32_t>(code_.size()));
   emit(call);
 
-  if (stackBytes > 0) {
-    MInst add;
-    add.op = MOp::IAdd;
-    add.dst = kSP;
-    add.src1 = kSP;
-    add.imm = stackBytes;
-    emit(add);
-  }
-  if (!in->type()->isVoid()) {
-    const bool fp = isFPValue(in);
-    MInst mv;
-    mv.op = fp ? MOp::FMov : MOp::Mov;
-    mv.dst = vregOf_.at(in);
-    mv.src1 = kRet;
-    emit(mv);
-  }
+  if (stackBytes > 0) emit(adjustSP(stackBytes));
+  if (!in->type()->isVoid())
+    emit(copyReg(vregOf_.at(in), kRet, isFPValue(in)));
 }
 
 void ISel::emitPhiMoves(const BasicBlock* from, const BasicBlock* to) {
@@ -592,26 +526,16 @@ void ISel::emitPhiMoves(const BasicBlock* from, const BasicBlock* to) {
     const auto [phiReg, tmpReg] = phiRegs_.at(in);
     (void)phiReg;
     MInst mv;
-    if (isFPValue(in)) {
-      if (const auto* c = dynamic_cast<const ir::ConstantFP*>(incoming)) {
-        mv.op = MOp::FMovImm;
-        mv.dst = tmpReg;
-        mv.fimm = c->value();
-      } else {
-        mv.op = MOp::FMov;
-        mv.dst = tmpReg;
-        mv.src1 = regOf(incoming);
-      }
+    if (const auto* c = dynamic_cast<const ir::ConstantFP*>(incoming)) {
+      mv.op = MOp::FMovImm;
+      mv.dst = tmpReg;
+      mv.fimm = c->value();
+    } else if (const auto* k = dynamic_cast<const ir::ConstantInt*>(incoming)) {
+      mv.op = MOp::MovImm;
+      mv.dst = tmpReg;
+      mv.imm = k->value();
     } else {
-      if (const auto* c = dynamic_cast<const ir::ConstantInt*>(incoming)) {
-        mv.op = MOp::MovImm;
-        mv.dst = tmpReg;
-        mv.imm = c->value();
-      } else {
-        mv.op = MOp::Mov;
-        mv.dst = tmpReg;
-        mv.src1 = regOf(incoming);
-      }
+      mv = copyReg(tmpReg, regOf(incoming), isFPValue(in));
     }
     emit(mv);
   }
@@ -664,11 +588,7 @@ void ISel::lowerTerminator(const Instruction* in) {
   case Opcode::Ret: {
     if (in->numOperands() == 1) {
       const Value* v = in->operand(0);
-      MInst mv;
-      mv.op = isFPValue(v) ? MOp::FMov : MOp::Mov;
-      mv.dst = kRet;
-      mv.src1 = regOf(v);
-      emit(mv);
+      emit(copyReg(kRet, regOf(v), isFPValue(v)));
     }
     MInst mi;
     mi.op = MOp::Ret;

@@ -112,72 +112,89 @@ std::string memStr(const MemRef& m) {
   return os.str();
 }
 
-bool dstIsFP(const MInst& in) {
-  switch (in.op) {
-  case MOp::FMov:
-  case MOp::FMovImm:
-  case MOp::FAdd:
-  case MOp::FSub:
-  case MOp::FMul:
-  case MOp::FDiv:
-  case MOp::FAluMem:
-  case MOp::CvtSiToF:
-  case MOp::CvtF32F64:
-  case MOp::CvtF64F32:
-  case MOp::MathCall:
-    return true;
-  case MOp::Load:
-    return mtypeIsFP(in.mem.type);
-  default:
-    return false;
-  }
-}
-
 } // namespace
 
+Operands operandsOf(const MInst& in) {
+  constexpr RegClass N = RegClass::None, I = RegClass::Int, F = RegClass::FP;
+  const RegClass memClass = mtypeIsFP(in.mem.type) ? F : I;
+  switch (in.op) {
+  case MOp::Mov: return {I, I};
+  case MOp::MovImm: return {I, N};
+  case MOp::FMov: return {F, F};
+  case MOp::FMovImm: return {F, N};
+  case MOp::Load: return {memClass, N};
+  case MOp::Store: return {N, memClass, true};
+  case MOp::Lea: return {I, N};
+  case MOp::IAdd: case MOp::ISub: case MOp::IMul: case MOp::IDiv:
+  case MOp::IRem: case MOp::IAnd: case MOp::IOr: case MOp::IXor:
+  case MOp::IShl: case MOp::IAshr: case MOp::Sext32: case MOp::IAluMem:
+  case MOp::SetCmp:
+    return {I, I};
+  case MOp::FAdd: case MOp::FSub: case MOp::FMul: case MOp::FDiv:
+  case MOp::FAluMem: case MOp::CvtF32F64: case MOp::CvtF64F32:
+  case MOp::MathCall:
+    return {F, F};
+  case MOp::CvtSiToF: return {F, I};
+  case MOp::CvtFToSi: return {I, F};
+  case MOp::FSetCmp: return {I, F};
+  case MOp::BrCmp: return {N, I};
+  case MOp::FBrCmp: return {N, F};
+  case MOp::Emit: return {N, F};
+  case MOp::EmitI: return {N, I};
+  case MOp::Jmp: case MOp::Call: case MOp::Ret: case MOp::Abort:
+  case MOp::Barrier: case MOp::SentinelTrap:
+    return {N, N};
+  }
+  CARE_UNREACHABLE("bad mop");
+}
+
 std::string toString(const MInst& in) {
+  const Operands o = operandsOf(in);
+  const bool fp = o.src == RegClass::FP;
   std::ostringstream os;
   os << mopName(in.op);
-  const bool fp = dstIsFP(in);
-  if (in.dst != kNoReg) os << " " << regName(in.dst, fp);
+  if (o.dst != RegClass::None)
+    os << " " << regName(in.dst, o.dst == RegClass::FP);
+  const char* sep = o.dst != RegClass::None ? ", " : " ";
+  // An integer ALU op or compare takes `imm` when src2 is kNoReg.
+  const std::string src2 = in.src2 != kNoReg ? regName(in.src2, fp)
+                                             : "$" + std::to_string(in.imm);
   switch (in.op) {
-  case MOp::MovImm: os << ", " << in.imm; break;
-  case MOp::FMovImm: os << ", " << in.fimm; break;
+  case MOp::MovImm: os << sep << in.imm; break;
+  case MOp::FMovImm: os << sep << in.fimm; break;
   case MOp::Load:
   case MOp::Lea:
-    os << ", " << memStr(in.mem);
+    os << sep << memStr(in.mem);
     break;
   case MOp::Store:
-    os << " " << memStr(in.mem) << ", "
-       << regName(in.src1, mtypeIsFP(in.mem.type));
+    os << sep << memStr(in.mem) << ", " << regName(in.src1, fp);
     break;
   case MOp::IAluMem:
   case MOp::FAluMem:
-    os << ", " << regName(in.src1, in.op == MOp::FAluMem) << ", "
+    os << sep << regName(in.src1, fp) << ", "
        << mopName(static_cast<MOp>(in.sub)) << " " << memStr(in.mem);
     break;
   case MOp::BrCmp:
   case MOp::FBrCmp:
     os << " " << ir::predName(static_cast<ir::CmpPred>(in.sub)) << " "
-       << regName(in.src1, in.op == MOp::FBrCmp) << ", "
-       << regName(in.src2, in.op == MOp::FBrCmp) << " -> " << in.target;
+       << regName(in.src1, fp) << ", " << src2 << " -> " << in.target;
     break;
   case MOp::SetCmp:
   case MOp::FSetCmp:
     os << " " << ir::predName(static_cast<ir::CmpPred>(in.sub)) << ", "
-       << regName(in.src1, in.op == MOp::FSetCmp) << ", "
-       << regName(in.src2, in.op == MOp::FSetCmp);
+       << regName(in.src1, fp) << ", " << src2;
     break;
   case MOp::Jmp: os << " -> " << in.target; break;
   case MOp::Call:
     os << " " << (in.externCall ? "extern:" : "fn:") << in.target;
     break;
   default:
-    if (in.src1 != kNoReg) os << ", " << regName(in.src1, fp);
-    if (in.src2 != kNoReg)
-      os << ", " << regName(in.src2, fp);
-    else if (in.op >= MOp::IAdd && in.op <= MOp::IAshr)
-      os << ", $" << in.imm;
+    if (in.src1 != kNoReg) {
+      os << sep << regName(in.src1, fp);
+      sep = ", ";
+    }
+    if (in.src2 != kNoReg || (in.op >= MOp::IAdd && in.op <= MOp::IAshr))
+      os << sep << src2;
     break;
   }
   return os.str();

@@ -25,13 +25,18 @@ using ir::DebugLoc;
 // --- registers --------------------------------------------------------------
 
 /// Integer register roles. r0..r5 pass arguments and r0 returns; r6..r11
-/// are allocatable (r8..r11 callee-saved); r12/r15 are spill scratches;
-/// r13 = frame pointer, r14 = stack pointer.
+/// are allocatable (r8..r11 callee-saved); r13 = frame pointer, r14 =
+/// stack pointer. The register allocator loads spilled operands into the
+/// scratches r15, r12 and r5, in that order. Only a Store whose value,
+/// base and index are all spilled needs the third. r5 is free there: the
+/// entry copies have read r5 before any spill uses it, and a call's
+/// argument window holds only copies, which take one scratch.
 enum : std::int16_t {
   kNoReg = -1,
   kArg0 = 0,
   kNumArgRegs = 6,
   kRet = 0,
+  kScratch3 = 5,
   kAllocFirst = 6,
   kAllocLast = 11,
   kCalleeSavedFirst = 8,
@@ -43,7 +48,8 @@ enum : std::int16_t {
 };
 
 /// FP register roles mirror the integer ones: f0..f5 args / f0 return,
-/// f6..f13 allocatable (f8..f13 callee-saved), f14/f15 scratches.
+/// f6..f13 allocatable (f8..f13 callee-saved), spill scratches f15 then
+/// f14 (no op reads three FP registers).
 enum : std::int16_t {
   kFAllocFirst = 6,
   kFAllocLast = 13,
@@ -184,6 +190,79 @@ struct MInst {
            op == MOp::FAluMem;
   }
 };
+
+// --- operand table -----------------------------------------------------------
+
+/// The register class of an operand.
+enum class RegClass : std::uint8_t { None, Int, FP };
+
+/// What an instruction reads and writes, stated once for the register
+/// allocator, the fault injector and the disassembler. `src` is the class
+/// of src1 and src2 (no op mixes them); `dst` is None for ops without a
+/// register destination. mem.base and mem.index are integer uses whenever
+/// hasMem().
+struct Operands {
+  RegClass dst = RegClass::None;
+  RegClass src = RegClass::None;
+  bool storesMem = false; // writes its memory operand (Store)
+};
+
+Operands operandsOf(const MInst& in);
+
+/// Call f(slot, fp, isDef) for every register operand `in` holds, in the
+/// order src1, src2, dst, mem.base, mem.index. The register allocator
+/// hands out spill scratches in this use order. `Inst` is MInst or
+/// const MInst; `slot` is a reference into `in`.
+template <class Inst, class F>
+void forEachReg(Inst& in, F&& f) {
+  const Operands o = operandsOf(in);
+  auto visit = [&](auto& slot, RegClass c, bool isDef) {
+    if (c != RegClass::None && slot != kNoReg)
+      f(slot, c == RegClass::FP, isDef);
+  };
+  visit(in.src1, o.src, false);
+  visit(in.src2, o.src, false);
+  visit(in.dst, o.dst, true);
+  if (in.hasMem()) {
+    visit(in.mem.base, RegClass::Int, false);
+    visit(in.mem.index, RegClass::Int, false);
+  }
+}
+
+// --- builders shared by instruction selection and the register allocator ---
+
+/// dst <- src in the class `fp` selects.
+inline MInst copyReg(std::int16_t dst, std::int16_t src, bool fp) {
+  MInst in;
+  in.op = fp ? MOp::FMov : MOp::Mov;
+  in.dst = dst;
+  in.src1 = src;
+  return in;
+}
+
+/// An 8-byte Load into, or Store from, `reg` at [base + disp]: a frame or
+/// spill slot, a saved register or a stack argument.
+inline MInst slotAccess(MOp op, std::int16_t reg, bool fp, std::int16_t base,
+                        std::int64_t disp) {
+  MInst in;
+  in.op = op;
+  (op == MOp::Store ? in.src1 : in.dst) = reg;
+  in.mem.base = base;
+  in.mem.disp = disp;
+  in.mem.type = fp ? MType::F64 : MType::I64;
+  return in;
+}
+
+/// sp <- sp + delta, as x86's `sub rsp` when reserving (delta < 0) and
+/// `add rsp` when releasing.
+inline MInst adjustSP(std::int64_t delta) {
+  MInst in;
+  in.op = delta < 0 ? MOp::ISub : MOp::IAdd;
+  in.dst = kSP;
+  in.src1 = kSP;
+  in.imm = delta < 0 ? -delta : delta;
+  return in;
+}
 
 // --- variable locations (DWARF DW_AT_location analogue) -------------------------
 

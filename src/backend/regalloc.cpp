@@ -1,93 +1,16 @@
 #include "backend/regalloc.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 
+#include "ir/scalar.hpp"
 #include "support/error.hpp"
 
 namespace care::backend {
 
 namespace {
-
-struct RegRef {
-  std::int16_t* slot;
-  bool isFP;
-  bool isDef;
-};
-
-/// Enumerate register operand slots of `in` with their class and def/use
-/// role. MemRef base/index registers are always integer-class uses.
-void collectRegRefs(MInst& in, std::vector<RegRef>& out) {
-  auto use = [&](std::int16_t& s, bool fp) {
-    if (s != kNoReg) out.push_back({&s, fp, false});
-  };
-  auto def = [&](std::int16_t& s, bool fp) {
-    if (s != kNoReg) out.push_back({&s, fp, true});
-  };
-  switch (in.op) {
-  case MOp::Mov: use(in.src1, false); def(in.dst, false); break;
-  case MOp::MovImm: def(in.dst, false); break;
-  case MOp::FMov: use(in.src1, true); def(in.dst, true); break;
-  case MOp::FMovImm: def(in.dst, true); break;
-  case MOp::Load:
-    def(in.dst, mtypeIsFP(in.mem.type));
-    break;
-  case MOp::Store:
-    use(in.src1, mtypeIsFP(in.mem.type));
-    break;
-  case MOp::Lea:
-    def(in.dst, false);
-    break;
-  case MOp::IAdd: case MOp::ISub: case MOp::IMul: case MOp::IDiv:
-  case MOp::IRem: case MOp::IAnd: case MOp::IOr: case MOp::IXor:
-  case MOp::IShl: case MOp::IAshr:
-    use(in.src1, false); use(in.src2, false); def(in.dst, false);
-    break;
-  case MOp::Sext32:
-    use(in.src1, false); def(in.dst, false);
-    break;
-  case MOp::IAluMem:
-    use(in.src1, false); def(in.dst, false);
-    break;
-  case MOp::FAdd: case MOp::FSub: case MOp::FMul: case MOp::FDiv:
-    use(in.src1, true); use(in.src2, true); def(in.dst, true);
-    break;
-  case MOp::FAluMem:
-    use(in.src1, true); def(in.dst, true);
-    break;
-  case MOp::CvtSiToF: use(in.src1, false); def(in.dst, true); break;
-  case MOp::CvtFToSi: use(in.src1, true); def(in.dst, false); break;
-  case MOp::CvtF32F64:
-  case MOp::CvtF64F32:
-    use(in.src1, true); def(in.dst, true);
-    break;
-  case MOp::SetCmp:
-    use(in.src1, false); use(in.src2, false); def(in.dst, false);
-    break;
-  case MOp::FSetCmp:
-    use(in.src1, true); use(in.src2, true); def(in.dst, false);
-    break;
-  case MOp::BrCmp: use(in.src1, false); use(in.src2, false); break;
-  case MOp::FBrCmp: use(in.src1, true); use(in.src2, true); break;
-  case MOp::MathCall:
-    use(in.src1, true); use(in.src2, true); def(in.dst, true);
-    break;
-  case MOp::Emit: use(in.src1, true); break;
-  case MOp::EmitI: use(in.src1, false); break;
-  case MOp::Jmp:
-  case MOp::Call:
-  case MOp::Ret:
-  case MOp::Abort:
-  case MOp::Barrier:
-  case MOp::SentinelTrap:
-    break;
-  }
-  if (in.hasMem()) {
-    use(in.mem.base, false);
-    use(in.mem.index, false);
-  }
-}
 
 struct Interval {
   std::int16_t vreg = kNoReg;
@@ -151,7 +74,6 @@ MFunction allocateRegisters(ISelResult isel) {
   // ------------------------------------------------------------------
   auto isVReg = [](std::int16_t r) { return r >= kFirstVReg; };
   std::vector<std::set<std::int16_t>> liveIn(numBlocks), liveOut(numBlocks);
-  std::vector<RegRef> refs;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -161,12 +83,13 @@ MFunction allocateRegisters(ISelResult isel) {
         out.insert(liveIn[s].begin(), liveIn[s].end());
       std::set<std::int16_t> in = out;
       for (std::int32_t i = blockEnd(b) - 1; i >= leaders[b]; --i) {
-        refs.clear();
-        collectRegRefs(code[static_cast<std::size_t>(i)], refs);
-        for (const RegRef& r : refs)
-          if (r.isDef && isVReg(*r.slot)) in.erase(*r.slot);
-        for (const RegRef& r : refs)
-          if (!r.isDef && isVReg(*r.slot)) in.insert(*r.slot);
+        const MInst& mi = code[static_cast<std::size_t>(i)];
+        forEachReg(mi, [&](std::int16_t r, bool, bool isDef) {
+          if (isDef && isVReg(r)) in.erase(r);
+        });
+        forEachReg(mi, [&](std::int16_t r, bool, bool isDef) {
+          if (!isDef && isVReg(r)) in.insert(r);
+        });
       }
       if (out != liveOut[b]) { liveOut[b] = std::move(out); changed = true; }
       if (in != liveIn[b]) { liveIn[b] = std::move(in); changed = true; }
@@ -188,12 +111,10 @@ MFunction allocateRegisters(ISelResult isel) {
     if (iv.begin < 0 || pos < iv.begin) iv.begin = pos;
     if (pos > iv.end) iv.end = pos;
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    refs.clear();
-    collectRegRefs(code[i], refs);
-    for (const RegRef& r : refs)
-      if (isVReg(*r.slot)) extend(*r.slot, static_cast<std::int32_t>(i));
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    forEachReg(code[i], [&](std::int16_t r, bool, bool) {
+      if (isVReg(r)) extend(r, static_cast<std::int32_t>(i));
+    });
   for (std::size_t b = 0; b < numBlocks; ++b) {
     for (std::int16_t v : liveIn[b]) extend(v, leaders[b]);
     for (std::int16_t v : liveOut[b]) extend(v, blockEnd(b) - 1);
@@ -226,18 +147,10 @@ MFunction allocateRegisters(ISelResult isel) {
       return a->begin < b->begin;
     });
 
-    struct Pool {
-      std::vector<std::int16_t> caller, callee;
-    };
-    Pool ipool{{6, 7}, {8, 9, 10, 11}};
-    Pool fpool{{6, 7}, {8, 9, 10, 11, 12, 13}};
-
     std::vector<Interval*> active;
     std::set<std::int16_t> freeInt, freeFP;
-    for (std::int16_t r : ipool.caller) freeInt.insert(r);
-    for (std::int16_t r : ipool.callee) freeInt.insert(r);
-    for (std::int16_t r : fpool.caller) freeFP.insert(r);
-    for (std::int16_t r : fpool.callee) freeFP.insert(r);
+    for (std::int16_t r = kAllocFirst; r <= kAllocLast; ++r) freeInt.insert(r);
+    for (std::int16_t r = kFAllocFirst; r <= kFAllocLast; ++r) freeFP.insert(r);
 
     for (Interval* iv : order) {
       // Expire finished intervals.
@@ -310,57 +223,26 @@ MFunction allocateRegisters(ISelResult isel) {
     in.loc = loc;
     nc.push_back(in);
   };
-  auto frameStore = [&](std::int16_t reg, bool fp, std::int32_t off,
-                        DebugLoc loc) {
-    MInst st;
-    st.op = MOp::Store;
-    st.src1 = reg;
-    st.mem.base = kFP;
-    st.mem.disp = off;
-    st.mem.type = fp ? MType::F64 : MType::I64;
-    put(st, loc);
-  };
-  auto frameLoad = [&](std::int16_t reg, bool fp, std::int32_t off,
+  auto frameSlot = [&](MOp op, std::int16_t reg, bool fp, std::int32_t off,
                        DebugLoc loc) {
-    MInst ld;
-    ld.op = MOp::Load;
-    ld.dst = reg;
-    ld.mem.base = kFP;
-    ld.mem.disp = off;
-    ld.mem.type = fp ? MType::F64 : MType::I64;
-    put(ld, loc);
+    put(slotAccess(op, reg, fp, kFP, off), loc);
+  };
+  auto saveRestore = [&](MOp op, DebugLoc loc) {
+    for (const auto& [key, off] : csSlot) {
+      const bool fp = key >= 100;
+      frameSlot(op, static_cast<std::int16_t>(fp ? key - 100 : key), fp, off,
+                loc);
+    }
   };
 
   const DebugLoc entryLoc = n > 0 ? code[0].loc : DebugLoc{};
   // Prologue: push rbp; mov rbp, rsp; sub rsp, frame; save callee-saved.
-  {
-    MInst sub;
-    sub.op = MOp::ISub;
-    sub.dst = kSP;
-    sub.src1 = kSP;
-    sub.imm = 8;
-    put(sub, entryLoc);
-    frameStore(kFP, false, 0, entryLoc);
-    nc.back().mem.base = kSP; // store rbp at [rsp]
-    MInst mv;
-    mv.op = MOp::Mov;
-    mv.dst = kFP;
-    mv.src1 = kSP;
-    put(mv, entryLoc);
-    if (frameSize > 0) {
-      MInst sub2;
-      sub2.op = MOp::ISub;
-      sub2.dst = kSP;
-      sub2.src1 = kSP;
-      sub2.imm = frameSize;
-      put(sub2, entryLoc);
-    }
-    for (const auto& [key, off] : csSlot) {
-      const bool fp = key >= 100;
-      frameStore(static_cast<std::int16_t>(fp ? key - 100 : key), fp, off,
-                 entryLoc);
-    }
-  }
+  put(adjustSP(-8), entryLoc);
+  put(slotAccess(MOp::Store, kFP, false, kSP, 0), entryLoc);
+  put(copyReg(kFP, kSP, false), entryLoc);
+  if (frameSize > 0)
+    put(adjustSP(-static_cast<std::int64_t>(frameSize)), entryLoc);
+  saveRestore(MOp::Store, entryLoc);
 
   std::vector<std::int32_t> indexMap(n, -1);
   std::vector<std::size_t> branchSites;
@@ -372,71 +254,49 @@ MFunction allocateRegisters(ISelResult isel) {
 
     if (in.op == MOp::Ret) {
       // Epilogue: restore callee-saved, tear down the frame, return.
-      for (const auto& [key, off] : csSlot) {
-        const bool fp = key >= 100;
-        frameLoad(static_cast<std::int16_t>(fp ? key - 100 : key), fp, off,
-                  loc);
-      }
-      MInst mv;
-      mv.op = MOp::Mov;
-      mv.dst = kSP;
-      mv.src1 = kFP;
-      put(mv, loc);
-      frameLoad(kFP, false, 0, loc);
-      nc.back().mem.base = kSP;
-      MInst add;
-      add.op = MOp::IAdd;
-      add.dst = kSP;
-      add.src1 = kSP;
-      add.imm = 8;
-      put(add, loc);
+      saveRestore(MOp::Load, loc);
+      put(copyReg(kSP, kFP, false), loc);
+      put(slotAccess(MOp::Load, kFP, false, kSP, 0), loc);
+      put(adjustSP(8), loc);
       put(in, loc);
       continue;
     }
 
-    refs.clear();
-    collectRegRefs(in, refs);
-    // Scratch assignment: first spilled int use -> r15, second -> r12,
-    // third (only a Store's src1 can be third) -> r5; FP: f15 then f14.
-    int intScratchUsed = 0, fpScratchUsed = 0;
+    // Spilled uses load into the scratches in use order (int: r15, r12,
+    // r5; FP: f15, f14); a spilled def goes through r15 / f15 and is
+    // stored back after the instruction. A def sharing a use's scratch is
+    // fine: every MIR instruction reads before it writes.
+    static constexpr std::int16_t kIntScratch[] = {kScratch, kScratch2,
+                                                   kScratch3};
+    static constexpr std::int16_t kFPScratch[] = {kFScratch, kFScratch2};
+    std::size_t intScratchUsed = 0, fpScratchUsed = 0;
     std::int16_t dstScratch = kNoReg;
     std::int32_t dstSpillOff = 0;
-    bool dstIsFPClass = false;
-    for (const RegRef& r : refs) {
-      const Interval* iv = physOf(*r.slot);
-      if (!iv) continue;
+    bool dstFP = false;
+    forEachReg(in, [&](std::int16_t& slot, bool fp, bool isDef) {
+      const Interval* iv = physOf(slot);
+      if (!iv) return;
       if (iv->phys != kNoReg) {
-        *r.slot = iv->phys;
-        continue;
-      }
-      // Spilled.
-      if (r.isDef) {
-        dstIsFPClass = r.isFP;
-        dstScratch = r.isFP ? static_cast<std::int16_t>(kFScratch)
-                            : static_cast<std::int16_t>(kScratch);
+        slot = iv->phys;
+      } else if (isDef) {
+        dstFP = fp;
+        dstScratch = (fp ? kFPScratch : kIntScratch)[0];
         dstSpillOff = iv->spillSlot;
-        *r.slot = dstScratch;
-        continue;
-      }
-      std::int16_t scratch;
-      if (r.isFP) {
-        static const std::int16_t fpScr[2] = {kFScratch, kFScratch2};
-        CARE_ASSERT(fpScratchUsed < 2, "too many spilled FP operands");
-        scratch = fpScr[fpScratchUsed++];
+        slot = dstScratch;
       } else {
-        static const std::int16_t iScr[3] = {kScratch, kScratch2, 5};
-        CARE_ASSERT(intScratchUsed < 3, "too many spilled int operands");
-        scratch = iScr[intScratchUsed++];
+        std::size_t& used = fp ? fpScratchUsed : intScratchUsed;
+        CARE_ASSERT(used < (fp ? std::size(kFPScratch)
+                               : std::size(kIntScratch)),
+                    "too many spilled operands");
+        slot = fp ? kFPScratch[used] : kIntScratch[used];
+        ++used;
+        frameSlot(MOp::Load, slot, fp, iv->spillSlot, loc);
       }
-      frameLoad(scratch, r.isFP, iv->spillSlot, loc);
-      *r.slot = scratch;
-    }
-    // Conflict: dst scratch equals a use scratch is fine (reads happen
-    // before the write in every MIR instruction).
+    });
     put(in, loc);
     if (in.isBranch()) branchSites.push_back(nc.size() - 1);
     if (dstScratch != kNoReg)
-      frameStore(dstScratch, dstIsFPClass, dstSpillOff, loc);
+      frameSlot(MOp::Store, dstScratch, dstFP, dstSpillOff, loc);
   }
 
   // Fix branch targets through the index map.
@@ -511,11 +371,8 @@ std::unique_ptr<MModule> lowerModule(const ir::Module& irm) {
   // Function and extern tables. Intrinsics and runtime services are lowered
   // to dedicated MIR ops and need no entry.
   for (const ir::Function* f : irm) {
-    if (f->isIntrinsic()) continue;
+    if (f->isIntrinsic() || ir::runtimeFnByName(f->name())) continue;
     const std::string& nm = f->name();
-    if (nm == "emit" || nm == "emiti" || nm == "__abort" ||
-        nm == "mpi_barrier" || nm == "__sentinel_trap")
-      continue;
     if (f->isDeclaration()) {
       ml.externIndex[f] = static_cast<std::int32_t>(mm->externs.size());
       mm->externs.push_back(nm);

@@ -1,10 +1,12 @@
 // Linear-scan register allocation + frame lowering + debug-info emission.
 //
 // Virtual registers get physical registers from the allocatable pools
-// (r6..r11 / f6..f13); intervals that cross a call site are restricted to
-// the callee-saved subset (r8..r11 / f8..f13) or spilled to frame slots.
+// (kAllocFirst..kAllocLast / kFAllocFirst..kFAllocLast in mir.hpp);
+// intervals that cross a call site are restricted to the callee-saved
+// subset (from kCalleeSavedFirst / kFCalleeSavedFirst) or spilled to frame
+// slots. Operands are walked through the one operand table (forEachReg).
 // This stage also emits the prologue/epilogue, rewrites spilled operands
-// through the reserved scratch registers, and produces the two debug-info
+// through mir.hpp's spill scratches, and produces the two debug-info
 // artifacts CARE's runtime consumes: the per-instruction line table and
 // DWARF-style variable location lists (VarLoc).
 #pragma once

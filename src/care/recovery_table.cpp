@@ -1,5 +1,6 @@
 #include "care/recovery_table.hpp"
 
+#include "ir/serialize.hpp"
 #include "support/error.hpp"
 
 namespace care::core {
@@ -7,25 +8,6 @@ namespace care::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x32435243; // "CRC2"
-
-void writeType(const ir::Type* t, ByteWriter& w) {
-  w.u8(static_cast<std::uint8_t>(t->kind()));
-  if (t->isPointer()) writeType(t->pointee(), w);
-}
-
-ir::Type* readType(ByteReader& r) {
-  const auto kind = static_cast<ir::TypeKind>(r.u8());
-  switch (kind) {
-  case ir::TypeKind::Void: return ir::Type::voidTy();
-  case ir::TypeKind::I1: return ir::Type::i1();
-  case ir::TypeKind::I32: return ir::Type::i32();
-  case ir::TypeKind::I64: return ir::Type::i64();
-  case ir::TypeKind::F32: return ir::Type::f32();
-  case ir::TypeKind::F64: return ir::Type::f64();
-  case ir::TypeKind::Ptr: return ir::Type::ptrTo(readType(r));
-  }
-  raise("bad type in recovery table");
-}
 
 } // namespace
 
@@ -55,7 +37,7 @@ void RecoveryTable::write(ByteWriter& w) const {
     w.u32(static_cast<std::uint32_t>(e.params.size()));
     for (const ParamDesc& p : e.params) {
       w.str(p.name);
-      writeType(p.type, w);
+      ir::writeType(p.type, w);
       w.u8(p.isGlobal ? 1 : 0);
       w.u8(p.hasIvAlt ? 1 : 0);
       if (p.hasIvAlt) {
@@ -81,7 +63,7 @@ RecoveryTable RecoveryTable::read(ByteReader& r) {
     for (std::uint32_t p = 0; p < np; ++p) {
       ParamDesc pd;
       pd.name = r.str();
-      pd.type = readType(r);
+      pd.type = ir::readType(r);
       pd.isGlobal = r.u8() != 0;
       pd.hasIvAlt = r.u8() != 0;
       if (pd.hasIvAlt) {

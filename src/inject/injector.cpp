@@ -12,7 +12,6 @@
 namespace care::inject {
 
 using backend::MInst;
-using backend::MOp;
 using vm::CodeLoc;
 using vm::Executor;
 
@@ -50,35 +49,6 @@ FaultModel parseFaultModel(const std::string& s) {
 
 namespace {
 
-/// Destination operand classification: (hasDest, isFPReg, isMemory).
-struct DestInfo {
-  bool has = false;
-  bool fpReg = false;
-  bool memory = false;
-};
-
-DestInfo destOf(const MInst& in) {
-  switch (in.op) {
-  case MOp::Store:
-    return {true, false, true};
-  case MOp::Mov: case MOp::MovImm: case MOp::Lea:
-  case MOp::IAdd: case MOp::ISub: case MOp::IMul: case MOp::IDiv:
-  case MOp::IRem: case MOp::IAnd: case MOp::IOr: case MOp::IXor:
-  case MOp::IShl: case MOp::IAshr: case MOp::Sext32: case MOp::IAluMem:
-  case MOp::SetCmp: case MOp::FSetCmp: case MOp::CvtFToSi:
-    return {true, false, false};
-  case MOp::FMov: case MOp::FMovImm:
-  case MOp::FAdd: case MOp::FSub: case MOp::FMul: case MOp::FDiv:
-  case MOp::FAluMem: case MOp::CvtSiToF: case MOp::CvtF32F64:
-  case MOp::CvtF64F32: case MOp::MathCall:
-    return {true, true, false};
-  case MOp::Load:
-    return {true, backend::mtypeIsFP(in.mem.type), false};
-  default:
-    return {};
-  }
-}
-
 /// Upper bound on replay-cache segments: a tiny interval on a
 /// multi-million-instruction run must not balloon into thousands of page-map
 /// copies. The interval is widened until the segment count fits.
@@ -96,14 +66,17 @@ std::uint64_t resolveSpacing(std::uint64_t knob, std::uint64_t golden) {
 
 } // namespace
 
-bool Campaign::injectable(const MInst& in) { return destOf(in).has; }
+bool Campaign::injectable(const MInst& in) {
+  const backend::Operands o = backend::operandsOf(in);
+  return o.dst != backend::RegClass::None || o.storesMem;
+}
 
 void Campaign::corruptDestination(Executor& ex, const CodeLoc& loc,
                                   const std::vector<unsigned>& bits) {
   const MInst& in = ex.image()->instruction(loc);
-  const DestInfo d = destOf(in);
-  CARE_ASSERT(d.has, "injection at instruction without destination");
-  if (d.memory) {
+  const backend::Operands d = backend::operandsOf(in);
+  CARE_ASSERT(injectable(in), "injection at instruction without destination");
+  if (d.storesMem) {
     // Recompute the store's effective address and flip bits in the cell.
     const std::uint64_t a = vm::effectiveAddr(
         in.mem, ex.state().g,
@@ -119,7 +92,7 @@ void Campaign::corruptDestination(Executor& ex, const CodeLoc& loc,
     ex.memory().writeBytes(a, buf, size);
     return;
   }
-  if (d.fpReg) {
+  if (d.dst == backend::RegClass::FP) {
     double& v = ex.state().f[in.dst];
     for (unsigned b : bits) v = flipBitF64(v, b);
     return;
@@ -392,9 +365,9 @@ InjectionPoint Campaign::sample(Rng& rng) const {
   // multi-bit flips genuinely distinct in the cell — a modulo would fold
   // e.g. bits {3, 35} of an i32 store onto the same physical bit.
   const MInst& in = image_->instruction(pt.loc);
-  const DestInfo dd = destOf(in);
-  const unsigned width =
-      dd.memory ? 8 * backend::mtypeSize(in.mem.type) : 64;
+  const unsigned width = backend::operandsOf(in).storesMem
+                             ? 8 * backend::mtypeSize(in.mem.type)
+                             : 64;
   pt.bits.push_back(static_cast<unsigned>(rng.below(width)));
   for (unsigned extra = 1; extra < cfg_.bitsToFlip; ++extra) {
     unsigned b;

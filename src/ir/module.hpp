@@ -12,6 +12,8 @@
 
 namespace care::ir {
 
+enum class RuntimeFn : std::uint8_t; // ir/scalar.hpp
+
 class Module {
 public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -66,6 +68,9 @@ public:
   /// Ensure the standard math intrinsics (sqrt, fabs, sin, cos, exp, floor,
   /// fmin, fmax) are declared; returns the named one.
   Function* intrinsic(const std::string& name);
+
+  /// Ensure runtime service `fn` (ir/scalar.hpp) is declared; returns it.
+  Function* runtime(RuntimeFn fn);
 
 private:
   std::string name_;

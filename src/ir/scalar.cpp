@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "ir/function.hpp"
+#include "ir/module.hpp"
 
 namespace care::ir {
 
@@ -20,7 +20,33 @@ constexpr MathFnInfo kMathFns[] = {
     {"pow", 2},
 };
 
+struct RuntimeFnInfo {
+  const char* name;
+  Type* (*param)(); // null: no parameter
+};
+
+// Indexed by RuntimeFn.
+constexpr RuntimeFnInfo kRuntimeFns[] = {
+    {"emit", &Type::f64},    {"emiti", &Type::i64},
+    {"__abort", nullptr},    {"mpi_barrier", nullptr},
+    {"__sentinel_trap", nullptr},
+};
+
 } // namespace
+
+std::optional<RuntimeFn> runtimeFnByName(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kRuntimeFns); ++i)
+    if (name == kRuntimeFns[i].name) return static_cast<RuntimeFn>(i);
+  return std::nullopt;
+}
+
+Function* Module::runtime(RuntimeFn fn) {
+  const RuntimeFnInfo& info = kRuntimeFns[static_cast<std::size_t>(fn)];
+  if (Function* f = findFunction(info.name)) return f;
+  std::vector<Type*> params;
+  if (info.param) params.push_back(info.param());
+  return addFunction(info.name, Type::voidTy(), std::move(params));
+}
 
 bool isMathFn(const std::string& name) {
   for (const MathFnInfo& f : kMathFns)

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "ir/instruction.hpp"
@@ -143,6 +144,15 @@ MathFn mathFnByName(const std::string& name);
 unsigned mathFnArity(MathFn fn);
 /// `b` is ignored by the unary functions.
 double evalMathFn(MathFn fn, double a, double b);
+
+/// The runtime services: calls the backend lowers to one dedicated MIR op
+/// each instead of a call. Each returns void and takes at most one
+/// scalar; Module::runtime declares them.
+enum class RuntimeFn : std::uint8_t {
+  Emit, EmitI, Abort, Barrier, SentinelTrap,
+};
+/// nullopt for a name that is not a runtime service.
+std::optional<RuntimeFn> runtimeFnByName(const std::string& name);
 
 /// Ops whose result depends on their operands alone and that touch no
 /// memory: binary ops, casts, compares, selects, geps and math-intrinsic

@@ -17,25 +17,6 @@ enum : std::uint8_t {
   kOpConstFP = 4,
 };
 
-void writeType(const Type* t, ByteWriter& w) {
-  w.u8(static_cast<std::uint8_t>(t->kind()));
-  if (t->isPointer()) writeType(t->pointee(), w);
-}
-
-Type* readType(ByteReader& r) {
-  const auto kind = static_cast<TypeKind>(r.u8());
-  switch (kind) {
-  case TypeKind::Void: return Type::voidTy();
-  case TypeKind::I1: return Type::i1();
-  case TypeKind::I32: return Type::i32();
-  case TypeKind::I64: return Type::i64();
-  case TypeKind::F32: return Type::f32();
-  case TypeKind::F64: return Type::f64();
-  case TypeKind::Ptr: return Type::ptrTo(readType(r));
-  }
-  raise("bad type kind in module stream");
-}
-
 struct FunctionNumbering {
   std::map<const Instruction*, std::uint32_t> instIdx;
   std::map<const BasicBlock*, std::uint32_t> blockIdx;
@@ -83,6 +64,25 @@ void writeOperand(const Value* v, const FunctionNumbering& n,
 }
 
 } // namespace
+
+void writeType(const Type* t, ByteWriter& w) {
+  w.u8(static_cast<std::uint8_t>(t->kind()));
+  if (t->isPointer()) writeType(t->pointee(), w);
+}
+
+Type* readType(ByteReader& r) {
+  const auto kind = static_cast<TypeKind>(r.u8());
+  switch (kind) {
+  case TypeKind::Void: return Type::voidTy();
+  case TypeKind::I1: return Type::i1();
+  case TypeKind::I32: return Type::i32();
+  case TypeKind::I64: return Type::i64();
+  case TypeKind::F32: return Type::f32();
+  case TypeKind::F64: return Type::f64();
+  case TypeKind::Ptr: return Type::ptrTo(readType(r));
+  }
+  raise("bad type kind in stream");
+}
 
 void writeModule(const Module& m, ByteWriter& w) {
   w.u32(kMagic);

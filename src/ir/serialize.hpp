@@ -14,6 +14,11 @@
 
 namespace care::ir {
 
+/// A type as its kind byte, followed by the pointee's for a pointer. The
+/// recovery table (care/recovery_table.cpp) stores parameter types so too.
+void writeType(const Type* t, ByteWriter& w);
+Type* readType(ByteReader& r);
+
 void writeModule(const Module& m, ByteWriter& w);
 std::unique_ptr<Module> readModule(ByteReader& r);
 

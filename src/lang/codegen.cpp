@@ -67,15 +67,11 @@ private:
 
   void setLoc(Pos p) { builder_.setDebugLoc({fileId_, p.line, p.col}); }
 
+  /// The services MiniC programs call; Sentinel adds its trap later.
   void declareRuntime() {
-    if (!mod_.findFunction("emit"))
-      mod_.addFunction("emit", Type::voidTy(), {Type::f64()});
-    if (!mod_.findFunction("emiti"))
-      mod_.addFunction("emiti", Type::voidTy(), {Type::i64()});
-    if (!mod_.findFunction("__abort"))
-      mod_.addFunction("__abort", Type::voidTy(), {});
-    if (!mod_.findFunction("mpi_barrier"))
-      mod_.addFunction("mpi_barrier", Type::voidTy(), {});
+    for (ir::RuntimeFn fn : {ir::RuntimeFn::Emit, ir::RuntimeFn::EmitI,
+                             ir::RuntimeFn::Abort, ir::RuntimeFn::Barrier})
+      mod_.runtime(fn);
   }
 
   void genGlobal(const GlobalDecl& g) {
@@ -109,6 +105,10 @@ private:
   }
 
   void declareFunction(const FuncDecl& fd) {
+    // The backend lowers calls to a runtime service to a MIR op and never
+    // lowers a body for one.
+    if (fd.body && ir::runtimeFnByName(fd.name))
+      err(fd.pos, fd.name + " is a runtime service and cannot be defined");
     if (Function* existing = mod_.findFunction(fd.name)) {
       // Defining a previously forward-declared function is fine (the body
       // is attached by genFunction); an actual second body is not.
@@ -346,7 +346,7 @@ private:
       BasicBlock* failBB = fn_->addBlock("assert.fail");
       builder_.condBr(cond, okBB, failBB);
       builder_.setInsertPoint(failBB);
-      builder_.call(mod_.findFunction("__abort"), {});
+      builder_.call(mod_.runtime(ir::RuntimeFn::Abort), {});
       // __abort never returns; still terminate the block for the verifier.
       if (fn_->returnType()->isVoid())
         builder_.ret();
@@ -637,21 +637,10 @@ void markSimpleFunctions(ir::Module& mod) {
             if (in->operand(oi)->kind() == ir::ValueKind::GlobalVariable)
               simple = false;
           if (in->opcode() == ir::Opcode::Store) {
-            // A store is local iff its pointer chases back to an alloca.
-            ir::Value* p = in->pointerOperand();
-            while (auto* pi = dynamic_cast<ir::Instruction*>(p)) {
-              if (pi->opcode() == ir::Opcode::Alloca) break;
-              if (pi->opcode() == ir::Opcode::Gep) {
-                p = pi->operand(0);
-                continue;
-              }
-              break;
-            }
-            const bool local =
-                (p->isInstruction() &&
-                 static_cast<ir::Instruction*>(p)->opcode() ==
-                     ir::Opcode::Alloca);
-            if (!local) simple = false;
+            // A store is local iff its pointer is based on an alloca.
+            const auto* base = dynamic_cast<const ir::Instruction*>(
+                ir::baseObject(in->pointerOperand()));
+            if (!base || base->opcode() != ir::Opcode::Alloca) simple = false;
           } else if (in->opcode() == ir::Opcode::Call) {
             if (!in->callee()->isSimpleCall() && !in->callee()->isIntrinsic())
               simple = false;

@@ -27,11 +27,6 @@ std::size_t functionSize(const Function& f) {
   return n;
 }
 
-bool isRuntimeService(const Function* f) {
-  const std::string& n = f->name();
-  return n == "emit" || n == "emiti" || n == "__abort" || n == "mpi_barrier";
-}
-
 bool callsSelf(const Function& f) {
   for (const BasicBlock* bb : f)
     for (const Instruction* in : *bb)
@@ -106,8 +101,7 @@ bool inlineFunctions(ir::Module& m) {
           if (in->opcode() != Opcode::Call) continue;
           const Function* callee = in->callee();
           if (!callee || callee->isDeclaration() || callee->isIntrinsic() ||
-              isRuntimeService(callee) || callee == caller ||
-              callsSelf(*callee))
+              callee == caller || callsSelf(*callee))
             continue;
           if (functionSize(*callee) > kMaxCalleeInstrs) continue;
           inlineCall(*caller, bb, i);

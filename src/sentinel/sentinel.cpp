@@ -7,6 +7,7 @@
 #include "analysis/loopinfo.hpp"
 #include "analysis/slice.hpp"
 #include "ir/irbuilder.hpp"
+#include "ir/scalar.hpp"
 #include "support/error.hpp"
 
 namespace care::sentinel {
@@ -353,8 +354,8 @@ SentinelStats runSentinel(Module& m, const DetectOptions& opts,
                           const pareto::SampleConfig& sample) {
   SentinelStats stats;
   if (!opts.any()) return stats;
-  Function* trapFn = m.findFunction(kTrapFnName);
-  if (!trapFn) trapFn = m.addFunction(kTrapFnName, Type::voidTy(), {});
+  // The trap service, lowered to MOp::SentinelTrap → vm::TrapKind::Sentinel.
+  Function* trapFn = m.runtime(ir::RuntimeFn::SentinelTrap);
   for (Function* f : m) {
     if (f->isDeclaration()) continue;
     FunctionInstrumenter fi(m, *f, opts, sample, trapFn);

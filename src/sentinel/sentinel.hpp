@@ -49,10 +49,6 @@ struct DetectOptions {
 /// detectors. Raises on unknown tokens.
 DetectOptions parseDetect(const std::string& spec);
 
-/// Name of the runtime trap service the instrumentation calls on a detected
-/// mismatch (lowered to MOp::SentinelTrap → vm::TrapKind::Sentinel).
-inline constexpr const char* kTrapFnName = "__sentinel_trap";
-
 /// Per-function instrumentation statistics (reported by `carecc inspect`).
 struct FunctionSentinelStats {
   std::string function;

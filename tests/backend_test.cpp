@@ -213,5 +213,37 @@ TEST(Backend, DisassemblerPrintsOperands) {
   EXPECT_NE(s.find("r8*8"), std::string::npos);
 }
 
+TEST(Backend, DisassemblerPrintsEachOperandInItsClass) {
+  // A conversion's source is in the other class from its destination; a
+  // runtime service's operand follows the service, not a destination.
+  MInst in;
+  in.dst = 6;
+  in.src1 = 7;
+  in.op = MOp::CvtSiToF;
+  EXPECT_EQ(toString(in), "cvtsi2f f6, r7");
+  in.op = MOp::CvtFToSi;
+  EXPECT_EQ(toString(in), "cvtf2si r6, f7");
+  in.op = MOp::FSetCmp;
+  in.src2 = 8;
+  EXPECT_EQ(toString(in), "fsetcmp r6 eq, f7, f8");
+  // An immediate compare prints its immediate.
+  in.op = MOp::BrCmp;
+  in.src2 = kNoReg;
+  in.imm = 4;
+  in.target = 9;
+  EXPECT_EQ(toString(in), "brcmp eq r7, $4 -> 9");
+  MInst out;
+  out.src1 = 7;
+  out.op = MOp::Emit;
+  EXPECT_EQ(toString(out), "emit f7");
+  out.op = MOp::EmitI;
+  EXPECT_EQ(toString(out), "emiti r7");
+  out.op = MOp::Store;
+  out.mem.base = kFP;
+  out.mem.disp = -8;
+  out.mem.type = MType::F64;
+  EXPECT_EQ(toString(out), "store [r13 -8], f7");
+}
+
 } // namespace
 } // namespace care::test

@@ -30,26 +30,84 @@ CampaignConfig regConfig() {
   return cfg;
 }
 
+/// What Campaign::corruptDestination flips for an instruction.
+enum class Flips { Nothing, IntReg, FPReg, MemCell };
+
+/// Run corruptDestination on `in` alone, in a module with one global that
+/// its memory operand addresses, and report which of r6, f6 and the
+/// global's cell changed. Non-injectable instructions flip nothing.
+Flips flippedBy(MInst in) {
+  in.dst = 6;
+  in.target = 0;
+  in.mem.globalIdx = 0;
+  if (in.op == MOp::IAluMem) in.sub = static_cast<std::uint8_t>(MOp::IAdd);
+  if (in.op == MOp::FAluMem) in.sub = static_cast<std::uint8_t>(MOp::FAdd);
+  if (!Campaign::injectable(in)) return Flips::Nothing;
+  backend::MModule mm;
+  mm.name = "one";
+  mm.globals.push_back({"cell", backend::MType::I64, 1, {}});
+  backend::MFunction fn;
+  fn.name = "main";
+  fn.code = {in};
+  fn.lineTable = {in.loc};
+  mm.functions.push_back(fn);
+  vm::Image image;
+  image.load(&mm);
+  image.link();
+  vm::Executor ex(&image);
+  Campaign::corruptDestination(ex, {0, 0, 0}, {0});
+  std::uint64_t cell = 0;
+  EXPECT_TRUE(ex.memory().readBytes(image.module(0).globalAddr[0], &cell, 8));
+  const int changed = (ex.state().g[6] != 0) + (ex.state().f[6] != 0.0) +
+                      (cell != 0);
+  EXPECT_EQ(changed, 1) << backend::mopName(in.op);
+  return ex.state().g[6] != 0   ? Flips::IntReg
+         : ex.state().f[6] != 0 ? Flips::FPReg
+                                : Flips::MemCell;
+}
+
 TEST(Injectable, ClassifiesByDestination) {
-  MInst in;
-  in.op = MOp::IAdd;
-  EXPECT_TRUE(Campaign::injectable(in));
-  in.op = MOp::Load;
-  EXPECT_TRUE(Campaign::injectable(in));
-  in.op = MOp::Store;
-  EXPECT_TRUE(Campaign::injectable(in)); // destination = memory cell
-  in.op = MOp::FMul;
-  EXPECT_TRUE(Campaign::injectable(in));
-  in.op = MOp::Jmp;
-  EXPECT_FALSE(Campaign::injectable(in));
-  in.op = MOp::BrCmp;
-  EXPECT_FALSE(Campaign::injectable(in)); // no architectural destination
-  in.op = MOp::Ret;
-  EXPECT_FALSE(Campaign::injectable(in));
-  in.op = MOp::Call;
-  EXPECT_FALSE(Campaign::injectable(in));
-  in.op = MOp::Barrier;
-  EXPECT_FALSE(Campaign::injectable(in));
+  // Every MOp, in declaration order: the destination a register fault
+  // flips. Branches, calls and runtime services have no architectural
+  // destination; a Store's destination is its memory cell; a Load's
+  // register class follows its memory type (I64 here, F64 below).
+  const std::pair<MOp, Flips> rows[] = {
+      {MOp::Mov, Flips::IntReg},         {MOp::MovImm, Flips::IntReg},
+      {MOp::FMov, Flips::FPReg},         {MOp::FMovImm, Flips::FPReg},
+      {MOp::Load, Flips::IntReg},        {MOp::Store, Flips::MemCell},
+      {MOp::Lea, Flips::IntReg},         {MOp::IAdd, Flips::IntReg},
+      {MOp::ISub, Flips::IntReg},        {MOp::IMul, Flips::IntReg},
+      {MOp::IDiv, Flips::IntReg},        {MOp::IRem, Flips::IntReg},
+      {MOp::IAnd, Flips::IntReg},        {MOp::IOr, Flips::IntReg},
+      {MOp::IXor, Flips::IntReg},        {MOp::IShl, Flips::IntReg},
+      {MOp::IAshr, Flips::IntReg},       {MOp::Sext32, Flips::IntReg},
+      {MOp::IAluMem, Flips::IntReg},     {MOp::FAdd, Flips::FPReg},
+      {MOp::FSub, Flips::FPReg},         {MOp::FMul, Flips::FPReg},
+      {MOp::FDiv, Flips::FPReg},         {MOp::FAluMem, Flips::FPReg},
+      {MOp::CvtSiToF, Flips::FPReg},     {MOp::CvtFToSi, Flips::IntReg},
+      {MOp::CvtF32F64, Flips::FPReg},    {MOp::CvtF64F32, Flips::FPReg},
+      {MOp::SetCmp, Flips::IntReg},      {MOp::FSetCmp, Flips::IntReg},
+      {MOp::BrCmp, Flips::Nothing},      {MOp::FBrCmp, Flips::Nothing},
+      {MOp::Jmp, Flips::Nothing},        {MOp::Call, Flips::Nothing},
+      {MOp::Ret, Flips::Nothing},        {MOp::MathCall, Flips::FPReg},
+      {MOp::Emit, Flips::Nothing},       {MOp::EmitI, Flips::Nothing},
+      {MOp::Abort, Flips::Nothing},      {MOp::Barrier, Flips::Nothing},
+      {MOp::SentinelTrap, Flips::Nothing},
+  };
+  ASSERT_EQ(std::size(rows), static_cast<std::size_t>(MOp::SentinelTrap) + 1);
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const auto [op, flips] = rows[i];
+    ASSERT_EQ(static_cast<std::size_t>(op), i);
+    MInst in;
+    in.op = op;
+    EXPECT_EQ(Campaign::injectable(in), flips != Flips::Nothing)
+        << backend::mopName(op);
+    EXPECT_EQ(flippedBy(in), flips) << backend::mopName(op);
+  }
+  MInst fpLoad;
+  fpLoad.op = MOp::Load;
+  fpLoad.mem.type = backend::MType::F64;
+  EXPECT_EQ(flippedBy(fpLoad), Flips::FPReg);
 }
 
 struct CorpusEnv {

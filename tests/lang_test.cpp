@@ -92,6 +92,10 @@ INSTANTIATE_TEST_SUITE_P(
                    "int f() { return 1; } int f() { return 2; } "
                    "int main() { return 0; }",
                    "redefinition"},
+        BadProgram{"defineRuntimeService",
+                   "void emit(double x) { emiti(42); } "
+                   "int main() { emit(1.5); return 0; }",
+                   "emit is a runtime service and cannot be defined"},
         BadProgram{"voidVar", "int main() { void v; return 0; }", "void"},
         BadProgram{"ptrArith",
                    "int main() { double a[2]; double* p = a; "
