@@ -83,6 +83,7 @@ std::string CampaignTelemetry::json() const {
   jsonField(out, "replay_saved_instrs", "%llu,",
             static_cast<unsigned long long>(replaySavedInstrs));
   jsonField(out, "effective_mips", "%.2f,", effectiveMips);
+  jsonField(out, "settled", "%d,", settled);
   jsonField(out, "detected", "%d,", detected);
   jsonField(out, "detect_latency_instrs", "%.1f,", detectLatencyInstrs);
   out += "\"detect_sample\":\"";
@@ -235,6 +236,19 @@ double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
   return busySec;
 }
 
+namespace {
+int settledIn(const InjectionRecord& rec) {
+  return rec.plain.settled.has_value() +
+         (rec.haveCare && rec.withCare.settled.has_value());
+}
+} // namespace
+
+int settledRuns(const std::vector<InjectionRecord>& records) {
+  int n = 0;
+  for (const InjectionRecord& rec : records) n += settledIn(rec);
+  return n;
+}
+
 void aggregateRecordTelemetry(const std::vector<InjectionRecord>& records,
                               const std::vector<std::uint8_t>* executed,
                               CampaignTelemetry& t) {
@@ -246,6 +260,7 @@ void aggregateRecordTelemetry(const std::vector<InjectionRecord>& records,
   t.recoveries = 0;
   t.rollbacks = 0;
   t.rollbackReexecInstrs = 0;
+  t.settled = 0;
   t.rollbackUs = t.recKeyUs = t.recLoadUs = t.recParamUs = 0;
   t.recKernelUs = t.recPatchUs = t.recTotalUs = 0;
   std::uint64_t instrs = 0;
@@ -277,6 +292,7 @@ void aggregateRecordTelemetry(const std::vector<InjectionRecord>& records,
     // actually done.
     instrs += rec.plain.instrsExecuted - rec.plain.replaySavedInstrs;
     saved += rec.plain.replaySavedInstrs;
+    t.settled += settledIn(rec);
     if (rec.haveCare) {
       instrs += rec.withCare.instrsExecuted - rec.withCare.replaySavedInstrs;
       saved += rec.withCare.replaySavedInstrs;
@@ -357,10 +373,14 @@ std::vector<InjectionRecord> runCampaignTrials(
     const Campaign& campaign, const std::vector<InjectionPoint>& points,
     std::uint64_t seed, const ServiceConfig& service, const TrialFn& trial,
     CampaignTelemetry* telemetry) {
+  // The watch pass (DESIGN.md §4i) over every pre-derived point, run only
+  // when a shard will run and before any worker forks, so a warm store
+  // pays nothing and the workers inherit the table.
+  const std::function<void()> watch = [&] { campaign.watch(points); };
   const pareto::PruneOptions prune = campaign.pruneOptions();
   if (!prune.enabled)
     return runShardedTrials(static_cast<int>(points.size()), seed, service,
-                            trial, telemetry);
+                            trial, telemetry, nullptr, watch);
 
   // --- Equivalence-class pruning (DESIGN.md §4j) -------------------------
   // Group the pre-derived points by Campaign::pruneKey; the first trial of
@@ -393,7 +413,7 @@ std::vector<InjectionRecord> runCampaignTrials(
   std::vector<std::uint8_t> repExecuted;
   std::vector<InjectionRecord> repRecords =
       runShardedTrials(static_cast<int>(reps.size()), seed, service, repFn,
-                       telemetry, &repExecuted);
+                       telemetry, &repExecuted, watch);
 
   // Expand: every member receives a copy of its representative's record
   // with its own point. For `dup` groups the points are equal too; for
@@ -446,7 +466,11 @@ std::vector<InjectionRecord> runCampaignTrials(
     for (std::size_t j = 0; j < reps.size(); ++j)
       executed[static_cast<std::size_t>(reps[j])] = repExecuted[j];
     t.trials = static_cast<int>(records.size());
+    // The service counted the representatives' settled runs, forked ones
+    // included; the expanded records cannot recount those.
+    const int settled = t.settled;
     aggregateRecordTelemetry(records, &executed, t);
+    t.settled = settled;
     t.pruneGroups = static_cast<int>(reps.size());
     t.pruneWeightedTrials = static_cast<int>(records.size());
   }

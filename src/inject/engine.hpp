@@ -81,6 +81,8 @@ struct CampaignTelemetry {
                                        // tails after convergence
   double effectiveMips = 0;    // (simInstrs + replaySavedInstrs) / 1e6 /
                                // wallSec — as-if throughput incl. replay
+  int settled = 0;             // runs (plain or CARE re-run) the watch
+                               // table stopped at a golden boundary
   // Fig. 9 recovery-phase aggregate (DESIGN.md §4d): wall-time sums over
   // every Safeguard activation in the campaign's CARE re-runs, emitted as
   // the "recovery_phase_us" object in json(). All zero when no trial was
@@ -188,6 +190,10 @@ InjectionRecord runTrialAt(const TrialFn& fn, std::uint64_t seed, int i);
 double runTrialPool(const std::vector<int>& idx, std::uint64_t seed,
                     int threads, const TrialFn& fn,
                     std::vector<InjectionRecord>& records);
+
+/// Runs in `records`, plain runs and CARE re-runs, that the watch table
+/// settled (InjectionResult::settled).
+int settledRuns(const std::vector<InjectionRecord>& records);
 
 /// Fill `t`'s record-derived aggregates (simInstrs, replaySavedInstrs,
 /// detection, recovery/rollback counters, Fig. 9 phase sums, and the

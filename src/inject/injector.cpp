@@ -301,6 +301,98 @@ Campaign::replaySourceAt(std::uint64_t instrAt) const {
   return lo > 0 ? &checkpoints_[lo - 1] : nullptr;
 }
 
+void Campaign::watch(const std::vector<InjectionPoint>& points) const {
+  watch_.clear();
+  if (cfg_.fault == FaultModel::Reg || checkpoints_.empty()) return;
+  // A trial probes the boundaries past its strike, so a word is watched
+  // from the first boundary past its earliest strike. A word struck past
+  // the last boundary is never probed.
+  const std::size_t n = checkpoints_.size();
+  for (const InjectionPoint& pt : points) {
+    const TrialCheckpoint* ck = replaySourceAt(pt.nth);
+    const std::size_t q =
+        ck ? static_cast<std::size_t>(ck - checkpoints_.data()) + 1 : 0;
+    if (q == n) continue;
+    auto [it, fresh] = watch_.try_emplace(pt.memAddr & ~7ull);
+    if (fresh || q < it->second.first) it->second.first = q;
+  }
+  if (watch_.empty()) return;
+  trace::Span span("campaign.watch", "campaign");
+  std::size_t start = n;
+  for (auto& [word, w] : watch_) {
+    w.next.assign(n - w.first, NextAccess::None);
+    start = std::min(start, w.first);
+  }
+
+  // Segment i runs from boundary i to boundary i + 1 (the last one to the
+  // end). The pass starts at the first boundary any word is probed at, and
+  // at each boundary every word probed there or later is watched again, so
+  // the recorder reports each word's first access per segment.
+  Executor ex(image_, baseMem_);
+  ex.restoreCheckpoint(checkpoints_[start].rp);
+  ex.setBudget(goldenInstrs_ + 1);
+  std::vector<vm::Memory::WordAccess> seen;
+  auto drain = [&](std::size_t segment) {
+    for (const vm::Memory::WordAccess& a : seen) {
+      WatchedWord& w = watch_.at(a.word);
+      w.next[segment - w.first] = a.kind == vm::Memory::Access::Check
+                                      ? NextAccess::Check
+                                      : NextAccess::Overwrite;
+    }
+    seen.clear();
+  };
+  for (std::size_t i = start; i < n; ++i) {
+    const vm::RunResult r = ex.runBounded(checkpoints_[i].rp.instrCount);
+    CARE_ASSERT(r.status == vm::RunStatus::BudgetExceeded,
+                "the watch pass diverged from the golden run");
+    if (i == start) ex.memory().setAccessTrace(&seen);
+    else drain(i - 1);
+    std::vector<std::uint64_t> armed;
+    for (const auto& [word, w] : watch_)
+      if (w.first <= i) armed.push_back(word);
+    ex.memory().watch(armed);
+  }
+  const vm::RunResult r = vm::runToCompletion(ex);
+  CARE_ASSERT(r.status == vm::RunStatus::Done &&
+                  r.instrCount == goldenInstrs_,
+              "the watch pass diverged from the golden run");
+  drain(n - 1);
+  // The first access at or after boundary i is segment i's, or failing
+  // that the first at or after boundary i + 1.
+  for (auto& [word, w] : watch_)
+    for (std::size_t k = w.next.size() - 1; k-- > 0;)
+      if (w.next[k] == NextAccess::None) w.next[k] = w.next[k + 1];
+}
+
+std::optional<NextAccess> Campaign::settle(Executor& e, std::uint64_t word,
+                                           std::size_t gi) const {
+  const auto it = watch_.find(word);
+  if (it == watch_.end() || gi < it->second.first) return std::nullopt;
+  const Executor::ResumePoint& golden = checkpoints_[gi].rp;
+  if (!e.sameState(golden, word)) return std::nullopt;
+  // From here the trial repeats the golden run until that run next meets
+  // the word, and that access decides it.
+  const std::uint64_t goldenWord = *golden.mem.readWord(word);
+  const NextAccess next = it->second.next[gi - it->second.first];
+  switch (next) {
+  case NextAccess::None: // the end-of-trial scrub settles it, as at the end
+    break;
+  case NextAccess::Overwrite: // drops the record, leaves golden's value
+    (void)e.memory().store(word, backend::MType::I64, goldenWord);
+    break;
+  case NextAccess::Check: {
+    // Only a check that restores golden's value rejoins the golden run; a
+    // read-first word under ECC off, or a check that would trap or
+    // mis-correct, runs on.
+    if (e.memory().eccCheckedValue(word) != goldenWord) return std::nullopt;
+    std::uint64_t v = 0;
+    (void)e.memory().load(word, backend::MType::I64, v);
+    break;
+  }
+  }
+  return next;
+}
+
 void Campaign::seedRing(vm::CheckpointRing& ring,
                         const TrialCheckpoint* restored) const {
   // A from-entry trial's ring, when its driver pushes `restored`, holds the
@@ -441,19 +533,28 @@ InjectionResult Campaign::runInjection(
   // boundary, on the golden-path count, a trial whose fault has fired
   // compares its state with the golden one, struck words included, and
   // stops on equality — the rest of the run is the golden run, so the run
-  // to the end would finish at goldenInstrs_ + its retries. Past the
-  // budget that run would be a Hang, so the trial runs on. At any
-  // hangFactor >= 1 the budget's slack over golden is at least 1M
-  // instructions, so only a trial with over a million repairs reaches
-  // that guard; no campaign does.
+  // to the end would finish at goldenInstrs_ + its retries. A memory-model
+  // trial that differs from that state only in its struck word may settle
+  // there from the watch table (settle()): its future then hangs on the
+  // golden run's next access to the word. Past the budget the run to the
+  // end would be a Hang, so the trial runs on. At any hangFactor >= 1 the
+  // budget's slack over golden is at least 1M instructions, so only a
+  // trial with over a million repairs reaches that guard; no campaign
+  // does.
   bool converged = false;
   std::vector<vm::ScheduledEvent> events;
   for (const TrialCheckpoint* g = ck ? ck + 1 : checkpoints_.data();
        g != checkpoints_.data() + checkpoints_.size(); ++g)
     events.push_back({g->rp.instrCount, [&, g](Executor& e) {
-                        converged = fired &&
-                                    goldenInstrs_ + e.retries() <= budget &&
-                                    e.sameState(g->rp);
+                        if (!fired || goldenInstrs_ + e.retries() > budget)
+                          return false;
+                        converged = e.sameState(g->rp);
+                        if (!converged && memFault) {
+                          res.settled = settle(
+                              e, pt.memAddr & ~7ull,
+                              static_cast<std::size_t>(g - checkpoints_.data()));
+                          converged = res.settled.has_value();
+                        }
                         return converged;
                       }});
   if (memFault) {

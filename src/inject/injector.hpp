@@ -73,6 +73,12 @@ struct InjectionPoint {
   std::uint64_t memAddr = 0;
 };
 
+/// The golden run's first access to a word from some boundary on (the
+/// watch pass, DESIGN.md §4i): none up to the end, a check (a typed load
+/// or a sub-word store), or an overwrite (a full-word store or
+/// writeBytes).
+enum class NextAccess : std::uint8_t { None, Check, Overwrite };
+
 struct InjectionResult {
   Outcome outcome = Outcome::Benign;
   vm::TrapKind signal = vm::TrapKind::SegFault; // valid for SoftFailure
@@ -87,6 +93,12 @@ struct InjectionResult {
   /// wire format (sockets / caches) but excluded from the deterministic
   /// projection, since it varies with the replay interval.
   std::uint64_t replaySavedInstrs = 0;
+  /// Set when the watch table stopped this run at a golden boundary
+  /// (DESIGN.md §4c): the golden run's next access to the struck word that
+  /// decided it. Work accounting like replaySavedInstrs, but in neither
+  /// wire format: a forked worker reports its shard's count beside the
+  /// entry.
+  std::optional<NextAccess> settled;
   bool injected = false;           // the point was actually reached
   // CARE-specific:
   bool survived = false;              // run completed (with CARE attached)
@@ -222,10 +234,30 @@ public:
   /// a destination operand, uniform dynamic occurrence, random bit(s).
   InjectionPoint sample(Rng& rng) const;
 
+  /// The watch pass (DESIGN.md §4i): one golden run on the campaign's
+  /// backend that records, for every word a memory-model point in
+  /// `points` strikes and every replay boundary after its earliest strike,
+  /// the kind of the golden run's first access to the word at or after
+  /// that boundary. It replaces the previous table; register-model
+  /// campaigns and campaigns without replay boundaries keep none. The
+  /// table is a pure performance aid: every record is the same with or
+  /// without it. Not thread-safe: call it before trials run, never
+  /// concurrently with runInjection.
+  void watch(const std::vector<InjectionPoint>& points) const;
+
   /// Run one injection. When `careArtifacts` is non-null a fresh Safeguard
   /// is constructed with those per-module artifacts and attached (the
   /// CARE-enabled configuration); `careStats`, if given, receives its
   /// stats, per-activation records included.
+  ///
+  /// A trial whose fault has fired probes every later golden boundary of
+  /// the replay cache. It stops there when its state equals the golden
+  /// one (convergence), or when it differs only in the struck word and
+  /// the watch table says how the golden run next meets that word (the
+  /// settle step: the word is left to the end-of-trial scrub, restored as
+  /// the overwrite would, or checked now when the check restores the
+  /// golden value). Either way its record is the one the run to the end
+  /// gives. A point whose word the table does not hold only converges.
   InjectionResult runInjection(
       const InjectionPoint& pt,
       const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts =
@@ -254,6 +286,12 @@ private:
   /// Same for memory-resident faults, keyed on absolute instruction time:
   /// the last checkpoint captured at or before `instrAt`.
   const TrialCheckpoint* replaySourceAt(std::uint64_t instrAt) const;
+  /// The settle step at golden boundary `gi` for a trial that differs
+  /// from it only in the struck aligned `word` (runInjection). Returns the
+  /// golden run's next access to the word when that decides the trial; it
+  /// has then been applied to `e` (None: left to the scrub).
+  std::optional<NextAccess> settle(vm::Executor& e, std::uint64_t word,
+                                   std::size_t gi) const;
   /// Fill a rolling-back trial's ring as a from-entry run would have it
   /// just before pushing `restored`.
   void seedRing(vm::CheckpointRing& ring,
@@ -281,6 +319,15 @@ private:
   std::uint64_t ckptInterval_ = 0;
   std::vector<TrialCheckpoint> checkpoints_;
   vm::Executor::ResumePoint entry_;
+  // The watch table (DESIGN.md §4i): per struck word, the golden run's
+  // first access at or after each replay boundary from `first` on
+  // (next[i - first] for boundary i). Built by watch(), read-only while
+  // trials run.
+  struct WatchedWord {
+    std::size_t first = 0;
+    std::vector<NextAccess> next;
+  };
+  mutable std::map<std::uint64_t, WatchedWord> watch_;
   // Dead-after-t word table for pruning (DESIGN.md §4j); built by
   // profile() only when pruning is on and the model is memory-resident.
   std::unique_ptr<pareto::MemoryLife> memLife_;

@@ -34,9 +34,10 @@ double secondsSince(Clock::time_point t0) {
 }
 
 /// Worker -> coordinator message: this header, then the finished shard's
-/// sealed store entry (shard::seal). Busy seconds are telemetry and stay
-/// outside the seal.
-constexpr std::size_t kMsgHeaderBytes = 4 + 8; // u32 entry length, f64 busy
+/// sealed store entry (shard::seal). Busy seconds and the settled count
+/// are telemetry and stay outside the seal.
+constexpr std::size_t kMsgHeaderBytes =
+    4 + 8 + 4; // u32 entry length, f64 busy, u32 settled runs
 constexpr std::size_t kMaxEntryBytes = 64u << 20; // sanity bound
 /// Crashed-worker respawns tolerated per campaign before the coordinator
 /// stops re-forking and runs the remaining shards in-process.
@@ -119,6 +120,9 @@ struct Shards {
   int restarts = 0;
   int requeued = 0;
   double busySec = 0;
+  /// Settled runs of committed trials whose records crossed a socket,
+  /// where the flag does not travel (InjectionResult::settled).
+  int settledRemote = 0;
 };
 
 /// Run `shards` on the in-process pool (runTrialPool) and commit each.
@@ -220,6 +224,7 @@ bool readAll(int fd, void* out, std::size_t len) {
       ByteWriter hdr;
       hdr.u32(static_cast<std::uint32_t>(entry.size()));
       hdr.f64(secondsSince(w0));
+      hdr.u32(static_cast<std::uint32_t>(settledRuns(recs)));
       if (!writeAll(fd, hdr.data().data(), hdr.size()) ||
           !writeAll(fd, entry.data(), entry.size())) {
         rc = 4;
@@ -385,12 +390,16 @@ private:
       ByteReader hdr(std::vector<std::uint8_t>(hdrAt, hdrAt + kMsgHeaderBytes));
       const std::uint32_t len = hdr.u32();
       const double busy = hdr.f64();
+      const std::uint32_t settled = hdr.u32();
       ok = seat.shard >= 0 && len <= kMaxEntryBytes;
       if (!ok || seat.buf.size() - off - kMsgHeaderBytes < len)
         break; // poisoned, or an incomplete tail message
       const auto entryAt = hdrAt + kMsgHeaderBytes;
       ok = commitEntry(seat, std::vector<std::uint8_t>(entryAt, entryAt + len));
-      if (ok) book_.busySec += busy;
+      if (ok) {
+        book_.busySec += busy;
+        book_.settledRemote += static_cast<int>(settled);
+      }
       off += kMsgHeaderBytes + len;
     }
     seat.buf.erase(seat.buf.begin(),
@@ -459,7 +468,8 @@ private:
 std::vector<InjectionRecord>
 runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
                  const TrialFn& fn, CampaignTelemetry* telemetry,
-                 std::vector<std::uint8_t>* executedOut) {
+                 std::vector<std::uint8_t>* executedOut,
+                 const std::function<void()>& prepare) {
   const Clock::time_point t0 = Clock::now();
   const int n = trials < 0 ? 0 : trials;
   // Shards exist only for the store and the forked workers; the plain
@@ -471,6 +481,7 @@ runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
   Shards book(n, shardSize, std::move(store));
   book.load();
   const std::vector<int> missing = book.undone();
+  if (prepare && !missing.empty()) prepare();
   if (svc.processes > 0 && !missing.empty()) {
     trace::Span span("campaign.shards", "campaign");
     Coordinator(book, seed, svc, fn, telemetry, t0).run(missing);
@@ -488,6 +499,7 @@ runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
     const int seats = t.processes > 0 ? t.processes : t.threads;
     t.utilization = t.wallSec > 0 ? book.busySec / (t.wallSec * seats) : 0;
     aggregateRecordTelemetry(book.records, &book.executed, t);
+    t.settled += book.settledRemote;
   }
   if (executedOut) *executedOut = std::move(book.executed);
   return std::move(book.records);

@@ -75,10 +75,13 @@ struct ServiceConfig {
 /// are (eventually — after the restart budget, for a
 /// deterministically-throwing trial under workers) rethrown on the
 /// caller's thread. `executed`, when given, receives the per-trial mask of
-/// trials this call ran (0 for store-served ones).
+/// trials this call ran (0 for store-served ones). `prepare`, when given,
+/// runs once on the caller's thread before the first trial (and before any
+/// worker forks), and only when some trial will run.
 std::vector<InjectionRecord>
 runShardedTrials(int trials, std::uint64_t seed, const ServiceConfig& svc,
                  const TrialFn& fn, CampaignTelemetry* telemetry,
-                 std::vector<std::uint8_t>* executed = nullptr);
+                 std::vector<std::uint8_t>* executed = nullptr,
+                 const std::function<void()>& prepare = {});
 
 } // namespace care::inject

@@ -32,15 +32,15 @@ void MemoryLife::build(const vm::Image* image,
   // makes every access through them.
   ex.setInterp(vm::InterpKind::Ref);
   ex.setBudget(goldenInstrs + 1);
-  std::vector<std::uint64_t> sink;
+  std::vector<vm::Memory::WordAccess> sink;
   ex.memory().setAccessTrace(&sink);
   for (std::uint64_t k = 1; k <= segments; ++k) {
     // Ceiling-partition the run so the last boundary is exactly the end.
     const std::uint64_t stop = goldenInstrs * k / segments;
     if (stop <= ex.instrCount() && k < segments) continue;
     const vm::RunResult r = ex.runBounded(stop);
-    for (std::uint64_t w : sink) {
-      auto [it, fresh] = lastAccessEnd_.emplace(w, stop);
+    for (const vm::Memory::WordAccess& a : sink) {
+      auto [it, fresh] = lastAccessEnd_.emplace(a.word, stop);
       if (!fresh && it->second < stop) it->second = stop;
     }
     sink.clear();

@@ -318,7 +318,10 @@ private:
     analysis::LoopInfo li(f_, dt);
     for (const auto& loop : li.loops()) {
       if (!sig.count(loop->header)) continue; // the trap self-loop
-      for (BasicBlock* bb : loop->blocks) {
+      // In function block order: loop->blocks is ordered by address, which
+      // would make the image depend on the process's allocation history.
+      for (BasicBlock* bb : f_) {
+        if (!loop->contains(bb)) continue;
         Instruction* term = bb->terminator();
         if (!term) continue;
         bool backEdge = false;

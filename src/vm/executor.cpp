@@ -139,12 +139,13 @@ void Executor::restoreCheckpoint(const ResumePoint& rp, bool preserveOutput) {
   if (rp.started) jumpTo({rp.module, rp.func, rp.instr});
 }
 
-bool Executor::sameState(const ResumePoint& rp) const {
+bool Executor::sameState(const ResumePoint& rp,
+                         std::optional<std::uint64_t> exceptWord) const {
   return started_ == rp.started &&
          instrCount_ - retries_ == rp.instrCount - rp.retries &&
          curModule_ == rp.module && curFunc_ == rp.func &&
          curInstr_ == rp.instr && std::memcmp(&st_, &rp.st, sizeof st_) == 0 &&
-         output_ == rp.output && rp.mem.compare(mem_).has_value();
+         output_ == rp.output && rp.mem.compare(mem_, exceptWord).has_value();
 }
 
 bool Executor::jumpTo(const CodeLoc& loc) {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -187,8 +188,10 @@ public:
   /// state? Compares in place, without capturing a ResumePoint: position,
   /// started, the golden-path count (instrCount − retries), registers byte
   /// for byte, output, and memory by MemorySnapshot::compare, struck words
-  /// included. The ECC counters are not compared.
-  bool sameState(const ResumePoint& rp) const;
+  /// included. The ECC counters are not compared. `exceptWord` leaves one
+  /// aligned word of memory, and its struck record, out of the comparison.
+  bool sameState(const ResumePoint& rp,
+                 std::optional<std::uint64_t> exceptWord = std::nullopt) const;
 
   // --- run ----------------------------------------------------------------
   /// Execute from `main` (resolved by Image::link(); a missing one raises

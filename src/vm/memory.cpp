@@ -60,12 +60,12 @@ bool Memory::isMapped(std::uint64_t addr) const {
 }
 
 const std::uint8_t* Memory::readMiss(std::uint64_t pageNo,
-                                     bool struckToo) const {
-  const bool struck = holdsStruck(pageNo);
-  if (struck && !struckToo) return nullptr;
+                                     bool gatedToo) const {
+  const bool hidden = gated(pageNo);
+  if (hidden && !gatedToo) return nullptr;
   const auto* slot = findPage(pages_, pageNo);
   if (!slot) return nullptr;
-  if (!struck) {
+  if (!hidden) {
     TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
     e.pageNo = pageNo;
     e.data = (*slot)->data();
@@ -73,9 +73,9 @@ const std::uint8_t* Memory::readMiss(std::uint64_t pageNo,
   return (*slot)->data();
 }
 
-std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool struckToo) {
-  const bool struck = holdsStruck(pageNo);
-  if (struck && !struckToo) return nullptr;
+std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool gatedToo) {
+  const bool hidden = gated(pageNo);
+  if (hidden && !gatedToo) return nullptr;
   std::shared_ptr<Page>* found = findPage(pages_, pageNo);
   if (!found) return nullptr;
   std::shared_ptr<Page>& slot = *found;
@@ -87,7 +87,7 @@ std::uint8_t* Memory::writeMiss(std::uint64_t pageNo, bool struckToo) {
     TlbEntry& r = readTlb_[pageNo & (kTlbEntries - 1)];
     if (r.pageNo == pageNo) r.data = slot->data();
   }
-  if (!struck) {
+  if (!hidden) {
     TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
     e.pageNo = pageNo;
     e.data = slot->data();
@@ -101,6 +101,27 @@ void Memory::flushTlb() const {
 }
 
 void Memory::flushWriteTlb() const { writeTlb_.fill(TlbEntry{}); }
+
+void Memory::evict(std::uint64_t pageNo) const {
+  for (Tlb* tlb : {&readTlb_, &writeTlb_})
+    if ((*tlb)[pageNo & (kTlbEntries - 1)].pageNo == pageNo)
+      (*tlb)[pageNo & (kTlbEntries - 1)] = TlbEntry{};
+}
+
+void Memory::watch(const std::vector<std::uint64_t>& words) {
+  watching_ = true;
+  for (std::uint64_t w : words)
+    if (watched_.insert(w).second) evict(w / kPageSize);
+}
+
+void Memory::record(std::uint64_t word, Access kind) const {
+  if (watching_) {
+    const auto it = watched_.find(word);
+    if (it == watched_.end()) return;
+    watched_.erase(it); // the first access ends the watch
+  }
+  traceSink_->push_back({word, kind});
+}
 
 Memory::Memory(Memory&& other) noexcept { *this = std::move(other); }
 
@@ -130,7 +151,7 @@ MemStatus Memory::load(std::uint64_t addr, MType type,
   }
   const std::uint8_t* page = mappedPage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  if (traceSink_) record(addr & ~7ull, Access::Check);
   const std::uint64_t off = addr % kPageSize; // size-aligned: no page split
   std::uint64_t raw = 0;
   std::memcpy(&raw, page + off, size);
@@ -155,7 +176,7 @@ MemStatus Memory::loadF(std::uint64_t addr, MType type, double& out) const {
   }
   const std::uint8_t* page = mappedPage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  if (traceSink_) record(addr & ~7ull, Access::Check);
   const std::uint64_t off = addr % kPageSize;
   if (type == MType::F32) {
     float f;
@@ -178,7 +199,8 @@ MemStatus Memory::store(std::uint64_t addr, MType type, std::uint64_t v) {
   }
   std::uint8_t* page = mappedPageForWrite(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  if (traceSink_)
+    record(addr & ~7ull, size < 8 ? Access::Check : Access::Overwrite);
   std::memcpy(page + addr % kPageSize, &v, size);
   if (eccActive() && size == 8) struck_.erase(addr); // overwritten: settled
   return MemStatus::Ok;
@@ -193,7 +215,8 @@ MemStatus Memory::storeF(std::uint64_t addr, MType type, double v) {
   }
   std::uint8_t* page = mappedPageForWrite(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  if (traceSink_)
+    record(addr & ~7ull, size < 8 ? Access::Check : Access::Overwrite);
   if (type == MType::F32) {
     const float f = static_cast<float>(v);
     std::memcpy(page + addr % kPageSize, &f, 4);
@@ -240,6 +263,9 @@ bool Memory::writeBytes(std::uint64_t addr, const void* data,
   if (eccActive())
     struck_.erase(struck_.lower_bound(start & ~7ull),
                   struck_.lower_bound(addr));
+  if (traceSink_)
+    for (std::uint64_t w = start & ~7ull; w < addr; w += 8)
+      record(w, Access::Overwrite);
   return true;
 }
 
@@ -264,13 +290,22 @@ bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits,
     if (mode == EccMode::SecdedCrc) pre.crc = ecc::crc64Word(word);
     struck_.try_emplace(wordAddr, pre); // a struck word keeps its record
     // Evict: from here on every access to the page takes a typed accessor.
-    for (Tlb* tlb : {&readTlb_, &writeTlb_})
-      if ((*tlb)[pageNo & (kTlbEntries - 1)].pageNo == pageNo)
-        (*tlb)[pageNo & (kTlbEntries - 1)] = TlbEntry{};
+    evict(pageNo);
   }
   for (unsigned b : bits) word ^= 1ull << (b & 63);
   std::memcpy(page + off, &word, 8);
   return true;
+}
+
+ecc::Secded Memory::eccVerdict(const StruckWord& sw, std::uint64_t word,
+                               std::uint64_t& fixed) {
+  fixed = word;
+  const ecc::Secded r = ecc::secdedDecode(fixed, sw.code);
+  // Under secded,crc the pre-fault CRC arbitrates: SECDED can alias a wide
+  // burst to "clean" or to a bogus single-bit fix.
+  if (sw.crc && ecc::crc64Word(fixed) != *sw.crc)
+    return ecc::Secded::Uncorrectable;
+  return r;
 }
 
 MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
@@ -280,12 +315,9 @@ MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
   const std::uint64_t off = wordAddr % kPageSize;
   std::uint64_t word = 0;
   std::memcpy(&word, mappedPage(pageNo) + off, 8); // pages never unmap
-  std::uint64_t fixed = word;
-  const ecc::Secded r = ecc::secdedDecode(fixed, it->second.code);
-  // Under secded,crc the pre-fault CRC arbitrates: SECDED can alias a wide
-  // burst to "clean" or to a bogus single-bit fix.
-  if (r == ecc::Secded::Uncorrectable ||
-      (it->second.crc && ecc::crc64Word(fixed) != *it->second.crc)) {
+  std::uint64_t fixed = 0;
+  const ecc::Secded r = eccVerdict(it->second, word, fixed);
+  if (r == ecc::Secded::Uncorrectable) {
     ++eccUncorrectable_;
     return MemStatus::EccUncorrectable;
   }
@@ -295,6 +327,20 @@ MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
   }
   struck_.erase(it);
   return MemStatus::Ok;
+}
+
+std::optional<std::uint64_t>
+Memory::eccCheckedValue(std::uint64_t wordAddr) const {
+  const std::uint8_t* page = mappedPage(wordAddr / kPageSize);
+  if (!page) return std::nullopt;
+  std::uint64_t word = 0;
+  std::memcpy(&word, page + wordAddr % kPageSize, 8);
+  const auto it = struck_.find(wordAddr);
+  if (it == struck_.end()) return word;
+  std::uint64_t fixed = 0;
+  if (eccVerdict(it->second, word, fixed) == ecc::Secded::Uncorrectable)
+    return std::nullopt;
+  return fixed;
 }
 
 std::pair<std::uint64_t, std::uint64_t> Memory::scrubEcc() {
@@ -325,9 +371,23 @@ Memory MemorySnapshot::fork() const {
   return out;
 }
 
-std::optional<std::size_t> MemorySnapshot::compare(const Memory& m) const {
-  if (m.pages_.size() != pages_.size() || m.struck_ != struck_)
-    return std::nullopt;
+std::optional<std::size_t>
+MemorySnapshot::compare(const Memory& m,
+                        std::optional<std::uint64_t> exceptWord) const {
+  if (m.pages_.size() != pages_.size()) return std::nullopt;
+  if (!exceptWord) {
+    if (m.struck_ != struck_) return std::nullopt;
+  } else {
+    auto without = [&](const Memory::StruckWords& s) {
+      Memory::StruckWords out = s;
+      out.erase(*exceptWord);
+      return out;
+    };
+    if (without(m.struck_) != without(struck_)) return std::nullopt;
+  }
+  const std::uint64_t skipPage =
+      exceptWord ? *exceptWord / Memory::kPageSize : ~0ull;
+  const std::uint64_t skipOff = exceptWord ? *exceptWord % Memory::kPageSize : 0;
   std::size_t compared = 0;
   for (std::size_t i = 0; i < pages_.size(); ++i) {
     const auto& [pageNo, page] = pages_[i];
@@ -335,10 +395,26 @@ std::optional<std::size_t> MemorySnapshot::compare(const Memory& m) const {
     if (livePageNo != pageNo) return std::nullopt;
     if (livePage == page) continue;
     ++compared;
-    if (std::memcmp(livePage->data(), page->data(), Memory::kPageSize) != 0)
-      return std::nullopt;
+    const std::uint8_t* a = livePage->data();
+    const std::uint8_t* b = page->data();
+    const bool same =
+        pageNo != skipPage
+            ? std::memcmp(a, b, Memory::kPageSize) == 0
+            : std::memcmp(a, b, skipOff) == 0 &&
+                  std::memcmp(a + skipOff + 8, b + skipOff + 8,
+                              Memory::kPageSize - skipOff - 8) == 0;
+    if (!same) return std::nullopt;
   }
   return compared;
+}
+
+std::optional<std::uint64_t>
+MemorySnapshot::readWord(std::uint64_t wordAddr) const {
+  const auto* slot = findPage(pages_, wordAddr / Memory::kPageSize);
+  if (!slot) return std::nullopt;
+  std::uint64_t word = 0;
+  std::memcpy(&word, (*slot)->data() + wordAddr % Memory::kPageSize, 8);
+  return word;
 }
 
 std::vector<std::uint64_t> MemorySnapshot::pageNumbers() const {

@@ -10,8 +10,9 @@
 //  * a software TLB: two small direct-mapped translation caches (separate
 //    read and write views) in front of the page table, explicitly flushed
 //    on map()/moves and on copy-on-write breaks. A page holding a word
-//    struck under ECC never enters either view, so a miss is the one gate
-//    to the checked typed accessors;
+//    struck under ECC, or a word the access recorder watches, never enters
+//    either view, so a miss is the one gate to the checked, recording
+//    typed accessors;
 //  * copy-on-write pages: pages are shared_ptr-backed, so
 //    MemorySnapshot::capture() / fork() share page storage and a store
 //    copies only the page it touches. The write TLB only ever caches pages
@@ -25,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -96,16 +98,40 @@ public:
     eccUncorrectable_ = uncorrectable;
   }
 
-  /// --- Access trace (pareto pruning, DESIGN.md §4j) -------------------
+  /// The value a check of the word at `wordAddr` (8-aligned) would leave
+  /// there, or nullopt when the check would fail (uncorrectable, or a CRC
+  /// mismatch). A word that is not struck checks as its value. Pure: it
+  /// touches no counter, record or byte.
+  std::optional<std::uint64_t> eccCheckedValue(std::uint64_t wordAddr) const;
+
+  /// --- Access recorder (pareto pruning, the watch pass) ---------------
   ///
-  /// While a sink is armed, every typed access appends the aligned 64-bit
-  /// word address it touches (accesses are naturally aligned, so a typed
-  /// access touches exactly one word). Only the typed accessors record:
-  /// the reference loop makes every program access through them, so a
-  /// traced run must use InterpKind::Ref (pareto::MemoryLife does). The
+  /// How an access meets a word's ECC record: a typed load or a sub-word
+  /// store checks the word, a full-word store or writeBytes() overwrites
+  /// it (memory.cpp applies exactly these rules to struck words).
+  enum class Access : std::uint8_t { Check, Overwrite };
+  struct WordAccess {
+    std::uint64_t word; // aligned 64-bit word address
+    Access kind;
+  };
+  /// While a sink is armed, every typed access appends the aligned word it
+  /// touches (accesses are naturally aligned, so exactly one) and its
+  /// kind, and writeBytes() one Overwrite per word. Only these accessors
+  /// record: with no word watched, a traced run must use InterpKind::Ref,
+  /// whose every access goes through them (pareto::MemoryLife does). The
   /// caller owns the sink and drains it between runBounded() legs for
-  /// time-bounded tables.
-  void setAccessTrace(std::vector<std::uint64_t>* sink) { traceSink_ = sink; }
+  /// time-bounded tables. Arming or disarming ends every watch.
+  void setAccessTrace(std::vector<WordAccess>* sink) {
+    traceSink_ = sink;
+    watching_ = false;
+    watched_.clear();
+  }
+  /// Watch `words` (8-aligned) on an armed trace: from now on only watched
+  /// words record, each once, since its first access ends its watch. A
+  /// page holding a watched word stays out of both TLB views, like a page
+  /// holding a struck word, so on every backend each of its accesses takes
+  /// a typed accessor and the watch misses none (DESIGN.md §4i).
+  void watch(const std::vector<std::uint64_t>& words);
 
   /// Flip `bits` (positions 0..63) in the aligned 64-bit word containing
   /// `addr` — this is the soft fault. Under an ECC `mode` the word is
@@ -187,10 +213,10 @@ private:
   using StruckWords = std::map<std::uint64_t, StruckWord>;
 
   /// The page-table search after a TLB miss. It fills the view only for
-  /// a page without a struck word; such a page it returns only when
-  /// `struckToo`, which Memory's own accessors pass.
-  const std::uint8_t* readMiss(std::uint64_t pageNo, bool struckToo) const;
-  std::uint8_t* writeMiss(std::uint64_t pageNo, bool struckToo);
+  /// a page that is not gated; a gated page it returns only when
+  /// `gatedToo`, which Memory's own accessors pass.
+  const std::uint8_t* readMiss(std::uint64_t pageNo, bool gatedToo) const;
+  std::uint8_t* writeMiss(std::uint64_t pageNo, bool gatedToo);
   /// Memory's own page lookup: any mapped page, copy-on-write broken for
   /// writes.
   const std::uint8_t* mappedPage(std::uint64_t pageNo) const {
@@ -201,11 +227,19 @@ private:
     const TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
     return e.pageNo == pageNo ? e.data : writeMiss(pageNo, true);
   }
-  bool holdsStruck(std::uint64_t pageNo) const {
-    if (struck_.empty()) return false;
-    const auto it = struck_.lower_bound(pageNo * kPageSize);
-    return it != struck_.end() && it->first / kPageSize == pageNo;
+  /// A page neither TLB view may hold: it has a struck or a watched word.
+  bool gated(std::uint64_t pageNo) const {
+    if (struck_.empty() && watched_.empty()) return false;
+    const std::uint64_t lo = pageNo * kPageSize;
+    const auto s = struck_.lower_bound(lo);
+    if (s != struck_.end() && s->first / kPageSize == pageNo) return true;
+    const auto w = watched_.lower_bound(lo);
+    return w != watched_.end() && *w / kPageSize == pageNo;
   }
+  /// Drop `pageNo` from both TLB views.
+  void evict(std::uint64_t pageNo) const;
+  /// Append {word, kind} to the armed sink, if the word is recorded.
+  void record(std::uint64_t word, Access kind) const;
   void flushTlb() const;
   void flushWriteTlb() const;
 
@@ -215,6 +249,11 @@ private:
   /// Check/correct the word at `wordAddr` (8-aligned). Ok, and nothing
   /// decoded, when it is not struck.
   MemStatus eccCheckWord(std::uint64_t wordAddr);
+  /// SECDED's (and, under secded,crc, the CRC's) verdict on struck word
+  /// `sw` now holding `word`; `fixed` receives the decoded value. A CRC
+  /// mismatch is Uncorrectable.
+  static ecc::Secded eccVerdict(const StruckWord& sw, std::uint64_t word,
+                                std::uint64_t& fixed);
 
   PageMap pages_;
   mutable Tlb readTlb_{};
@@ -222,9 +261,12 @@ private:
   std::uint64_t eccCorrected_ = 0;
   std::uint64_t eccUncorrectable_ = 0;
   StruckWords struck_;
-  /// Armed by setAccessTrace(); mutable so const loads can record. Not
-  /// moved with the address space — a trace belongs to one executor's run.
-  mutable std::vector<std::uint64_t>* traceSink_ = nullptr;
+  /// Armed by setAccessTrace(), narrowed by watch(); mutable so const
+  /// loads can record. Not moved with the address space: a trace belongs
+  /// to one executor's run.
+  mutable std::vector<WordAccess>* traceSink_ = nullptr;
+  bool watching_ = false;
+  mutable std::set<std::uint64_t> watched_;
 };
 
 /// An immutable, shareable image of an address space. capture() shares the
@@ -251,7 +293,13 @@ public:
   /// only the others are memcmp'd. Returns how many pages had to be
   /// compared by content, or nullopt when the contents differ (a byte, a
   /// page mapped on one side only, or the set of struck words).
-  std::optional<std::size_t> compare(const Memory& m) const;
+  /// `exceptWord` (8-aligned) leaves one word out: its bytes and its
+  /// struck record.
+  std::optional<std::size_t>
+  compare(const Memory& m,
+          std::optional<std::uint64_t> exceptWord = std::nullopt) const;
+  /// The aligned 64-bit word at `wordAddr`, or nullopt when unmapped.
+  std::optional<std::uint64_t> readWord(std::uint64_t wordAddr) const;
 
 private:
   Memory::PageMap pages_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "backend/mir.hpp"
 #include "support/error.hpp"
@@ -265,6 +266,66 @@ TEST(EccMemory, StruckWordSurvivesSnapshotForkLikeARollback) {
 TEST(EccMemory, InjectFaultRequiresAMappedPage) {
   Memory m = mappedMemory();
   EXPECT_FALSE(m.injectFault(0xdead0000, {0}, EccMode::Secded));
+}
+
+/// Does either TLB view of `m` hold `pageNo`?
+bool inTlb(const Memory& m, std::uint64_t pageNo) {
+  const auto [r, w] = m.jitTlbView();
+  for (const void* view : {r, w}) {
+    const auto& tlb = *static_cast<const Memory::Tlb*>(view);
+    if (tlb[pageNo & (Memory::kTlbEntries - 1)].pageNo == pageNo) return true;
+  }
+  return false;
+}
+
+TEST(EccMemory, WatchedWordsStayOutOfTheTlbAndRecordTheirFirstAccess) {
+  using backend::MType;
+  Memory m;
+  m.map(0x10000, 2 * Memory::kPageSize);
+  const std::uint64_t page = 0x10000 / Memory::kPageSize;
+  const std::uint64_t w[4] = {0x10000, 0x10008, 0x10010, 0x10018};
+  std::vector<Memory::WordAccess> seen;
+  m.setAccessTrace(&seen);
+  ASSERT_NE(m.readPage(page), nullptr);
+  ASSERT_NE(m.writePage(page), nullptr);
+  m.watch({w[0], w[1], w[2], w[3]});
+  // Watching evicts the page, and while a word on it is watched neither
+  // view takes it back: not through the fast-path lookups, and not
+  // through the typed accessors that then serve its accesses.
+  EXPECT_FALSE(inTlb(m, page));
+  EXPECT_EQ(m.readPage(page), nullptr);
+  EXPECT_EQ(m.writePage(page), nullptr);
+  EXPECT_NE(m.readPage(page + 1), nullptr); // no watched word there
+  std::uint64_t v = 0;
+  ASSERT_EQ(m.load(w[0] + 4, MType::I32, v), MemStatus::Ok);
+  ASSERT_EQ(m.store(w[1] + 1, MType::I8, 7), MemStatus::Ok);
+  ASSERT_EQ(m.store(w[2], MType::I64, 7), MemStatus::Ok);
+  EXPECT_FALSE(inTlb(m, page));
+  const std::uint8_t bytes[3] = {1, 2, 3};
+  ASSERT_TRUE(m.writeBytes(w[3] + 6, bytes, 3)); // and the unwatched 0x10020
+  ASSERT_EQ(seen.size(), 4u);
+  const Memory::Access kinds[4] = {
+      Memory::Access::Check,     // a load
+      Memory::Access::Check,     // a sub-word store
+      Memory::Access::Overwrite, // a full-word store
+      Memory::Access::Overwrite, // writeBytes
+  };
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(seen[i].word, w[i]) << i;
+    EXPECT_EQ(seen[i].kind, kinds[i]) << i;
+  }
+  // The first access ended each watch: nothing more records, and the page
+  // is served again.
+  ASSERT_EQ(m.load(w[0], MType::I64, v), MemStatus::Ok);
+  EXPECT_EQ(seen.size(), 4u);
+  EXPECT_NE(m.readPage(page), nullptr);
+  EXPECT_NE(m.writePage(page), nullptr);
+  // Watching again evicts it again; disarming the trace ends every watch.
+  m.watch({w[0]});
+  EXPECT_FALSE(inTlb(m, page));
+  EXPECT_EQ(m.readPage(page), nullptr);
+  m.setAccessTrace(nullptr);
+  EXPECT_NE(m.readPage(page), nullptr);
 }
 
 TEST(EccMemory, OffModeStrikesNoWord) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "inject/experiment.hpp"
 #include "support/rng.hpp"
@@ -450,6 +451,73 @@ TEST(ReplayCache, EccTrialsConvergeLikeEveryOtherTrial) {
     expectSameResult(r, off.runInjection(pt));
   }
   EXPECT_GT(converged, 0) << "no ECC trial stopped at re-convergence";
+}
+
+TEST(ReplayCache, WatchedTrialsSettleLikeTheirRunToTheEnd) {
+  // With the watch table, a memory-model trial that differs from a golden
+  // boundary only in its struck word stops there, decided by the golden
+  // run's next access to the word. The program's phases make every kind
+  // common on its globals: `a` is read long after it is written, `b` is
+  // written late, and nothing is touched after the last loop. Over every memory model
+  // and ECC mode, each settled trial equals its replay-off run, which
+  // runs to the end; each kind of next access settles some trial; and no
+  // read-first word under ECC off and no trapping check is ever settled.
+  const Program prog = buildProgram(R"(
+      double a[512];
+      double b[512];
+      int main() {
+        double s = 0.0;
+        for (int i = 0; i < 512; i = i + 1) { a[i] = i * 0.5; }
+        for (int r = 0; r < 3; r = r + 1) {
+          for (int i = 0; i < 512; i = i + 1) { s = s + a[i]; }
+        }
+        for (int i = 0; i < 512; i = i + 1) { b[i] = s + i; }
+        for (int i = 0; i < 512; i = i + 1) { s = s + b[i]; }
+        emit(s);
+        return 0;
+      })", opt::OptLevel::O0);
+  std::map<inject::NextAccess, int> kinds;
+  for (const inject::FaultModel fault :
+       {inject::FaultModel::Mem1, inject::FaultModel::Mem2Adj,
+        inject::FaultModel::Burst})
+    for (const vm::EccMode ecc :
+         {vm::EccMode::Off, vm::EccMode::Secded, vm::EccMode::SecdedCrc}) {
+      CampaignConfig onCfg = pinnedConfig();
+      onCfg.fault = fault;
+      onCfg.ecc = ecc;
+      onCfg.checkpointEveryInstrs = CampaignConfig::kCkptAuto;
+      CampaignConfig offCfg = onCfg;
+      offCfg.checkpointEveryInstrs = 0;
+      Campaign on(prog.image.get(), onCfg);
+      Campaign off(prog.image.get(), offCfg);
+      ASSERT_TRUE(on.profile());
+      ASSERT_TRUE(off.profile());
+      // Sampled points, thinned to the globals: the stack's pages would
+      // otherwise draw nearly all of them.
+      Rng rng(2026);
+      std::vector<InjectionPoint> points;
+      while (points.size() < 60) {
+        const InjectionPoint pt = on.sample(rng);
+        if (pt.memAddr < vm::Image::kStackTop - vm::Image::kStackSize)
+          points.push_back(pt);
+      }
+      on.watch(points);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const InjectionResult r = on.runInjection(points[i]);
+        if (!r.settled) continue;
+        ++kinds[*r.settled];
+        SCOPED_TRACE(std::string(inject::faultModelName(fault)) + "/" +
+                     vm::eccModeName(ecc) + " trial " + std::to_string(i));
+        EXPECT_TRUE(r.survived);
+        if (*r.settled == inject::NextAccess::Check) {
+          EXPECT_NE(ecc, vm::EccMode::Off);
+        }
+        expectSameResult(r, off.runInjection(points[i]));
+      }
+    }
+  EXPECT_GT(kinds[inject::NextAccess::None], 0);
+  EXPECT_GT(kinds[inject::NextAccess::Check], 0);
+  EXPECT_GT(kinds[inject::NextAccess::Overwrite], 0);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "backend/mir.hpp"
 #include "care/driver.hpp"
@@ -149,6 +151,43 @@ TEST(Sentinel, CompileDriverReportsStats) {
       {{w.sources[0].name, w.sources[0].content}}, "sent_on", opts);
   EXPECT_FALSE(on.sentinelStats.functions.empty());
   EXPECT_GT(on.sentinelStats.addedInstrs(), 0u);
+}
+
+// A loop's back-edge checks go in function block order. Its block set is
+// ordered by address, so walking it made the image depend on what the
+// process had allocated before: a loop with two latches (the continue and
+// the loop end) built to one of two digests.
+TEST(Sentinel, CheckSitesFollowBlockOrder) {
+  const char* kWhileWithContinue = R"(
+    int main() {
+      int s = 0;
+      int i = 0;
+      while (i < 10) {
+        i = i + 1;
+        if (i % 2 == 0) { continue; }
+        s = s + i;
+      }
+      return s;
+    })";
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() /
+                   "../examples/minic/stencil.c");
+  std::stringstream stencil;
+  stencil << in.rdbuf();
+  ASSERT_FALSE(stencil.str().empty());
+  core::CompileOptions opts;
+  opts.optLevel = opt::OptLevel::O0;
+  opts.artifactDir = "care_test_artifacts/sentinel_order";
+  opts.armor.detect = bothDetectors();
+  auto digest = [&] {
+    return core::careCompile({{"loop.c", kWhileWithContinue}}, "loop", opts)
+        .imageDigest.hex();
+  };
+  const std::string alone = digest();
+  for (int k = 1; k <= 8; ++k) {
+    for (int j = 0; j < k; ++j)
+      (void)core::careCompile({{"stencil.c", stencil.str()}}, "stencil", opts);
+    EXPECT_EQ(digest(), alone) << "after " << k << " stencil.c builds";
+  }
 }
 
 // --- campaigns --------------------------------------------------------------
