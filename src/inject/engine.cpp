@@ -71,6 +71,7 @@ std::string CampaignTelemetry::json() const {
   out += "\"from_cache\":";
   out += fromCache ? "true," : "false,";
   jsonField(out, "profile_ms", "%.3f,", profileMs);
+  jsonField(out, "watch_ms", "%.3f,", watchMs);
   jsonField(out, "wall_sec", "%.6f,", wallSec);
   jsonField(out, "trials_per_sec", "%.2f,", trialsPerSec);
   jsonField(out, "worker_busy_sec", "%.6f,", workerBusySec);
@@ -373,21 +374,30 @@ std::vector<InjectionRecord> runCampaignTrials(
     const Campaign& campaign, const std::vector<InjectionPoint>& points,
     std::uint64_t seed, const ServiceConfig& service, const TrialFn& trial,
     CampaignTelemetry* telemetry) {
-  // The watch pass (DESIGN.md §4i) over every pre-derived point, run only
-  // when a shard will run and before any worker forks, so a warm store
-  // pays nothing and the workers inherit the table.
-  const std::function<void()> watch = [&] { campaign.watch(points); };
+  // The watch pass (DESIGN.md §4i) over every pre-derived point, run
+  // before any worker forks, so the workers inherit the table. Unpruned,
+  // it runs only when a shard will run, so a warm store pays nothing.
+  const std::function<void()> watch = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    campaign.watch(points);
+    if (telemetry)
+      telemetry->watchMs = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  };
   const pareto::PruneOptions prune = campaign.pruneOptions();
   if (!prune.enabled)
     return runShardedTrials(static_cast<int>(points.size()), seed, service,
                             trial, telemetry, nullptr, watch);
 
   // --- Equivalence-class pruning (DESIGN.md §4j) -------------------------
+  // The groups read the watch table (deadmem), so it is built first.
   // Group the pre-derived points by Campaign::pruneKey; the first trial of
   // each group (in trial order) is its representative. Representative
   // order is a prefix-stable function of the point sequence, so growing
   // `injections` extends the representative campaign instead of reshaping
   // it — the shard result store keeps resuming.
+  watch();
   std::vector<int> repTrial(points.size());
   std::vector<int> reps;
   std::vector<int> repPos(points.size(), -1); // rep trial -> index in reps
@@ -413,7 +423,7 @@ std::vector<InjectionRecord> runCampaignTrials(
   std::vector<std::uint8_t> repExecuted;
   std::vector<InjectionRecord> repRecords =
       runShardedTrials(static_cast<int>(reps.size()), seed, service, repFn,
-                       telemetry, &repExecuted, watch);
+                       telemetry, &repExecuted);
 
   // Expand: every member receives a copy of its representative's record
   // with its own point. For `dup` groups the points are equal too; for

@@ -66,6 +66,8 @@ struct CampaignTelemetry {
   int careReruns = 0;          // SIGSEGV trials re-run with CARE attached
   bool fromCache = false;      // every shard was served from the store
   double profileMs = 0;        // Campaign::profile wall time (runExperiment)
+  double watchMs = 0;          // Campaign::watch wall time on the
+                               // coordinator (0 when no watch ran)
   double wallSec = 0;
   double trialsPerSec = 0;
   double workerBusySec = 0;    // sum of per-worker time inside trials

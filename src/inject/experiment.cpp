@@ -123,6 +123,11 @@ std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
       cfg.prune.enabled ? 1u : 0u,
       kExperimentCacheVersion};
   h.update(nums, sizeof(nums));
+  // A pruned campaign's groups follow the replay grid (pruneKey), and its
+  // shards hold representatives: the spacing is then semantic. Unpruned,
+  // it is a performance knob and stays out, leaving those keys unchanged.
+  if (cfg.prune.enabled)
+    h.update(&cfg.checkpointEveryInstrs, sizeof(cfg.checkpointEveryInstrs));
   return h.finish().hex();
 }
 

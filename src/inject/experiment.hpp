@@ -128,9 +128,10 @@ struct ExperimentResult {
 /// recovery strategy, ring capacity, fault model, ECC, pruning — and, under
 /// rollback strategies, the ring-spacing knob rollbackEveryInstrs (the
 /// spacing it resolves to is a function of the knob and the golden count,
-/// which the image fixes). It needs no profile, reads no
-/// environment and excludes the trial count and every pure performance
-/// knob (threads, processes, backend, replay interval), so overlapping
+/// which the image fixes), and, when pruning, the replay interval its
+/// groups follow. It needs no profile, reads no environment and excludes
+/// the trial count and every pure performance knob (threads, processes,
+/// backend, an unpruned campaign's replay interval), so overlapping
 /// campaigns share shards.
 std::string campaignKey(const Md5Digest& image, const CampaignConfig& cfg,
                         bool careReruns);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <tuple>
 
 #include "support/bitutil.hpp"
@@ -195,27 +196,24 @@ bool Campaign::profile() {
     ck.siteCounts.resize(kept.size());
     ck.siteCounts.shrink_to_fit();
   }
-
-  // Pruning support (DESIGN.md §4j): the deadmem class needs a per-word
-  // last-access bound, built from one traced golden run. Register-model
-  // campaigns degenerate to dup-only grouping and skip the trace.
-  if (cfg_.prune.enabled && cfg_.fault != FaultModel::Reg) {
-    trace::Span lifeSpan("campaign.memory_life", "campaign");
-    memLife_ = std::make_unique<pareto::MemoryLife>();
-    memLife_->build(image_, baseMem_, goldenInstrs_);
-  }
   return true;
 }
 
 std::string Campaign::pruneKey(const InjectionPoint& pt) const {
   std::string key;
   // deadmem: a memory fault whose word is provably never accessed at or
-  // after the strike. The run completes on the golden path and every
+  // after the strike, since the watch table has no access from the start
+  // of its segment on. The run completes on the golden path and every
   // deterministic field is a function of (model, ECC, bit pattern): the
   // pattern decides the SECDED scrub verdict, so it stays in the key
   // whenever ECC is armed (under ECC-off the flip is entirely inert).
-  if (pt.model != FaultModel::Reg && memLife_ &&
-      memLife_->deadAfter(pt.memAddr, pt.nth)) {
+  const auto dead = [&] {
+    const auto it = watch_.find(pt.memAddr & ~7ull);
+    const std::size_t s = segmentAt(pt.nth);
+    return it != watch_.end() && s >= it->second.first &&
+           it->second.next[s - it->second.first] == NextAccess::None;
+  };
+  if (pt.model != FaultModel::Reg && dead()) {
     key = "deadmem";
     if (cfg_.ecc != vm::EccMode::Off)
       for (unsigned b : pt.bits) key += "." + std::to_string(b);
@@ -288,77 +286,79 @@ Campaign::replaySource(const InjectionPoint& pt) const {
 
 const Campaign::TrialCheckpoint*
 Campaign::replaySourceAt(std::uint64_t instrAt) const {
-  if (checkpoints_.empty()) return nullptr;
-  // Boundaries are captured in ascending instrCount order: find the last
-  // one at or before the fault time (injection happens at the boundary
-  // state, before instruction `instrAt` executes, so == is usable).
+  // Injection happens at the boundary state, before instruction `instrAt`
+  // executes, so a boundary at `instrAt` is usable.
+  const std::size_t s = segmentAt(instrAt);
+  return s > 0 ? &checkpoints_[s - 1] : nullptr;
+}
+
+std::size_t Campaign::segmentAt(std::uint64_t t) const {
+  // Boundaries are captured in ascending instrCount order.
   std::size_t lo = 0, hi = checkpoints_.size();
   while (lo < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    if (checkpoints_[mid].rp.instrCount <= instrAt) lo = mid + 1;
+    if (checkpoints_[mid].rp.instrCount <= t) lo = mid + 1;
     else hi = mid;
   }
-  return lo > 0 ? &checkpoints_[lo - 1] : nullptr;
+  return lo;
 }
 
 void Campaign::watch(const std::vector<InjectionPoint>& points) const {
   watch_.clear();
-  if (cfg_.fault == FaultModel::Reg || checkpoints_.empty()) return;
-  // A trial probes the boundaries past its strike, so a word is watched
-  // from the first boundary past its earliest strike. A word struck past
-  // the last boundary is never probed.
-  const std::size_t n = checkpoints_.size();
+  // Settling reads the table at replay boundaries, pruning at strikes.
+  if (cfg_.fault == FaultModel::Reg ||
+      (checkpoints_.empty() && !cfg_.prune.enabled))
+    return;
+  // A word is watched from the segment holding its earliest strike.
   for (const InjectionPoint& pt : points) {
-    const TrialCheckpoint* ck = replaySourceAt(pt.nth);
-    const std::size_t q =
-        ck ? static_cast<std::size_t>(ck - checkpoints_.data()) + 1 : 0;
-    if (q == n) continue;
+    const std::size_t s = segmentAt(pt.nth);
     auto [it, fresh] = watch_.try_emplace(pt.memAddr & ~7ull);
-    if (fresh || q < it->second.first) it->second.first = q;
+    if (fresh || s < it->second.first) it->second.first = s;
   }
   if (watch_.empty()) return;
   trace::Span span("campaign.watch", "campaign");
+  const std::size_t n = checkpoints_.size(); // segments 0..n
   std::size_t start = n;
   for (auto& [word, w] : watch_) {
-    w.next.assign(n - w.first, NextAccess::None);
+    w.next.assign(n + 1 - w.first, NextAccess::None);
     start = std::min(start, w.first);
   }
 
-  // Segment i runs from boundary i to boundary i + 1 (the last one to the
-  // end). The pass starts at the first boundary any word is probed at, and
-  // at each boundary every word probed there or later is watched again, so
-  // the recorder reports each word's first access per segment.
+  // Segment s runs from its start to boundary s (the last one to the
+  // end). The pass starts at the first segment any word is watched from,
+  // and at each segment start every word watched there or earlier is
+  // watched again, so the recorder reports each word's first access per
+  // segment.
   Executor ex(image_, baseMem_);
-  ex.restoreCheckpoint(checkpoints_[start].rp);
+  if (start > 0) ex.restoreCheckpoint(checkpoints_[start - 1].rp);
   ex.setBudget(goldenInstrs_ + 1);
   std::vector<vm::Memory::WordAccess> seen;
-  auto drain = [&](std::size_t segment) {
-    for (const vm::Memory::WordAccess& a : seen) {
-      WatchedWord& w = watch_.at(a.word);
-      w.next[segment - w.first] = a.kind == vm::Memory::Access::Check
-                                      ? NextAccess::Check
-                                      : NextAccess::Overwrite;
-    }
-    seen.clear();
-  };
-  for (std::size_t i = start; i < n; ++i) {
-    const vm::RunResult r = ex.runBounded(checkpoints_[i].rp.instrCount);
-    CARE_ASSERT(r.status == vm::RunStatus::BudgetExceeded,
-                "the watch pass diverged from the golden run");
-    if (i == start) ex.memory().setAccessTrace(&seen);
-    else drain(i - 1);
+  ex.memory().setAccessTrace(&seen);
+  for (std::size_t s = start; s <= n; ++s) {
     std::vector<std::uint64_t> armed;
     for (const auto& [word, w] : watch_)
-      if (w.first <= i) armed.push_back(word);
+      if (w.first <= s) armed.push_back(word);
     ex.memory().watch(armed);
+    if (s < n) {
+      const vm::RunResult r = ex.runBounded(checkpoints_[s].rp.instrCount);
+      CARE_ASSERT(r.status == vm::RunStatus::BudgetExceeded,
+                  "the watch pass diverged from the golden run");
+    } else {
+      const vm::RunResult r = vm::runToCompletion(ex);
+      CARE_ASSERT(r.status == vm::RunStatus::Done &&
+                      r.instrCount == goldenInstrs_,
+                  "the watch pass diverged from the golden run");
+    }
+    for (const vm::Memory::WordAccess& a : seen) {
+      WatchedWord& w = watch_.at(a.word);
+      w.next[s - w.first] = a.kind == vm::Memory::Access::Check
+                                ? NextAccess::Check
+                                : NextAccess::Overwrite;
+    }
+    seen.clear();
   }
-  const vm::RunResult r = vm::runToCompletion(ex);
-  CARE_ASSERT(r.status == vm::RunStatus::Done &&
-                  r.instrCount == goldenInstrs_,
-              "the watch pass diverged from the golden run");
-  drain(n - 1);
-  // The first access at or after boundary i is segment i's, or failing
-  // that the first at or after boundary i + 1.
+  // The first access from the start of segment s is segment s's, or
+  // failing that the first from the start of segment s + 1.
   for (auto& [word, w] : watch_)
     for (std::size_t k = w.next.size() - 1; k-- > 0;)
       if (w.next[k] == NextAccess::None) w.next[k] = w.next[k + 1];
@@ -366,14 +366,15 @@ void Campaign::watch(const std::vector<InjectionPoint>& points) const {
 
 std::optional<NextAccess> Campaign::settle(Executor& e, std::uint64_t word,
                                            std::size_t gi) const {
+  // Boundary gi starts segment gi + 1.
   const auto it = watch_.find(word);
-  if (it == watch_.end() || gi < it->second.first) return std::nullopt;
+  if (it == watch_.end() || gi + 1 < it->second.first) return std::nullopt;
   const Executor::ResumePoint& golden = checkpoints_[gi].rp;
   if (!e.sameState(golden, word)) return std::nullopt;
   // From here the trial repeats the golden run until that run next meets
   // the word, and that access decides it.
   const std::uint64_t goldenWord = *golden.mem.readWord(word);
-  const NextAccess next = it->second.next[gi - it->second.first];
+  const NextAccess next = it->second.next[gi + 1 - it->second.first];
   switch (next) {
   case NextAccess::None: // the end-of-trial scrub settles it, as at the end
     break;

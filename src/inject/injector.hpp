@@ -10,7 +10,6 @@
 // reports whether Safeguard recovered the process.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -144,7 +143,8 @@ struct CampaignConfig {
   /// re-executes its golden prefix from instruction 0). Any value yields
   /// bit-identical campaign records — this is a performance knob. Under a
   /// rolling-back strategy only its 0 counts: the cache's checkpoints are
-  /// then captured on the rollback spacing below.
+  /// then captured on the rollback spacing below. A pruned campaign's
+  /// groups follow the grid (pruneKey), so campaignKey covers it then.
   static constexpr std::uint64_t kCkptAuto = ~0ull;
   std::uint64_t checkpointEveryInstrs = kCkptAuto;
   /// Rollback-ring spacing of rollback-strategy trials (DESIGN.md §4f):
@@ -202,9 +202,11 @@ public:
   /// points with equal keys provably produce identical deterministic
   /// records, so the engine may run one and copy the record to the other.
   /// Classes: `dup` (identical point) and, for memory models, `deadmem`
-  /// (the struck word has no access at or after the strike time in the
-  /// traced golden run — the flip is never observed and the outcome is a
-  /// pure function of model/ECC/bit pattern). Valid after profile().
+  /// (the watch table says the golden run does not access the struck word
+  /// from the start of the strike's replay segment on — the flip is never
+  /// observed and the outcome is a pure function of model/ECC/bit
+  /// pattern). A memory-model point is `deadmem` only after watch() was
+  /// given its word.
   std::string pruneKey(const InjectionPoint& pt) const;
 
   /// One golden-run segment boundary of the replay cache: the full machine
@@ -236,12 +238,15 @@ public:
 
   /// The watch pass (DESIGN.md §4i): one golden run on the campaign's
   /// backend that records, for every word a memory-model point in
-  /// `points` strikes and every replay boundary after its earliest strike,
-  /// the kind of the golden run's first access to the word at or after
-  /// that boundary. It replaces the previous table; register-model
-  /// campaigns and campaigns without replay boundaries keep none. The
-  /// table is a pure performance aid: every record is the same with or
-  /// without it. Not thread-safe: call it before trials run, never
+  /// `points` strikes and every replay segment from the one holding its
+  /// earliest strike, the kind of the golden run's first access to the
+  /// word from the start of that segment on. Segment 0 starts at the
+  /// entry, segment s > 0 at boundary s - 1; with no boundaries the run is
+  /// one segment. The one golden access table: settling reads it at the
+  /// boundaries, pruning's deadmem class at the strikes (pruneKey). It
+  /// replaces the previous table; register-model campaigns keep none, nor
+  /// do unpruned ones without replay boundaries. Every record is the same
+  /// with or without it. Not thread-safe: call it before trials run, never
   /// concurrently with runInjection.
   void watch(const std::vector<InjectionPoint>& points) const;
 
@@ -286,6 +291,10 @@ private:
   /// Same for memory-resident faults, keyed on absolute instruction time:
   /// the last checkpoint captured at or before `instrAt`.
   const TrialCheckpoint* replaySourceAt(std::uint64_t instrAt) const;
+  /// The replay segment holding instruction time `t`: how many boundaries
+  /// lie at or before it (segment s starts at boundary s - 1, or at the
+  /// entry for s = 0).
+  std::size_t segmentAt(std::uint64_t t) const;
   /// The settle step at golden boundary `gi` for a trial that differs
   /// from it only in the struck aligned `word` (runInjection). Returns the
   /// golden run's next access to the word when that decides the trial; it
@@ -320,17 +329,14 @@ private:
   std::vector<TrialCheckpoint> checkpoints_;
   vm::Executor::ResumePoint entry_;
   // The watch table (DESIGN.md §4i): per struck word, the golden run's
-  // first access at or after each replay boundary from `first` on
-  // (next[i - first] for boundary i). Built by watch(), read-only while
+  // first access from the start of each replay segment from `first` on
+  // (next[s - first] for segment s). Built by watch(), read-only while
   // trials run.
   struct WatchedWord {
     std::size_t first = 0;
     std::vector<NextAccess> next;
   };
   mutable std::map<std::uint64_t, WatchedWord> watch_;
-  // Dead-after-t word table for pruning (DESIGN.md §4j); built by
-  // profile() only when pruning is on and the model is memory-resident.
-  std::unique_ptr<pareto::MemoryLife> memLife_;
   // Rollback-ring boundary spacing for rollback-strategy trials (DESIGN.md
   // §4f), resolved from rollbackEveryInstrs — *not* from
   // checkpointEveryInstrs — so the replay cache stays a pure performance

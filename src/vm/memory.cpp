@@ -109,18 +109,12 @@ void Memory::evict(std::uint64_t pageNo) const {
 }
 
 void Memory::watch(const std::vector<std::uint64_t>& words) {
-  watching_ = true;
   for (std::uint64_t w : words)
     if (watched_.insert(w).second) evict(w / kPageSize);
 }
 
 void Memory::record(std::uint64_t word, Access kind) const {
-  if (watching_) {
-    const auto it = watched_.find(word);
-    if (it == watched_.end()) return;
-    watched_.erase(it); // the first access ends the watch
-  }
-  traceSink_->push_back({word, kind});
+  if (watched_.erase(word) > 0) traceSink_->push_back({word, kind});
 }
 
 Memory::Memory(Memory&& other) noexcept { *this = std::move(other); }

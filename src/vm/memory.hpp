@@ -104,7 +104,7 @@ public:
   /// touches no counter, record or byte.
   std::optional<std::uint64_t> eccCheckedValue(std::uint64_t wordAddr) const;
 
-  /// --- Access recorder (pareto pruning, the watch pass) ---------------
+  /// --- Access recorder (the watch pass, DESIGN.md §4i) ----------------
   ///
   /// How an access meets a word's ECC record: a typed load or a sub-word
   /// store checks the word, a full-word store or writeBytes() overwrites
@@ -114,23 +114,21 @@ public:
     std::uint64_t word; // aligned 64-bit word address
     Access kind;
   };
-  /// While a sink is armed, every typed access appends the aligned word it
-  /// touches (accesses are naturally aligned, so exactly one) and its
-  /// kind, and writeBytes() one Overwrite per word. Only these accessors
-  /// record: with no word watched, a traced run must use InterpKind::Ref,
-  /// whose every access goes through them (pareto::MemoryLife does). The
-  /// caller owns the sink and drains it between runBounded() legs for
-  /// time-bounded tables. Arming or disarming ends every watch.
+  /// Arm `sink` (nullptr disarms). Only watched words record: arming or
+  /// disarming ends every watch, and an armed sink with no word watched
+  /// stays empty. The caller owns the sink and drains it between
+  /// runBounded() legs.
   void setAccessTrace(std::vector<WordAccess>* sink) {
     traceSink_ = sink;
-    watching_ = false;
     watched_.clear();
   }
-  /// Watch `words` (8-aligned) on an armed trace: from now on only watched
-  /// words record, each once, since its first access ends its watch. A
-  /// page holding a watched word stays out of both TLB views, like a page
-  /// holding a struck word, so on every backend each of its accesses takes
-  /// a typed accessor and the watch misses none (DESIGN.md §4i).
+  /// Watch `words` (8-aligned) on an armed trace: a watched word's first
+  /// typed access appends the word and its kind (accesses are naturally
+  /// aligned, so they touch one word), writeBytes() one Overwrite per
+  /// word, and that first access ends its watch. A page holding a watched
+  /// word stays out of both TLB views, like a page holding a struck word,
+  /// so on every backend each of its accesses takes a typed accessor and
+  /// the watch misses none.
   void watch(const std::vector<std::uint64_t>& words);
 
   /// Flip `bits` (positions 0..63) in the aligned 64-bit word containing
@@ -238,7 +236,8 @@ private:
   }
   /// Drop `pageNo` from both TLB views.
   void evict(std::uint64_t pageNo) const;
-  /// Append {word, kind} to the armed sink, if the word is recorded.
+  /// Append {word, kind} to the armed sink if the word is watched, ending
+  /// its watch.
   void record(std::uint64_t word, Access kind) const;
   void flushTlb() const;
   void flushWriteTlb() const;
@@ -261,11 +260,10 @@ private:
   std::uint64_t eccCorrected_ = 0;
   std::uint64_t eccUncorrectable_ = 0;
   StruckWords struck_;
-  /// Armed by setAccessTrace(), narrowed by watch(); mutable so const
-  /// loads can record. Not moved with the address space: a trace belongs
-  /// to one executor's run.
+  /// Armed by setAccessTrace(), filled by watch(); mutable so const loads
+  /// can record. Not moved with the address space: a trace belongs to one
+  /// executor's run.
   mutable std::vector<WordAccess>* traceSink_ = nullptr;
-  bool watching_ = false;
   mutable std::set<std::uint64_t> watched_;
 };
 

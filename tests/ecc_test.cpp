@@ -288,6 +288,11 @@ TEST(EccMemory, WatchedWordsStayOutOfTheTlbAndRecordTheirFirstAccess) {
   m.setAccessTrace(&seen);
   ASSERT_NE(m.readPage(page), nullptr);
   ASSERT_NE(m.writePage(page), nullptr);
+  // An armed trace with no word watched records nothing.
+  std::uint64_t v = 0;
+  ASSERT_EQ(m.load(w[0], MType::I64, v), MemStatus::Ok);
+  ASSERT_EQ(m.store(w[2], MType::I64, 7), MemStatus::Ok);
+  EXPECT_TRUE(seen.empty());
   m.watch({w[0], w[1], w[2], w[3]});
   // Watching evicts the page, and while a word on it is watched neither
   // view takes it back: not through the fast-path lookups, and not
@@ -296,7 +301,6 @@ TEST(EccMemory, WatchedWordsStayOutOfTheTlbAndRecordTheirFirstAccess) {
   EXPECT_EQ(m.readPage(page), nullptr);
   EXPECT_EQ(m.writePage(page), nullptr);
   EXPECT_NE(m.readPage(page + 1), nullptr); // no watched word there
-  std::uint64_t v = 0;
   ASSERT_EQ(m.load(w[0] + 4, MType::I32, v), MemStatus::Ok);
   ASSERT_EQ(m.store(w[1] + 1, MType::I8, 7), MemStatus::Ok);
   ASSERT_EQ(m.store(w[2], MType::I64, 7), MemStatus::Ok);

@@ -159,6 +159,9 @@ TEST(MultiprocessCampaign, WorkerKilledMidShardStillCompletesIdentically) {
   runEnv().apply(ccfg);
   ccfg.seed = cfg.campaign.seed;
   ccfg.bitsToFlip = cfg.campaign.bitsToFlip;
+  // The kill indices below address the 48 trials themselves, which
+  // pruning would thin to fewer representatives.
+  ccfg.prune = {};
   inject::Campaign campaign(built.image.get(), ccfg);
   ASSERT_TRUE(campaign.profile());
 
@@ -209,6 +212,7 @@ TEST(MultiprocessCampaign, WorkerKilledAfterCommitIsNotDoubleCounted) {
   runEnv().apply(ccfg);
   ccfg.seed = cfg.campaign.seed;
   ccfg.bitsToFlip = cfg.campaign.bitsToFlip;
+  ccfg.prune = {}; // the kill index addresses the trials themselves
   inject::Campaign campaign(built.image.get(), ccfg);
   ASSERT_TRUE(campaign.profile());
 

@@ -359,9 +359,57 @@ TEST(ParetoPrune, AuditRunsCleanAndTelemetryIsPopulated) {
     EXPECT_NE(j.find(key), std::string::npos) << key;
 }
 
+TEST(ParetoPrune, PrunedKeyCoversTheReplaySpacing) {
+  // A pruned campaign's groups follow the replay grid and its shards hold
+  // representative trials, so the replay spacing joins its key; unpruned,
+  // the spacing is a performance knob and stays out.
+  CareEnv e = buildCare(kDeadMemProg, "spacing");
+  CampaignConfig cfg = pinnedConfig(inject::FaultModel::Mem1,
+                                    vm::EccMode::Secded);
+  CampaignConfig other = cfg;
+  other.checkpointEveryInstrs = 0;
+  EXPECT_EQ(inject::campaignKey(e.cm.imageDigest, cfg, true),
+            inject::campaignKey(e.cm.imageDigest, other, true));
+  cfg.prune.enabled = other.prune.enabled = true;
+  EXPECT_NE(inject::campaignKey(e.cm.imageDigest, cfg, true),
+            inject::campaignKey(e.cm.imageDigest, other, true));
+
+  // So a pruned campaign run at two spacings against one store gives the
+  // exhaustive campaign's records both times, though the spacings group
+  // its points differently.
+  constexpr int kTrials = 160;
+  CampaignConfig plainCfg = cfg;
+  plainCfg.prune.enabled = false;
+  Campaign plain(e.image.get(), plainCfg);
+  ASSERT_TRUE(plain.profile());
+  const auto want = detBytes(inject::runCampaign(
+      plain, kTrials, cfg.seed, 1, &e.artifacts, nullptr, nullptr));
+  const std::string dir = "care_test_artifacts/pareto/spacing_store";
+  std::filesystem::remove_all(dir);
+  std::set<int> groups;
+  for (const CampaignConfig& c : {other, cfg}) {
+    SCOPED_TRACE("checkpointEveryInstrs=" +
+                 std::to_string(c.checkpointEveryInstrs));
+    Campaign pruned(e.image.get(), c);
+    ASSERT_TRUE(pruned.profile());
+    inject::ServiceConfig svc;
+    svc.threads = 1;
+    svc.storeDir = dir;
+    svc.storeKey = inject::campaignKey(e.cm.imageDigest, c, true);
+    CampaignTelemetry tel;
+    EXPECT_EQ(detBytes(inject::runCampaign(pruned, kTrials, c.seed, 1,
+                                           &e.artifacts, &tel, &svc)),
+              want);
+    EXPECT_EQ(tel.storeHits, 0);
+    groups.insert(tel.pruneGroups);
+  }
+  EXPECT_EQ(groups.size(), 2u);
+}
+
 TEST(ParetoPrune, PruneKeySeparatesLiveAndDeadStrikes) {
-  // White-box: a strike at t=0 on a heavily-accessed word must not be
-  // grouped as dead; a strike at golden-end on any word must be.
+  // White-box: a strike at t=0 on a word the golden run writes must not be
+  // grouped as dead; a strike at golden-end on a sampled word must be. The
+  // keys read the watch table, built over exactly these points.
   CareEnv e = buildCare(kDeadMemProg, "keys");
   CampaignConfig cfg = pinnedConfig(inject::FaultModel::Mem1,
                                     vm::EccMode::Off);
@@ -369,30 +417,35 @@ TEST(ParetoPrune, PruneKeySeparatesLiveAndDeadStrikes) {
   Campaign campaign(e.image.get(), cfg);
   ASSERT_TRUE(campaign.profile());
 
-  Rng rng(cfg.seed);
-  for (int i = 0; i < 50; ++i) {
-    inject::InjectionPoint pt = campaign.sample(rng);
-    // At golden-end no word has a later access: always the dead class.
-    pt.nth = campaign.goldenInstrs();
-    EXPECT_EQ(campaign.pruneKey(pt).rfind("deadmem", 0), 0u)
-        << campaign.pruneKey(pt);
-  }
+  // Random page sampling almost never hits a touched word (the stack
+  // dwarfs the globals), so take the words the golden run writes.
+  vm::Executor golden(e.image.get());
+  const auto before = vm::MemorySnapshot::capture(golden.memory());
+  golden.setBudget(campaign.goldenInstrs() + 1);
+  ASSERT_EQ(vm::runToCompletion(golden).status, vm::RunStatus::Done);
+  const std::vector<std::uint64_t> written =
+      changedWords(before, vm::MemorySnapshot::capture(golden.memory()));
+  ASSERT_GT(written.size(), 100u) << "golden run wrote suspiciously little";
 
-  // A word the golden run provably touches must NOT be grouped dead at
-  // t=0 (random page sampling almost never hits one — the stack dwarfs
-  // the globals — so take it from a MemoryLife trace directly).
-  vm::Memory base;
-  e.image->initMemory(base);
-  const auto snap = vm::MemorySnapshot::capture(base);
-  pareto::MemoryLife life;
-  life.build(e.image.get(), snap, campaign.goldenInstrs());
-  ASSERT_GT(life.trackedWords(), 100u) << "access trace suspiciously small";
-  inject::InjectionPoint pt = campaign.sample(rng);
-  pt.nth = 0;
-  pt.memAddr = life.words().front();
-  EXPECT_EQ(campaign.pruneKey(pt).rfind("dup.", 0), 0u)
-      << campaign.pruneKey(pt);
-  EXPECT_FALSE(life.deadAfter(pt.memAddr, 0));
+  Rng rng(cfg.seed);
+  std::vector<inject::InjectionPoint> points;
+  for (int i = 0; i < 50; ++i) {
+    points.push_back(campaign.sample(rng));
+    // No sampled word (mostly stack the run never reaches) is accessed in
+    // the last segment, which holds the golden end.
+    points.back().nth = campaign.goldenInstrs();
+  }
+  for (const std::uint64_t word : written) {
+    points.push_back(campaign.sample(rng));
+    points.back().nth = 0;
+    points.back().memAddr = word;
+  }
+  campaign.watch(points);
+  for (const inject::InjectionPoint& pt : points) {
+    const std::string key = campaign.pruneKey(pt);
+    EXPECT_EQ(key.rfind(pt.nth == 0 ? "dup." : "deadmem", 0), 0u)
+        << key << " for word " << pt.memAddr << " at " << pt.nth;
+  }
 }
 
 } // namespace

@@ -70,6 +70,19 @@ inline RunOutput compileAndRun(const std::string& source, opt::OptLevel level) {
   return runProgram(p);
 }
 
+/// The aligned words mapped in `before` that hold another value in
+/// `after`, in address order: words a run between them wrote.
+inline std::vector<std::uint64_t>
+changedWords(const vm::MemorySnapshot& before,
+             const vm::MemorySnapshot& after) {
+  std::vector<std::uint64_t> out;
+  for (const std::uint64_t page : before.pageNumbers())
+    for (std::uint64_t w = page * vm::Memory::kPageSize;
+         w < (page + 1) * vm::Memory::kPageSize; w += 8)
+      if (before.readWord(w) != after.readWord(w)) out.push_back(w);
+  return out;
+}
+
 inline double bitsToDouble(std::uint64_t bits) {
   double d;
   __builtin_memcpy(&d, &bits, 8);

@@ -24,7 +24,7 @@
 #include <cctype>
 #include <cstring>
 
-#include "pareto/prune.hpp"
+#include "inject/injector.hpp"
 #include "sentinel/sentinel.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
@@ -340,8 +340,9 @@ std::string memoryDigest(vm::Executor& ex) {
 // Models rotate across trials: single bit, adjacent pair, 8-bit lane burst.
 // Random words are mostly on untouched stack pages, so the later trials
 // strike words the run goes on to use — the word at the stack pointer, and
-// words the traced golden run accesses after the strike — and under ECC
-// their reads must reach the struck word through the typed accessors.
+// words the golden run writes that the watch table (Campaign::watch) calls
+// live at the strike — and under ECC their reads must reach the struck
+// word through the typed accessors.
 TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
@@ -355,16 +356,19 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   vm::Executor probe(image.get());
   const std::vector<std::uint64_t> pages = probe.memory().pageNumbers();
   ASSERT_FALSE(pages.empty());
-  pareto::MemoryLife life;
-  life.build(image.get(), vm::MemorySnapshot::capture(probe.memory()),
-             golden.instrCount);
-  std::vector<std::uint64_t> words = life.words();
-  std::sort(words.begin(), words.end());
+  const std::vector<std::uint64_t> words =
+      changedWords(vm::MemorySnapshot::capture(probe.memory()),
+                   vm::MemorySnapshot::capture(prof.memory()));
   ASSERT_FALSE(words.empty());
+  inject::CampaignConfig cfg;
+  cfg.fault = inject::FaultModel::Mem1;
+  inject::Campaign campaign(image.get(), cfg);
+  ASSERT_TRUE(campaign.profile());
 
   // Word addresses below this mean "the word at the stack pointer".
   constexpr std::uint64_t kAtSP = 0;
   constexpr int kRandomTrials = 9, kSPTrials = 3, kLiveTrials = 3;
+  constexpr std::size_t kLiveCandidates = 256;
   std::uint64_t liveEccEvents = 0;
   Rng rng(0xECC);
   for (int trial = 0; trial < kRandomTrials + kSPTrials + kLiveTrials;
@@ -375,12 +379,22 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
       const std::uint64_t page = pages[rng.next() % pages.size()];
       addr = page * vm::Memory::kPageSize + 8 * (rng.next() % 512);
     } else if (trial >= kRandomTrials + kSPTrials) {
-      // The first traced word, from a random start, still used at faultAt.
-      std::size_t i = rng.next() % words.size();
-      for (std::size_t n = 0; n < words.size(); ++n, i = (i + 1) % words.size())
-        if (!life.deadAfter(words[i], faultAt)) break;
-      ASSERT_FALSE(life.deadAfter(words[i], faultAt)) << "trial " << trial;
-      addr = words[i];
+      // The first written word, from a random start, that the watch table
+      // does not call dead at faultAt.
+      const std::size_t from = rng.next() % words.size();
+      std::vector<inject::InjectionPoint> points(kLiveCandidates);
+      for (std::size_t n = 0; n < points.size(); ++n) {
+        points[n].model = inject::FaultModel::Mem1;
+        points[n].nth = faultAt;
+        points[n].memAddr = words[(from + n) % words.size()];
+      }
+      campaign.watch(points);
+      const auto live =
+          std::find_if(points.begin(), points.end(), [&](const auto& pt) {
+            return campaign.pruneKey(pt).rfind("deadmem", 0) != 0;
+          });
+      ASSERT_NE(live, points.end()) << "trial " << trial;
+      addr = live->memAddr;
     }
     std::vector<unsigned> bits;
     switch (trial % 3) {
